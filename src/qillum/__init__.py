@@ -24,6 +24,7 @@ from .montecarlo import (
     MomentCheckRow,
     SamplerConfig,
     check_gaussian_moment_identities,
+    deflection_se,
     empirical_error_rate,
     sample_pc_modes,
     sample_quadratures,
@@ -40,8 +41,10 @@ from .receiver import (
     erfc,
     error_prob_pc,
     half_erfc,
+    half_exp,
     homodyne_errors,
     homodyne_min_error,
+    homodyne_min_errors,
     homodyne_rate,
     log_erfc,
     log_error_prob_pc,

@@ -30,14 +30,20 @@ from .bounds import (
     heterodyne_distributions,
     qcb,
 )
-from .montecarlo import SamplerConfig, check_gaussian_moment_identities, simulate_pc_receiver
+from .montecarlo import (
+    SamplerConfig,
+    check_gaussian_moment_identities,
+    deflection_se,
+    simulate_pc_receiver,
+)
 from .receiver import (
     LN_HALF,
     ReceiverConfig,
     asymptotic_snr,
     beamsplitter_moments,
     error_prob_pc,
-    homodyne_min_error,
+    half_exp,
+    homodyne_min_errors,
     homodyne_rate,
     log_error_prob_pc,
     snr_pc,
@@ -153,10 +159,6 @@ class SweepRow:
             raise ValueError(f"p_error {self.p_error} outside (0, 1/2] for {self.receiver}")
 
 
-def _log_half_exp(m: int, rate: float) -> float:
-    return LN_HALF - m * rate
-
-
 def _half_power_weight(prior: float) -> float:
     # exact at equal priors so the weighted bound never exceeds C/2 by an ulp
     if prior == 1.0 - prior:
@@ -171,26 +173,27 @@ def compute_sweep(spec: SweepSpec) -> list:
     fixes the output order regardless of how the points were computed.
     per_mode_rate is the SNR for threshold receivers and the Chernoff
     exponent for bound rows. Threshold rows take p_error = (1/2)erfc(x) and
-    exponent = -ln p from separate accurate routes, x = sqrt(M*rate); p is
-    never formed as exp(-exponent), which would scale the exponent's last-bit
-    error by |ln p|.
+    exponent = -ln p from separate accurate routes, x = sqrt(M*rate); bound
+    rows take p_error from half_exp. p is never formed as exp(-exponent),
+    which would scale the exponent's last-bit error by |ln p|. CS+Hom rows
+    come from one homodyne_min_errors call over the whole M grid.
     """
     src, ch, _ = spec.scenario.resolve()
     scenario_noise = NoiseParams(eps_return=spec.scenario.eps_r,
                                  eps_idler=spec.scenario.eps_i)
 
-    def point_and_rate(receiver: str):
+    ms = [int(m) for m in spec.m_values]
+
+    def points_and_rate(receiver: str):
         if receiver in _PC_NOISE:
             extra = _PC_NOISE[receiver]
             noise = NoiseParams(eps_return=scenario_noise.eps_return + extra.eps_return,
                                 eps_idler=scenario_noise.eps_idler + extra.eps_idler)
             stats = snr_pc(src, ch, noise)
-            return (lambda m: (error_prob_pc(stats, m), log_error_prob_pc(stats, m))), stats.snr
+            return [(error_prob_pc(stats, m), log_error_prob_pc(stats, m)) for m in ms], stats.snr
         if receiver == "CS+Hom":
-            def homodyne(m):
-                opt = homodyne_min_error(src.n_signal, ch, m)
-                return opt.p_error, opt.log_p_error
-            return homodyne, homodyne_rate(src.n_signal, ch)
+            opts = homodyne_min_errors(src.n_signal, ch, ms)
+            return [(o.p_error, o.log_p_error) for o in opts], homodyne_rate(src.n_signal, ch)
         if receiver == "CS-QCB":
             rate = cs_qcb_exponent(src.n_signal, ch)
         elif receiver == "QI-QCB":
@@ -204,18 +207,13 @@ def compute_sweep(spec: SweepSpec) -> list:
             rate = ccb(heterodyne_distributions(*states)).exponent
         else:
             raise ValueError(f"unknown receiver {receiver!r}")
-
-        def bound(m):
-            lp = _log_half_exp(m, rate)
-            return math.exp(lp), lp
-        return bound, rate
+        return [(half_exp(m, rate), LN_HALF - m * rate) for m in ms], rate
 
     rows = []
     for receiver in spec.receivers:
-        point, rate = point_and_rate(receiver)
-        for m in spec.m_values:
-            p, lp = point(int(m))
-            rows.append(SweepRow(receiver=receiver, m=int(m), p_error=p,
+        points, rate = points_and_rate(receiver)
+        for m, (p, lp) in zip(ms, points):
+            rows.append(SweepRow(receiver=receiver, m=m, p_error=p,
                                  exponent=-lp, per_mode_rate=rate))
     return rows
 
@@ -384,7 +382,8 @@ def cmd_mc(args) -> int:
         gate("mean_h1", emp.mean_h1, analytic.mean_h1, emp.se_mean_h1),
         gate("var_h0", emp.var_h0, analytic.var_h0, emp.se_var_h0),
         gate("var_h1", emp.var_h1, analytic.var_h1, emp.se_var_h1),
-        gate("snr", emp.snr_hat, analytic.snr, emp.se_snr),
+        gate("sqrt(snr)", math.sqrt(emp.snr_hat), math.sqrt(analytic.snr),
+             deflection_se(emp, analytic.snr)),
     ]
     for row in check_gaussian_moment_identities(cfg).rows:
         rows.append({"label": f"{row.label} @ cov={row.covariance:g}",

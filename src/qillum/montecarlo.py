@@ -8,8 +8,10 @@ the +/- modes, and the decision statistic is the difference of the two
 photon-number estimates N = (q^2 + p^2 - 1)/2.
 
 All randomness is counter-based: each (seed, stream) pair opens an
-independent Philox stream, so repeated runs are bit-identical regardless of
-worker count or evaluation order.
+independent Philox stream, so repeated runs with the same seed and sample
+counts are bit-identical, whatever the order in which the hypotheses and
+checks are evaluated. Every sampler draws its whole sample at once, in this
+process.
 """
 from __future__ import annotations
 
@@ -205,6 +207,23 @@ def simulate_pc_receiver(src: SourceParams, ch: ChannelParams, noise: NoiseParam
         se_snr=math.sqrt(max(var_snr, 0.0)),
         n_samples=cfg.n_samples,
     )
+
+
+def deflection_se(emp: EmpiricalStats, snr: float) -> float:
+    """Standard error of sqrt(snr_hat) about the exact deflection sqrt(snr).
+
+    sqrt(snr_hat) = |mean_h1 - mean_h0| / (sqrt(2)*(sqrt(var_h1) + sqrt(var_h0)))
+    is near-normal, with a spread set by the mean errors whatever its size, so
+    it carries a gate at any SNR. snr_hat does not: where the mean difference
+    is a few standard errors it is the square of a noisy number, and se_snr,
+    propagated at the estimate, shrinks with it.
+    """
+    d = math.sqrt(snr)
+    t = math.sqrt(emp.var_h0) + math.sqrt(emp.var_h1)
+    se_sq = (emp.se_mean_h0 ** 2 + emp.se_mean_h1 ** 2) / (2.0 * t * t)
+    for var, se_var in ((emp.var_h0, emp.se_var_h0), (emp.var_h1, emp.se_var_h1)):
+        se_sq += (d * se_var / (2.0 * t * math.sqrt(var))) ** 2
+    return math.sqrt(se_sq)
 
 
 def empirical_error_rate(src: SourceParams, ch: ChannelParams, noise: NoiseParams,

@@ -18,7 +18,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import NumericFailure
-from .optimize import golden_section
+from .optimize import golden_section_array
 from .states import ChannelParams, GaussianState, NoiseParams, SourceParams, c_quantum
 from .symplectic import CovMatrix
 
@@ -34,31 +34,40 @@ def _check_finite(x: float, name: str) -> None:
         raise ValueError(f"{name} argument must be finite, got {x}")
 
 
-def _square_exact(x: float) -> tuple[float, float]:
-    """hi + lo == x*x exactly (Dekker's product), for |x| below ~1e150."""
-    hi = x * x
+def _split(x):
+    """Veltkamp's split: x == hi + lo exactly, each half with 26 significant bits."""
     c = _SPLITTER * x
-    xh = c - (c - x)
-    xl = x - xh
-    lo = ((xh * xh - hi) + 2.0 * xh * xl) + xl * xl
+    hi = c - (c - x)
+    return hi, x - hi
+
+
+def _two_product(a, b):
+    """hi + lo == a*b exactly (Dekker's product), floats or numpy arrays.
+
+    Exact while |a|, |b| stay below ~1e300 and a*b neither overflows nor
+    comes near the subnormal range.
+    """
+    hi = a * b
+    ah, al = _split(a)
+    bh, bl = _split(b)
+    lo = ((ah * bh - hi) + ah * bl + al * bh) + al * bl
     return hi, lo
 
 
-def _log_erfc_tail(x: float) -> float:
+def _log_erfc_tail(x, log=math.log):
     """ln erfc(x) for x >= 26 from the asymptotic series.
 
     erfc(x) = exp(-x^2)/(x*sqrt(pi)) * sum_n (-1)^n (2n-1)!!/(2x^2)^n; at
     x >= 26 the terms through n = 8 leave a truncation error below 1e-20.
     x^2 is carried exactly as hi + lo so the result rounds once, at the end.
+    x may be a float or, with log=np.log, an array; x*x must be finite.
     """
-    hi, lo = _square_exact(x)
-    if math.isinf(hi):
-        return -math.inf
+    hi, lo = _two_product(x, x)
     t = 0.5 / hi
     series = 1.0
     for k in (15.0, 13.0, 11.0, 9.0, 7.0, 5.0, 3.0, 1.0):
         series = 1.0 - k * t * series
-    return -hi - (lo + math.log(x) + _HALF_LN_PI - math.log(series))
+    return -hi - (lo + log(x) + _HALF_LN_PI - log(series))
 
 
 def erfc(x: float) -> float:
@@ -77,11 +86,32 @@ def log_erfc(x: float) -> float:
     """
     _check_finite(x, "log_erfc")
     if x >= _ERFC_TAIL:
-        return _log_erfc_tail(x)
+        return -math.inf if math.isinf(x * x) else _log_erfc_tail(x)
     e = math.erfc(x)
     if e >= 0.5:
         return math.log1p(-math.erf(x))
     return math.log(e)
+
+
+def _log_erfc_array(x: np.ndarray) -> np.ndarray:
+    """ln erfc elementwise over a float array, by log_erfc's three routes.
+
+    erfc and erf are the C library's, mapped over the elements; logarithms and
+    the tail series run in numpy. Within 1e-13 relative of log_erfc.
+    """
+    out = np.empty_like(x)
+    tail = x >= _ERFC_TAIL
+    if tail.any():  # the series costs ~30 numpy calls, even on no elements
+        out[tail] = _log_erfc_tail(x[tail], log=np.log)
+    mid = x[~tail]
+    e = np.fromiter(map(math.erfc, mid.tolist()), float, mid.size)
+    near = e >= 0.5
+    near_x = mid[near]
+    e[near] = -np.fromiter(map(math.erf, near_x.tolist()), float, near_x.size)
+    e[near] = np.log1p(e[near])
+    e[~near] = np.log(e[~near])
+    out[~tail] = e
+    return out
 
 
 def half_erfc(x: float) -> float:
@@ -93,6 +123,18 @@ def half_erfc(x: float) -> float:
     """
     _check_finite(x, "half_erfc")
     return 0.5 * math.erfc(x)
+
+
+def half_exp(m, rate: float) -> float:
+    """(1/2)exp(-m*rate), a Chernoff-type error bound after m pulses.
+
+    m*rate is carried exactly as hi + lo (Dekker's product) and exp(-lo) is
+    taken to first order, so the result rounds little more than exp itself;
+    exp(ln(1/2) - m*rate) would scale the rounding of m*rate by m*rate.
+    """
+    hi, lo = _two_product(float(m), rate)
+    p = 0.5 * math.exp(-hi)
+    return p - p * lo
 
 
 def _validate_pulses(m) -> int:
@@ -307,40 +349,65 @@ def homodyne_rate(n_signal: float, ch: ChannelParams) -> float:
 
 
 def homodyne_min_error(n_signal: float, ch: ChannelParams, m) -> HomodyneOptimum:
-    """Minimum equal-prior homodyne error (1/2)erfc(sqrt(m*rate)).
+    """Minimum equal-prior homodyne error (1/2)erfc(sqrt(m*rate)) at one pulse count.
 
-    rate is homodyne_rate(n_signal, ch), so the result is the one a sweep row
+    The one-element case of homodyne_min_errors, self-check included; a grid
+    of pulse counts is far cheaper in one homodyne_min_errors call.
+    """
+    return homodyne_min_errors(n_signal, ch, (m,))[0]
+
+
+def homodyne_min_errors(n_signal: float, ch: ChannelParams, ms) -> list[HomodyneOptimum]:
+    """Minimum equal-prior homodyne error (1/2)erfc(sqrt(m*rate)) for each m in ms.
+
+    rate is homodyne_rate(n_signal, ch), so each result is the one a sweep row
     forms from its per_mode_rate. p_error comes from half_erfc and
     log_p_error from log_erfc, each accurate in its own right. The optimal
     threshold sits midway between the conditional means,
-    x* = m*sqrt(2*kappa*N_S)/2. Every call cross-checks the closed form
-    against a golden-section minimization of (fa+md)/2 in the log domain and
-    raises NumericFailure if the two disagree beyond 1e-12.
+    x* = m*sqrt(2*kappa*N_S)/2.
+
+    Every call cross-checks the closed form at every m against a numeric
+    minimization of (fa+md)/2 in the log domain: a golden-section search on
+    [0, m*sqrt(2*kappa*N_S)] to within 1e-11*max(shift, sigma), run for all m
+    in lockstep. It raises NumericFailure, naming each m, where the two
+    disagree by more than 1e-12*max(1, |ln p|).
     """
-    m = _validate_pulses(m)
+    ms = [_validate_pulses(m) for m in ms]
     if not (n_signal >= 0 and math.isfinite(n_signal)):
         raise ValueError(f"n_signal must be >= 0, got {n_signal}")
-    x = math.sqrt(m * homodyne_rate(n_signal, ch))
-    log_p = LN_HALF + log_erfc(x)
-    shift = m * math.sqrt(2.0 * ch.reflectivity * n_signal)
-    x_star = 0.5 * shift
-    if shift > 0.0:
-        sigma = math.sqrt(m * (2.0 * ch.n_background + 1.0))
+    rate = homodyne_rate(n_signal, ch)
+    root = math.sqrt(2.0 * ch.reflectivity * n_signal)
+    out = []
+    for m in ms:
+        x = math.sqrt(m * rate)
+        out.append(HomodyneOptimum(p_error=half_erfc(x), threshold=0.5 * (m * root),
+                                   log_p_error=LN_HALF + log_erfc(x)))
+    if root > 0.0:
+        _check_homodyne_optimum(ms, root, 2.0 * ch.n_background + 1.0,
+                                np.array([opt.log_p_error for opt in out]))
+    return out
 
-        def objective(t: float) -> float:
-            lfa = LN_HALF + log_erfc(t / sigma)
-            lmd = LN_HALF + log_erfc((shift - t) / sigma)
-            return float(np.logaddexp(lfa, lmd)) + LN_HALF
 
-        x_num = golden_section(objective, 0.0, shift,
-                               xtol=1e-11 * max(shift, sigma))
-        log_num = objective(x_num)
-        if not abs(log_num - log_p) <= 1e-12 * max(1.0, abs(log_p)):
-            raise NumericFailure(
-                "numeric threshold optimization disagrees with the closed form: "
-                f"log p {log_num!r} vs {log_p!r}"
-            )
-    return HomodyneOptimum(p_error=half_erfc(x), threshold=x_star, log_p_error=log_p)
+def _check_homodyne_optimum(ms: list, root: float, omega: float, log_p: np.ndarray) -> None:
+    """Raise NumericFailure where the numeric minimum of ln (fa+md)/2 is not log_p."""
+    m_arr = np.array(ms, dtype=float)
+    shift = m_arr * root
+    sigma = np.sqrt(m_arr * omega)
+
+    def objective(t: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        s = sigma[idx]
+        both = LN_HALF + _log_erfc_array(np.concatenate((t / s, (shift[idx] - t) / s)))
+        return np.logaddexp(both[:t.size], both[t.size:]) + LN_HALF
+
+    x_num = golden_section_array(objective, np.zeros_like(shift), shift,
+                                 xtol=1e-11 * np.maximum(shift, sigma))
+    log_num = objective(x_num, np.arange(len(ms)))
+    bad = np.flatnonzero(~(np.abs(log_num - log_p) <= 1e-12 * np.maximum(1.0, np.abs(log_p))))
+    if bad.size:
+        raise NumericFailure(
+            "numeric threshold optimization disagrees with the closed form at "
+            + ", ".join(f"M={ms[i]} (log p {log_num[i]!r} vs {log_p[i]!r})" for i in bad)
+        )
 
 
 class ReceiverConfig(Enum):
@@ -353,8 +420,9 @@ class ReceiverConfig(Enum):
 def asymptotic_snr(config: ReceiverConfig, src: SourceParams, ch: ChannelParams) -> float:
     """Leading-order per-pulse SNR in the bright-background regime.
 
-    QI_PC and QI_Cal_PC share (1+N_I)*kappa*N_S/(2*N_B*(1+2*N_I)); QI_Het_PC
-    degrades to the coherent-homodyne rate kappa*N_S/(4*N_B). The entangled
+    QI_PC and QI_Cal_PC share kappa*c_q^2/(8*N_B*(1+2*N_I)), which is
+    (1+N_I)*kappa*N_S/(2*N_B*(1+2*N_I)) when N_S <= N_I; QI_Het_PC degrades
+    to the coherent-homodyne rate kappa*N_S/(4*N_B). The entangled
     configurations assume the source sits at the quantum correlation bound.
     """
     if not isinstance(config, ReceiverConfig):
@@ -368,7 +436,7 @@ def asymptotic_snr(config: ReceiverConfig, src: SourceParams, ch: ChannelParams)
                 f"{config.value} asymptotics assume corr at the quantum bound "
                 f"{cq:.12g}, got {src.corr:.12g}"
             )
-    ks = ch.reflectivity * src.n_signal
     if config in (ReceiverConfig.QI_PC, ReceiverConfig.QI_CAL_PC):
-        return (1.0 + src.n_idler) * ks / (2.0 * ch.n_background * (1.0 + 2.0 * src.n_idler))
-    return ks / (4.0 * ch.n_background)
+        return (ch.reflectivity * cq * cq
+                / (8.0 * ch.n_background * (1.0 + 2.0 * src.n_idler)))
+    return ch.reflectivity * src.n_signal / (4.0 * ch.n_background)

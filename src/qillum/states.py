@@ -30,9 +30,11 @@ class Hypothesis(Enum):
 class SourceParams:
     """Signal/idler brightness and quadrature correlation of the source.
 
-    corr is bounded by the quantum limit c_q = 2*sqrt(N_S*(N_I+1)); the
-    source is maximally entangled (two-mode squeezed vacuum for N_S = N_I)
-    at corr = c_q and just-separable at corr = c_d = 2*sqrt(N_S*N_I).
+    corr is bounded by the quantum limit
+    c_q = 2*sqrt(min(N_S*(N_I+1), N_I*(N_S+1))), which is 2*sqrt(N_S*(N_I+1))
+    when N_S <= N_I; the source is maximally entangled (two-mode squeezed
+    vacuum for N_S = N_I) at corr = c_q and just-separable at
+    corr = c_d = 2*sqrt(N_S*N_I).
     """
 
     n_signal: float
@@ -46,11 +48,12 @@ class SourceParams:
             raise ValueError(f"n_idler must be >= 0, got {self.n_idler}")
         if not (self.corr >= 0 and math.isfinite(self.corr)):
             raise ValueError(f"corr must be >= 0, got {self.corr}")
-        cq = 2.0 * math.sqrt(self.n_signal * (self.n_idler + 1.0))
+        cq = c_quantum(self)
         if self.corr > cq + 1e-12 * max(1.0, cq):
             raise ValueError(
                 "corr violates the quantum correlation bound "
-                f"c <= 2*sqrt(N_S*(N_I+1)) = {cq:.12g}; got {self.corr:.12g}"
+                "c <= 2*sqrt(N_S*(N_I+1)) if N_S <= N_I, else 2*sqrt(N_I*(N_S+1)); "
+                f"here {cq:.12g}, got {self.corr:.12g}"
             )
 
     @property
@@ -128,8 +131,13 @@ class GaussianState:
 
 
 def c_quantum(src: SourceParams) -> float:
-    """Maximal quadrature correlation allowed by quantum mechanics."""
-    return 2.0 * math.sqrt(src.n_signal * (src.n_idler + 1.0))
+    """Maximal quadrature correlation allowed by quantum mechanics.
+
+    The source CM is physical (symplectic eigenvalues >= 1/2) exactly when
+    c^2 <= 4*min(N_S, N_I)*(max(N_S, N_I) + 1).
+    """
+    lo, hi = sorted((src.n_signal, src.n_idler))
+    return 2.0 * math.sqrt(lo * (hi + 1.0))
 
 
 def c_direct(src: SourceParams) -> float:

@@ -1,12 +1,14 @@
 """End-to-end CLI checks: parsing, output formats, exit codes, stability."""
+import dataclasses
 import json
 import math
 import re
 
 import pytest
 
-from qillum.cli import RECEIVER_ORDER, ScenarioParams, SweepRow, SweepSpec, main
-from qillum.receiver import snr_pc
+from qillum.cli import RECEIVER_ORDER, ScenarioParams, SweepRow, SweepSpec, compute_sweep, main
+from qillum.montecarlo import deflection_se, simulate_pc_receiver
+from qillum.receiver import homodyne_min_error, snr_pc
 from qillum.states import ChannelParams
 
 SNR_QI_PC = 2.3575929806957360e-06
@@ -187,6 +189,28 @@ class TestSweepTypes:
         assert row.exponent == 2000.0
 
 
+class TestComputeSweep:
+    def test_bound_receivers_run_on_a_signal_brighter_than_the_idler(self):
+        # c_q once exceeded the physical bound when N_S > N_I, and every
+        # GaussianState built from such a source was rejected as unphysical
+        scenario = ScenarioParams(ns=0.113, ni=0.0069, kappa=0.106, nb=0.40)
+        receivers = ("QI-QCB", "QI-QBB", "QI+Het+CCB", "CS-QCB")
+        rows = compute_sweep(SweepSpec(scenario, (10, 1000), receivers))
+        assert [r.receiver for r in rows] == [r for r in receivers for _ in range(2)]
+        assert all(0.0 < r.p_error < 0.5 for r in rows)
+
+    def test_cs_hom_rows_equal_per_m_homodyne_min_error(self):
+        ratio = (1e10 / 10.0) ** (1.0 / 299)
+        ms = tuple(sorted({int(round(10.0 * ratio ** i)) for i in range(300)}))
+        assert len(ms) == 299
+        scenario = ScenarioParams(ns=0.01, ni=0.01, kappa=0.01, nb=20.0)
+        rows = compute_sweep(SweepSpec(scenario, ms, ("CS+Hom",)))
+        ch = ChannelParams(0.01, 20.0)
+        for row, m in zip(rows, ms):
+            opt = homodyne_min_error(0.01, ch, m)
+            assert (row.m, row.p_error, row.exponent) == (m, opt.p_error, -opt.log_p_error)
+
+
 class TestBoundsCommand:
     def test_reference_report(self, capsys):
         rc, report, _ = run_json(capsys, ["bounds"] + REF_FLAGS)
@@ -248,6 +272,31 @@ class TestMcCommand:
         rc, out, _ = run_cli(capsys, ["mc"] + REF_FLAGS + ["--samples", "5000"])
         assert rc == 4
         assert "FAIL" in out
+
+    def test_deflection_gate_passes_a_small_mean_difference(self, capsys):
+        # the mean difference is about 2 se here, so snr_hat lands 5.4 se_snr
+        # from the SNR although every mean and variance is within 1.9 se
+        argv = ["mc"] + REF_FLAGS + ["--seed", "2721355147127115823"]
+        rc, report, _ = run_json(capsys, argv)
+        assert rc == 0
+        row = next(r for r in report["results"] if r["label"] == "sqrt(snr)")
+        assert row["n_sigma"] < 3.0
+
+    def test_deflection_moved_6_se_fails(self, capsys, monkeypatch):
+        real = simulate_pc_receiver
+
+        def moved(src, ch, noise, cfg):
+            emp = real(src, ch, noise, cfg)
+            snr = snr_pc(src, ch, noise).snr
+            root = math.sqrt(snr) + 6.0 * deflection_se(emp, snr)
+            return dataclasses.replace(emp, snr_hat=root * root)
+
+        monkeypatch.setattr("qillum.cli.simulate_pc_receiver", moved)
+        rc, report, _ = run_json(capsys, ["mc"] + REF_FLAGS + ["--samples", "20000"])
+        assert rc == 4
+        failed = [r for r in report["results"] if not r["passed"]]
+        assert [r["label"] for r in failed] == ["sqrt(snr)"]
+        assert failed[0]["n_sigma"] == pytest.approx(6.0, rel=1e-9)
 
     def test_negative_seed_exits_2(self, capsys):
         rc, _, err = run_cli(capsys, ["mc", "--seed", "-3", "--samples", "100"])

@@ -4,6 +4,8 @@ Criterion 9 pins the bytes that the installed C library's erf/erfc produce;
 this module pins what those bytes must mean. Every threshold row must hold
 p_error = (1/2)erfc(x) and exponent = -ln p_error to within 2 ulps, with
 x = sqrt(M*per_mode_rate) formed in double precision as the program forms it.
+Every bound row must hold p_error = (1/2)exp(-M*per_mode_rate) to within
+2 ulps, with the product M*per_mode_rate taken exactly.
 """
 import csv
 import math
@@ -16,10 +18,12 @@ from _oracles import ulp_error
 
 GOLDEN = Path(__file__).parent / "golden" / "comparison_sweep.csv"
 THRESHOLD_RECEIVERS = ("QI+PC", "QI+Cal+PC", "QI+Het+PC", "CS+Hom")
+BOUND_RECEIVERS = ("QI+Het+CCB", "CS-QCB", "QI-QCB", "QI-QBB")
 
 with GOLDEN.open(newline="", encoding="utf-8") as _fh:
-    THRESHOLD_ROWS = [row for row in csv.DictReader(_fh)
-                      if row["receiver"] in THRESHOLD_RECEIVERS]
+    _ROWS = list(csv.DictReader(_fh))
+THRESHOLD_ROWS = [row for row in _ROWS if row["receiver"] in THRESHOLD_RECEIVERS]
+BOUND_ROWS = [row for row in _ROWS if row["receiver"] in BOUND_RECEIVERS]
 
 
 def test_every_threshold_receiver_has_rows():
@@ -35,3 +39,16 @@ def test_threshold_row_within_two_ulps_of_mpmath(row):
         p = mpmath.erfc(mpmath.mpf(x)) / 2
         assert ulp_error(float(row["p_error"]), p) <= 2.0
         assert ulp_error(float(row["exponent"]), -mpmath.log(p)) <= 2.0
+
+
+def test_every_bound_receiver_has_rows():
+    assert sorted({row["receiver"] for row in BOUND_ROWS}) == sorted(BOUND_RECEIVERS)
+    assert len(BOUND_ROWS) == 4 * 13
+
+
+@pytest.mark.parametrize("row", BOUND_ROWS,
+                         ids=[f"{r['receiver']}-{r['M']}" for r in BOUND_ROWS])
+def test_bound_row_p_error_within_two_ulps_of_mpmath(row):
+    with mpmath.workdps(50):
+        p = mpmath.exp(-int(row["M"]) * mpmath.mpf(float(row["per_mode_rate"]))) / 2
+        assert ulp_error(float(row["p_error"]), p) <= 2.0

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from _oracles import ulp_error
 
+from qillum.errors import NumericFailure
 from qillum.receiver import (
     BeamsplitterMoments,
     ErrorProbabilities,
@@ -16,11 +17,14 @@ from qillum.receiver import (
     ReceiverStats,
     asymptotic_snr,
     beamsplitter_moments,
+    _log_erfc_array,
     erfc,
     error_prob_pc,
     half_erfc,
+    half_exp,
     homodyne_errors,
     homodyne_min_error,
+    homodyne_min_errors,
     log_erfc,
     log_error_prob_pc,
     pc_transform,
@@ -100,6 +104,28 @@ class TestErfc:
                 x = float(x)
                 exact = mpmath.erfc(mpmath.mpf(x)) / 2
                 assert ulp_error(half_erfc(x), exact) <= 4.0, x
+
+    def test_log_erfc_array_within_1e_13_of_log_erfc(self):
+        # the array form the homodyne self-check evaluates, on the same routes
+        xs = np.concatenate([
+            [0.0, 1e-300, 2.5e-5, 0.4769362762044699, 0.47693627620446993,
+             np.nextafter(26.0, 0.0), 26.0],
+            np.geomspace(1e-12, 1e-3, 91),
+            np.linspace(0.0, 30.0, 3001),
+            np.geomspace(26.0, 1e4, 301),
+        ])
+        got = _log_erfc_array(xs)
+        want = np.array([log_erfc(float(x)) for x in xs])
+        assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
+
+    def test_half_exp_within_two_ulps_of_mpmath(self):
+        # exp(ln(1/2) - m*rate) was up to 43 ulps off on the golden bound rows
+        rng = np.random.default_rng(5)
+        with mpmath.workdps(50):
+            for m, rate in zip(np.geomspace(1, 1e10, 200).round(), 10 ** rng.uniform(-12, 0, 200)):
+                exact = mpmath.exp(-int(m) * mpmath.mpf(float(rate))) / 2
+                if exact > 1e-300:
+                    assert ulp_error(half_exp(int(m), float(rate)), exact) <= 2.0, (m, rate)
 
     def test_half_erfc_representable_at_exponent_700(self):
         p = half_erfc(math.sqrt(700.0))
@@ -331,6 +357,25 @@ class TestHomodyne:
             other = homodyne_errors(0.01, REF_CH, m, frac * opt.threshold)
             assert other.p_error >= opt.p_error * (1.0 - 1e-12)
 
+    def test_self_check_names_the_m_with_a_corrupt_closed_form(self, monkeypatch):
+        # ln p 1e-11 relative off at one M of the grid; the lockstep search
+        # computes its own ln erfc, so only the closed form is corrupted
+        ms = [10, 10 ** 6, 10 ** 8]
+        bad_x = math.sqrt(10 ** 6 * (0.01 * 0.01 / 82.0))
+        real = log_erfc
+
+        def corrupt(x):
+            return real(x) * (1.0 + 1e-11) if x == bad_x else real(x)
+
+        homodyne_min_errors(0.01, REF_CH, ms)
+        monkeypatch.setattr("qillum.receiver.log_erfc", corrupt)
+        with pytest.raises(NumericFailure, match=r"at M=1000000 \(") as grid:
+            homodyne_min_errors(0.01, REF_CH, ms)
+        assert "M=10 " not in str(grid.value) and "M=100000000" not in str(grid.value)
+        with pytest.raises(NumericFailure, match=r"at M=1000000 \("):
+            homodyne_min_error(0.01, REF_CH, 10 ** 6)
+        homodyne_min_error(0.01, REF_CH, 10 ** 8)
+
     def test_zero_reflectivity_gives_half(self):
         opt = homodyne_min_error(0.01, ChannelParams(0.0, 20.0), 10)
         assert opt.p_error == 0.5
@@ -365,9 +410,14 @@ class TestAsymptoticSnr:
         assert ratio == pytest.approx(2.0 * 1.01 / 1.02, rel=1e-14)
 
     def test_small_idler_limit(self):
+        # an idler dimmer than the signal caps the correlation: c_q^2/4 = N_I*(N_S+1)
         src = make_source(0.01, 1e-9, "quantum")
         val = asymptotic_snr(ReceiverConfig.QI_PC, src, REF_CH)
-        assert val == pytest.approx(1e-4 / 40.0, rel=1e-6)
+        assert val == pytest.approx(0.01 * 1e-9 * 1.01 / 40.0, rel=1e-6)
+        bright = ChannelParams(0.01, 1e6)
+        exact = snr_pc(src, bright).snr
+        assert exact / asymptotic_snr(ReceiverConfig.QI_PC, src, bright) == pytest.approx(
+            1.0, abs=1e-3)
 
     def test_requires_quantum_correlation(self):
         src = SourceParams(0.01, 0.01, 0.02)

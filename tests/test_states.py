@@ -120,6 +120,15 @@ class TestSourceCm:
         nus = symplectic_eigenvalues(source_cm(src))
         assert nus[-1] == pytest.approx(0.5, abs=1e-12)
 
+    @pytest.mark.parametrize("ns,ni", [(0.2, 0.01), (0.01, 0.2), (0.113, 0.0069)])
+    def test_quantum_source_physical_whichever_mode_is_brighter(self, ns, ni):
+        # the bound is 2*sqrt(min(N_S*(N_I+1), N_I*(N_S+1))), so at c_q the
+        # smaller symplectic eigenvalue is 1/2 even when N_S > N_I
+        nus = symplectic_eigenvalues(source_cm(make_source(ns, ni, "quantum")))
+        assert nus[-1] == pytest.approx(0.5, abs=1e-12)
+        with pytest.raises(ValueError, match="quantum correlation bound"):
+            SourceParams(ns, ni, 2.0 * math.sqrt(max(ns * (ni + 1.0), ni * (ns + 1.0))))
+
     def test_equal_brightness_quantum_source_is_pure(self):
         src = make_source(0.37, 0.37, "quantum")
         nus = symplectic_eigenvalues(source_cm(src))
