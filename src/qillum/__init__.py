@@ -7,8 +7,8 @@ every formula against simulation.
 from .bounds import (
     ClassicalDistributionPair,
     SOverlapResult,
+    StandardFormPair,
     ccb,
-    ccb_reference_expression,
     classical_s_overlap,
     cs_qcb_closed,
     cs_qcb_exponent,

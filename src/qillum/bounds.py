@@ -5,8 +5,9 @@ the optimal measurement obeys P <= pi_0^s pi_1^(1-s) Tr(rho_0^s rho_1^(1-s))
 for every s in [0, 1]. Minimizing over s gives the quantum Chernoff bound;
 fixing s = 1/2 gives the looser Bhattacharyya variant. For Gaussian states
 the s-overlap C_s = Tr(rho_0^s rho_1^(1-s)) has a closed form in terms of
-the Williamson decompositions of the two covariance matrices: fractional
-powers of a thermal mode with symplectic eigenvalue nu are again thermal,
+the Williamson decompositions of the two covariance matrices (Pirandola &
+Lloyd, PRA 78, 012331, 2008): fractional powers of a thermal mode with
+symplectic eigenvalue nu are again thermal,
 
     G_s(nu)      = 1 / ((nu+1/2)^s - (nu-1/2)^s)        (trace of rho^s)
     Lambda_s(nu) = ((nu+1/2)^s + (nu-1/2)^s)
@@ -14,40 +15,78 @@ powers of a thermal mode with symplectic eigenvalue nu are again thermal,
 
 so C_s is a product of G factors over modes divided by sqrt(det) of the
 summed rescaled covariances, times a Gaussian factor in the mean difference.
-
 The classical analogue for heterodyne outcome records uses the same
-s-integral over Gaussian probability densities in closed form.
+s-integral over Gaussian probability densities.
+
+Two routes give ln C_s and its s-derivative, chosen at one dispatch point
+(_quantum_route for states, _classical_route for outcome densities):
+
+- Closed form, for zero-mean two-mode pairs in standard form
+  V = (1/2)[[a I, c Z], [c Z, b I]], which every conditional state of the
+  illumination model is (StandardFormPair). The symplectic spectrum comes
+  from the two-mode invariants, lambda_pm = a - h, b - h (doubled units,
+  vacuum 1) with h = 2c^2/(a+b+root), root = sqrt((a+b)^2 - 4c^2), and the
+  Williamson matrix is a two-mode squeezer with tanh 2r = 2c/(a+b). ln C_s
+  then splits into one thermal-pair term per mode plus -log1p(m_s), where
+  m_s is proportional to sinh^2 of the squeezing mismatch. Every H1 quantity
+  is the H0 quantity plus a difference formed without subtracting nearly
+  equal numbers, each term is brought in through log1p/expm1, and the terms
+  linear in the difference, which cancel, are never formed (log1p(x) - x
+  and expm1(y) - y are evaluated as such), so -ln C_s keeps its relative
+  accuracy however small it is. Heterodyne outcomes have covariance
+  V + I/2, which keeps the standard form; their log-overlap is the Jensen
+  gap of ln det along the segment between the two covariances
+  (StandardFormDensities).
+- Generic, for any other pair: the numeric Williamson decomposition of each
+  covariance and a Cholesky factorization of the summed covariance, with the
+  derivative from the same factorization. It is the fallback and the test
+  oracle of the closed form.
+
+Minimization over s: ln C_s is convex in s (Audenaert et al., PRL 98,
+160501, 2007), so one safeguarded Newton iteration on the analytic
+derivative finds s*. The slope of the derivative comes from the secant of
+the last two iterates, so a route supplies only ln C_s and its first
+derivative; a step that leaves the bracket is replaced by bisection. The
+search stops when the predicted gap to the minimum is below a tolerance
+relative to the exponent, and s = 1/2 wins any tie within that tolerance.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, LinAlgError
 
 from .errors import NumericFailure
-from .optimize import golden_section
 from .receiver import _validate_pulses
-from .states import ChannelParams, GaussianState
-from .symplectic import CovMatrix, williamson
+from .states import ChannelParams, GaussianState, NoiseParams, SourceParams
+from .symplectic import PHYSICALITY_ATOL, williamson
 
 # s is clamped away from the endpoints where G_s diverges for mixed states;
 # C_0 = C_1 = 1 analytically and the clamped evaluation recovers that limit.
 S_ENDPOINT_EPS = 1e-12
-_GRID_POINTS = 33
-_S_TOL = 1e-9
+_EPS = float(np.finfo(float).eps)
+# Relative to the exponent: the s-search stops once its predicted gap to the
+# minimum is below half of this, and s = 1/2 wins a tie within it.
+_EXPONENT_RTOL = 4.0 * _EPS
+_MAX_STEPS = 200
+_UNPHYSICAL = "covariance matrix is not physical (symplectic eigenvalue < 1/2)"
 
 
 @dataclass(frozen=True)
 class SOverlapResult:
-    """Minimized prior-weighted s-overlap and the bound it certifies."""
+    """Minimized prior-weighted s-overlap and the bound it certifies.
+
+    exponent is -ln C_{s*}, kept as computed rather than recovered from
+    c_at_s_star, which rounds near 1 when the exponent is small.
+    """
 
     s_star: float
     c_at_s_star: float
     bound: float
     prior_h0: float
+    exponent: float | None = None
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.s_star <= 1.0:
@@ -63,11 +102,12 @@ class SOverlapResult:
             raise ValueError("bound inconsistent with prior-weighted overlap")
         if self.bound > 0.5 * (1.0 + 1e-12):
             raise ValueError(f"bound must not exceed 1/2, got {self.bound}")
-
-    @property
-    def exponent(self) -> float:
-        """Per-copy error exponent -ln(C_s*)."""
-        return -math.log(self.c_at_s_star)
+        if self.exponent is None:
+            object.__setattr__(self, "exponent", -math.log(self.c_at_s_star))
+        elif not (self.exponent >= 0.0
+                  and abs(math.exp(-self.exponent) - self.c_at_s_star)
+                  <= 1e-12 * self.c_at_s_star):
+            raise ValueError("exponent inconsistent with c_at_s_star")
 
 
 def _as_pd_matrix(value, name: str) -> np.ndarray:
@@ -125,6 +165,282 @@ class ClassicalDistributionPair:
         return self.cov_h0.shape[0]
 
 
+def _ops(s):
+    """math for a float s (libm, as every CSV byte is), numpy for an array of s."""
+    return np if isinstance(s, np.ndarray) else math
+
+
+def _check_s(s):
+    """Validate s in [0, 1]; return it clamped to [S_ENDPOINT_EPS, 1 - S_ENDPOINT_EPS]."""
+    if isinstance(s, np.ndarray):
+        if not np.all((s >= 0.0) & (s <= 1.0)):
+            raise ValueError("s must lie in [0, 1]")
+        return np.clip(s, S_ENDPOINT_EPS, 1.0 - S_ENDPOINT_EPS)
+    if not 0.0 <= s <= 1.0:
+        raise ValueError(f"s must lie in [0, 1], got {s}")
+    return min(max(s, S_ENDPOINT_EPS), 1.0 - S_ENDPOINT_EPS)
+
+
+def _standard_form(m0: np.ndarray, m1: np.ndarray):
+    """(a0, b0, c0, a1-a0, b1-b0, c1-c0) if both matrices are (1/2)[[a I, c Z], [c Z, b I]].
+
+    Returns None for any other pair of matrices.
+    """
+    entries = []
+    for m in (m0, m1):
+        if m.shape != (4, 4):
+            return None
+        a, b, c = (2.0 * float(m[i, j]) for i, j in ((0, 0), (2, 2), (0, 2)))
+        pattern = np.array([[a, 0, c, 0], [0, a, 0, -c], [c, 0, b, 0], [0, -c, 0, b]])
+        if not np.array_equal(2.0 * m, pattern):
+            return None
+        entries.append((a, b, c))
+    (a0, b0, c0), (a1, b1, c1) = entries
+    return a0, b0, c0, a1 - a0, b1 - b0, c1 - c0
+
+
+# log1p(x) - x and expm1(y) - y by their series below 0.1 in magnitude, truncated
+# where the next term is below 1e-17 of the sum: with w = x/(2 + x),
+# atanh(w) - w = w^3 (1/3 + w^2/5 + w^4/7 + ...), and expm1(y) - y = y^2 (1/2! + y/3! + ...)
+_SERIES_BELOW = 0.1
+_ATANH_TAIL = tuple(1.0 / (2 * k + 3) for k in range(8))[::-1]
+_EXPM1_TAIL = tuple(1.0 / math.factorial(k) for k in range(2, 15))[::-1]
+
+
+def _log1p_gap_series(x):
+    w = x / (2.0 + x)
+    w2 = w * w
+    tail = 0.0
+    for c in _ATANH_TAIL:
+        tail = tail * w2 + c
+    # log1p(x) = 2 atanh(w), and 2w - x = -x^2/(2 + x)
+    return 2.0 * w * w2 * tail - x * x / (2.0 + x)
+
+
+def _expm1_gap_series(y):
+    tail = 0.0
+    for c in _EXPM1_TAIL:
+        tail = tail * y + c
+    return y * y * tail
+
+
+def _log1p_gap(x, xp=math):
+    """log1p(x) - x, accurate relative to itself also where it is ~ -x^2/2."""
+    if xp is np:
+        return np.where(np.abs(x) < _SERIES_BELOW, _log1p_gap_series(x), np.log1p(x) - x)
+    return _log1p_gap_series(x) if abs(x) < _SERIES_BELOW else math.log1p(x) - x
+
+
+def _expm1_gap(y, xp=math):
+    """expm1(y) - y, accurate relative to itself also where it is ~ y^2/2."""
+    if xp is np:
+        return np.where(np.abs(y) < _SERIES_BELOW, _expm1_gap_series(y), np.expm1(y) - y)
+    return _expm1_gap_series(y) if abs(y) < _SERIES_BELOW else math.expm1(y) - y
+
+
+class _ThermalPair:
+    """ln of the s-overlap of one mode's thermal factors under H0 and H1.
+
+    With n = lambda - 1 (doubled eigenvalue minus vacuum), Boltzmann factor
+    q = n/(n+2) and t = 1 - s, the overlap is l_s = t log1p(X(1)) - log1p(X(t))
+    with X(t) = k expm1(t L), k = -n0/2 and L = ln(q1/q0) =
+    2 atanh(delta/(n0 + n1 + n0 n1)), formed from delta = n1 - n0 directly.
+    Its terms linear in X cancel exactly, so l_s is evaluated as
+        t g(X1) - g(t X1) - log1p(k (e(t L) - t e(L)) / (1 + t X1)),
+    g(x) = log1p(x) - x, e(y) = expm1(y) - y: every piece is of the size of
+    l_s itself, which is second order in delta. A pure mode (q = 0) makes
+    l_s linear in s. theta = atanh(1/lambda) sets the thermal factor of
+    rho^s, Lambda_s = coth(s theta).
+    """
+
+    def __init__(self, n0: float, n1: float, delta: float):
+        self.theta0 = 0.5 * math.log1p(2.0 / n0) if n0 > 0.0 else math.inf
+        self.theta1 = 0.5 * math.log1p(2.0 / n1) if n1 > 0.0 else math.inf
+        if n0 > 0.0 and n1 > 0.0:
+            self.offset = self.linear = 0.0
+            self.k = -0.5 * n0
+            self.log_rho = 2.0 * math.atanh(delta / (n0 + n1 + n0 * n1))
+        else:
+            # l_s = s ln(1-q0) if q1 = 0, t ln(1-q1) if q0 = 0, and 0 if both are
+            a = -math.log1p(0.5 * n0) if n1 == 0.0 else 0.0
+            b = -math.log1p(0.5 * n1) if n0 == 0.0 else 0.0
+            self.offset, self.linear, self.k, self.log_rho = a, b - a, 0.0, 0.0
+        self.x1 = self.k * math.expm1(self.log_rho)
+        self.gap_x1 = _log1p_gap(self.x1)
+        self.gap_rho = _expm1_gap(self.log_rho)
+        self.log1p_x1 = math.log1p(self.x1)
+
+    def log_overlap(self, t, xp):
+        """(l_s, dl_s/ds) at t = 1 - s."""
+        tr = t * self.log_rho
+        tx1 = t * self.x1
+        value = (self.offset + t * (self.linear + self.gap_x1) - _log1p_gap(tx1, xp)
+                 - xp.log1p(self.k * (_expm1_gap(tr, xp) - t * self.gap_rho) / (1.0 + tx1)))
+        # -ln(q0^s q1^t) = 2 theta0 - t L; d/ds log1p(X(t)) = -L q0^s q1^t / (1 - q0^s q1^t)
+        slope = (-self.linear - self.log1p_x1
+                 - self.log_rho / xp.expm1(2.0 * self.theta0 - tr))
+        return value, slope
+
+
+def _finite(theta: float) -> float:
+    """theta as the slope factor of coth(s theta): 0 for a pure mode, where coth is 1 for all s."""
+    return theta if theta < math.inf else 0.0
+
+
+def _half_coth(x, theta_slope, xp):
+    """(coth(x)/2, -(coth(x)^2 - 1)/2 * theta_slope): half the thermal factor and its slope."""
+    p = 0.5 / xp.tanh(x)
+    return p, -0.5 * theta_slope * (4.0 * p * p - 1.0)
+
+
+def _excess(n_a: float, n_b: float, h: float) -> tuple[float, float]:
+    """(lambda_+ - 1, lambda_- - 1) = (n_a - h, n_b - h) of one state.
+
+    Each is formed to ~eps*(1 + n_a) (eps*(1 + n_b)), so a residue of that
+    order above the vacuum is snapped to 0 (a pure mode). Raises ValueError
+    below -2*PHYSICALITY_ATOL, i.e. for nu < 1/2 - PHYSICALITY_ATOL.
+    """
+    excess = []
+    for n_entry in (n_a, n_b):
+        n = n_entry - h
+        if n < -2.0 * PHYSICALITY_ATOL:
+            raise ValueError(_UNPHYSICAL)
+        excess.append(n if n > 64.0 * _EPS * max(2.0, 1.0 + n_entry) else 0.0)
+    return tuple(excess)
+
+
+class StandardFormPair:
+    """Zero-mean two-mode states V_k = (1/2)[[a_k I, c_k Z], [c_k Z, b_k I]], k = 0, 1.
+
+    a, b, c are in vacuum units (the vacuum has a = b = 1, c = 0) and are
+    given by their excess over the vacuum, n_a = a - 1 and n_b = b - 1 (2N for
+    a thermal mode of N photons), which keeps a nearly pure mode's excess
+    exact. H0 is (n_a0, n_b0, c0) and H1 is (n_a0 + da, n_b0 + db, c0 + dc):
+    giving H1 by its differences lets every H1 - H0 term be formed without
+    subtracting nearly equal numbers. Raises ValueError if a state is not
+    physical, i.e. has a symplectic eigenvalue below 1/2 - PHYSICALITY_ATOL.
+    """
+
+    def __init__(self, n_a0: float, n_b0: float, c0: float,
+                 da: float = 0.0, db: float = 0.0, dc: float = 0.0):
+        if not all(math.isfinite(v) for v in (n_a0, n_b0, c0, da, db, dc)):
+            raise ValueError("standard-form entries must be finite")
+        n_a1, n_b1, c1 = n_a0 + da, n_b0 + db, c0 + dc
+        self._args = (n_a0, n_b0, c0, da, db, dc)
+        s0, s1, ds = 2.0 + (n_a0 + n_b0), 2.0 + (n_a1 + n_b1), da + db
+        if not (s0 > 2.0 * abs(c0) and s1 > 2.0 * abs(c1)):
+            raise ValueError(_UNPHYSICAL)
+        root0 = math.sqrt((s0 - 2.0 * abs(c0)) * (s0 + 2.0 * abs(c0)))
+        root1 = math.sqrt((s1 - 2.0 * abs(c1)) * (s1 + 2.0 * abs(c1)))
+        d_root = (ds * (s0 + s1) - 4.0 * dc * (c0 + c1)) / (root0 + root1)
+        # lambda_+ = a - h, lambda_- = b - h with h = 2c^2/(s + root); n = lambda - 1.
+        # The H1 - H0 differences delta come from h1 - h0 formed by differences.
+        w0, w1 = s0 + root0, s1 + root1
+        h0, h1 = 2.0 * c0 * c0 / w0, 2.0 * c1 * c1 / w1
+        dh = 2.0 * (dc * (c0 + c1) * w0 - c0 * c0 * (ds + d_root)) / (w0 * w1)
+        delta = (da - dh, db - dh)
+        n0 = _excess(n_a0, n_b0, h0)
+        n1 = _excess(n_a1, n_b1, h1)
+        # n0 + delta is the more accurate n1 for nearby states, the direct one for
+        # distant states, whose error in n0 + delta is set by H0's larger scale
+        n1 = [n0[k] + delta[k] if n1[k] > 0.0 and abs(delta[k]) <= 0.5 * n0[k] else n1[k]
+              for k in (0, 1)]
+        self._modes = tuple(_ThermalPair(n0[k], n1[k], delta[k]) for k in (0, 1))
+        # sinh^2 of the squeezing mismatch r1 - r0, from c1 s0 - c0 s1 = dc s0 - c0 ds
+        big_r = root0 * root1
+        self._sinh2 = (2.0 * (dc * s0 - c0 * ds) ** 2
+                       / (big_r * (s0 * s1 - 4.0 * c0 * c1 + big_r)))
+
+    @classmethod
+    def from_model(cls, src: SourceParams, ch: ChannelParams,
+                   noise: NoiseParams = NoiseParams()) -> "StandardFormPair":
+        """The conditional return/idler states of states.conditional_states after apply_noise."""
+        return cls(2.0 * ch.n_background + noise.eps_return,
+                   2.0 * src.n_idler + noise.eps_idler, 0.0,
+                   2.0 * ch.reflectivity * src.n_signal, 0.0,
+                   math.sqrt(ch.reflectivity) * src.corr)
+
+    def _log_c_slope(self, s):
+        """(ln C_s, d ln C_s/ds) for s in (0, 1), a float or an array."""
+        xp = _ops(s)
+        t = 1.0 - s
+        value = slope = 0.0
+        for mode in self._modes:
+            v, d = mode.log_overlap(t, xp)
+            value, slope = value + v, slope + d
+        if self._sinh2 == 0.0:
+            return value, slope
+        # mismatch m = sinh^2(dr) u0 u1 / (w_+ w_-), u_k = P_k+ + P_k-, w_pm = P_0pm + P_1pm,
+        # P = Lambda/2 the halved thermal factors of rho_0^s and rho_1^t
+        (p0p, d0p), (p0m, d0m) = (_half_coth(s * mode.theta0, _finite(mode.theta0), xp)
+                                  for mode in self._modes)
+        (p1p, d1p), (p1m, d1m) = (_half_coth(t * mode.theta1, -_finite(mode.theta1), xp)
+                                  for mode in self._modes)
+        u0, u1 = p0p + p0m, p1p + p1m
+        wp, wm = p0p + p1p, p0m + p1m
+        m = self._sinh2 * u0 * u1 / (wp * wm)
+        d_log_m = (d0p + d0m) / u0 + (d1p + d1m) / u1 - (d0p + d1p) / wp - (d0m + d1m) / wm
+        return value - xp.log1p(m), slope - m / (1.0 + m) * d_log_m
+
+    def log_c(self, s):
+        """ln C_s = ln Tr(rho_0^s rho_1^(1-s)), for s a float or an array in [0, 1]."""
+        return self._log_c_slope(_check_s(s))[0]
+
+    def exponent(self, s) -> float:
+        """-ln C_s, never negative: the Bhattacharyya exponent at s = 1/2."""
+        return _exponent(self.log_c(s))
+
+    def qcb(self, prior_h0: float = 0.5) -> SOverlapResult:
+        """Quantum Chernoff bound, as qcb() on the two states."""
+        return _weighted_result(self._log_c_slope, prior_h0)
+
+    def heterodyne(self) -> "StandardFormDensities":
+        """Densities of the joint heterodyne record: covariance V + I/2 under each hypothesis."""
+        n_a0, n_b0, c0, da, db, dc = self._args
+        return StandardFormDensities(2.0 + n_a0, 2.0 + n_b0, c0, da, db, dc)
+
+
+class StandardFormDensities:
+    """Zero-mean 4-d Gaussian densities, covariance (1/2)[[A_k I, C_k Z], [C_k Z, B_k I]].
+
+    H1 is (A0 + dA, B0 + dB, C0 + dC). Along the segment between the two
+    covariances det is (d0 (1 + s y + s^2 z) / 4)^2 with d0 = A0 B0 - C0^2,
+    so the log-overlap is s log1p(u) - log1p(s y + s^2 z), u = y + z.
+    """
+
+    def __init__(self, a0: float, b0: float, c0: float,
+                 da: float = 0.0, db: float = 0.0, dc: float = 0.0):
+        if not all(math.isfinite(v) for v in (a0, b0, c0, da, db, dc)):
+            raise ValueError("standard-form entries must be finite")
+        d0 = a0 * b0 - c0 * c0
+        g1 = b0 * da + a0 * db - 2.0 * c0 * dc
+        g2 = da * db - dc * dc
+        if not (a0 > 0.0 and b0 > 0.0 and d0 > 0.0 and a0 + da > 0.0 and b0 + db > 0.0
+                and d0 + g1 + g2 > 0.0):
+            raise ValueError("outcome covariances must be positive definite")
+        self._y, self._z = g1 / d0, g2 / d0
+        self._u = (g1 + g2) / d0
+        self._gap_u = _log1p_gap(self._u)
+        self._log1p_u = math.log1p(self._u)
+
+    def _log_c_slope(self, s):
+        # s log1p(u) - log1p(s y + s^2 z) with s y + s^2 z = s u - s t z: the
+        # terms linear in u cancel exactly, leaving s g(u) - g(s u), g = log1p(x) - x
+        xp = _ops(s)
+        su = s * self._u
+        stz = s * (1.0 - s) * self._z
+        value = s * self._gap_u - _log1p_gap(su, xp) - xp.log1p(-stz / (1.0 + su))
+        return value, self._log1p_u - (self._y + 2.0 * s * self._z) / (1.0 + su - stz)
+
+    def log_c(self, s):
+        """ln of the overlap integral(p0^s p1^(1-s)), for s a float or an array in [0, 1]."""
+        return self._log_c_slope(_check_s(s))[0]
+
+    def ccb(self) -> SOverlapResult:
+        """Classical Chernoff bound, equal priors, as ccb() on the two densities."""
+        return _weighted_result(self._log_c_slope, 0.5)
+
+
 def _snap_pure(spectrum: np.ndarray) -> np.ndarray:
     """Clamp eigenvalues below 1/2 and snap fp-noise purity to exactly 1/2.
 
@@ -132,125 +448,197 @@ def _snap_pure(spectrum: np.ndarray) -> np.ndarray:
     enter as (nu-1/2)^s, turning 1e-16 noise into 1e-8 error at s = 1/2.
     """
     nus = np.maximum(np.asarray(spectrum, dtype=float), 0.5)
-    tol = 64.0 * np.finfo(float).eps * max(1.0, float(nus.max()))
+    tol = 64.0 * _EPS * max(1.0, float(nus.max()))
     nus[nus - 0.5 <= tol] = 0.5
     return nus
 
 
-def _log_ratio(nu: float) -> float:
-    """ln((nu-1/2)/(nu+1/2)), stable both near the pure boundary and at large nu."""
-    # (nu+1/2)/(nu-1/2) = 1 + 1/(nu-1/2) exactly, so go through log1p
-    return -math.log1p(1.0 / (nu - 0.5))
-
-
-def _log_g(nu: float, s: float) -> float:
-    """ln G_s(nu) for nu >= 1/2."""
+def _thermal_power(nu: float, s: float) -> tuple[float, float, float, float]:
+    """(ln G_s(nu), its s-derivative, Lambda_s(nu), its s-derivative) for nu >= 1/2."""
     if nu <= 0.5:
-        return -s * math.log(nu + 0.5)
-    return -s * math.log(nu + 0.5) - math.log(-math.expm1(s * _log_ratio(nu)))
-
-
-def _lambda_ratio(nu: float, s: float) -> float:
-    """Lambda_s(nu), the doubled symplectic eigenvalue of normalized rho^s."""
-    if nu <= 0.5:
-        return 1.0
-    x = s * _log_ratio(nu)
-    return (1.0 + math.exp(x)) / (-math.expm1(x))
+        return 0.0, 0.0, 1.0, 0.0
+    # ln((nu-1/2)/(nu+1/2)): (nu+1/2)/(nu-1/2) = 1 + 1/(nu-1/2) exactly
+    log_ratio = -math.log1p(1.0 / (nu - 0.5))
+    x = s * log_ratio
+    ex = math.exp(x)
+    em = -math.expm1(x)
+    log_top = math.log(nu + 0.5)
+    return (-s * log_top - math.log(em), -log_top + log_ratio * ex / em,
+            (1.0 + ex) / em, 2.0 * log_ratio * ex / (em * em))
 
 
 class _GaussianOverlap:
-    """Caches the Williamson data of a state pair; evaluates ln C_s cheaply."""
+    """Generic route: ln C_s and its slope from the Williamson data of any state pair."""
 
     def __init__(self, state0: GaussianState, state1: GaussianState):
-        if state0.n_modes != state1.n_modes:
-            raise ValueError(
-                f"mode counts differ: {state0.n_modes} vs {state1.n_modes}"
-            )
         w0 = williamson(state0.cov)
         w1 = williamson(state1.cov)
-        self._s0 = w0.s_matrix
-        self._s1 = w1.s_matrix
-        self._nus0 = _snap_pure(w0.spectrum)
-        self._nus1 = _snap_pure(w1.spectrum)
+        self._sides = ((w0.s_matrix, _snap_pure(w0.spectrum), 1.0),
+                       (w1.s_matrix, _snap_pure(w1.spectrum), -1.0))
         self._d = state0.mean - state1.mean
 
-    def log_c(self, s: float) -> float:
-        if not 0.0 <= s <= 1.0:
-            raise ValueError(f"s must lie in [0, 1], got {s}")
-        s = min(max(s, S_ENDPOINT_EPS), 1.0 - S_ENDPOINT_EPS)
-        t = 1.0 - s
-        log_pref = (sum(_log_g(nu, s) for nu in self._nus0)
-                    + sum(_log_g(nu, t) for nu in self._nus1))
-        lam0 = np.repeat([0.5 * _lambda_ratio(nu, s) for nu in self._nus0], 2)
-        lam1 = np.repeat([0.5 * _lambda_ratio(nu, t) for nu in self._nus1], 2)
-        sigma = (self._s0 * lam0) @ self._s0.T + (self._s1 * lam1) @ self._s1.T
+    def log_c_slope(self, s: float) -> tuple[float, float]:
+        value = slope = 0.0
+        sigma = d_sigma = 0.0
+        # H0 enters at s, H1 at t = 1 - s, so H1's s-derivatives change sign
+        for s_matrix, nus, sign in self._sides:
+            lam = np.empty(len(nus))
+            d_lam = np.empty(len(nus))
+            for k, nu in enumerate(nus):
+                log_g, d_log_g, lam[k], d = _thermal_power(nu, s if sign > 0 else 1.0 - s)
+                value += log_g
+                slope += sign * d_log_g
+                d_lam[k] = sign * d
+            sigma = sigma + (s_matrix * np.repeat(0.5 * lam, 2)) @ s_matrix.T
+            d_sigma = d_sigma + (s_matrix * np.repeat(0.5 * d_lam, 2)) @ s_matrix.T
         sigma = (sigma + sigma.T) / 2.0
-        sign, logdet = np.linalg.slogdet(sigma)
-        if sign <= 0 or not math.isfinite(logdet):
-            raise NumericFailure(f"summed overlap covariance is singular at s={s}")
-        log_c = log_pref - 0.5 * logdet
+        try:
+            chol = cho_factor(sigma, lower=True)
+        except (LinAlgError, np.linalg.LinAlgError) as exc:
+            raise NumericFailure(f"summed overlap covariance not factorizable at s={s}") from exc
+        inv = cho_solve(chol, np.eye(len(sigma)))
+        value -= float(np.log(np.diag(chol[0])).sum())
+        slope -= 0.5 * float(np.sum(inv * d_sigma))
         if np.any(self._d != 0.0):
-            try:
-                solved = cho_solve(cho_factor(sigma, lower=True), self._d)
-            except (LinAlgError, np.linalg.LinAlgError) as exc:
-                raise NumericFailure(
-                    f"summed overlap covariance not factorizable at s={s}"
-                ) from exc
-            log_c -= 0.5 * float(self._d @ solved)
-        return log_c
+            x = inv @ self._d
+            value -= 0.5 * float(self._d @ x)
+            slope += 0.5 * float(x @ d_sigma @ x)
+        return value, slope
 
 
-def gaussian_s_overlap(state0: GaussianState, state1: GaussianState, s: float) -> float:
-    """C_s = Tr(rho_0^s rho_1^(1-s)) for Gaussian states, in (0, 1]."""
-    return min(math.exp(_GaussianOverlap(state0, state1).log_c(s)), 1.0)
+class _ClassicalOverlap:
+    """Generic route: ln integral(p0^s p1^(1-s)) and its slope for any Gaussian densities."""
+
+    def __init__(self, pair: ClassicalDistributionPair):
+        try:
+            p0 = np.linalg.inv(pair.cov_h0)
+            p1 = np.linalg.inv(pair.cov_h1)
+            sign0, self._ld0 = np.linalg.slogdet(pair.cov_h0)
+            sign1, self._ld1 = np.linalg.slogdet(pair.cov_h1)
+            if min(sign0, sign1) <= 0:
+                raise np.linalg.LinAlgError("non-positive determinant")
+        except np.linalg.LinAlgError as exc:
+            raise ValueError(f"degenerate outcome covariances: {exc}") from None
+        self._p0, self._p1 = p0, p1
+        self._pm0, self._pm1 = p0 @ pair.mean_h0, p1 @ pair.mean_h1
+        self._q0 = float(pair.mean_h0 @ self._pm0)
+        self._q1 = float(pair.mean_h1 @ self._pm1)
+
+    def log_c_slope(self, s: float) -> tuple[float, float]:
+        t = 1.0 - s
+        a = s * self._p0 + t * self._p1
+        b = s * self._pm0 + t * self._pm1
+        try:
+            sign_a, ld_a = np.linalg.slogdet(a)
+            if sign_a <= 0:
+                raise np.linalg.LinAlgError("non-positive determinant")
+            x = np.linalg.solve(a, b)
+            a_inv_dp = np.linalg.solve(a, self._p0 - self._p1)
+        except np.linalg.LinAlgError as exc:
+            raise ValueError(f"degenerate outcome covariances: {exc}") from None
+        value = (-0.5 * (s * self._ld0 + t * self._ld1 + ld_a)
+                 + 0.5 * (float(b @ x) - s * self._q0 - t * self._q1))
+        slope = (-0.5 * (self._ld0 - self._ld1 + float(np.trace(a_inv_dp)))
+                 + 0.5 * (2.0 * float(x @ (self._pm0 - self._pm1))
+                          - float(x @ (self._p0 - self._p1) @ x) - (self._q0 - self._q1)))
+        return value, slope
 
 
-def _minimize_weighted(log_c: Callable[[float], float], prior_h0: float) -> tuple[float, float]:
-    """Minimize s*ln(pi0) + (1-s)*ln(pi1) + ln(C_s) over s in [0, 1].
+def _quantum_route(state0: GaussianState, state1: GaussianState):
+    """The dispatch point for states: s -> (ln C_s, slope), closed form where it applies."""
+    if state0.n_modes != state1.n_modes:
+        raise ValueError(f"mode counts differ: {state0.n_modes} vs {state1.n_modes}")
+    if not (np.any(state0.mean) or np.any(state1.mean)):
+        entries = _standard_form(state0.cov.entries, state1.cov.entries)
+        if entries is not None:
+            a0, b0, c0, da, db, dc = entries
+            return StandardFormPair(a0 - 1.0, b0 - 1.0, c0, da, db, dc)._log_c_slope
+    return _GaussianOverlap(state0, state1).log_c_slope
 
-    33-point uniform grid locates the basin, golden-section refines to 1e-9
-    in s. Ties resolve toward s = 1/2.
+
+def _classical_route(pair: ClassicalDistributionPair):
+    """The dispatch point for outcome densities: s -> (ln overlap, slope)."""
+    if not (np.any(pair.mean_h0) or np.any(pair.mean_h1)):
+        entries = _standard_form(pair.cov_h0, pair.cov_h1)
+        if entries is not None:
+            return StandardFormDensities(*entries)._log_c_slope
+    return _ClassicalOverlap(pair).log_c_slope
+
+
+def _minimize_weighted(log_c_slope, prior_h0: float) -> tuple[float, float]:
+    """Minimize g(s) = s ln(pi0) + (1-s) ln(pi1) + ln C_s over the clamped [0, 1].
+
+    Returns (s*, ln C_{s*}). g is convex, so a bracket [lo, hi] holding the
+    minimum shrinks at each step; the step is Newton's on g', with g'' taken
+    from the secant of the last two iterates (the first from the parabola
+    through C_0 = C_1 = 1) and bisection whenever a step leaves the bracket.
+    It stops once the predicted gap g'^2/(2 g'') is within half of
+    _EXPONENT_RTOL |ln C_s|; s = 1/2 is kept if no point beats it by more
+    than _EXPONENT_RTOL |ln C_s|.
     """
-    log_p0 = math.log(prior_h0)
-    log_p1 = math.log1p(-prior_h0)
+    d_prior = math.log(prior_h0) - math.log1p(-prior_h0)
+    lo, hi = S_ENDPOINT_EPS, 1.0 - S_ENDPOINT_EPS
+    s = 0.5
+    f, df = log_c_slope(s)
+    g, dg = s * d_prior + f, d_prior + df
+    half = best = (g, s, f)
+    curvature = -8.0 * f
+    for _ in range(_MAX_STEPS):
+        if dg == 0.0:
+            break
+        if dg > 0.0:
+            hi = s
+        else:
+            lo = s
+        if curvature > 0.0 and dg * dg <= _EXPONENT_RTOL * abs(f) * curvature:
+            break
+        step = s - dg / curvature if curvature > 0.0 else math.nan
+        s_new = step if lo < step < hi else 0.5 * (lo + hi)
+        if s_new == s:
+            break
+        f_new, df_new = log_c_slope(s_new)
+        g_new, dg_new = s_new * d_prior + f_new, d_prior + df_new
+        curvature = (dg_new - dg) / (s_new - s)
+        s, f, g, dg = s_new, f_new, g_new, dg_new
+        if g < best[0]:
+            best = (g, s, f)
+    g_best, s_best, f_best = best
+    if half[0] <= g_best + _EXPONENT_RTOL * abs(f_best):
+        return 0.5, half[2]
+    return s_best, f_best
 
-    def objective(s: float) -> float:
-        return s * log_p0 + (1.0 - s) * log_p1 + log_c(s)
 
-    grid = np.linspace(0.0, 1.0, _GRID_POINTS)
-    vals = [objective(s) for s in grid]
-    idx = int(np.argmin(vals))
-    lo = grid[max(idx - 1, 0)]
-    hi = grid[min(idx + 1, _GRID_POINTS - 1)]
-    s_star = float(golden_section(objective, lo, hi, xtol=_S_TOL))
-    # the refined point, the endpoints, and s=1/2 compete; ties go to 1/2
-    f_star, s_star = min((objective(s_star), s_star), (vals[0], 0.0), (vals[-1], 1.0))
-    f_half = objective(0.5)
-    if f_half <= f_star + 1e-12:
-        return 0.5, f_half
-    return s_star, f_star
+def _exponent(log_c: float) -> float:
+    return -log_c if log_c < 0.0 else 0.0
 
 
-def _weighted_result(log_c: Callable[[float], float], prior_h0: float) -> SOverlapResult:
-    s_star, _ = _minimize_weighted(log_c, prior_h0)
-    c_star = min(math.exp(log_c(s_star)), 1.0)
+def _weighted_result(log_c_slope, prior_h0: float) -> SOverlapResult:
+    if not 0.0 < prior_h0 < 1.0:
+        raise ValueError(f"prior_h0 must lie in (0, 1), got {prior_h0}")
+    s_star, log_c = _minimize_weighted(log_c_slope, prior_h0)
+    exponent = _exponent(log_c)
+    c_star = math.exp(-exponent)
     pi1 = 1.0 - prior_h0
     # equal priors make the weight s-independent; keep it exact in that case
     weight = prior_h0 if prior_h0 == pi1 else prior_h0 ** s_star * pi1 ** (1.0 - s_star)
     return SOverlapResult(s_star=s_star, c_at_s_star=c_star, bound=weight * c_star,
-                          prior_h0=prior_h0)
+                          prior_h0=prior_h0, exponent=exponent)
+
+
+def gaussian_s_overlap(state0: GaussianState, state1: GaussianState, s: float) -> float:
+    """C_s = Tr(rho_0^s rho_1^(1-s)) for Gaussian states, in (0, 1]."""
+    s = _check_s(s)
+    return min(math.exp(_quantum_route(state0, state1)(s)[0]), 1.0)
 
 
 def qcb(state0: GaussianState, state1: GaussianState, prior_h0: float = 0.5) -> SOverlapResult:
     """Quantum Chernoff bound: min over s of the prior-weighted s-overlap."""
-    if not 0.0 < prior_h0 < 1.0:
-        raise ValueError(f"prior_h0 must lie in (0, 1), got {prior_h0}")
-    return _weighted_result(_GaussianOverlap(state0, state1).log_c, prior_h0)
+    return _weighted_result(_quantum_route(state0, state1), prior_h0)
 
 
 def qbb(state0: GaussianState, state1: GaussianState) -> float:
     """Quantum Bhattacharyya bound (1/2)*C_{1/2} for equal priors."""
-    return 0.5 * min(math.exp(_GaussianOverlap(state0, state1).log_c(0.5)), 1.0)
+    return 0.5 * gaussian_s_overlap(state0, state1, 0.5)
 
 
 def cs_qcb_exponent(n_signal: float, ch: ChannelParams) -> float:
@@ -290,48 +678,12 @@ def heterodyne_distributions(state0: GaussianState, state1: GaussianState) -> Cl
     )
 
 
-def _classical_log_overlap(pair: ClassicalDistributionPair, s: float) -> float:
-    """ln of the Gaussian density overlap integral(p0^s p1^(1-s))."""
-    if not 0.0 <= s <= 1.0:
-        raise ValueError(f"s must lie in [0, 1], got {s}")
-    c0 = pair.cov_h0
-    c1 = pair.cov_h1
-    try:
-        p0 = np.linalg.inv(c0)
-        p1 = np.linalg.inv(c1)
-        sign0, ld0 = np.linalg.slogdet(c0)
-        sign1, ld1 = np.linalg.slogdet(c1)
-        a = s * p0 + (1.0 - s) * p1
-        sign_a, ld_a = np.linalg.slogdet(a)
-        if min(sign0, sign1, sign_a) <= 0:
-            raise np.linalg.LinAlgError("non-positive determinant")
-        b = s * p0 @ pair.mean_h0 + (1.0 - s) * p1 @ pair.mean_h1
-        c2 = (s * pair.mean_h0 @ p0 @ pair.mean_h0
-              + (1.0 - s) * pair.mean_h1 @ p1 @ pair.mean_h1)
-        quad = float(b @ np.linalg.solve(a, b))
-    except np.linalg.LinAlgError as exc:
-        raise ValueError(f"degenerate outcome covariances: {exc}") from None
-    return -0.5 * (s * ld0 + (1.0 - s) * ld1 + ld_a) + 0.5 * (quad - c2)
-
-
 def classical_s_overlap(pair: ClassicalDistributionPair, s: float) -> float:
     """Overlap integral(p0^s p1^(1-s)) of two Gaussian densities, in (0, 1]."""
-    return min(math.exp(_classical_log_overlap(pair, s)), 1.0)
+    s = _check_s(s)
+    return min(math.exp(_classical_route(pair)(s)[0]), 1.0)
 
 
 def ccb(pair: ClassicalDistributionPair) -> SOverlapResult:
     """Classical Chernoff bound for the outcome densities, equal priors."""
-    return _weighted_result(lambda s: _classical_log_overlap(pair, s), 0.5)
-
-
-def ccb_reference_expression(n_signal: float, ch: ChannelParams) -> float:
-    """Reference closed form 4(1+N_B)/(4+4N_B+kappa*N_S) for the heterodyne overlap.
-
-    Kept verbatim for comparison only: it tends to 1 (not 0) as kappa -> 0,
-    so it cannot be a complete Chernoff overlap factor. Use ccb for any
-    quantitative statement.
-    """
-    if not (n_signal >= 0 and math.isfinite(n_signal)):
-        raise ValueError(f"n_signal must be >= 0, got {n_signal}")
-    ks = ch.reflectivity * n_signal
-    return 4.0 * (1.0 + ch.n_background) / (4.0 + 4.0 * ch.n_background + ks)
+    return _weighted_result(_classical_route(pair), 0.5)

@@ -21,15 +21,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .bounds import (
-    ccb,
-    ccb_reference_expression,
-    cs_qcb_closed,
-    cs_qcb_exponent,
-    gaussian_s_overlap,
-    heterodyne_distributions,
-    qcb,
-)
+from .bounds import StandardFormPair, cs_qcb_exponent, qcb
 from .montecarlo import (
     SamplerConfig,
     check_gaussian_moment_identities,
@@ -52,9 +44,7 @@ from .states import (
     ChannelParams,
     NoiseParams,
     SourceParams,
-    apply_noise,
     coherent_benchmark_states,
-    conditional_states,
     make_source,
 )
 
@@ -176,13 +166,18 @@ def compute_sweep(spec: SweepSpec) -> list:
     exponent = -ln p from separate accurate routes, x = sqrt(M*rate); bound
     rows take p_error from half_exp. p is never formed as exp(-exponent),
     which would scale the exponent's last-bit error by |ln p|. CS+Hom rows
-    come from one homodyne_min_errors call over the whole M grid.
+    come from one homodyne_min_errors call over the whole M grid. The three
+    QI bound rates come from one closed-form StandardFormPair of the
+    scenario, built from the parameters without forming a covariance matrix.
     """
     src, ch, _ = spec.scenario.resolve()
     scenario_noise = NoiseParams(eps_return=spec.scenario.eps_r,
                                  eps_idler=spec.scenario.eps_i)
 
     ms = [int(m) for m in spec.m_values]
+    qi_states = None
+    if {"QI-QCB", "QI-QBB", "QI+Het+CCB"} & set(spec.receivers):
+        qi_states = StandardFormPair.from_model(src, ch, scenario_noise)
 
     def points_and_rate(receiver: str):
         if receiver in _PC_NOISE:
@@ -197,14 +192,11 @@ def compute_sweep(spec: SweepSpec) -> list:
         if receiver == "CS-QCB":
             rate = cs_qcb_exponent(src.n_signal, ch)
         elif receiver == "QI-QCB":
-            states = apply_noise(conditional_states(src, ch), scenario_noise)
-            rate = qcb(*states).exponent
+            rate = qi_states.qcb().exponent
         elif receiver == "QI-QBB":
-            states = apply_noise(conditional_states(src, ch), scenario_noise)
-            rate = -math.log(gaussian_s_overlap(*states, s=0.5))
+            rate = qi_states.exponent(0.5)
         elif receiver == "QI+Het+CCB":
-            states = apply_noise(conditional_states(src, ch), scenario_noise)
-            rate = ccb(heterodyne_distributions(*states)).exponent
+            rate = qi_states.heterodyne().ccb().exponent
         else:
             raise ValueError(f"unknown receiver {receiver!r}")
         return [(half_exp(m, rate), LN_HALF - m * rate) for m in ms], rate
@@ -325,36 +317,32 @@ def cmd_bounds(args) -> int:
     scenario = _scenario_from(args)
     src, ch, noise = scenario.resolve()
     prior = args.prior_h0
-    states = apply_noise(conditional_states(src, ch), noise)
-    qi_qcb = qcb(*states, prior_h0=prior)
-    qbb_c = gaussian_s_overlap(*states, s=0.5)
-    het_ccb = ccb(heterodyne_distributions(*states))
+    qi_states = StandardFormPair.from_model(src, ch, noise)
+    qi_qcb = qi_states.qcb(prior_h0=prior)
+    qbb_exponent = qi_states.exponent(0.5)
+    qbb_c = math.exp(-qbb_exponent)
+    het_ccb = qi_states.heterodyne().ccb()
 
-    coh = coherent_benchmark_states(src.n_signal, ch)
-    coh_qcb = qcb(*coh, prior_h0=prior)
-    closed = cs_qcb_closed(src.n_signal, ch, 1)
-    # closed form carries the equal-prior 1/2 prefactor; compare overlaps
-    closed_c = 2.0 * closed
-    rel_diff = abs(coh_qcb.c_at_s_star - closed_c) / closed_c
+    coh_qcb = qcb(*coherent_benchmark_states(src.n_signal, ch), prior_h0=prior)
+    # compare exponents: overlaps sit within the exponent of 1, so their
+    # difference rounds away long before the exponents' does
+    closed = cs_qcb_exponent(src.n_signal, ch)
+    diff = abs(coh_qcb.exponent - closed)
+    cross_check = (f"relative difference {diff / closed:.3e}" if closed > 0.0
+                   else f"absolute difference {diff:.3e}")
 
-    reference = ccb_reference_expression(src.n_signal, ch)
     results = [
         {"label": "QI-QCB", "s_star": qi_qcb.s_star, "c_at_s_star": qi_qcb.c_at_s_star,
          "bound": qi_qcb.bound, "exponent": qi_qcb.exponent},
         {"label": "QI-QBB", "s_star": 0.5, "c_at_s_star": qbb_c,
-         "bound": _half_power_weight(prior) * qbb_c, "exponent": -math.log(qbb_c)},
+         "bound": _half_power_weight(prior) * qbb_c, "exponent": qbb_exponent},
         {"label": "QI+Het+CCB", "s_star": het_ccb.s_star, "c_at_s_star": het_ccb.c_at_s_star,
          "bound": het_ccb.bound, "exponent": het_ccb.exponent},
         {"label": "CS-QCB", "s_star": coh_qcb.s_star, "c_at_s_star": coh_qcb.c_at_s_star,
          "bound": coh_qcb.bound, "exponent": coh_qcb.exponent},
     ]
     notes = [
-        f"coherent benchmark cross-check: numeric vs closed-form overlap "
-        f"relative difference {rel_diff:.3e}",
-        f"CCB reference expression C = {reference:.17g} (exponent "
-        f"{-math.log(reference):.17g}) is a fixed-s comparison value; it tends "
-        f"to 1 as kappa -> 0, so the numeric CCB exponent above is the "
-        f"operative bound",
+        f"coherent benchmark cross-check: numeric vs closed-form exponent {cross_check}",
     ]
     report = {"params": dict(scenario.as_dict(), prior_h0=prior),
               "results": results, "notes": notes}

@@ -1,4 +1,4 @@
-"""Golden-section minimization: one bracket, or many in lockstep."""
+"""Golden-section minimization of many unimodal problems in lockstep."""
 from __future__ import annotations
 
 import math
@@ -11,49 +11,14 @@ _INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0
 _MAX_ITER = 500
 
 
-def golden_section(f: Callable[[float], float], a: float, b: float,
-                   xtol: float = 1e-12, max_iter: int = _MAX_ITER) -> float:
-    """Locate the minimizer of a unimodal function on [a, b].
-
-    Returns the midpoint of the final bracket, which is within xtol of the
-    true minimizer. The function is evaluated roughly log(|b-a|/xtol)/log(phi)
-    times.
-    """
-    if not (math.isfinite(a) and math.isfinite(b) and b >= a):
-        raise ValueError(f"invalid bracket [{a}, {b}]")
-    if xtol <= 0:
-        raise ValueError(f"xtol must be positive, got {xtol}")
-    h = b - a
-    if h <= xtol:
-        return 0.5 * (a + b)
-    c = a + _INVPHI2 * h
-    d = a + _INVPHI * h
-    yc = f(c)
-    yd = f(d)
-    for _ in range(max_iter):
-        if h <= xtol:
-            break
-        if yc < yd:
-            b, d, yd = d, c, yc
-            h = b - a
-            c = a + _INVPHI2 * h
-            yc = f(c)
-        else:
-            a, c, yc = c, d, yd
-            h = b - a
-            d = a + _INVPHI * h
-            yd = f(d)
-    return 0.5 * (a + b)
-
-
 def golden_section_array(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
                          a, b, xtol) -> np.ndarray:
-    """golden_section on many unimodal problems at once, problem i on [a[i], b[i]].
+    """Golden-section search on many unimodal problems at once, problem i on [a[i], b[i]].
 
     f(t, idx) returns the objectives of problems idx at the points t, one
-    element each. Every problem takes the steps golden_section would take on
-    it alone and stops once its bracket is within xtol[i]; each iteration
-    makes one call of f on the problems still moving.
+    element each. Every problem takes the steps a scalar golden-section search
+    would take on it alone and stops once its bracket is within xtol[i]; each
+    iteration makes one call of f on the problems still moving.
     """
     a = np.array(a, dtype=float)
     b = np.array(b, dtype=float)

@@ -12,6 +12,9 @@ import mpmath
 import numpy as np
 from scipy.linalg import expm
 
+from qillum.montecarlo import deflection_se
+from qillum.optimize import _INVPHI, _INVPHI2, _MAX_ITER
+
 
 def ulp_error(value: float, exact) -> float:
     """|value - exact| in ulps of the double nearest to `exact`, an mpmath number.
@@ -82,3 +85,128 @@ def random_physical_cm(rng: np.random.Generator, n_modes: int,
     d = np.diag(np.repeat(nus, 2))
     v = s @ d @ s.T
     return 0.5 * (v + v.T)
+
+
+def _mp_model_entries(src, ch, noise=None):
+    """(a, b, c) of the H0 and H1 return/idler CMs (1/2)[[a I, c Z], [c Z, b I]], exactly.
+
+    Every float parameter enters at its exact binary value; nothing is rounded
+    to double on the way.
+    """
+    mpf = mpmath.mpf
+    eps_r = mpf(noise.eps_return) if noise is not None else mpf(0)
+    eps_i = mpf(noise.eps_idler) if noise is not None else mpf(0)
+    a0 = 2 * mpf(ch.n_background) + 1 + eps_r
+    b0 = 2 * mpf(src.n_idler) + 1 + eps_i
+    a1 = a0 + 2 * mpf(ch.reflectivity) * mpf(src.n_signal)
+    c1 = mpmath.sqrt(mpf(ch.reflectivity)) * mpf(src.corr)
+    return (a0, b0, mpf(0)), (a1, b0, c1)
+
+
+def _mp_cm(a, b, c):
+    return mpmath.matrix([[a, 0, c, 0], [0, a, 0, -c], [c, 0, b, 0], [0, -c, 0, b]]) / 2
+
+
+def _mp_williamson(a, b, c):
+    """Symplectic spectrum from the two-mode invariants and a two-mode squeezer S.
+
+    tanh 2r = 2c/(a+b); asserts S diag(nu_+, nu_+, nu_-, nu_-) S^T = V.
+    """
+    root = mpmath.sqrt((a + b) ** 2 - 4 * c * c)
+    nus = ((root + a - b) / 4, (root - a + b) / 4)
+    r = mpmath.atanh(2 * c / (a + b)) / 2
+    ch, sh = mpmath.cosh(r), mpmath.sinh(r)
+    s = mpmath.matrix([[ch, 0, sh, 0], [0, ch, 0, -sh], [sh, 0, ch, 0], [0, -sh, 0, ch]])
+    d = mpmath.diag([nus[0], nus[0], nus[1], nus[1]])
+    assert mpmath.mnorm(s * d * s.T - _mp_cm(a, b, c), 1) < mpmath.mpf(10) ** (-mpmath.mp.dps + 10)
+    return nus, s
+
+
+def mp_log_c(entries0, entries1, s):
+    """ln Tr(rho_0^s rho_1^(1-s)) by the Pirandola-Lloyd formula, in mpmath.
+
+    C_s = prod G_s(nu_0k) G_(1-s)(nu_1k) / sqrt(det Sigma) with
+    Sigma = S_0 Lambda_s(V_0) S_0^T + S_1 Lambda_(1-s)(V_1) S_1^T.
+    """
+    log_c = 0
+    sigma = mpmath.zeros(4, 4)
+    for (a, b, c), p in ((entries0, s), (entries1, 1 - s)):
+        nus, sm = _mp_williamson(a, b, c)
+        half_lams = []
+        for nu in nus:
+            top, bottom = (nu + mpmath.mpf(1) / 2) ** p, (nu - mpmath.mpf(1) / 2) ** p
+            log_c -= mpmath.log(top - bottom)
+            half_lams += [(top + bottom) / (top - bottom) / 2] * 2
+        sigma += sm * mpmath.diag(half_lams) * sm.T
+    return log_c - mpmath.log(mpmath.det(sigma)) / 2
+
+
+def mp_classical_log_overlap(cov0, cov1, s):
+    """ln integral(p0^s p1^(1-s)) of zero-mean Gaussian densities, in mpmath."""
+    mixed = s * cov0 ** -1 + (1 - s) * cov1 ** -1
+    return -(s * mpmath.log(mpmath.det(cov0)) + (1 - s) * mpmath.log(mpmath.det(cov1))
+             + mpmath.log(mpmath.det(mixed))) / 2
+
+
+def _mp_max_over_s(neg_log):
+    s_star = mpmath.findroot(lambda s: mpmath.diff(neg_log, s), mpmath.mpf(1) / 2)
+    return neg_log(s_star)
+
+
+def mp_model_exponents(src, ch, noise=None, dps: int = 60) -> dict:
+    """60-digit Chernoff, Bhattacharyya and heterodyne-CCB exponents of the model.
+
+    Keys are the sweep's receiver labels QI-QCB, QI-QBB and QI+Het+CCB.
+    """
+    with mpmath.workdps(dps):
+        e0, e1 = _mp_model_entries(src, ch, noise)
+        het0 = _mp_cm(*e0) + mpmath.eye(4) / 2
+        het1 = _mp_cm(*e1) + mpmath.eye(4) / 2
+        return {
+            "QI-QCB": _mp_max_over_s(lambda s: -mp_log_c(e0, e1, s)),
+            "QI-QBB": -mp_log_c(e0, e1, mpmath.mpf(1) / 2),
+            "QI+Het+CCB": _mp_max_over_s(lambda s: -mp_classical_log_overlap(het0, het1, s)),
+        }
+
+
+def golden_section(f, a: float, b: float, xtol: float = 1e-12,
+                   max_iter: int = _MAX_ITER) -> float:
+    """Scalar golden-section search: the oracle of optimize.golden_section_array.
+
+    Locates the minimizer of a unimodal f on [a, b] and returns the midpoint
+    of the final bracket, within xtol of the true minimizer.
+    """
+    if not (math.isfinite(a) and math.isfinite(b) and b >= a):
+        raise ValueError(f"invalid bracket [{a}, {b}]")
+    if xtol <= 0:
+        raise ValueError(f"xtol must be positive, got {xtol}")
+    h = b - a
+    if h <= xtol:
+        return 0.5 * (a + b)
+    c = a + _INVPHI2 * h
+    d = a + _INVPHI * h
+    yc = f(c)
+    yd = f(d)
+    for _ in range(max_iter):
+        if h <= xtol:
+            break
+        if yc < yd:
+            b, d, yd = d, c, yc
+            h = b - a
+            c = a + _INVPHI2 * h
+            yc = f(c)
+        else:
+            a, c, yc = c, d, yd
+            h = b - a
+            d = a + _INVPHI * h
+            yd = f(d)
+    return 0.5 * (a + b)
+
+
+def deflection_sigma(emp, snr: float) -> float:
+    """Standard errors between the sampled deflection sqrt(snr_hat) and the exact sqrt(snr).
+
+    The spread montecarlo.deflection_se propagates from the mean and variance
+    errors does not shrink with snr_hat, so a gate on this carries no seed luck.
+    """
+    return abs(math.sqrt(emp.snr_hat) - math.sqrt(snr)) / deflection_se(emp, snr)

@@ -1,6 +1,11 @@
-"""Chernoff/Bhattacharyya bound tests against Fock-basis and quadrature oracles."""
+"""Chernoff/Bhattacharyya bound tests against Fock-basis, quadrature and mpmath oracles.
+
+The closed standard-form route is also held to the generic Williamson route,
+which stays in the library as the fallback for any other pair of states.
+"""
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,10 +13,16 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from qillum.bounds import (
+    S_ENDPOINT_EPS,
     ClassicalDistributionPair,
     SOverlapResult,
+    StandardFormPair,
+    _ClassicalOverlap,
+    _GaussianOverlap,
+    _expm1_gap,
+    _log1p_gap,
+    _weighted_result,
     ccb,
-    ccb_reference_expression,
     classical_s_overlap,
     cs_qcb_closed,
     cs_qcb_exponent,
@@ -20,10 +31,13 @@ from qillum.bounds import (
     qbb,
     qcb,
 )
+from qillum.cli import ScenarioParams, SweepSpec, compute_sweep
 from qillum.states import (
     ChannelParams,
     GaussianState,
+    SourceParams,
     apply_noise,
+    c_quantum,
     coherent_benchmark_states,
     conditional_states,
     make_source,
@@ -31,7 +45,7 @@ from qillum.states import (
 )
 from qillum.symplectic import CovMatrix
 
-from _oracles import fock_s_overlap_thermal, random_physical_cm
+from _oracles import fock_s_overlap_thermal, mp_model_exponents, random_physical_cm
 
 REF_SRC = make_source(0.01, 0.01, "quantum")
 REF_CH = ChannelParams(reflectivity=0.01, n_background=20.0)
@@ -298,21 +312,6 @@ class TestCcb:
         assert all(b > a for a, b in zip(exps, exps[1:]))
 
 
-class TestCcbReferenceExpression:
-    def test_reference_value(self):
-        assert ccb_reference_expression(0.01, REF_CH) == pytest.approx(
-            84.0 / 84.0001, rel=1e-14)
-        assert ccb_reference_expression(0.01, REF_CH) == pytest.approx(
-            0.99999880952522676, rel=1e-13)
-
-    def test_zero_reflectivity_is_one(self):
-        assert ccb_reference_expression(0.01, ChannelParams(0.0, 20.0)) == 1.0
-
-    def test_large_background_limit(self):
-        assert ccb_reference_expression(0.01, ChannelParams(0.01, 1e9)) == pytest.approx(
-            1.0, abs=1e-8)
-
-
 class TestSOverlapResultType:
     def test_consistency_enforced(self):
         with pytest.raises(ValueError, match="inconsistent"):
@@ -329,3 +328,184 @@ class TestNoiseInteraction:
         clean = qcb(*pair).bound
         noisy = qcb(*apply_noise(pair, NoiseParams(1.0, 1.0))).bound
         assert noisy > clean
+
+
+def log_uniform(lo: float, hi: float):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda x: 10.0 ** x)
+
+
+@st.composite
+def model_scenarios(draw):
+    """Source, channel and noise of the model: N_S and N_I independent, any correlation."""
+    src = make_source(draw(log_uniform(1e-3, 1.0)), draw(log_uniform(1e-3, 1.0)), 0.0)
+    src = SourceParams(src.n_signal, src.n_idler, draw(st.floats(0.0, 1.0)) * c_quantum(src))
+    ch = ChannelParams(draw(log_uniform(1e-3, 0.5)), draw(log_uniform(1e-2, 1e4)))
+    noise = NoiseParams(draw(st.sampled_from([0.0, 0.3, 1.0])),
+                        draw(st.sampled_from([0.0, 1.0])))
+    return src, ch, noise
+
+
+def squeezed_thermal(lam_plus: float, lam_minus: float, r: float) -> tuple:
+    """(a, b, c) of S(r) diag(lam_+, lam_+, lam_-, lam_-) S(r)^T / 2, S a two-mode squeezer."""
+    ch2, sh2 = math.cosh(r) ** 2, math.sinh(r) ** 2
+    return (ch2 * lam_plus + sh2 * lam_minus, sh2 * lam_plus + ch2 * lam_minus,
+            math.sinh(r) * math.cosh(r) * (lam_plus + lam_minus))
+
+
+@st.composite
+def standard_form_pairs(draw):
+    """Two physical standard-form states, each squeezed or with a pure mode.
+
+    A squeezed pure mode is not representable: rounding the entries moves its
+    symplectic eigenvalue off 1/2 by ~eps*|V|, which (nu-1/2)^s magnifies
+    without bound, so pure modes are drawn unsqueezed, as the model has them.
+    """
+    entries = []
+    for _ in range(2):
+        lams = [1.0 + draw(log_uniform(1e-2, 1e2)) for _ in range(2)]
+        if draw(st.booleans()):
+            entries.append(squeezed_thermal(*lams, draw(st.floats(-1.0, 1.0))))
+        else:
+            entries.append((draw(st.sampled_from([1.0, lams[0]])), lams[1], 0.0))
+    (a0, b0, c0), (a1, b1, c1) = entries
+    return StandardFormPair(a0 - 1.0, b0 - 1.0, c0, a1 - a0, b1 - b0, c1 - c0), entries
+
+
+def cm_state(a: float, b: float, c: float) -> GaussianState:
+    z = np.diag([1.0, -1.0])
+    return GaussianState(np.zeros(4), CovMatrix(0.5 * np.block([[a * np.eye(2), c * z],
+                                                                [c * z, b * np.eye(2)]])))
+
+
+def generic_tolerance(value: float, states) -> float:
+    """What the Williamson route is good to: ln C_s is formed from terms of size ln(lambda)."""
+    lam_max = max(float(np.abs(st_.cov.entries).max()) for st_ in states)
+    return 1e-9 * abs(value) + 256.0 * np.finfo(float).eps * max(1.0, math.log(2.0 * lam_max + 1.0))
+
+
+def clamped(s: float) -> float:
+    return min(max(s, S_ENDPOINT_EPS), 1.0 - S_ENDPOINT_EPS)
+
+
+class TestStandardFormAgainstGenericRoute:
+    @settings(max_examples=40, deadline=None)
+    @given(model_scenarios(), st.floats(0.0, 1.0))
+    def test_model_pairs(self, scenario, s):
+        src, ch, noise = scenario
+        pair = StandardFormPair.from_model(src, ch, noise)
+        states = apply_noise(conditional_states(src, ch), noise)
+        generic = _GaussianOverlap(*states)
+        want = generic.log_c_slope(clamped(s))[0]
+        assert abs(pair.log_c(s) - want) <= generic_tolerance(want, states)
+        want_qcb = _weighted_result(generic.log_c_slope, 0.5).exponent
+        assert abs(pair.qcb().exponent - want_qcb) <= generic_tolerance(want_qcb, states)
+        want_ccb = _weighted_result(_ClassicalOverlap(heterodyne_distributions(*states)).log_c_slope,
+                                    0.5).exponent
+        assert abs(pair.heterodyne().ccb().exponent - want_ccb) <= generic_tolerance(want_ccb, states)
+
+    @settings(max_examples=40, deadline=None)
+    @given(standard_form_pairs(), st.floats(0.0, 1.0))
+    def test_any_standard_form_pair(self, drawn, s):
+        pair, entries = drawn
+        states = [cm_state(*e) for e in entries]
+        generic = _GaussianOverlap(*states)
+        want = generic.log_c_slope(clamped(s))[0]
+        assert abs(pair.log_c(s) - want) <= generic_tolerance(want, states)
+        # the public functions dispatch these states to the closed form
+        assert gaussian_s_overlap(*states, s) == min(math.exp(pair.log_c(s)), 1.0)
+        want_qcb = _weighted_result(generic.log_c_slope, 0.5).exponent
+        assert abs(qcb(*states).exponent - want_qcb) <= generic_tolerance(want_qcb, states)
+
+    def test_slope_is_the_derivative(self):
+        pair = StandardFormPair.from_model(REF_SRC, REF_CH, NoiseParams(1.0, 1.0))
+        for s in (0.1, 0.5, 0.9):
+            h = 1e-5
+            numeric = (pair.log_c(s + h) - pair.log_c(s - h)) / (2.0 * h)
+            assert pair._log_c_slope(s)[1] == pytest.approx(numeric, rel=1e-6)
+
+
+class TestStandardFormProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(model_scenarios())
+    def test_log_c_convex_in_s(self, scenario):
+        pair = StandardFormPair.from_model(*scenario)
+        ss = np.linspace(0.0, 1.0, 41)
+        for log_c in (pair.log_c(ss), pair.heterodyne().log_c(ss)):
+            second = log_c[:-2] - 2.0 * log_c[1:-1] + log_c[2:]
+            assert np.all(second >= -1e-12 * np.abs(log_c).max())
+
+    @settings(max_examples=20, deadline=None)
+    @given(model_scenarios())
+    def test_array_of_s_matches_floats(self, scenario):
+        pair = StandardFormPair.from_model(*scenario)
+        ss = np.linspace(0.05, 0.95, 7)
+        floats = [pair.log_c(float(s)) for s in ss]
+        # numpy's SIMD transcendentals may differ from libm's by ulps
+        assert np.allclose(pair.log_c(ss), floats, rtol=1e-13, atol=0.0)
+
+    @settings(max_examples=20, deadline=None)
+    @given(model_scenarios(), st.floats(0.05, 0.95))
+    def test_qcb_exponent_is_the_largest_over_s(self, scenario, prior):
+        pair = StandardFormPair.from_model(*scenario)
+        res = pair.qcb(prior_h0=prior)
+        d_prior = math.log(prior) - math.log1p(-prior)
+        # the search runs on the clamped [eps, 1 - eps], like log_c
+        ss = np.linspace(S_ENDPOINT_EPS, 1.0 - S_ENDPOINT_EPS, 41)
+        weighted = [s * d_prior + pair.log_c(s) for s in ss]
+        best = res.s_star * d_prior - res.exponent
+        assert min(weighted) >= best - 1e-12 * abs(best)
+
+    def test_qcb_separates_from_qbb_at_the_golden_scenario(self):
+        pair = StandardFormPair.from_model(REF_SRC, REF_CH)
+        res = pair.qcb()
+        # s* = 0.5000157 gains 6.4e-10 of the exponent over s = 1/2
+        assert res.s_star == pytest.approx(0.5000157, abs=1e-7)
+        assert res.exponent > pair.exponent(0.5) * (1.0 + 1e-10)
+
+    def test_identical_states_tie_to_half(self):
+        res = StandardFormPair(40.0, 0.02, 0.0).qcb()
+        assert (res.s_star, res.exponent) == (0.5, 0.0)
+
+    def test_zero_reflectivity_gives_zero_exponents(self):
+        pair = StandardFormPair.from_model(REF_SRC, ChannelParams(0.0, 20.0))
+        assert pair.qcb().exponent == pair.exponent(0.5) == pair.heterodyne().ccb().exponent == 0.0
+
+    @pytest.mark.parametrize("entries", [
+        (0.0, 0.0, 0.5),                     # symplectic eigenvalue 0.43 < 1/2
+        (0.0, 0.0, 1.5),                     # a + b < 2|c|: not even positive definite
+        (40.0, 0.02, 0.0, 0.0, 0.0, 1.0),    # H0 physical, H1 not
+        (-6.0, -6.0, 0.0),
+    ])
+    def test_unphysical_input_raises(self, entries):
+        with pytest.raises(ValueError, match="not physical"):
+            StandardFormPair(*entries)
+
+
+# N_S = N_I in {0.01, 0.1}, N_B in {1, 20}, kappa = 0.01, c = c_q; then exponents
+# second order in the state difference: no correlation, a weak classical one,
+# and a nearly pure idler under a bright background
+GOLDEN_FAMILY = [ScenarioParams(ns=n, ni=n, c="quantum", kappa=0.01, nb=nb)
+                 for n in (0.01, 0.1) for nb in (1.0, 20.0)]
+SECOND_ORDER = [
+    ScenarioParams(ns=0.01, ni=0.0),
+    ScenarioParams(ns=4.3e-3, ni=5.3e-4, c="direct", kappa=3.9e-4, nb=2.4e4, eps_i=1.0),
+    ScenarioParams(ns=1e-8, ni=1e-8, nb=1e6),
+]
+
+
+def test_gap_kernels_against_mpmath():
+    xs = np.concatenate([np.geomspace(1e-12, 0.5, 60), -np.geomspace(1e-12, 0.5, 60)])
+    for kernel, exact in ((_log1p_gap, lambda x: mpmath.log1p(x) - x),
+                          (_expm1_gap, lambda x: mpmath.expm1(x) - x)):
+        with mpmath.workdps(40):
+            want = [float(exact(mpmath.mpf(float(x)))) for x in xs]
+        assert np.allclose([kernel(float(x)) for x in xs], want, rtol=2e-15, atol=0.0)
+        assert np.allclose(kernel(xs, np), want, rtol=4e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("scenario", GOLDEN_FAMILY + SECOND_ORDER)
+def test_sweep_bound_rates_within_1e12_of_mpmath(scenario):
+    rows = compute_sweep(SweepSpec(scenario, (1,), ("QI-QCB", "QI-QBB", "QI+Het+CCB")))
+    exact = mp_model_exponents(*scenario.resolve())
+    for row in rows:
+        assert abs(row.per_mode_rate - exact[row.receiver]) <= 1e-12 * exact[row.receiver]

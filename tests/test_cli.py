@@ -4,12 +4,17 @@ import json
 import math
 import re
 
+import numpy as np
 import pytest
 
+import qillum.bounds
+import qillum.states
+import qillum.symplectic
+from qillum.bounds import cs_qcb_exponent, qcb
 from qillum.cli import RECEIVER_ORDER, ScenarioParams, SweepRow, SweepSpec, compute_sweep, main
 from qillum.montecarlo import deflection_se, simulate_pc_receiver
 from qillum.receiver import homodyne_min_error, snr_pc
-from qillum.states import ChannelParams
+from qillum.states import ChannelParams, coherent_benchmark_states
 
 SNR_QI_PC = 2.3575929806957360e-06
 
@@ -211,7 +216,49 @@ class TestComputeSweep:
             assert (row.m, row.p_error, row.exponent) == (m, opt.p_error, -opt.log_p_error)
 
 
+class TestBoundRowsHotPath:
+    def test_bound_rows_need_no_covariance_matrix_numerics(self, monkeypatch):
+        # the QI bound rates come from the closed standard form: no Williamson
+        # decomposition, physicality eigen-solve or determinant on the way
+        spec = SweepSpec(scenario=ScenarioParams(ns=0.02, ni=0.01, eps_r=0.5, eps_i=1.0),
+                         m_values=(1000, 10 ** 6),
+                         receivers=("QI-QCB", "QI-QBB", "QI+Het+CCB", "CS-QCB"))
+        want = compute_sweep(spec)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("covariance-matrix numerics on the bound-row path")
+
+        for module in (qillum.symplectic, qillum.bounds):
+            monkeypatch.setattr(module, "williamson", forbidden)
+        for module in (qillum.symplectic, qillum.states):
+            monkeypatch.setattr(module, "is_physical", forbidden)
+        monkeypatch.setattr(np.linalg, "slogdet", forbidden)
+        assert compute_sweep(spec) == want
+
+
 class TestBoundsCommand:
+    @pytest.mark.parametrize("ns, kappa, nb", [(0.01, 0.01, 20.0), (1e-4, 1e-3, 1000.0)])
+    def test_coherent_cross_check_reports_the_exponent_difference(self, capsys, ns, kappa, nb):
+        rc, report, _ = run_json(capsys, ["bounds", "--ns", str(ns), "--kappa", str(kappa),
+                                          "--nb", str(nb)])
+        assert rc == 0
+        note = next(n for n in report["notes"] if "relative difference" in n)
+        rel = float(re.search(r"relative difference ([0-9.e+-]+)", note).group(1))
+        ch = ChannelParams(kappa, nb)
+        closed = cs_qcb_exponent(ns, ch)
+        true_rel = abs(qcb(*coherent_benchmark_states(ns, ch)).exponent - closed) / closed
+        assert true_rel > 0.0
+        assert rel == pytest.approx(true_rel, rel=1e-3)
+
+    def test_zero_reflectivity_reports_an_absolute_difference(self, capsys):
+        rc, report, _ = run_json(capsys, ["bounds", "--kappa", "0"])
+        assert rc == 0
+        assert "absolute difference" in report["notes"][0]
+        rows = {r["label"]: r for r in report["results"]}
+        assert rows["QI-QCB"]["exponent"] == rows["QI-QBB"]["exponent"] == 0.0
+        assert rows["QI+Het+CCB"]["exponent"] == 0.0
+        assert rows["CS-QCB"]["exponent"] <= 1e-12
+
     def test_reference_report(self, capsys):
         rc, report, _ = run_json(capsys, ["bounds"] + REF_FLAGS)
         assert rc == 0

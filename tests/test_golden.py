@@ -5,7 +5,9 @@ this module pins what those bytes must mean. Every threshold row must hold
 p_error = (1/2)erfc(x) and exponent = -ln p_error to within 2 ulps, with
 x = sqrt(M*per_mode_rate) formed in double precision as the program forms it.
 Every bound row must hold p_error = (1/2)exp(-M*per_mode_rate) to within
-2 ulps, with the product M*per_mode_rate taken exactly.
+2 ulps, with the product M*per_mode_rate taken exactly, and the QI bound
+rows' per_mode_rate must be the 60-digit Chernoff, Bhattacharyya and
+heterodyne-CCB exponent of the scenario to within 1e-12 relative.
 """
 import csv
 import math
@@ -14,11 +16,15 @@ from pathlib import Path
 import mpmath
 import pytest
 
-from _oracles import ulp_error
+from _oracles import mp_model_exponents, ulp_error
+from qillum.states import ChannelParams, make_source
 
 GOLDEN = Path(__file__).parent / "golden" / "comparison_sweep.csv"
 THRESHOLD_RECEIVERS = ("QI+PC", "QI+Cal+PC", "QI+Het+PC", "CS+Hom")
 BOUND_RECEIVERS = ("QI+Het+CCB", "CS-QCB", "QI-QCB", "QI-QBB")
+# the scenario of criterion 9's command line
+GOLDEN_SOURCE = make_source(0.01, 0.01, "quantum")
+GOLDEN_CHANNEL = ChannelParams(reflectivity=0.01, n_background=20.0)
 
 with GOLDEN.open(newline="", encoding="utf-8") as _fh:
     _ROWS = list(csv.DictReader(_fh))
@@ -52,3 +58,20 @@ def test_bound_row_p_error_within_two_ulps_of_mpmath(row):
     with mpmath.workdps(50):
         p = mpmath.exp(-int(row["M"]) * mpmath.mpf(float(row["per_mode_rate"]))) / 2
         assert ulp_error(float(row["p_error"]), p) <= 2.0
+
+
+def _bound_rate(receiver: str) -> float:
+    rates = {float(row["per_mode_rate"]) for row in BOUND_ROWS if row["receiver"] == receiver}
+    assert len(rates) == 1
+    return rates.pop()
+
+
+@pytest.mark.parametrize("receiver", ("QI-QCB", "QI-QBB", "QI+Het+CCB"))
+def test_bound_rate_within_1e12_of_mpmath(receiver):
+    exact = mp_model_exponents(GOLDEN_SOURCE, GOLDEN_CHANNEL)[receiver]
+    assert abs(_bound_rate(receiver) - exact) <= 1e-12 * exact
+
+
+def test_chernoff_rate_separates_from_bhattacharyya():
+    # s* = 0.5000157, so the Chernoff exponent exceeds the s = 1/2 one by 6.4e-10
+    assert _bound_rate("QI-QCB") > _bound_rate("QI-QBB") * (1.0 + 1e-10)

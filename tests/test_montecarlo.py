@@ -1,4 +1,5 @@
 """Sampling checks: determinism, calibration against closed forms, identities."""
+import dataclasses
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from qillum.montecarlo import (
     EmpiricalStats,
     SamplerConfig,
     check_gaussian_moment_identities,
+    deflection_se,
     difference_count,
     empirical_error_rate,
     sample_pc_modes,
@@ -26,6 +28,8 @@ from qillum.states import (
     source_cm,
 )
 from qillum.symplectic import CovMatrix
+
+from _oracles import deflection_sigma
 
 REF_SRC = make_source(0.01, 0.01, corr="quantum")
 REF_CH = ChannelParams(reflectivity=0.01, n_background=20.0)
@@ -171,7 +175,17 @@ class TestSimulatePcReceiver:
     def test_reference_point_snr_within_three_se(self):
         cfg = SamplerConfig(seed=42, n_samples=1_000_000)
         stats = simulate_pc_receiver(REF_SRC, REF_CH, NO_NOISE, cfg)
-        assert abs(stats.snr_hat - SNR_QI_PC) <= 3 * stats.se_snr
+        assert deflection_sigma(stats, SNR_QI_PC) <= 3
+
+    def test_deflection_gate_fails_a_6_se_shift(self):
+        cfg = SamplerConfig(seed=42, n_samples=100_000)
+        stats = simulate_pc_receiver(REF_SRC, REF_CH, NO_NOISE, cfg)
+        # the same moments with the deflection put 6 se above the truth fail
+        # both the 3-sigma and the 5-sigma gate
+        se = deflection_se(stats, SNR_QI_PC)
+        doctored = dataclasses.replace(stats, snr_hat=(math.sqrt(SNR_QI_PC) + 6.0 * se) ** 2)
+        assert deflection_sigma(stats, SNR_QI_PC) <= 3
+        assert deflection_sigma(doctored, SNR_QI_PC) > 5
 
     def test_reference_point_moments(self):
         cfg = SamplerConfig(seed=42, n_samples=1_000_000)
@@ -205,11 +219,7 @@ class TestSimulatePcReceiver:
             stats = simulate_pc_receiver(REF_SRC, REF_CH, NO_NOISE,
                                          SamplerConfig(seed=42, n_samples=n))
             runs[n] = stats
-            # quadratic floor: squaring the mean difference inflates small-n
-            # estimates by roughly the variance of the difference itself
-            t = math.sqrt(stats.var_h0) + math.sqrt(stats.var_h1)
-            floor = (stats.se_mean_h0 ** 2 + stats.se_mean_h1 ** 2) / (2 * t * t)
-            assert abs(stats.snr_hat - analytic) <= 5 * stats.se_snr + 30 * floor
+            assert deflection_sigma(stats, analytic) <= 5
         for big, small in ((10_000, 100_000), (100_000, 1_000_000)):
             ratio = runs[big].se_mean_h1 / runs[small].se_mean_h1
             assert 2.8 <= ratio <= 3.6  # ~ sqrt(10) per decade

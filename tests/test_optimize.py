@@ -1,8 +1,9 @@
-"""Golden-section search: the lockstep array form against the scalar one."""
+"""Golden-section search: the lockstep array form against the scalar oracle."""
 import numpy as np
 import pytest
 
-from qillum.optimize import golden_section, golden_section_array
+from _oracles import golden_section
+from qillum.optimize import golden_section_array
 
 
 def test_array_search_takes_each_problems_scalar_steps():
