@@ -34,7 +34,6 @@ from .receiver import (
     BeamsplitterMoments,
     ErrorProbabilities,
     HomodyneOptimum,
-    ReceiverConfig,
     ReceiverStats,
     asymptotic_snr,
     beamsplitter_moments,
@@ -49,7 +48,6 @@ from .receiver import (
     log_erfc,
     log_error_prob_pc,
     pc_transform,
-    snr_from_moments,
     snr_pc,
 )
 from .states import (

@@ -59,9 +59,9 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve, LinAlgError
 
 from .errors import NumericFailure
-from .receiver import _validate_pulses
-from .states import ChannelParams, GaussianState, NoiseParams, SourceParams
-from .symplectic import PHYSICALITY_ATOL, williamson
+from .states import (ChannelParams, GaussianState, NoiseParams, SourceParams,
+                     _check_nonnegative, _validate_pulses, _standard_form_matrix)
+from .symplectic import PHYSICALITY_ATOL, _symmetric_matrix, williamson
 
 # s is clamped away from the endpoints where G_s diverges for mixed states;
 # C_0 = C_1 = 1 analytically and the clamped evaluation recovers that limit.
@@ -86,7 +86,7 @@ class SOverlapResult:
     c_at_s_star: float
     bound: float
     prior_h0: float
-    exponent: float | None = None
+    exponent: float
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.s_star <= 1.0:
@@ -102,29 +102,18 @@ class SOverlapResult:
             raise ValueError("bound inconsistent with prior-weighted overlap")
         if self.bound > 0.5 * (1.0 + 1e-12):
             raise ValueError(f"bound must not exceed 1/2, got {self.bound}")
-        if self.exponent is None:
-            object.__setattr__(self, "exponent", -math.log(self.c_at_s_star))
-        elif not (self.exponent >= 0.0
+        if not (self.exponent >= 0.0
                   and abs(math.exp(-self.exponent) - self.c_at_s_star)
                   <= 1e-12 * self.c_at_s_star):
             raise ValueError("exponent inconsistent with c_at_s_star")
 
 
 def _as_pd_matrix(value, name: str) -> np.ndarray:
-    m = np.array(value, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
-        raise ValueError(f"{name} must be a square matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise ValueError(f"{name} must be finite")
-    scale = max(1.0, float(np.abs(m).max()))
-    if not np.allclose(m, m.T, atol=1e-12 * scale, rtol=0.0):
-        raise ValueError(f"{name} must be symmetric")
-    m = (m + m.T) / 2.0
+    m = _symmetric_matrix(value, name)
     try:
         np.linalg.cholesky(m)
     except np.linalg.LinAlgError:
         raise ValueError(f"{name} must be positive definite") from None
-    m.flags.writeable = False
     return m
 
 
@@ -191,8 +180,7 @@ def _standard_form(m0: np.ndarray, m1: np.ndarray):
         if m.shape != (4, 4):
             return None
         a, b, c = (2.0 * float(m[i, j]) for i, j in ((0, 0), (2, 2), (0, 2)))
-        pattern = np.array([[a, 0, c, 0], [0, a, 0, -c], [c, 0, b, 0], [0, -c, 0, b]])
-        if not np.array_equal(2.0 * m, pattern):
+        if not np.array_equal(2.0 * m, _standard_form_matrix(a, b, c)):
             return None
         entries.append((a, b, c))
     (a0, b0, c0), (a1, b1, c1) = entries
@@ -436,9 +424,9 @@ class StandardFormDensities:
         """ln of the overlap integral(p0^s p1^(1-s)), for s a float or an array in [0, 1]."""
         return self._log_c_slope(_check_s(s))[0]
 
-    def ccb(self) -> SOverlapResult:
-        """Classical Chernoff bound, equal priors, as ccb() on the two densities."""
-        return _weighted_result(self._log_c_slope, 0.5)
+    def ccb(self, prior_h0: float = 0.5) -> SOverlapResult:
+        """Classical Chernoff bound, as ccb() on the two densities."""
+        return _weighted_result(self._log_c_slope, prior_h0)
 
 
 def _snap_pure(spectrum: np.ndarray) -> np.ndarray:
@@ -613,15 +601,20 @@ def _exponent(log_c: float) -> float:
 
 
 def _weighted_result(log_c_slope, prior_h0: float) -> SOverlapResult:
+    """The bound at the s* that minimizes the prior-weighted overlap."""
     if not 0.0 < prior_h0 < 1.0:
         raise ValueError(f"prior_h0 must lie in (0, 1), got {prior_h0}")
-    s_star, log_c = _minimize_weighted(log_c_slope, prior_h0)
+    return _bound_at(*_minimize_weighted(log_c_slope, prior_h0), prior_h0)
+
+
+def _bound_at(s: float, log_c: float, prior_h0: float) -> SOverlapResult:
+    """The bound pi_0^s pi_1^(1-s) C_s that ln C_s certifies at one s."""
     exponent = _exponent(log_c)
     c_star = math.exp(-exponent)
     pi1 = 1.0 - prior_h0
     # equal priors make the weight s-independent; keep it exact in that case
-    weight = prior_h0 if prior_h0 == pi1 else prior_h0 ** s_star * pi1 ** (1.0 - s_star)
-    return SOverlapResult(s_star=s_star, c_at_s_star=c_star, bound=weight * c_star,
+    weight = prior_h0 if prior_h0 == pi1 else prior_h0 ** s * pi1 ** (1.0 - s)
+    return SOverlapResult(s_star=s, c_at_s_star=c_star, bound=weight * c_star,
                           prior_h0=prior_h0, exponent=exponent)
 
 
@@ -647,8 +640,7 @@ def cs_qcb_exponent(n_signal: float, ch: ChannelParams) -> float:
     kappa*N_S*(sqrt(N_B+1)-sqrt(N_B))^2, computed through the reciprocal
     form to avoid cancellation at large N_B.
     """
-    if not (n_signal >= 0 and math.isfinite(n_signal)):
-        raise ValueError(f"n_signal must be >= 0, got {n_signal}")
+    _check_nonnegative(n_signal, "n_signal")
     root_sum = math.sqrt(ch.n_background + 1.0) + math.sqrt(ch.n_background)
     return ch.reflectivity * n_signal / root_sum ** 2
 

@@ -8,6 +8,10 @@ Four subcommands under the `qi` program:
   bounds  Chernoff-type bounds with cross-validation notes
   mc      seeded sampling run, empirical vs analytic gate table
 
+What each receiver label computes is defined once, in receiver.RECEIVERS:
+sweep takes its rows from there, snr the label and asymptote of the noise
+pair, and bounds the prior-weighted bound of each bound receiver.
+
 Every run echoes the fully resolved parameter set (CSV runs echo to stderr
 so the data stream stays clean). Floats in CSV use 17 significant digits so
 output is byte-stable across runs. Exit codes: 0 success, 2 invalid
@@ -21,49 +25,19 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .bounds import StandardFormPair, cs_qcb_exponent, qcb
+from .bounds import cs_qcb_exponent
 from .montecarlo import (
     SamplerConfig,
     check_gaussian_moment_identities,
     deflection_se,
     simulate_pc_receiver,
 )
-from .receiver import (
-    LN_HALF,
-    ReceiverConfig,
-    asymptotic_snr,
-    beamsplitter_moments,
-    error_prob_pc,
-    half_exp,
-    homodyne_min_errors,
-    homodyne_rate,
-    log_error_prob_pc,
-    snr_pc,
-)
-from .states import (
-    ChannelParams,
-    NoiseParams,
-    SourceParams,
-    coherent_benchmark_states,
-    make_source,
-)
+from .receiver import RECEIVERS, _model_pair, asymptotic_snr, beamsplitter_moments, snr_pc
+from .states import ChannelParams, NoiseParams, SourceParams, _validate_pulses, make_source
 
-RECEIVER_ORDER = (
-    "QI+PC",
-    "QI+Cal+PC",
-    "QI+Het+PC",
-    "QI+Het+CCB",
-    "CS-QCB",
-    "CS+Hom",
-    "QI-QCB",
-    "QI-QBB",
-)
-
-_PC_NOISE = {
-    "QI+PC": NoiseParams(),
-    "QI+Cal+PC": NoiseParams(eps_return=1.0),
-    "QI+Het+PC": NoiseParams(eps_return=1.0, eps_idler=1.0),
-}
+RECEIVER_ORDER = tuple(RECEIVERS)
+# qi bounds rows, in this order; the last is the coherent benchmark it cross-checks
+_BOUND_ROWS = ("QI-QCB", "QI-QBB", "QI+Het+CCB", "CS-QCB")
 
 _SCENARIO_DEFAULTS = {
     "ns": 0.01,
@@ -121,16 +95,17 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if not self.receivers:
             raise ValueError("receiver set must be non-empty")
-        unknown = [r for r in self.receivers if r not in RECEIVER_ORDER]
+        unknown = [r for r in self.receivers if r not in RECEIVERS]
         if unknown:
             raise ValueError(f"unknown receivers {unknown}; choose from {RECEIVER_ORDER}")
-        ms = self.m_values
+        if len(set(self.receivers)) != len(self.receivers):
+            raise ValueError(f"duplicate receivers in {list(self.receivers)}")
+        ms = tuple(_validate_pulses(m) for m in self.m_values)
         if not ms:
             raise ValueError("m_values must be non-empty")
-        if any(int(m) != m or m < 1 for m in ms):
-            raise ValueError("m_values must be positive integers")
         if any(a >= b for a, b in zip(ms, ms[1:])):
             raise ValueError("m_values must be strictly increasing")
+        object.__setattr__(self, "m_values", ms)
 
 
 @dataclass(frozen=True)
@@ -149,61 +124,21 @@ class SweepRow:
             raise ValueError(f"p_error {self.p_error} outside (0, 1/2] for {self.receiver}")
 
 
-def _half_power_weight(prior: float) -> float:
-    # exact at equal priors so the weighted bound never exceeds C/2 by an ulp
-    if prior == 1.0 - prior:
-        return prior
-    return prior ** 0.5 * (1.0 - prior) ** 0.5
-
-
 def compute_sweep(spec: SweepSpec) -> list:
     """One row per (receiver, M): receiver order as given, M ascending.
 
-    Rows are independent, so evaluation order never matters; assembly below
-    fixes the output order regardless of how the points were computed.
-    per_mode_rate is the SNR for threshold receivers and the Chernoff
-    exponent for bound rows. Threshold rows take p_error = (1/2)erfc(x) and
-    exponent = -ln p from separate accurate routes, x = sqrt(M*rate); bound
-    rows take p_error from half_exp. p is never formed as exp(-exponent),
-    which would scale the exponent's last-bit error by |ln p|. CS+Hom rows
-    come from one homodyne_min_errors call over the whole M grid. The three
-    QI bound rates come from one closed-form StandardFormPair of the
-    scenario, built from the parameters without forming a covariance matrix.
+    Each receiver's rate and rows come from its RECEIVERS entry
+    (Receiver.points): per_mode_rate is the SNR for threshold receivers and
+    the Chernoff exponent for bound rows. The scenario's StandardFormPair,
+    built from the parameters without forming a covariance matrix, is built
+    once, and only if a receiver uses it.
     """
-    src, ch, _ = spec.scenario.resolve()
-    scenario_noise = NoiseParams(eps_return=spec.scenario.eps_r,
-                                 eps_idler=spec.scenario.eps_i)
-
-    ms = [int(m) for m in spec.m_values]
-    qi_states = None
-    if {"QI-QCB", "QI-QBB", "QI+Het+CCB"} & set(spec.receivers):
-        qi_states = StandardFormPair.from_model(src, ch, scenario_noise)
-
-    def points_and_rate(receiver: str):
-        if receiver in _PC_NOISE:
-            extra = _PC_NOISE[receiver]
-            noise = NoiseParams(eps_return=scenario_noise.eps_return + extra.eps_return,
-                                eps_idler=scenario_noise.eps_idler + extra.eps_idler)
-            stats = snr_pc(src, ch, noise)
-            return [(error_prob_pc(stats, m), log_error_prob_pc(stats, m)) for m in ms], stats.snr
-        if receiver == "CS+Hom":
-            opts = homodyne_min_errors(src.n_signal, ch, ms)
-            return [(o.p_error, o.log_p_error) for o in opts], homodyne_rate(src.n_signal, ch)
-        if receiver == "CS-QCB":
-            rate = cs_qcb_exponent(src.n_signal, ch)
-        elif receiver == "QI-QCB":
-            rate = qi_states.qcb().exponent
-        elif receiver == "QI-QBB":
-            rate = qi_states.exponent(0.5)
-        elif receiver == "QI+Het+CCB":
-            rate = qi_states.heterodyne().ccb().exponent
-        else:
-            raise ValueError(f"unknown receiver {receiver!r}")
-        return [(half_exp(m, rate), LN_HALF - m * rate) for m in ms], rate
-
+    src, ch, noise = spec.scenario.resolve()
+    ms = spec.m_values
+    pair = _model_pair(src, ch, noise)
     rows = []
     for receiver in spec.receivers:
-        points, rate = points_and_rate(receiver)
+        rate, points = RECEIVERS[receiver].points(src, ch, noise, pair, ms)
         for m, (p, lp) in zip(ms, points):
             rows.append(SweepRow(receiver=receiver, m=m, p_error=p,
                                  exponent=-lp, per_mode_rate=rate))
@@ -241,24 +176,17 @@ def _render_plain(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _receiver_label(noise: NoiseParams):
-    for label, cfg in _PC_NOISE.items():
-        if (noise.eps_return, noise.eps_idler) == (cfg.eps_return, cfg.eps_idler):
-            return label
-    return None
-
-
 def cmd_snr(args) -> int:
     scenario = _scenario_from(args)
     src, ch, noise = scenario.resolve()
     stats = snr_pc(src, ch, noise)
     mom = beamsplitter_moments(src, ch, noise)
-    label = _receiver_label(noise)
+    label = next((rx.label for rx in RECEIVERS.values() if rx.added_noise == noise), None)
     notes = []
     asymptotic = None
     if label is not None:
         try:
-            asymptotic = asymptotic_snr(ReceiverConfig(label), src, ch)
+            asymptotic = asymptotic_snr(label, src, ch)
         except ValueError as exc:
             notes.append(f"asymptotic reference unavailable: {exc}")
     else:
@@ -317,30 +245,20 @@ def cmd_bounds(args) -> int:
     scenario = _scenario_from(args)
     src, ch, noise = scenario.resolve()
     prior = args.prior_h0
-    qi_states = StandardFormPair.from_model(src, ch, noise)
-    qi_qcb = qi_states.qcb(prior_h0=prior)
-    qbb_exponent = qi_states.exponent(0.5)
-    qbb_c = math.exp(-qbb_exponent)
-    het_ccb = qi_states.heterodyne().ccb()
+    pair = _model_pair(src, ch, noise)
+    bounds = {label: RECEIVERS[label].bound(src, ch, noise, pair, prior) for label in _BOUND_ROWS}
+    results = [{"label": label, "s_star": b.s_star, "c_at_s_star": b.c_at_s_star,
+                "bound": b.bound, "exponent": b.exponent} for label, b in bounds.items()]
 
-    coh_qcb = qcb(*coherent_benchmark_states(src.n_signal, ch), prior_h0=prior)
-    # compare exponents: overlaps sit within the exponent of 1, so their
-    # difference rounds away long before the exponents' does
+    # the coherent benchmark's generic route against its closed form, which is
+    # the equal-prior exponent. Compare exponents: overlaps sit within the
+    # exponent of 1, so their difference rounds away long before the exponents' does
+    generic = bounds["CS-QCB"] if prior == 0.5 else RECEIVERS["CS-QCB"].bound(
+        src, ch, noise, pair, 0.5)
     closed = cs_qcb_exponent(src.n_signal, ch)
-    diff = abs(coh_qcb.exponent - closed)
+    diff = abs(generic.exponent - closed)
     cross_check = (f"relative difference {diff / closed:.3e}" if closed > 0.0
                    else f"absolute difference {diff:.3e}")
-
-    results = [
-        {"label": "QI-QCB", "s_star": qi_qcb.s_star, "c_at_s_star": qi_qcb.c_at_s_star,
-         "bound": qi_qcb.bound, "exponent": qi_qcb.exponent},
-        {"label": "QI-QBB", "s_star": 0.5, "c_at_s_star": qbb_c,
-         "bound": _half_power_weight(prior) * qbb_c, "exponent": qbb_exponent},
-        {"label": "QI+Het+CCB", "s_star": het_ccb.s_star, "c_at_s_star": het_ccb.c_at_s_star,
-         "bound": het_ccb.bound, "exponent": het_ccb.exponent},
-        {"label": "CS-QCB", "s_star": coh_qcb.s_star, "c_at_s_star": coh_qcb.c_at_s_star,
-         "bound": coh_qcb.bound, "exponent": coh_qcb.exponent},
-    ]
     notes = [
         f"coherent benchmark cross-check: numeric vs closed-form exponent {cross_check}",
     ]
@@ -427,14 +345,17 @@ def _parse_m_values(args) -> tuple:
     if args.m and args.m_log:
         raise ValueError("give either --m or --m-log, not both")
     if args.m:
-        values = [int(round(float(tok))) for tok in args.m.split(",")]
+        values = [float(tok) for tok in args.m.split(",")]
+        if not all(v.is_integer() for v in values):
+            raise ValueError(f"--m takes integer pulse counts, got {args.m!r}")
+        values = [int(v) for v in values]
     elif args.m_log:
         parts = args.m_log.split(",")
         if len(parts) != 3:
             raise ValueError("--m-log expects start,stop,count")
         start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
-        if not (start >= 1 and stop > start and count >= 2):
-            raise ValueError("--m-log needs 1 <= start < stop and count >= 2")
+        if not (1 <= start < stop < math.inf and count >= 2):
+            raise ValueError("--m-log needs 1 <= start < stop < inf and count >= 2")
         ratio = (stop / start) ** (1.0 / (count - 1))
         values = sorted({int(round(start * ratio ** i)) for i in range(count)})
     else:

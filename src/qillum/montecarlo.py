@@ -27,6 +27,7 @@ from .states import (
     Hypothesis,
     NoiseParams,
     SourceParams,
+    _validate_pulses,
     apply_noise,
     conditional_states,
 )
@@ -40,15 +41,12 @@ class SamplerConfig:
 
     seed: int
     n_samples: int
-    n_pulses_m: int = 1
 
     def __post_init__(self) -> None:
         if not (isinstance(self.seed, (int, np.integer)) and 0 <= self.seed < 2 ** 64):
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
-        for name in ("n_samples", "n_pulses_m"):
-            v = getattr(self, name)
-            if not (isinstance(v, (int, np.integer)) and v >= 1):
-                raise ValueError(f"{name} must be a positive integer, got {v!r}")
+        if not (isinstance(self.n_samples, (int, np.integer)) and self.n_samples >= 1):
+            raise ValueError(f"n_samples must be a positive integer, got {self.n_samples!r}")
 
 
 @dataclass(frozen=True)
@@ -115,11 +113,6 @@ def sample_quadratures(state: GaussianState, cfg: SamplerConfig, stream: int = 0
     return state.mean + z @ chol.T
 
 
-def _noisy_conditional(src: SourceParams, ch: ChannelParams,
-                       noise: NoiseParams) -> tuple[GaussianState, GaussianState]:
-    return apply_noise(conditional_states(src, ch), noise)
-
-
 def _pc_mix(xs: np.ndarray, vac: np.ndarray) -> np.ndarray:
     """Conjugate the return samples, add vacuum, mix 50-50 with the idler.
 
@@ -140,7 +133,7 @@ def _pc_mix(xs: np.ndarray, vac: np.ndarray) -> np.ndarray:
 def sample_pc_modes(src: SourceParams, ch: ChannelParams, noise: NoiseParams,
                     cfg: SamplerConfig, hypothesis: Hypothesis) -> np.ndarray:
     """Beamsplitter output quadrature samples (q_+, p_+, q_-, p_-)."""
-    state = _noisy_conditional(src, ch, noise)[0 if hypothesis is Hypothesis.H0 else 1]
+    state = apply_noise(conditional_states(src, ch), noise)[0 if hypothesis is Hypothesis.H0 else 1]
     base = 0 if hypothesis is Hypothesis.H0 else 2
     xs = sample_quadratures(state, cfg, stream=base)
     vac = _generator(cfg.seed, base + 1).standard_normal((cfg.n_samples, 2)) * _VACUUM_STD
@@ -235,20 +228,12 @@ def empirical_error_rate(src: SourceParams, ch: ChannelParams, noise: NoiseParam
     means (0 and sqrt(kappa)*c). Equal priors: the returned rate averages
     the false-alarm and missed-detection fractions.
     """
-    m = int(m)
-    if m < 1:
-        raise ValueError(f"pulse count m must be a positive integer, got {m}")
-    states = _noisy_conditional(src, ch, noise)
+    m = _validate_pulses(m)
     threshold = 0.5 * math.sqrt(ch.reflectivity) * src.corr
-    pulse_cfg = SamplerConfig(seed=cfg.seed, n_samples=cfg.n_samples * m,
-                              n_pulses_m=cfg.n_pulses_m)
-    averages = []
-    for base, state in ((0, states[0]), (2, states[1])):
-        xs = sample_quadratures(state, pulse_cfg, stream=base)
-        vac = _generator(cfg.seed, base + 1).standard_normal(
-            (pulse_cfg.n_samples, 2)) * _VACUUM_STD
-        stat = difference_count(_pc_mix(xs, vac))
-        averages.append(stat.reshape(cfg.n_samples, m).mean(axis=1))
+    pulse_cfg = SamplerConfig(seed=cfg.seed, n_samples=cfg.n_samples * m)
+    averages = [difference_count(sample_pc_modes(src, ch, noise, pulse_cfg, hyp))
+                .reshape(cfg.n_samples, m).mean(axis=1)
+                for hyp in (Hypothesis.H0, Hypothesis.H1)]
     false_alarm = float(np.mean(averages[0] > threshold))
     missed = float(np.mean(averages[1] <= threshold))
     return 0.5 * (false_alarm + missed)

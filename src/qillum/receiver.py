@@ -1,4 +1,5 @@
-"""Phase-conjugate receiver statistics and benchmark error probabilities.
+"""Phase-conjugate receiver statistics, benchmark error probabilities, and
+the table of the receivers that are compared.
 
 The receiver conjugates each return mode, mixes it with the retained idler
 on a balanced beamsplitter, and thresholds the photon-number difference
@@ -7,19 +8,27 @@ statistic is Gaussian to excellent approximation, so the error probability
 is (1/2)erfc(sqrt(M*SNR)) with a per-pair SNR that has a closed form.
 
 Also provides the coherent-probe homodyne benchmark and the leading-order
-large-background limits of the SNR for the standard configurations.
+large-background limits of the SNR.
+
+RECEIVERS defines each of the eight receivers once (Receiver): its per-mode
+rate for a scenario, whether its rows are threshold rows (1/2)erfc(sqrt(M*rate))
+or Chernoff-type bound rows (1/2)exp(-M*rate), the noise a PC receiver adds,
+the prior-weighted bound of a bound receiver, and the bright-background
+asymptote where one is known. `qi sweep`, `qi snr` and `qi bounds` read it.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
+from typing import Callable
 
 import numpy as np
 
+from .bounds import StandardFormPair, _bound_at, cs_qcb_exponent, qcb
 from .errors import NumericFailure
 from .optimize import golden_section_array
-from .states import ChannelParams, GaussianState, NoiseParams, SourceParams, c_quantum
+from .states import (ChannelParams, GaussianState, NoiseParams, SourceParams, _check_nonnegative,
+                     _validate_pulses, c_quantum, coherent_benchmark_states)
 from .symplectic import CovMatrix
 
 LN_HALF = math.log(0.5)
@@ -137,13 +146,6 @@ def half_exp(m, rate: float) -> float:
     return p - p * lo
 
 
-def _validate_pulses(m) -> int:
-    m_int = int(m)
-    if m_int != m or m_int < 1:
-        raise ValueError(f"pulse count m must be a positive integer, got {m!r}")
-    return m_int
-
-
 @dataclass(frozen=True)
 class BeamsplitterMoments:
     """Second moments of the two beamsplitter output modes.
@@ -252,16 +254,16 @@ def pc_transform(states: tuple[GaussianState, GaussianState]) -> tuple[GaussianS
     return (out[0], out[1])
 
 
+def _noisy(src: SourceParams, ch: ChannelParams, noise: NoiseParams) -> tuple[float, float, float]:
+    """(mu, omega, gamma) with the added noise: mu + eps_idler, omega and gamma + eps_return."""
+    return (src.mu + noise.eps_idler, ch.omega + noise.eps_return,
+            ch.gamma(src.n_signal) + noise.eps_return)
+
+
 def beamsplitter_moments(src: SourceParams, ch: ChannelParams,
                          noise: NoiseParams = NoiseParams()) -> BeamsplitterMoments:
-    """Output-mode second moments after conjugation and balanced mixing.
-
-    Added noise enters through the replacements mu -> mu + eps_idler and
-    omega, gamma -> omega + eps_return, gamma + eps_return.
-    """
-    mu = src.mu + noise.eps_idler
-    omega = ch.omega + noise.eps_return
-    gamma = ch.gamma(src.n_signal) + noise.eps_return
+    """Output-mode second moments after conjugation and balanced mixing, added noise included."""
+    mu, omega, gamma = _noisy(src, ch, noise)
     root = 2.0 * math.sqrt(ch.reflectivity) * src.corr
     return BeamsplitterMoments(
         alpha_plus=(omega + 1.0 + mu) / 4.0,
@@ -272,22 +274,6 @@ def beamsplitter_moments(src: SourceParams, ch: ChannelParams,
     )
 
 
-def snr_from_moments(moments: BeamsplitterMoments) -> ReceiverStats:
-    """Receiver statistics assembled directly from the beamsplitter moments.
-
-    The mean difference count is beta_plus - beta_minus and the variances
-    follow from Gaussian fourth-moment factorization. This route re-derives
-    snr_pc but loses precision when the correlation is tiny against the
-    thermal scale (the subtraction cancels); prefer snr_pc in production.
-    """
-    mean1 = moments.beta_plus - moments.beta_minus
-    var0 = 2.0 * (moments.alpha_plus ** 2 - moments.alpha_minus ** 2)
-    var1 = (moments.beta_plus ** 2 + moments.beta_minus ** 2
-            - 2.0 * moments.gamma_star ** 2)
-    snr = mean1 ** 2 / (2.0 * (math.sqrt(var1) + math.sqrt(var0)) ** 2)
-    return ReceiverStats(mean_h0=0.0, mean_h1=mean1, var_h0=var0, var_h1=var1, snr=snr)
-
-
 def snr_pc(src: SourceParams, ch: ChannelParams,
            noise: NoiseParams = NoiseParams()) -> ReceiverStats:
     """Closed-form per-pulse-pair SNR of the difference-count receiver.
@@ -296,9 +282,7 @@ def snr_pc(src: SourceParams, ch: ChannelParams,
     with the noise replacements applied. All terms are sums of non-negative
     quantities, so the result is accurate to a few ulp at any scale.
     """
-    mu = src.mu + noise.eps_idler
-    omega = ch.omega + noise.eps_return
-    gamma = ch.gamma(src.n_signal) + noise.eps_return
+    mu, omega, gamma = _noisy(src, ch, noise)
     kc2 = ch.reflectivity * src.corr * src.corr
     a1 = kc2 + mu * (1.0 + gamma)
     a0 = mu * (1.0 + omega)
@@ -314,14 +298,12 @@ def snr_pc(src: SourceParams, ch: ChannelParams,
 
 def log_error_prob_pc(stats: ReceiverStats, m) -> float:
     """ln of the error probability after m pulse pairs, finite at any m*snr."""
-    m = _validate_pulses(m)
-    return LN_HALF + log_erfc(math.sqrt(m * stats.snr))
+    return _erfc_points(stats.snr, [_validate_pulses(m)])[0][1]
 
 
 def error_prob_pc(stats: ReceiverStats, m) -> float:
     """(1/2)erfc(sqrt(m*snr)) via half_erfc; underflows past m*snr ~ 700."""
-    m = _validate_pulses(m)
-    return half_erfc(math.sqrt(m * stats.snr))
+    return _erfc_points(stats.snr, [_validate_pulses(m)])[0][0]
 
 
 def homodyne_errors(n_signal: float, ch: ChannelParams, m, threshold: float) -> ErrorProbabilities:
@@ -332,8 +314,7 @@ def homodyne_errors(n_signal: float, ch: ChannelParams, m, threshold: float) -> 
     declaring "present" above the threshold gives the two erfc expressions.
     """
     m = _validate_pulses(m)
-    if not (n_signal >= 0 and math.isfinite(n_signal)):
-        raise ValueError(f"n_signal must be >= 0, got {n_signal}")
+    _check_nonnegative(n_signal, "n_signal")
     if not math.isfinite(threshold):
         raise ValueError(f"threshold must be finite, got {threshold}")
     sigma = math.sqrt(m * (2.0 * ch.n_background + 1.0))
@@ -373,26 +354,32 @@ def homodyne_min_errors(n_signal: float, ch: ChannelParams, ms) -> list[Homodyne
     disagree by more than 1e-12*max(1, |ln p|).
     """
     ms = [_validate_pulses(m) for m in ms]
-    if not (n_signal >= 0 and math.isfinite(n_signal)):
-        raise ValueError(f"n_signal must be >= 0, got {n_signal}")
-    rate = homodyne_rate(n_signal, ch)
+    _check_nonnegative(n_signal, "n_signal")
+    points = _erfc_points(homodyne_rate(n_signal, ch), ms)
+    _check_homodyne_optimum(n_signal, ch, ms, points)
     root = math.sqrt(2.0 * ch.reflectivity * n_signal)
-    out = []
+    return [HomodyneOptimum(p_error=p, threshold=0.5 * (m * root), log_p_error=lp)
+            for m, (p, lp) in zip(ms, points)]
+
+
+def _erfc_points(rate: float, ms) -> list[tuple[float, float]]:
+    """(p, ln p) of p = (1/2)erfc(sqrt(m*rate)) for each m, from half_erfc and log_erfc."""
+    points = []
     for m in ms:
         x = math.sqrt(m * rate)
-        out.append(HomodyneOptimum(p_error=half_erfc(x), threshold=0.5 * (m * root),
-                                   log_p_error=LN_HALF + log_erfc(x)))
-    if root > 0.0:
-        _check_homodyne_optimum(ms, root, 2.0 * ch.n_background + 1.0,
-                                np.array([opt.log_p_error for opt in out]))
-    return out
+        points.append((half_erfc(x), LN_HALF + log_erfc(x)))
+    return points
 
 
-def _check_homodyne_optimum(ms: list, root: float, omega: float, log_p: np.ndarray) -> None:
-    """Raise NumericFailure where the numeric minimum of ln (fa+md)/2 is not log_p."""
+def _check_homodyne_optimum(n_signal: float, ch: ChannelParams, ms: list, points: list) -> None:
+    """Raise NumericFailure where the numeric minimum of ln (fa+md)/2 is not the points' ln p."""
+    root = math.sqrt(2.0 * ch.reflectivity * n_signal)
+    if root == 0.0:
+        return
+    log_p = np.array([lp for _, lp in points])
     m_arr = np.array(ms, dtype=float)
     shift = m_arr * root
-    sigma = np.sqrt(m_arr * omega)
+    sigma = np.sqrt(m_arr * (2.0 * ch.n_background + 1.0))
 
     def objective(t: np.ndarray, idx: np.ndarray) -> np.ndarray:
         s = sigma[idx]
@@ -410,33 +397,127 @@ def _check_homodyne_optimum(ms: list, root: float, omega: float, log_p: np.ndarr
         )
 
 
-class ReceiverConfig(Enum):
-    QI_PC = "QI+PC"
-    QI_CAL_PC = "QI+Cal+PC"
-    QI_HET_PC = "QI+Het+PC"
-    CS_HOM = "CS+Hom"
+def _entangled_asymptote(src: SourceParams, ch: ChannelParams) -> float:
+    """kappa*c_q^2/(8*N_B*(1+2*N_I)): (1+N_I)*kappa*N_S/(2*N_B*(1+2*N_I)) when N_S <= N_I."""
+    cq = c_quantum(src)
+    return (ch.reflectivity * cq * cq
+            / (8.0 * ch.n_background * (1.0 + 2.0 * src.n_idler)))
 
 
-def asymptotic_snr(config: ReceiverConfig, src: SourceParams, ch: ChannelParams) -> float:
-    """Leading-order per-pulse SNR in the bright-background regime.
+def _coherent_asymptote(src: SourceParams, ch: ChannelParams) -> float:
+    """kappa*N_S/(4*N_B), the coherent-homodyne rate."""
+    return ch.reflectivity * src.n_signal / (4.0 * ch.n_background)
 
-    QI_PC and QI_Cal_PC share kappa*c_q^2/(8*N_B*(1+2*N_I)), which is
-    (1+N_I)*kappa*N_S/(2*N_B*(1+2*N_I)) when N_S <= N_I; QI_Het_PC degrades
-    to the coherent-homodyne rate kappa*N_S/(4*N_B). The entangled
-    configurations assume the source sits at the quantum correlation bound.
+
+@dataclass(frozen=True)
+class Receiver:
+    """One receiver of the comparison, as qi sweep, qi snr and qi bounds use it.
+
+    Its functions take the scenario (src, ch, noise) and `pair` from
+    _model_pair, so a scenario builds its StandardFormPair at most once.
+
+    rate(src, ch, noise, pair): the M-independent per-mode rate, an SNR for a
+        threshold receiver, else a Chernoff-type exponent.
+    threshold: rows are (1/2)erfc(sqrt(M*rate)) if True, the bound
+        (1/2)exp(-M*rate) if False.
+    added_noise: the noise a PC receiver adds to the scenario's; else None.
+    bound(src, ch, noise, pair, prior_h0): a bound receiver's SOverlapResult.
+    asymptote(src, ch): the bright-background SNR, where known (asymptotic_snr).
+    check(src, ch, ms, points): a self-check of the rows; raises NumericFailure.
     """
-    if not isinstance(config, ReceiverConfig):
-        raise ValueError(f"unknown receiver configuration: {config!r}")
+
+    label: str
+    rate: Callable
+    threshold: bool
+    added_noise: NoiseParams | None = None
+    bound: Callable | None = None
+    asymptote: Callable | None = None
+    check: Callable | None = None
+
+    def points(self, src: SourceParams, ch: ChannelParams, noise: NoiseParams,
+               pair, ms: list) -> tuple[float, list[tuple[float, float]]]:
+        """(rate, [(p_error, ln p_error) for each m in ms]) for one scenario.
+
+        p_error and ln p_error come from separate accurate routes: half_erfc and
+        log_erfc for threshold rows, half_exp and ln(1/2) - m*rate for bound
+        rows. p is never formed as exp(ln p), which would scale the last-bit
+        error of ln p by |ln p|. ms are positive ints (SweepSpec checks them).
+        """
+        rate = self.rate(src, ch, noise, pair)
+        if self.threshold:
+            points = _erfc_points(rate, ms)
+        else:
+            points = [(half_exp(m, rate), LN_HALF - m * rate) for m in ms]
+        if self.check is not None:
+            self.check(src, ch, ms, points)
+        return rate, points
+
+
+def _pc(label: str, eps_return: float, eps_idler: float, asymptote) -> Receiver:
+    """A PC receiver: snr_pc with eps_return, eps_idler added to the scenario's noise."""
+    def rate(src, ch, noise, pair):
+        return snr_pc(src, ch, NoiseParams(eps_return=noise.eps_return + eps_return,
+                                           eps_idler=noise.eps_idler + eps_idler)).snr
+    return Receiver(label, rate, threshold=True,
+                    added_noise=NoiseParams(eps_return, eps_idler), asymptote=asymptote)
+
+
+RECEIVERS = {rx.label: rx for rx in (
+    _pc("QI+PC", 0.0, 0.0, _entangled_asymptote),
+    # heterodyne noise on the return mode
+    _pc("QI+Cal+PC", 1.0, 0.0, _entangled_asymptote),
+    # heterodyne noise on both modes, which degrades PC to the coherent rate
+    _pc("QI+Het+PC", 1.0, 1.0, _coherent_asymptote),
+    Receiver("QI+Het+CCB", lambda src, ch, noise, pair: pair().heterodyne().ccb().exponent,
+             threshold=False,
+             bound=lambda src, ch, noise, pair, prior_h0: pair().heterodyne().ccb(prior_h0)),
+    # the exponent in closed form; the bound from the coherent states' generic route
+    Receiver("CS-QCB", lambda src, ch, noise, pair: cs_qcb_exponent(src.n_signal, ch),
+             threshold=False,
+             bound=lambda src, ch, noise, pair, prior_h0: qcb(
+                 *coherent_benchmark_states(src.n_signal, ch), prior_h0=prior_h0)),
+    Receiver("CS+Hom", lambda src, ch, noise, pair: homodyne_rate(src.n_signal, ch),
+             threshold=True, asymptote=_coherent_asymptote,
+             check=lambda src, ch, ms, points: _check_homodyne_optimum(
+                 src.n_signal, ch, ms, points)),
+    Receiver("QI-QCB", lambda src, ch, noise, pair: pair().qcb().exponent, threshold=False,
+             bound=lambda src, ch, noise, pair, prior_h0: pair().qcb(prior_h0)),
+    Receiver("QI-QBB", lambda src, ch, noise, pair: pair().exponent(0.5), threshold=False,
+             bound=lambda src, ch, noise, pair, prior_h0: _bound_at(
+                 0.5, pair().log_c(0.5), prior_h0)),
+)}
+
+
+def _model_pair(src: SourceParams, ch: ChannelParams, noise: NoiseParams):
+    """A zero-argument function that returns StandardFormPair.from_model(src, ch, noise).
+
+    The pair is built on the first call only; RECEIVERS' functions take it as `pair`.
+    """
+    built = []
+
+    def pair() -> StandardFormPair:
+        if not built:
+            built.append(StandardFormPair.from_model(src, ch, noise))
+        return built[0]
+    return pair
+
+
+def asymptotic_snr(label: str, src: SourceParams, ch: ChannelParams) -> float:
+    """Leading-order per-pulse SNR of a receiver of RECEIVERS in the bright-background regime.
+
+    A PC receiver's asymptote assumes the source sits at the quantum
+    correlation bound.
+    """
+    rx = RECEIVERS.get(label)
+    if rx is None or rx.asymptote is None:
+        raise ValueError(f"no asymptotic SNR for receiver {label!r}")
     if ch.n_background <= 0:
         raise ValueError("asymptotic forms require n_background > 0")
-    if config is not ReceiverConfig.CS_HOM:
+    if rx.added_noise is not None:
         cq = c_quantum(src)
         if not math.isclose(src.corr, cq, rel_tol=1e-9, abs_tol=0.0):
             raise ValueError(
-                f"{config.value} asymptotics assume corr at the quantum bound "
+                f"{label} asymptotics assume corr at the quantum bound "
                 f"{cq:.12g}, got {src.corr:.12g}"
             )
-    if config in (ReceiverConfig.QI_PC, ReceiverConfig.QI_CAL_PC):
-        return (ch.reflectivity * cq * cq
-                / (8.0 * ch.n_background * (1.0 + 2.0 * src.n_idler)))
-    return ch.reflectivity * src.n_signal / (4.0 * ch.n_background)
+    return rx.asymptote(src, ch)

@@ -18,7 +18,19 @@ import numpy as np
 
 from .symplectic import CovMatrix, is_physical
 
-Z2 = np.diag([1.0, -1.0])
+
+def _check_nonnegative(value: float, name: str) -> None:
+    """The one check of a brightness or noise parameter: finite and >= 0."""
+    if not (value >= 0 and math.isfinite(value)):
+        raise ValueError(f"{name} must be >= 0, got {value}")
+
+
+def _validate_pulses(m) -> int:
+    """m as an int; ValueError unless it is a positive integer (2.0 passes, 2.5 does not)."""
+    m_int = int(m)
+    if m_int != m or m_int < 1:
+        raise ValueError(f"pulse count m must be a positive integer, got {m!r}")
+    return m_int
 
 
 class Hypothesis(Enum):
@@ -42,12 +54,9 @@ class SourceParams:
     corr: float = 0.0
 
     def __post_init__(self) -> None:
-        if not (self.n_signal >= 0 and math.isfinite(self.n_signal)):
-            raise ValueError(f"n_signal must be >= 0, got {self.n_signal}")
-        if not (self.n_idler >= 0 and math.isfinite(self.n_idler)):
-            raise ValueError(f"n_idler must be >= 0, got {self.n_idler}")
-        if not (self.corr >= 0 and math.isfinite(self.corr)):
-            raise ValueError(f"corr must be >= 0, got {self.corr}")
+        _check_nonnegative(self.n_signal, "n_signal")
+        _check_nonnegative(self.n_idler, "n_idler")
+        _check_nonnegative(self.corr, "corr")
         cq = c_quantum(self)
         if self.corr > cq + 1e-12 * max(1.0, cq):
             raise ValueError(
@@ -75,8 +84,7 @@ class ChannelParams:
     def __post_init__(self) -> None:
         if not (0.0 <= self.reflectivity <= 1.0):
             raise ValueError(f"reflectivity must lie in [0, 1], got {self.reflectivity}")
-        if not (self.n_background >= 0 and math.isfinite(self.n_background)):
-            raise ValueError(f"n_background must be >= 0, got {self.n_background}")
+        _check_nonnegative(self.n_background, "n_background")
 
     @property
     def omega(self) -> float:
@@ -99,10 +107,8 @@ class NoiseParams:
     eps_idler: float = 0.0
 
     def __post_init__(self) -> None:
-        if not (self.eps_return >= 0 and math.isfinite(self.eps_return)):
-            raise ValueError(f"eps_return must be >= 0, got {self.eps_return}")
-        if not (self.eps_idler >= 0 and math.isfinite(self.eps_idler)):
-            raise ValueError(f"eps_idler must be >= 0, got {self.eps_idler}")
+        _check_nonnegative(self.eps_return, "eps_return")
+        _check_nonnegative(self.eps_idler, "eps_idler")
 
 
 @dataclass(frozen=True)
@@ -162,14 +168,14 @@ def make_source(n_signal: float, n_idler: float, corr: float | str = "quantum") 
     return SourceParams(n_signal, n_idler, float(corr))
 
 
+def _standard_form_matrix(a: float, b: float, c: float) -> np.ndarray:
+    """[[a I, c Z], [c Z, b I]]: twice a two-mode CM in standard form, Z = diag(1, -1)."""
+    return np.array([[a, 0.0, c, 0.0], [0.0, a, 0.0, -c], [c, 0.0, b, 0.0], [0.0, -c, 0.0, b]])
+
+
 def source_cm(src: SourceParams) -> CovMatrix:
     """Covariance matrix of the signal/idler source."""
-    m = np.zeros((4, 4))
-    m[0:2, 0:2] = src.nu * np.eye(2)
-    m[2:4, 2:4] = src.mu * np.eye(2)
-    m[0:2, 2:4] = src.corr * Z2
-    m[2:4, 0:2] = src.corr * Z2
-    return CovMatrix(0.5 * m)
+    return CovMatrix(0.5 * _standard_form_matrix(src.nu, src.mu, src.corr))
 
 
 def conditional_states(src: SourceParams, ch: ChannelParams) -> tuple[GaussianState, GaussianState]:
@@ -179,24 +185,10 @@ def conditional_states(src: SourceParams, ch: ChannelParams) -> tuple[GaussianSt
     H1: return variance gamma = 2*kappa*N_S + omega, with cross block
     sqrt(kappa)*c*Z surviving from the source correlations.
     """
-    omega = ch.omega
-    mu = src.mu
-    v0 = 0.5 * np.diag([omega, omega, mu, mu])
-
-    gamma = ch.gamma(src.n_signal)
     cross = math.sqrt(ch.reflectivity) * src.corr
-    v1 = np.zeros((4, 4))
-    v1[0:2, 0:2] = gamma * np.eye(2)
-    v1[2:4, 2:4] = mu * np.eye(2)
-    v1[0:2, 2:4] = cross * Z2
-    v1[2:4, 0:2] = cross * Z2
-    v1 *= 0.5
-
     zero = np.zeros(4)
-    return (
-        GaussianState(zero, CovMatrix(v0)),
-        GaussianState(zero, CovMatrix(v1)),
-    )
+    return tuple(GaussianState(zero, CovMatrix(0.5 * _standard_form_matrix(a, src.mu, c)))
+                 for a, c in ((ch.omega, 0.0), (ch.gamma(src.n_signal), cross)))
 
 
 def apply_noise(states: tuple[GaussianState, GaussianState],
@@ -227,8 +219,7 @@ def coherent_benchmark_states(n_signal: float, ch: ChannelParams) -> tuple[Gauss
     sqrt(kappa)*alpha on top of the same background, i.e. mean quadrature
     (sqrt(2*kappa*N_S), 0) in this convention (<q> = sqrt(2)*Re(alpha)).
     """
-    if not (n_signal >= 0 and math.isfinite(n_signal)):
-        raise ValueError(f"n_signal must be >= 0, got {n_signal}")
+    _check_nonnegative(n_signal, "n_signal")
     cov = CovMatrix(0.5 * ch.omega * np.eye(2))
     mean0 = np.zeros(2)
     mean1 = np.array([math.sqrt(2.0 * ch.reflectivity * n_signal), 0.0])

@@ -18,6 +18,25 @@ VACUUM_VARIANCE = 0.5
 PHYSICALITY_ATOL = 1e-9
 
 
+def _symmetric_matrix(value, name: str) -> np.ndarray:
+    """value as a read-only float array, symmetrized.
+
+    Raises ValueError unless it is a non-empty square matrix with finite
+    entries, symmetric within 1e-12 relative to its largest entry.
+    """
+    m = np.array(value, dtype=float)
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
+        raise ValueError(f"{name} must be a non-empty square matrix, got shape {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise ValueError(f"{name} entries must be finite")
+    tol = 1e-12 * max(1.0, float(np.abs(m).max()))
+    if np.abs(m - m.T).max() > tol:
+        raise ValueError(f"{name} must be symmetric within 1e-12")
+    m = 0.5 * (m + m.T)
+    m.flags.writeable = False
+    return m
+
+
 @dataclass(frozen=True)
 class CovMatrix:
     """Real symmetric 2N x 2N covariance matrix.
@@ -30,18 +49,9 @@ class CovMatrix:
     entries: np.ndarray
 
     def __post_init__(self) -> None:
-        m = np.array(self.entries, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"covariance matrix must be square, got shape {m.shape}")
-        if m.shape[0] == 0 or m.shape[0] % 2 != 0:
-            raise ValueError(f"covariance matrix dimension must be even and positive, got {m.shape[0]}")
-        if not np.all(np.isfinite(m)):
-            raise ValueError("covariance matrix entries must be finite")
-        tol = 1e-12 * max(1.0, float(np.abs(m).max()))
-        if np.abs(m - m.T).max() > tol:
-            raise ValueError("covariance matrix must be symmetric within 1e-12")
-        m = 0.5 * (m + m.T)
-        m.flags.writeable = False
+        m = _symmetric_matrix(self.entries, "covariance matrix")
+        if m.shape[0] % 2 != 0:
+            raise ValueError(f"covariance matrix dimension must be even, got {m.shape[0]}")
         object.__setattr__(self, "entries", m)
 
     @property

@@ -14,6 +14,7 @@ from scipy.linalg import expm
 
 from qillum.montecarlo import deflection_se
 from qillum.optimize import _INVPHI, _INVPHI2, _MAX_ITER
+from qillum.receiver import BeamsplitterMoments, ReceiverStats
 
 
 def ulp_error(value: float, exact) -> float:
@@ -23,6 +24,22 @@ def ulp_error(value: float, exact) -> float:
     working precision well beyond 53 bits (mpmath.workdps(50), say).
     """
     return float(abs(mpmath.mpf(value) - exact) / math.ulp(float(exact)))
+
+
+def snr_from_moments(moments: BeamsplitterMoments) -> ReceiverStats:
+    """Receiver statistics assembled directly from the beamsplitter moments.
+
+    The mean difference count is beta_plus - beta_minus and the variances
+    follow from Gaussian fourth-moment factorization. This route re-derives
+    snr_pc but loses precision when the correlation is tiny against the
+    thermal scale (the subtraction cancels).
+    """
+    mean1 = moments.beta_plus - moments.beta_minus
+    var0 = 2.0 * (moments.alpha_plus ** 2 - moments.alpha_minus ** 2)
+    var1 = (moments.beta_plus ** 2 + moments.beta_minus ** 2
+            - 2.0 * moments.gamma_star ** 2)
+    snr = mean1 ** 2 / (2.0 * (math.sqrt(var1) + math.sqrt(var0)) ** 2)
+    return ReceiverStats(mean_h0=0.0, mean_h1=mean1, var_h0=var0, var_h1=var1, snr=snr)
 
 
 def two_mode_symplectic_eigenvalues(v: np.ndarray) -> np.ndarray:

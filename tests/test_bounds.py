@@ -311,15 +311,27 @@ class TestCcb:
             exps.append(ccb(heterodyne_distributions(h0, h1)).exponent)
         assert all(b > a for a, b in zip(exps, exps[1:]))
 
+    def test_prior_weights_the_bound(self):
+        # at prior 0.9 the weighted bound is at most pi_1 = 0.1 (s -> 0); the
+        # closed form and the generic route weight by the same prior
+        pair = heterodyne_distributions(*conditional_states(REF_SRC, REF_CH))
+        res = StandardFormPair.from_model(REF_SRC, REF_CH).heterodyne().ccb(0.9)
+        assert res.prior_h0 == 0.9
+        assert res.bound <= 0.1 * (1.0 + 1e-11)
+        generic = _weighted_result(_ClassicalOverlap(pair).log_c_slope, 0.9)
+        assert res.bound == pytest.approx(generic.bound, rel=1e-12)
+
 
 class TestSOverlapResultType:
     def test_consistency_enforced(self):
         with pytest.raises(ValueError, match="inconsistent"):
-            SOverlapResult(s_star=0.5, c_at_s_star=0.9, bound=0.2, prior_h0=0.5)
+            SOverlapResult(s_star=0.5, c_at_s_star=0.9, bound=0.2, prior_h0=0.5,
+                           exponent=-math.log(0.9))
 
     def test_bound_cap_enforced(self):
         with pytest.raises(ValueError):
-            SOverlapResult(s_star=0.5, c_at_s_star=1.5, bound=0.75, prior_h0=0.5)
+            SOverlapResult(s_star=0.5, c_at_s_star=1.5, bound=0.75, prior_h0=0.5,
+                           exponent=0.0)
 
 
 class TestNoiseInteraction:

@@ -10,7 +10,7 @@ import pytest
 import qillum.bounds
 import qillum.states
 import qillum.symplectic
-from qillum.bounds import cs_qcb_exponent, qcb
+from qillum.bounds import StandardFormPair, cs_qcb_exponent, qcb
 from qillum.cli import RECEIVER_ORDER, ScenarioParams, SweepRow, SweepSpec, compute_sweep, main
 from qillum.montecarlo import deflection_se, simulate_pc_receiver
 from qillum.receiver import homodyne_min_error, snr_pc
@@ -144,6 +144,29 @@ class TestSweepCommand:
         assert rc == 2
         assert "strictly increasing" in err
 
+    def test_duplicate_receiver_exits_2(self, capsys):
+        rc, out, err = run_cli(capsys, ["sweep", "--m", "10", "--receivers", "QI+PC,QI+PC"])
+        assert rc == 2
+        assert out == ""
+        assert "duplicate receivers" in err
+
+    def test_non_integer_m_exits_2(self, capsys):
+        rc, out, err = run_cli(capsys, ["sweep", "--receivers", "QI+PC", "--m", "10.6,20"])
+        assert rc == 2
+        assert out == ""
+        assert "--m takes integer pulse counts" in err
+        # an integer in exponent notation is an integer
+        rc, out, _ = run_cli(capsys, ["sweep", "--receivers", "QI+PC", "--m", "1e5"])
+        assert rc == 0
+        assert out.splitlines()[1].startswith("QI+PC,100000,")
+
+    def test_infinite_m_exits_2(self, capsys):
+        for argv in (["--m", "inf"], ["--m", "1e400"], ["--m-log", "1,1e400,3"]):
+            rc, out, err = run_cli(capsys, ["sweep", "--receivers", "QI+PC"] + argv)
+            assert rc == 2
+            assert out == ""
+            assert err.startswith("error: ")
+
     def test_unknown_receiver_exits_2(self, capsys):
         rc, _, err = run_cli(capsys, ["sweep", "--m", "10", "--receivers", "QI+XYZ"])
         assert rc == 2
@@ -235,6 +258,25 @@ class TestBoundRowsHotPath:
         monkeypatch.setattr(np.linalg, "slogdet", forbidden)
         assert compute_sweep(spec) == want
 
+    @pytest.mark.parametrize("receivers, builds", [
+        (RECEIVER_ORDER, 1),
+        (("QI+PC", "QI+Cal+PC", "QI+Het+PC", "CS+Hom"), 0),
+    ], ids=["all", "threshold-only"])
+    def test_standard_form_pair_built_at_most_once(self, monkeypatch, receivers, builds):
+        real = StandardFormPair.from_model
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(StandardFormPair, "from_model", counting)
+        spec = SweepSpec(scenario=ScenarioParams(ns=0.02, ni=0.01, eps_r=0.5),
+                         m_values=(10, 1000), receivers=receivers)
+        rows = compute_sweep(spec)
+        assert len(rows) == 2 * len(receivers)
+        assert len(calls) == builds
+
 
 class TestBoundsCommand:
     @pytest.mark.parametrize("ns, kappa, nb", [(0.01, 0.01, 20.0), (1e-4, 1e-3, 1000.0)])
@@ -274,6 +316,27 @@ class TestBoundsCommand:
         rc2, out2, _ = run_cli(capsys, ["bounds"] + REF_FLAGS + ["--prior-h0", "0.5"])
         assert rc1 == rc2 == 0
         assert out1 == out2
+
+    def test_prior_reaches_the_ccb_row(self, capsys):
+        # at prior 0.9 every weighted bound is at most pi_1 = 0.1 (s -> 0)
+        rc, report, _ = run_json(capsys, ["bounds"] + REF_FLAGS + ["--prior-h0", "0.9"])
+        assert rc == 0
+        row = next(r for r in report["results"] if r["label"] == "QI+Het+CCB")
+        src, ch, noise = ScenarioParams(ns=0.01, ni=0.01, kappa=0.01, nb=20.0).resolve()
+        want = StandardFormPair.from_model(src, ch, noise).heterodyne().ccb(0.9)
+        assert row == {"label": "QI+Het+CCB", "s_star": want.s_star,
+                       "c_at_s_star": want.c_at_s_star, "bound": want.bound,
+                       "exponent": want.exponent}
+        assert row["bound"] <= 0.1 * (1.0 + 1e-11)
+
+    def test_skewed_prior_cross_checks_the_equal_prior_exponent(self, capsys):
+        # the closed form is the equal-prior exponent, whatever the report's prior
+        _, default, _ = run_json(capsys, ["bounds"] + REF_FLAGS)
+        rc, skewed, _ = run_json(capsys, ["bounds"] + REF_FLAGS + ["--prior-h0", "0.9"])
+        assert rc == 0
+        assert skewed["notes"] == default["notes"]
+        rel = float(re.search(r"relative difference ([0-9.e+-]+)", skewed["notes"][0]).group(1))
+        assert rel < 1e-9
 
     def test_invalid_prior_exits_2(self, capsys):
         rc, _, err = run_cli(capsys, ["bounds", "--prior-h0", "1.5"])

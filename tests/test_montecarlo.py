@@ -55,8 +55,6 @@ class TestSamplerConfig:
         with pytest.raises(ValueError):
             SamplerConfig(seed=1, n_samples=0)
         with pytest.raises(ValueError):
-            SamplerConfig(seed=1, n_samples=10, n_pulses_m=0)
-        with pytest.raises(ValueError):
             SamplerConfig(seed=1, n_samples=1.5)
 
 
@@ -283,6 +281,11 @@ class TestEmpiricalErrorRate:
         cfg = SamplerConfig(seed=1, n_samples=10)
         with pytest.raises(ValueError):
             empirical_error_rate(REF_SRC, REF_CH, NO_NOISE, 0, cfg)
+
+    def test_rejects_fractional_pulse_count(self):
+        cfg = SamplerConfig(seed=1, n_samples=10)
+        with pytest.raises(ValueError, match="positive integer"):
+            empirical_error_rate(REF_SRC, REF_CH, NO_NOISE, 2.5, cfg)
 
 
 class TestMomentIdentities:
