@@ -7,11 +7,17 @@ vacuum sample is added during conjugation, the balanced beamsplitter forms
 the +/- modes, and the decision statistic is the difference of the two
 photon-number estimates N = (q^2 + p^2 - 1)/2.
 
-All randomness is counter-based: each (seed, stream) pair opens an
-independent Philox stream, so repeated runs with the same seed and sample
-counts are bit-identical, whatever the order in which the hypotheses and
-checks are evaluated. Every sampler draws its whole sample at once, in this
-process.
+All randomness is counter-based, and every stream is drawn in fixed logical
+blocks of 2**16 samples (Salmon et al., SC'11, "Parallel random numbers: as
+easy as 1, 2, 3"). Block b of stream s under seed k comes from
+Philox(key=[k, s], counter=[0, 0, 0, b]); it uses under 2**20 values of the
+low counter word, so blocks never overlap, and block 0 is the plain
+Philox(key=[k, s]) stream. The first j samples are therefore the same bits
+whatever the sample count, and repeated runs are bit-identical whatever the
+order in which the hypotheses and checks are evaluated. The samplers reduce
+one block at a time, so their memory does not grow with the sample count;
+only sample_quadratures and sample_pc_modes, which return the samples,
+hold them all.
 """
 from __future__ import annotations
 
@@ -94,23 +100,40 @@ class MomentCheckReport:
         return all(row.passed for row in self.rows)
 
 
-def _generator(seed: int, stream: int) -> np.random.Generator:
+_BLOCK = 1 << 16  # samples per logical block of a stream
+
+
+def _normal_blocks(seed: int, stream: int, n: int, width: int):
+    """Standard normals, (rows, width) per block, for a stream's first n samples."""
     key = np.array([seed, stream], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    for block, start in enumerate(range(0, n, _BLOCK)):
+        counter = np.array([0, 0, 0, block], dtype=np.uint64)
+        gen = np.random.Generator(np.random.Philox(key=key, counter=counter))
+        yield gen.standard_normal((min(_BLOCK, n - start), width))
+
+
+def _gaussian_blocks(mean, cov: np.ndarray, seed: int, stream: int, n: int):
+    """Blocks of n samples of N(mean, cov); the Cholesky factor colours each normal row."""
+    try:
+        chol = np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError as exc:
+        raise NumericFailure(f"covariance factorization failed: {exc}") from exc
+    for z in _normal_blocks(seed, stream, n, len(cov)):
+        # numpy multiplies a lone row by a matrix-vector route whose rounding
+        # differs from the matrix-matrix one; colouring it as two rows keeps a
+        # sample's bits independent of where its block ends
+        rows = z if len(z) > 1 else np.repeat(z, 2, axis=0)
+        yield mean + (rows @ chol.T)[:len(z)]
 
 
 def sample_quadratures(state: GaussianState, cfg: SamplerConfig, stream: int = 0) -> np.ndarray:
     """Draw n_samples quadrature vectors from the state's Gaussian law.
 
     Returns an (n_samples, 2*n_modes) array; the Cholesky factor of the CM
-    colors an independent standard-normal block per sample.
+    colors an independent standard-normal row per sample.
     """
-    try:
-        chol = np.linalg.cholesky(state.cov.entries)
-    except np.linalg.LinAlgError as exc:
-        raise NumericFailure(f"covariance factorization failed: {exc}") from exc
-    z = _generator(cfg.seed, stream).standard_normal((cfg.n_samples, 2 * state.n_modes))
-    return state.mean + z @ chol.T
+    return np.concatenate(list(_gaussian_blocks(state.mean, state.cov.entries,
+                                                cfg.seed, stream, cfg.n_samples)))
 
 
 def _pc_mix(xs: np.ndarray, vac: np.ndarray) -> np.ndarray:
@@ -130,14 +153,25 @@ def _pc_mix(xs: np.ndarray, vac: np.ndarray) -> np.ndarray:
     ])
 
 
+def _pc_mode_blocks(src: SourceParams, ch: ChannelParams, noise: NoiseParams,
+                    seed: int, n: int, hypothesis: Hypothesis):
+    """Blocks of n beamsplitter output samples under one hypothesis.
+
+    H0 draws the return/idler pair from stream 0 and the vacuum from stream 1;
+    H1 uses streams 2 and 3.
+    """
+    state = apply_noise(conditional_states(src, ch), noise)[0 if hypothesis is Hypothesis.H0 else 1]
+    base = 0 if hypothesis is Hypothesis.H0 else 2
+    xs_blocks = _gaussian_blocks(state.mean, state.cov.entries, seed, base, n)
+    for xs, vac in zip(xs_blocks, _normal_blocks(seed, base + 1, n, 2)):
+        yield _pc_mix(xs, vac * _VACUUM_STD)
+
+
 def sample_pc_modes(src: SourceParams, ch: ChannelParams, noise: NoiseParams,
                     cfg: SamplerConfig, hypothesis: Hypothesis) -> np.ndarray:
     """Beamsplitter output quadrature samples (q_+, p_+, q_-, p_-)."""
-    state = apply_noise(conditional_states(src, ch), noise)[0 if hypothesis is Hypothesis.H0 else 1]
-    base = 0 if hypothesis is Hypothesis.H0 else 2
-    xs = sample_quadratures(state, cfg, stream=base)
-    vac = _generator(cfg.seed, base + 1).standard_normal((cfg.n_samples, 2)) * _VACUUM_STD
-    return _pc_mix(xs, vac)
+    return np.concatenate(list(_pc_mode_blocks(src, ch, noise, cfg.seed,
+                                               cfg.n_samples, hypothesis)))
 
 
 def difference_count(modes: np.ndarray) -> np.ndarray:
@@ -146,21 +180,70 @@ def difference_count(modes: np.ndarray) -> np.ndarray:
                   - modes[:, 2] ** 2 - modes[:, 3] ** 2)
 
 
-def _moment_block(samples: np.ndarray) -> dict:
-    n = samples.size
+@dataclass(frozen=True)
+class _Moments:
+    """Count, mean and central power sums M2, M3, M4 of a sample."""
+
+    n: int
+    mean: float
+    m2: float
+    m3: float
+    m4: float
+
+    def merge(self, other: _Moments) -> _Moments:
+        """The moments of both samples together (Chan et al. 1979; Pebay 2008)."""
+        na, nb = self.n, other.n
+        n = na + nb
+        delta = other.mean - self.mean
+        dn = delta / n
+        return _Moments(
+            n=n,
+            mean=self.mean + dn * nb,
+            m2=self.m2 + other.m2 + delta * dn * na * nb,
+            m3=(self.m3 + other.m3 + delta * dn * dn * na * nb * (na - nb)
+                + 3.0 * dn * (na * other.m2 - nb * self.m2)),
+            m4=(self.m4 + other.m4 + delta * dn ** 3 * na * nb * (na * na - na * nb + nb * nb)
+                + 6.0 * dn * dn * (na * na * other.m2 + nb * nb * self.m2)
+                + 4.0 * dn * (na * other.m3 - nb * self.m3)),
+        )
+
+    @property
+    def var(self) -> float:
+        return self.m2 / (self.n - 1)
+
+    @property
+    def se_mean(self) -> float:
+        return math.sqrt(self.var / self.n)
+
+    @property
+    def se_var(self) -> float:
+        n, s2 = self.n, self.var
+        return math.sqrt(max(self.m4 / n - s2 * s2 * (n - 3) / (n - 1), 0.0) / n)
+
+    @property
+    def cov_mean_var(self) -> float:
+        return self.m3 / self.n / self.n
+
+
+def _moment_block(samples: np.ndarray) -> _Moments:
+    """The moments of one block, centred on its own mean."""
     mean = float(samples.mean())
     centered = samples - mean
-    s2 = float(centered @ centered) / (n - 1)
-    m3 = float(np.mean(centered ** 3))
-    m4 = float(np.mean(centered ** 4))
-    se_var_sq = max(m4 - s2 * s2 * (n - 3) / (n - 1), 0.0) / n
-    return {
-        "mean": mean,
-        "var": s2,
-        "se_mean": math.sqrt(s2 / n),
-        "se_var": math.sqrt(se_var_sq),
-        "cov_mean_var": m3 / n,
-    }
+    squares = centered ** 2  # not centered ** 3 and ** 4: numpy's general power is ~100x slower
+    return _Moments(n=samples.size, mean=mean, m2=float(centered @ centered),
+                    m3=float(squares @ centered), m4=float(squares @ squares))
+
+
+def _streamed_moments(blocks) -> tuple[_Moments, ...]:
+    """Moments of each series over a stream; each block is a tuple of series blocks.
+
+    Blocks merge in stream order, so the result depends only on the samples.
+    """
+    total = None
+    for block in blocks:
+        part = tuple(_moment_block(series) for series in block)
+        total = part if total is None else tuple(a.merge(b) for a, b in zip(total, part))
+    return total
 
 
 def simulate_pc_receiver(src: SourceParams, ch: ChannelParams, noise: NoiseParams,
@@ -173,13 +256,13 @@ def simulate_pc_receiver(src: SourceParams, ch: ChannelParams, noise: NoiseParam
     """
     if cfg.n_samples < 2:
         raise ValueError("variance estimates need at least 2 samples")
-    blocks = []
+    moments = []
     for hyp in (Hypothesis.H0, Hypothesis.H1):
-        stat = difference_count(sample_pc_modes(src, ch, noise, cfg, hyp))
-        blocks.append(_moment_block(stat))
-    b0, b1 = blocks
-    diff = b1["mean"] - b0["mean"]
-    root_sum = math.sqrt(b1["var"]) + math.sqrt(b0["var"])
+        blocks = _pc_mode_blocks(src, ch, noise, cfg.seed, cfg.n_samples, hyp)
+        moments += _streamed_moments((difference_count(modes),) for modes in blocks)
+    b0, b1 = moments
+    diff = b1.mean - b0.mean
+    root_sum = math.sqrt(b1.var) + math.sqrt(b0.var)
     snr_hat = diff ** 2 / (2.0 * root_sum ** 2)
 
     # delta method: d snr/d mean_h = +-diff/T^2, d snr/d var_h = -diff^2/(2 T^3 sqrt(v_h))
@@ -187,16 +270,16 @@ def simulate_pc_receiver(src: SourceParams, ch: ChannelParams, noise: NoiseParam
     var_snr = 0.0
     for sign, b in ((-1.0, b0), (1.0, b1)):
         g_mu = sign * diff / t_sq
-        g_v = -diff ** 2 / (2.0 * t_sq * root_sum * math.sqrt(b["var"]))
-        var_snr += (g_mu ** 2 * b["se_mean"] ** 2
-                    + g_v ** 2 * b["se_var"] ** 2
-                    + 2.0 * g_mu * g_v * b["cov_mean_var"])
+        g_v = -diff ** 2 / (2.0 * t_sq * root_sum * math.sqrt(b.var))
+        var_snr += (g_mu ** 2 * b.se_mean ** 2
+                    + g_v ** 2 * b.se_var ** 2
+                    + 2.0 * g_mu * g_v * b.cov_mean_var)
     return EmpiricalStats(
-        mean_h0=b0["mean"], mean_h1=b1["mean"],
-        var_h0=b0["var"], var_h1=b1["var"],
+        mean_h0=b0.mean, mean_h1=b1.mean,
+        var_h0=b0.var, var_h1=b1.var,
         snr_hat=snr_hat,
-        se_mean_h0=b0["se_mean"], se_mean_h1=b1["se_mean"],
-        se_var_h0=b0["se_var"], se_var_h1=b1["se_var"],
+        se_mean_h0=b0.se_mean, se_mean_h1=b1.se_mean,
+        se_var_h0=b0.se_var, se_var_h1=b1.se_var,
         se_snr=math.sqrt(max(var_snr, 0.0)),
         n_samples=cfg.n_samples,
     )
@@ -219,6 +302,24 @@ def deflection_se(emp: EmpiricalStats, snr: float) -> float:
     return math.sqrt(se_sq)
 
 
+def _trial_means(src: SourceParams, ch: ChannelParams, noise: NoiseParams,
+                 m: int, cfg: SamplerConfig, hypothesis: Hypothesis) -> np.ndarray:
+    """Difference count averaged over each trial's m consecutive pulses.
+
+    The n_samples*m pulses stream block by block, and each block adds its
+    counts into the sums of the trials they belong to, so a trial may
+    straddle blocks and only the n_samples sums persist.
+    """
+    sums = np.zeros(cfg.n_samples)
+    start = 0
+    for modes in _pc_mode_blocks(src, ch, noise, cfg.seed, cfg.n_samples * m, hypothesis):
+        trial = np.arange(start, start + len(modes)) // m
+        sums[trial[0]:trial[-1] + 1] += np.bincount(trial - trial[0],
+                                                    weights=difference_count(modes))
+        start += len(modes)
+    return sums / m
+
+
 def empirical_error_rate(src: SourceParams, ch: ChannelParams, noise: NoiseParams,
                          m, cfg: SamplerConfig) -> float:
     """Misclassification fraction of the threshold test after m pulse pairs.
@@ -230,9 +331,7 @@ def empirical_error_rate(src: SourceParams, ch: ChannelParams, noise: NoiseParam
     """
     m = _validate_pulses(m)
     threshold = 0.5 * math.sqrt(ch.reflectivity) * src.corr
-    pulse_cfg = SamplerConfig(seed=cfg.seed, n_samples=cfg.n_samples * m)
-    averages = [difference_count(sample_pc_modes(src, ch, noise, pulse_cfg, hyp))
-                .reshape(cfg.n_samples, m).mean(axis=1)
+    averages = [_trial_means(src, ch, noise, m, cfg, hyp)
                 for hyp in (Hypothesis.H0, Hypothesis.H1)]
     false_alarm = float(np.mean(averages[0] > threshold))
     missed = float(np.mean(averages[1] <= threshold))
@@ -248,25 +347,23 @@ def check_gaussian_moment_identities(cfg: SamplerConfig,
     <q^2 p^2> = <q^2><p^2> + 2<q p>^2 = 1 + 2 c^2, each within gate_sigma
     empirical standard errors.
     """
+    if cfg.n_samples < 2:
+        raise ValueError("standard errors need at least 2 samples")
     rows = []
     for i, cov in enumerate(covariances):
         if not abs(cov) < 1.0:
             raise ValueError(f"unit-variance pair needs |cov| < 1, got {cov}")
         cm = np.array([[1.0, cov], [cov, 1.0]])
-        chol = np.linalg.cholesky(cm)
-        z = _generator(cfg.seed, 16 + i).standard_normal((cfg.n_samples, 2))
-        q, p = (z @ chol.T).T
+        pairs = (z.T for z in _gaussian_blocks(0.0, cm, cfg.seed, 16 + i, cfg.n_samples))
+        moments = _streamed_moments(((q ** 2) ** 2, q ** 2 * p ** 2) for q, p in pairs)
 
-        for label, series, expected in (
-            ("<q^4> = 3 sigma^4", q ** 4, 3.0),
-            ("<q^2 p^2> = 1 + 2 cov^2", q ** 2 * p ** 2, 1.0 + 2.0 * cov ** 2),
-        ):
-            observed = float(series.mean())
-            se = float(series.std(ddof=1)) / math.sqrt(cfg.n_samples)
-            n_sigma = abs(observed - expected) / se
+        for label, mom, expected in zip(
+                ("<q^4> = 3 sigma^4", "<q^2 p^2> = 1 + 2 cov^2"), moments,
+                (3.0, 1.0 + 2.0 * cov ** 2)):
+            n_sigma = abs(mom.mean - expected) / mom.se_mean
             rows.append(MomentCheckRow(
-                label=label, covariance=cov, observed=observed,
-                expected=expected, std_error=se, n_sigma=n_sigma,
+                label=label, covariance=cov, observed=mom.mean,
+                expected=expected, std_error=mom.se_mean, n_sigma=n_sigma,
                 passed=bool(n_sigma <= gate_sigma),
             ))
     return MomentCheckReport(rows=tuple(rows))

@@ -26,10 +26,14 @@ def _check_nonnegative(value: float, name: str) -> None:
 
 
 def _validate_pulses(m) -> int:
-    """m as an int; ValueError unless it is a positive integer (2.0 passes, 2.5 does not)."""
-    m_int = int(m)
+    """m as an int; ValueError unless it is a positive integer (2.0 passes; 2.5, inf and nan do not)."""
+    message = f"pulse count m must be a positive integer, got {m!r}"
+    try:
+        m_int = int(m)
+    except (OverflowError, ValueError):  # int() of inf and of nan
+        raise ValueError(message) from None
     if m_int != m or m_int < 1:
-        raise ValueError(f"pulse count m must be a positive integer, got {m!r}")
+        raise ValueError(message)
     return m_int
 
 

@@ -227,3 +227,24 @@ def deflection_sigma(emp, snr: float) -> float:
     errors does not shrink with snr_hat, so a gate on this carries no seed luck.
     """
     return abs(math.sqrt(emp.snr_hat) - math.sqrt(snr)) / deflection_se(emp, snr)
+
+
+def two_pass_moments(samples: np.ndarray) -> dict:
+    """Moments of a whole sample from exactly rounded sums (math.fsum).
+
+    The mean first, then the central power sums about it: the reference for
+    the streamed, block-merged moments of qillum.montecarlo, with the same
+    derived fields (sample variance, standard errors, mean/variance covariance).
+    """
+    n = samples.size
+    mean = math.fsum(samples) / n
+    centered = samples - mean
+    m2, m3, m4 = (math.fsum(centered ** k) for k in (2, 3, 4))
+    var = m2 / (n - 1)
+    return {
+        "mean": mean,
+        "var": var,
+        "se_mean": math.sqrt(var / n),
+        "se_var": math.sqrt(max(m4 / n - var * var * (n - 3) / (n - 1), 0.0) / n),
+        "cov_mean_var": m3 / n / n,
+    }

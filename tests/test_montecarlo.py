@@ -1,6 +1,8 @@
-"""Sampling checks: determinism, calibration against closed forms, identities."""
+"""Sampling checks: determinism, stream layout, calibration against closed forms,
+identities and bounded memory."""
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from qillum.montecarlo import (
     sample_quadratures,
     simulate_pc_receiver,
 )
+from qillum.montecarlo import _streamed_moments, _trial_means
 from qillum.receiver import beamsplitter_moments, half_erfc, snr_pc
 from qillum.states import (
     ChannelParams,
@@ -24,12 +27,14 @@ from qillum.states import (
     Hypothesis,
     NoiseParams,
     SourceParams,
+    apply_noise,
+    conditional_states,
     make_source,
     source_cm,
 )
 from qillum.symplectic import CovMatrix
 
-from _oracles import deflection_sigma
+from _oracles import deflection_sigma, two_pass_moments
 
 REF_SRC = make_source(0.01, 0.01, corr="quantum")
 REF_CH = ChannelParams(reflectivity=0.01, n_background=20.0)
@@ -111,6 +116,80 @@ class TestSampleQuadratures:
         monkeypatch.setattr(np.linalg, "cholesky", boom)
         with pytest.raises(NumericFailure):
             sample_quadratures(state, SamplerConfig(seed=1, n_samples=10))
+
+
+BLOCK = 2 ** 16  # samples per block of the stream layout
+
+
+class TestStreamLayout:
+    """Samples come from fixed 2**16-sample blocks, block b from counter [0, 0, 0, b]."""
+
+    SIZES = (BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5)
+
+    def test_quadrature_prefix_independent_of_count(self):
+        state = GaussianState(mean=np.zeros(4), cov=source_cm(make_source(1.0, 0.5, corr=0.9)))
+        runs = [sample_quadratures(state, SamplerConfig(seed=31, n_samples=n), stream=5)
+                for n in self.SIZES]
+        longest = runs[-1]
+        for xs in runs:
+            assert np.array_equal(xs, longest[:len(xs)])
+        # block 1 is a fresh counter range, not block 0 again
+        assert not np.array_equal(longest[:8], longest[BLOCK:BLOCK + 8])
+
+    def test_pc_mode_prefix_independent_of_count(self):
+        for hyp in Hypothesis:
+            runs = [sample_pc_modes(REF_SRC, REF_CH, NO_NOISE,
+                                    SamplerConfig(seed=32, n_samples=n), hyp)
+                    for n in self.SIZES]
+            for modes in runs:
+                assert np.array_equal(modes, runs[-1][:len(modes)])
+
+    @pytest.mark.parametrize("n", [2, 1000, BLOCK])
+    def test_block_zero_is_the_single_philox_draw(self, n):
+        # the whole-sample draw every sampler made before the block layout
+        def philox_normals(stream, width):
+            key = np.array([33, stream], dtype=np.uint64)
+            return np.random.Generator(np.random.Philox(key=key)).standard_normal((n, width))
+
+        state = apply_noise(conditional_states(REF_SRC, REF_CH), NO_NOISE)[1]
+        chol = np.linalg.cholesky(state.cov.entries)
+        xs = state.mean + philox_normals(2, 4) @ chol.T
+        cfg = SamplerConfig(seed=33, n_samples=n)
+        assert np.array_equal(sample_quadratures(state, cfg, stream=2), xs)
+
+        vac = philox_normals(3, 2) * math.sqrt(0.5)
+        q_pc, p_pc = vac[:, 0] + xs[:, 0], vac[:, 1] - xs[:, 1]
+        modes = np.column_stack([q_pc + xs[:, 2], p_pc + xs[:, 3],
+                                 q_pc - xs[:, 2], p_pc - xs[:, 3]]) * (1.0 / math.sqrt(2.0))
+        assert np.array_equal(sample_pc_modes(REF_SRC, REF_CH, NO_NOISE, cfg, Hypothesis.H1), modes)
+
+    def test_streamed_moments_match_two_pass(self):
+        n = 3 * BLOCK + 5
+        cfg = SamplerConfig(seed=34, n_samples=n)
+        stats = simulate_pc_receiver(REF_SRC, REF_CH, NO_NOISE, cfg)
+        for hyp, suffix in ((Hypothesis.H0, "h0"), (Hypothesis.H1, "h1")):
+            counts = difference_count(sample_pc_modes(REF_SRC, REF_CH, NO_NOISE, cfg, hyp))
+            exact = two_pass_moments(counts)
+            (streamed,) = _streamed_moments((counts[i:i + BLOCK],) for i in range(0, n, BLOCK))
+            for field in ("mean", "var", "se_mean", "se_var"):
+                assert getattr(stats, f"{field}_{suffix}") == pytest.approx(exact[field], rel=1e-12)
+            for field in exact:
+                assert getattr(streamed, field) == pytest.approx(exact[field], rel=1e-12)
+
+    @pytest.mark.parametrize("m, n_trials", [(7, 20_000), (800, 250)])
+    def test_trial_means_straddle_blocks(self, m, n_trials):
+        # m does not divide 2**16, so some trials take pulses from two blocks
+        assert BLOCK % m and n_trials * m > 2 * BLOCK
+        cfg = SamplerConfig(seed=35, n_samples=n_trials)
+        for hyp in Hypothesis:
+            pulses = SamplerConfig(seed=35, n_samples=n_trials * m)
+            counts = difference_count(sample_pc_modes(REF_SRC, REF_CH, NO_NOISE, pulses, hyp))
+            expected = counts.reshape(n_trials, m).mean(axis=1)
+            # relative to the mean |count| of the trial: an average near 0 carries
+            # the rounding of its terms, not of itself
+            scale = np.abs(counts).reshape(n_trials, m).mean(axis=1)
+            got = _trial_means(REF_SRC, REF_CH, NO_NOISE, m, cfg, hyp)
+            assert np.all(np.abs(got - expected) <= 1e-12 * scale)
 
 
 class TestPcModeMoments:
@@ -309,7 +388,40 @@ class TestMomentIdentities:
         assert mixed.expected == 1.0
         assert mixed.passed
 
+    def test_rejects_a_single_sample(self):
+        # one sample has no standard error; before streaming the rows read nan
+        with pytest.raises(ValueError, match="at least 2 samples"):
+            check_gaussian_moment_identities(SamplerConfig(seed=0, n_samples=1))
+
     def test_rejects_non_unit_covariance(self):
         with pytest.raises(ValueError):
             check_gaussian_moment_identities(SamplerConfig(seed=0, n_samples=100),
                                              covariances=(1.0,))
+
+
+class TestBoundedMemory:
+    """Traced peak memory does not grow with n_samples or n_samples * m."""
+
+    LIMIT = 32e6  # bytes; one 2**16 block needs ~14 MB, the old full draws 136-410 MB
+
+    @staticmethod
+    def traced_peak(call) -> int:
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_error_rate_at_validation_load(self):
+        cfg = SamplerConfig(seed=7, n_samples=4000)
+        peak = self.traced_peak(lambda: empirical_error_rate(REF_SRC, REF_CH, NO_NOISE, 800, cfg))
+        assert peak < self.LIMIT
+
+    def test_receiver_moments_at_a_million(self):
+        cfg = SamplerConfig(seed=42, n_samples=1_000_000)
+        assert self.traced_peak(lambda: simulate_pc_receiver(REF_SRC, REF_CH, NO_NOISE, cfg)) < self.LIMIT
+
+    def test_moment_identities_at_a_million(self):
+        cfg = SamplerConfig(seed=0, n_samples=1_000_000)
+        assert self.traced_peak(lambda: check_gaussian_moment_identities(cfg)) < self.LIMIT

@@ -6,6 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qillum.bounds import cs_qcb_closed
+from qillum.montecarlo import SamplerConfig, empirical_error_rate
+from qillum.receiver import (
+    error_prob_pc,
+    homodyne_errors,
+    homodyne_min_error,
+    homodyne_min_errors,
+    log_error_prob_pc,
+    snr_pc,
+)
 from qillum.states import (
     ChannelParams,
     GaussianState,
@@ -23,6 +33,26 @@ from qillum.states import (
 from qillum.symplectic import CovMatrix, is_physical, symplectic_eigenvalues
 
 REF_CH = ChannelParams(reflectivity=0.01, n_background=20.0)
+REF_SRC = make_source(0.01, 0.01, corr="quantum")
+
+# every library entry that takes a pulse count m
+PULSE_ENTRIES = {
+    "error_prob_pc": lambda m: error_prob_pc(snr_pc(REF_SRC, REF_CH), m),
+    "log_error_prob_pc": lambda m: log_error_prob_pc(snr_pc(REF_SRC, REF_CH), m),
+    "homodyne_errors": lambda m: homodyne_errors(0.01, REF_CH, m, 0.0),
+    "homodyne_min_error": lambda m: homodyne_min_error(0.01, REF_CH, m),
+    "homodyne_min_errors": lambda m: homodyne_min_errors(0.01, REF_CH, (1, m)),
+    "cs_qcb_closed": lambda m: cs_qcb_closed(0.01, REF_CH, m),
+    "empirical_error_rate": lambda m: empirical_error_rate(
+        REF_SRC, REF_CH, NoiseParams(), m, SamplerConfig(seed=1, n_samples=10)),
+}
+
+
+@pytest.mark.parametrize("m", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("entry", sorted(PULSE_ENTRIES))
+def test_non_finite_pulse_count_rejected(entry, m):
+    with pytest.raises(ValueError, match="pulse count m must be a positive integer"):
+        PULSE_ENTRIES[entry](m)
 
 
 class TestSourceParams:
