@@ -38,9 +38,11 @@ Two routes give ln C_s and its s-derivative, chosen at one dispatch point
   gap of ln det along the segment between the two covariances
   (StandardFormDensities).
 - Generic, for any other pair: the numeric Williamson decomposition of each
-  covariance and a Cholesky factorization of the summed covariance, with the
-  derivative from the same factorization. It is the fallback and the test
-  oracle of the closed form.
+  covariance (symplectic.williamson, from numpy's Hermitian eigensolver) and
+  a numpy Cholesky factor L of the summed covariance, whose inverse is
+  L^-T L^-1 and whose ln det is 2 sum ln diag(L); the derivative comes from
+  the same factor. It is the fallback and the test oracle of the closed
+  form.
 
 Minimization over s: ln C_s is convex in s (Audenaert et al., PRL 98,
 160501, 2007), so one safeguarded Newton iteration on the analytic
@@ -56,7 +58,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, LinAlgError
 
 from .errors import NumericFailure
 from .states import (ChannelParams, GaussianState, NoiseParams, SourceParams,
@@ -481,11 +482,12 @@ class _GaussianOverlap:
             d_sigma = d_sigma + (s_matrix * np.repeat(0.5 * d_lam, 2)) @ s_matrix.T
         sigma = (sigma + sigma.T) / 2.0
         try:
-            chol = cho_factor(sigma, lower=True)
-        except (LinAlgError, np.linalg.LinAlgError) as exc:
+            chol = np.linalg.cholesky(sigma)
+        except np.linalg.LinAlgError as exc:
             raise NumericFailure(f"summed overlap covariance not factorizable at s={s}") from exc
-        inv = cho_solve(chol, np.eye(len(sigma)))
-        value -= float(np.log(np.diag(chol[0])).sum())
+        inv_chol = np.linalg.inv(chol)
+        inv = inv_chol.T @ inv_chol
+        value -= float(np.log(np.diag(chol)).sum())
         slope -= 0.5 * float(np.sum(inv * d_sigma))
         if np.any(self._d != 0.0):
             x = inv @ self._d

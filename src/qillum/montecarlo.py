@@ -123,7 +123,10 @@ def _gaussian_blocks(mean, cov: np.ndarray, seed: int, stream: int, n: int):
         # differs from the matrix-matrix one; colouring it as two rows keeps a
         # sample's bits independent of where its block ends
         rows = z if len(z) > 1 else np.repeat(z, 2, axis=0)
-        yield mean + (rows @ chol.T)[:len(z)]
+        xs = (rows @ chol.T)[:len(z)]
+        # every conditional state of the model has zero mean; adding it anyway
+        # would broadcast a 4-vector over the whole block
+        yield xs + mean if np.any(mean) else xs
 
 
 def sample_quadratures(state: GaussianState, cfg: SamplerConfig, stream: int = 0) -> np.ndarray:
@@ -144,13 +147,13 @@ def _pc_mix(xs: np.ndarray, vac: np.ndarray) -> np.ndarray:
     """
     q_pc = vac[:, 0] + xs[:, 0]
     p_pc = vac[:, 1] - xs[:, 1]
-    inv_rt2 = 1.0 / math.sqrt(2.0)
-    return np.column_stack([
-        (q_pc + xs[:, 2]) * inv_rt2,
-        (p_pc + xs[:, 3]) * inv_rt2,
-        (q_pc - xs[:, 2]) * inv_rt2,
-        (p_pc - xs[:, 3]) * inv_rt2,
-    ])
+    out = np.empty((len(xs), 4))
+    np.add(q_pc, xs[:, 2], out=out[:, 0])
+    np.add(p_pc, xs[:, 3], out=out[:, 1])
+    np.subtract(q_pc, xs[:, 2], out=out[:, 2])
+    np.subtract(p_pc, xs[:, 3], out=out[:, 3])
+    out *= 1.0 / math.sqrt(2.0)
+    return out
 
 
 def _pc_mode_blocks(src: SourceParams, ch: ChannelParams, noise: NoiseParams,

@@ -9,7 +9,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import schur
 
 from .errors import NumericFailure
 
@@ -130,11 +129,16 @@ def williamson(v: CovMatrix) -> WilliamsonDecomposition:
     """Williamson normal form of a positive-definite CM.
 
     Route: with R = V^{1/2} (symmetric square root via eigendecomposition),
-    the kernel K = R Omega R is real antisymmetric; its real Schur form
-    Q^T K Q is block diagonal with blocks nu_k * [[0,1],[-1,0]]. Then
-    S = R Q D^{-1/2} satisfies S Omega S^T = Omega and V = S D S^T with
-    D = diag(nu_1, nu_1, ...). Blocks are sign-normalized and sorted by
-    descending nu_k so output is deterministic for a given input.
+    the kernel K = R Omega R is real antisymmetric, so i K is Hermitian with
+    eigenvalues +/- nu_k. For a +nu eigenvector u = a + i b, K a = nu b and
+    K b = -nu a, and u is orthogonal to its conjugate (a -nu eigenvector), so
+    |a| = |b| = 1/sqrt(2) and a . b = 0: the columns (sqrt2 b, sqrt2 a) span
+    one block nu_k * [[0,1],[-1,0]] of Q^T K Q. Eigenvectors of a repeated
+    nu are orthonormal in both the Hermitian and the bilinear sense, so Q is
+    orthogonal. Then S = R Q D^{-1/2} satisfies S Omega S^T = Omega and
+    V = S D S^T with D = diag(nu_1, nu_1, ...). The +nu eigenvalues come last
+    from eigh; taking them in reverse gives descending nu_k, and the output
+    is deterministic for a given input.
     """
     m = _require_symmetric_pd(v)
     n = v.n_modes
@@ -147,20 +151,12 @@ def williamson(v: CovMatrix) -> WilliamsonDecomposition:
 
     kernel = sqrt_v @ omega @ sqrt_v
     kernel = 0.5 * (kernel - kernel.T)
-    t, q = schur(kernel, output="real")
-
-    nus = np.empty(n)
-    for k in range(n):
-        b = t[2 * k, 2 * k + 1]
-        nus[k] = abs(b)
-        if b < 0:
-            # flip the block to the canonical [[0, nu], [-nu, 0]] orientation
-            q[:, [2 * k, 2 * k + 1]] = q[:, [2 * k + 1, 2 * k]]
-
-    order = np.argsort(-nus, kind="stable")
-    nus = nus[order]
-    col_order = np.ravel(np.column_stack((2 * order, 2 * order + 1)))
-    q = q[:, col_order]
+    evals, evecs = np.linalg.eigh(1j * kernel)
+    nus = evals[n:][::-1]
+    plus = evecs[:, n:][:, ::-1] * np.sqrt(2.0)
+    q = np.empty((2 * n, 2 * n))
+    q[:, 0::2] = plus.imag
+    q[:, 1::2] = plus.real
 
     s = sqrt_v @ q @ np.diag(np.repeat(1.0 / np.sqrt(nus), 2))
 

@@ -32,6 +32,7 @@ from qillum.bounds import (
     qcb,
 )
 from qillum.cli import ScenarioParams, SweepSpec, compute_sweep
+from qillum.errors import NumericFailure
 from qillum.states import (
     ChannelParams,
     GaussianState,
@@ -427,6 +428,16 @@ class TestStandardFormAgainstGenericRoute:
         assert gaussian_s_overlap(*states, s) == min(math.exp(pair.log_c(s)), 1.0)
         want_qcb = _weighted_result(generic.log_c_slope, 0.5).exponent
         assert abs(qcb(*states).exponent - want_qcb) <= generic_tolerance(want_qcb, states)
+
+    def test_unfactorizable_sum_raises_numeric_failure(self, monkeypatch):
+        generic = _GaussianOverlap(*coherent_benchmark_states(0.01, REF_CH))
+
+        def refuse(a):
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+        monkeypatch.setattr(np.linalg, "cholesky", refuse)
+        with pytest.raises(NumericFailure, match="not factorizable at s=0.5"):
+            generic.log_c_slope(0.5)
 
     def test_slope_is_the_derivative(self):
         pair = StandardFormPair.from_model(REF_SRC, REF_CH, NoiseParams(1.0, 1.0))

@@ -2,7 +2,11 @@
 import dataclasses
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -412,3 +416,52 @@ class TestMcCommand:
         rc, _, err = run_cli(capsys, ["mc", "--seed", "-3", "--samples", "100"])
         assert rc == 2
         assert "seed" in err
+
+
+# Runs each argv list of argv[1] through qillum.cli.main with every scipy
+# import made to fail, and prints [exit code, stdout] per command as JSON.
+_SCIPY_BLOCKED = """
+import contextlib, io, json, sys
+sys.modules["scipy"] = None
+import qillum
+from qillum.cli import main
+results = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        rc = main(argv)
+    results.append([rc, out.getvalue()])
+print(json.dumps(results))
+"""
+
+
+def run_python(code, *args):
+    """Run code in a fresh interpreter that imports the qillum under test."""
+    env = dict(os.environ, PYTHONPATH=str(Path(qillum.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+class TestNumpyOnlyRuntime:
+    def test_import_loads_no_scipy(self):
+        out = run_python("import sys, qillum, qillum.cli\n"
+                         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        assert out.strip() == "[]"
+
+    def test_commands_run_with_scipy_blocked(self, capsys, tmp_path):
+        csv_path = tmp_path / "comparison_sweep.csv"
+        commands = [
+            ["sweep"] + REF_FLAGS + ["--m-log", "1e5,1e8,13", "--out", str(csv_path)],
+            # CS-QCB takes the generic Williamson and Cholesky route
+            ["bounds"] + REF_FLAGS + ["--prior-h0", "0.3"],
+            ["mc"] + REF_FLAGS + ["--samples", "2000", "--seed", "5"],
+        ]
+        results = json.loads(run_python(_SCIPY_BLOCKED, json.dumps(commands)))
+        assert [rc for rc, _ in results] == [0, 0, 0]
+        golden = Path(__file__).parent / "golden" / "comparison_sweep.csv"
+        assert csv_path.read_bytes() == golden.read_bytes()
+        # the same bytes as this process, which may have scipy loaded
+        for argv, (_, out) in zip(commands[1:], results[1:]):
+            assert run_cli(capsys, argv)[1] == out

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qillum.errors import NumericFailure
 from _oracles import random_physical_cm, two_mode_symplectic_eigenvalues
 from qillum.symplectic import (
     CovMatrix,
@@ -18,6 +19,23 @@ def tmsv_cm(ns: float, ni: float, c: float) -> np.ndarray:
     top = np.hstack([nu * np.eye(2), c * z])
     bot = np.hstack([c * z, mu * np.eye(2)])
     return 0.5 * np.vstack([top, bot])
+
+
+def two_mode_squeezer(r: float) -> np.ndarray:
+    z = np.diag([1.0, -1.0])
+    return np.block([[np.cosh(r) * np.eye(2), np.sinh(r) * z],
+                     [np.sinh(r) * z, np.cosh(r) * np.eye(2)]])
+
+
+def assert_williamson(dec, m, spectrum_rtol=1e-12):
+    """Both reconstruction invariants, a descending spectrum, and its agreement with the eigvals route."""
+    omega = symplectic_form(len(m) // 2)
+    s = dec.s_matrix
+    assert np.abs(s @ omega @ s.T - omega).max() < 1e-10
+    assert np.abs(s @ dec.diagonal_form() @ s.T - m).max() < 1e-9
+    assert np.all(np.diff(dec.spectrum) <= 0.0)
+    want = symplectic_eigenvalues(CovMatrix(m))
+    assert np.allclose(dec.spectrum, want, rtol=spectrum_rtol, atol=0.0)
 
 
 class TestSymplecticForm:
@@ -163,6 +181,66 @@ class TestWilliamson:
             assert np.allclose(dec.spectrum, [0.5, 0.5], atol=1e-8)
             recon = dec.s_matrix @ dec.diagonal_form() @ dec.s_matrix.T
             assert np.abs(recon - m).max() < 1e-9
+
+
+class TestWilliamsonEighRoute:
+    """The decomposition reads the real Schur data off eigh(i K), K = R Omega R."""
+
+    def test_two_identical_thermal_modes(self):
+        # a repeated nu leaves eigh free to return any basis of its eigenspace
+        nu = 2.3
+        s = two_mode_squeezer(0.7)
+        assert np.abs(s @ symplectic_form(2) @ s.T - symplectic_form(2)).max() < 1e-14
+        for m in (nu * np.eye(4), nu * s @ s.T):
+            dec = williamson(CovMatrix(m))
+            assert np.allclose(dec.spectrum, [nu, nu], rtol=1e-12, atol=0.0)
+            assert_williamson(dec, m)
+
+    @pytest.mark.parametrize("ns", [0.0, 0.01, 0.3, 2.0])
+    def test_pure_two_mode_vacuum(self, ns):
+        # two-mode squeezed vacuum at the quantum limit: every nu is 1/2
+        m = tmsv_cm(ns, ns, 2 * np.sqrt(ns * (ns + 1)))
+        dec = williamson(CovMatrix(m))
+        assert np.allclose(dec.spectrum, [0.5, 0.5], rtol=1e-12, atol=0.0)
+        assert_williamson(dec, m)
+
+    def test_three_mode_random_states(self):
+        # both routes lose accuracy with the condition number of V; at this
+        # squeezing strength it stays below ~3e3, where they agree to 1e-12
+        rng = np.random.default_rng(2026)
+        for _ in range(20):
+            m = random_physical_cm(rng, 3, strength=0.5)
+            assert_williamson(williamson(CovMatrix(m)), m)
+
+    def test_descending_order(self):
+        m = np.diag([0.7, 0.7, 3.0, 3.0, 1.2, 1.2])
+        dec = williamson(CovMatrix(m))
+        assert np.allclose(dec.spectrum, [3.0, 1.2, 0.7], rtol=1e-12, atol=0.0)
+        assert_williamson(dec, m)
+
+    @pytest.mark.parametrize("m", [np.diag([2.0, 2.0]), np.diag([0.6, 4.0]),
+                                   tmsv_cm(0.01, 0.02, 0.1)])
+    def test_block_orientation(self, m):
+        # swapping the (sqrt2 b, sqrt2 a) columns of a block flips its sign,
+        # which would give S Omega S^T = -Omega
+        dec = williamson(CovMatrix(m))
+        omega = symplectic_form(len(m) // 2)
+        form = dec.s_matrix @ omega @ dec.s_matrix.T
+        assert np.abs(form - omega).max() < 1e-12
+        assert np.abs(form + omega).max() > 1.0
+
+    def test_residual_check_raises_numeric_failure(self, monkeypatch):
+        # conjugated eigenvectors belong to -nu: every block comes out flipped,
+        # and the unchanged 1e-8 residual check must catch it
+        real_eigh = np.linalg.eigh
+
+        def conjugated(a, *args, **kwargs):
+            w, v = real_eigh(a, *args, **kwargs)
+            return (w, v.conj()) if np.iscomplexobj(a) else (w, v)
+
+        monkeypatch.setattr(np.linalg, "eigh", conjugated)
+        with pytest.raises(NumericFailure, match="symplectic-form residual"):
+            williamson(CovMatrix(tmsv_cm(0.01, 0.02, 0.1)))
 
 
 class TestIsPhysical:
