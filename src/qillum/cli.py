@@ -146,10 +146,18 @@ def compute_sweep(spec: SweepSpec) -> list:
 
 
 def sweep_csv(rows) -> str:
+    """The sweep CSV: a header, then one line per row, floats to 17 significant digits.
+
+    compute_sweep gives all rows of a receiver one per_mode_rate object, so
+    the rate is formatted once per run of rows that hold the same object.
+    """
     lines = ["receiver,M,p_error,exponent,per_mode_rate"]
+    rate = rate_text = None
     for r in rows:
-        lines.append(f"{r.receiver},{r.m},{r.p_error:.17g},{r.exponent:.17g},"
-                     f"{r.per_mode_rate:.17g}")
+        if r.per_mode_rate is not rate:
+            rate = r.per_mode_rate
+            rate_text = f"{rate:.17g}"
+        lines.append(f"{r.receiver},{r.m},{r.p_error:.17g},{r.exponent:.17g},{rate_text}")
     return "\n".join(lines) + "\n"
 
 

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from _oracles import golden_section
-from qillum.optimize import golden_section_array
+from qillum.optimize import _MAX_ITER, golden_section_array
 
 
 def test_array_search_takes_each_problems_scalar_steps():
@@ -29,6 +29,30 @@ def test_array_search_takes_each_problems_scalar_steps():
                               xtol=xtol[i])
         assert got[i] == want
     assert max(calls) == 2 * 37
+
+
+def test_problems_still_live_at_max_iter_return_the_scalar_midpoint():
+    # xtol = 1e-300 is below any bracket's last ulp, so problems 0-4 step
+    # until _MAX_ITER while problems 5-9 finish early and leave the live set
+    rng = np.random.default_rng(12)
+    a = rng.uniform(-5.0, 0.0, 10)
+    b = a + rng.uniform(1.0, 10.0, 10)
+    centre = a + rng.uniform(0.0, 1.0, 10) * (b - a)
+    xtol = np.concatenate((np.full(5, 1e-300), 1e-9 * (b[5:] - a[5:])))
+    calls = []
+
+    def f(t, idx):
+        calls.append(idx.copy())
+        u = t - centre[idx]
+        return u * u
+
+    got = golden_section_array(f, a, b, xtol)
+    assert len(calls) == 1 + _MAX_ITER
+    assert set(calls[-1]) == set(range(5))
+    for i in range(10):
+        want = golden_section(lambda t: (t - centre[i]) * (t - centre[i]), a[i], b[i],
+                              xtol=xtol[i])
+        assert got[i] == want
 
 
 def test_array_search_rejects_bad_brackets():

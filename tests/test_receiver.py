@@ -1,5 +1,7 @@
 """Receiver-chain statistics, error probabilities, and asymptotics."""
+import importlib.util
 import math
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -16,7 +18,8 @@ from qillum.receiver import (
     ReceiverStats,
     asymptotic_snr,
     beamsplitter_moments,
-    _log_erfc_array,
+    _LOG_ERFC_PQ,
+    _log_erfc_nonneg,
     erfc,
     error_prob_pc,
     half_erfc,
@@ -103,18 +106,37 @@ class TestErfc:
                 exact = mpmath.erfc(mpmath.mpf(x)) / 2
                 assert ulp_error(half_erfc(x), exact) <= 4.0, x
 
-    def test_log_erfc_array_within_1e_13_of_log_erfc(self):
-        # the array form the homodyne self-check evaluates, on the same routes
+    def test_log_erfc_nonneg_within_1e_13_of_mpmath_and_log_erfc(self):
+        # the rational the homodyne self-check evaluates, on [0, 2e4]: its
+        # largest argument is 2*sqrt(M*rate) = 2*sqrt(1e10*1e-2)
         xs = np.concatenate([
             [0.0, 1e-300, 2.5e-5, 0.4769362762044699, 0.47693627620446993,
-             np.nextafter(26.0, 0.0), 26.0],
+             np.nextafter(26.0, 0.0), 26.0, 2e4],
             np.geomspace(1e-12, 1e-3, 91),
             np.linspace(0.0, 30.0, 3001),
-            np.geomspace(26.0, 1e4, 301),
+            np.geomspace(26.0, 2e4, 301),
         ])
-        got = _log_erfc_array(xs)
+        got = _log_erfc_nonneg(xs)
         want = np.array([log_erfc(float(x)) for x in xs])
         assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
+        with mpmath.workdps(50):  # log1p(-erf) where 1 - erfc(x) is below 50 digits
+            exact = np.array([float(mpmath.log1p(-mpmath.erf(x)) if x < 0.5
+                                    else mpmath.log(mpmath.erfc(x)))
+                              for x in map(mpmath.mpf, xs.tolist())])
+        assert np.all(np.abs(got - exact) <= 1e-13 * np.abs(exact))
+
+    def test_committed_log_erfc_fit_is_the_scripts(self):
+        # reruns the mpmath fit of scripts/fit_log_erfc.py (about 3 s)
+        path = Path(__file__).resolve().parents[1] / "scripts" / "fit_log_erfc.py"
+        spec = importlib.util.spec_from_file_location("fit_log_erfc", path)
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        fitted = np.array(script.fit_coefficients())
+        assert fitted.shape == _LOG_ERFC_PQ.shape
+        assert np.all(np.abs(fitted - _LOG_ERFC_PQ) <= np.spacing(np.abs(_LOG_ERFC_PQ)))
+        # Q has no zero on [0, 1]: every root lies more than 0.1 from the segment
+        roots = np.polynomial.polynomial.polyroots(_LOG_ERFC_PQ[:, 1])
+        assert np.all(np.abs(roots - np.clip(roots.real, 0.0, 1.0)) > 0.1)
 
     def test_half_exp_within_two_ulps_of_mpmath(self):
         # exp(ln(1/2) - m*rate) was up to 43 ulps off on the golden bound rows
