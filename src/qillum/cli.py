@@ -12,6 +12,11 @@ What each receiver label computes is defined once, in receiver.RECEIVERS:
 sweep takes its rows from there, snr the label and asymptote of the noise
 pair, and bounds the prior-weighted bound of each bound receiver.
 
+A sweep is one receivers x M table (SweepResult): one per_mode_rate per
+receiver and one p_error and one exponent column per receiver over the M
+grid. The CSV and the --json report both read it, receiver by receiver and
+then M by M, so both carry the same values in the same order.
+
 Every run echoes the fully resolved parameter set (CSV runs echo to stderr
 so the data stream stays clean). Floats in CSV use 17 significant digits so
 output is byte-stable across runs. Exit codes: 0 success, 2 invalid
@@ -109,55 +114,56 @@ class SweepSpec:
 
 
 @dataclass(frozen=True)
-class SweepRow:
-    receiver: str
-    m: int
-    p_error: float
-    exponent: float
-    per_mode_rate: float
+class SweepResult:
+    """A sweep's receivers x M table; len() is its number of CSV rows.
+
+    Per receiver: one per_mode_rate, and p_error and exponent columns over m_values.
+    """
+
+    receivers: tuple
+    m_values: tuple
+    per_mode_rate: tuple
+    p_error: tuple
+    exponent: tuple
 
     def __post_init__(self) -> None:
-        if self.exponent < math.log(2.0) - 1e-12:
-            raise ValueError(f"exponent {self.exponent} below ln 2 for {self.receiver}")
-        underflowed = self.p_error == 0.0 and self.exponent > _UNDERFLOW_EXPONENT
-        if not (0.0 < self.p_error <= 0.5 * (1 + 1e-12) or underflowed):
-            raise ValueError(f"p_error {self.p_error} outside (0, 1/2] for {self.receiver}")
+        min_exponent = math.log(2.0) - 1e-12
+        for label, ps, es in zip(self.receivers, self.p_error, self.exponent):
+            for m, p, e in zip(self.m_values, ps, es):
+                if e < min_exponent:
+                    raise ValueError(f"exponent {e} below ln 2 for {label} at M={m}")
+                if not (0.0 < p <= 0.5 * (1 + 1e-12) or (p == 0.0 and e > _UNDERFLOW_EXPONENT)):
+                    raise ValueError(f"p_error {p} outside (0, 1/2] for {label} at M={m}")
+
+    def __len__(self) -> int:
+        return len(self.receivers) * len(self.m_values)
 
 
-def compute_sweep(spec: SweepSpec) -> list:
-    """One row per (receiver, M): receiver order as given, M ascending.
+def compute_sweep(spec: SweepSpec) -> SweepResult:
+    """The receivers x M table: receiver order as given, M ascending.
 
-    Each receiver's rate and rows come from its RECEIVERS entry
+    Each receiver's rate and columns come from its RECEIVERS entry
     (Receiver.points): per_mode_rate is the SNR for threshold receivers and
     the Chernoff exponent for bound rows. The scenario's StandardFormPair,
     built from the parameters without forming a covariance matrix, is built
     once, and only if a receiver uses it.
     """
     src, ch, noise = spec.scenario.resolve()
-    ms = spec.m_values
     pair = _model_pair(src, ch, noise)
-    rows = []
-    for receiver in spec.receivers:
-        rate, points = RECEIVERS[receiver].points(src, ch, noise, pair, ms)
-        for m, (p, lp) in zip(ms, points):
-            rows.append(SweepRow(receiver=receiver, m=m, p_error=p,
-                                 exponent=-lp, per_mode_rate=rate))
-    return rows
+    rates, p_error, log_p = zip(*(RECEIVERS[receiver].points(src, ch, noise, pair, spec.m_values)
+                                  for receiver in spec.receivers))
+    return SweepResult(spec.receivers, spec.m_values, rates, p_error,
+                       tuple([-lp for lp in column] for column in log_p))
 
 
-def sweep_csv(rows) -> str:
-    """The sweep CSV: a header, then one line per row, floats to 17 significant digits.
-
-    compute_sweep gives all rows of a receiver one per_mode_rate object, so
-    the rate is formatted once per run of rows that hold the same object.
-    """
+def sweep_csv(result: SweepResult) -> str:
+    """The sweep CSV: a header, then one line per row, floats to 17 significant digits."""
     lines = ["receiver,M,p_error,exponent,per_mode_rate"]
-    rate = rate_text = None
-    for r in rows:
-        if r.per_mode_rate is not rate:
-            rate = r.per_mode_rate
-            rate_text = f"{rate:.17g}"
-        lines.append(f"{r.receiver},{r.m},{r.p_error:.17g},{r.exponent:.17g},{rate_text}")
+    for label, rate, ps, es in zip(result.receivers, result.per_mode_rate,
+                                   result.p_error, result.exponent):
+        rate_text = f"{rate:.17g}"
+        lines += [f"{label},{m},{p:.17g},{e:.17g},{rate_text}"
+                  for m, p, e in zip(result.m_values, ps, es)]
     return "\n".join(lines) + "\n"
 
 
@@ -227,19 +233,20 @@ def cmd_sweep(args) -> int:
     receivers = tuple(tok.strip() for tok in args.receivers.split(",")) \
         if args.receivers else RECEIVER_ORDER
     spec = SweepSpec(scenario=scenario, m_values=m_values, receivers=receivers)
-    rows = compute_sweep(spec)
+    result = compute_sweep(spec)
     params = dict(scenario.as_dict(), m_values=list(m_values), receivers=list(receivers))
     if args.json:
         report = {
             "params": params,
-            "results": [{"receiver": r.receiver, "M": r.m, "p_error": r.p_error,
-                         "exponent": r.exponent, "per_mode_rate": r.per_mode_rate}
-                        for r in rows],
+            "results": [dict(receiver=label, M=m, p_error=p, exponent=e, per_mode_rate=rate)
+                        for label, rate, ps, es in zip(result.receivers, result.per_mode_rate,
+                                                       result.p_error, result.exponent)
+                        for m, p, e in zip(result.m_values, ps, es)],
             "notes": [],
         }
         text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     else:
-        text = sweep_csv(rows)
+        text = sweep_csv(result)
     _echo_params(params, sys.stderr)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
@@ -333,10 +340,16 @@ def _scenario_from(args) -> ScenarioParams:
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             config = json.load(fh)
+        if not isinstance(config, dict):
+            raise ValueError(f"config must be a JSON object, got {type(config).__name__}")
         unknown = set(config) - set(_SCENARIO_DEFAULTS)
         if unknown:
             raise ValueError(f"unknown config keys {sorted(unknown)}; "
                              f"expected subset of {sorted(_SCENARIO_DEFAULTS)}")
+        for key, value in config.items():
+            if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+                raise ValueError(f"config key {key!r} must be a number or a string, "
+                                 f"got {json.dumps(value)}")
     fields = {}
     for name, default in _SCENARIO_DEFAULTS.items():
         flag = getattr(args, name)

@@ -108,9 +108,13 @@ def log_erfc(x: float) -> float:
     where erfc underflows.
     """
     _check_finite(x, "log_erfc")
+    return _log_erfc_given(x, math.erfc(x))
+
+
+def _log_erfc_given(x: float, e: float) -> float:
+    """log_erfc(x) for a finite x whose erfc(x) is already computed as e."""
     if x >= _ERFC_TAIL:
         return -math.inf if math.isinf(x * x) else _log_erfc_tail(x)
-    e = math.erfc(x)
     if e >= 0.5:
         return math.log1p(-math.erf(x))
     return math.log(e)
@@ -314,7 +318,7 @@ def snr_pc(src: SourceParams, ch: ChannelParams,
 
 def log_error_prob_pc(stats: ReceiverStats, m) -> float:
     """ln of the error probability after m pulse pairs, finite at any m*snr."""
-    return _erfc_points(stats.snr, [_validate_pulses(m)])[0][1]
+    return _erfc_points(stats.snr, [_validate_pulses(m)])[1][0]
 
 
 def error_prob_pc(stats: ReceiverStats, m) -> float:
@@ -365,36 +369,37 @@ def homodyne_min_errors(n_signal: float, ch: ChannelParams, ms) -> list[Homodyne
 
     Every call cross-checks the closed form at every m against a numeric
     minimization of (fa+md)/2 in the log domain: a golden-section search on
-    [0, m*sqrt(2*kappa*N_S)] to within 1e-11*max(shift, sigma), run for all m
-    in lockstep. It raises NumericFailure, naming each m, where the two
-    disagree by more than 1e-12*max(1, |ln p|). The search's objective takes
-    ln erfc from a numpy rational (_log_erfc_nonneg); the results stay on the
-    C library's erfc, through half_erfc and log_erfc.
+    [0, m*sqrt(2*kappa*N_S)] to within min(1e-11*max(shift, sigma),
+    1e-6*sigma), run for all m in lockstep. It raises NumericFailure, naming
+    each m, where the two disagree by more than 1e-12*max(1, |ln p|). The
+    search's objective takes ln erfc from a numpy rational (_log_erfc_nonneg);
+    the results stay on the C library's erfc, through half_erfc and log_erfc.
     """
     ms = [_validate_pulses(m) for m in ms]
     _check_nonnegative(n_signal, "n_signal")
-    points = _erfc_points(homodyne_rate(n_signal, ch), ms)
-    _check_homodyne_optimum(n_signal, ch, ms, points)
+    p, log_p = _erfc_points(homodyne_rate(n_signal, ch), ms)
+    _check_homodyne_optimum(n_signal, ch, ms, log_p)
     root = math.sqrt(2.0 * ch.reflectivity * n_signal)
-    return [HomodyneOptimum(p_error=p, threshold=0.5 * (m * root), log_p_error=lp)
-            for m, (p, lp) in zip(ms, points)]
+    return [HomodyneOptimum(p_error=pm, threshold=0.5 * (m * root), log_p_error=lpm)
+            for m, pm, lpm in zip(ms, p, log_p)]
 
 
-def _erfc_points(rate: float, ms) -> list[tuple[float, float]]:
-    """(p, ln p) of p = (1/2)erfc(sqrt(m*rate)) for each m, from half_erfc and log_erfc."""
-    points = []
-    for m in ms:
-        x = math.sqrt(m * rate)
-        points.append((half_erfc(x), LN_HALF + log_erfc(x)))
-    return points
+def _erfc_points(rate: float, ms) -> tuple[list, list]:
+    """The columns (p, ln p) of p = (1/2)erfc(sqrt(m*rate)) over ms.
+
+    Each m takes one erfc, which gives both half_erfc and LN_HALF + log_erfc.
+    """
+    xs = [math.sqrt(m * rate) for m in ms]
+    es = [erfc(x) for x in xs]
+    return [0.5 * e for e in es], [LN_HALF + _log_erfc_given(x, e) for x, e in zip(xs, es)]
 
 
-def _check_homodyne_optimum(n_signal: float, ch: ChannelParams, ms: list, points: list) -> None:
-    """Raise NumericFailure where the numeric minimum of ln (fa+md)/2 is not the points' ln p."""
+def _check_homodyne_optimum(n_signal: float, ch: ChannelParams, ms, log_p) -> None:
+    """Raise NumericFailure where the numeric minimum of ln (fa+md)/2 is not the ln p column."""
     root = math.sqrt(2.0 * ch.reflectivity * n_signal)
     if root == 0.0:
         return
-    log_p = np.array([lp for _, lp in points])
+    log_p = np.array(log_p)
     m_arr = np.array(ms, dtype=float)
     shift = m_arr * root
     sigma = np.sqrt(m_arr * (2.0 * ch.n_background + 1.0))
@@ -404,8 +409,12 @@ def _check_homodyne_optimum(n_signal: float, ch: ChannelParams, ms: list, points
         both = _log_erfc_nonneg(np.concatenate((t / s, (shift[idx] - t) / s)))
         return np.logaddexp(both[:t.size], both[t.size:]) + 2.0 * LN_HALF
 
+    # with u = shift/(2 sigma), an error dx in x costs about 2 (u dx/sigma)^2
+    # in ln p, or 2 u dx/sigma once u dx/sigma > 1, against a bound of
+    # 1e-12 u^2. dx ~ 1e-11 shift alone fails that at u ~ 3e5, so xtol is
+    # capped at 1e-6 sigma, which binds for u > 5e4
     x_num = golden_section_array(objective, np.zeros_like(shift), shift,
-                                 xtol=1e-11 * np.maximum(shift, sigma))
+                                 xtol=np.minimum(1e-11 * np.maximum(shift, sigma), 1e-6 * sigma))
     log_num = objective(x_num, np.arange(len(ms)))
     bad = np.flatnonzero(~(np.abs(log_num - log_p) <= 1e-12 * np.maximum(1.0, np.abs(log_p))))
     if bad.size:
@@ -441,7 +450,7 @@ class Receiver:
     added_noise: the noise a PC receiver adds to the scenario's; else None.
     bound(src, ch, noise, pair, prior_h0): a bound receiver's SOverlapResult.
     asymptote(src, ch): the bright-background SNR, where known (asymptotic_snr).
-    check(src, ch, ms, points): a self-check of the rows; raises NumericFailure.
+    check(src, ch, ms, log_p): a self-check of the ln p column; raises NumericFailure.
     """
 
     label: str
@@ -453,22 +462,23 @@ class Receiver:
     check: Callable | None = None
 
     def points(self, src: SourceParams, ch: ChannelParams, noise: NoiseParams,
-               pair, ms: list) -> tuple[float, list[tuple[float, float]]]:
-        """(rate, [(p_error, ln p_error) for each m in ms]) for one scenario.
+               pair, ms) -> tuple[float, list, list]:
+        """(rate, p_error column, ln p_error column) over ms for one scenario.
 
-        p_error and ln p_error come from separate accurate routes: half_erfc and
-        log_erfc for threshold rows, half_exp and ln(1/2) - m*rate for bound
-        rows. p is never formed as exp(ln p), which would scale the last-bit
-        error of ln p by |ln p|. ms are positive ints (SweepSpec checks them).
+        p_error and ln p_error come from separate accurate routes: one erfc
+        per m through half_erfc and log_erfc for threshold rows, half_exp and
+        ln(1/2) - m*rate for bound rows. p is never formed as exp(ln p), which
+        would scale the last-bit error of ln p by |ln p|. ms are positive ints
+        (SweepSpec checks them).
         """
         rate = self.rate(src, ch, noise, pair)
         if self.threshold:
-            points = _erfc_points(rate, ms)
+            p, log_p = _erfc_points(rate, ms)
         else:
-            points = [(half_exp(m, rate), LN_HALF - m * rate) for m in ms]
+            p, log_p = [half_exp(m, rate) for m in ms], [LN_HALF - m * rate for m in ms]
         if self.check is not None:
-            self.check(src, ch, ms, points)
-        return rate, points
+            self.check(src, ch, ms, log_p)
+        return rate, p, log_p
 
 
 def _pc(label: str, eps_return: float, eps_idler: float, asymptote) -> Receiver:
@@ -496,8 +506,8 @@ RECEIVERS = {rx.label: rx for rx in (
                  *coherent_benchmark_states(src.n_signal, ch), prior_h0=prior_h0)),
     Receiver("CS+Hom", lambda src, ch, noise, pair: homodyne_rate(src.n_signal, ch),
              threshold=True, asymptote=_coherent_asymptote,
-             check=lambda src, ch, ms, points: _check_homodyne_optimum(
-                 src.n_signal, ch, ms, points)),
+             check=lambda src, ch, ms, log_p: _check_homodyne_optimum(
+                 src.n_signal, ch, ms, log_p)),
     Receiver("QI-QCB", lambda src, ch, noise, pair: pair().qcb().exponent, threshold=False,
              bound=lambda src, ch, noise, pair, prior_h0: pair().qcb(prior_h0)),
     Receiver("QI-QBB", lambda src, ch, noise, pair: pair().exponent(0.5), threshold=False,

@@ -528,7 +528,7 @@ def test_gap_kernels_against_mpmath():
 
 @pytest.mark.parametrize("scenario", GOLDEN_FAMILY + SECOND_ORDER)
 def test_sweep_bound_rates_within_1e12_of_mpmath(scenario):
-    rows = compute_sweep(SweepSpec(scenario, (1,), ("QI-QCB", "QI-QBB", "QI+Het+CCB")))
+    result = compute_sweep(SweepSpec(scenario, (1,), ("QI-QCB", "QI-QBB", "QI+Het+CCB")))
     exact = mp_model_exponents(*scenario.resolve())
-    for row in rows:
-        assert abs(row.per_mode_rate - exact[row.receiver]) <= 1e-12 * exact[row.receiver]
+    for label, rate in zip(result.receivers, result.per_mode_rate):
+        assert abs(rate - exact[label]) <= 1e-12 * exact[label]

@@ -15,7 +15,8 @@ import qillum.bounds
 import qillum.states
 import qillum.symplectic
 from qillum.bounds import StandardFormPair, cs_qcb_exponent, qcb
-from qillum.cli import RECEIVER_ORDER, ScenarioParams, SweepRow, SweepSpec, compute_sweep, main
+from qillum.cli import (RECEIVER_ORDER, ScenarioParams, SweepResult, SweepSpec, compute_sweep,
+                        main, sweep_csv)
 from qillum.montecarlo import deflection_se, simulate_pc_receiver
 from qillum.receiver import homodyne_min_error, snr_pc
 from qillum.states import ChannelParams, coherent_benchmark_states
@@ -83,6 +84,24 @@ class TestSnrCommand:
         rc, _, err = run_cli(capsys, ["snr", "--config", str(cfg)])
         assert rc == 2
         assert "unknown config keys" in err
+
+    def test_non_object_config_exits_2(self, capsys, tmp_path):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text("[]")
+        rc, out, err = run_cli(capsys, ["snr", "--config", str(cfg)])
+        assert rc == 2
+        assert out == ""
+        assert "config must be a JSON object" in err
+
+    @pytest.mark.parametrize("value", [None, True, [0.01], {"value": 0.01}],
+                             ids=["null", "boolean", "list", "object"])
+    def test_non_scalar_config_value_exits_2(self, capsys, tmp_path, value):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({"ni": 0.01, "ns": value}))
+        rc, out, err = run_cli(capsys, ["snr", "--config", str(cfg)])
+        assert rc == 2
+        assert out == ""
+        assert "config key 'ns' must be a number or a string" in err
 
     def test_missing_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
@@ -203,6 +222,20 @@ class TestSweepCommand:
         assert set(report) == {"params", "results", "notes"}
         assert report["results"][0]["M"] == 10
 
+    def test_json_and_csv_carry_the_same_rows(self, capsys):
+        # all eight receivers, on a grid whose threshold rows underflow to 0
+        argv = ["sweep", "--m-log", "10,1e10,40"]
+        rc1, csv_text, _ = run_cli(capsys, argv)
+        rc2, report, _ = run_json(capsys, argv)
+        assert rc1 == rc2 == 0
+        rows = [line.split(",") for line in csv_text.splitlines()[1:]]
+        assert len(rows) == len(report["results"]) == 40 * len(RECEIVER_ORDER)
+        assert any(float(row[2]) == 0.0 for row in rows)
+        for row, want in zip(rows, report["results"]):
+            assert (row[0], int(row[1]), float(row[2]), float(row[3]), float(row[4])) == (
+                want["receiver"], want["M"], want["p_error"], want["exponent"],
+                want["per_mode_rate"])
+
 
 class TestSweepTypes:
     def test_spec_rejects_empty_receivers(self):
@@ -211,14 +244,21 @@ class TestSweepTypes:
                       m_values=(10,), receivers=())
 
     def test_row_rejects_p_error_above_half(self):
-        with pytest.raises(ValueError):
-            SweepRow(receiver="QI+PC", m=1, p_error=0.6,
-                     exponent=-math.log(0.6), per_mode_rate=1.0)
+        with pytest.raises(ValueError, match=r"p_error 0.6 outside \(0, 1/2\] for QI\+PC at M=2$"):
+            SweepResult(receivers=("QI+PC",), m_values=(1, 2), per_mode_rate=(1.0,),
+                        p_error=((0.4, 0.6),), exponent=((0.9, 0.7),))
 
     def test_row_allows_underflowed_tail(self):
-        row = SweepRow(receiver="QI+PC", m=10 ** 9, p_error=0.0,
-                       exponent=2000.0, per_mode_rate=2e-6)
-        assert row.exponent == 2000.0
+        result = SweepResult(receivers=("QI+PC",), m_values=(10 ** 9,), per_mode_rate=(2e-6,),
+                             p_error=((0.0,),), exponent=((2000.0,),))
+        assert result.exponent == ((2000.0,),)
+        assert len(result) == 1
+
+    def test_row_rejects_exponent_below_ln_2(self):
+        with pytest.raises(ValueError, match=r"below ln 2 for CS-QCB at M=10$"):
+            SweepResult(receivers=("QI+PC", "CS-QCB"), m_values=(10, 100),
+                        per_mode_rate=(1e-3, 1e-3), p_error=((0.4, 0.3), (0.45, 0.4)),
+                        exponent=((0.9, 1.2), (0.69, 0.9)))
 
 
 class TestComputeSweep:
@@ -227,20 +267,44 @@ class TestComputeSweep:
         # GaussianState built from such a source was rejected as unphysical
         scenario = ScenarioParams(ns=0.113, ni=0.0069, kappa=0.106, nb=0.40)
         receivers = ("QI-QCB", "QI-QBB", "QI+Het+CCB", "CS-QCB")
-        rows = compute_sweep(SweepSpec(scenario, (10, 1000), receivers))
-        assert [r.receiver for r in rows] == [r for r in receivers for _ in range(2)]
-        assert all(0.0 < r.p_error < 0.5 for r in rows)
+        result = compute_sweep(SweepSpec(scenario, (10, 1000), receivers))
+        assert result.receivers == receivers and len(result) == 8
+        assert all(0.0 < p < 0.5 for column in result.p_error for p in column)
 
     def test_cs_hom_rows_equal_per_m_homodyne_min_error(self):
         ratio = (1e10 / 10.0) ** (1.0 / 299)
         ms = tuple(sorted({int(round(10.0 * ratio ** i)) for i in range(300)}))
         assert len(ms) == 299
         scenario = ScenarioParams(ns=0.01, ni=0.01, kappa=0.01, nb=20.0)
-        rows = compute_sweep(SweepSpec(scenario, ms, ("CS+Hom",)))
+        result = compute_sweep(SweepSpec(scenario, ms, ("CS+Hom",)))
         ch = ChannelParams(0.01, 20.0)
-        for row, m in zip(rows, ms):
+        assert result.m_values == ms
+        for m, p, e in zip(ms, result.p_error[0], result.exponent[0]):
             opt = homodyne_min_error(0.01, ch, m)
-            assert (row.m, row.p_error, row.exponent) == (m, opt.p_error, -opt.log_p_error)
+            assert (p, e) == (opt.p_error, -opt.log_p_error)
+
+    def test_one_erfc_per_threshold_row(self, monkeypatch):
+        # 1/2 erfc and its log share one erfc per row, in the tail too
+        ms = tuple(sorted({int(round(10.0 * 10.0 ** (i / 4))) for i in range(37)}))
+        spec = SweepSpec(ScenarioParams(ns=0.01, ni=0.01), ms,
+                         ("QI+PC", "QI+Cal+PC", "QI+Het+PC", "CS+Hom"))
+        want = compute_sweep(spec)
+        assert 0.0 in want.p_error[0]
+        real = math.erfc
+        calls = []
+
+        def counting(x):
+            calls.append(x)
+            return real(x)
+
+        monkeypatch.setattr(math, "erfc", counting)
+        assert compute_sweep(spec) == want
+        assert len(calls) == len(want)
+
+    def test_len_is_the_csv_row_count(self):
+        result = compute_sweep(SweepSpec(ScenarioParams(ns=0.01, ni=0.01), (10, 1000, 10 ** 5),
+                                         ("QI-QCB", "QI+PC")))
+        assert len(result) == len(sweep_csv(result).splitlines()) - 1 == 6
 
 
 class TestBoundRowsHotPath:
@@ -277,8 +341,8 @@ class TestBoundRowsHotPath:
         monkeypatch.setattr(StandardFormPair, "from_model", counting)
         spec = SweepSpec(scenario=ScenarioParams(ns=0.02, ni=0.01, eps_r=0.5),
                          m_values=(10, 1000), receivers=receivers)
-        rows = compute_sweep(spec)
-        assert len(rows) == 2 * len(receivers)
+        result = compute_sweep(spec)
+        assert len(result) == 2 * len(receivers)
         assert len(calls) == builds
 
 

@@ -18,7 +18,9 @@ from qillum.receiver import (
     ReceiverStats,
     asymptotic_snr,
     beamsplitter_moments,
+    LN_HALF,
     _LOG_ERFC_PQ,
+    _log_erfc_given,
     _log_erfc_nonneg,
     erfc,
     error_prob_pc,
@@ -27,6 +29,7 @@ from qillum.receiver import (
     homodyne_errors,
     homodyne_min_error,
     homodyne_min_errors,
+    homodyne_rate,
     log_erfc,
     log_error_prob_pc,
     pc_transform,
@@ -382,19 +385,30 @@ class TestHomodyne:
         # computes its own ln erfc, so only the closed form is corrupted
         ms = [10, 10 ** 6, 10 ** 8]
         bad_x = math.sqrt(10 ** 6 * (0.01 * 0.01 / 82.0))
-        real = log_erfc
+        real = _log_erfc_given
 
-        def corrupt(x):
-            return real(x) * (1.0 + 1e-11) if x == bad_x else real(x)
+        def corrupt(x, e):
+            return real(x, e) * (1.0 + 1e-11) if x == bad_x else real(x, e)
 
         homodyne_min_errors(0.01, REF_CH, ms)
-        monkeypatch.setattr("qillum.receiver.log_erfc", corrupt)
+        monkeypatch.setattr("qillum.receiver._log_erfc_given", corrupt)
         with pytest.raises(NumericFailure, match=r"at M=1000000 \(") as grid:
             homodyne_min_errors(0.01, REF_CH, ms)
         assert "M=10 " not in str(grid.value) and "M=100000000" not in str(grid.value)
         with pytest.raises(NumericFailure, match=r"at M=1000000 \("):
             homodyne_min_error(0.01, REF_CH, 10 ** 6)
         homodyne_min_error(0.01, REF_CH, 10 ** 8)
+
+    def test_self_check_holds_at_large_m_rate(self):
+        # u = shift/(2 sigma) reaches 2.3e5 at M = 1e12, where the search's
+        # objective is V-shaped at its minimum and a 1e-11*shift bracket once
+        # put ln p 6e-2 off the closed form, beyond the 1e-12*|ln p| bound
+        ch = ChannelParams(0.3, 0.2)
+        ms = [10 ** 12, 10 ** 14, 10 ** 16]
+        rate = homodyne_rate(0.5, ch)
+        for m, opt in zip(ms, homodyne_min_errors(0.5, ch, ms)):
+            assert opt.p_error == 0.0
+            assert opt.log_p_error == LN_HALF + log_erfc(math.sqrt(m * rate))
 
     def test_zero_reflectivity_gives_half(self):
         opt = homodyne_min_error(0.01, ChannelParams(0.0, 20.0), 10)
