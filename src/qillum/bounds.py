@@ -18,7 +18,7 @@ summed rescaled covariances, times a Gaussian factor in the mean difference.
 The classical analogue for heterodyne outcome records uses the same
 s-integral over Gaussian probability densities.
 
-Two routes give ln C_s and its s-derivative, chosen at one dispatch point
+Three routes give ln C_s and its s-derivative, chosen at one dispatch point
 (_quantum_route for states, _classical_route for outcome densities):
 
 - Closed form, for zero-mean two-mode pairs in standard form
@@ -37,12 +37,15 @@ Two routes give ln C_s and its s-derivative, chosen at one dispatch point
   V + I/2, which keeps the standard form; their log-overlap is the Jensen
   gap of ln det along the segment between the two covariances
   (StandardFormDensities).
+- Closed form, for two states of one covariance (n + 1/2) I whose means
+  differ by d, as the coherent-probe benchmark's do (_shifted_thermal):
+  ln C_s = -|d|^2 / (Lambda_s + Lambda_{1-s}), Lambda_s = coth(s theta).
 - Generic, for any other pair: the numeric Williamson decomposition of each
   covariance (symplectic.williamson, from numpy's Hermitian eigensolver) and
   a numpy Cholesky factor L of the summed covariance, whose inverse is
   L^-T L^-1 and whose ln det is 2 sum ln diag(L); the derivative comes from
   the same factor. It is the fallback and the test oracle of the closed
-  form.
+  forms.
 
 Minimization over s: ln C_s is convex in s (Audenaert et al., PRL 98,
 160501, 2007), so one safeguarded Newton iteration on the analytic
@@ -155,17 +158,8 @@ class ClassicalDistributionPair:
         return self.cov_h0.shape[0]
 
 
-def _ops(s):
-    """math for a float s (libm, as every CSV byte is), numpy for an array of s."""
-    return np if isinstance(s, np.ndarray) else math
-
-
-def _check_s(s):
+def _check_s(s: float) -> float:
     """Validate s in [0, 1]; return it clamped to [S_ENDPOINT_EPS, 1 - S_ENDPOINT_EPS]."""
-    if isinstance(s, np.ndarray):
-        if not np.all((s >= 0.0) & (s <= 1.0)):
-            raise ValueError("s must lie in [0, 1]")
-        return np.clip(s, S_ENDPOINT_EPS, 1.0 - S_ENDPOINT_EPS)
     if not 0.0 <= s <= 1.0:
         raise ValueError(f"s must lie in [0, 1], got {s}")
     return min(max(s, S_ENDPOINT_EPS), 1.0 - S_ENDPOINT_EPS)
@@ -213,17 +207,13 @@ def _expm1_gap_series(y):
     return y * y * tail
 
 
-def _log1p_gap(x, xp=math):
+def _log1p_gap(x: float) -> float:
     """log1p(x) - x, accurate relative to itself also where it is ~ -x^2/2."""
-    if xp is np:
-        return np.where(np.abs(x) < _SERIES_BELOW, _log1p_gap_series(x), np.log1p(x) - x)
     return _log1p_gap_series(x) if abs(x) < _SERIES_BELOW else math.log1p(x) - x
 
 
-def _expm1_gap(y, xp=math):
+def _expm1_gap(y: float) -> float:
     """expm1(y) - y, accurate relative to itself also where it is ~ y^2/2."""
-    if xp is np:
-        return np.where(np.abs(y) < _SERIES_BELOW, _expm1_gap_series(y), np.expm1(y) - y)
     return _expm1_gap_series(y) if abs(y) < _SERIES_BELOW else math.expm1(y) - y
 
 
@@ -259,15 +249,15 @@ class _ThermalPair:
         self.gap_rho = _expm1_gap(self.log_rho)
         self.log1p_x1 = math.log1p(self.x1)
 
-    def log_overlap(self, t, xp):
+    def log_overlap(self, t: float) -> tuple[float, float]:
         """(l_s, dl_s/ds) at t = 1 - s."""
         tr = t * self.log_rho
         tx1 = t * self.x1
-        value = (self.offset + t * (self.linear + self.gap_x1) - _log1p_gap(tx1, xp)
-                 - xp.log1p(self.k * (_expm1_gap(tr, xp) - t * self.gap_rho) / (1.0 + tx1)))
+        value = (self.offset + t * (self.linear + self.gap_x1) - _log1p_gap(tx1)
+                 - math.log1p(self.k * (_expm1_gap(tr) - t * self.gap_rho) / (1.0 + tx1)))
         # -ln(q0^s q1^t) = 2 theta0 - t L; d/ds log1p(X(t)) = -L q0^s q1^t / (1 - q0^s q1^t)
         slope = (-self.linear - self.log1p_x1
-                 - self.log_rho / xp.expm1(2.0 * self.theta0 - tr))
+                 - self.log_rho / math.expm1(2.0 * self.theta0 - tr))
         return value, slope
 
 
@@ -276,9 +266,9 @@ def _finite(theta: float) -> float:
     return theta if theta < math.inf else 0.0
 
 
-def _half_coth(x, theta_slope, xp):
+def _half_coth(x: float, theta_slope: float) -> tuple[float, float]:
     """(coth(x)/2, -(coth(x)^2 - 1)/2 * theta_slope): half the thermal factor and its slope."""
-    p = 0.5 / xp.tanh(x)
+    p = 0.5 / math.tanh(x)
     return p, -0.5 * theta_slope * (4.0 * p * p - 1.0)
 
 
@@ -349,33 +339,32 @@ class StandardFormPair:
                    2.0 * ch.reflectivity * src.n_signal, 0.0,
                    math.sqrt(ch.reflectivity) * src.corr)
 
-    def _log_c_slope(self, s):
-        """(ln C_s, d ln C_s/ds) for s in (0, 1), a float or an array."""
-        xp = _ops(s)
+    def _log_c_slope(self, s: float) -> tuple[float, float]:
+        """(ln C_s, d ln C_s/ds) for s in (0, 1)."""
         t = 1.0 - s
         value = slope = 0.0
         for mode in self._modes:
-            v, d = mode.log_overlap(t, xp)
+            v, d = mode.log_overlap(t)
             value, slope = value + v, slope + d
         if self._sinh2 == 0.0:
             return value, slope
         # mismatch m = sinh^2(dr) u0 u1 / (w_+ w_-), u_k = P_k+ + P_k-, w_pm = P_0pm + P_1pm,
         # P = Lambda/2 the halved thermal factors of rho_0^s and rho_1^t
-        (p0p, d0p), (p0m, d0m) = (_half_coth(s * mode.theta0, _finite(mode.theta0), xp)
+        (p0p, d0p), (p0m, d0m) = (_half_coth(s * mode.theta0, _finite(mode.theta0))
                                   for mode in self._modes)
-        (p1p, d1p), (p1m, d1m) = (_half_coth(t * mode.theta1, -_finite(mode.theta1), xp)
+        (p1p, d1p), (p1m, d1m) = (_half_coth(t * mode.theta1, -_finite(mode.theta1))
                                   for mode in self._modes)
         u0, u1 = p0p + p0m, p1p + p1m
         wp, wm = p0p + p1p, p0m + p1m
         m = self._sinh2 * u0 * u1 / (wp * wm)
         d_log_m = (d0p + d0m) / u0 + (d1p + d1m) / u1 - (d0p + d1p) / wp - (d0m + d1m) / wm
-        return value - xp.log1p(m), slope - m / (1.0 + m) * d_log_m
+        return value - math.log1p(m), slope - m / (1.0 + m) * d_log_m
 
-    def log_c(self, s):
-        """ln C_s = ln Tr(rho_0^s rho_1^(1-s)), for s a float or an array in [0, 1]."""
+    def log_c(self, s: float) -> float:
+        """ln C_s = ln Tr(rho_0^s rho_1^(1-s)), for s in [0, 1]."""
         return self._log_c_slope(_check_s(s))[0]
 
-    def exponent(self, s) -> float:
+    def exponent(self, s: float) -> float:
         """-ln C_s, never negative: the Bhattacharyya exponent at s = 1/2."""
         return _exponent(self.log_c(s))
 
@@ -412,17 +401,16 @@ class StandardFormDensities:
         self._gap_u = _log1p_gap(self._u)
         self._log1p_u = math.log1p(self._u)
 
-    def _log_c_slope(self, s):
+    def _log_c_slope(self, s: float) -> tuple[float, float]:
         # s log1p(u) - log1p(s y + s^2 z) with s y + s^2 z = s u - s t z: the
         # terms linear in u cancel exactly, leaving s g(u) - g(s u), g = log1p(x) - x
-        xp = _ops(s)
         su = s * self._u
         stz = s * (1.0 - s) * self._z
-        value = s * self._gap_u - _log1p_gap(su, xp) - xp.log1p(-stz / (1.0 + su))
+        value = s * self._gap_u - _log1p_gap(su) - math.log1p(-stz / (1.0 + su))
         return value, self._log1p_u - (self._y + 2.0 * s * self._z) / (1.0 + su - stz)
 
-    def log_c(self, s):
-        """ln of the overlap integral(p0^s p1^(1-s)), for s a float or an array in [0, 1]."""
+    def log_c(self, s: float) -> float:
+        """ln of the overlap integral(p0^s p1^(1-s)), for s in [0, 1]."""
         return self._log_c_slope(_check_s(s))[0]
 
     def ccb(self, prior_h0: float = 0.5) -> SOverlapResult:
@@ -534,15 +522,35 @@ class _ClassicalOverlap:
         return value, slope
 
 
+def _shifted_thermal(n: float, d2: float):
+    """s -> (ln C_s, slope) for two states of covariance (n + 1/2) I whose means differ by d.
+
+    Only the mean term is left: ln C_s = -|d|^2 / (2 (P_s + P_{1-s})), with
+    P_s = coth(s theta)/2 and theta = log1p(1/n)/2 (inf for the vacuum).
+    """
+    theta = 0.5 * math.log1p(1.0 / n) if n > 0.0 else math.inf
+
+    def log_c_slope(s: float) -> tuple[float, float]:
+        p0, d0 = _half_coth(s * theta, _finite(theta))
+        p1, d1 = _half_coth((1.0 - s) * theta, -_finite(theta))
+        value = -0.5 * d2 / (p0 + p1)
+        return value, -value * (d0 + d1) / (p0 + p1)
+    return log_c_slope
+
+
 def _quantum_route(state0: GaussianState, state1: GaussianState):
     """The dispatch point for states: s -> (ln C_s, slope), closed form where it applies."""
     if state0.n_modes != state1.n_modes:
         raise ValueError(f"mode counts differ: {state0.n_modes} vs {state1.n_modes}")
+    cov = state0.cov.entries
     if not (np.any(state0.mean) or np.any(state1.mean)):
-        entries = _standard_form(state0.cov.entries, state1.cov.entries)
+        entries = _standard_form(cov, state1.cov.entries)
         if entries is not None:
             a0, b0, c0, da, db, dc = entries
             return StandardFormPair(a0 - 1.0, b0 - 1.0, c0, da, db, dc)._log_c_slope
+    if np.array_equal(cov, state1.cov.entries) and np.array_equal(cov, cov[0, 0] * np.eye(len(cov))):
+        d = state0.mean - state1.mean
+        return _shifted_thermal(max(float(cov[0, 0]) - 0.5, 0.0), float(d @ d))
     return _GaussianOverlap(state0, state1).log_c_slope
 
 

@@ -5,7 +5,7 @@ Four subcommands under the `qi` program:
   snr     analytic receiver statistics for one scenario
   sweep   error probability versus pulse count M as CSV, one row per
           (receiver, M), columns receiver,M,p_error,exponent,per_mode_rate
-  bounds  Chernoff-type bounds with cross-validation notes
+  bounds  Chernoff-type bounds of the four bound receivers, prior-weighted
   mc      seeded sampling run, empirical vs analytic gate table
 
 What each receiver label computes is defined once, in receiver.RECEIVERS:
@@ -30,7 +30,6 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .bounds import cs_qcb_exponent
 from .montecarlo import (
     SamplerConfig,
     check_gaussian_moment_identities,
@@ -41,7 +40,7 @@ from .receiver import RECEIVERS, _model_pair, asymptotic_snr, beamsplitter_momen
 from .states import ChannelParams, NoiseParams, SourceParams, _validate_pulses, make_source
 
 RECEIVER_ORDER = tuple(RECEIVERS)
-# qi bounds rows, in this order; the last is the coherent benchmark it cross-checks
+# qi bounds rows, in this order
 _BOUND_ROWS = ("QI-QCB", "QI-QBB", "QI+Het+CCB", "CS-QCB")
 
 _SCENARIO_DEFAULTS = {
@@ -264,21 +263,8 @@ def cmd_bounds(args) -> int:
     bounds = {label: RECEIVERS[label].bound(src, ch, noise, pair, prior) for label in _BOUND_ROWS}
     results = [{"label": label, "s_star": b.s_star, "c_at_s_star": b.c_at_s_star,
                 "bound": b.bound, "exponent": b.exponent} for label, b in bounds.items()]
-
-    # the coherent benchmark's generic route against its closed form, which is
-    # the equal-prior exponent. Compare exponents: overlaps sit within the
-    # exponent of 1, so their difference rounds away long before the exponents' does
-    generic = bounds["CS-QCB"] if prior == 0.5 else RECEIVERS["CS-QCB"].bound(
-        src, ch, noise, pair, 0.5)
-    closed = cs_qcb_exponent(src.n_signal, ch)
-    diff = abs(generic.exponent - closed)
-    cross_check = (f"relative difference {diff / closed:.3e}" if closed > 0.0
-                   else f"absolute difference {diff:.3e}")
-    notes = [
-        f"coherent benchmark cross-check: numeric vs closed-form exponent {cross_check}",
-    ]
     report = {"params": dict(scenario.as_dict(), prior_h0=prior),
-              "results": results, "notes": notes}
+              "results": results, "notes": []}
     _emit(report, args, _render_plain)
     return 0
 
@@ -353,13 +339,16 @@ def _scenario_from(args) -> ScenarioParams:
     fields = {}
     for name, default in _SCENARIO_DEFAULTS.items():
         flag = getattr(args, name)
-        fields[name] = flag if flag is not None else config.get(name, default)
-    c = fields["c"]
-    if isinstance(c, str) and c not in ("quantum", "direct"):
-        c = float(c)
-    return ScenarioParams(ns=float(fields["ns"]), ni=float(fields["ni"]), c=c,
-                          kappa=float(fields["kappa"]), nb=float(fields["nb"]),
-                          eps_r=float(fields["eps_r"]), eps_i=float(fields["eps_i"]))
+        value = flag if flag is not None else config.get(name, default)
+        if name != "c" or (isinstance(value, str) and value not in ("quantum", "direct")):
+            try:
+                value = float(value)
+            except ValueError:
+                where = f"--{name.replace('_', '-')}" if flag is not None else f"config key {name!r}"
+                kinds = "quantum, direct or a number" if name == "c" else "a number"
+                raise ValueError(f"{where} must be {kinds}, got {value!r}") from None
+        fields[name] = value
+    return ScenarioParams(**fields)
 
 
 def _parse_m_values(args) -> tuple:
@@ -418,7 +407,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.set_defaults(func=cmd_sweep)
 
     bounds = sub.add_parser("bounds", parents=[common],
-                            help="Chernoff-type bounds and cross-checks")
+                            help="Chernoff-type bounds")
     bounds.add_argument("--prior-h0", type=float, default=0.5,
                         help="prior probability of the target-absent hypothesis")
     bounds.set_defaults(func=cmd_bounds)

@@ -499,7 +499,8 @@ RECEIVERS = {rx.label: rx for rx in (
     Receiver("QI+Het+CCB", lambda src, ch, noise, pair: pair().heterodyne().ccb().exponent,
              threshold=False,
              bound=lambda src, ch, noise, pair, prior_h0: pair().heterodyne().ccb(prior_h0)),
-    # the exponent in closed form; the bound from the coherent states' generic route
+    # the exponent in closed form; the bound from qcb on the coherent states,
+    # which share a thermal covariance and take its closed form at any prior
     Receiver("CS-QCB", lambda src, ch, noise, pair: cs_qcb_exponent(src.n_signal, ch),
              threshold=False,
              bound=lambda src, ch, noise, pair, prior_h0: qcb(

@@ -158,6 +158,26 @@ def mp_log_c(entries0, entries1, s):
     return log_c - mpmath.log(mpmath.det(sigma)) / 2
 
 
+def mp_shifted_thermal_log_c(state0, state1, s):
+    """ln Tr(rho_0^s rho_1^(1-s)) of two states of one covariance nu I, in mpmath.
+
+    The Pirandola-Lloyd formula with S = I under both hypotheses: per mode
+    G_s(nu) G_(1-s)(nu), then sqrt(det Sigma) with Sigma = (Lambda_s +
+    Lambda_(1-s)) I / 2, then the mean term -d^T Sigma^-1 d / 2. Every float
+    of the states enters at its exact binary value.
+    """
+    nu = mpmath.mpf(float(state0.cov.entries[0, 0]))
+    half = mpmath.mpf(1) / 2
+    d2 = sum((mpmath.mpf(float(a)) - mpmath.mpf(float(b))) ** 2
+             for a, b in zip(state0.mean, state1.mean))
+    log_c, lam_sum = 0, 0
+    for p in (s, 1 - s):
+        top, bottom = (nu + half) ** p, (nu - half) ** p
+        log_c -= state0.n_modes * mpmath.log(top - bottom)
+        lam_sum += (top + bottom) / (top - bottom)
+    return log_c - state0.n_modes * mpmath.log(lam_sum / 2) - d2 / lam_sum
+
+
 def mp_classical_log_overlap(cov0, cov1, s):
     """ln integral(p0^s p1^(1-s)) of zero-mean Gaussian densities, in mpmath."""
     mixed = s * cov0 ** -1 + (1 - s) * cov1 ** -1

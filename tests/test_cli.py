@@ -3,7 +3,6 @@ import dataclasses
 import json
 import math
 import os
-import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,12 +13,12 @@ import pytest
 import qillum.bounds
 import qillum.states
 import qillum.symplectic
-from qillum.bounds import StandardFormPair, cs_qcb_exponent, qcb
+from qillum.bounds import StandardFormPair, cs_qcb_exponent
 from qillum.cli import (RECEIVER_ORDER, ScenarioParams, SweepResult, SweepSpec, compute_sweep,
                         main, sweep_csv)
 from qillum.montecarlo import deflection_se, simulate_pc_receiver
 from qillum.receiver import homodyne_min_error, snr_pc
-from qillum.states import ChannelParams, coherent_benchmark_states
+from qillum.states import ChannelParams
 
 SNR_QI_PC = 2.3575929806957360e-06
 
@@ -102,6 +101,22 @@ class TestSnrCommand:
         assert rc == 2
         assert out == ""
         assert "config key 'ns' must be a number or a string" in err
+
+    @pytest.mark.parametrize("flags, config, where", [
+        (["--c", "abc"], None, "--c"),
+        ([], {"ns": "abc"}, "config key 'ns'"),
+        ([], {"c": "abc"}, "config key 'c'"),
+    ], ids=["flag-c", "config-ns", "config-c"])
+    def test_non_numeric_string_names_its_source(self, capsys, tmp_path, flags, config, where):
+        if config is not None:
+            cfg = tmp_path / "bad.json"
+            cfg.write_text(json.dumps(config))
+            flags = flags + ["--config", str(cfg)]
+        rc, out, err = run_cli(capsys, ["snr"] + flags)
+        assert rc == 2
+        assert out == ""
+        assert f"error: {where} must be " in err
+        assert "'abc'" in err
 
     def test_missing_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
@@ -349,21 +364,20 @@ class TestBoundRowsHotPath:
 class TestBoundsCommand:
     @pytest.mark.parametrize("ns, kappa, nb", [(0.01, 0.01, 20.0), (1e-4, 1e-3, 1000.0)])
     def test_coherent_cross_check_reports_the_exponent_difference(self, capsys, ns, kappa, nb):
+        # the CS-QCB row is the closed form itself, so there is no difference to report
         rc, report, _ = run_json(capsys, ["bounds", "--ns", str(ns), "--kappa", str(kappa),
                                           "--nb", str(nb)])
         assert rc == 0
-        note = next(n for n in report["notes"] if "relative difference" in n)
-        rel = float(re.search(r"relative difference ([0-9.e+-]+)", note).group(1))
-        ch = ChannelParams(kappa, nb)
-        closed = cs_qcb_exponent(ns, ch)
-        true_rel = abs(qcb(*coherent_benchmark_states(ns, ch)).exponent - closed) / closed
-        assert true_rel > 0.0
-        assert rel == pytest.approx(true_rel, rel=1e-3)
+        assert report["notes"] == []
+        row = next(r for r in report["results"] if r["label"] == "CS-QCB")
+        closed = cs_qcb_exponent(ns, ChannelParams(kappa, nb))
+        assert row["s_star"] == 0.5
+        assert abs(row["exponent"] - closed) <= 4.0 * math.ulp(closed)
 
     def test_zero_reflectivity_reports_an_absolute_difference(self, capsys):
         rc, report, _ = run_json(capsys, ["bounds", "--kappa", "0"])
         assert rc == 0
-        assert "absolute difference" in report["notes"][0]
+        assert report["notes"] == []
         rows = {r["label"]: r for r in report["results"]}
         assert rows["QI-QCB"]["exponent"] == rows["QI-QBB"]["exponent"] == 0.0
         assert rows["QI+Het+CCB"]["exponent"] == 0.0
@@ -375,9 +389,8 @@ class TestBoundsCommand:
         rows = {r["label"]: r for r in report["results"]}
         assert 0.49 <= rows["QI-QCB"]["s_star"] <= 0.51
         assert rows["QI+Het+CCB"]["exponent"] <= rows["CS-QCB"]["exponent"]
-        note = next(n for n in report["notes"] if "relative difference" in n)
-        rel = float(re.search(r"relative difference ([0-9.e+-]+)", note).group(1))
-        assert rel < 1e-9
+        closed = cs_qcb_exponent(0.01, ChannelParams(0.01, 20.0))
+        assert abs(rows["CS-QCB"]["exponent"] - closed) <= 4.0 * math.ulp(closed)
 
     def test_explicit_half_prior_matches_default(self, capsys):
         rc1, out1, _ = run_cli(capsys, ["bounds"] + REF_FLAGS)
@@ -398,13 +411,28 @@ class TestBoundsCommand:
         assert row["bound"] <= 0.1 * (1.0 + 1e-11)
 
     def test_skewed_prior_cross_checks_the_equal_prior_exponent(self, capsys):
-        # the closed form is the equal-prior exponent, whatever the report's prior
+        # the closed form is the equal-prior exponent; a skewed prior moves s* off 1/2
         _, default, _ = run_json(capsys, ["bounds"] + REF_FLAGS)
         rc, skewed, _ = run_json(capsys, ["bounds"] + REF_FLAGS + ["--prior-h0", "0.9"])
         assert rc == 0
-        assert skewed["notes"] == default["notes"]
-        rel = float(re.search(r"relative difference ([0-9.e+-]+)", skewed["notes"][0]).group(1))
-        assert rel < 1e-9
+        assert skewed["notes"] == default["notes"] == []
+        closed = cs_qcb_exponent(0.01, ChannelParams(0.01, 20.0))
+        equal, weighted = (next(r for r in rep["results"] if r["label"] == "CS-QCB")
+                           for rep in (default, skewed))
+        assert abs(equal["exponent"] - closed) <= 4.0 * math.ulp(closed)
+        assert weighted["s_star"] < 0.5 and weighted["exponent"] <= equal["exponent"]
+
+    @pytest.mark.parametrize("prior", ["0.5", "0.3"])
+    def test_bounds_never_reach_williamson(self, capsys, monkeypatch, prior):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("qi bounds reached the generic Williamson route")
+
+        for module in (qillum.symplectic, qillum.bounds):
+            monkeypatch.setattr(module, "williamson", forbidden)
+        rc, report, _ = run_json(capsys, ["bounds"] + REF_FLAGS + ["--prior-h0", prior])
+        assert rc == 0
+        assert [r["label"] for r in report["results"]] == ["QI-QCB", "QI-QBB", "QI+Het+CCB",
+                                                           "CS-QCB"]
 
     def test_invalid_prior_exits_2(self, capsys):
         rc, _, err = run_cli(capsys, ["bounds", "--prior-h0", "1.5"])
