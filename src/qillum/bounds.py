@@ -76,6 +76,11 @@ _EPS = float(np.finfo(float).eps)
 _EXPONENT_RTOL = 4.0 * _EPS
 _MAX_STEPS = 200
 _UNPHYSICAL = "covariance matrix is not physical (symplectic eigenvalue < 1/2)"
+# The largest background at which the model's QI bound rates still meet 1e-12
+# relative to mpmath on the second-order test scenarios (7e-14 at 1e39, 1.5e-12
+# at 1e40). Past ~1e77 sinh^2 of the squeezing mismatch underflows to 0 and the
+# QCB reads ~1e-167 where it is ~1e-85; past ~1e154 its square overflows.
+MAX_BOUND_N_BACKGROUND = 1e39
 
 
 @dataclass(frozen=True)
@@ -333,7 +338,15 @@ class StandardFormPair:
     @classmethod
     def from_model(cls, src: SourceParams, ch: ChannelParams,
                    noise: NoiseParams = NoiseParams()) -> "StandardFormPair":
-        """The conditional return/idler states of states.conditional_states after apply_noise."""
+        """The conditional return/idler states of states.conditional_states after apply_noise.
+
+        ValueError past MAX_BOUND_N_BACKGROUND, where the rates lose their accuracy.
+        """
+        if ch.n_background > MAX_BOUND_N_BACKGROUND:
+            raise ValueError(
+                f"N_B (--nb) = {ch.n_background:g} is above {MAX_BOUND_N_BACKGROUND:g}, "
+                "past which the QI-QCB, QI-QBB and QI+Het+CCB rates lose their "
+                "accuracy; the threshold receivers take any N_B")
         return cls(2.0 * ch.n_background + noise.eps_return,
                    2.0 * src.n_idler + noise.eps_idler, 0.0,
                    2.0 * ch.reflectivity * src.n_signal, 0.0,

@@ -7,17 +7,24 @@ vacuum sample is added during conjugation, the balanced beamsplitter forms
 the +/- modes, and the decision statistic is the difference of the two
 photon-number estimates N = (q^2 + p^2 - 1)/2.
 
+The threshold test's trials do not draw their pulses. In the model's
+standard form one pulse's difference count is a two-term chi-square mixture,
+so a trial's average over m pulses is drawn from its exact law, two gamma
+variates per trial, at a cost that does not grow with m.
+
 All randomness is counter-based, and every stream is drawn in fixed logical
-blocks of 2**16 samples (Salmon et al., SC'11, "Parallel random numbers: as
+blocks of 2**16 rows (Salmon et al., SC'11, "Parallel random numbers: as
 easy as 1, 2, 3"). Block b of stream s under seed k comes from
-Philox(key=[k, s], counter=[0, 0, 0, b]); it uses under 2**20 values of the
-low counter word, so blocks never overlap, and block 0 is the plain
-Philox(key=[k, s]) stream. The first j samples are therefore the same bits
-whatever the sample count, and repeated runs are bit-identical whatever the
+Philox(key=[k, s], counter=[0, 0, 0, b]); its draws advance only the low
+counter words, so blocks never overlap, and block 0 is the plain
+Philox(key=[k, s]) stream. The first j rows are therefore the same bits
+whatever the row count, and repeated runs are bit-identical whatever the
 order in which the hypotheses and checks are evaluated. The samplers reduce
 one block at a time, so their memory does not grow with the sample count;
 only sample_quadratures and sample_pc_modes, which return the samples,
-hold them all.
+hold them all. Streams: 0 and 1 carry the H0 return/idler pair and its
+vacuum, 2 and 3 those of H1; the threshold test's H0 and H1 trials use
+streams 0 and 2; the moment identities use streams 16 and up.
 """
 from __future__ import annotations
 
@@ -33,6 +40,7 @@ from .states import (
     Hypothesis,
     NoiseParams,
     SourceParams,
+    _standard_form_matrix,
     _validate_pulses,
     apply_noise,
     conditional_states,
@@ -100,16 +108,22 @@ class MomentCheckReport:
         return all(row.passed for row in self.rows)
 
 
-_BLOCK = 1 << 16  # samples per logical block of a stream
+_BLOCK = 1 << 16  # rows per logical block of a stream
 
 
-def _normal_blocks(seed: int, stream: int, n: int, width: int):
-    """Standard normals, (rows, width) per block, for a stream's first n samples."""
+def _philox_blocks(seed: int, stream: int, n: int):
+    """(generator, rows) for each block of a stream's first n rows."""
     key = np.array([seed, stream], dtype=np.uint64)
     for block, start in enumerate(range(0, n, _BLOCK)):
         counter = np.array([0, 0, 0, block], dtype=np.uint64)
         gen = np.random.Generator(np.random.Philox(key=key, counter=counter))
-        yield gen.standard_normal((min(_BLOCK, n - start), width))
+        yield gen, min(_BLOCK, n - start)
+
+
+def _normal_blocks(seed: int, stream: int, n: int, width: int):
+    """Standard normals, (rows, width) per block, for a stream's first n samples."""
+    for gen, rows in _philox_blocks(seed, stream, n):
+        yield gen.standard_normal((rows, width))
 
 
 def _gaussian_blocks(mean, cov: np.ndarray, seed: int, stream: int, n: int):
@@ -305,40 +319,57 @@ def deflection_se(emp: EmpiricalStats, snr: float) -> float:
     return math.sqrt(se_sq)
 
 
-def _trial_means(src: SourceParams, ch: ChannelParams, noise: NoiseParams,
-                 m: int, cfg: SamplerConfig, hypothesis: Hypothesis) -> np.ndarray:
-    """Difference count averaged over each trial's m consecutive pulses.
+def _count_weights(state: GaussianState) -> tuple[float, float]:
+    """(lambda_+, lambda_-): one pulse's difference count is lambda_+ X_1 + lambda_- X_2.
 
-    The n_samples*m pulses stream block by block, and each block adds its
-    counts into the sums of the trials they belong to, so a trial may
-    straddle blocks and only the n_samples sums persist.
+    The count is q_pc*q_I + p_pc*p_I with q_pc = v_q + q_R and p_pc = v_p - p_R.
+    In standard form the (q_pc, q_I) and (p_pc, p_I) pairs are independent,
+    each with variances (a + 1/2, b) and covariance x (a = V[0,0], b = V[2,2],
+    x = V[0,2]). A product of such a pair is lambda_+ z_1^2 + lambda_- z_2^2
+    with lambda_+- = (x +- r)/2, r = sqrt((a + 1/2) b), so the two pairs give
+    X_1, X_2 ~ chi^2_2. ValueError unless the state is zero-mean and in
+    standard form.
     """
-    sums = np.zeros(cfg.n_samples)
-    start = 0
-    for modes in _pc_mode_blocks(src, ch, noise, cfg.seed, cfg.n_samples * m, hypothesis):
-        trial = np.arange(start, start + len(modes)) // m
-        sums[trial[0]:trial[-1] + 1] += np.bincount(trial - trial[0],
-                                                    weights=difference_count(modes))
-        start += len(modes)
-    return sums / m
+    v = state.cov.entries
+    a, b, x = v[0, 0], v[2, 2], v[0, 2]
+    if np.any(state.mean) or not np.array_equal(v, _standard_form_matrix(a, b, x)):
+        raise ValueError("the trial law needs a zero-mean two-mode state in standard form")
+    r = math.sqrt((a + 0.5) * b)
+    return 0.5 * (x + r), 0.5 * (x - r)
+
+
+def _trial_mean_blocks(state: GaussianState, m: int, seed: int, stream: int, n: int):
+    """Blocks of n trial averages of the difference count over m pulses each.
+
+    m pulses sum to lambda_+ chi^2_2m + lambda_- chi^2_2m, so a trial is
+    (2 lambda_+ G_1 + 2 lambda_- G_2)/m with G_1, G_2 ~ Gamma(m) drawn as one
+    row of a block: the cost does not grow with m.
+    """
+    lam_plus, lam_minus = _count_weights(state)
+    w_plus, w_minus = 2.0 * lam_plus / m, 2.0 * lam_minus / m
+    for gen, rows in _philox_blocks(seed, stream, n):
+        g = gen.standard_gamma(m, size=(rows, 2))
+        # elementwise, not g @ w: a trial's bits then do not depend on its block's size
+        yield g[:, 0] * w_plus + g[:, 1] * w_minus
 
 
 def empirical_error_rate(src: SourceParams, ch: ChannelParams, noise: NoiseParams,
                          m, cfg: SamplerConfig) -> float:
     """Misclassification fraction of the threshold test after m pulse pairs.
 
-    Each trial averages the difference count over m pulses and declares
-    "target present" above the midpoint of the two analytic conditional
-    means (0 and sqrt(kappa)*c). Equal priors: the returned rate averages
-    the false-alarm and missed-detection fractions.
+    Each trial averages the difference count over m pulses, drawn from that
+    average's exact law, and declares "target present" above the midpoint
+    of the two analytic conditional means (0 and sqrt(kappa)*c). Equal
+    priors: the returned rate averages the false-alarm and missed-detection
+    fractions.
     """
     m = _validate_pulses(m)
     threshold = 0.5 * math.sqrt(ch.reflectivity) * src.corr
-    averages = [_trial_means(src, ch, noise, m, cfg, hyp)
-                for hyp in (Hypothesis.H0, Hypothesis.H1)]
-    false_alarm = float(np.mean(averages[0] > threshold))
-    missed = float(np.mean(averages[1] <= threshold))
-    return 0.5 * (false_alarm + missed)
+    states = apply_noise(conditional_states(src, ch), noise)
+    above = [sum(int(np.count_nonzero(means > threshold))
+                 for means in _trial_mean_blocks(state, m, cfg.seed, stream, cfg.n_samples))
+             for state, stream in zip(states, (0, 2))]
+    return 0.5 * (above[0] + cfg.n_samples - above[1]) / cfg.n_samples
 
 
 def check_gaussian_moment_identities(cfg: SamplerConfig,

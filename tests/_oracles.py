@@ -12,9 +12,10 @@ import mpmath
 import numpy as np
 from scipy.linalg import expm
 
-from qillum.montecarlo import deflection_se
+from qillum.montecarlo import _pc_mode_blocks, deflection_se, difference_count
 from qillum.optimize import _INVPHI, _INVPHI2, _MAX_ITER
 from qillum.receiver import BeamsplitterMoments, ReceiverStats
+from qillum.states import Hypothesis
 
 
 def ulp_error(value: float, exact) -> float:
@@ -135,7 +136,9 @@ def _mp_williamson(a, b, c):
     ch, sh = mpmath.cosh(r), mpmath.sinh(r)
     s = mpmath.matrix([[ch, 0, sh, 0], [0, ch, 0, -sh], [sh, 0, ch, 0], [0, -sh, 0, ch]])
     d = mpmath.diag([nus[0], nus[0], nus[1], nus[1]])
-    assert mpmath.mnorm(s * d * s.T - _mp_cm(a, b, c), 1) < mpmath.mpf(10) ** (-mpmath.mp.dps + 10)
+    v = _mp_cm(a, b, c)
+    residual = mpmath.mnorm(s * d * s.T - v, 1) / mpmath.mnorm(v, 1)
+    assert residual < mpmath.mpf(10) ** (-mpmath.mp.dps + 10)
     return nus, s
 
 
@@ -268,3 +271,63 @@ def two_pass_moments(samples: np.ndarray) -> dict:
         "se_var": math.sqrt(max(m4 / n - var * var * (n - 3) / (n - 1), 0.0) / n),
         "cov_mean_var": m3 / n / n,
     }
+
+
+def pulse_trial_means(src, ch, noise, m: int, cfg, hypothesis) -> np.ndarray:
+    """Difference count averaged over each trial's m consecutive pulses, pulse by pulse.
+
+    The reference route of montecarlo's trial law: the n_samples*m pulses of
+    the physical chain stream block by block, and each block adds its counts
+    into the sums of the trials they belong to, so a trial may straddle
+    blocks and only the n_samples sums persist.
+    """
+    sums = np.zeros(cfg.n_samples)
+    start = 0
+    for modes in _pc_mode_blocks(src, ch, noise, cfg.seed, cfg.n_samples * m, hypothesis):
+        trial = np.arange(start, start + len(modes)) // m
+        sums[trial[0]:trial[-1] + 1] += np.bincount(trial - trial[0],
+                                                    weights=difference_count(modes))
+        start += len(modes)
+    return sums / m
+
+
+def pulse_error_rate(src, ch, noise, m: int, cfg) -> float:
+    """montecarlo.empirical_error_rate with every pulse drawn: the midpoint test
+    on pulse_trial_means."""
+    threshold = 0.5 * math.sqrt(ch.reflectivity) * src.corr
+    h0, h1 = (pulse_trial_means(src, ch, noise, m, cfg, hyp)
+              for hyp in (Hypothesis.H0, Hypothesis.H1))
+    return 0.5 * (float(np.mean(h0 > threshold)) + float(np.mean(h1 <= threshold)))
+
+
+def mp_midpoint_error_rate(src, ch, noise, m: int, dps: int = 20) -> float:
+    """Exact error probability of the equal-prior midpoint test after m pulses, in mpmath.
+
+    Under each hypothesis m times the trial mean is 2 l_+ G_1 + 2 l_- G_2, with
+    G_1, G_2 ~ Gamma(m) and l_+ > 0 > l_- the count weights of the state's
+    standard form. P(m D > m thr) is the integral over g of
+    Q(m, (m thr - 2 l_- g)/(2 l_+)) against the Gamma(m) density of G_2
+    (Q the regularized upper incomplete gamma function); the result is
+    (P_0(D > thr) + 1 - P_1(D > thr))/2.
+    """
+    with mpmath.workdps(dps):
+        m = mpmath.mpf(m)
+        thr = mpmath.sqrt(mpmath.mpf(ch.reflectivity)) * mpmath.mpf(src.corr) / 2
+        log_norm = mpmath.loggamma(m)
+        root = mpmath.sqrt(m)
+        # the Gamma(m) density is m +- a few sqrt(m) wide: split the range there
+        points = [0] + [m + k * root for k in range(-8, 9) if m + k * root > 0] + [mpmath.inf]
+
+        def above(a, b, c):
+            # the CM is (1/2)[[a I, c Z], [c Z, b I]], so x = c/2 and r = sqrt((a + 1) b)/2
+            r = mpmath.sqrt((a + 1) * b) / 2
+            lam_plus, lam_minus = (c / 2 + r) / 2, (c / 2 - r) / 2
+
+            def integrand(g):
+                z = (m * thr - 2 * lam_minus * g) / (2 * lam_plus)
+                density = mpmath.exp((m - 1) * mpmath.log(g) - g - log_norm)
+                return mpmath.gammainc(m, z, mpmath.inf, regularized=True) * density
+            return mpmath.quad(integrand, points)
+
+        e0, e1 = _mp_model_entries(src, ch, noise)
+        return float((above(*e0) + 1 - above(*e1)) / 2)

@@ -3,6 +3,7 @@
 The closed standard-form route is also held to the generic Williamson route,
 which stays in the library as the fallback for any other pair of states.
 """
+import dataclasses
 import math
 
 import mpmath
@@ -14,6 +15,7 @@ from scipy.integrate import quad
 
 import qillum.bounds
 from qillum.bounds import (
+    MAX_BOUND_N_BACKGROUND,
     S_ENDPOINT_EPS,
     ClassicalDistributionPair,
     SOverlapResult,
@@ -571,3 +573,21 @@ def test_sweep_bound_rates_within_1e12_of_mpmath(scenario):
     exact = mp_model_exponents(*scenario.resolve())
     for label, rate in zip(result.receivers, result.per_mode_rate):
         assert abs(rate - exact[label]) <= 1e-12 * exact[label]
+
+
+@pytest.mark.parametrize("scenario", GOLDEN_FAMILY + SECOND_ORDER)
+def test_sweep_bound_rates_within_1e12_of_mpmath_at_the_largest_background(scenario):
+    bright = dataclasses.replace(scenario, nb=MAX_BOUND_N_BACKGROUND)
+    result = compute_sweep(SweepSpec(bright, (1,), ("QI-QCB", "QI-QBB", "QI+Het+CCB")))
+    # the exponents are ~N_B^-2 of terms of order ln N_B: 2 digits per decade
+    exact = mp_model_exponents(*bright.resolve(), dps=140)
+    for label, rate in zip(result.receivers, result.per_mode_rate):
+        assert abs(rate - exact[label]) <= 1e-12 * exact[label]
+
+
+def test_bound_rows_reject_a_background_past_the_largest():
+    src, ch, noise = ScenarioParams(ns=0.01, ni=0.01).resolve()
+    past = ChannelParams(ch.reflectivity, math.nextafter(MAX_BOUND_N_BACKGROUND, math.inf))
+    StandardFormPair.from_model(src, ChannelParams(ch.reflectivity, MAX_BOUND_N_BACKGROUND), noise)
+    with pytest.raises(ValueError, match="--nb"):
+        StandardFormPair.from_model(src, past, noise)

@@ -447,6 +447,31 @@ class TestBoundsCommand:
         assert s < d
 
 
+class TestBrightBackground:
+    """Past bounds.MAX_BOUND_N_BACKGROUND the QI bound rows exit 2; threshold rows still run."""
+
+    def test_bounds_exit_2_naming_nb(self, capsys):
+        rc, out, err = run_cli(capsys, ["bounds", "--nb", "1e160"])
+        assert rc == 2 and out == ""
+        assert "--nb" in err and "Traceback" not in err
+
+    def test_sweep_with_bound_rows_exits_2_naming_nb(self, capsys):
+        rc, out, err = run_cli(capsys, ["sweep", "--m", "10", "--nb", "1e200"])
+        assert rc == 2 and out == ""
+        assert "--nb" in err
+
+    def test_threshold_sweep_takes_any_background(self, capsys):
+        rc, out, _ = run_cli(capsys, ["sweep", "--receivers", "QI+PC", "--m", "10",
+                                      "--nb", "1e200"])
+        assert rc == 0
+        assert out.splitlines()[1].startswith("QI+PC,10,0.5,")
+
+    def test_largest_background_still_runs(self, capsys):
+        rc, report, _ = run_json(capsys, ["bounds", "--nb", "1e39"])
+        assert rc == 0
+        assert all(row["exponent"] > 0 for row in report["results"])
+
+
 class TestMcCommand:
     def test_gates_pass_at_reference_seed(self, capsys):
         rc, out, _ = run_cli(capsys, ["mc"] + REF_FLAGS + ["--samples", "20000"])

@@ -2,6 +2,7 @@
 identities and bounded memory."""
 import dataclasses
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -19,7 +20,7 @@ from qillum.montecarlo import (
     sample_quadratures,
     simulate_pc_receiver,
 )
-from qillum.montecarlo import _streamed_moments, _trial_means
+from qillum.montecarlo import _count_weights, _streamed_moments, _trial_mean_blocks
 from qillum.receiver import beamsplitter_moments, half_erfc, snr_pc
 from qillum.states import (
     ChannelParams,
@@ -34,7 +35,13 @@ from qillum.states import (
 )
 from qillum.symplectic import CovMatrix
 
-from _oracles import deflection_sigma, two_pass_moments
+from _oracles import (
+    deflection_sigma,
+    mp_midpoint_error_rate,
+    pulse_error_rate,
+    pulse_trial_means,
+    two_pass_moments,
+)
 
 REF_SRC = make_source(0.01, 0.01, corr="quantum")
 REF_CH = ChannelParams(reflectivity=0.01, n_background=20.0)
@@ -188,8 +195,100 @@ class TestStreamLayout:
             # relative to the mean |count| of the trial: an average near 0 carries
             # the rounding of its terms, not of itself
             scale = np.abs(counts).reshape(n_trials, m).mean(axis=1)
-            got = _trial_means(REF_SRC, REF_CH, NO_NOISE, m, cfg, hyp)
+            got = pulse_trial_means(REF_SRC, REF_CH, NO_NOISE, m, cfg, hyp)
             assert np.all(np.abs(got - expected) <= 1e-12 * scale)
+
+    @pytest.mark.parametrize("m", [1, 50, 10 ** 12])
+    def test_trial_prefix_independent_of_count(self, m):
+        state = apply_noise(conditional_states(REF_SRC, REF_CH), NO_NOISE)[1]
+        runs = [np.concatenate(list(_trial_mean_blocks(state, m, 36, 2, n))) for n in self.SIZES]
+        for means in runs:
+            assert np.array_equal(means, runs[-1][:len(means)])
+        assert not np.array_equal(runs[-1][:8], runs[-1][BLOCK:BLOCK + 8])
+
+    def test_trial_block_zero_is_the_single_philox_draw(self):
+        state = apply_noise(conditional_states(REF_SRC, REF_CH), NO_NOISE)[0]
+        lam_plus, lam_minus = _count_weights(state)
+        gen = np.random.Generator(np.random.Philox(key=np.array([37, 0], dtype=np.uint64)))
+        g = gen.standard_gamma(50, size=(1000, 2))
+        expected = g[:, 0] * (2.0 * lam_plus / 50) + g[:, 1] * (2.0 * lam_minus / 50)
+        (got,) = _trial_mean_blocks(state, 50, 37, 0, 1000)
+        assert np.array_equal(got, expected)
+
+
+# criterion 1's grid, with N_S = N_I at the quantum correlation
+GRID = [(ns, nb, kappa) for ns in (0.001, 0.01, 0.1, 1.0, 10.0)
+        for nb in (0.0, 0.1, 1.0, 20.0, 100.0) for kappa in (0.001, 0.01, 0.1)]
+
+# the validation scenario of the sampling script and of perfbench's mc_validation
+VAL_SRC = make_source(0.2, 0.2, corr="quantum")
+VAL_CH = ChannelParams(reflectivity=0.05, n_background=0.5)
+# mp_midpoint_error_rate at the validation scenario, to 6 digits
+EXACT_RATES = {1: 0.473411, 3: 0.450163, 50: 0.297395, 200: 0.143250, 800: 0.016476}
+
+
+class TestTrialLaw:
+    """A trial is (2 l_+ G_1 + 2 l_- G_2)/m, G_i ~ Gamma(m): checked against the pulse route."""
+
+    @pytest.mark.parametrize("eps", [0.0, 1.0])
+    def test_weights_give_snr_pc_moments(self, eps):
+        noise = NoiseParams(eps_return=eps, eps_idler=eps)
+        for ns, nb, kappa in GRID:
+            src, ch = make_source(ns, ns, corr="quantum"), ChannelParams(kappa, nb)
+            stats = snr_pc(src, ch, noise)
+            states = apply_noise(conditional_states(src, ch), noise)
+            for state, mean, var in zip(states, (stats.mean_h0, stats.mean_h1),
+                                        (stats.var_h0, stats.var_h1)):
+                lam_plus, lam_minus = _count_weights(state)
+                assert 4.0 * (lam_plus ** 2 + lam_minus ** 2) == pytest.approx(var, rel=1e-14, abs=0)
+                # the sum cancels to the mean, so it carries the rounding of the
+                # terms' scale l_+ - l_- = r, not of the mean's
+                scale = max(abs(mean), 2.0 * (lam_plus - lam_minus))
+                assert abs(2.0 * (lam_plus + lam_minus) - mean) <= 1e-14 * scale
+
+    def test_weights_reject_a_state_off_the_law(self):
+        state = conditional_states(REF_SRC, REF_CH)[1]
+        shifted = GaussianState(mean=np.array([1.0, 0.0, 0.0, 0.0]), cov=state.cov)
+        with pytest.raises(ValueError, match="zero-mean"):
+            _count_weights(shifted)
+        rotated = np.array(state.cov.entries)
+        rotated[0, 3] = rotated[3, 0] = 1e-3
+        with pytest.raises(ValueError, match="standard form"):
+            _count_weights(GaussianState(mean=np.zeros(4), cov=CovMatrix(rotated)))
+
+    @pytest.mark.parametrize("m", [1, 3, 50])
+    def test_rate_matches_the_pulse_route(self, m):
+        n = 20_000
+        cfg = SamplerConfig(seed=41, n_samples=n)
+        law = empirical_error_rate(VAL_SRC, VAL_CH, NO_NOISE, m, cfg)
+        pulses = pulse_error_rate(VAL_SRC, VAL_CH, NO_NOISE, m, cfg)
+        p = EXACT_RATES[m]
+        # two independent rates over 2n trials each
+        se = math.sqrt(2.0 * p * (1 - p) / (2 * n))
+        assert abs(law - pulses) <= 5 * se
+
+    def test_huge_pulse_count_is_cheap(self):
+        t0 = time.perf_counter()
+        rate = empirical_error_rate(VAL_SRC, VAL_CH, NO_NOISE, 10 ** 12,
+                                    SamplerConfig(seed=43, n_samples=4000))
+        assert time.perf_counter() - t0 < 1.0
+        assert rate == 0.0  # M SNR ~ 6e10
+
+    def test_exact_oracle_reproduces_the_table(self):
+        for m, p in EXACT_RATES.items():
+            assert mp_midpoint_error_rate(VAL_SRC, VAL_CH, NO_NOISE, m) == pytest.approx(p, abs=5e-7)
+
+    def test_rates_match_the_exact_finite_m_law(self):
+        n = 1_000_000
+        snr = snr_pc(VAL_SRC, VAL_CH, NO_NOISE).snr
+        for m, p in EXACT_RATES.items():
+            rate = empirical_error_rate(VAL_SRC, VAL_CH, NO_NOISE, m,
+                                        SamplerConfig(seed=42, n_samples=n))
+            se = math.sqrt(p * (1 - p) / (2 * n))
+            assert abs(rate - p) <= 5 * se, (m, rate, p)
+            if m == 1:
+                # the CLT erfc is 9.6 se off here: the gate tells the two apart
+                assert abs(rate - half_erfc(math.sqrt(m * snr))) > 5 * se
 
 
 class TestPcModeMoments:
