@@ -76,11 +76,15 @@ _EPS = float(np.finfo(float).eps)
 _EXPONENT_RTOL = 4.0 * _EPS
 _MAX_STEPS = 200
 _UNPHYSICAL = "covariance matrix is not physical (symplectic eigenvalue < 1/2)"
-# The largest background at which the model's QI bound rates still meet 1e-12
-# relative to mpmath on the second-order test scenarios (7e-14 at 1e39, 1.5e-12
-# at 1e40). Past ~1e77 sinh^2 of the squeezing mismatch underflows to 0 and the
-# QCB reads ~1e-167 where it is ~1e-85; past ~1e154 its square overflows.
-MAX_BOUND_N_BACKGROUND = 1e39
+# The largest return and idler excesses over the vacuum, 2 N_B + eps_r and
+# 2 N_I + eps_i, at which the model's QI bound rates still meet 1e-12 relative
+# to 140-digit mpmath on the test scenarios. Return: 7e-14 at 2e39 (N_B = 1e39),
+# 1.5e-12 at 2e40. Idler: 8e-16 up to 8e76. Once the summed excess s passes
+# ~1e77 the mismatch term's denominator, of order s^4, overflows, sinh^2 of the
+# squeezing mismatch reads 0, and the QCB falls far below the heterodyne CCB
+# that it bounds. Far larger excesses overflow a square (OverflowError).
+MAX_BOUND_RETURN_EXCESS = 2e39
+MAX_BOUND_IDLER_EXCESS = 1e76
 
 
 @dataclass(frozen=True)
@@ -340,16 +344,19 @@ class StandardFormPair:
                    noise: NoiseParams = NoiseParams()) -> "StandardFormPair":
         """The conditional return/idler states of states.conditional_states after apply_noise.
 
-        ValueError past MAX_BOUND_N_BACKGROUND, where the rates lose their accuracy.
+        ValueError past MAX_BOUND_RETURN_EXCESS or MAX_BOUND_IDLER_EXCESS,
+        where the rates lose their accuracy.
         """
-        if ch.n_background > MAX_BOUND_N_BACKGROUND:
-            raise ValueError(
-                f"N_B (--nb) = {ch.n_background:g} is above {MAX_BOUND_N_BACKGROUND:g}, "
-                "past which the QI-QCB, QI-QBB and QI+Het+CCB rates lose their "
-                "accuracy; the threshold receivers take any N_B")
-        return cls(2.0 * ch.n_background + noise.eps_return,
-                   2.0 * src.n_idler + noise.eps_idler, 0.0,
-                   2.0 * ch.reflectivity * src.n_signal, 0.0,
+        n_a, n_b = 2.0 * ch.n_background + noise.eps_return, 2.0 * src.n_idler + noise.eps_idler
+        for mode, flags, excess, limit in (
+                ("return", "2 N_B + eps_r (--nb, --eps-r)", n_a, MAX_BOUND_RETURN_EXCESS),
+                ("idler", "2 N_I + eps_i (--ni, --eps-i)", n_b, MAX_BOUND_IDLER_EXCESS)):
+            if excess > limit:
+                raise ValueError(
+                    f"the {mode} excess {flags} = {excess:g} is above {limit:g}, past which "
+                    "the QI-QCB, QI-QBB and QI+Het+CCB rates lose their accuracy; "
+                    "the threshold receivers take any value")
+        return cls(n_a, n_b, 0.0, 2.0 * ch.reflectivity * src.n_signal, 0.0,
                    math.sqrt(ch.reflectivity) * src.corr)
 
     def _log_c_slope(self, s: float) -> tuple[float, float]:

@@ -378,7 +378,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--json", action="store_true", help="emit the JSON report")
     common.add_argument("--config", help="JSON file with scenario defaults; flags override")
     common.add_argument("--out", help="write output to this path instead of stdout")
-    common.add_argument("--seed", type=int, default=42, help="sampling seed (mc)")
     for flag, help_text in (
         ("--ns", "signal brightness N_S"),
         ("--ni", "idler brightness N_I"),
@@ -416,6 +415,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="seeded sampling gates: empirical vs analytic")
     mc.add_argument("--samples", type=int, default=1_000_000,
                     help="samples per hypothesis")
+    mc.add_argument("--seed", type=int, default=42, help="sampling seed")
     mc.set_defaults(func=cmd_mc)
     return parser
 

@@ -2,10 +2,10 @@
 
 Quadrature outcomes are classical Gaussian samples drawn from the state's
 covariance matrix (exactly the statistics the closed forms describe). The
-conjugate-and-mix chain is simulated sample by sample: an independent unit
-vacuum sample is added during conjugation, the balanced beamsplitter forms
-the +/- modes, and the decision statistic is the difference of the two
-photon-number estimates N = (q^2 + p^2 - 1)/2.
+receiver chain draws the phase-conjugated return/idler state of
+receiver.pc_transform, mixes its samples on the balanced beamsplitter into
+the +/- modes, and takes the difference of the two photon-number estimates
+N = (q^2 + p^2 - 1)/2 as the decision statistic.
 
 The threshold test's trials do not draw their pulses. In the model's
 standard form one pulse's difference count is a two-term chi-square mixture,
@@ -22,9 +22,9 @@ whatever the row count, and repeated runs are bit-identical whatever the
 order in which the hypotheses and checks are evaluated. The samplers reduce
 one block at a time, so their memory does not grow with the sample count;
 only sample_quadratures and sample_pc_modes, which return the samples,
-hold them all. Streams: 0 and 1 carry the H0 return/idler pair and its
-vacuum, 2 and 3 those of H1; the threshold test's H0 and H1 trials use
-streams 0 and 2; the moment identities use streams 16 and up.
+hold them all. Streams: H0 on stream 0 and H1 on stream 2, for both the
+receiver chain and the threshold test's trials; the moment identities use
+streams 16 and up.
 """
 from __future__ import annotations
 
@@ -34,19 +34,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericFailure
+from .receiver import pc_transform
 from .states import (
     ChannelParams,
     GaussianState,
     Hypothesis,
     NoiseParams,
     SourceParams,
-    _standard_form_matrix,
     _validate_pulses,
     apply_noise,
     conditional_states,
 )
-
-_VACUUM_STD = math.sqrt(0.5)
 
 
 @dataclass(frozen=True)
@@ -120,19 +118,14 @@ def _philox_blocks(seed: int, stream: int, n: int):
         yield gen, min(_BLOCK, n - start)
 
 
-def _normal_blocks(seed: int, stream: int, n: int, width: int):
-    """Standard normals, (rows, width) per block, for a stream's first n samples."""
-    for gen, rows in _philox_blocks(seed, stream, n):
-        yield gen.standard_normal((rows, width))
-
-
 def _gaussian_blocks(mean, cov: np.ndarray, seed: int, stream: int, n: int):
     """Blocks of n samples of N(mean, cov); the Cholesky factor colours each normal row."""
     try:
         chol = np.linalg.cholesky(cov)
     except np.linalg.LinAlgError as exc:
         raise NumericFailure(f"covariance factorization failed: {exc}") from exc
-    for z in _normal_blocks(seed, stream, n, len(cov)):
+    for gen, count in _philox_blocks(seed, stream, n):
+        z = gen.standard_normal((count, len(cov)))
         # numpy multiplies a lone row by a matrix-vector route whose rounding
         # differs from the matrix-matrix one; colouring it as two rows keeps a
         # sample's bits independent of where its block ends
@@ -153,19 +146,14 @@ def sample_quadratures(state: GaussianState, cfg: SamplerConfig, stream: int = 0
                                                 cfg.seed, stream, cfg.n_samples)))
 
 
-def _pc_mix(xs: np.ndarray, vac: np.ndarray) -> np.ndarray:
-    """Conjugate the return samples, add vacuum, mix 50-50 with the idler.
+def _pc_mix(xs: np.ndarray) -> np.ndarray:
+    """Mix the conjugated return samples 50-50 with the idler's.
 
-    xs columns are (q_R, p_R, q_I, p_I); vac is a unit-vacuum sample pair.
-    Output columns are (q_+, p_+, q_-, p_-).
+    xs columns are (q_pc, p_pc, q_I, p_I); output columns are (q_+, p_+, q_-, p_-).
     """
-    q_pc = vac[:, 0] + xs[:, 0]
-    p_pc = vac[:, 1] - xs[:, 1]
     out = np.empty((len(xs), 4))
-    np.add(q_pc, xs[:, 2], out=out[:, 0])
-    np.add(p_pc, xs[:, 3], out=out[:, 1])
-    np.subtract(q_pc, xs[:, 2], out=out[:, 2])
-    np.subtract(p_pc, xs[:, 3], out=out[:, 3])
+    np.add(xs[:, :2], xs[:, 2:], out=out[:, :2])
+    np.subtract(xs[:, :2], xs[:, 2:], out=out[:, 2:])
     out *= 1.0 / math.sqrt(2.0)
     return out
 
@@ -174,14 +162,14 @@ def _pc_mode_blocks(src: SourceParams, ch: ChannelParams, noise: NoiseParams,
                     seed: int, n: int, hypothesis: Hypothesis):
     """Blocks of n beamsplitter output samples under one hypothesis.
 
-    H0 draws the return/idler pair from stream 0 and the vacuum from stream 1;
-    H1 uses streams 2 and 3.
+    The conjugated state is coloured and then mixed: the mixed covariance has
+    a small direction that its own Cholesky factor loses at bright
+    backgrounds. H0 draws from stream 0, H1 from stream 2.
     """
-    state = apply_noise(conditional_states(src, ch), noise)[0 if hypothesis is Hypothesis.H0 else 1]
-    base = 0 if hypothesis is Hypothesis.H0 else 2
-    xs_blocks = _gaussian_blocks(state.mean, state.cov.entries, seed, base, n)
-    for xs, vac in zip(xs_blocks, _normal_blocks(seed, base + 1, n, 2)):
-        yield _pc_mix(xs, vac * _VACUUM_STD)
+    h = 0 if hypothesis is Hypothesis.H0 else 1
+    state = pc_transform(apply_noise(conditional_states(src, ch), noise))[h]
+    for xs in _gaussian_blocks(state.mean, state.cov.entries, seed, 2 * h, n):
+        yield _pc_mix(xs)
 
 
 def sample_pc_modes(src: SourceParams, ch: ChannelParams, noise: NoiseParams,
@@ -322,19 +310,19 @@ def deflection_se(emp: EmpiricalStats, snr: float) -> float:
 def _count_weights(state: GaussianState) -> tuple[float, float]:
     """(lambda_+, lambda_-): one pulse's difference count is lambda_+ X_1 + lambda_- X_2.
 
-    The count is q_pc*q_I + p_pc*p_I with q_pc = v_q + q_R and p_pc = v_p - p_R.
-    In standard form the (q_pc, q_I) and (p_pc, p_I) pairs are independent,
-    each with variances (a + 1/2, b) and covariance x (a = V[0,0], b = V[2,2],
-    x = V[0,2]). A product of such a pair is lambda_+ z_1^2 + lambda_- z_2^2
-    with lambda_+- = (x +- r)/2, r = sqrt((a + 1/2) b), so the two pairs give
-    X_1, X_2 ~ chi^2_2. ValueError unless the state is zero-mean and in
-    standard form.
+    state is a conjugated return/idler state (receiver.pc_transform). The count is
+    q_pc*q_I + p_pc*p_I, and in its standard form the (q_pc, q_I) and
+    (p_pc, p_I) pairs are independent, each with variances (a, b) and
+    covariance x (a = V[0,0], b = V[2,2], x = V[0,2]). A product of such a
+    pair is lambda_+ z_1^2 + lambda_- z_2^2 with lambda_+- = (x +- r)/2,
+    r = sqrt(a b), so the two pairs give X_1, X_2 ~ chi^2_2. ValueError unless
+    the state is zero-mean with V = [[a, x], [x, b]] (x) I_2.
     """
     v = state.cov.entries
     a, b, x = v[0, 0], v[2, 2], v[0, 2]
-    if np.any(state.mean) or not np.array_equal(v, _standard_form_matrix(a, b, x)):
-        raise ValueError("the trial law needs a zero-mean two-mode state in standard form")
-    r = math.sqrt((a + 0.5) * b)
+    if np.any(state.mean) or not np.array_equal(v, np.kron([[a, x], [x, b]], np.eye(2))):
+        raise ValueError("the trial law needs a zero-mean conjugated state in standard form")
+    r = math.sqrt(a * b)
     return 0.5 * (x + r), 0.5 * (x - r)
 
 
@@ -365,7 +353,7 @@ def empirical_error_rate(src: SourceParams, ch: ChannelParams, noise: NoiseParam
     """
     m = _validate_pulses(m)
     threshold = 0.5 * math.sqrt(ch.reflectivity) * src.corr
-    states = apply_noise(conditional_states(src, ch), noise)
+    states = pc_transform(apply_noise(conditional_states(src, ch), noise))
     above = [sum(int(np.count_nonzero(means > threshold))
                  for means in _trial_mean_blocks(state, m, cfg.seed, stream, cfg.n_samples))
              for state, stream in zip(states, (0, 2))]

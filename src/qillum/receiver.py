@@ -445,17 +445,16 @@ class Receiver:
 
     rate(src, ch, noise, pair): the M-independent per-mode rate, an SNR for a
         threshold receiver, else a Chernoff-type exponent.
-    threshold: rows are (1/2)erfc(sqrt(M*rate)) if True, the bound
-        (1/2)exp(-M*rate) if False.
     added_noise: the noise a PC receiver adds to the scenario's; else None.
-    bound(src, ch, noise, pair, prior_h0): a bound receiver's SOverlapResult.
+    bound(src, ch, noise, pair, prior_h0): a bound receiver's SOverlapResult;
+        None for a threshold receiver. Its rows are the bound (1/2)exp(-M*rate),
+        a threshold receiver's (1/2)erfc(sqrt(M*rate)).
     asymptote(src, ch): the bright-background SNR, where known (asymptotic_snr).
     check(src, ch, ms, log_p): a self-check of the ln p column; raises NumericFailure.
     """
 
     label: str
     rate: Callable
-    threshold: bool
     added_noise: NoiseParams | None = None
     bound: Callable | None = None
     asymptote: Callable | None = None
@@ -472,7 +471,7 @@ class Receiver:
         (SweepSpec checks them).
         """
         rate = self.rate(src, ch, noise, pair)
-        if self.threshold:
+        if self.bound is None:
             p, log_p = _erfc_points(rate, ms)
         else:
             p, log_p = [half_exp(m, rate) for m in ms], [LN_HALF - m * rate for m in ms]
@@ -486,8 +485,8 @@ def _pc(label: str, eps_return: float, eps_idler: float, asymptote) -> Receiver:
     def rate(src, ch, noise, pair):
         return snr_pc(src, ch, NoiseParams(eps_return=noise.eps_return + eps_return,
                                            eps_idler=noise.eps_idler + eps_idler)).snr
-    return Receiver(label, rate, threshold=True,
-                    added_noise=NoiseParams(eps_return, eps_idler), asymptote=asymptote)
+    return Receiver(label, rate, added_noise=NoiseParams(eps_return, eps_idler),
+                    asymptote=asymptote)
 
 
 RECEIVERS = {rx.label: rx for rx in (
@@ -497,21 +496,19 @@ RECEIVERS = {rx.label: rx for rx in (
     # heterodyne noise on both modes, which degrades PC to the coherent rate
     _pc("QI+Het+PC", 1.0, 1.0, _coherent_asymptote),
     Receiver("QI+Het+CCB", lambda src, ch, noise, pair: pair().heterodyne().ccb().exponent,
-             threshold=False,
              bound=lambda src, ch, noise, pair, prior_h0: pair().heterodyne().ccb(prior_h0)),
     # the exponent in closed form; the bound from qcb on the coherent states,
     # which share a thermal covariance and take its closed form at any prior
     Receiver("CS-QCB", lambda src, ch, noise, pair: cs_qcb_exponent(src.n_signal, ch),
-             threshold=False,
              bound=lambda src, ch, noise, pair, prior_h0: qcb(
                  *coherent_benchmark_states(src.n_signal, ch), prior_h0=prior_h0)),
     Receiver("CS+Hom", lambda src, ch, noise, pair: homodyne_rate(src.n_signal, ch),
-             threshold=True, asymptote=_coherent_asymptote,
+             asymptote=_coherent_asymptote,
              check=lambda src, ch, ms, log_p: _check_homodyne_optimum(
                  src.n_signal, ch, ms, log_p)),
-    Receiver("QI-QCB", lambda src, ch, noise, pair: pair().qcb().exponent, threshold=False,
+    Receiver("QI-QCB", lambda src, ch, noise, pair: pair().qcb().exponent,
              bound=lambda src, ch, noise, pair, prior_h0: pair().qcb(prior_h0)),
-    Receiver("QI-QBB", lambda src, ch, noise, pair: pair().exponent(0.5), threshold=False,
+    Receiver("QI-QBB", lambda src, ch, noise, pair: pair().exponent(0.5),
              bound=lambda src, ch, noise, pair, prior_h0: _bound_at(
                  0.5, pair().log_c(0.5), prior_h0)),
 )}

@@ -15,7 +15,8 @@ from scipy.integrate import quad
 
 import qillum.bounds
 from qillum.bounds import (
-    MAX_BOUND_N_BACKGROUND,
+    MAX_BOUND_IDLER_EXCESS,
+    MAX_BOUND_RETURN_EXCESS,
     S_ENDPOINT_EPS,
     ClassicalDistributionPair,
     SOverlapResult,
@@ -577,7 +578,7 @@ def test_sweep_bound_rates_within_1e12_of_mpmath(scenario):
 
 @pytest.mark.parametrize("scenario", GOLDEN_FAMILY + SECOND_ORDER)
 def test_sweep_bound_rates_within_1e12_of_mpmath_at_the_largest_background(scenario):
-    bright = dataclasses.replace(scenario, nb=MAX_BOUND_N_BACKGROUND)
+    bright = dataclasses.replace(scenario, nb=MAX_BOUND_RETURN_EXCESS / 2)
     result = compute_sweep(SweepSpec(bright, (1,), ("QI-QCB", "QI-QBB", "QI+Het+CCB")))
     # the exponents are ~N_B^-2 of terms of order ln N_B: 2 digits per decade
     exact = mp_model_exponents(*bright.resolve(), dps=140)
@@ -585,9 +586,59 @@ def test_sweep_bound_rates_within_1e12_of_mpmath_at_the_largest_background(scena
         assert abs(rate - exact[label]) <= 1e-12 * exact[label]
 
 
+@pytest.mark.parametrize("scenario", GOLDEN_FAMILY + SECOND_ORDER)
+def test_sweep_bound_rates_within_1e12_of_mpmath_at_the_largest_idler(scenario):
+    # N_I at the limit also raises the quantum correlation, and with it the
+    # squeezing mismatch whose denominator overflows just past the limit
+    bright = dataclasses.replace(scenario, ni=MAX_BOUND_IDLER_EXCESS / 2)
+    result = compute_sweep(SweepSpec(bright, (1,), ("QI-QCB", "QI-QBB", "QI+Het+CCB")))
+    exact = mp_model_exponents(*bright.resolve(), dps=140)
+    for label, rate in zip(result.receivers, result.per_mode_rate):
+        assert abs(rate - exact[label]) <= 1e-12 * exact[label]
+
+
 def test_bound_rows_reject_a_background_past_the_largest():
     src, ch, noise = ScenarioParams(ns=0.01, ni=0.01).resolve()
-    past = ChannelParams(ch.reflectivity, math.nextafter(MAX_BOUND_N_BACKGROUND, math.inf))
-    StandardFormPair.from_model(src, ChannelParams(ch.reflectivity, MAX_BOUND_N_BACKGROUND), noise)
+    largest = MAX_BOUND_RETURN_EXCESS / 2
+    past = ChannelParams(ch.reflectivity, math.nextafter(largest, math.inf))
+    StandardFormPair.from_model(src, ChannelParams(ch.reflectivity, largest), noise)
     with pytest.raises(ValueError, match="--nb"):
         StandardFormPair.from_model(src, past, noise)
+
+
+@pytest.mark.parametrize("flag, field, largest", [
+    ("--eps-r", "eps_r", MAX_BOUND_RETURN_EXCESS),
+    ("--eps-i", "eps_i", MAX_BOUND_IDLER_EXCESS),
+    ("--ni", "ni", MAX_BOUND_IDLER_EXCESS / 2),
+])
+def test_bound_rows_reject_an_excess_past_the_largest(flag, field, largest):
+    # the limits hold the excess 2 N + eps of each mode, not N_B alone
+    scenario = ScenarioParams(ns=0.01, ni=0.01, nb=0.0)
+    at = dataclasses.replace(scenario, **{field: largest})
+    StandardFormPair.from_model(*at.resolve())
+    past = dataclasses.replace(scenario, **{field: 1.5 * largest})
+    with pytest.raises(ValueError, match=flag):
+        StandardFormPair.from_model(*past.resolve())
+
+
+@st.composite
+def bright_model_scenarios(draw):
+    """Model scenarios with return and idler excesses up to their limits."""
+    def up_to(limit):
+        return st.one_of(st.just(0.0), log_uniform(1e-3, limit))
+
+    src = make_source(draw(log_uniform(1e-8, 1e2)), draw(up_to(MAX_BOUND_IDLER_EXCESS / 4)), 0.0)
+    src = SourceParams(src.n_signal, src.n_idler, draw(st.floats(0.0, 1.0)) * c_quantum(src))
+    ch = ChannelParams(draw(log_uniform(1e-6, 1.0)), draw(up_to(MAX_BOUND_RETURN_EXCESS / 4)))
+    noise = NoiseParams(draw(up_to(MAX_BOUND_RETURN_EXCESS / 2)),
+                        draw(up_to(MAX_BOUND_IDLER_EXCESS / 2)))
+    return src, ch, noise
+
+
+@settings(max_examples=200, deadline=None)
+@given(bright_model_scenarios())
+def test_qcb_bounds_the_heterodyne_ccb_up_to_the_limits(scenario):
+    # heterodyne then the CCB is one measurement, and the QCB bounds every one
+    pair = StandardFormPair.from_model(*scenario)
+    qcb_exponent, ccb_exponent = pair.qcb().exponent, pair.heterodyne().ccb().exponent
+    assert qcb_exponent >= ccb_exponent * (1.0 - 1e-12)

@@ -123,6 +123,14 @@ class TestSnrCommand:
             main([])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv", [["snr"], ["sweep", "--m", "10"], ["bounds"]])
+    def test_seed_is_an_mc_flag_only(self, argv, capsys):
+        # only qi mc samples, so the other commands reject --seed rather than ignore it
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--seed", "5"])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+
 
 class TestSweepCommand:
     def test_single_receiver_single_m(self, capsys):
@@ -448,7 +456,8 @@ class TestBoundsCommand:
 
 
 class TestBrightBackground:
-    """Past bounds.MAX_BOUND_N_BACKGROUND the QI bound rows exit 2; threshold rows still run."""
+    """Past bounds.MAX_BOUND_RETURN_EXCESS (2 N_B + eps_r) or MAX_BOUND_IDLER_EXCESS
+    (2 N_I + eps_i) the QI bound rows exit 2; threshold rows still run."""
 
     def test_bounds_exit_2_naming_nb(self, capsys):
         rc, out, err = run_cli(capsys, ["bounds", "--nb", "1e160"])
@@ -465,6 +474,27 @@ class TestBrightBackground:
                                       "--nb", "1e200"])
         assert rc == 0
         assert out.splitlines()[1].startswith("QI+PC,10,0.5,")
+
+    @pytest.mark.parametrize("argv, flag", [
+        # past the limits these overflow a square in the squeezing-mismatch term
+        (["bounds", "--eps-r", "1e160"], "--eps-r"),
+        (["bounds", "--eps-i", "1e160"], "--eps-i"),
+        (["bounds", "--ni", "1e150"], "--ni"),
+        # past the limits these would give a QI-QCB rate below the heterodyne CCB's,
+        # which it bounds
+        (["bounds", "--eps-r", "1e150"], "--eps-r"),
+        (["sweep", "--m", "10", "--receivers", "QI-QCB,QI+Het+CCB", "--ni", "1e80"], "--ni"),
+    ])
+    def test_bright_added_noise_or_idler_exits_2_naming_the_flag(self, capsys, argv, flag):
+        rc, out, err = run_cli(capsys, argv)
+        assert rc == 2 and out == ""
+        assert flag in err and "Traceback" not in err
+
+    def test_threshold_sweep_takes_any_idler(self, capsys):
+        rc, out, _ = run_cli(capsys, ["sweep", "--receivers", "QI+PC,QI+Cal+PC,QI+Het+PC,CS+Hom",
+                                      "--m", "10", "--ni", "1e150"])
+        assert rc == 0
+        assert len(out.splitlines()) == 5
 
     def test_largest_background_still_runs(self, capsys):
         rc, report, _ = run_json(capsys, ["bounds", "--nb", "1e39"])

@@ -21,7 +21,7 @@ from qillum.montecarlo import (
     simulate_pc_receiver,
 )
 from qillum.montecarlo import _count_weights, _streamed_moments, _trial_mean_blocks
-from qillum.receiver import beamsplitter_moments, half_erfc, snr_pc
+from qillum.receiver import beamsplitter_moments, half_erfc, pc_transform, snr_pc
 from qillum.states import (
     ChannelParams,
     GaussianState,
@@ -158,16 +158,15 @@ class TestStreamLayout:
             key = np.array([33, stream], dtype=np.uint64)
             return np.random.Generator(np.random.Philox(key=key)).standard_normal((n, width))
 
-        state = apply_noise(conditional_states(REF_SRC, REF_CH), NO_NOISE)[1]
+        state = pc_transform(apply_noise(conditional_states(REF_SRC, REF_CH), NO_NOISE))[1]
         chol = np.linalg.cholesky(state.cov.entries)
         xs = state.mean + philox_normals(2, 4) @ chol.T
         cfg = SamplerConfig(seed=33, n_samples=n)
         assert np.array_equal(sample_quadratures(state, cfg, stream=2), xs)
 
-        vac = philox_normals(3, 2) * math.sqrt(0.5)
-        q_pc, p_pc = vac[:, 0] + xs[:, 0], vac[:, 1] - xs[:, 1]
-        modes = np.column_stack([q_pc + xs[:, 2], p_pc + xs[:, 3],
-                                 q_pc - xs[:, 2], p_pc - xs[:, 3]]) * (1.0 / math.sqrt(2.0))
+        # the conjugated (q_pc, p_pc, q_I, p_I) samples, mixed 50-50
+        modes = np.column_stack([xs[:, 0] + xs[:, 2], xs[:, 1] + xs[:, 3],
+                                 xs[:, 0] - xs[:, 2], xs[:, 1] - xs[:, 3]]) * (1.0 / math.sqrt(2.0))
         assert np.array_equal(sample_pc_modes(REF_SRC, REF_CH, NO_NOISE, cfg, Hypothesis.H1), modes)
 
     def test_streamed_moments_match_two_pass(self):
@@ -200,14 +199,14 @@ class TestStreamLayout:
 
     @pytest.mark.parametrize("m", [1, 50, 10 ** 12])
     def test_trial_prefix_independent_of_count(self, m):
-        state = apply_noise(conditional_states(REF_SRC, REF_CH), NO_NOISE)[1]
+        state = pc_transform(apply_noise(conditional_states(REF_SRC, REF_CH), NO_NOISE))[1]
         runs = [np.concatenate(list(_trial_mean_blocks(state, m, 36, 2, n))) for n in self.SIZES]
         for means in runs:
             assert np.array_equal(means, runs[-1][:len(means)])
         assert not np.array_equal(runs[-1][:8], runs[-1][BLOCK:BLOCK + 8])
 
     def test_trial_block_zero_is_the_single_philox_draw(self):
-        state = apply_noise(conditional_states(REF_SRC, REF_CH), NO_NOISE)[0]
+        state = pc_transform(apply_noise(conditional_states(REF_SRC, REF_CH), NO_NOISE))[0]
         lam_plus, lam_minus = _count_weights(state)
         gen = np.random.Generator(np.random.Philox(key=np.array([37, 0], dtype=np.uint64)))
         g = gen.standard_gamma(50, size=(1000, 2))
@@ -236,7 +235,7 @@ class TestTrialLaw:
         for ns, nb, kappa in GRID:
             src, ch = make_source(ns, ns, corr="quantum"), ChannelParams(kappa, nb)
             stats = snr_pc(src, ch, noise)
-            states = apply_noise(conditional_states(src, ch), noise)
+            states = pc_transform(apply_noise(conditional_states(src, ch), noise))
             for state, mean, var in zip(states, (stats.mean_h0, stats.mean_h1),
                                         (stats.var_h0, stats.var_h1)):
                 lam_plus, lam_minus = _count_weights(state)
@@ -247,7 +246,7 @@ class TestTrialLaw:
                 assert abs(2.0 * (lam_plus + lam_minus) - mean) <= 1e-14 * scale
 
     def test_weights_reject_a_state_off_the_law(self):
-        state = conditional_states(REF_SRC, REF_CH)[1]
+        state = pc_transform(conditional_states(REF_SRC, REF_CH))[1]
         shifted = GaussianState(mean=np.array([1.0, 0.0, 0.0, 0.0]), cov=state.cov)
         with pytest.raises(ValueError, match="zero-mean"):
             _count_weights(shifted)
@@ -255,6 +254,9 @@ class TestTrialLaw:
         rotated[0, 3] = rotated[3, 0] = 1e-3
         with pytest.raises(ValueError, match="standard form"):
             _count_weights(GaussianState(mean=np.zeros(4), cov=CovMatrix(rotated)))
+        # the unconjugated state: its cross block is x Z, not x I
+        with pytest.raises(ValueError, match="standard form"):
+            _count_weights(conditional_states(REF_SRC, REF_CH)[1])
 
     @pytest.mark.parametrize("m", [1, 3, 50])
     def test_rate_matches_the_pulse_route(self, m):
@@ -326,6 +328,22 @@ class TestPcModeMoments:
             observed = float(np.mean(modes[:, qcol] * modes[:, mcol]))
             se = math.sqrt((mom.alpha_plus ** 2 + mom.alpha_minus ** 2) / n)
             assert abs(observed - mom.alpha_minus) <= 5 * se
+
+    @pytest.mark.parametrize("eps_r, eps_i", [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)])
+    def test_mixed_conjugated_state_is_the_beamsplitter_moments(self, eps_r, eps_i):
+        # _pc_mix's map: (q_pc, p_pc, q_I, p_I) -> (q_+, p_+, q_-, p_-)
+        mix = np.kron([[1.0, 1.0], [1.0, -1.0]], np.eye(2)) / math.sqrt(2.0)
+        noise = NoiseParams(eps_return=eps_r, eps_idler=eps_i)
+        for ns, nb, kappa in GRID:
+            src, ch = make_source(ns, ns, corr="quantum"), ChannelParams(kappa, nb)
+            mom = beamsplitter_moments(src, ch, noise)
+            expected = [[[mom.alpha_plus, mom.alpha_minus], [mom.alpha_minus, mom.alpha_plus]],
+                        [[mom.beta_plus, mom.gamma_star], [mom.gamma_star, mom.beta_minus]]]
+            states = pc_transform(apply_noise(conditional_states(src, ch), noise))
+            for state, want in zip(states, expected):
+                mixed = mix @ state.cov.entries @ mix.T
+                want = np.kron(want, np.eye(2))
+                assert np.all(np.abs(mixed - want) <= 1e-15 * np.max(np.diag(want)))
 
     def test_hypotheses_use_distinct_streams(self):
         cfg = SamplerConfig(seed=3, n_samples=50)
@@ -399,6 +417,17 @@ class TestSimulatePcReceiver:
         for big, small in ((10_000, 100_000), (100_000, 1_000_000)):
             ratio = runs[big].se_mean_h1 / runs[small].se_mean_h1
             assert 2.8 <= ratio <= 3.6  # ~ sqrt(10) per decade
+
+    def test_bright_background_passes_every_gate(self):
+        # the mixed covariance's Cholesky factor would lose its small direction
+        # here; the conjugated state's does not
+        ch = ChannelParams(reflectivity=0.01, n_background=1e17)
+        stats = simulate_pc_receiver(REF_SRC, ch, NO_NOISE, SamplerConfig(seed=42, n_samples=100_000))
+        analytic = snr_pc(REF_SRC, ch, NO_NOISE)
+        for field in ("mean_h0", "mean_h1", "var_h0", "var_h1"):
+            observed, se = getattr(stats, field), getattr(stats, f"se_{field}")
+            assert abs(observed - getattr(analytic, field)) <= 5 * se, field
+        assert deflection_sigma(stats, analytic.snr) <= 5
 
     def test_stats_type_rejects_negative_se(self):
         with pytest.raises(ValueError):
