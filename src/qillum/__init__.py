@@ -26,7 +26,6 @@ from .montecarlo import (
     check_gaussian_moment_identities,
     deflection_se,
     empirical_error_rate,
-    sample_pc_modes,
     sample_quadratures,
     simulate_pc_receiver,
 )

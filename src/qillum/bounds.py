@@ -85,6 +85,11 @@ _UNPHYSICAL = "covariance matrix is not physical (symplectic eigenvalue < 1/2)"
 # that it bounds. Far larger excesses overflow a square (OverflowError).
 MAX_BOUND_RETURN_EXCESS = 2e39
 MAX_BOUND_IDLER_EXCESS = 1e76
+# The largest H1 return excess from the signal, 2 kappa N_S, by the same scan:
+# 8.2e-13 at 1e5, 1.0e-12 at 10^5.25 and 2.6e-12 at 1e6, at kappa = 1 as at
+# the scenarios' own. The QI-QCB and QI-QBB rates carry the loss; past ~2e16
+# their evaluation ends in a math domain error, and far past it in a QCB of 0.
+MAX_BOUND_SIGNAL_EXCESS = 1e5
 
 
 @dataclass(frozen=True)
@@ -344,20 +349,21 @@ class StandardFormPair:
                    noise: NoiseParams = NoiseParams()) -> "StandardFormPair":
         """The conditional return/idler states of states.conditional_states after apply_noise.
 
-        ValueError past MAX_BOUND_RETURN_EXCESS or MAX_BOUND_IDLER_EXCESS,
-        where the rates lose their accuracy.
+        ValueError past MAX_BOUND_RETURN_EXCESS, MAX_BOUND_SIGNAL_EXCESS or
+        MAX_BOUND_IDLER_EXCESS, where the rates lose their accuracy.
         """
         n_a, n_b = 2.0 * ch.n_background + noise.eps_return, 2.0 * src.n_idler + noise.eps_idler
+        d_a = 2.0 * ch.reflectivity * src.n_signal
         for mode, flags, excess, limit in (
                 ("return", "2 N_B + eps_r (--nb, --eps-r)", n_a, MAX_BOUND_RETURN_EXCESS),
+                ("H1 return", "2 kappa N_S (--ns, --kappa)", d_a, MAX_BOUND_SIGNAL_EXCESS),
                 ("idler", "2 N_I + eps_i (--ni, --eps-i)", n_b, MAX_BOUND_IDLER_EXCESS)):
             if excess > limit:
                 raise ValueError(
-                    f"the {mode} excess {flags} = {excess:g} is above {limit:g}, past which "
+                    f"the {mode} excess {flags} = {float(excess)!r} is above {limit:g}, past which "
                     "the QI-QCB, QI-QBB and QI+Het+CCB rates lose their accuracy; "
                     "the threshold receivers take any value")
-        return cls(n_a, n_b, 0.0, 2.0 * ch.reflectivity * src.n_signal, 0.0,
-                   math.sqrt(ch.reflectivity) * src.corr)
+        return cls(n_a, n_b, 0.0, d_a, 0.0, math.sqrt(ch.reflectivity) * src.corr)
 
     def _log_c_slope(self, s: float) -> tuple[float, float]:
         """(ln C_s, d ln C_s/ds) for s in (0, 1)."""

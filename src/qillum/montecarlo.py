@@ -2,15 +2,17 @@
 
 Quadrature outcomes are classical Gaussian samples drawn from the state's
 covariance matrix (exactly the statistics the closed forms describe). The
-receiver chain draws the phase-conjugated return/idler state of
-receiver.pc_transform, mixes its samples on the balanced beamsplitter into
-the +/- modes, and takes the difference of the two photon-number estimates
-N = (q^2 + p^2 - 1)/2 as the decision statistic.
+receiver chain conjugates the return (receiver.pc_transform), mixes it with
+the idler on a balanced beamsplitter into the +/- modes, and takes the
+difference of the two photon-number estimates N = (q^2 + p^2 - 1)/2 as the
+decision statistic.
 
-The threshold test's trials do not draw their pulses. In the model's
-standard form one pulse's difference count is a two-term chi-square mixture,
-so a trial's average over m pulses is drawn from its exact law, two gamma
-variates per trial, at a cost that does not grow with m.
+Neither receiver sampler draws quadratures. In the model's standard form one
+pulse's difference count is a two-term chi-square mixture, so it is drawn
+from that exact law: the moment oracle takes one count per sample, and the
+threshold test takes a trial's average over m pulses, two gamma variates per
+trial at a cost that does not grow with m. The moment samples are the
+threshold test's trials at m = 1, bit for bit.
 
 All randomness is counter-based, and every stream is drawn in fixed logical
 blocks of 2**16 rows (Salmon et al., SC'11, "Parallel random numbers: as
@@ -21,10 +23,9 @@ Philox(key=[k, s]) stream. The first j rows are therefore the same bits
 whatever the row count, and repeated runs are bit-identical whatever the
 order in which the hypotheses and checks are evaluated. The samplers reduce
 one block at a time, so their memory does not grow with the sample count;
-only sample_quadratures and sample_pc_modes, which return the samples,
-hold them all. Streams: H0 on stream 0 and H1 on stream 2, for both the
-receiver chain and the threshold test's trials; the moment identities use
-streams 16 and up.
+only sample_quadratures, which returns the samples, holds them all.
+Streams: H0 on stream 0 and H1 on stream 2, for both the receiver moments
+and the threshold test's trials; the moment identities use streams 16 and up.
 """
 from __future__ import annotations
 
@@ -38,7 +39,6 @@ from .receiver import pc_transform
 from .states import (
     ChannelParams,
     GaussianState,
-    Hypothesis,
     NoiseParams,
     SourceParams,
     _validate_pulses,
@@ -146,45 +146,6 @@ def sample_quadratures(state: GaussianState, cfg: SamplerConfig, stream: int = 0
                                                 cfg.seed, stream, cfg.n_samples)))
 
 
-def _pc_mix(xs: np.ndarray) -> np.ndarray:
-    """Mix the conjugated return samples 50-50 with the idler's.
-
-    xs columns are (q_pc, p_pc, q_I, p_I); output columns are (q_+, p_+, q_-, p_-).
-    """
-    out = np.empty((len(xs), 4))
-    np.add(xs[:, :2], xs[:, 2:], out=out[:, :2])
-    np.subtract(xs[:, :2], xs[:, 2:], out=out[:, 2:])
-    out *= 1.0 / math.sqrt(2.0)
-    return out
-
-
-def _pc_mode_blocks(src: SourceParams, ch: ChannelParams, noise: NoiseParams,
-                    seed: int, n: int, hypothesis: Hypothesis):
-    """Blocks of n beamsplitter output samples under one hypothesis.
-
-    The conjugated state is coloured and then mixed: the mixed covariance has
-    a small direction that its own Cholesky factor loses at bright
-    backgrounds. H0 draws from stream 0, H1 from stream 2.
-    """
-    h = 0 if hypothesis is Hypothesis.H0 else 1
-    state = pc_transform(apply_noise(conditional_states(src, ch), noise))[h]
-    for xs in _gaussian_blocks(state.mean, state.cov.entries, seed, 2 * h, n):
-        yield _pc_mix(xs)
-
-
-def sample_pc_modes(src: SourceParams, ch: ChannelParams, noise: NoiseParams,
-                    cfg: SamplerConfig, hypothesis: Hypothesis) -> np.ndarray:
-    """Beamsplitter output quadrature samples (q_+, p_+, q_-, p_-)."""
-    return np.concatenate(list(_pc_mode_blocks(src, ch, noise, cfg.seed,
-                                               cfg.n_samples, hypothesis)))
-
-
-def difference_count(modes: np.ndarray) -> np.ndarray:
-    """Per-sample N_+ - N_- from beamsplitter output quadratures."""
-    return 0.5 * (modes[:, 0] ** 2 + modes[:, 1] ** 2
-                  - modes[:, 2] ** 2 - modes[:, 3] ** 2)
-
-
 @dataclass(frozen=True)
 class _Moments:
     """Count, mean and central power sums M2, M3, M4 of a sample."""
@@ -251,21 +212,62 @@ def _streamed_moments(blocks) -> tuple[_Moments, ...]:
     return total
 
 
+def _count_weights(state: GaussianState) -> tuple[float, float]:
+    """(lambda_+, lambda_-): one pulse's difference count is lambda_+ X_1 + lambda_- X_2.
+
+    state is a conjugated return/idler state (receiver.pc_transform). The count is
+    q_pc*q_I + p_pc*p_I, and in its standard form the (q_pc, q_I) and
+    (p_pc, p_I) pairs are independent, each with variances (a, b) and
+    covariance x (a = V[0,0], b = V[2,2], x = V[0,2]). A product of such a
+    pair is lambda_+ z_1^2 + lambda_- z_2^2 with lambda_+- = (x +- r)/2,
+    r = sqrt(a b), so the two pairs give X_1, X_2 ~ chi^2_2. ValueError unless
+    the state is zero-mean with V = [[a, x], [x, b]] (x) I_2.
+    """
+    v = state.cov.entries
+    a, b, x = v[0, 0], v[2, 2], v[0, 2]
+    if np.any(state.mean) or not np.array_equal(v, np.kron([[a, x], [x, b]], np.eye(2))):
+        raise ValueError("the trial law needs a zero-mean conjugated state in standard form")
+    r = math.sqrt(a * b)
+    return 0.5 * (x + r), 0.5 * (x - r)
+
+
+def _trial_mean_blocks(state: GaussianState, m: int, seed: int, stream: int, n: int):
+    """Blocks of n trial averages of the difference count over m pulses each.
+
+    m pulses sum to lambda_+ chi^2_2m + lambda_- chi^2_2m, so a trial is
+    (2 lambda_+ G_1 + 2 lambda_- G_2)/m with G_1, G_2 ~ Gamma(m) drawn as one
+    row of a block: the cost does not grow with m.
+    """
+    lam_plus, lam_minus = _count_weights(state)
+    w_plus, w_minus = 2.0 * lam_plus / m, 2.0 * lam_minus / m
+    for gen, rows in _philox_blocks(seed, stream, n):
+        g = gen.standard_gamma(m, size=(rows, 2))
+        # elementwise, not g @ w: a trial's bits then do not depend on its block's size
+        yield g[:, 0] * w_plus + g[:, 1] * w_minus
+
+
+def _hypothesis_trials(src: SourceParams, ch: ChannelParams, noise: NoiseParams,
+                       m: int, cfg: SamplerConfig) -> list:
+    """The trial-mean blocks of H0 (stream 0) and H1 (stream 2) over m pulses each."""
+    states = pc_transform(apply_noise(conditional_states(src, ch), noise))
+    return [_trial_mean_blocks(state, m, cfg.seed, stream, cfg.n_samples)
+            for state, stream in zip(states, (0, 2))]
+
+
 def simulate_pc_receiver(src: SourceParams, ch: ChannelParams, noise: NoiseParams,
                          cfg: SamplerConfig) -> EmpiricalStats:
     """Empirical difference-count statistics under both hypotheses.
 
-    snr_hat uses the same deflection form as the closed form; its standard
-    error comes from first-order propagation of the four moment estimates
-    (including the within-hypothesis mean/variance covariance).
+    Each sample is one pulse's count drawn from its exact law: the threshold
+    test's trial at m = 1 on the same stream. snr_hat uses the same
+    deflection form as the closed form; its standard error comes from
+    first-order propagation of the four moment estimates (including the
+    within-hypothesis mean/variance covariance).
     """
     if cfg.n_samples < 2:
         raise ValueError("variance estimates need at least 2 samples")
-    moments = []
-    for hyp in (Hypothesis.H0, Hypothesis.H1):
-        blocks = _pc_mode_blocks(src, ch, noise, cfg.seed, cfg.n_samples, hyp)
-        moments += _streamed_moments((difference_count(modes),) for modes in blocks)
-    b0, b1 = moments
+    b0, b1 = (_streamed_moments((counts,) for counts in blocks)[0]
+              for blocks in _hypothesis_trials(src, ch, noise, 1, cfg))
     diff = b1.mean - b0.mean
     root_sum = math.sqrt(b1.var) + math.sqrt(b0.var)
     snr_hat = diff ** 2 / (2.0 * root_sum ** 2)
@@ -307,40 +309,6 @@ def deflection_se(emp: EmpiricalStats, snr: float) -> float:
     return math.sqrt(se_sq)
 
 
-def _count_weights(state: GaussianState) -> tuple[float, float]:
-    """(lambda_+, lambda_-): one pulse's difference count is lambda_+ X_1 + lambda_- X_2.
-
-    state is a conjugated return/idler state (receiver.pc_transform). The count is
-    q_pc*q_I + p_pc*p_I, and in its standard form the (q_pc, q_I) and
-    (p_pc, p_I) pairs are independent, each with variances (a, b) and
-    covariance x (a = V[0,0], b = V[2,2], x = V[0,2]). A product of such a
-    pair is lambda_+ z_1^2 + lambda_- z_2^2 with lambda_+- = (x +- r)/2,
-    r = sqrt(a b), so the two pairs give X_1, X_2 ~ chi^2_2. ValueError unless
-    the state is zero-mean with V = [[a, x], [x, b]] (x) I_2.
-    """
-    v = state.cov.entries
-    a, b, x = v[0, 0], v[2, 2], v[0, 2]
-    if np.any(state.mean) or not np.array_equal(v, np.kron([[a, x], [x, b]], np.eye(2))):
-        raise ValueError("the trial law needs a zero-mean conjugated state in standard form")
-    r = math.sqrt(a * b)
-    return 0.5 * (x + r), 0.5 * (x - r)
-
-
-def _trial_mean_blocks(state: GaussianState, m: int, seed: int, stream: int, n: int):
-    """Blocks of n trial averages of the difference count over m pulses each.
-
-    m pulses sum to lambda_+ chi^2_2m + lambda_- chi^2_2m, so a trial is
-    (2 lambda_+ G_1 + 2 lambda_- G_2)/m with G_1, G_2 ~ Gamma(m) drawn as one
-    row of a block: the cost does not grow with m.
-    """
-    lam_plus, lam_minus = _count_weights(state)
-    w_plus, w_minus = 2.0 * lam_plus / m, 2.0 * lam_minus / m
-    for gen, rows in _philox_blocks(seed, stream, n):
-        g = gen.standard_gamma(m, size=(rows, 2))
-        # elementwise, not g @ w: a trial's bits then do not depend on its block's size
-        yield g[:, 0] * w_plus + g[:, 1] * w_minus
-
-
 def empirical_error_rate(src: SourceParams, ch: ChannelParams, noise: NoiseParams,
                          m, cfg: SamplerConfig) -> float:
     """Misclassification fraction of the threshold test after m pulse pairs.
@@ -353,10 +321,8 @@ def empirical_error_rate(src: SourceParams, ch: ChannelParams, noise: NoiseParam
     """
     m = _validate_pulses(m)
     threshold = 0.5 * math.sqrt(ch.reflectivity) * src.corr
-    states = pc_transform(apply_noise(conditional_states(src, ch), noise))
-    above = [sum(int(np.count_nonzero(means > threshold))
-                 for means in _trial_mean_blocks(state, m, cfg.seed, stream, cfg.n_samples))
-             for state, stream in zip(states, (0, 2))]
+    above = [sum(int(np.count_nonzero(means > threshold)) for means in blocks)
+             for blocks in _hypothesis_trials(src, ch, noise, m, cfg)]
     return 0.5 * (above[0] + cfg.n_samples - above[1]) / cfg.n_samples
 
 

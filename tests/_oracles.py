@@ -12,10 +12,10 @@ import mpmath
 import numpy as np
 from scipy.linalg import expm
 
-from qillum.montecarlo import _pc_mode_blocks, deflection_se, difference_count
+from qillum.montecarlo import _gaussian_blocks, deflection_se
 from qillum.optimize import _INVPHI, _INVPHI2, _MAX_ITER
-from qillum.receiver import BeamsplitterMoments, ReceiverStats
-from qillum.states import Hypothesis
+from qillum.receiver import BeamsplitterMoments, ReceiverStats, pc_transform
+from qillum.states import Hypothesis, apply_noise, conditional_states
 
 
 def ulp_error(value: float, exact) -> float:
@@ -189,7 +189,13 @@ def mp_classical_log_overlap(cov0, cov1, s):
 
 
 def _mp_max_over_s(neg_log):
-    s_star = mpmath.findroot(lambda s: mpmath.diff(neg_log, s), mpmath.mpf(1) / 2)
+    """The maximum over s of a concave -ln C_s: the root of its slope, bracketed.
+
+    Newton from s = 1/2 leaves (0, 1) when s* is far from 1/2, as at a bright
+    signal; a bracketing solver cannot.
+    """
+    end = mpmath.mpf(2) ** -20
+    s_star = mpmath.findroot(lambda s: mpmath.diff(neg_log, s), (end, 1 - end), solver="anderson")
     return neg_log(s_star)
 
 
@@ -271,6 +277,45 @@ def two_pass_moments(samples: np.ndarray) -> dict:
         "se_var": math.sqrt(max(m4 / n - var * var * (n - 3) / (n - 1), 0.0) / n),
         "cov_mean_var": m3 / n / n,
     }
+
+
+def _pc_mix(xs: np.ndarray) -> np.ndarray:
+    """Mix the conjugated return samples 50-50 with the idler's.
+
+    xs columns are (q_pc, p_pc, q_I, p_I); output columns are (q_+, p_+, q_-, p_-).
+    """
+    out = np.empty((len(xs), 4))
+    np.add(xs[:, :2], xs[:, 2:], out=out[:, :2])
+    np.subtract(xs[:, :2], xs[:, 2:], out=out[:, 2:])
+    out *= 1.0 / math.sqrt(2.0)
+    return out
+
+
+def _pc_mode_blocks(src, ch, noise, seed: int, n: int, hypothesis):
+    """Blocks of n beamsplitter output samples under one hypothesis.
+
+    The reference route of montecarlo's count law: the physical chain drawn
+    quadrature by quadrature. The conjugated state is coloured and then
+    mixed: the mixed covariance has a small direction that its own Cholesky
+    factor loses at bright backgrounds. H0 draws from stream 0, H1 from
+    stream 2, the streams of the law.
+    """
+    h = 0 if hypothesis is Hypothesis.H0 else 1
+    state = pc_transform(apply_noise(conditional_states(src, ch), noise))[h]
+    for xs in _gaussian_blocks(state.mean, state.cov.entries, seed, 2 * h, n):
+        yield _pc_mix(xs)
+
+
+def sample_pc_modes(src, ch, noise, cfg, hypothesis) -> np.ndarray:
+    """Beamsplitter output quadrature samples (q_+, p_+, q_-, p_-)."""
+    return np.concatenate(list(_pc_mode_blocks(src, ch, noise, cfg.seed,
+                                               cfg.n_samples, hypothesis)))
+
+
+def difference_count(modes: np.ndarray) -> np.ndarray:
+    """Per-sample N_+ - N_- from beamsplitter output quadratures."""
+    return 0.5 * (modes[:, 0] ** 2 + modes[:, 1] ** 2
+                  - modes[:, 2] ** 2 - modes[:, 3] ** 2)
 
 
 def pulse_trial_means(src, ch, noise, m: int, cfg, hypothesis) -> np.ndarray:

@@ -17,6 +17,7 @@ import qillum.bounds
 from qillum.bounds import (
     MAX_BOUND_IDLER_EXCESS,
     MAX_BOUND_RETURN_EXCESS,
+    MAX_BOUND_SIGNAL_EXCESS,
     S_ENDPOINT_EPS,
     ClassicalDistributionPair,
     SOverlapResult,
@@ -597,6 +598,17 @@ def test_sweep_bound_rates_within_1e12_of_mpmath_at_the_largest_idler(scenario):
         assert abs(rate - exact[label]) <= 1e-12 * exact[label]
 
 
+@pytest.mark.parametrize("scenario", GOLDEN_FAMILY + SECOND_ORDER)
+def test_sweep_bound_rates_within_1e12_of_mpmath_at_the_largest_signal(scenario):
+    # the H1 return excess 2 kappa N_S at its limit; s* falls to ~0.1 here,
+    # which the oracle's bracketed search still finds
+    bright = dataclasses.replace(scenario, ns=MAX_BOUND_SIGNAL_EXCESS / (2.0 * scenario.kappa))
+    result = compute_sweep(SweepSpec(bright, (1,), ("QI-QCB", "QI-QBB", "QI+Het+CCB")))
+    exact = mp_model_exponents(*bright.resolve(), dps=140)
+    for label, rate in zip(result.receivers, result.per_mode_rate):
+        assert abs(rate - exact[label]) <= 1e-12 * exact[label]
+
+
 def test_bound_rows_reject_a_background_past_the_largest():
     src, ch, noise = ScenarioParams(ns=0.01, ni=0.01).resolve()
     largest = MAX_BOUND_RETURN_EXCESS / 2
@@ -610,9 +622,11 @@ def test_bound_rows_reject_a_background_past_the_largest():
     ("--eps-r", "eps_r", MAX_BOUND_RETURN_EXCESS),
     ("--eps-i", "eps_i", MAX_BOUND_IDLER_EXCESS),
     ("--ni", "ni", MAX_BOUND_IDLER_EXCESS / 2),
+    ("--ns, --kappa", "ns", MAX_BOUND_SIGNAL_EXCESS / (2 * 0.01)),
 ])
 def test_bound_rows_reject_an_excess_past_the_largest(flag, field, largest):
-    # the limits hold the excess 2 N + eps of each mode, not N_B alone
+    # the limits hold the excess 2 N + eps of each mode, and H1's 2 kappa N_S,
+    # not N_B alone
     scenario = ScenarioParams(ns=0.01, ni=0.01, nb=0.0)
     at = dataclasses.replace(scenario, **{field: largest})
     StandardFormPair.from_model(*at.resolve())

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import qillum.bounds
+import qillum.montecarlo
 import qillum.states
 import qillum.symplectic
 from qillum.bounds import StandardFormPair, cs_qcb_exponent
@@ -456,8 +457,9 @@ class TestBoundsCommand:
 
 
 class TestBrightBackground:
-    """Past bounds.MAX_BOUND_RETURN_EXCESS (2 N_B + eps_r) or MAX_BOUND_IDLER_EXCESS
-    (2 N_I + eps_i) the QI bound rows exit 2; threshold rows still run."""
+    """Past bounds.MAX_BOUND_RETURN_EXCESS (2 N_B + eps_r), MAX_BOUND_SIGNAL_EXCESS
+    (2 kappa N_S) or MAX_BOUND_IDLER_EXCESS (2 N_I + eps_i) the QI bound rows
+    exit 2; threshold rows still run."""
 
     def test_bounds_exit_2_naming_nb(self, capsys):
         rc, out, err = run_cli(capsys, ["bounds", "--nb", "1e160"])
@@ -493,6 +495,20 @@ class TestBrightBackground:
     def test_threshold_sweep_takes_any_idler(self, capsys):
         rc, out, _ = run_cli(capsys, ["sweep", "--receivers", "QI+PC,QI+Cal+PC,QI+Het+PC,CS+Hom",
                                       "--m", "10", "--ni", "1e150"])
+        assert rc == 0
+        assert len(out.splitlines()) == 5
+
+    @pytest.mark.parametrize("ns", ["1e100", "1e160"])
+    def test_bright_signal_exits_2_naming_ns_and_kappa(self, capsys, ns):
+        # these used to end in "math domain error" and in "c_at_s_star must lie
+        # in (0, 1], got 0.0", naming neither flag
+        rc, out, err = run_cli(capsys, ["bounds", "--ns", ns])
+        assert rc == 2 and out == ""
+        assert "--ns, --kappa" in err and "Traceback" not in err
+
+    def test_threshold_sweep_takes_any_signal(self, capsys):
+        rc, out, _ = run_cli(capsys, ["sweep", "--receivers", "QI+PC,QI+Cal+PC,QI+Het+PC,CS+Hom",
+                                      "--m", "10", "--ns", "1e160"])
         assert rc == 0
         assert len(out.splitlines()) == 5
 
@@ -534,14 +550,41 @@ class TestMcCommand:
         assert rc == 4
         assert "FAIL" in out
 
-    def test_deflection_gate_passes_a_small_mean_difference(self, capsys):
-        # the mean difference is about 2 se here, so snr_hat lands 5.4 se_snr
-        # from the SNR although every mean and variance is within 1.9 se
-        argv = ["mc"] + REF_FLAGS + ["--seed", "2721355147127115823"]
-        rc, report, _ = run_json(capsys, argv)
+    def test_deflection_gate_passes_a_small_mean_difference(self, capsys, monkeypatch):
+        # At 600000 samples the exact mean difference is ~2.4 se. With the H1
+        # counts shifted to put the sampled one 2 se low (~0.4 se), snr_hat, the
+        # square of that small number, lands well over 5 se_snr below the SNR,
+        # because se_snr, propagated at the estimate, shrinks with it.
+        # sqrt(snr_hat) stays 2 se from sqrt(snr).
+        real = simulate_pc_receiver
+        used = []
+
+        def low(src, ch, noise, cfg):
+            emp = real(src, ch, noise, cfg)
+            se = math.hypot(emp.se_mean_h0, emp.se_mean_h1)
+            shift = snr_pc(src, ch, noise).mean_h1 - 2.0 * se - (emp.mean_h1 - emp.mean_h0)
+            blocks = qillum.montecarlo._trial_mean_blocks
+
+            def shifted(state, m, seed, stream, n):
+                for means in blocks(state, m, seed, stream, n):
+                    yield means + shift if stream == 2 else means
+
+            with monkeypatch.context() as patch:
+                patch.setattr(qillum.montecarlo, "_trial_mean_blocks", shifted)
+                used.append((real(src, ch, noise, cfg), se))
+            return used[-1][0]
+
+        monkeypatch.setattr("qillum.cli.simulate_pc_receiver", low)
+        rc, report, _ = run_json(capsys, ["mc"] + REF_FLAGS + ["--samples", "600000"])
+        (emp, se), = used
+        analytic = snr_pc(*ScenarioParams(ns=0.01, ni=0.01).resolve())
+        assert emp.mean_h1 - emp.mean_h0 == pytest.approx(analytic.mean_h1 - 2.0 * se, rel=1e-9)
+        assert analytic.mean_h1 - 2.0 * se < 0.5 * se
+        # the se_snr view would fail this run
+        assert abs(emp.snr_hat - analytic.snr) > 5.0 * emp.se_snr
         assert rc == 0
         row = next(r for r in report["results"] if r["label"] == "sqrt(snr)")
-        assert row["n_sigma"] < 3.0
+        assert row["passed"] and row["n_sigma"] < 3.0
 
     def test_deflection_moved_6_se_fails(self, capsys, monkeypatch):
         real = simulate_pc_receiver

@@ -8,15 +8,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import qillum.montecarlo
 from qillum.errors import NumericFailure
 from qillum.montecarlo import (
     EmpiricalStats,
     SamplerConfig,
     check_gaussian_moment_identities,
     deflection_se,
-    difference_count,
     empirical_error_rate,
-    sample_pc_modes,
     sample_quadratures,
     simulate_pc_receiver,
 )
@@ -37,9 +36,11 @@ from qillum.symplectic import CovMatrix
 
 from _oracles import (
     deflection_sigma,
+    difference_count,
     mp_midpoint_error_rate,
     pulse_error_rate,
     pulse_trial_means,
+    sample_pc_modes,
     two_pass_moments,
 )
 
@@ -173,8 +174,9 @@ class TestStreamLayout:
         n = 3 * BLOCK + 5
         cfg = SamplerConfig(seed=34, n_samples=n)
         stats = simulate_pc_receiver(REF_SRC, REF_CH, NO_NOISE, cfg)
-        for hyp, suffix in ((Hypothesis.H0, "h0"), (Hypothesis.H1, "h1")):
-            counts = difference_count(sample_pc_modes(REF_SRC, REF_CH, NO_NOISE, cfg, hyp))
+        states = pc_transform(apply_noise(conditional_states(REF_SRC, REF_CH), NO_NOISE))
+        for state, stream, suffix in zip(states, (0, 2), ("h0", "h1")):
+            counts = np.concatenate(list(_trial_mean_blocks(state, 1, cfg.seed, stream, n)))
             exact = two_pass_moments(counts)
             (streamed,) = _streamed_moments((counts[i:i + BLOCK],) for i in range(0, n, BLOCK))
             for field in ("mean", "var", "se_mean", "se_var"):
@@ -291,6 +293,69 @@ class TestTrialLaw:
             if m == 1:
                 # the CLT erfc is 9.6 se off here: the gate tells the two apart
                 assert abs(rate - half_erfc(math.sqrt(m * snr))) > 5 * se
+
+
+# the golden scenario, the validation one, added noise on both arms, and a
+# background at which the mixed covariance's Cholesky factor would lose the
+# count's small direction (the quadrature route colours the conjugated state)
+LAW_SCENARIOS = {
+    "golden": (REF_SRC, REF_CH, NO_NOISE),
+    "validation": (VAL_SRC, VAL_CH, NO_NOISE),
+    "added_noise": (REF_SRC, REF_CH, NoiseParams(eps_return=1.0, eps_idler=1.0)),
+    "bright_background": (REF_SRC, ChannelParams(reflectivity=0.01, n_background=1e17), NO_NOISE),
+}
+
+
+class TestCountLaw:
+    """simulate_pc_receiver draws each count from the law of the threshold test's trials."""
+
+    def test_samples_are_the_trials_at_one_pulse(self, monkeypatch):
+        n = BLOCK + 5
+        cfg = SamplerConfig(seed=38, n_samples=n)
+        seen = []
+        real = qillum.montecarlo._streamed_moments
+
+        def recording(blocks):
+            blocks = list(blocks)
+            seen.append(np.concatenate([series for (series,) in blocks]))
+            return real(blocks)
+
+        monkeypatch.setattr(qillum.montecarlo, "_streamed_moments", recording)
+        simulate_pc_receiver(REF_SRC, REF_CH, NO_NOISE, cfg)
+        assert len(seen) == 2
+        states = pc_transform(apply_noise(conditional_states(REF_SRC, REF_CH), NO_NOISE))
+        for counts, state, stream in zip(seen, states, (0, 2)):
+            trials = np.concatenate(list(_trial_mean_blocks(state, 1, cfg.seed, stream, n)))
+            assert np.array_equal(counts, trials)
+            # block 0 is 2 l_+ E_1 + 2 l_- E_2 with E_i ~ Exp(1): numpy's
+            # standard_gamma(1) is its standard_exponential
+            lam_plus, lam_minus = _count_weights(state)
+            key = np.array([cfg.seed, stream], dtype=np.uint64)
+            e = np.random.Generator(np.random.Philox(key=key)).standard_exponential((BLOCK, 2))
+            assert np.array_equal(counts[:BLOCK],
+                                  e[:, 0] * (2.0 * lam_plus) + e[:, 1] * (2.0 * lam_minus))
+        # sample j is trial j of the threshold test at m = 1
+        threshold = 0.5 * math.sqrt(REF_CH.reflectivity) * REF_SRC.corr
+        h0, h1 = seen
+        rate = 0.5 * (np.count_nonzero(h0 > threshold) + n - np.count_nonzero(h1 > threshold)) / n
+        assert empirical_error_rate(REF_SRC, REF_CH, NO_NOISE, 1, cfg) == rate
+
+    @pytest.mark.parametrize("name", list(LAW_SCENARIOS))
+    def test_moments_match_the_quadrature_route(self, name):
+        src, ch, noise = LAW_SCENARIOS[name]
+        n = 200_000
+        law = simulate_pc_receiver(src, ch, noise, SamplerConfig(seed=44, n_samples=n))
+        analytic = snr_pc(src, ch, noise)
+        for hyp, suffix in ((Hypothesis.H0, "h0"), (Hypothesis.H1, "h1")):
+            cfg = SamplerConfig(seed=45, n_samples=n)
+            quad = two_pass_moments(difference_count(sample_pc_modes(src, ch, noise, cfg, hyp)))
+            for field in ("mean", "var"):
+                observed, se = getattr(law, f"{field}_{suffix}"), getattr(law, f"se_{field}_{suffix}")
+                # two independent estimates of one moment
+                assert abs(observed - quad[field]) <= 5 * math.hypot(se, quad[f"se_{field}"])
+                # and the quadrature route on its own meets the closed form
+                expected = getattr(analytic, f"{field}_{suffix}")
+                assert abs(quad[field] - expected) <= 5 * quad[f"se_{field}"], (field, suffix)
 
 
 class TestPcModeMoments:
@@ -419,8 +484,8 @@ class TestSimulatePcReceiver:
             assert 2.8 <= ratio <= 3.6  # ~ sqrt(10) per decade
 
     def test_bright_background_passes_every_gate(self):
-        # the mixed covariance's Cholesky factor would lose its small direction
-        # here; the conjugated state's does not
+        # the count weights come from the conjugated state's entries, with no
+        # factorization; TestCountLaw holds the quadrature route to them here
         ch = ChannelParams(reflectivity=0.01, n_background=1e17)
         stats = simulate_pc_receiver(REF_SRC, ch, NO_NOISE, SamplerConfig(seed=42, n_samples=100_000))
         analytic = snr_pc(REF_SRC, ch, NO_NOISE)
