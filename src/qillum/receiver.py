@@ -26,13 +26,14 @@ import numpy as np
 
 from .bounds import StandardFormPair, _bound_at, cs_qcb_exponent, qcb
 from .errors import NumericFailure
-from .optimize import golden_section_array
+from .optimize import illinois_array
 from .states import (ChannelParams, GaussianState, NoiseParams, SourceParams, _check_nonnegative,
                      _validate_pulses, c_quantum, coherent_benchmark_states)
 from .symplectic import CovMatrix
 
 LN_HALF = math.log(0.5)
 _HALF_LN_PI = 0.5 * math.log(math.pi)
+_TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
 # Beyond this erfc(x) nears the subnormal range (it underflows at x ~ 26.55)
 _ERFC_TAIL = 26.0
 _SPLITTER = 134217729.0  # 2**27 + 1, Veltkamp splitting constant
@@ -120,17 +121,14 @@ def _log_erfc_given(x: float, e: float) -> float:
     return math.log(e)
 
 
-def _log_erfc_nonneg(x: np.ndarray) -> np.ndarray:
-    """ln erfc elementwise over a float array of x >= 0, in numpy alone.
+def _log_erfcx_nonneg(x: np.ndarray) -> np.ndarray:
+    """ln erfcx(x) = ln erfc(x) + x^2 elementwise over a float array of x >= 0.
 
-    With t = 2/(2+x), ln erfc(x) = (x/(2+x))*P(t)/Q(t) - log1p(x/2) - x^2,
-    where P/Q is the (9,9) rational fit _LOG_ERFC_PQ of
-    g(t) = (ln erfcx(x) - ln t)/(1 - t) on t in [0, 1]. The three terms share
-    their sign, so nothing cancels: within 6e-16 relative of mpmath on
-    [0, 2e4] (the fit itself is within 4.9e-16 of g), and one formula with no
-    branch for any x >= 0. P and Q come from one product of the coefficients
-    with the table of powers t^0..t^9, whose rows (np.vander's columns) are
-    built in place.
+    With t = 2/(2+x), ln erfcx(x) = (x/(2+x))*P(t)/Q(t) - log1p(x/2), where
+    P/Q is the (9,9) rational fit _LOG_ERFC_PQ of
+    g(t) = (ln erfcx(x) - ln t)/(1 - t) on t in [0, 1] (within 4.9e-16 of g).
+    P and Q come from one product of the coefficients with the table of
+    powers t^0..t^9, whose rows (np.vander's columns) are built in place.
     """
     u = 2.0 + x
     t = 2.0 / u
@@ -140,7 +138,27 @@ def _log_erfc_nonneg(x: np.ndarray) -> np.ndarray:
     for k in range(2, powers.shape[0]):
         np.multiply(powers[k - 1], t, out=powers[k])
     p, q = _LOG_ERFC_PQ.T @ powers
-    return x / u * (p / q) - np.log1p(0.5 * x) - x * x
+    return x / u * (p / q) - np.log1p(0.5 * x)
+
+
+def _log_erfc_nonneg(x: np.ndarray) -> np.ndarray:
+    """ln erfc elementwise over a float array of x >= 0, in numpy alone.
+
+    ln erfc(x) = ln erfcx(x) - x^2 (_log_erfcx_nonneg). The three terms of
+    (x/(2+x))*P/Q - log1p(x/2) - x^2 share their sign, so nothing cancels:
+    within 6e-16 relative of mpmath on [0, 2e4], and one formula with no
+    branch for any x >= 0.
+    """
+    return _log_erfcx_nonneg(x) - x * x
+
+
+def _log_erfc_and_slope(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(ln erfc(x), d ln erfc(x)/dx) elementwise over x >= 0, from one rational.
+
+    The slope is -2/(sqrt(pi)*erfcx(x)), and erfcx is exp of _log_erfcx_nonneg.
+    """
+    log_erfcx = _log_erfcx_nonneg(x)
+    return log_erfcx - x * x, -_TWO_OVER_SQRT_PI * np.exp(-log_erfcx)
 
 
 def half_erfc(x: float) -> float:
@@ -368,12 +386,14 @@ def homodyne_min_errors(n_signal: float, ch: ChannelParams, ms) -> list[Homodyne
     x* = m*sqrt(2*kappa*N_S)/2.
 
     Every call cross-checks the closed form at every m against a numeric
-    minimization of (fa+md)/2 in the log domain: a golden-section search on
-    [0, m*sqrt(2*kappa*N_S)] to within min(1e-11*max(shift, sigma),
-    1e-6*sigma), run for all m in lockstep. It raises NumericFailure, naming
-    each m, where the two disagree by more than 1e-12*max(1, |ln p|). The
-    search's objective takes ln erfc from a numpy rational (_log_erfc_nonneg);
-    the results stay on the C library's erfc, through half_erfc and log_erfc.
+    minimization of (fa+md)/2 in the log domain: a search on
+    [0, m*sqrt(2*kappa*N_S)] for the sign change of the objective's analytic
+    slope, to within min(1e-11*max(shift, sigma), 1e-6*sigma), run for all m
+    in lockstep (optimize.illinois_array; a few steps each). It raises
+    NumericFailure, naming each m, where the two disagree by more than
+    1e-12*max(1, |ln p|). The search takes ln erfc and its slope from one
+    numpy rational (_log_erfc_and_slope); the results stay on the C library's
+    erfc, through half_erfc and log_erfc.
     """
     ms = [_validate_pulses(m) for m in ms]
     _check_nonnegative(n_signal, "n_signal")
@@ -401,27 +421,46 @@ def _check_homodyne_optimum(n_signal: float, ch: ChannelParams, ms, log_p) -> No
         return
     log_p = np.array(log_p)
     m_arr = np.array(ms, dtype=float)
-    shift = m_arr * root
-    sigma = np.sqrt(m_arr * (2.0 * ch.n_background + 1.0))
-
-    def objective(t: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        s = sigma[idx]
-        both = _log_erfc_nonneg(np.concatenate((t / s, (shift[idx] - t) / s)))
-        return np.logaddexp(both[:t.size], both[t.size:]) + 2.0 * LN_HALF
-
-    # with u = shift/(2 sigma), an error dx in x costs about 2 (u dx/sigma)^2
-    # in ln p, or 2 u dx/sigma once u dx/sigma > 1, against a bound of
-    # 1e-12 u^2. dx ~ 1e-11 shift alone fails that at u ~ 3e5, so xtol is
-    # capped at 1e-6 sigma, which binds for u > 5e4
-    x_num = golden_section_array(objective, np.zeros_like(shift), shift,
-                                 xtol=np.minimum(1e-11 * np.maximum(shift, sigma), 1e-6 * sigma))
-    log_num = objective(x_num, np.arange(len(ms)))
+    log_num = _homodyne_numeric_min(m_arr * root / np.sqrt(m_arr * (2.0 * ch.n_background + 1.0)))
     bad = np.flatnonzero(~(np.abs(log_num - log_p) <= 1e-12 * np.maximum(1.0, np.abs(log_p))))
     if bad.size:
         raise NumericFailure(
             "numeric threshold optimization disagrees with the closed form at "
             + ", ".join(f"M={ms[i]} (log p {log_num[i]!r} vs {log_p[i]!r})" for i in bad)
         )
+
+
+def _homodyne_log_p(tau: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """ln (fa+md)/2 at thresholds tau in [0, w], in units of sigma, where w = shift/sigma.
+
+    fa = erfc(tau)/2 and md = erfc(w - tau)/2, so this is
+    logaddexp(ln erfc(tau), ln erfc(w - tau)) + 2 ln(1/2).
+    """
+    both = _log_erfc_nonneg(np.concatenate((tau, w - tau)))
+    return np.logaddexp(both[:tau.size], both[tau.size:]) + 2.0 * LN_HALF
+
+
+def _homodyne_numeric_min(w: np.ndarray) -> np.ndarray:
+    """_homodyne_log_p at the numeric minimizer over [0, w], one search per element of w.
+
+    The search follows the sign change of the slope
+    a*D(tau) - (1 - a)*D(w - tau), where D = d ln erfc/dx and a = fa/(fa+md),
+    with ln erfc and D from one rational (_log_erfc_and_slope).
+    """
+    def slope(tau: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        both, d = _log_erfc_and_slope(np.concatenate((tau, w[idx] - tau)))
+        lf, lm = both[:tau.size], both[tau.size:]
+        a = np.exp(lf - np.logaddexp(lf, lm))
+        return a * d[:tau.size] - (1.0 - a) * d[tau.size:]
+
+    # with u = w/2, a threshold dx (in units of sigma) off w/2 costs about
+    # 2 (u dx)^2 in ln p, or 2 u dx once u dx > 1, against the bound 1e-12 u^2.
+    # The search ends within xtol/2 of the slope's sign change. xtol = 1e-11 w
+    # alone would break the bound from u ~ 7e4, so it is capped at 1e-6, which
+    # binds for u > 5e4 and keeps the cost within half the bound at any u
+    tau = illinois_array(slope, np.zeros_like(w), w,
+                         xtol=np.minimum(1e-11 * np.maximum(w, 1.0), 1e-6))
+    return _homodyne_log_p(tau, w)
 
 
 def _entangled_asymptote(src: SourceParams, ch: ChannelParams) -> float:

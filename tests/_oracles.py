@@ -13,7 +13,6 @@ import numpy as np
 from scipy.linalg import expm
 
 from qillum.montecarlo import _gaussian_blocks, deflection_se
-from qillum.optimize import _INVPHI, _INVPHI2, _MAX_ITER
 from qillum.receiver import BeamsplitterMoments, ReceiverStats, pc_transform
 from qillum.states import Hypothesis, apply_noise, conditional_states
 
@@ -215,9 +214,12 @@ def mp_model_exponents(src, ch, noise=None, dps: int = 60) -> dict:
         }
 
 
-def golden_section(f, a: float, b: float, xtol: float = 1e-12,
-                   max_iter: int = _MAX_ITER) -> float:
-    """Scalar golden-section search: the oracle of optimize.golden_section_array.
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+_INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0
+
+
+def golden_section(f, a: float, b: float, xtol: float = 1e-12, max_iter: int = 500) -> float:
+    """Scalar golden-section search: the CS+Hom self-check's former route, now its oracle.
 
     Locates the minimizer of a unimodal f on [a, b] and returns the midpoint
     of the final bracket, within xtol of the true minimizer.

@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import snr_from_moments, ulp_error
+from _oracles import golden_section, snr_from_moments, ulp_error
 
+import qillum.receiver
 from qillum.errors import NumericFailure
 from qillum.receiver import (
     BeamsplitterMoments,
@@ -20,6 +21,9 @@ from qillum.receiver import (
     beamsplitter_moments,
     LN_HALF,
     _LOG_ERFC_PQ,
+    _homodyne_log_p,
+    _homodyne_numeric_min,
+    _log_erfc_and_slope,
     _log_erfc_given,
     _log_erfc_nonneg,
     erfc,
@@ -125,6 +129,23 @@ class TestErfc:
         with mpmath.workdps(50):  # log1p(-erf) where 1 - erfc(x) is below 50 digits
             exact = np.array([float(mpmath.log1p(-mpmath.erf(x)) if x < 0.5
                                     else mpmath.log(mpmath.erfc(x)))
+                              for x in map(mpmath.mpf, xs.tolist())])
+        assert np.all(np.abs(got - exact) <= 1e-13 * np.abs(exact))
+
+    def test_log_erfc_slope_within_1e_13_of_mpmath(self):
+        # the slope the homodyne self-check searches on, on the grid above:
+        # d ln erfc/dx = -2/(sqrt(pi) erfcx(x)), from the same rational as ln erfc
+        xs = np.concatenate([
+            [0.0, 1e-300, 2.5e-5, 0.4769362762044699, 0.47693627620446993,
+             np.nextafter(26.0, 0.0), 26.0, 2e4],
+            np.geomspace(1e-12, 1e-3, 91),
+            np.linspace(0.0, 30.0, 3001),
+            np.geomspace(26.0, 2e4, 301),
+        ])
+        log_erfc_xs, got = _log_erfc_and_slope(xs)
+        assert np.array_equal(log_erfc_xs, _log_erfc_nonneg(xs))
+        with mpmath.workdps(50):
+            exact = np.array([float(-2 / (mpmath.sqrt(mpmath.pi) * mpmath.exp(x * x) * mpmath.erfc(x)))
                               for x in map(mpmath.mpf, xs.tolist())])
         assert np.all(np.abs(got - exact) <= 1e-13 * np.abs(exact))
 
@@ -409,6 +430,48 @@ class TestHomodyne:
         for m, opt in zip(ms, homodyne_min_errors(0.5, ch, ms)):
             assert opt.p_error == 0.0
             assert opt.log_p_error == LN_HALF + log_erfc(math.sqrt(m * rate))
+
+    def test_self_check_minimum_is_the_golden_section_minimum(self):
+        # the check's former route as the oracle: a golden-section search on
+        # the same objective, bracket and xtol. Each search ends within xtol/2
+        # of the minimizer w/2, so the two values may differ by the objective's
+        # rise over xtol/2 as well as by rounding; the rise is below
+        # 1e-14 |ln p| for u < 7e3 and reaches 5e-13 |ln p| under the 1e-6 cap.
+        # The grid runs u = w/2 from 1e-4 to 2.3e5 and takes in the
+        # scenario of test_self_check_holds_at_large_m_rate at M = 1e12..1e16
+        ch = ChannelParams(0.3, 0.2)
+        ms = np.array([1e12, 1e13, 1e14, 1e15, 1e16])
+        w = np.concatenate((2.0 * np.geomspace(1e-4, 2.3e5, 61),
+                            ms * math.sqrt(2.0 * 0.3 * 0.5) / np.sqrt(ms * (2.0 * 0.2 + 1.0))))
+        xtol = np.minimum(1e-11 * np.maximum(w, 1.0), 1e-6)
+        got = _homodyne_numeric_min(w)
+        rise = _homodyne_log_p(0.5 * w + 0.5 * xtol, w) - _homodyne_log_p(0.5 * w, w)
+        for wi, xi, gi, ri in zip(w, xtol, got, rise):
+            def objective(t):
+                return _homodyne_log_p(np.array([t]), np.array([wi]))[0]
+            want = objective(golden_section(objective, 0.0, wi, xtol=xi))
+            assert abs(gi - want) <= 1e-14 * max(1.0, abs(want)) + ri, wi
+            assert abs(gi - (LN_HALF + log_erfc(0.5 * wi))) <= 1e-12 * max(1.0, abs(want)), wi
+
+    def test_self_check_search_takes_few_steps(self, monkeypatch):
+        # calls of the slope per lockstep search, the first holding both ends:
+        # golden section took 54 on any grid. Past u ~ 2e5 the minimum is a
+        # kink narrower than xtol, reached by halving the far end's slope
+        calls = []
+        search = qillum.receiver.illinois_array
+
+        def counted(f, a, b, xtol):
+            calls.append(0)
+
+            def g(t, idx):
+                calls[-1] += 1
+                return f(t, idx)
+            return search(g, a, b, xtol)
+
+        monkeypatch.setattr(qillum.receiver, "illinois_array", counted)
+        _homodyne_numeric_min(2.0 * np.geomspace(1e-4, 1e4, 500))
+        _homodyne_numeric_min(2.0 * np.geomspace(1e-4, 2.3e7, 3000))
+        assert calls[0] <= 4 and calls[1] <= 14
 
     def test_zero_reflectivity_gives_half(self):
         opt = homodyne_min_error(0.01, ChannelParams(0.0, 20.0), 10)
