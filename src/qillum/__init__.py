@@ -20,10 +20,7 @@ from .bounds import (
 from .errors import NumericFailure
 from .montecarlo import (
     EmpiricalStats,
-    MomentCheckReport,
-    MomentCheckRow,
     SamplerConfig,
-    check_gaussian_moment_identities,
     deflection_se,
     empirical_error_rate,
     sample_quadratures,

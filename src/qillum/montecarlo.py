@@ -25,7 +25,7 @@ order in which the hypotheses and checks are evaluated. The samplers reduce
 one block at a time, so their memory does not grow with the sample count;
 only sample_quadratures, which returns the samples, holds them all.
 Streams: H0 on stream 0 and H1 on stream 2, for both the receiver moments
-and the threshold test's trials; the moment identities use streams 16 and up.
+and the threshold test's trials.
 """
 from __future__ import annotations
 
@@ -84,26 +84,6 @@ class EmpiricalStats:
                self.se_var_h1, self.se_snr)
         if any(not (se >= 0 and math.isfinite(se)) for se in ses):
             raise ValueError("standard errors must be finite and non-negative")
-
-
-@dataclass(frozen=True)
-class MomentCheckRow:
-    label: str
-    covariance: float
-    observed: float
-    expected: float
-    std_error: float
-    n_sigma: float
-    passed: bool
-
-
-@dataclass(frozen=True)
-class MomentCheckReport:
-    rows: tuple[MomentCheckRow, ...]
-
-    @property
-    def all_passed(self) -> bool:
-        return all(row.passed for row in self.rows)
 
 
 _BLOCK = 1 << 16  # rows per logical block of a stream
@@ -324,34 +304,3 @@ def empirical_error_rate(src: SourceParams, ch: ChannelParams, noise: NoiseParam
     above = [sum(int(np.count_nonzero(means > threshold)) for means in blocks)
              for blocks in _hypothesis_trials(src, ch, noise, m, cfg)]
     return 0.5 * (above[0] + cfg.n_samples - above[1]) / cfg.n_samples
-
-
-def check_gaussian_moment_identities(cfg: SamplerConfig,
-                                     covariances: tuple[float, ...] = (-0.5, 0.0, 0.3, 0.8),
-                                     gate_sigma: float = 5.0) -> MomentCheckReport:
-    """Verify the quartic Gaussian moment identities the variance algebra uses.
-
-    For unit-variance pairs with covariance c: <q^4> = 3 and
-    <q^2 p^2> = <q^2><p^2> + 2<q p>^2 = 1 + 2 c^2, each within gate_sigma
-    empirical standard errors.
-    """
-    if cfg.n_samples < 2:
-        raise ValueError("standard errors need at least 2 samples")
-    rows = []
-    for i, cov in enumerate(covariances):
-        if not abs(cov) < 1.0:
-            raise ValueError(f"unit-variance pair needs |cov| < 1, got {cov}")
-        cm = np.array([[1.0, cov], [cov, 1.0]])
-        pairs = (z.T for z in _gaussian_blocks(0.0, cm, cfg.seed, 16 + i, cfg.n_samples))
-        moments = _streamed_moments(((q ** 2) ** 2, q ** 2 * p ** 2) for q, p in pairs)
-
-        for label, mom, expected in zip(
-                ("<q^4> = 3 sigma^4", "<q^2 p^2> = 1 + 2 cov^2"), moments,
-                (3.0, 1.0 + 2.0 * cov ** 2)):
-            n_sigma = abs(mom.mean - expected) / mom.se_mean
-            rows.append(MomentCheckRow(
-                label=label, covariance=cov, observed=mom.mean,
-                expected=expected, std_error=mom.se_mean, n_sigma=n_sigma,
-                passed=bool(n_sigma <= gate_sigma),
-            ))
-    return MomentCheckReport(rows=tuple(rows))

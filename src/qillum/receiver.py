@@ -37,6 +37,7 @@ _TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
 # Beyond this erfc(x) nears the subnormal range (it underflows at x ~ 26.55)
 _ERFC_TAIL = 26.0
 _SPLITTER = 134217729.0  # 2**27 + 1, Veltkamp splitting constant
+_SPLIT_SCALE = 2.0 ** 64  # brings any double m under the split's overflow
 # (p_k, q_k), k = 0..9: the coefficients of t^k in P and Q of _log_erfc_nonneg,
 # as printed by scripts/fit_log_erfc.py. Q lies in [0.99, 14.1] on [0, 1].
 _LOG_ERFC_PQ = np.array((
@@ -78,20 +79,25 @@ def _two_product(a, b):
     return hi, lo
 
 
-def _log_erfc_tail(x: float) -> float:
-    """ln erfc(x) for x >= 26 from the asymptotic series.
+def _log_erfc_tail(x: np.ndarray) -> np.ndarray:
+    """ln erfc(x) elementwise over a float array of x >= 26, from the asymptotic series.
 
     erfc(x) = exp(-x^2)/(x*sqrt(pi)) * sum_n (-1)^n (2n-1)!!/(2x^2)^n; at
     x >= 26 the terms through n = 8 leave a truncation error below 1e-20.
     x^2 is carried exactly as hi + lo so the result rounds once, at the end;
-    x*x must be finite.
+    where x*x overflows, ln erfc(x) is -inf.
     """
-    hi, lo = _two_product(x, x)
-    t = 0.5 / hi
-    series = 1.0
-    for k in (15.0, 13.0, 11.0, 9.0, 7.0, 5.0, 3.0, 1.0):
-        series = 1.0 - k * t * series
-    return -hi - (lo + math.log(x) + _HALF_LN_PI - math.log(series))
+    with np.errstate(over="ignore", invalid="ignore"):
+        hi, lo = _two_product(x, x)
+        t = 0.5 / hi
+        series = 1.0
+        for k in (15.0, 13.0, 11.0, 9.0, 7.0, 5.0, 3.0, 1.0):
+            series = 1.0 - k * t * series
+        log_x = np.fromiter(map(math.log, x.tolist()), float, x.size)
+        log_series = np.fromiter(map(math.log, series.tolist()), float, x.size)
+        out = -hi - (lo + log_x + _HALF_LN_PI - log_series)
+    out[np.isinf(hi)] = -math.inf
+    return out
 
 
 def erfc(x: float) -> float:
@@ -101,24 +107,35 @@ def erfc(x: float) -> float:
 
 
 def log_erfc(x: float) -> float:
-    """ln(erfc(x)) to within two ulps for any finite x.
+    """ln(erfc(x)) to within two ulps for any finite x: the one-element case of _erfc_column."""
+    return _erfc_column(np.array([x], dtype=float))[1].item()
 
-    Three routes, each used where it does not cancel: log1p(-erf(x)) while
+
+def _erfc_column(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(erfc(x), ln erfc(x)) elementwise over a float array x; ValueError unless x is finite.
+
+    erfc is the C library's, one call per element. ln erfc takes three
+    routes, each used where it does not cancel: log1p(-erf(x)) while
     erfc(x) >= 1/2 (small and negative x, where ln erfc is near zero),
-    log(erfc(x)) in the mid range, and the asymptotic series for x >= 26,
-    where erfc underflows.
+    log(erfc(x)) in the mid range, and the asymptotic series
+    (_log_erfc_tail) for x >= 26, where erfc underflows. Every route stays
+    on the C library's erfc, erf, log and log1p, so the bits do not follow
+    numpy's SIMD code.
     """
-    _check_finite(x, "log_erfc")
-    return _log_erfc_given(x, math.erfc(x))
-
-
-def _log_erfc_given(x: float, e: float) -> float:
-    """log_erfc(x) for a finite x whose erfc(x) is already computed as e."""
-    if x >= _ERFC_TAIL:
-        return -math.inf if math.isinf(x * x) else _log_erfc_tail(x)
-    if e >= 0.5:
-        return math.log1p(-math.erf(x))
-    return math.log(e)
+    finite = np.isfinite(x)
+    if not finite.all():
+        raise ValueError(f"erfc argument must be finite, got {x[~finite][0]}")
+    e = np.fromiter(map(math.erfc, x.tolist()), float, x.size)
+    tail = x >= _ERFC_TAIL
+    near = e >= 0.5
+    mid = ~(tail | near)
+    log_e = np.empty_like(e)
+    log_e[mid] = np.fromiter(map(math.log, e[mid].tolist()), float)
+    if near.any():
+        log_e[near] = [math.log1p(-math.erf(v)) for v in x[near].tolist()]
+    if tail.any():
+        log_e[tail] = _log_erfc_tail(x[tail])
+    return e, log_e
 
 
 def _log_erfcx_nonneg(x: np.ndarray) -> np.ndarray:
@@ -178,10 +195,15 @@ def half_exp(m, rate: float) -> float:
     m*rate is carried exactly as hi + lo (Dekker's product) and exp(-lo) is
     taken to first order, so the result rounds little more than exp itself;
     exp(ln(1/2) - m*rate) would scale the rounding of m*rate by m*rate.
+    Veltkamp's split of m overflows past m ~ 1.3e300, so there the product is
+    formed from m/2**64 and scaled back by the exact power of two.
     """
-    hi, lo = _two_product(float(m), rate)
-    p = 0.5 * math.exp(-hi)
-    return p - p * lo
+    m = float(m)
+    scale = _SPLIT_SCALE if m > 1e300 else 1.0
+    hi, lo = _two_product(m / scale, rate)
+    p = 0.5 * math.exp(-(hi * scale))
+    # once exp underflows, m*rate may have overflowed and lo be nan: return the 0
+    return p - p * (lo * scale) if p else p
 
 
 @dataclass(frozen=True)
@@ -380,9 +402,9 @@ def homodyne_min_errors(n_signal: float, ch: ChannelParams, ms) -> list[Homodyne
     """Minimum equal-prior homodyne error (1/2)erfc(sqrt(m*rate)) for each m in ms.
 
     rate is homodyne_rate(n_signal, ch), so each result is the one a sweep row
-    forms from its per_mode_rate. p_error comes from half_erfc and
-    log_p_error from log_erfc, each accurate in its own right. The optimal
-    threshold sits midway between the conditional means,
+    forms from its per_mode_rate. p_error and log_p_error are half_erfc and
+    LN_HALF + log_erfc bit for bit (_erfc_points), each accurate in its own
+    right. The optimal threshold sits midway between the conditional means,
     x* = m*sqrt(2*kappa*N_S)/2.
 
     Every call cross-checks the closed form at every m against a numeric
@@ -393,7 +415,7 @@ def homodyne_min_errors(n_signal: float, ch: ChannelParams, ms) -> list[Homodyne
     NumericFailure, naming each m, where the two disagree by more than
     1e-12*max(1, |ln p|). The search takes ln erfc and its slope from one
     numpy rational (_log_erfc_and_slope); the results stay on the C library's
-    erfc, through half_erfc and log_erfc.
+    erfc, through _erfc_column.
     """
     ms = [_validate_pulses(m) for m in ms]
     _check_nonnegative(n_signal, "n_signal")
@@ -405,13 +427,14 @@ def homodyne_min_errors(n_signal: float, ch: ChannelParams, ms) -> list[Homodyne
 
 
 def _erfc_points(rate: float, ms) -> tuple[list, list]:
-    """The columns (p, ln p) of p = (1/2)erfc(sqrt(m*rate)) over ms.
+    """The columns (p, ln p) of p = (1/2)erfc(sqrt(m*rate)) over ms, as lists of floats.
 
-    Each m takes one erfc, which gives both half_erfc and LN_HALF + log_erfc.
+    One _erfc_column call over x = sqrt(m*rate): each m takes one erfc, which
+    gives both p, bit for bit half_erfc(x), and ln p = LN_HALF + log_erfc(x).
     """
-    xs = [math.sqrt(m * rate) for m in ms]
-    es = [erfc(x) for x in xs]
-    return [0.5 * e for e in es], [LN_HALF + _log_erfc_given(x, e) for x, e in zip(xs, es)]
+    with np.errstate(over="ignore"):
+        e, log_e = _erfc_column(np.sqrt(np.array(ms, dtype=float) * rate))
+    return (0.5 * e).tolist(), (LN_HALF + log_e).tolist()
 
 
 def _check_homodyne_optimum(n_signal: float, ch: ChannelParams, ms, log_p) -> None:
@@ -420,8 +443,10 @@ def _check_homodyne_optimum(n_signal: float, ch: ChannelParams, ms, log_p) -> No
     if root == 0.0:
         return
     log_p = np.array(log_p)
-    m_arr = np.array(ms, dtype=float)
-    log_num = _homodyne_numeric_min(m_arr * root / np.sqrt(m_arr * (2.0 * ch.n_background + 1.0)))
+    # w = shift/sigma = m*root/sqrt(m*(2 N_B + 1)), formed so that neither m*root
+    # nor m*(2 N_B + 1) can overflow
+    w = root * np.sqrt(np.array(ms, dtype=float) / (2.0 * ch.n_background + 1.0))
+    log_num = _homodyne_numeric_min(w)
     bad = np.flatnonzero(~(np.abs(log_num - log_p) <= 1e-12 * np.maximum(1.0, np.abs(log_p))))
     if bad.size:
         raise NumericFailure(
@@ -504,10 +529,10 @@ class Receiver:
         """(rate, p_error column, ln p_error column) over ms for one scenario.
 
         p_error and ln p_error come from separate accurate routes: one erfc
-        per m through half_erfc and log_erfc for threshold rows, half_exp and
-        ln(1/2) - m*rate for bound rows. p is never formed as exp(ln p), which
-        would scale the last-bit error of ln p by |ln p|. ms are positive ints
-        (SweepSpec checks them).
+        per m, shared by p and ln p, for threshold rows (_erfc_points), and
+        half_exp and ln(1/2) - m*rate for bound rows. p is never formed as
+        exp(ln p), which would scale the last-bit error of ln p by |ln p|. ms
+        are positive ints (SweepSpec checks them).
         """
         rate = self.rate(src, ch, noise, pair)
         if self.bound is None:

@@ -7,12 +7,13 @@ high-precision mpmath arithmetic, and brute-force quadrature.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import mpmath
 import numpy as np
 from scipy.linalg import expm
 
-from qillum.montecarlo import _gaussian_blocks, deflection_se
+from qillum.montecarlo import _gaussian_blocks, _streamed_moments, deflection_se
 from qillum.receiver import BeamsplitterMoments, ReceiverStats, pc_transform
 from qillum.states import Hypothesis, apply_noise, conditional_states
 
@@ -378,3 +379,96 @@ def mp_midpoint_error_rate(src, ch, noise, m: int, dps: int = 20) -> float:
 
         e0, e1 = _mp_model_entries(src, ch, noise)
         return float((above(*e0) + 1 - above(*e1)) / 2)
+
+
+def scalar_log_erfc(x: float) -> float:
+    """ln erfc(x) for one finite x, one branch per call: receiver._erfc_column's former route.
+
+    The column kernel must give these bits: log1p(-erf(x)) while
+    erfc(x) >= 1/2, log(erfc(x)) in the mid range, and for x >= 26 the
+    asymptotic series with x^2 carried exactly as hi + lo (-inf where x*x
+    overflows).
+    """
+    if not math.isfinite(x):
+        raise ValueError(f"log_erfc argument must be finite, got {x}")
+    if x >= 26.0:
+        if math.isinf(x * x):
+            return -math.inf
+        # x*x == hi + lo exactly (Dekker), from Veltkamp's split of x
+        c = 134217729.0 * x
+        xh = c - (c - x)
+        xl = x - xh
+        hi = x * x
+        lo = ((xh * xh - hi) + xh * xl + xl * xh) + xl * xl
+        t = 0.5 / hi
+        series = 1.0
+        for k in (15.0, 13.0, 11.0, 9.0, 7.0, 5.0, 3.0, 1.0):
+            series = 1.0 - k * t * series
+        return -hi - (lo + math.log(x) + 0.5 * math.log(math.pi) - math.log(series))
+    e = math.erfc(x)
+    if e >= 0.5:
+        return math.log1p(-math.erf(x))
+    return math.log(e)
+
+
+def row_sweep_csv(result) -> str:
+    """cli.sweep_csv's former route: one f-string per row."""
+    lines = ["receiver,M,p_error,exponent,per_mode_rate"]
+    for label, rate, ps, es in zip(result.receivers, result.per_mode_rate,
+                                   result.p_error, result.exponent):
+        rate_text = f"{rate:.17g}"
+        lines += [f"{label},{m},{p:.17g},{e:.17g},{rate_text}"
+                  for m, p, e in zip(result.m_values, ps, es)]
+    return "\n".join(lines) + "\n"
+
+
+@dataclass(frozen=True)
+class MomentCheckRow:
+    label: str
+    covariance: float
+    observed: float
+    expected: float
+    std_error: float
+    n_sigma: float
+    passed: bool
+
+
+@dataclass(frozen=True)
+class MomentCheckReport:
+    rows: tuple[MomentCheckRow, ...]
+
+    @property
+    def all_passed(self) -> bool:
+        return all(row.passed for row in self.rows)
+
+
+def check_gaussian_moment_identities(cfg,
+                                     covariances: tuple[float, ...] = (-0.5, 0.0, 0.3, 0.8),
+                                     gate_sigma: float = 5.0) -> MomentCheckReport:
+    """Verify the quartic Gaussian moment identities on montecarlo's coloured normals.
+
+    For unit-variance pairs with covariance c: <q^4> = 3 and
+    <q^2 p^2> = <q^2><p^2> + 2<q p>^2 = 1 + 2 c^2, each within gate_sigma
+    empirical standard errors. Pair i draws from stream 16 + i of
+    montecarlo._gaussian_blocks, with its moments streamed block by block.
+    """
+    if cfg.n_samples < 2:
+        raise ValueError("standard errors need at least 2 samples")
+    rows = []
+    for i, cov in enumerate(covariances):
+        if not abs(cov) < 1.0:
+            raise ValueError(f"unit-variance pair needs |cov| < 1, got {cov}")
+        cm = np.array([[1.0, cov], [cov, 1.0]])
+        pairs = (z.T for z in _gaussian_blocks(0.0, cm, cfg.seed, 16 + i, cfg.n_samples))
+        moments = _streamed_moments(((q ** 2) ** 2, q ** 2 * p ** 2) for q, p in pairs)
+
+        for label, mom, expected in zip(
+                ("<q^4> = 3 sigma^4", "<q^2 p^2> = 1 + 2 cov^2"), moments,
+                (3.0, 1.0 + 2.0 * cov ** 2)):
+            n_sigma = abs(mom.mean - expected) / mom.se_mean
+            rows.append(MomentCheckRow(
+                label=label, covariance=cov, observed=mom.mean,
+                expected=expected, std_error=mom.se_mean, n_sigma=n_sigma,
+                passed=bool(n_sigma <= gate_sigma),
+            ))
+    return MomentCheckReport(rows=tuple(rows))

@@ -10,7 +10,8 @@ from pathlib import Path
 
 import numpy as np
 
-from _oracles import deflection_sigma, fock_s_overlap_thermal, random_physical_cm
+from _oracles import (check_gaussian_moment_identities, deflection_sigma, fock_s_overlap_thermal,
+                      random_physical_cm)
 from qillum.bounds import (
     ccb,
     cs_qcb_closed,
@@ -21,11 +22,7 @@ from qillum.bounds import (
     qcb,
 )
 from qillum.cli import main as cli_main
-from qillum.montecarlo import (
-    SamplerConfig,
-    check_gaussian_moment_identities,
-    simulate_pc_receiver,
-)
+from qillum.montecarlo import SamplerConfig, simulate_pc_receiver
 from qillum.receiver import half_erfc, homodyne_min_error, snr_pc
 from qillum.states import (
     ChannelParams,

@@ -21,6 +21,8 @@ from qillum.montecarlo import deflection_se, simulate_pc_receiver
 from qillum.receiver import homodyne_min_error, snr_pc
 from qillum.states import ChannelParams
 
+from _oracles import row_sweep_csv
+
 SNR_QI_PC = 2.3575929806957360e-06
 
 REF_FLAGS = ["--ns", "0.01", "--ni", "0.01", "--c", "quantum",
@@ -149,6 +151,16 @@ class TestSweepCommand:
         assert rc == 0
         firsts = [line.split(",")[0] for line in out.splitlines()[1:]]
         assert firsts == ["CS+Hom", "CS+Hom", "QI+PC", "QI+PC"]
+
+    @pytest.mark.parametrize("m", ["1e301", "1e308"])
+    def test_largest_pulse_counts_print_every_receiver(self, capsys, m):
+        # bound rows once read p_error nan past M ~ 1.3e300 (exit 2), and the
+        # CS+Hom self-check overflowed past M*(2 N_B + 1) = 1.8e308 (exit 1)
+        rc, out, _ = run_cli(capsys, ["sweep", "--m", m, "--ns", "1"])
+        assert rc == 0
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert [row[0] for row in rows] == list(RECEIVER_ORDER)
+        assert all(row[1] == str(int(float(m))) and row[2] == "0" for row in rows)
 
     def test_byte_stable_across_runs(self, capsys):
         argv = ["sweep"] + REF_FLAGS + ["--m-log", "1e5,1e8,5"]
@@ -324,6 +336,29 @@ class TestComputeSweep:
         monkeypatch.setattr(math, "erfc", counting)
         assert compute_sweep(spec) == want
         assert len(calls) == len(want)
+
+    @pytest.mark.parametrize("n_m", [1, 2, 299])
+    def test_csv_equals_the_row_route_on_random_tables(self, n_m):
+        # one % template per column against one f-string per row, on columns
+        # that hold an underflowed p, a subnormal p, an infinite exponent and
+        # M up to 1e308
+        rng = np.random.default_rng(n_m)
+        special = [(0.0, 2000.0), (0.0, math.inf), (5e-324, 744.4), (3.1e-310, 707.7)]
+        for trial in range(5):
+            ms = tuple(sorted({int(m) for m in 10 ** rng.uniform(0, 307, n_m - 1)} | {int(1e308)}))
+            receivers = RECEIVER_ORDER[:1 + trial % len(RECEIVER_ORDER)] if trial else RECEIVER_ORDER
+            columns = []
+            for _ in receivers:
+                es = np.log(2.0) + 10 ** rng.uniform(-17, 3, len(ms))
+                column = [(0.5 * math.exp(-e), e) if rng.random() < 0.8
+                          else special[rng.integers(len(special))] for e in es.tolist()]
+                columns.append(column)
+            result = SweepResult(
+                receivers, ms, tuple(10 ** rng.uniform(-320, 3, len(receivers))),
+                tuple([p for p, _ in column] for column in columns),
+                tuple([e for _, e in column] for column in columns))
+            assert sweep_csv(result) == row_sweep_csv(result)
+            assert len(sweep_csv(result).splitlines()) == 1 + len(result)
 
     def test_len_is_the_csv_row_count(self):
         result = compute_sweep(SweepSpec(ScenarioParams(ns=0.01, ni=0.01), (10, 1000, 10 ** 5),
@@ -535,7 +570,9 @@ class TestMcCommand:
     def test_tiny_run_still_evaluates_gates(self, capsys):
         rc, report, _ = run_json(capsys, ["mc"] + REF_FLAGS + ["--samples", "100"])
         assert rc in (0, 4)
-        assert len(report["results"]) == 13
+        # the five gates; the eight moment-identity rows moved to the test oracles
+        assert [row["label"] for row in report["results"]] == [
+            "mean_h0", "mean_h1", "var_h0", "var_h1", "sqrt(snr)"]
         assert all("n_sigma" in row for row in report["results"])
 
     def test_gate_failure_exits_4(self, capsys, monkeypatch):

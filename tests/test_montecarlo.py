@@ -13,7 +13,6 @@ from qillum.errors import NumericFailure
 from qillum.montecarlo import (
     EmpiricalStats,
     SamplerConfig,
-    check_gaussian_moment_identities,
     deflection_se,
     empirical_error_rate,
     sample_quadratures,
@@ -35,6 +34,7 @@ from qillum.states import (
 from qillum.symplectic import CovMatrix
 
 from _oracles import (
+    check_gaussian_moment_identities,
     deflection_sigma,
     difference_count,
     mp_midpoint_error_rate,

@@ -1,6 +1,7 @@
 """Receiver-chain statistics, error probabilities, and asymptotics."""
 import importlib.util
 import math
+import sys
 from pathlib import Path
 
 import mpmath
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import golden_section, snr_from_moments, ulp_error
+from _oracles import golden_section, scalar_log_erfc, snr_from_moments, ulp_error
 
 import qillum.receiver
 from qillum.errors import NumericFailure
@@ -21,10 +22,13 @@ from qillum.receiver import (
     beamsplitter_moments,
     LN_HALF,
     _LOG_ERFC_PQ,
+    _check_homodyne_optimum,
+    _erfc_column,
+    _erfc_points,
     _homodyne_log_p,
+    _two_product,
     _homodyne_numeric_min,
     _log_erfc_and_slope,
-    _log_erfc_given,
     _log_erfc_nonneg,
     erfc,
     error_prob_pc,
@@ -181,6 +185,131 @@ class TestErfc:
             erfc(math.nan)
         with pytest.raises(ValueError):
             log_erfc(math.inf)
+
+
+def _bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+def _neighbours(x: float, n: int = 3) -> list:
+    """x and the n doubles on either side of it."""
+    out = [x]
+    for direction in (-math.inf, math.inf):
+        y = x
+        for _ in range(n):
+            y = math.nextafter(y, direction)
+            out.append(y)
+    return out
+
+
+class TestErfcColumn:
+    """receiver._erfc_column against the former scalar route (_oracles.scalar_log_erfc)."""
+
+    # the doubles either side of erfc = 1/2, the switch to the series at 26,
+    # where erfc leaves the normal range (26.54) and where it reaches zero
+    # (27.23), and where x*x overflows (1.34e154)
+    EDGES = (_neighbours(0.4769362762044699) + _neighbours(26.0)
+             + _neighbours(26.543258454250978) + _neighbours(27.226364135742184)
+             + _neighbours(math.sqrt(sys.float_info.max))
+             + [0.0, -0.0, 5e-324, -5e-324, 1e-300, -6.0, 40.0, 1e155, sys.float_info.max])
+
+    def test_kernel_equals_the_scalar_route_bit_for_bit(self):
+        rng = np.random.default_rng(17)
+        xs = np.concatenate([rng.uniform(-6.0, 40.0, 100_000), 10 ** rng.uniform(-12, 154, 5000),
+                             self.EDGES])
+        e, log_e = _erfc_column(xs)
+        assert np.array_equal(_bits(e), _bits([math.erfc(x) for x in xs.tolist()]))
+        assert np.array_equal(_bits(log_e), _bits([scalar_log_erfc(x) for x in xs.tolist()]))
+
+    def test_each_route_and_edge_alone(self):
+        # one-element columns take each mask on its own, and log_erfc is that case
+        for x in self.EDGES:
+            e, log_e = _erfc_column(np.array([x]))
+            assert _bits(e) == _bits(math.erfc(x)), x
+            assert _bits(log_e) == _bits(scalar_log_erfc(x)) == _bits(log_erfc(x)), x
+            assert type(log_erfc(x)) is float
+        assert log_erfc(1e155) == -math.inf
+        assert log_erfc(-0.0) == 0.0 and log_erfc(26.0) < -675.0
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_x_raises_the_same_error(self, bad):
+        with pytest.raises(ValueError) as old:
+            erfc(bad)
+        for call in (lambda: log_erfc(bad), lambda: _erfc_column(np.array([1.0, bad, 2.0]))):
+            with pytest.raises(ValueError) as new:
+                call()
+            assert str(new.value) == str(old.value)
+
+    def test_points_equal_the_per_row_route(self):
+        # x = sqrt(m*rate) in numpy is the per-row math.sqrt(m * rate) of
+        # Python's int*float, for m up to 1e308 and rates across the routes
+        rng = np.random.default_rng(23)
+        ms = sorted({int(m) for m in 10 ** rng.uniform(0, 308, 400)} | {1, 2 ** 53 + 1, 2 ** 64 + 1})
+        for rate in (0.0, 1e-300, 2.3e-6, 0.37, 5e3, *10 ** rng.uniform(-320, -250, 5)):
+            grid = [m for m in ms if math.isfinite(m * rate)]
+            xs = [math.sqrt(m * rate) for m in grid]
+            p, log_p = _erfc_points(rate, grid)
+            assert p == [0.5 * math.erfc(x) for x in xs]
+            assert log_p == [LN_HALF + scalar_log_erfc(x) for x in xs]
+            assert all(type(v) is float for v in p + log_p)
+
+
+class TestHugePulseCounts:
+    """Rows at M up to 1.8e308, against mpmath."""
+
+    def test_half_exp_within_two_ulps_of_mpmath_at_any_m(self):
+        # Veltkamp's split of m overflowed past ~1.3e300, and p was nan
+        rng = np.random.default_rng(29)
+        ms = [int(m) for m in 10 ** rng.uniform(290, 308, 200)]
+        ms += [int(sys.float_info.max), 2 ** 1023, int(1e300), int(1e301)]
+        with mpmath.workdps(50):
+            for m in ms:
+                for target in (1e-3, 0.7, 30.0, 700.0):
+                    rate = target / m
+                    exact = mpmath.exp(-mpmath.mpf(float(m)) * mpmath.mpf(rate)) / 2
+                    assert ulp_error(half_exp(m, rate), exact) <= 2.0, (m, rate)
+
+    def test_half_exp_bytes_unchanged_below_1e300(self):
+        def unscaled(m, rate):
+            hi, lo = _two_product(float(m), rate)
+            p = 0.5 * math.exp(-hi)
+            return p - p * lo
+
+        rng = np.random.default_rng(31)
+        for m, rate in zip(10 ** rng.uniform(0, 300, 2000), 10 ** rng.uniform(-300, 3, 2000)):
+            m = min(int(m), int(1e300))
+            assert _bits(half_exp(m, rate)) == _bits(unscaled(m, rate)), (m, rate)
+
+    def test_half_exp_underflows_to_zero_not_nan(self):
+        assert half_exp(int(1e308), 1e10) == 0.0
+        assert half_exp(int(1e301), 1.0) == 0.0
+        # m*rate itself overflows, with and without the scaled split
+        assert half_exp(int(1e308), 1e30) == 0.0
+        assert half_exp(10 ** 200, 1e200) == 0.0
+
+    def test_homodyne_self_check_holds_at_the_largest_m(self):
+        # w = m*root/sqrt(m*(2 N_B + 1)) once overflowed to 0 past
+        # m*(2 N_B + 1) = 1.8e308, and the check raised NumericFailure
+        ch = ChannelParams(0.01, 20.0)
+        ms = [int(1e305), int(1e307), int(1e308), int(sys.float_info.max)]
+        rate = homodyne_rate(1.0, ch)
+        with mpmath.workdps(50):
+            for m, opt in zip(ms, homodyne_min_errors(1.0, ch, ms)):
+                x = math.sqrt(m * rate)
+                exact = mpmath.log(mpmath.erfc(mpmath.mpf(x)) / 2)
+                assert opt.p_error == 0.0
+                # the check ran and its search met the closed form within 1e-12
+                assert ulp_error(opt.log_p_error, exact) <= 2.0, m
+
+    def test_self_check_reads_the_closed_form_at_the_largest_m(self):
+        # the check compares its own minimum against the ln p column it is given
+        ch = ChannelParams(0.3, 0.2)
+        ms = [int(1e300), int(1e308)]
+        _, log_p = _erfc_points(homodyne_rate(0.5, ch), ms)
+        _check_homodyne_optimum(0.5, ch, ms, log_p)
+        with pytest.raises(NumericFailure, match=rf"at M={ms[0]} \(") as bad:
+            _check_homodyne_optimum(0.5, ch, ms, [log_p[0] * (1 + 1e-11), log_p[1]])
+        assert f"M={ms[1]}" not in str(bad.value)
 
 
 class TestPcTransform:
@@ -406,13 +535,14 @@ class TestHomodyne:
         # computes its own ln erfc, so only the closed form is corrupted
         ms = [10, 10 ** 6, 10 ** 8]
         bad_x = math.sqrt(10 ** 6 * (0.01 * 0.01 / 82.0))
-        real = _log_erfc_given
+        real = _erfc_column
 
-        def corrupt(x, e):
-            return real(x, e) * (1.0 + 1e-11) if x == bad_x else real(x, e)
+        def corrupt(x):
+            e, log_e = real(x)
+            return e, np.where(x == bad_x, log_e * (1.0 + 1e-11), log_e)
 
         homodyne_min_errors(0.01, REF_CH, ms)
-        monkeypatch.setattr("qillum.receiver._log_erfc_given", corrupt)
+        monkeypatch.setattr("qillum.receiver._erfc_column", corrupt)
         with pytest.raises(NumericFailure, match=r"at M=1000000 \(") as grid:
             homodyne_min_errors(0.01, REF_CH, ms)
         assert "M=10 " not in str(grid.value) and "M=100000000" not in str(grid.value)
