@@ -18,10 +18,12 @@ summed rescaled covariances, times a Gaussian factor in the mean difference.
 The classical analogue for heterodyne outcome records uses the same
 s-integral over Gaussian probability densities.
 
-Three routes give ln C_s and its s-derivative, chosen at one dispatch point
-(_quantum_route for states, _classical_route for outcome densities):
+Two closed forms, chosen at one dispatch point (_quantum_route for states,
+_classical_route for outcome densities), give ln C_s and its s-derivative for
+the pairs of the illumination model. The public functions (gaussian_s_overlap,
+qcb, qbb, classical_s_overlap, ccb) take only these; others raise ValueError:
 
-- Closed form, for zero-mean two-mode pairs in standard form
+- Zero-mean two-mode pairs in standard form
   V = (1/2)[[a I, c Z], [c Z, b I]], which every conditional state of the
   illumination model is (StandardFormPair). The symplectic spectrum comes
   from the two-mode invariants, lambda_pm = a - h, b - h (doubled units,
@@ -37,15 +39,10 @@ Three routes give ln C_s and its s-derivative, chosen at one dispatch point
   V + I/2, which keeps the standard form; their log-overlap is the Jensen
   gap of ln det along the segment between the two covariances
   (StandardFormDensities).
-- Closed form, for two states of one covariance (n + 1/2) I whose means
-  differ by d, as the coherent-probe benchmark's do (_shifted_thermal):
+- Two states of one covariance (n + 1/2) I whose means differ by d, as the
+  coherent-probe benchmark's do (_shifted_thermal):
   ln C_s = -|d|^2 / (Lambda_s + Lambda_{1-s}), Lambda_s = coth(s theta).
-- Generic, for any other pair: the numeric Williamson decomposition of each
-  covariance (symplectic.williamson, from numpy's Hermitian eigensolver) and
-  a numpy Cholesky factor L of the summed covariance, whose inverse is
-  L^-T L^-1 and whose ln det is 2 sum ln diag(L); the derivative comes from
-  the same factor. It is the fallback and the test oracle of the closed
-  forms.
+  cs_qcb takes it directly from N_B and |d|^2 = 2 kappa N_S.
 
 Minimization over s: ln C_s is convex in s (Audenaert et al., PRL 98,
 160501, 2007), so one safeguarded Newton iteration on the analytic
@@ -62,10 +59,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericFailure
 from .states import (ChannelParams, GaussianState, NoiseParams, SourceParams,
                      _check_nonnegative, _validate_pulses, _standard_form_matrix)
-from .symplectic import PHYSICALITY_ATOL, _symmetric_matrix, williamson
+from .symplectic import PHYSICALITY_ATOL, _symmetric_matrix
 
 # s is clamped away from the endpoints where G_s diverges for mixed states;
 # C_0 = C_1 = 1 analytically and the clamped evaluation recovers that limit.
@@ -75,6 +71,7 @@ _EPS = float(np.finfo(float).eps)
 # minimum is below half of this, and s = 1/2 wins a tie within it.
 _EXPONENT_RTOL = 4.0 * _EPS
 _MAX_STEPS = 200
+_SUBNORMAL_SPACING = math.ulp(0.0)
 _UNPHYSICAL = "covariance matrix is not physical (symplectic eigenvalue < 1/2)"
 # The largest return and idler excesses over the vacuum, 2 N_B + eps_r and
 # 2 N_I + eps_i, at which the model's QI bound rates still meet 1e-12 relative
@@ -97,7 +94,9 @@ class SOverlapResult:
     """Minimized prior-weighted s-overlap and the bound it certifies.
 
     exponent is -ln C_{s*}, kept as computed rather than recovered from
-    c_at_s_star, which rounds near 1 when the exponent is small.
+    c_at_s_star, which rounds near 1 when the exponent is small. Past
+    exponent ~708 c_at_s_star and bound are subnormal, and past ~745
+    exp(-exponent) underflows: both are then 0.
     """
 
     s_star: float
@@ -109,21 +108,27 @@ class SOverlapResult:
     def __post_init__(self) -> None:
         if not 0.0 <= self.s_star <= 1.0:
             raise ValueError(f"s_star must lie in [0, 1], got {self.s_star}")
-        if not 0.0 < self.c_at_s_star <= 1.0:
+        if not self.exponent >= 0.0:
+            raise ValueError("exponent inconsistent with c_at_s_star")
+        c_of_exponent = math.exp(-self.exponent)
+        if not (0.0 < self.c_at_s_star <= 1.0 or self.c_at_s_star == c_of_exponent == 0.0):
             raise ValueError(f"c_at_s_star must lie in (0, 1], got {self.c_at_s_star}")
         if not 0.0 < self.prior_h0 < 1.0:
             raise ValueError(f"prior_h0 must lie in (0, 1), got {self.prior_h0}")
         expected = (self.prior_h0 ** self.s_star
                     * (1.0 - self.prior_h0) ** (1.0 - self.s_star)
                     * self.c_at_s_star)
-        if not abs(self.bound - expected) <= 1e-12 * expected:
+        if not _near(self.bound, expected):
             raise ValueError("bound inconsistent with prior-weighted overlap")
         if self.bound > 0.5 * (1.0 + 1e-12):
             raise ValueError(f"bound must not exceed 1/2, got {self.bound}")
-        if not (self.exponent >= 0.0
-                  and abs(math.exp(-self.exponent) - self.c_at_s_star)
-                  <= 1e-12 * self.c_at_s_star):
+        if not _near(c_of_exponent, self.c_at_s_star):
             raise ValueError("exponent inconsistent with c_at_s_star")
+
+
+def _near(value: float, want: float) -> bool:
+    # 1e-12 relative, or one subnormal spacing: a subnormal product rounds to that spacing
+    return abs(value - want) <= max(1e-12 * want, _SUBNORMAL_SPACING)
 
 
 def _as_pd_matrix(value, name: str) -> np.ndarray:
@@ -139,9 +144,10 @@ def _as_pd_matrix(value, name: str) -> np.ndarray:
 class ClassicalDistributionPair:
     """Gaussian outcome densities of one measurement under the two hypotheses.
 
-    Covariances here are ordinary probability-density covariances of any
-    dimension, not quantum mode covariances; heterodyne outcome records are
-    the motivating case but one-dimensional examples are equally valid.
+    Covariances here are ordinary probability-density covariances, not
+    quantum mode covariances. classical_s_overlap and ccb take the zero-mean
+    4-d standard-form densities that heterodyne_distributions gives for the
+    model's conditional states.
     """
 
     cov_h0: np.ndarray
@@ -166,10 +172,6 @@ class ClassicalDistributionPair:
             means.append(mean)
         object.__setattr__(self, "mean_h0", means[0])
         object.__setattr__(self, "mean_h1", means[1])
-
-    @property
-    def dim(self) -> int:
-        return self.cov_h0.shape[0]
 
 
 def _check_s(s: float) -> float:
@@ -444,128 +446,31 @@ class StandardFormDensities:
         return _weighted_result(self._log_c_slope, prior_h0)
 
 
-def _snap_pure(spectrum: np.ndarray) -> np.ndarray:
-    """Clamp eigenvalues below 1/2 and snap fp-noise purity to exactly 1/2.
-
-    A decomposition residue of order eps*max(nu) above 1/2 would otherwise
-    enter as (nu-1/2)^s, turning 1e-16 noise into 1e-8 error at s = 1/2.
-    """
-    nus = np.maximum(np.asarray(spectrum, dtype=float), 0.5)
-    tol = 64.0 * _EPS * max(1.0, float(nus.max()))
-    nus[nus - 0.5 <= tol] = 0.5
-    return nus
-
-
-def _thermal_power(nu: float, s: float) -> tuple[float, float, float, float]:
-    """(ln G_s(nu), its s-derivative, Lambda_s(nu), its s-derivative) for nu >= 1/2."""
-    if nu <= 0.5:
-        return 0.0, 0.0, 1.0, 0.0
-    # ln((nu-1/2)/(nu+1/2)): (nu+1/2)/(nu-1/2) = 1 + 1/(nu-1/2) exactly
-    log_ratio = -math.log1p(1.0 / (nu - 0.5))
-    x = s * log_ratio
-    ex = math.exp(x)
-    em = -math.expm1(x)
-    log_top = math.log(nu + 0.5)
-    return (-s * log_top - math.log(em), -log_top + log_ratio * ex / em,
-            (1.0 + ex) / em, 2.0 * log_ratio * ex / (em * em))
-
-
-class _GaussianOverlap:
-    """Generic route: ln C_s and its slope from the Williamson data of any state pair."""
-
-    def __init__(self, state0: GaussianState, state1: GaussianState):
-        w0 = williamson(state0.cov)
-        w1 = williamson(state1.cov)
-        self._sides = ((w0.s_matrix, _snap_pure(w0.spectrum), 1.0),
-                       (w1.s_matrix, _snap_pure(w1.spectrum), -1.0))
-        self._d = state0.mean - state1.mean
-
-    def log_c_slope(self, s: float) -> tuple[float, float]:
-        value = slope = 0.0
-        sigma = d_sigma = 0.0
-        # H0 enters at s, H1 at t = 1 - s, so H1's s-derivatives change sign
-        for s_matrix, nus, sign in self._sides:
-            lam = np.empty(len(nus))
-            d_lam = np.empty(len(nus))
-            for k, nu in enumerate(nus):
-                log_g, d_log_g, lam[k], d = _thermal_power(nu, s if sign > 0 else 1.0 - s)
-                value += log_g
-                slope += sign * d_log_g
-                d_lam[k] = sign * d
-            sigma = sigma + (s_matrix * np.repeat(0.5 * lam, 2)) @ s_matrix.T
-            d_sigma = d_sigma + (s_matrix * np.repeat(0.5 * d_lam, 2)) @ s_matrix.T
-        sigma = (sigma + sigma.T) / 2.0
-        try:
-            chol = np.linalg.cholesky(sigma)
-        except np.linalg.LinAlgError as exc:
-            raise NumericFailure(f"summed overlap covariance not factorizable at s={s}") from exc
-        inv_chol = np.linalg.inv(chol)
-        inv = inv_chol.T @ inv_chol
-        value -= float(np.log(np.diag(chol)).sum())
-        slope -= 0.5 * float(np.sum(inv * d_sigma))
-        if np.any(self._d != 0.0):
-            x = inv @ self._d
-            value -= 0.5 * float(self._d @ x)
-            slope += 0.5 * float(x @ d_sigma @ x)
-        return value, slope
-
-
-class _ClassicalOverlap:
-    """Generic route: ln integral(p0^s p1^(1-s)) and its slope for any Gaussian densities."""
-
-    def __init__(self, pair: ClassicalDistributionPair):
-        try:
-            p0 = np.linalg.inv(pair.cov_h0)
-            p1 = np.linalg.inv(pair.cov_h1)
-            sign0, self._ld0 = np.linalg.slogdet(pair.cov_h0)
-            sign1, self._ld1 = np.linalg.slogdet(pair.cov_h1)
-            if min(sign0, sign1) <= 0:
-                raise np.linalg.LinAlgError("non-positive determinant")
-        except np.linalg.LinAlgError as exc:
-            raise ValueError(f"degenerate outcome covariances: {exc}") from None
-        self._p0, self._p1 = p0, p1
-        self._pm0, self._pm1 = p0 @ pair.mean_h0, p1 @ pair.mean_h1
-        self._q0 = float(pair.mean_h0 @ self._pm0)
-        self._q1 = float(pair.mean_h1 @ self._pm1)
-
-    def log_c_slope(self, s: float) -> tuple[float, float]:
-        t = 1.0 - s
-        a = s * self._p0 + t * self._p1
-        b = s * self._pm0 + t * self._pm1
-        try:
-            sign_a, ld_a = np.linalg.slogdet(a)
-            if sign_a <= 0:
-                raise np.linalg.LinAlgError("non-positive determinant")
-            x = np.linalg.solve(a, b)
-            a_inv_dp = np.linalg.solve(a, self._p0 - self._p1)
-        except np.linalg.LinAlgError as exc:
-            raise ValueError(f"degenerate outcome covariances: {exc}") from None
-        value = (-0.5 * (s * self._ld0 + t * self._ld1 + ld_a)
-                 + 0.5 * (float(b @ x) - s * self._q0 - t * self._q1))
-        slope = (-0.5 * (self._ld0 - self._ld1 + float(np.trace(a_inv_dp)))
-                 + 0.5 * (2.0 * float(x @ (self._pm0 - self._pm1))
-                          - float(x @ (self._p0 - self._p1) @ x) - (self._q0 - self._q1)))
-        return value, slope
-
-
 def _shifted_thermal(n: float, d2: float):
     """s -> (ln C_s, slope) for two states of covariance (n + 1/2) I whose means differ by d.
 
     Only the mean term is left: ln C_s = -|d|^2 / (2 (P_s + P_{1-s})), with
-    P_s = coth(s theta)/2 and theta = log1p(1/n)/2 (inf for the vacuum).
+    P_s = coth(s theta)/2 = (1 + q^s) / (2 (1 - q^s)), q = n/(n+1) = e^(-2 theta).
+    1 - q^s comes from expm1, not libm's tanh, which put the s = 1/2 exponent
+    up to 4.6 ulps from mpmath.
     """
-    theta = 0.5 * math.log1p(1.0 / n) if n > 0.0 else math.inf
+    log_q = -math.log1p(1.0 / n) if n > 0.0 else -math.inf
+    theta = _finite(-0.5 * log_q)
+
+    def half_coth(x: float) -> tuple[float, float]:
+        e = -math.expm1(x * log_q)
+        p = 0.5 * (2.0 - e) / e
+        return p, -0.5 * theta * (4.0 * p * p - 1.0)
 
     def log_c_slope(s: float) -> tuple[float, float]:
-        p0, d0 = _half_coth(s * theta, _finite(theta))
-        p1, d1 = _half_coth((1.0 - s) * theta, -_finite(theta))
+        (p0, d0), (p1, d1) = half_coth(s), half_coth(1.0 - s)
         value = -0.5 * d2 / (p0 + p1)
-        return value, -value * (d0 + d1) / (p0 + p1)
+        return value, -value * (d0 - d1) / (p0 + p1)
     return log_c_slope
 
 
 def _quantum_route(state0: GaussianState, state1: GaussianState):
-    """The dispatch point for states: s -> (ln C_s, slope), closed form where it applies."""
+    """The dispatch point for states: s -> (ln C_s, slope) by one of the two closed forms."""
     if state0.n_modes != state1.n_modes:
         raise ValueError(f"mode counts differ: {state0.n_modes} vs {state1.n_modes}")
     cov = state0.cov.entries
@@ -577,16 +482,18 @@ def _quantum_route(state0: GaussianState, state1: GaussianState):
     if np.array_equal(cov, state1.cov.entries) and np.array_equal(cov, cov[0, 0] * np.eye(len(cov))):
         d = state0.mean - state1.mean
         return _shifted_thermal(max(float(cov[0, 0]) - 0.5, 0.0), float(d @ d))
-    return _GaussianOverlap(state0, state1).log_c_slope
+    raise ValueError("no closed form for this pair of states: the bounds take a zero-mean two-mode "
+                     "standard-form pair, or two states of one covariance (n + 1/2) I")
 
 
 def _classical_route(pair: ClassicalDistributionPair):
-    """The dispatch point for outcome densities: s -> (ln overlap, slope)."""
+    """The dispatch point for outcome densities: s -> (ln overlap, slope) in closed form."""
     if not (np.any(pair.mean_h0) or np.any(pair.mean_h1)):
         entries = _standard_form(pair.cov_h0, pair.cov_h1)
         if entries is not None:
             return StandardFormDensities(*entries)._log_c_slope
-    return _ClassicalOverlap(pair).log_c_slope
+    raise ValueError("no closed form for these densities: the bounds take the zero-mean 4-d "
+                     "standard-form densities that heterodyne_distributions gives for the model")
 
 
 def _minimize_weighted(log_c_slope, prior_h0: float) -> tuple[float, float]:
@@ -681,6 +588,13 @@ def cs_qcb_exponent(n_signal: float, ch: ChannelParams) -> float:
     return ch.reflectivity * n_signal / root_sum ** 2
 
 
+def cs_qcb(n_signal: float, ch: ChannelParams, prior_h0: float = 0.5) -> SOverlapResult:
+    """qcb of coherent_benchmark_states, in closed form from N_B and |d|^2 = 2 kappa N_S."""
+    _check_nonnegative(n_signal, "n_signal")
+    return _weighted_result(
+        _shifted_thermal(ch.n_background, 2.0 * ch.reflectivity * n_signal), prior_h0)
+
+
 def cs_qcb_closed(n_signal: float, ch: ChannelParams, m) -> float:
     """Coherent-probe Chernoff bound (1/2)exp(-M*kappa*N_S*(sqrt(N_B+1)-sqrt(N_B))^2)."""
     m = _validate_pulses(m)
@@ -694,16 +608,10 @@ def heterodyne_distributions(state0: GaussianState, state1: GaussianState) -> Cl
     covariance plus half a vacuum unit per quadrature.
     """
     if state0.n_modes != state1.n_modes:
-        raise ValueError(
-            f"mode counts differ: {state0.n_modes} vs {state1.n_modes}"
-        )
+        raise ValueError(f"mode counts differ: {state0.n_modes} vs {state1.n_modes}")
     half = 0.5 * np.eye(2 * state0.n_modes)
-    return ClassicalDistributionPair(
-        cov_h0=state0.cov.entries + half,
-        cov_h1=state1.cov.entries + half,
-        mean_h0=state0.mean,
-        mean_h1=state1.mean,
-    )
+    return ClassicalDistributionPair(state0.cov.entries + half, state1.cov.entries + half,
+                                     state0.mean, state1.mean)
 
 
 def classical_s_overlap(pair: ClassicalDistributionPair, s: float) -> float:

@@ -122,6 +122,11 @@ class SweepResult:
     exponent: tuple
 
     def __post_init__(self) -> None:
+        per_receiver = (self.per_mode_rate, self.p_error, self.exponent)
+        if any(len(entries) != len(self.receivers) for entries in per_receiver):
+            raise ValueError("per_mode_rate, p_error and exponent must hold one entry per receiver")
+        if any(len(col) != len(self.m_values) for col in chain(self.p_error, self.exponent)):
+            raise ValueError("each p_error and exponent column must hold one value per M")
         min_exponent = math.log(2.0) - 1e-12
         for label, ps, es in zip(self.receivers, self.p_error, self.exponent):
             for m, p, e in zip(self.m_values, ps, es):

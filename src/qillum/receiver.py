@@ -24,11 +24,11 @@ from typing import Callable
 
 import numpy as np
 
-from .bounds import StandardFormPair, _bound_at, cs_qcb_exponent, qcb
+from .bounds import StandardFormPair, _bound_at, cs_qcb, cs_qcb_exponent
 from .errors import NumericFailure
 from .optimize import illinois_array
 from .states import (ChannelParams, GaussianState, NoiseParams, SourceParams, _check_nonnegative,
-                     _validate_pulses, c_quantum, coherent_benchmark_states)
+                     _validate_pulses, c_quantum)
 from .symplectic import CovMatrix
 
 LN_HALF = math.log(0.5)
@@ -561,11 +561,8 @@ RECEIVERS = {rx.label: rx for rx in (
     _pc("QI+Het+PC", 1.0, 1.0, _coherent_asymptote),
     Receiver("QI+Het+CCB", lambda src, ch, noise, pair: pair().heterodyne().ccb().exponent,
              bound=lambda src, ch, noise, pair, prior_h0: pair().heterodyne().ccb(prior_h0)),
-    # the exponent in closed form; the bound from qcb on the coherent states,
-    # which share a thermal covariance and take its closed form at any prior
     Receiver("CS-QCB", lambda src, ch, noise, pair: cs_qcb_exponent(src.n_signal, ch),
-             bound=lambda src, ch, noise, pair, prior_h0: qcb(
-                 *coherent_benchmark_states(src.n_signal, ch), prior_h0=prior_h0)),
+             bound=lambda src, ch, noise, pair, prior_h0: cs_qcb(src.n_signal, ch, prior_h0)),
     Receiver("CS+Hom", lambda src, ch, noise, pair: homodyne_rate(src.n_signal, ch),
              asymptote=_coherent_asymptote,
              check=lambda src, ch, ms, log_p: _check_homodyne_optimum(

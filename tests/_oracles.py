@@ -13,9 +13,13 @@ import mpmath
 import numpy as np
 from scipy.linalg import expm
 
+from qillum.bounds import (ClassicalDistributionPair, SOverlapResult, _check_s,
+                           _weighted_result)
+from qillum.errors import NumericFailure
 from qillum.montecarlo import _gaussian_blocks, _streamed_moments, deflection_se
 from qillum.receiver import BeamsplitterMoments, ReceiverStats, pc_transform
-from qillum.states import Hypothesis, apply_noise, conditional_states
+from qillum.states import GaussianState, Hypothesis, apply_noise, conditional_states
+from qillum.symplectic import williamson
 
 
 def ulp_error(value: float, exact) -> float:
@@ -170,15 +174,30 @@ def mp_shifted_thermal_log_c(state0, state1, s):
     of the states enters at its exact binary value.
     """
     nu = mpmath.mpf(float(state0.cov.entries[0, 0]))
-    half = mpmath.mpf(1) / 2
     d2 = sum((mpmath.mpf(float(a)) - mpmath.mpf(float(b))) ** 2
              for a, b in zip(state0.mean, state1.mean))
+    return _mp_shifted_thermal(nu, d2, state0.n_modes, s)
+
+
+def mp_coherent_log_c(n_signal: float, ch, s):
+    """mp_shifted_thermal_log_c of the coherent benchmark's pair, from its parameters.
+
+    nu = N_B + 1/2 and |d|^2 = 2 kappa N_S exactly, with no double rounding
+    of the covariance or of the mean on the way.
+    """
+    mpf = mpmath.mpf
+    return _mp_shifted_thermal(mpf(ch.n_background) + mpf(1) / 2,
+                               2 * mpf(ch.reflectivity) * mpf(n_signal), 1, s)
+
+
+def _mp_shifted_thermal(nu, d2, n_modes: int, s):
+    half = mpmath.mpf(1) / 2
     log_c, lam_sum = 0, 0
     for p in (s, 1 - s):
         top, bottom = (nu + half) ** p, (nu - half) ** p
-        log_c -= state0.n_modes * mpmath.log(top - bottom)
+        log_c -= n_modes * mpmath.log(top - bottom)
         lam_sum += (top + bottom) / (top - bottom)
-    return log_c - state0.n_modes * mpmath.log(lam_sum / 2) - d2 / lam_sum
+    return log_c - n_modes * mpmath.log(lam_sum / 2) - d2 / lam_sum
 
 
 def mp_classical_log_overlap(cov0, cov1, s):
@@ -213,6 +232,140 @@ def mp_model_exponents(src, ch, noise=None, dps: int = 60) -> dict:
             "QI-QBB": -mp_log_c(e0, e1, mpmath.mpf(1) / 2),
             "QI+Het+CCB": _mp_max_over_s(lambda s: -mp_classical_log_overlap(het0, het1, s)),
         }
+
+
+# The generic route: ln C_s and its s-derivative for any pair of Gaussian states
+# (any pair of Gaussian densities) from a numeric Williamson decomposition of
+# each covariance and a Cholesky factor of the summed covariance. The library
+# keeps only the closed forms of the model's pairs; this route is their oracle.
+
+def _snap_pure(spectrum: np.ndarray) -> np.ndarray:
+    """Clamp eigenvalues below 1/2 and snap fp-noise purity to exactly 1/2.
+
+    A decomposition residue of order eps*max(nu) above 1/2 would otherwise
+    enter as (nu-1/2)^s, turning 1e-16 noise into 1e-8 error at s = 1/2.
+    """
+    nus = np.maximum(np.asarray(spectrum, dtype=float), 0.5)
+    tol = 64.0 * float(np.finfo(float).eps) * max(1.0, float(nus.max()))
+    nus[nus - 0.5 <= tol] = 0.5
+    return nus
+
+
+def _thermal_power(nu: float, s: float) -> tuple[float, float, float, float]:
+    """(ln G_s(nu), its s-derivative, Lambda_s(nu), its s-derivative) for nu >= 1/2."""
+    if nu <= 0.5:
+        return 0.0, 0.0, 1.0, 0.0
+    # ln((nu-1/2)/(nu+1/2)): (nu+1/2)/(nu-1/2) = 1 + 1/(nu-1/2) exactly
+    log_ratio = -math.log1p(1.0 / (nu - 0.5))
+    x = s * log_ratio
+    ex = math.exp(x)
+    em = -math.expm1(x)
+    log_top = math.log(nu + 0.5)
+    return (-s * log_top - math.log(em), -log_top + log_ratio * ex / em,
+            (1.0 + ex) / em, 2.0 * log_ratio * ex / (em * em))
+
+
+class _GaussianOverlap:
+    """Generic route: ln C_s and its slope from the Williamson data of any state pair."""
+
+    def __init__(self, state0: GaussianState, state1: GaussianState):
+        w0 = williamson(state0.cov)
+        w1 = williamson(state1.cov)
+        self._sides = ((w0.s_matrix, _snap_pure(w0.spectrum), 1.0),
+                       (w1.s_matrix, _snap_pure(w1.spectrum), -1.0))
+        self._d = state0.mean - state1.mean
+
+    def log_c_slope(self, s: float) -> tuple[float, float]:
+        value = slope = 0.0
+        sigma = d_sigma = 0.0
+        # H0 enters at s, H1 at t = 1 - s, so H1's s-derivatives change sign
+        for s_matrix, nus, sign in self._sides:
+            lam = np.empty(len(nus))
+            d_lam = np.empty(len(nus))
+            for k, nu in enumerate(nus):
+                log_g, d_log_g, lam[k], d = _thermal_power(nu, s if sign > 0 else 1.0 - s)
+                value += log_g
+                slope += sign * d_log_g
+                d_lam[k] = sign * d
+            sigma = sigma + (s_matrix * np.repeat(0.5 * lam, 2)) @ s_matrix.T
+            d_sigma = d_sigma + (s_matrix * np.repeat(0.5 * d_lam, 2)) @ s_matrix.T
+        sigma = (sigma + sigma.T) / 2.0
+        try:
+            chol = np.linalg.cholesky(sigma)
+        except np.linalg.LinAlgError as exc:
+            raise NumericFailure(f"summed overlap covariance not factorizable at s={s}") from exc
+        inv_chol = np.linalg.inv(chol)
+        inv = inv_chol.T @ inv_chol
+        value -= float(np.log(np.diag(chol)).sum())
+        slope -= 0.5 * float(np.sum(inv * d_sigma))
+        if np.any(self._d != 0.0):
+            x = inv @ self._d
+            value -= 0.5 * float(self._d @ x)
+            slope += 0.5 * float(x @ d_sigma @ x)
+        return value, slope
+
+
+class _ClassicalOverlap:
+    """Generic route: ln integral(p0^s p1^(1-s)) and its slope for any Gaussian densities."""
+
+    def __init__(self, pair: ClassicalDistributionPair):
+        try:
+            p0 = np.linalg.inv(pair.cov_h0)
+            p1 = np.linalg.inv(pair.cov_h1)
+            sign0, self._ld0 = np.linalg.slogdet(pair.cov_h0)
+            sign1, self._ld1 = np.linalg.slogdet(pair.cov_h1)
+            if min(sign0, sign1) <= 0:
+                raise np.linalg.LinAlgError("non-positive determinant")
+        except np.linalg.LinAlgError as exc:
+            raise ValueError(f"degenerate outcome covariances: {exc}") from None
+        self._p0, self._p1 = p0, p1
+        self._pm0, self._pm1 = p0 @ pair.mean_h0, p1 @ pair.mean_h1
+        self._q0 = float(pair.mean_h0 @ self._pm0)
+        self._q1 = float(pair.mean_h1 @ self._pm1)
+
+    def log_c_slope(self, s: float) -> tuple[float, float]:
+        t = 1.0 - s
+        a = s * self._p0 + t * self._p1
+        b = s * self._pm0 + t * self._pm1
+        try:
+            sign_a, ld_a = np.linalg.slogdet(a)
+            if sign_a <= 0:
+                raise np.linalg.LinAlgError("non-positive determinant")
+            x = np.linalg.solve(a, b)
+            a_inv_dp = np.linalg.solve(a, self._p0 - self._p1)
+        except np.linalg.LinAlgError as exc:
+            raise ValueError(f"degenerate outcome covariances: {exc}") from None
+        value = (-0.5 * (s * self._ld0 + t * self._ld1 + ld_a)
+                 + 0.5 * (float(b @ x) - s * self._q0 - t * self._q1))
+        slope = (-0.5 * (self._ld0 - self._ld1 + float(np.trace(a_inv_dp)))
+                 + 0.5 * (2.0 * float(x @ (self._pm0 - self._pm1))
+                          - float(x @ (self._p0 - self._p1) @ x) - (self._q0 - self._q1)))
+        return value, slope
+
+
+def generic_s_overlap(state0, state1, s: float) -> float:
+    """gaussian_s_overlap by the generic route: C_s in (0, 1] for any two states."""
+    return min(math.exp(_GaussianOverlap(state0, state1).log_c_slope(_check_s(s))[0]), 1.0)
+
+
+def generic_qcb(state0, state1, prior_h0: float = 0.5) -> SOverlapResult:
+    """qcb by the generic route."""
+    return _weighted_result(_GaussianOverlap(state0, state1).log_c_slope, prior_h0)
+
+
+def generic_qbb(state0, state1) -> float:
+    """qbb by the generic route: (1/2) C_{1/2}."""
+    return 0.5 * generic_s_overlap(state0, state1, 0.5)
+
+
+def generic_classical_s_overlap(pair: ClassicalDistributionPair, s: float) -> float:
+    """classical_s_overlap by the generic route, for densities of any dimension and mean."""
+    return min(math.exp(_ClassicalOverlap(pair).log_c_slope(_check_s(s))[0]), 1.0)
+
+
+def generic_ccb(pair: ClassicalDistributionPair, prior_h0: float = 0.5) -> SOverlapResult:
+    """ccb by the generic route."""
+    return _weighted_result(_ClassicalOverlap(pair).log_c_slope, prior_h0)
 
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0

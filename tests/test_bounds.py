@@ -1,10 +1,13 @@
 """Chernoff/Bhattacharyya bound tests against Fock-basis, quadrature and mpmath oracles.
 
-The closed standard-form route is also held to the generic Williamson route,
-which stays in the library as the fallback for any other pair of states.
+The closed forms are also held to the generic Williamson route of
+_oracles.py, which serves as their oracle and takes any pair of states; the
+library's public functions take only the closed forms' pairs.
 """
 import dataclasses
 import math
+import sys
+from itertools import chain
 
 import mpmath
 import numpy as np
@@ -13,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-import qillum.bounds
+import qillum.symplectic
 from qillum.bounds import (
     MAX_BOUND_IDLER_EXCESS,
     MAX_BOUND_RETURN_EXCESS,
@@ -22,14 +25,13 @@ from qillum.bounds import (
     ClassicalDistributionPair,
     SOverlapResult,
     StandardFormPair,
-    _ClassicalOverlap,
-    _GaussianOverlap,
     _expm1_gap,
     _log1p_gap,
     _quantum_route,
     _weighted_result,
     ccb,
     classical_s_overlap,
+    cs_qcb,
     cs_qcb_closed,
     cs_qcb_exponent,
     gaussian_s_overlap,
@@ -38,6 +40,7 @@ from qillum.bounds import (
     qcb,
 )
 from qillum.cli import ScenarioParams, SweepSpec, compute_sweep
+from qillum.receiver import RECEIVERS, _model_pair
 from qillum.errors import NumericFailure
 from qillum.states import (
     ChannelParams,
@@ -52,8 +55,10 @@ from qillum.states import (
 )
 from qillum.symplectic import CovMatrix
 
-from _oracles import (fock_s_overlap_thermal, mp_model_exponents, mp_shifted_thermal_log_c,
-                      random_physical_cm)
+from _oracles import (_ClassicalOverlap, _GaussianOverlap, fock_s_overlap_thermal,
+                      generic_ccb, generic_classical_s_overlap, generic_qbb, generic_qcb,
+                      generic_s_overlap, mp_coherent_log_c, mp_model_exponents,
+                      mp_shifted_thermal_log_c, random_physical_cm)
 
 REF_SRC = make_source(0.01, 0.01, "quantum")
 REF_CH = ChannelParams(reflectivity=0.01, n_background=20.0)
@@ -64,6 +69,11 @@ def thermal_state(nbar: float, mean=None) -> GaussianState:
     return GaussianState(np.zeros(2) if mean is None else np.array(mean), cov)
 
 
+def thermal_beside_vacuum(nbar: float) -> GaussianState:
+    """A thermal mode of nbar photons beside a vacuum idler: a standard-form state with c = 0."""
+    return GaussianState(np.zeros(4), CovMatrix(np.diag([nbar + 0.5] * 2 + [0.5] * 2)))
+
+
 class TestGaussianSOverlap:
     def test_identical_states_give_one(self):
         h0, h1 = conditional_states(REF_SRC, REF_CH)
@@ -72,17 +82,17 @@ class TestGaussianSOverlap:
             assert gaussian_s_overlap(h1, h1, s) == pytest.approx(1.0, abs=1e-12)
 
     def test_vacuum_vs_thermal_bhattacharyya(self):
-        val = gaussian_s_overlap(thermal_state(0.0), thermal_state(1.0), 0.5)
+        val = gaussian_s_overlap(thermal_beside_vacuum(0.0), thermal_beside_vacuum(1.0), 0.5)
         assert val == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-12)
 
     def test_vacuum_vs_thermal_matches_fock_oracle(self):
         for s in [0.25, 0.5, 0.75]:
-            val = gaussian_s_overlap(thermal_state(0.0), thermal_state(1.0), s)
+            val = gaussian_s_overlap(thermal_beside_vacuum(0.0), thermal_beside_vacuum(1.0), s)
             ref = fock_s_overlap_thermal(0.0, 1.0, s)
             assert val == pytest.approx(ref, rel=1e-10)
 
     def test_thermal_vs_thermal_matches_fock_oracle(self):
-        val = gaussian_s_overlap(thermal_state(0.3), thermal_state(1.7), 0.3)
+        val = gaussian_s_overlap(thermal_beside_vacuum(0.3), thermal_beside_vacuum(1.7), 0.3)
         assert val == pytest.approx(0.86349030176692721, rel=1e-10)
         ref = fock_s_overlap_thermal(0.3, 1.7, 0.3)
         assert val == pytest.approx(ref, rel=1e-10)
@@ -97,8 +107,8 @@ class TestGaussianSOverlap:
     def test_endpoints_give_unity_for_full_rank_states(self):
         a = thermal_state(0.4)
         b = thermal_state(2.0, mean=[0.7, -0.3])
-        assert gaussian_s_overlap(a, b, 0.0) == pytest.approx(1.0, abs=1e-6)
-        assert gaussian_s_overlap(a, b, 1.0) == pytest.approx(1.0, abs=1e-6)
+        assert generic_s_overlap(a, b, 0.0) == pytest.approx(1.0, abs=1e-6)
+        assert generic_s_overlap(a, b, 1.0) == pytest.approx(1.0, abs=1e-6)
 
     def test_swap_symmetry(self):
         rng = np.random.default_rng(7)
@@ -108,8 +118,8 @@ class TestGaussianSOverlap:
             a = GaussianState(rng.normal(size=4) * 0.5, CovMatrix(v0))
             b = GaussianState(rng.normal(size=4) * 0.5, CovMatrix(v1))
             s = rng.uniform(0.05, 0.95)
-            lhs = gaussian_s_overlap(a, b, s)
-            rhs = gaussian_s_overlap(b, a, 1.0 - s)
+            lhs = generic_s_overlap(a, b, s)
+            rhs = generic_s_overlap(b, a, 1.0 - s)
             assert lhs == pytest.approx(rhs, rel=1e-10)
 
     def test_s_out_of_range_rejected(self):
@@ -130,7 +140,7 @@ class TestGaussianSOverlap:
         for _ in range(25):
             a = GaussianState(np.zeros(4), CovMatrix(random_physical_cm(rng, 2)))
             b = GaussianState(np.zeros(4), CovMatrix(random_physical_cm(rng, 2)))
-            val = gaussian_s_overlap(a, b, rng.uniform(0.0, 1.0))
+            val = generic_s_overlap(a, b, rng.uniform(0.0, 1.0))
             assert 0.0 < val <= 1.0
 
 
@@ -185,7 +195,7 @@ class TestShiftedThermal:
         def forbidden(*args, **kwargs):
             raise AssertionError("coherent pair on the generic Williamson route")
 
-        monkeypatch.setattr(qillum.bounds, "williamson", forbidden)
+        monkeypatch.setattr(qillum.symplectic, "williamson", forbidden)
         for ns, kappa, nb in COHERENT_GRID:
             states = coherent_benchmark_states(ns, ChannelParams(kappa, nb))
             log_c_slope = _quantum_route(*states)
@@ -218,13 +228,84 @@ class TestShiftedThermal:
             assert abs(generic - exact) <= tol, (ns, kappa, nb)
 
 
+def drawn_coherent_scenarios(rng, n):
+    """n draws of (N_S, N_B, kappa), each log-uniform: [1e-6, 1e3], [1e-4, 1e8], [1e-4, 1]."""
+    for _ in range(n):
+        yield tuple(float(10.0 ** rng.uniform(lo, hi)) for lo, hi in ((-6, 3), (-4, 8), (-4, 0)))
+
+
+class TestCsQcbBound:
+    """The CS-QCB row of qi bounds: cs_qcb on N_B and 2 kappa N_S, at any prior."""
+
+    def test_equal_prior_exponent_within_4_ulps_of_mpmath(self):
+        bound = RECEIVERS["CS-QCB"].bound
+        checked = 0
+        # first, where coth from libm's tanh put the exponent 4.56 ulps off
+        worst_via_tanh = [(552.5667909936283, 905.2978407003908, 0.02528908249207579)]
+        for ns, nb, kappa in chain(worst_via_tanh,
+                                   drawn_coherent_scenarios(np.random.default_rng(2024), 20_000)):
+            with mpmath.workdps(40):
+                mp_ns, mp_nb = mpmath.mpf(ns), mpmath.mpf(nb)
+                root_gap = mpmath.sqrt(mp_nb + 1) - mpmath.sqrt(mp_nb)
+                exact = mpmath.mpf(kappa) * mp_ns * root_gap ** 2
+            if exact > 700:
+                continue
+            src, ch, noise = make_source(ns, ns, 0.0), ChannelParams(kappa, nb), NoiseParams()
+            res = bound(src, ch, noise, _model_pair(src, ch, noise), 0.5)
+            assert res.s_star == 0.5
+            assert abs(res.exponent - exact) <= 4 * math.ulp(float(exact)), (ns, nb, kappa)
+            checked += 1
+        assert checked >= 19_000
+
+    def test_skewed_prior_matches_an_mpmath_minimisation(self):
+        # at prior 0.3, on draws whose optimum lies inside the clamped s range
+        end = mpmath.mpf(S_ENDPOINT_EPS)
+        checked = 0
+        eps = float(np.finfo(float).eps)
+        for ns, nb, kappa in drawn_coherent_scenarios(np.random.default_rng(7), 2_000):
+            ch = ChannelParams(kappa, nb)
+            res = cs_qcb(ns, ch, 0.3)
+            with mpmath.workdps(60):
+                log_w = mpmath.log(mpmath.mpf(0.3)) - mpmath.log(mpmath.mpf(0.7))
+
+                def weighted(s):
+                    return s * log_w + mp_coherent_log_c(ns, ch, s)
+
+                def slope(s):
+                    return mpmath.diff(weighted, s)
+
+                if not slope(end) < 0 < slope(1 - end):
+                    continue
+                s_star = mpmath.findroot(slope, (end, 1 - end), solver="anderson")
+                minimum = weighted(s_star) + mpmath.log(mpmath.mpf(0.7))
+                at_s_star = -mp_coherent_log_c(ns, ch, mpmath.mpf(res.s_star))
+            assert abs(res.s_star - s_star) <= 1e-7, (ns, nb, kappa)
+            # -ln C at the returned s*, and the minimised ln of the bound
+            assert abs(res.exponent - at_s_star) <= 4 * eps * at_s_star, (ns, nb, kappa)
+            weighted_log = (res.s_star * math.log(0.3) + (1 - res.s_star) * math.log(0.7)
+                            - res.exponent)
+            assert abs(weighted_log - minimum) <= 4 * eps * abs(minimum), (ns, nb, kappa)
+            checked += 1
+            if checked == 50:
+                break
+        assert checked == 50
+
+    def test_is_the_coherent_pairs_qcb(self):
+        for ns, kappa, nb in COHERENT_GRID:
+            ch = ChannelParams(kappa, nb)
+            for prior in (0.3, 0.5, 0.9):
+                via_states = qcb(*coherent_benchmark_states(ns, ch), prior_h0=prior)
+                assert cs_qcb(ns, ch, prior).exponent == pytest.approx(via_states.exponent,
+                                                                      rel=1e-12, abs=1e-300)
+
+
 class TestQbb:
     def test_identical_states(self):
         h0, _ = conditional_states(REF_SRC, REF_CH)
         assert qbb(h0, h0) == pytest.approx(0.5, rel=1e-12)
 
     def test_vacuum_vs_thermal(self):
-        val = qbb(thermal_state(0.0), thermal_state(1.0))
+        val = qbb(thermal_beside_vacuum(0.0), thermal_beside_vacuum(1.0))
         assert val == pytest.approx(0.5 / math.sqrt(2.0), rel=1e-12)
         assert val == pytest.approx(0.3535534, rel=1e-6)
 
@@ -235,7 +316,7 @@ class TestQbb:
         for _ in range(10):
             a = GaussianState(np.zeros(4), CovMatrix(random_physical_cm(rng, 2)))
             b = GaussianState(np.zeros(4), CovMatrix(random_physical_cm(rng, 2)))
-            assert qcb(a, b).bound <= qbb(a, b) * (1.0 + 1e-10)
+            assert generic_qcb(a, b).bound <= generic_qbb(a, b) * (1.0 + 1e-10)
 
 
 class TestCsQcbClosed:
@@ -294,11 +375,12 @@ class TestClassicalSOverlap:
     def test_equal_distributions(self):
         pair = self.one_dim_pair(1.3, 1.3)
         for s in [0.0, 0.3, 0.5, 1.0]:
-            assert classical_s_overlap(pair, s) == pytest.approx(1.0, abs=1e-14)
+            assert generic_classical_s_overlap(pair, s) == pytest.approx(1.0, abs=1e-14)
 
     def test_one_dim_bhattacharyya_value(self):
         pair = self.one_dim_pair(1.0, 2.0)
-        assert classical_s_overlap(pair, 0.5) == pytest.approx(0.97098354341464684, rel=1e-12)
+        assert generic_classical_s_overlap(pair, 0.5) == pytest.approx(0.97098354341464684,
+                                                                      rel=1e-12)
 
     def test_against_quadrature_oracle(self):
         def density(x, var):
@@ -308,13 +390,14 @@ class TestClassicalSOverlap:
             ref, err = quad(lambda x: density(x, 1.0) ** s * density(x, 2.0) ** (1.0 - s),
                             -30.0, 30.0, epsabs=1e-13, epsrel=1e-13)
             assert err < 1e-10
-            assert classical_s_overlap(self.one_dim_pair(1.0, 2.0), s) == pytest.approx(ref, rel=1e-10)
+            assert generic_classical_s_overlap(self.one_dim_pair(1.0, 2.0), s) == pytest.approx(
+                ref, rel=1e-10)
 
     def test_mean_shift_equal_covariance(self):
         # closed form exp(-s(1-s) d^2 / (2 var)) for a pure mean shift
         pair = self.one_dim_pair(1.5, 1.5, 0.0, 2.0)
         for s in [0.2, 0.5, 0.7]:
-            assert classical_s_overlap(pair, s) == pytest.approx(
+            assert generic_classical_s_overlap(pair, s) == pytest.approx(
                 math.exp(-s * (1.0 - s) * (4.0 / 1.5) / 2.0), rel=1e-12)
 
     def test_log_convex_in_s(self):
@@ -349,7 +432,7 @@ class TestCcb:
         # below the s = 1/2 overlap value 0.970983...
         pair = ClassicalDistributionPair(
             np.array([[1.0]]), np.array([[2.0]]), np.zeros(1), np.zeros(1))
-        res = ccb(pair)
+        res = generic_ccb(pair)
         s_exact = 1.0 / math.log(2.0) - 1.0
         exponent_exact = ((1.0 - s_exact) / 2.0) * math.log(2.0) \
             + 0.5 * math.log((1.0 + s_exact) / 2.0)
@@ -366,12 +449,12 @@ class TestCcb:
 
     def test_prior_weights_the_bound(self):
         # at prior 0.9 the weighted bound is at most pi_1 = 0.1 (s -> 0); the
-        # closed form and the generic route weight by the same prior
+        # closed form and the generic oracle route weight by the same prior
         pair = heterodyne_distributions(*conditional_states(REF_SRC, REF_CH))
         res = StandardFormPair.from_model(REF_SRC, REF_CH).heterodyne().ccb(0.9)
         assert res.prior_h0 == 0.9
         assert res.bound <= 0.1 * (1.0 + 1e-11)
-        generic = _weighted_result(_ClassicalOverlap(pair).log_c_slope, 0.9)
+        generic = generic_ccb(pair, 0.9)
         assert res.bound == pytest.approx(generic.bound, rel=1e-12)
 
 
@@ -385,6 +468,70 @@ class TestSOverlapResultType:
         with pytest.raises(ValueError):
             SOverlapResult(s_star=0.5, c_at_s_star=1.5, bound=0.75, prior_h0=0.5,
                            exponent=0.0)
+
+    @pytest.mark.parametrize("exponent", [720.0, 744.0, 745.1])
+    def test_subnormal_overlap_held_to_the_subnormal_spacing(self, exponent):
+        c = math.exp(-exponent)
+        assert 0.0 < c < sys.float_info.min
+        for prior, s in ((0.5, 0.5), (0.3, 0.9)):
+            weight = prior ** s * (1.0 - prior) ** (1.0 - s)
+            SOverlapResult(s_star=s, c_at_s_star=c, bound=weight * c, prior_h0=prior,
+                           exponent=exponent)
+            with pytest.raises(ValueError, match="inconsistent with prior-weighted"):
+                SOverlapResult(s_star=s, c_at_s_star=c, bound=weight * c + 2 * math.ulp(0.0),
+                               prior_h0=prior, exponent=exponent)
+        with pytest.raises(ValueError, match="exponent inconsistent"):
+            SOverlapResult(s_star=0.5, c_at_s_star=c + 2 * math.ulp(0.0),
+                           bound=0.5 * (c + 2 * math.ulp(0.0)), prior_h0=0.5, exponent=exponent)
+
+    def test_zero_overlap_only_where_exp_underflows(self):
+        SOverlapResult(s_star=0.5, c_at_s_star=0.0, bound=0.0, prior_h0=0.5, exponent=746.0)
+        SOverlapResult(s_star=0.5, c_at_s_star=0.0, bound=0.0, prior_h0=0.5, exponent=math.inf)
+        for exponent in (700.0, 745.0):
+            with pytest.raises(ValueError, match=r"c_at_s_star must lie in \(0, 1\]"):
+                SOverlapResult(s_star=0.5, c_at_s_star=0.0, bound=0.0, prior_h0=0.5,
+                               exponent=exponent)
+        with pytest.raises(ValueError, match="inconsistent with prior-weighted"):
+            SOverlapResult(s_star=0.5, c_at_s_star=0.0, bound=math.ulp(0.0) * 2, prior_h0=0.5,
+                           exponent=746.0)
+
+    def test_normal_values_keep_the_relative_check(self):
+        c = math.exp(-700.0)
+        with pytest.raises(ValueError, match="inconsistent with prior-weighted"):
+            SOverlapResult(s_star=0.5, c_at_s_star=c, bound=0.5 * c * (1 + 4e-12), prior_h0=0.5,
+                           exponent=700.0)
+
+
+class TestClosedFormsOnly:
+    """The public bound functions take only the pairs that have a closed form."""
+
+    @staticmethod
+    def rejected_state_pairs():
+        rng = np.random.default_rng(5)
+        return [
+            (thermal_state(0.0), thermal_state(1.0)),             # one mode, covariances differ
+            (thermal_beside_vacuum(0.5),                          # means on a standard-form pair
+             GaussianState(np.array([0.3, 0.0, 0.0, 0.0]), thermal_beside_vacuum(1.0).cov)),
+            tuple(GaussianState(np.zeros(4), CovMatrix(random_physical_cm(rng, 2)))
+                  for _ in range(2)),
+        ]
+
+    def test_state_functions_raise(self):
+        for a, b in self.rejected_state_pairs():
+            for call in (lambda: gaussian_s_overlap(a, b, 0.5), lambda: qcb(a, b),
+                         lambda: qcb(a, b, prior_h0=0.3), lambda: qbb(a, b)):
+                with pytest.raises(ValueError, match="no closed form .* standard-form pair"):
+                    call()
+
+    def test_density_functions_raise(self):
+        one_dim = ClassicalDistributionPair(np.array([[1.0]]), np.array([[2.0]]),
+                                            np.zeros(1), np.zeros(1))
+        coherent = heterodyne_distributions(*coherent_benchmark_states(0.3, REF_CH))
+        for pair in [one_dim, coherent] + [heterodyne_distributions(*states)
+                                           for states in self.rejected_state_pairs()]:
+            for call in (lambda: classical_s_overlap(pair, 0.5), lambda: ccb(pair)):
+                with pytest.raises(ValueError, match="no closed form .* heterodyne_distributions"):
+                    call()
 
 
 class TestNoiseInteraction:

@@ -10,7 +10,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import qillum.bounds
 import qillum.montecarlo
 import qillum.states
 import qillum.symplectic
@@ -296,6 +295,25 @@ class TestSweepTypes:
                         per_mode_rate=(1e-3, 1e-3), p_error=((0.4, 0.3), (0.45, 0.4)),
                         exponent=((0.9, 1.2), (0.69, 0.9)))
 
+    @pytest.mark.parametrize("fields", [
+        # a 2-M table with a 3-value column
+        dict(receivers=("QI+PC",), m_values=(1, 2), per_mode_rate=(1.0,),
+             p_error=((0.4, 0.3, 0.2),), exponent=((0.9, 1.2),)),
+        dict(receivers=("QI+PC",), m_values=(1, 2), per_mode_rate=(1.0,),
+             p_error=((0.4, 0.3),), exponent=((0.9,),)),
+        # two receivers with one rate, or one column of each
+        dict(receivers=("QI+PC", "CS-QCB"), m_values=(1,), per_mode_rate=(1.0,),
+             p_error=((0.4,), (0.4,)), exponent=((0.9,), (0.9,))),
+        dict(receivers=("QI+PC", "CS-QCB"), m_values=(1,), per_mode_rate=(1.0, 1.0),
+             p_error=((0.4,),), exponent=((0.9,), (0.9,))),
+        dict(receivers=("QI+PC", "CS-QCB"), m_values=(1,), per_mode_rate=(1.0, 1.0),
+             p_error=((0.4,), (0.4,)), exponent=((0.9,),)),
+    ])
+    def test_rejects_a_ragged_table(self, fields):
+        # zip would otherwise drop the extra values from the CSV and --json rows
+        with pytest.raises(ValueError, match="one entry per receiver|one value per M"):
+            SweepResult(**fields)
+
 
 class TestComputeSweep:
     def test_bound_receivers_run_on_a_signal_brighter_than_the_idler(self):
@@ -378,8 +396,7 @@ class TestBoundRowsHotPath:
         def forbidden(*args, **kwargs):
             raise AssertionError("covariance-matrix numerics on the bound-row path")
 
-        for module in (qillum.symplectic, qillum.bounds):
-            monkeypatch.setattr(module, "williamson", forbidden)
+        monkeypatch.setattr(qillum.symplectic, "williamson", forbidden)
         for module in (qillum.symplectic, qillum.states):
             monkeypatch.setattr(module, "is_physical", forbidden)
         monkeypatch.setattr(np.linalg, "slogdet", forbidden)
@@ -471,8 +488,7 @@ class TestBoundsCommand:
         def forbidden(*args, **kwargs):
             raise AssertionError("qi bounds reached the generic Williamson route")
 
-        for module in (qillum.symplectic, qillum.bounds):
-            monkeypatch.setattr(module, "williamson", forbidden)
+        monkeypatch.setattr(qillum.symplectic, "williamson", forbidden)
         rc, report, _ = run_json(capsys, ["bounds"] + REF_FLAGS + ["--prior-h0", prior])
         assert rc == 0
         assert [r["label"] for r in report["results"]] == ["QI-QCB", "QI-QBB", "QI+Het+CCB",
@@ -482,6 +498,21 @@ class TestBoundsCommand:
         rc, _, err = run_cli(capsys, ["bounds", "--prior-h0", "1.5"])
         assert rc == 2
         assert "prior" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["--ns", "720", "--ni", "720", "--kappa", "1", "--nb", "0"],        # subnormal bound
+        ["--ns", "746", "--ni", "746", "--kappa", "1", "--nb", "0"],        # exp(-exponent) = 0
+        ["--ns", "1000", "--ni", "1000", "--kappa", "1", "--nb", "0.0001"],
+    ])
+    def test_cs_qcb_row_past_the_normal_range(self, capsys, argv):
+        rc, report, err = run_json(capsys, ["bounds"] + argv)
+        assert rc == 0, err
+        row = next(r for r in report["results"] if r["label"] == "CS-QCB")
+        ns, kappa, nb = (float(argv[argv.index(flag) + 1]) for flag in ("--ns", "--kappa", "--nb"))
+        closed = cs_qcb_exponent(ns, ChannelParams(kappa, nb))
+        assert row["s_star"] == 0.5
+        assert abs(row["exponent"] - closed) <= 4.0 * math.ulp(closed)
+        assert row["c_at_s_star"] == math.exp(-row["exponent"]) < sys.float_info.min
 
     def test_skewed_prior_changes_bound(self, capsys):
         _, default, _ = run_json(capsys, ["bounds"] + REF_FLAGS)
