@@ -10,7 +10,6 @@ from .bounds import (
     StandardFormPair,
     ccb,
     classical_s_overlap,
-    cs_qcb_closed,
     cs_qcb_exponent,
     gaussian_s_overlap,
     heterodyne_distributions,
@@ -28,28 +27,21 @@ from .montecarlo import (
 )
 from .receiver import (
     BeamsplitterMoments,
-    ErrorProbabilities,
     HomodyneOptimum,
     ReceiverStats,
     asymptotic_snr,
     beamsplitter_moments,
-    erfc,
-    error_prob_pc,
     half_erfc,
     half_exp,
-    homodyne_errors,
     homodyne_min_error,
     homodyne_min_errors,
     homodyne_rate,
     log_erfc,
-    log_error_prob_pc,
-    pc_transform,
     snr_pc,
 )
 from .states import (
     ChannelParams,
     GaussianState,
-    Hypothesis,
     NoiseParams,
     SourceParams,
     apply_noise,
@@ -58,7 +50,6 @@ from .states import (
     coherent_benchmark_states,
     conditional_states,
     make_source,
-    source_cm,
 )
 from .symplectic import (
     CovMatrix,

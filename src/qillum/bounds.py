@@ -60,7 +60,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .states import (ChannelParams, GaussianState, NoiseParams, SourceParams,
-                     _check_nonnegative, _validate_pulses, _standard_form_matrix)
+                     _check_nonnegative, _standard_form_matrix)
 from .symplectic import PHYSICALITY_ATOL, _symmetric_matrix
 
 # s is clamped away from the endpoints where G_s diverges for mixed states;
@@ -593,12 +593,6 @@ def cs_qcb(n_signal: float, ch: ChannelParams, prior_h0: float = 0.5) -> SOverla
     _check_nonnegative(n_signal, "n_signal")
     return _weighted_result(
         _shifted_thermal(ch.n_background, 2.0 * ch.reflectivity * n_signal), prior_h0)
-
-
-def cs_qcb_closed(n_signal: float, ch: ChannelParams, m) -> float:
-    """Coherent-probe Chernoff bound (1/2)exp(-M*kappa*N_S*(sqrt(N_B+1)-sqrt(N_B))^2)."""
-    m = _validate_pulses(m)
-    return 0.5 * math.exp(-m * cs_qcb_exponent(n_signal, ch))
 
 
 def heterodyne_distributions(state0: GaussianState, state1: GaussianState) -> ClassicalDistributionPair:

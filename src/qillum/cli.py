@@ -28,7 +28,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import chain
 
 from .montecarlo import SamplerConfig, deflection_se, simulate_pc_receiver
@@ -39,16 +39,6 @@ RECEIVER_ORDER = tuple(RECEIVERS)
 # qi bounds rows, in this order
 _BOUND_ROWS = ("QI-QCB", "QI-QBB", "QI+Het+CCB", "CS-QCB")
 
-_SCENARIO_DEFAULTS = {
-    "ns": 0.01,
-    "ni": 0.01,
-    "c": "quantum",
-    "kappa": 0.01,
-    "nb": 20.0,
-    "eps_r": 0.0,
-    "eps_i": 0.0,
-}
-
 # p_error smaller than exp(-708) underflows; the exponent column stays exact
 _UNDERFLOW_EXPONENT = 708.0
 
@@ -57,8 +47,8 @@ _UNDERFLOW_EXPONENT = 708.0
 class ScenarioParams:
     """One detection scenario: source, channel, and pre-detection noise."""
 
-    ns: float
-    ni: float
+    ns: float = 0.01
+    ni: float = 0.01
     c: object = "quantum"
     kappa: float = 0.01
     nb: float = 20.0
@@ -84,6 +74,10 @@ class ScenarioParams:
             "eps_r": self.eps_r,
             "eps_i": self.eps_i,
         }
+
+
+# the scenario keys of a config file and their flags' defaults, in field order
+_SCENARIO_DEFAULTS = {field.name: field.default for field in fields(ScenarioParams)}
 
 
 @dataclass(frozen=True)
@@ -337,7 +331,7 @@ def _scenario_from(args) -> ScenarioParams:
             if isinstance(value, bool) or not isinstance(value, (int, float, str)):
                 raise ValueError(f"config key {key!r} must be a number or a string, "
                                  f"got {json.dumps(value)}")
-    fields = {}
+    values = {}
     for name, default in _SCENARIO_DEFAULTS.items():
         flag = getattr(args, name)
         value = flag if flag is not None else config.get(name, default)
@@ -348,8 +342,8 @@ def _scenario_from(args) -> ScenarioParams:
                 where = f"--{name.replace('_', '-')}" if flag is not None else f"config key {name!r}"
                 kinds = "quantum, direct or a number" if name == "c" else "a number"
                 raise ValueError(f"{where} must be {kinds}, got {value!r}") from None
-        fields[name] = value
-    return ScenarioParams(**fields)
+        values[name] = value
+    return ScenarioParams(**values)
 
 
 def _parse_m_values(args) -> tuple:

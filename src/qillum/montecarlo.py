@@ -1,18 +1,18 @@
 """Seeded sampling oracle for the receiver chain and its analytic moments.
 
-Quadrature outcomes are classical Gaussian samples drawn from the state's
-covariance matrix (exactly the statistics the closed forms describe). The
-receiver chain conjugates the return (receiver.pc_transform), mixes it with
-the idler on a balanced beamsplitter into the +/- modes, and takes the
-difference of the two photon-number estimates N = (q^2 + p^2 - 1)/2 as the
-decision statistic.
+The receiver chain conjugates the return, mixes it with the idler on a
+balanced beamsplitter into the +/- modes, and takes the difference of the
+two photon-number estimates N = (q^2 + p^2 - 1)/2 as the decision statistic.
 
 Neither receiver sampler draws quadratures. In the model's standard form one
-pulse's difference count is a two-term chi-square mixture, so it is drawn
-from that exact law: the moment oracle takes one count per sample, and the
-threshold test takes a trial's average over m pulses, two gamma variates per
-trial at a cost that does not grow with m. The moment samples are the
-threshold test's trials at m = 1, bit for bit.
+pulse's difference count is a two-term chi-square mixture whose weights
+follow in closed form from the noisy (mu, omega, gamma) that snr_pc uses
+(_count_weights), so it is drawn from that exact law: the moment oracle
+takes one count per sample, and the threshold test takes a trial's average
+over m pulses, two gamma variates per trial at a cost that does not grow
+with m. The moment samples are the threshold test's trials at m = 1, bit
+for bit. sample_quadratures draws Gaussian quadrature vectors of any state
+from its covariance matrix.
 
 All randomness is counter-based, and every stream is drawn in fixed logical
 blocks of 2**16 rows (Salmon et al., SC'11, "Parallel random numbers: as
@@ -35,16 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericFailure
-from .receiver import pc_transform
-from .states import (
-    ChannelParams,
-    GaussianState,
-    NoiseParams,
-    SourceParams,
-    _validate_pulses,
-    apply_noise,
-    conditional_states,
-)
+from .receiver import _noisy
+from .states import ChannelParams, GaussianState, NoiseParams, SourceParams, _validate_pulses
 
 
 @dataclass(frozen=True)
@@ -192,33 +184,39 @@ def _streamed_moments(blocks) -> tuple[_Moments, ...]:
     return total
 
 
-def _count_weights(state: GaussianState) -> tuple[float, float]:
-    """(lambda_+, lambda_-): one pulse's difference count is lambda_+ X_1 + lambda_- X_2.
+def _count_weights(src: SourceParams, ch: ChannelParams,
+                   noise: NoiseParams) -> tuple[tuple[float, float], tuple[float, float]]:
+    """(lambda_+, lambda_-) under H0, then under H1: one pulse's count is lambda_+ X_1 + lambda_- X_2.
 
-    state is a conjugated return/idler state (receiver.pc_transform). The count is
-    q_pc*q_I + p_pc*p_I, and in its standard form the (q_pc, q_I) and
-    (p_pc, p_I) pairs are independent, each with variances (a, b) and
-    covariance x (a = V[0,0], b = V[2,2], x = V[0,2]). A product of such a
-    pair is lambda_+ z_1^2 + lambda_- z_2^2 with lambda_+- = (x +- r)/2,
-    r = sqrt(a b), so the two pairs give X_1, X_2 ~ chi^2_2. ValueError unless
-    the state is zero-mean with V = [[a, x], [x, b]] (x) I_2.
+    The count is q_pc*q_I + p_pc*p_I of the conjugated return/idler state.
+    Its (q_pc, q_I) and (p_pc, p_I) pairs are independent, each with
+    variances (a, b) and covariance x: b = mu/2, a = (omega+1)/2 under H0
+    and (gamma+1)/2 under H1 (conjugation adds one vacuum unit), x = 0 under
+    H0 and sqrt(kappa)*c/2 under H1, with (mu, omega, gamma) those of snr_pc.
+    A product of such a pair is lambda_+ z_1^2 + lambda_- z_2^2 with
+    lambda_+- = (x +- r)/2, r = sqrt(a b), so the two pairs give
+    X_1, X_2 ~ chi^2_2. The law needs only a, b > 0; x^2 <= a b follows
+    from c <= c_q.
     """
-    v = state.cov.entries
-    a, b, x = v[0, 0], v[2, 2], v[0, 2]
-    if np.any(state.mean) or not np.array_equal(v, np.kron([[a, x], [x, b]], np.eye(2))):
-        raise ValueError("the trial law needs a zero-mean conjugated state in standard form")
-    r = math.sqrt(a * b)
-    return 0.5 * (x + r), 0.5 * (x - r)
+    mu, omega, gamma = _noisy(src, ch, noise)
+    b = 0.5 * mu
+    weights = []
+    for a, x in ((0.5 * (omega + 1.0), 0.0),
+                 (0.5 * (gamma + 1.0), 0.5 * (math.sqrt(ch.reflectivity) * src.corr))):
+        r = math.sqrt(a * b)
+        weights.append((0.5 * (x + r), 0.5 * (x - r)))
+    return tuple(weights)
 
 
-def _trial_mean_blocks(state: GaussianState, m: int, seed: int, stream: int, n: int):
+def _trial_mean_blocks(weights: tuple[float, float], m: int, seed: int, stream: int, n: int):
     """Blocks of n trial averages of the difference count over m pulses each.
 
-    m pulses sum to lambda_+ chi^2_2m + lambda_- chi^2_2m, so a trial is
+    weights = (lambda_+, lambda_-) of one hypothesis (_count_weights): m
+    pulses sum to lambda_+ chi^2_2m + lambda_- chi^2_2m, so a trial is
     (2 lambda_+ G_1 + 2 lambda_- G_2)/m with G_1, G_2 ~ Gamma(m) drawn as one
     row of a block: the cost does not grow with m.
     """
-    lam_plus, lam_minus = _count_weights(state)
+    lam_plus, lam_minus = weights
     w_plus, w_minus = 2.0 * lam_plus / m, 2.0 * lam_minus / m
     for gen, rows in _philox_blocks(seed, stream, n):
         g = gen.standard_gamma(m, size=(rows, 2))
@@ -229,9 +227,8 @@ def _trial_mean_blocks(state: GaussianState, m: int, seed: int, stream: int, n: 
 def _hypothesis_trials(src: SourceParams, ch: ChannelParams, noise: NoiseParams,
                        m: int, cfg: SamplerConfig) -> list:
     """The trial-mean blocks of H0 (stream 0) and H1 (stream 2) over m pulses each."""
-    states = pc_transform(apply_noise(conditional_states(src, ch), noise))
-    return [_trial_mean_blocks(state, m, cfg.seed, stream, cfg.n_samples)
-            for state, stream in zip(states, (0, 2))]
+    return [_trial_mean_blocks(weights, m, cfg.seed, stream, cfg.n_samples)
+            for weights, stream in zip(_count_weights(src, ch, noise), (0, 2))]
 
 
 def simulate_pc_receiver(src: SourceParams, ch: ChannelParams, noise: NoiseParams,

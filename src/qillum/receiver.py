@@ -27,9 +27,8 @@ import numpy as np
 from .bounds import StandardFormPair, _bound_at, cs_qcb, cs_qcb_exponent
 from .errors import NumericFailure
 from .optimize import illinois_array
-from .states import (ChannelParams, GaussianState, NoiseParams, SourceParams, _check_nonnegative,
-                     _validate_pulses, c_quantum)
-from .symplectic import CovMatrix
+from .states import (ChannelParams, NoiseParams, SourceParams, _check_nonnegative, _validate_pulses,
+                     c_quantum)
 
 LN_HALF = math.log(0.5)
 _HALF_LN_PI = 0.5 * math.log(math.pi)
@@ -52,11 +51,6 @@ _LOG_ERFC_PQ = np.array((
     (-0.26938751746552747, 0.45335357836240314),
     (0.009909094006230757, 0.11208358184518112),
 ))
-
-
-def _check_finite(x: float, name: str) -> None:
-    if not math.isfinite(x):
-        raise ValueError(f"{name} argument must be finite, got {x}")
 
 
 def _split(x):
@@ -98,12 +92,6 @@ def _log_erfc_tail(x: np.ndarray) -> np.ndarray:
         out = -hi - (lo + log_x + _HALF_LN_PI - log_series)
     out[np.isinf(hi)] = -math.inf
     return out
-
-
-def erfc(x: float) -> float:
-    """Complementary error function (the C library's erfc)."""
-    _check_finite(x, "erfc")
-    return math.erfc(x)
 
 
 def log_erfc(x: float) -> float:
@@ -185,7 +173,8 @@ def half_erfc(x: float) -> float:
     accuracy until it underflows past x ~ 26.5; ln p, finite everywhere, is
     LN_HALF + log_erfc(x).
     """
-    _check_finite(x, "half_erfc")
+    if not math.isfinite(x):
+        raise ValueError(f"half_erfc argument must be finite, got {x}")
     return 0.5 * math.erfc(x)
 
 
@@ -269,49 +258,12 @@ class ReceiverStats:
 
 
 @dataclass(frozen=True)
-class ErrorProbabilities:
-    """False-alarm and missed-detection probabilities with their equal-prior mean."""
-
-    p_false_alarm: float
-    p_missed_detection: float
-    p_error: float
-
-    def __post_init__(self) -> None:
-        for name in ("p_false_alarm", "p_missed_detection", "p_error"):
-            v = getattr(self, name)
-            if not (0.0 <= v <= 1.0):
-                raise ValueError(f"{name} must lie in [0, 1], got {v}")
-        mean = 0.5 * (self.p_false_alarm + self.p_missed_detection)
-        if not abs(self.p_error - mean) <= 1e-15:
-            raise ValueError("p_error must be the equal-prior average of fa and md")
-
-
-@dataclass(frozen=True)
 class HomodyneOptimum:
     """Minimum homodyne error probability and the threshold achieving it."""
 
     p_error: float
     threshold: float
     log_p_error: float
-
-
-def pc_transform(states: tuple[GaussianState, GaussianState]) -> tuple[GaussianState, GaussianState]:
-    """Phase-conjugate the return mode of each two-mode state.
-
-    Conjugation flips the sign of the return p quadrature and adds one vacuum
-    unit of noise, so a thermal block (omega/2)*I becomes ((omega+1)/2)*I and
-    a cross block proportional to Z = diag(1,-1) is mapped to the identity
-    structure with the same magnitude.
-    """
-    t = np.diag([1.0, -1.0, 1.0, 1.0])
-    added = np.diag([0.5, 0.5, 0.0, 0.0])
-    out = []
-    for state in states:
-        if state.n_modes != 2:
-            raise ValueError(f"expected two-mode states, got {state.n_modes} modes")
-        v = t @ state.cov.entries @ t + added
-        out.append(GaussianState(t @ state.mean, CovMatrix(v)))
-    return (out[0], out[1])
 
 
 def _noisy(src: SourceParams, ch: ChannelParams, noise: NoiseParams) -> tuple[float, float, float]:
@@ -354,34 +306,6 @@ def snr_pc(src: SourceParams, ch: ChannelParams,
         var_h1=a1 / 2.0,
         snr=snr,
     )
-
-
-def log_error_prob_pc(stats: ReceiverStats, m) -> float:
-    """ln of the error probability after m pulse pairs, finite at any m*snr."""
-    return _erfc_points(stats.snr, [_validate_pulses(m)])[1][0]
-
-
-def error_prob_pc(stats: ReceiverStats, m) -> float:
-    """(1/2)erfc(sqrt(m*snr)) via half_erfc; underflows past m*snr ~ 700."""
-    return _erfc_points(stats.snr, [_validate_pulses(m)])[0][0]
-
-
-def homodyne_errors(n_signal: float, ch: ChannelParams, m, threshold: float) -> ErrorProbabilities:
-    """Error probabilities of a thresholded homodyne receiver on a coherent probe.
-
-    The summed q-quadrature record over m pulses is Gaussian with variance
-    m*(2*N_B+1) and mean 0 (target absent) or m*sqrt(2*kappa*N_S) (present);
-    declaring "present" above the threshold gives the two erfc expressions.
-    """
-    m = _validate_pulses(m)
-    _check_nonnegative(n_signal, "n_signal")
-    if not math.isfinite(threshold):
-        raise ValueError(f"threshold must be finite, got {threshold}")
-    sigma = math.sqrt(m * (2.0 * ch.n_background + 1.0))
-    shift = m * math.sqrt(2.0 * ch.reflectivity * n_signal)
-    fa = half_erfc(threshold / sigma)
-    md = half_erfc((shift - threshold) / sigma)
-    return ErrorProbabilities(fa, md, 0.5 * (fa + md))
 
 
 def homodyne_rate(n_signal: float, ch: ChannelParams) -> float:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -35,11 +34,6 @@ def _validate_pulses(m) -> int:
     if m_int != m or m_int < 1:
         raise ValueError(message)
     return m_int
-
-
-class Hypothesis(Enum):
-    H0 = "target absent"
-    H1 = "target present"
 
 
 @dataclass(frozen=True)
@@ -175,11 +169,6 @@ def make_source(n_signal: float, n_idler: float, corr: float | str = "quantum") 
 def _standard_form_matrix(a: float, b: float, c: float) -> np.ndarray:
     """[[a I, c Z], [c Z, b I]]: twice a two-mode CM in standard form, Z = diag(1, -1)."""
     return np.array([[a, 0.0, c, 0.0], [0.0, a, 0.0, -c], [c, 0.0, b, 0.0], [0.0, -c, 0.0, b]])
-
-
-def source_cm(src: SourceParams) -> CovMatrix:
-    """Covariance matrix of the signal/idler source."""
-    return CovMatrix(0.5 * _standard_form_matrix(src.nu, src.mu, src.corr))
 
 
 def conditional_states(src: SourceParams, ch: ChannelParams) -> tuple[GaussianState, GaussianState]:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from enum import Enum
 
 import mpmath
 import numpy as np
@@ -17,9 +18,20 @@ from qillum.bounds import (ClassicalDistributionPair, SOverlapResult, _check_s,
                            _weighted_result)
 from qillum.errors import NumericFailure
 from qillum.montecarlo import _gaussian_blocks, _streamed_moments, deflection_se
-from qillum.receiver import BeamsplitterMoments, ReceiverStats, pc_transform
-from qillum.states import GaussianState, Hypothesis, apply_noise, conditional_states
-from qillum.symplectic import williamson
+from qillum.receiver import BeamsplitterMoments, ReceiverStats, half_erfc
+from qillum.states import (GaussianState, _check_nonnegative, _standard_form_matrix,
+                           _validate_pulses, apply_noise, conditional_states)
+from qillum.symplectic import CovMatrix, williamson
+
+
+class Hypothesis(Enum):
+    H0 = "target absent"
+    H1 = "target present"
+
+
+def source_cm(src) -> CovMatrix:
+    """Covariance matrix of the signal/idler source."""
+    return CovMatrix(0.5 * _standard_form_matrix(src.nu, src.mu, src.corr))
 
 
 def ulp_error(value: float, exact) -> float:
@@ -191,13 +203,28 @@ def mp_coherent_log_c(n_signal: float, ch, s):
 
 
 def _mp_shifted_thermal(nu, d2, n_modes: int, s):
-    half = mpmath.mpf(1) / 2
-    log_c, lam_sum = 0, 0
-    for p in (s, 1 - s):
-        top, bottom = (nu + half) ** p, (nu - half) ** p
-        log_c -= n_modes * mpmath.log(top - bottom)
-        lam_sum += (top + bottom) / (top - bottom)
-    return log_c - n_modes * mpmath.log(lam_sum / 2) - d2 / lam_sum
+    """The Pirandola-Lloyd terms of ln C_s, with the digits their cancellations cost added.
+
+    (nu + 1/2)^p - (nu - 1/2)^p loses about log10(nu) digits, and the
+    G and Lambda terms, each of size ln nu, cancel down to the mean term
+    d^2/(Lambda_s + Lambda_(1-s)) ~ d^2 s (1-s)/nu. Both losses are estimated
+    in low precision and added to the caller's working precision; the result
+    is rounded back to it.
+    """
+    with mpmath.workdps(15):
+        scale = 2 * nu + 1
+        lost = mpmath.log10(scale)
+        if d2 and 0 < s < 1:
+            lost += mpmath.log10((1 + abs(mpmath.log(scale))) * scale / (d2 * s * (1 - s)))
+    with mpmath.workdps(mpmath.mp.dps + 10 + max(0, int(mpmath.ceil(lost)))):
+        half = mpmath.mpf(1) / 2
+        log_c, lam_sum = 0, 0
+        for p in (s, 1 - s):
+            top, bottom = (nu + half) ** p, (nu - half) ** p
+            log_c -= n_modes * mpmath.log(top - bottom)
+            lam_sum += (top + bottom) / (top - bottom)
+        value = log_c - n_modes * mpmath.log(lam_sum / 2) - d2 / lam_sum
+    return +value
 
 
 def mp_classical_log_overlap(cov0, cov1, s):
@@ -433,6 +460,80 @@ def two_pass_moments(samples: np.ndarray) -> dict:
         "se_var": math.sqrt(max(m4 / n - var * var * (n - 3) / (n - 1), 0.0) / n),
         "cov_mean_var": m3 / n / n,
     }
+
+
+def pc_transform(states: tuple[GaussianState, GaussianState]) -> tuple[GaussianState, GaussianState]:
+    """Phase-conjugate the return mode of each two-mode state, as a 4x4 matrix map.
+
+    Conjugation flips the sign of the return p quadrature and adds one vacuum
+    unit of noise, so a thermal block (omega/2)*I becomes ((omega+1)/2)*I and
+    a cross block proportional to Z = diag(1,-1) is mapped to the identity
+    structure with the same magnitude. The map is not completely positive:
+    near c = c_q the H1 result can fall below the uncertainty bound, and
+    GaussianState then rejects it.
+    """
+    t = np.diag([1.0, -1.0, 1.0, 1.0])
+    added = np.diag([0.5, 0.5, 0.0, 0.0])
+    out = []
+    for state in states:
+        if state.n_modes != 2:
+            raise ValueError(f"expected two-mode states, got {state.n_modes} modes")
+        v = t @ state.cov.entries @ t + added
+        out.append(GaussianState(t @ state.mean, CovMatrix(v)))
+    return (out[0], out[1])
+
+
+def matrix_count_weights(state: GaussianState) -> tuple[float, float]:
+    """(lambda_+, lambda_-) read off a conjugated state's matrix: montecarlo's former route.
+
+    The reference for montecarlo._count_weights, which forms the same numbers
+    from the model's parameters. With a = V[0,0], b = V[2,2], x = V[0,2] of
+    V = [[a, x], [x, b]] (x) I_2, lambda_+- = (x +- sqrt(a b))/2. ValueError
+    unless the state is zero-mean and in that form.
+    """
+    v = state.cov.entries
+    a, b, x = v[0, 0], v[2, 2], v[0, 2]
+    if np.any(state.mean) or not np.array_equal(v, np.kron([[a, x], [x, b]], np.eye(2))):
+        raise ValueError("the trial law needs a zero-mean conjugated state in standard form")
+    r = math.sqrt(a * b)
+    return 0.5 * (x + r), 0.5 * (x - r)
+
+
+@dataclass(frozen=True)
+class ErrorProbabilities:
+    """False-alarm and missed-detection probabilities with their equal-prior mean."""
+
+    p_false_alarm: float
+    p_missed_detection: float
+    p_error: float
+
+    def __post_init__(self) -> None:
+        for name in ("p_false_alarm", "p_missed_detection", "p_error"):
+            v = getattr(self, name)
+            if not (0.0 <= v <= 1.0):
+                raise ValueError(f"{name} must lie in [0, 1], got {v}")
+        mean = 0.5 * (self.p_false_alarm + self.p_missed_detection)
+        if not abs(self.p_error - mean) <= 1e-15:
+            raise ValueError("p_error must be the equal-prior average of fa and md")
+
+
+def homodyne_errors(n_signal: float, ch, m, threshold: float) -> ErrorProbabilities:
+    """Error probabilities of a thresholded homodyne receiver on a coherent probe.
+
+    The summed q-quadrature record over m pulses is Gaussian with variance
+    m*(2*N_B+1) and mean 0 (target absent) or m*sqrt(2*kappa*N_S) (present);
+    declaring "present" above the threshold gives the two erfc expressions.
+    The reference that receiver.homodyne_min_error's threshold is optimal.
+    """
+    m = _validate_pulses(m)
+    _check_nonnegative(n_signal, "n_signal")
+    if not math.isfinite(threshold):
+        raise ValueError(f"threshold must be finite, got {threshold}")
+    sigma = math.sqrt(m * (2.0 * ch.n_background + 1.0))
+    shift = m * math.sqrt(2.0 * ch.reflectivity * n_signal)
+    fa = half_erfc(threshold / sigma)
+    md = half_erfc((shift - threshold) / sigma)
+    return ErrorProbabilities(fa, md, 0.5 * (fa + md))
 
 
 def _pc_mix(xs: np.ndarray) -> np.ndarray:

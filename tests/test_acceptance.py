@@ -14,7 +14,6 @@ from _oracles import (check_gaussian_moment_identities, deflection_sigma, fock_s
                       generic_qbb, generic_qcb, generic_s_overlap, random_physical_cm)
 from qillum.bounds import (
     ccb,
-    cs_qcb_closed,
     cs_qcb_exponent,
     gaussian_s_overlap,
     heterodyne_distributions,
@@ -22,7 +21,7 @@ from qillum.bounds import (
 )
 from qillum.cli import main as cli_main
 from qillum.montecarlo import SamplerConfig, simulate_pc_receiver
-from qillum.receiver import half_erfc, homodyne_min_error, snr_pc
+from qillum.receiver import half_erfc, half_exp, homodyne_min_error, snr_pc
 from qillum.states import (
     ChannelParams,
     GaussianState,
@@ -62,7 +61,7 @@ def test_criterion_1_coherent_closed_form_cross_check():
                 for kappa in (0.001, 0.01, 0.1):
                     ch = ChannelParams(reflectivity=kappa, n_background=nb)
                     numeric = qcb(*coherent_benchmark_states(ns, ch)).bound
-                    closed = cs_qcb_closed(ns, ch, 1)
+                    closed = half_exp(1, cs_qcb_exponent(ns, ch))
                     assert abs(numeric - closed) <= 1e-9 * closed
         assert time.perf_counter() - t0 < 10.0
 

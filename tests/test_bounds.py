@@ -32,7 +32,6 @@ from qillum.bounds import (
     ccb,
     classical_s_overlap,
     cs_qcb,
-    cs_qcb_closed,
     cs_qcb_exponent,
     gaussian_s_overlap,
     heterodyne_distributions,
@@ -40,7 +39,7 @@ from qillum.bounds import (
     qcb,
 )
 from qillum.cli import ScenarioParams, SweepSpec, compute_sweep
-from qillum.receiver import RECEIVERS, _model_pair
+from qillum.receiver import RECEIVERS, _model_pair, half_exp
 from qillum.errors import NumericFailure
 from qillum.states import (
     ChannelParams,
@@ -160,7 +159,7 @@ class TestQcb:
     def test_coherent_benchmark_matches_closed_form(self):
         h0, h1 = coherent_benchmark_states(0.01, REF_CH)
         res = qcb(h0, h1)
-        assert res.bound == pytest.approx(cs_qcb_closed(0.01, REF_CH, 1), rel=1e-9)
+        assert res.bound == pytest.approx(half_exp(1, cs_qcb_exponent(0.01, REF_CH)), rel=1e-9)
 
     def test_prior_weighting(self):
         h0, h1 = coherent_benchmark_states(0.3, ChannelParams(0.5, 1.0))
@@ -203,6 +202,18 @@ class TestShiftedThermal:
                 with mpmath.workdps(50):
                     exact = mp_shifted_thermal_log_c(*states, mpmath.mpf(s))
                 assert abs(log_c_slope(s)[0] - exact) <= 1e-15 * abs(exact), (ns, kappa, nb, s)
+
+    def test_mpmath_oracle_keeps_its_digits_through_the_cancellation(self):
+        # the oracle's terms, each of size ln N_B, cancel down to the exponent
+        # kappa N_S (sqrt(N_B + 1) - sqrt(N_B))^2 ~ 5e-19 here: evaluated at the
+        # caller's 40 digits alone they keep only about 16 of them
+        ns, ch = 1.26e-6, ChannelParams(1e-4, 6.2e7)
+        with mpmath.workdps(40):
+            got = -mp_coherent_log_c(ns, ch, mpmath.mpf(1) / 2)
+        with mpmath.workdps(80):
+            root_sum = mpmath.sqrt(mpmath.mpf(ch.n_background) + 1) + mpmath.sqrt(ch.n_background)
+            exact = mpmath.mpf(ch.reflectivity) * mpmath.mpf(ns) / root_sum ** 2
+            assert abs(got - exact) <= mpmath.mpf(10) ** -35 * exact
 
     def test_equal_priors_give_half(self):
         for ns, kappa, nb in COHERENT_GRID:
@@ -320,10 +331,14 @@ class TestQbb:
 
 
 class TestCsQcbClosed:
+    """The coherent-probe bound (1/2)exp(-M kappa N_S (sqrt(N_B+1) - sqrt(N_B))^2), as a
+    CS-QCB row forms it: half_exp of cs_qcb_exponent."""
+
     def test_unit_exponent_at_dark_background(self):
         ch = ChannelParams(1.0, 0.0)
-        assert cs_qcb_closed(1.0, ch, 1) == pytest.approx(0.5 * math.exp(-1.0), rel=1e-15)
-        assert cs_qcb_closed(1.0, ch, 1) == pytest.approx(0.18393972058572116, rel=1e-14)
+        bound = half_exp(1, cs_qcb_exponent(1.0, ch))
+        assert bound == pytest.approx(0.5 * math.exp(-1.0), rel=1e-15)
+        assert bound == pytest.approx(0.18393972058572116, rel=1e-14)
 
     def test_reference_per_mode_exponent(self):
         assert cs_qcb_exponent(0.01, REF_CH) == pytest.approx(1.2196936161606467e-06, rel=1e-12)
@@ -331,11 +346,11 @@ class TestCsQcbClosed:
             1e-4 * (math.sqrt(21.0) - math.sqrt(20.0)) ** 2, rel=1e-10)
 
     def test_zero_reflectivity(self):
-        assert cs_qcb_closed(0.01, ChannelParams(0.0, 20.0), 100) == 0.5
+        assert half_exp(100, cs_qcb_exponent(0.01, ChannelParams(0.0, 20.0))) == 0.5
 
     def test_m_scaling(self):
         per = cs_qcb_exponent(0.01, REF_CH)
-        assert cs_qcb_closed(0.01, REF_CH, 10**6) == pytest.approx(
+        assert half_exp(10**6, cs_qcb_exponent(0.01, REF_CH)) == pytest.approx(
             0.5 * math.exp(-1e6 * per), rel=1e-12)
 
     def test_large_background_stable(self):

@@ -14,8 +14,8 @@ import qillum.montecarlo
 import qillum.states
 import qillum.symplectic
 from qillum.bounds import StandardFormPair, cs_qcb_exponent
-from qillum.cli import (RECEIVER_ORDER, ScenarioParams, SweepResult, SweepSpec, compute_sweep,
-                        main, sweep_csv)
+from qillum.cli import (_SCENARIO_DEFAULTS, RECEIVER_ORDER, ScenarioParams, SweepResult, SweepSpec,
+                        compute_sweep, main, sweep_csv)
 from qillum.montecarlo import deflection_se, simulate_pc_receiver
 from qillum.receiver import homodyne_min_error, snr_pc
 from qillum.states import ChannelParams
@@ -84,7 +84,17 @@ class TestSnrCommand:
         cfg.write_text(json.dumps({"reflectivity": 0.01}))
         rc, _, err = run_cli(capsys, ["snr", "--config", str(cfg)])
         assert rc == 2
-        assert "unknown config keys" in err
+        assert err == ("error: unknown config keys ['reflectivity']; expected subset of "
+                       "['c', 'eps_i', 'eps_r', 'kappa', 'nb', 'ni', 'ns']\n")
+
+    def test_defaults_are_the_scenario_fields(self, capsys):
+        # the config keys and the flags' defaults are ScenarioParams' fields, in order
+        assert list(_SCENARIO_DEFAULTS.items()) == [
+            ("ns", 0.01), ("ni", 0.01), ("c", "quantum"), ("kappa", 0.01), ("nb", 20.0),
+            ("eps_r", 0.0), ("eps_i", 0.0)]
+        rc, report, _ = run_json(capsys, ["snr"])
+        assert rc == 0
+        assert report["params"] == ScenarioParams().as_dict()
 
     def test_non_object_config_exits_2(self, capsys, tmp_path):
         cfg = tmp_path / "bad.json"
@@ -633,8 +643,8 @@ class TestMcCommand:
             shift = snr_pc(src, ch, noise).mean_h1 - 2.0 * se - (emp.mean_h1 - emp.mean_h0)
             blocks = qillum.montecarlo._trial_mean_blocks
 
-            def shifted(state, m, seed, stream, n):
-                for means in blocks(state, m, seed, stream, n):
+            def shifted(weights, m, seed, stream, n):
+                for means in blocks(weights, m, seed, stream, n):
                     yield means + shift if stream == 2 else means
 
             with monkeypatch.context() as patch:
@@ -669,6 +679,28 @@ class TestMcCommand:
         failed = [r for r in report["results"] if not r["passed"]]
         assert [r["label"] for r in failed] == ["sqrt(snr)"]
         assert failed[0]["n_sigma"] == pytest.approx(6.0, rel=1e-9)
+
+    # scenarios near the quantum bound that qi snr and qi sweep take; there
+    # conjugating the 4x4 H1 state gives a matrix below the uncertainty bound
+    # (symplectic eigenvalue 0.499265 in the first), so the count law must not
+    # go through one
+    NEAR_BOUND = {
+        "dim_idler": ["--ns", "0.014286214028304914", "--ni", "0.0015542664946257313",
+                      "--kappa", "0.8651791648568644", "--nb", "0.08270793466321598"],
+        "dark_background": ["--ns", "1.9669576648363787", "--ni", "2.548646550092591",
+                            "--kappa", "0.6681249290417529", "--nb", "1.4612755079598878e-05"],
+        "added_noise": ["--ns", "5", "--ni", "0.5", "--kappa", "0.9", "--nb", "0.01",
+                        "--eps-r", "0.3"],
+    }
+
+    @pytest.mark.parametrize("name", sorted(NEAR_BOUND))
+    def test_scenario_near_the_quantum_bound_passes_every_gate(self, capsys, name):
+        argv = self.NEAR_BOUND[name]
+        assert run_cli(capsys, ["snr"] + argv)[0] == 0
+        rc, report, err = run_json(capsys, ["mc"] + argv)
+        assert (rc, err) == (0, "")
+        assert len(report["results"]) == 5
+        assert all(row["passed"] for row in report["results"])
 
     def test_negative_seed_exits_2(self, capsys):
         rc, _, err = run_cli(capsys, ["mc", "--seed", "-3", "--samples", "100"])
@@ -712,7 +744,7 @@ class TestNumpyOnlyRuntime:
         csv_path = tmp_path / "comparison_sweep.csv"
         commands = [
             ["sweep"] + REF_FLAGS + ["--m-log", "1e5,1e8,13", "--out", str(csv_path)],
-            # CS-QCB takes the generic Williamson and Cholesky route
+            # CS-QCB takes its closed form off s = 1/2
             ["bounds"] + REF_FLAGS + ["--prior-h0", "0.3"],
             ["mc"] + REF_FLAGS + ["--samples", "2000", "--seed", "5"],
         ]

@@ -19,28 +19,30 @@ from qillum.montecarlo import (
     simulate_pc_receiver,
 )
 from qillum.montecarlo import _count_weights, _streamed_moments, _trial_mean_blocks
-from qillum.receiver import beamsplitter_moments, half_erfc, pc_transform, snr_pc
+from qillum.receiver import beamsplitter_moments, half_erfc, snr_pc
 from qillum.states import (
     ChannelParams,
     GaussianState,
-    Hypothesis,
     NoiseParams,
     SourceParams,
     apply_noise,
     conditional_states,
     make_source,
-    source_cm,
 )
 from qillum.symplectic import CovMatrix
 
 from _oracles import (
+    Hypothesis,
     check_gaussian_moment_identities,
     deflection_sigma,
     difference_count,
+    matrix_count_weights,
     mp_midpoint_error_rate,
+    pc_transform,
     pulse_error_rate,
     pulse_trial_means,
     sample_pc_modes,
+    source_cm,
     two_pass_moments,
 )
 
@@ -174,9 +176,9 @@ class TestStreamLayout:
         n = 3 * BLOCK + 5
         cfg = SamplerConfig(seed=34, n_samples=n)
         stats = simulate_pc_receiver(REF_SRC, REF_CH, NO_NOISE, cfg)
-        states = pc_transform(apply_noise(conditional_states(REF_SRC, REF_CH), NO_NOISE))
-        for state, stream, suffix in zip(states, (0, 2), ("h0", "h1")):
-            counts = np.concatenate(list(_trial_mean_blocks(state, 1, cfg.seed, stream, n)))
+        weights = _count_weights(REF_SRC, REF_CH, NO_NOISE)
+        for pair, stream, suffix in zip(weights, (0, 2), ("h0", "h1")):
+            counts = np.concatenate(list(_trial_mean_blocks(pair, 1, cfg.seed, stream, n)))
             exact = two_pass_moments(counts)
             (streamed,) = _streamed_moments((counts[i:i + BLOCK],) for i in range(0, n, BLOCK))
             for field in ("mean", "var", "se_mean", "se_var"):
@@ -201,19 +203,19 @@ class TestStreamLayout:
 
     @pytest.mark.parametrize("m", [1, 50, 10 ** 12])
     def test_trial_prefix_independent_of_count(self, m):
-        state = pc_transform(apply_noise(conditional_states(REF_SRC, REF_CH), NO_NOISE))[1]
-        runs = [np.concatenate(list(_trial_mean_blocks(state, m, 36, 2, n))) for n in self.SIZES]
+        weights = _count_weights(REF_SRC, REF_CH, NO_NOISE)[1]
+        runs = [np.concatenate(list(_trial_mean_blocks(weights, m, 36, 2, n))) for n in self.SIZES]
         for means in runs:
             assert np.array_equal(means, runs[-1][:len(means)])
         assert not np.array_equal(runs[-1][:8], runs[-1][BLOCK:BLOCK + 8])
 
     def test_trial_block_zero_is_the_single_philox_draw(self):
-        state = pc_transform(apply_noise(conditional_states(REF_SRC, REF_CH), NO_NOISE))[0]
-        lam_plus, lam_minus = _count_weights(state)
+        weights = _count_weights(REF_SRC, REF_CH, NO_NOISE)[0]
+        lam_plus, lam_minus = weights
         gen = np.random.Generator(np.random.Philox(key=np.array([37, 0], dtype=np.uint64)))
         g = gen.standard_gamma(50, size=(1000, 2))
         expected = g[:, 0] * (2.0 * lam_plus / 50) + g[:, 1] * (2.0 * lam_minus / 50)
-        (got,) = _trial_mean_blocks(state, 50, 37, 0, 1000)
+        (got,) = _trial_mean_blocks(weights, 50, 37, 0, 1000)
         assert np.array_equal(got, expected)
 
 
@@ -237,28 +239,45 @@ class TestTrialLaw:
         for ns, nb, kappa in GRID:
             src, ch = make_source(ns, ns, corr="quantum"), ChannelParams(kappa, nb)
             stats = snr_pc(src, ch, noise)
-            states = pc_transform(apply_noise(conditional_states(src, ch), noise))
-            for state, mean, var in zip(states, (stats.mean_h0, stats.mean_h1),
-                                        (stats.var_h0, stats.var_h1)):
-                lam_plus, lam_minus = _count_weights(state)
+            for (lam_plus, lam_minus), mean, var in zip(_count_weights(src, ch, noise),
+                                                        (stats.mean_h0, stats.mean_h1),
+                                                        (stats.var_h0, stats.var_h1)):
                 assert 4.0 * (lam_plus ** 2 + lam_minus ** 2) == pytest.approx(var, rel=1e-14, abs=0)
                 # the sum cancels to the mean, so it carries the rounding of the
                 # terms' scale l_+ - l_- = r, not of the mean's
                 scale = max(abs(mean), 2.0 * (lam_plus - lam_minus))
                 assert abs(2.0 * (lam_plus + lam_minus) - mean) <= 1e-14 * scale
 
+    @pytest.mark.parametrize("eps", [0.0, 1.0])
+    @pytest.mark.parametrize("corr", ["quantum", "half"])
+    def test_weights_are_the_conjugated_matrix_route_bit_for_bit(self, eps, corr):
+        # the closed form against the 4x4 route it replaced: conditional states,
+        # added noise, conjugation, then the weights read off the matrix
+        noise = NoiseParams(eps_return=eps, eps_idler=eps)
+        for ns, nb, kappa in GRID:
+            src = make_source(ns, ns, corr="quantum")
+            if corr == "half":
+                src = make_source(ns, ns, corr=0.5 * src.corr)
+            ch = ChannelParams(kappa, nb)
+            states = pc_transform(apply_noise(conditional_states(src, ch), noise))
+            want = [matrix_count_weights(state) for state in states]
+            got = _count_weights(src, ch, noise)
+            assert np.array_equal(np.array(got).view(np.uint64), np.array(want).view(np.uint64)), \
+                (ns, nb, kappa, got, want)
+
     def test_weights_reject_a_state_off_the_law(self):
+        # the matrix route's recogniser, the reference above, reads only states of the law
         state = pc_transform(conditional_states(REF_SRC, REF_CH))[1]
         shifted = GaussianState(mean=np.array([1.0, 0.0, 0.0, 0.0]), cov=state.cov)
         with pytest.raises(ValueError, match="zero-mean"):
-            _count_weights(shifted)
+            matrix_count_weights(shifted)
         rotated = np.array(state.cov.entries)
         rotated[0, 3] = rotated[3, 0] = 1e-3
         with pytest.raises(ValueError, match="standard form"):
-            _count_weights(GaussianState(mean=np.zeros(4), cov=CovMatrix(rotated)))
+            matrix_count_weights(GaussianState(mean=np.zeros(4), cov=CovMatrix(rotated)))
         # the unconjugated state: its cross block is x Z, not x I
         with pytest.raises(ValueError, match="standard form"):
-            _count_weights(conditional_states(REF_SRC, REF_CH)[1])
+            matrix_count_weights(conditional_states(REF_SRC, REF_CH)[1])
 
     @pytest.mark.parametrize("m", [1, 3, 50])
     def test_rate_matches_the_pulse_route(self, m):
@@ -270,6 +289,16 @@ class TestTrialLaw:
         # two independent rates over 2n trials each
         se = math.sqrt(2.0 * p * (1 - p) / (2 * n))
         assert abs(law - pulses) <= 5 * se
+
+    def test_rate_near_the_quantum_bound_meets_the_exact_law(self):
+        # near c = c_q, where conjugating the 4x4 H1 state falls below the
+        # uncertainty bound; the law needs only a, b > 0
+        src = make_source(0.014286214028304914, 0.0015542664946257313, corr="quantum")
+        ch = ChannelParams(reflectivity=0.8651791648568644, n_background=0.08270793466321598)
+        n = 200_000
+        rate = empirical_error_rate(src, ch, NO_NOISE, 50, SamplerConfig(seed=46, n_samples=n))
+        p = mp_midpoint_error_rate(src, ch, NO_NOISE, 50)
+        assert abs(rate - p) <= 5 * math.sqrt(p * (1 - p) / (2 * n)), (rate, p)
 
     def test_huge_pulse_count_is_cheap(self):
         t0 = time.perf_counter()
@@ -323,13 +352,13 @@ class TestCountLaw:
         monkeypatch.setattr(qillum.montecarlo, "_streamed_moments", recording)
         simulate_pc_receiver(REF_SRC, REF_CH, NO_NOISE, cfg)
         assert len(seen) == 2
-        states = pc_transform(apply_noise(conditional_states(REF_SRC, REF_CH), NO_NOISE))
-        for counts, state, stream in zip(seen, states, (0, 2)):
-            trials = np.concatenate(list(_trial_mean_blocks(state, 1, cfg.seed, stream, n)))
+        weights = _count_weights(REF_SRC, REF_CH, NO_NOISE)
+        for counts, pair, stream in zip(seen, weights, (0, 2)):
+            trials = np.concatenate(list(_trial_mean_blocks(pair, 1, cfg.seed, stream, n)))
             assert np.array_equal(counts, trials)
             # block 0 is 2 l_+ E_1 + 2 l_- E_2 with E_i ~ Exp(1): numpy's
             # standard_gamma(1) is its standard_exponential
-            lam_plus, lam_minus = _count_weights(state)
+            lam_plus, lam_minus = pair
             key = np.array([cfg.seed, stream], dtype=np.uint64)
             e = np.random.Generator(np.random.Philox(key=key)).standard_exponential((BLOCK, 2))
             assert np.array_equal(counts[:BLOCK],

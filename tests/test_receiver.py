@@ -10,13 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import golden_section, scalar_log_erfc, snr_from_moments, ulp_error
+from _oracles import (ErrorProbabilities, golden_section, homodyne_errors, pc_transform,
+                      scalar_log_erfc, snr_from_moments, ulp_error)
 
 import qillum.receiver
+from qillum.cli import ScenarioParams, SweepSpec
 from qillum.errors import NumericFailure
 from qillum.receiver import (
     BeamsplitterMoments,
-    ErrorProbabilities,
     ReceiverStats,
     asymptotic_snr,
     beamsplitter_moments,
@@ -30,17 +31,12 @@ from qillum.receiver import (
     _homodyne_numeric_min,
     _log_erfc_and_slope,
     _log_erfc_nonneg,
-    erfc,
-    error_prob_pc,
     half_erfc,
     half_exp,
-    homodyne_errors,
     homodyne_min_error,
     homodyne_min_errors,
     homodyne_rate,
     log_erfc,
-    log_error_prob_pc,
-    pc_transform,
     snr_pc,
 )
 from qillum.states import (
@@ -63,18 +59,18 @@ SNR_QI_HET_PC = 1.1627852893770358e-06
 
 class TestErfc:
     def test_basic_values(self):
-        assert erfc(0.0) == 1.0
-        assert erfc(1.0) == pytest.approx(0.15729920705028513, rel=1e-14)
+        assert half_erfc(0.0) == 0.5
+        assert half_erfc(1.0) == pytest.approx(0.5 * 0.15729920705028513, rel=1e-14)
 
     def test_reflection_identity(self):
         for x in [0.1, 0.7, 2.3, 5.0]:
-            assert erfc(-x) == pytest.approx(2.0 - erfc(x), rel=1e-14)
+            assert half_erfc(-x) == pytest.approx(1.0 - half_erfc(x), rel=1e-14)
 
     def test_against_high_precision_reference(self):
         mpmath.mp.dps = 40
         for x in np.linspace(-6.0, 30.0, 61):
-            ref = float(mpmath.erfc(mpmath.mpf(float(x))))
-            assert erfc(float(x)) == pytest.approx(ref, rel=1e-12)
+            ref = float(mpmath.erfc(mpmath.mpf(float(x))) / 2)
+            assert half_erfc(float(x)) == pytest.approx(ref, rel=1e-12)
 
     def test_log_variant_deep_tail(self):
         mpmath.mp.dps = 60
@@ -182,7 +178,7 @@ class TestErfc:
 
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
-            erfc(math.nan)
+            half_erfc(math.nan)
         with pytest.raises(ValueError):
             log_erfc(math.inf)
 
@@ -233,12 +229,10 @@ class TestErfcColumn:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_x_raises_the_same_error(self, bad):
-        with pytest.raises(ValueError) as old:
-            erfc(bad)
         for call in (lambda: log_erfc(bad), lambda: _erfc_column(np.array([1.0, bad, 2.0]))):
             with pytest.raises(ValueError) as new:
                 call()
-            assert str(new.value) == str(old.value)
+            assert str(new.value) == f"erfc argument must be finite, got {bad}"
 
     def test_points_equal_the_per_row_route(self):
         # x = sqrt(m*rate) in numpy is the per-row math.sqrt(m * rate) of
@@ -457,37 +451,33 @@ class TestSnrPc:
 
 
 class TestErrorProbPc:
+    """A PC receiver's threshold rows (1/2)erfc(sqrt(m*snr)) and their logs, by _erfc_points."""
+
     def test_zero_snr_gives_half(self):
-        stats = ReceiverStats(0.0, 0.0, 1.0, 1.0, 0.0)
-        assert error_prob_pc(stats, 1) == 0.5
-        assert error_prob_pc(stats, 10**9) == 0.5
+        assert _erfc_points(0.0, [1, 10**9])[0] == [0.5, 0.5]
 
     def test_unit_exponent(self):
-        stats = ReceiverStats(0.0, math.sqrt(8.0), 1.0, 1.0, 1.0)
-        assert error_prob_pc(stats, 1) == pytest.approx(0.5 * math.erfc(1.0), rel=1e-14)
+        assert _erfc_points(1.0, [1])[0][0] == pytest.approx(0.5 * math.erfc(1.0), rel=1e-14)
 
     def test_reference_composition(self):
         stats = snr_pc(REF_SRC, REF_CH)
-        p = error_prob_pc(stats, 10**7)
+        (p,), _ = _erfc_points(stats.snr, [10**7])
         assert p == pytest.approx(0.5 * math.erfc(math.sqrt(1e7 * stats.snr)), rel=1e-12)
 
     def test_non_increasing_in_m(self):
         stats = snr_pc(REF_SRC, REF_CH)
-        ms = [10**k for k in range(3, 9)]
-        ps = [error_prob_pc(stats, m) for m in ms]
+        ps, _ = _erfc_points(stats.snr, [10**k for k in range(3, 9)])
         assert all(b < a for a, b in zip(ps, ps[1:]))
 
     def test_log_value_beyond_underflow(self):
-        stats = ReceiverStats(0.0, math.sqrt(8.0), 1.0, 1.0, 1.0)
-        lp = log_error_prob_pc(stats, 2000)
+        _, (lp,) = _erfc_points(1.0, [2000])
         assert -2100.0 < lp < -1900.0
 
     def test_bad_pulse_count_rejected(self):
-        stats = snr_pc(REF_SRC, REF_CH)
-        with pytest.raises(ValueError, match="positive integer"):
-            error_prob_pc(stats, 0)
-        with pytest.raises(ValueError, match="positive integer"):
-            error_prob_pc(stats, 2.5)
+        # a sweep's pulse counts are checked once, in SweepSpec, before any row
+        for bad in (0, 2.5):
+            with pytest.raises(ValueError, match="positive integer"):
+                SweepSpec(ScenarioParams(), (bad,), ("QI+PC",))
 
 
 class TestHomodyne:

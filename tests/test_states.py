@@ -6,20 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qillum.bounds import cs_qcb_closed
+from _oracles import Hypothesis, homodyne_errors, source_cm
+from qillum.cli import ScenarioParams, SweepSpec
 from qillum.montecarlo import SamplerConfig, empirical_error_rate
-from qillum.receiver import (
-    error_prob_pc,
-    homodyne_errors,
-    homodyne_min_error,
-    homodyne_min_errors,
-    log_error_prob_pc,
-    snr_pc,
-)
+from qillum.receiver import homodyne_min_error, homodyne_min_errors
 from qillum.states import (
     ChannelParams,
     GaussianState,
-    Hypothesis,
     NoiseParams,
     SourceParams,
     apply_noise,
@@ -28,21 +21,19 @@ from qillum.states import (
     coherent_benchmark_states,
     conditional_states,
     make_source,
-    source_cm,
 )
 from qillum.symplectic import CovMatrix, is_physical, symplectic_eigenvalues
 
 REF_CH = ChannelParams(reflectivity=0.01, n_background=20.0)
 REF_SRC = make_source(0.01, 0.01, corr="quantum")
 
-# every library entry that takes a pulse count m
+# every library entry that takes a pulse count m (a sweep's are checked once,
+# in SweepSpec), and the test oracle homodyne_errors
 PULSE_ENTRIES = {
-    "error_prob_pc": lambda m: error_prob_pc(snr_pc(REF_SRC, REF_CH), m),
-    "log_error_prob_pc": lambda m: log_error_prob_pc(snr_pc(REF_SRC, REF_CH), m),
+    "SweepSpec": lambda m: SweepSpec(ScenarioParams(), (m,), ("QI+PC", "CS-QCB")),
     "homodyne_errors": lambda m: homodyne_errors(0.01, REF_CH, m, 0.0),
     "homodyne_min_error": lambda m: homodyne_min_error(0.01, REF_CH, m),
     "homodyne_min_errors": lambda m: homodyne_min_errors(0.01, REF_CH, (1, m)),
-    "cs_qcb_closed": lambda m: cs_qcb_closed(0.01, REF_CH, m),
     "empirical_error_rate": lambda m: empirical_error_rate(
         REF_SRC, REF_CH, NoiseParams(), m, SamplerConfig(seed=1, n_samples=10)),
 }
