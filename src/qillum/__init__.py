@@ -9,11 +9,9 @@ from .bounds import (
     SOverlapResult,
     StandardFormPair,
     ccb,
-    classical_s_overlap,
     cs_qcb_exponent,
     gaussian_s_overlap,
     heterodyne_distributions,
-    qbb,
     qcb,
 )
 from .errors import NumericFailure

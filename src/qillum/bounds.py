@@ -21,7 +21,7 @@ s-integral over Gaussian probability densities.
 Two closed forms, chosen at one dispatch point (_quantum_route for states,
 _classical_route for outcome densities), give ln C_s and its s-derivative for
 the pairs of the illumination model. The public functions (gaussian_s_overlap,
-qcb, qbb, classical_s_overlap, ccb) take only these; others raise ValueError:
+qcb, ccb) take only these; others raise ValueError:
 
 - Zero-mean two-mode pairs in standard form
   V = (1/2)[[a I, c Z], [c Z, b I]], which every conditional state of the
@@ -145,9 +145,9 @@ class ClassicalDistributionPair:
     """Gaussian outcome densities of one measurement under the two hypotheses.
 
     Covariances here are ordinary probability-density covariances, not
-    quantum mode covariances. classical_s_overlap and ccb take the zero-mean
-    4-d standard-form densities that heterodyne_distributions gives for the
-    model's conditional states.
+    quantum mode covariances. ccb takes the zero-mean 4-d standard-form
+    densities that heterodyne_distributions gives for the model's
+    conditional states.
     """
 
     cov_h0: np.ndarray
@@ -572,11 +572,6 @@ def qcb(state0: GaussianState, state1: GaussianState, prior_h0: float = 0.5) -> 
     return _weighted_result(_quantum_route(state0, state1), prior_h0)
 
 
-def qbb(state0: GaussianState, state1: GaussianState) -> float:
-    """Quantum Bhattacharyya bound (1/2)*C_{1/2} for equal priors."""
-    return 0.5 * gaussian_s_overlap(state0, state1, 0.5)
-
-
 def cs_qcb_exponent(n_signal: float, ch: ChannelParams) -> float:
     """Per-pulse Chernoff exponent of the coherent-probe benchmark.
 
@@ -606,12 +601,6 @@ def heterodyne_distributions(state0: GaussianState, state1: GaussianState) -> Cl
     half = 0.5 * np.eye(2 * state0.n_modes)
     return ClassicalDistributionPair(state0.cov.entries + half, state1.cov.entries + half,
                                      state0.mean, state1.mean)
-
-
-def classical_s_overlap(pair: ClassicalDistributionPair, s: float) -> float:
-    """Overlap integral(p0^s p1^(1-s)) of two Gaussian densities, in (0, 1]."""
-    s = _check_s(s)
-    return min(math.exp(_classical_route(pair)(s)[0]), 1.0)
 
 
 def ccb(pair: ClassicalDistributionPair) -> SOverlapResult:

@@ -21,16 +21,31 @@ Philox(key=[k, s], counter=[0, 0, 0, b]); its draws advance only the low
 counter words, so blocks never overlap, and block 0 is the plain
 Philox(key=[k, s]) stream. The first j rows are therefore the same bits
 whatever the row count, and repeated runs are bit-identical whatever the
-order in which the hypotheses and checks are evaluated. The samplers reduce
-one block at a time, so their memory does not grow with the sample count;
-only sample_quadratures, which returns the samples, holds them all.
-Streams: H0 on stream 0 and H1 on stream 2, for both the receiver moments
-and the threshold test's trials.
+order in which the hypotheses and checks are evaluated. Streams: H0 on
+stream 0 and H1 on stream 2, for both the receiver moments and the
+threshold test's trials.
+
+Because a block depends only on (seed, stream, block), the samplers split
+the blocks of both hypotheses into one contiguous run per usable CPU and
+run them on a thread pool; numpy's generators, ufuncs and dot products
+release the GIL. Each worker draws a block into buffers that the calling
+thread allocated for the call and reduces it on the spot (to its moments,
+or to its count above the threshold), so the samplers hold at most one
+block per worker, and their memory does not grow with the sample count;
+only sample_quadratures, which returns the samples, holds them all. A
+block's reduction depends only on its rows, and the reductions merge in
+block order in the calling thread, so the results are the same bits for
+any worker count. (The moment sums' dot products go through BLAS, whose
+own thread count, which OpenBLAS sets from the CPU count unless
+OPENBLAS_NUM_THREADS does, can move their last bits.)
 """
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -79,15 +94,20 @@ class EmpiricalStats:
 
 
 _BLOCK = 1 << 16  # rows per logical block of a stream
+_CHUNK = 1 << 12  # rows per draw within a block, so that a draw's gamma pairs stay in cache
+
+
+def _philox(seed: int, stream: int, block: int) -> np.random.Generator:
+    """The generator of one block of a stream."""
+    key = np.array([seed, stream], dtype=np.uint64)
+    counter = np.array([0, 0, 0, block], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key, counter=counter))
 
 
 def _philox_blocks(seed: int, stream: int, n: int):
     """(generator, rows) for each block of a stream's first n rows."""
-    key = np.array([seed, stream], dtype=np.uint64)
     for block, start in enumerate(range(0, n, _BLOCK)):
-        counter = np.array([0, 0, 0, block], dtype=np.uint64)
-        gen = np.random.Generator(np.random.Philox(key=key, counter=counter))
-        yield gen, min(_BLOCK, n - start)
+        yield _philox(seed, stream, block), min(_BLOCK, n - start)
 
 
 def _gaussian_blocks(mean, cov: np.ndarray, seed: int, stream: int, n: int):
@@ -163,27 +183,6 @@ class _Moments:
         return self.m3 / self.n / self.n
 
 
-def _moment_block(samples: np.ndarray) -> _Moments:
-    """The moments of one block, centred on its own mean."""
-    mean = float(samples.mean())
-    centered = samples - mean
-    squares = centered ** 2  # not centered ** 3 and ** 4: numpy's general power is ~100x slower
-    return _Moments(n=samples.size, mean=mean, m2=float(centered @ centered),
-                    m3=float(squares @ centered), m4=float(squares @ squares))
-
-
-def _streamed_moments(blocks) -> tuple[_Moments, ...]:
-    """Moments of each series over a stream; each block is a tuple of series blocks.
-
-    Blocks merge in stream order, so the result depends only on the samples.
-    """
-    total = None
-    for block in blocks:
-        part = tuple(_moment_block(series) for series in block)
-        total = part if total is None else tuple(a.merge(b) for a, b in zip(total, part))
-    return total
-
-
 def _count_weights(src: SourceParams, ch: ChannelParams,
                    noise: NoiseParams) -> tuple[tuple[float, float], tuple[float, float]]:
     """(lambda_+, lambda_-) under H0, then under H1: one pulse's count is lambda_+ X_1 + lambda_- X_2.
@@ -208,43 +207,113 @@ def _count_weights(src: SourceParams, ch: ChannelParams,
     return tuple(weights)
 
 
-def _trial_mean_blocks(weights: tuple[float, float], m: int, seed: int, stream: int, n: int):
-    """Blocks of n trial averages of the difference count over m pulses each.
+def _block_trial_means(out: np.ndarray, pairs: np.ndarray, weights: tuple[float, float],
+                       m: int, seed: int, stream: int, block: int) -> np.ndarray:
+    """Fill out with the trial averages of the difference count over m pulses each.
 
+    The trials are the first len(out) rows of the given block of the stream.
     weights = (lambda_+, lambda_-) of one hypothesis (_count_weights): m
     pulses sum to lambda_+ chi^2_2m + lambda_- chi^2_2m, so a trial is
     (2 lambda_+ G_1 + 2 lambda_- G_2)/m with G_1, G_2 ~ Gamma(m) drawn as one
-    row of a block: the cost does not grow with m.
+    row: the cost does not grow with m. The rows are drawn in stream order,
+    _CHUNK at a time, into pairs.
     """
-    lam_plus, lam_minus = weights
-    w_plus, w_minus = 2.0 * lam_plus / m, 2.0 * lam_minus / m
-    for gen, rows in _philox_blocks(seed, stream, n):
-        g = gen.standard_gamma(m, size=(rows, 2))
+    gen = _philox(seed, stream, block)
+    w_plus, w_minus = (2.0 * lam / m for lam in weights)
+    for start in range(0, len(out), _CHUNK):
+        means = out[start:start + _CHUNK]
+        g = pairs[:len(means)]
+        if m == 1:
+            gen.standard_exponential(out=g)  # standard_gamma(1), bit for bit
+        else:
+            gen.standard_gamma(m, out=g)
         # elementwise, not g @ w: a trial's bits then do not depend on its block's size
-        yield g[:, 0] * w_plus + g[:, 1] * w_minus
+        np.multiply(g[:, 0], w_plus, out=means)
+        np.add(means, np.multiply(g[:, 1], w_minus, out=g[:, 1]), out=means)
+    return out
 
 
-def _hypothesis_trials(src: SourceParams, ch: ChannelParams, noise: NoiseParams,
-                       m: int, cfg: SamplerConfig) -> list:
-    """The trial-mean blocks of H0 (stream 0) and H1 (stream 2) over m pulses each."""
-    return [_trial_mean_blocks(weights, m, cfg.seed, stream, cfg.n_samples)
-            for weights, stream in zip(_count_weights(src, ch, noise), (0, 2))]
+def _block_moments(means: np.ndarray, squares: np.ndarray) -> _Moments:
+    """The moments of one block, centred on its own mean; overwrites both buffers."""
+    mean = float(means.mean())
+    centered = np.subtract(means, mean, out=means)
+    # not centered ** 3 and ** 4: numpy's general power is ~100x slower
+    np.square(centered, out=squares)
+    return _Moments(n=means.size, mean=mean, m2=float(centered @ centered),
+                    m3=float(squares @ centered), m4=float(squares @ squares))
 
 
-def simulate_pc_receiver(src: SourceParams, ch: ChannelParams, noise: NoiseParams,
-                         cfg: SamplerConfig) -> EmpiricalStats:
-    """Empirical difference-count statistics under both hypotheses.
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, as nproc counts them."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask outside Linux
+        return os.cpu_count() or 1
 
-    Each sample is one pulse's count drawn from its exact law: the threshold
-    test's trial at m = 1 on the same stream. snr_hat uses the same
-    deflection form as the closed form; its standard error comes from
-    first-order propagation of the four moment estimates (including the
-    within-hypothesis mean/variance covariance).
+
+_pool = None  # the sampler's thread pool, made on first use
+_pool_lock = threading.Lock()
+
+
+def _forget_pool() -> None:
+    """Drop the pool in a forked child, which has none of its threads."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+def _executor():
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            # imported here: concurrent.futures loads logging, and `import qillum` need not
+            from concurrent.futures import ThreadPoolExecutor
+            _pool = ThreadPoolExecutor(max_workers=_usable_cpus(),
+                                       thread_name_prefix="qillum-sampler")
+            os.register_at_fork(after_in_child=_forget_pool)
+        return _pool
+
+
+def _reduced_hypotheses(src: SourceParams, ch: ChannelParams, noise: NoiseParams,
+                        m: int, cfg: SamplerConfig, reducer) -> tuple[list, list]:
+    """reducer(trial means, scratch) of each block of trial means over m pulses, for H0
+    (stream 0) and H1 (stream 2).
+
+    The blocks of both hypotheses, in order, split into one contiguous run
+    per usable CPU, and each run draws and reduces its blocks one at a time
+    into buffers allocated here. numpy's generators and ufuncs release the
+    GIL, so the runs go on in parallel threads. A block's result depends
+    only on its (seed, stream, block), and the results come back in block
+    order, so they are the same whatever the number of runs.
     """
-    if cfg.n_samples < 2:
-        raise ValueError("variance estimates need at least 2 samples")
-    b0, b1 = (_streamed_moments((counts,) for counts in blocks)[0]
-              for blocks in _hypothesis_trials(src, ch, noise, 1, cfg))
+    n = cfg.n_samples
+    blocks = [(weights, stream, block, min(_BLOCK, n - start))
+              for weights, stream in zip(_count_weights(src, ch, noise), (0, 2))
+              for block, start in enumerate(range(0, n, _BLOCK))]
+    workers = min(_usable_cpus(), len(blocks))
+    runs = [blocks[len(blocks) * i // workers:len(blocks) * (i + 1) // workers]
+            for i in range(workers)]
+    size = min(_BLOCK, n)
+    buffers = [(np.empty(size), np.empty(size), np.empty((min(_CHUNK, size), 2)))
+               for _ in runs]
+
+    def work(run, run_buffers):
+        means, scratch, pairs = run_buffers
+        return [reducer(_block_trial_means(means[:rows], pairs, weights, m,
+                                           cfg.seed, stream, block), scratch[:rows])
+                for weights, stream, block, rows in run]
+
+    parts = map(work, runs, buffers) if workers == 1 else _executor().map(work, runs, buffers)
+    results = [result for part in parts for result in part]
+    return results[:len(blocks) // 2], results[len(blocks) // 2:]
+
+
+def _empirical_stats(b0: _Moments, b1: _Moments) -> EmpiricalStats:
+    """The difference-count statistics of the H0 and H1 sample moments.
+
+    snr_hat uses the same deflection form as the closed form; its standard
+    error comes from first-order propagation of the four moment estimates
+    (including the within-hypothesis mean/variance covariance).
+    """
     diff = b1.mean - b0.mean
     root_sum = math.sqrt(b1.var) + math.sqrt(b0.var)
     snr_hat = diff ** 2 / (2.0 * root_sum ** 2)
@@ -265,8 +334,22 @@ def simulate_pc_receiver(src: SourceParams, ch: ChannelParams, noise: NoiseParam
         se_mean_h0=b0.se_mean, se_mean_h1=b1.se_mean,
         se_var_h0=b0.se_var, se_var_h1=b1.se_var,
         se_snr=math.sqrt(max(var_snr, 0.0)),
-        n_samples=cfg.n_samples,
+        n_samples=b0.n,
     )
+
+
+def simulate_pc_receiver(src: SourceParams, ch: ChannelParams, noise: NoiseParams,
+                         cfg: SamplerConfig) -> EmpiricalStats:
+    """Empirical difference-count statistics under both hypotheses.
+
+    Each sample is one pulse's count drawn from its exact law: the threshold
+    test's trial at m = 1 on the same stream. Each block's moments merge in
+    block order (_Moments.merge).
+    """
+    if cfg.n_samples < 2:
+        raise ValueError("variance estimates need at least 2 samples")
+    return _empirical_stats(*(reduce(_Moments.merge, blocks) for blocks in
+                              _reduced_hypotheses(src, ch, noise, 1, cfg, _block_moments)))
 
 
 def deflection_se(emp: EmpiricalStats, snr: float) -> float:
@@ -298,6 +381,9 @@ def empirical_error_rate(src: SourceParams, ch: ChannelParams, noise: NoiseParam
     """
     m = _validate_pulses(m)
     threshold = 0.5 * math.sqrt(ch.reflectivity) * src.corr
-    above = [sum(int(np.count_nonzero(means > threshold)) for means in blocks)
-             for blocks in _hypothesis_trials(src, ch, noise, m, cfg)]
+
+    def count_above(means, scratch):
+        return int(np.count_nonzero(means > threshold))
+
+    above = [sum(blocks) for blocks in _reduced_hypotheses(src, ch, noise, m, cfg, count_above)]
     return 0.5 * (above[0] + cfg.n_samples - above[1]) / cfg.n_samples

@@ -15,9 +15,10 @@ import numpy as np
 from scipy.linalg import expm
 
 from qillum.bounds import (ClassicalDistributionPair, SOverlapResult, _check_s,
-                           _weighted_result)
+                           _classical_route, _weighted_result, gaussian_s_overlap)
 from qillum.errors import NumericFailure
-from qillum.montecarlo import _gaussian_blocks, _streamed_moments, deflection_se
+from qillum.montecarlo import (EmpiricalStats, _count_weights, _empirical_stats,
+                               _gaussian_blocks, _Moments, _philox_blocks, deflection_se)
 from qillum.receiver import BeamsplitterMoments, ReceiverStats, half_erfc
 from qillum.states import (GaussianState, _check_nonnegative, _standard_form_matrix,
                            _validate_pulses, apply_noise, conditional_states)
@@ -380,6 +381,19 @@ def generic_qcb(state0, state1, prior_h0: float = 0.5) -> SOverlapResult:
     return _weighted_result(_GaussianOverlap(state0, state1).log_c_slope, prior_h0)
 
 
+def qbb(state0: GaussianState, state1: GaussianState) -> float:
+    """Quantum Bhattacharyya bound (1/2)*C_{1/2} for equal priors, on the closed forms'
+    pairs (gaussian_s_overlap)."""
+    return 0.5 * gaussian_s_overlap(state0, state1, 0.5)
+
+
+def classical_s_overlap(pair: ClassicalDistributionPair, s: float) -> float:
+    """Overlap integral(p0^s p1^(1-s)) of two Gaussian densities, in (0, 1], on the
+    closed form of bounds' heterodyne_distributions pairs."""
+    s = _check_s(s)
+    return min(math.exp(_classical_route(pair)(s)[0]), 1.0)
+
+
 def generic_qbb(state0, state1) -> float:
     """qbb by the generic route: (1/2) C_{1/2}."""
     return 0.5 * generic_s_overlap(state0, state1, 0.5)
@@ -575,6 +589,62 @@ def difference_count(modes: np.ndarray) -> np.ndarray:
                   - modes[:, 2] ** 2 - modes[:, 3] ** 2)
 
 
+def trial_mean_blocks(weights: tuple[float, float], m: int, seed: int, stream: int, n: int):
+    """Blocks of n trial averages of the difference count over m pulses each.
+
+    montecarlo's serial route, the reference for its block workers: each
+    block's gamma pairs are drawn whole, as one (rows, 2) array, and a
+    trial is (2 lambda_+ G_1 + 2 lambda_- G_2)/m as in
+    montecarlo._block_trial_means.
+    """
+    lam_plus, lam_minus = weights
+    w_plus, w_minus = 2.0 * lam_plus / m, 2.0 * lam_minus / m
+    for gen, rows in _philox_blocks(seed, stream, n):
+        g = gen.standard_gamma(m, size=(rows, 2))
+        yield g[:, 0] * w_plus + g[:, 1] * w_minus
+
+
+def moment_block(samples: np.ndarray) -> _Moments:
+    """The moments of one block, centred on its own mean, in fresh arrays."""
+    mean = float(samples.mean())
+    centered = samples - mean
+    squares = centered ** 2
+    return _Moments(n=samples.size, mean=mean, m2=float(centered @ centered),
+                    m3=float(squares @ centered), m4=float(squares @ squares))
+
+
+def streamed_moments(blocks) -> tuple[_Moments, ...]:
+    """Moments of each series over a stream; each block is a tuple of series blocks.
+
+    Blocks merge in stream order, so the result depends only on the samples.
+    """
+    total = None
+    for block in blocks:
+        part = tuple(moment_block(series) for series in block)
+        total = part if total is None else tuple(a.merge(b) for a, b in zip(total, part))
+    return total
+
+
+def serial_trial_blocks(src, ch, noise, m: int, cfg) -> list:
+    """The trial-mean blocks of H0 (stream 0) and H1 (stream 2), one block after another."""
+    return [trial_mean_blocks(weights, m, cfg.seed, stream, cfg.n_samples)
+            for weights, stream in zip(_count_weights(src, ch, noise), (0, 2))]
+
+
+def serial_pc_receiver(src, ch, noise, cfg) -> EmpiricalStats:
+    """montecarlo.simulate_pc_receiver by the serial route."""
+    return _empirical_stats(*(streamed_moments((counts,) for counts in blocks)[0]
+                              for blocks in serial_trial_blocks(src, ch, noise, 1, cfg)))
+
+
+def serial_error_rate(src, ch, noise, m: int, cfg) -> float:
+    """montecarlo.empirical_error_rate by the serial route."""
+    threshold = 0.5 * math.sqrt(ch.reflectivity) * src.corr
+    above = [sum(int(np.count_nonzero(means > threshold)) for means in blocks)
+             for blocks in serial_trial_blocks(src, ch, noise, m, cfg)]
+    return 0.5 * (above[0] + cfg.n_samples - above[1]) / cfg.n_samples
+
+
 def pulse_trial_means(src, ch, noise, m: int, cfg, hypothesis) -> np.ndarray:
     """Difference count averaged over each trial's m consecutive pulses, pulse by pulse.
 
@@ -714,7 +784,7 @@ def check_gaussian_moment_identities(cfg,
             raise ValueError(f"unit-variance pair needs |cov| < 1, got {cov}")
         cm = np.array([[1.0, cov], [cov, 1.0]])
         pairs = (z.T for z in _gaussian_blocks(0.0, cm, cfg.seed, 16 + i, cfg.n_samples))
-        moments = _streamed_moments(((q ** 2) ** 2, q ** 2 * p ** 2) for q, p in pairs)
+        moments = streamed_moments(((q ** 2) ** 2, q ** 2 * p ** 2) for q, p in pairs)
 
         for label, mom, expected in zip(
                 ("<q^4> = 3 sigma^4", "<q^2 p^2> = 1 + 2 cov^2"), moments,

@@ -30,12 +30,10 @@ from qillum.bounds import (
     _quantum_route,
     _weighted_result,
     ccb,
-    classical_s_overlap,
     cs_qcb,
     cs_qcb_exponent,
     gaussian_s_overlap,
     heterodyne_distributions,
-    qbb,
     qcb,
 )
 from qillum.cli import ScenarioParams, SweepSpec, compute_sweep
@@ -54,10 +52,10 @@ from qillum.states import (
 )
 from qillum.symplectic import CovMatrix
 
-from _oracles import (_ClassicalOverlap, _GaussianOverlap, fock_s_overlap_thermal,
-                      generic_ccb, generic_classical_s_overlap, generic_qbb, generic_qcb,
-                      generic_s_overlap, mp_coherent_log_c, mp_model_exponents,
-                      mp_shifted_thermal_log_c, random_physical_cm)
+from _oracles import (_ClassicalOverlap, _GaussianOverlap, classical_s_overlap,
+                      fock_s_overlap_thermal, generic_ccb, generic_classical_s_overlap,
+                      generic_qbb, generic_qcb, generic_s_overlap, mp_coherent_log_c,
+                      mp_model_exponents, mp_shifted_thermal_log_c, qbb, random_physical_cm)
 
 REF_SRC = make_source(0.01, 0.01, "quantum")
 REF_CH = ChannelParams(reflectivity=0.01, n_background=20.0)

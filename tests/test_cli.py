@@ -641,14 +641,14 @@ class TestMcCommand:
             emp = real(src, ch, noise, cfg)
             se = math.hypot(emp.se_mean_h0, emp.se_mean_h1)
             shift = snr_pc(src, ch, noise).mean_h1 - 2.0 * se - (emp.mean_h1 - emp.mean_h0)
-            blocks = qillum.montecarlo._trial_mean_blocks
+            block = qillum.montecarlo._block_trial_means
 
-            def shifted(weights, m, seed, stream, n):
-                for means in blocks(weights, m, seed, stream, n):
-                    yield means + shift if stream == 2 else means
+            def shifted(out, pairs, weights, m, seed, stream, index):
+                means = block(out, pairs, weights, m, seed, stream, index)
+                return means + shift if stream == 2 else means
 
             with monkeypatch.context() as patch:
-                patch.setattr(qillum.montecarlo, "_trial_mean_blocks", shifted)
+                patch.setattr(qillum.montecarlo, "_block_trial_means", shifted)
                 used.append((real(src, ch, noise, cfg), se))
             return used[-1][0]
 

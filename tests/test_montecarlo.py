@@ -2,6 +2,8 @@
 identities and bounded memory."""
 import dataclasses
 import math
+import multiprocessing
+import threading
 import time
 import tracemalloc
 
@@ -18,7 +20,7 @@ from qillum.montecarlo import (
     sample_quadratures,
     simulate_pc_receiver,
 )
-from qillum.montecarlo import _count_weights, _streamed_moments, _trial_mean_blocks
+from qillum.montecarlo import _count_weights
 from qillum.receiver import beamsplitter_moments, half_erfc, snr_pc
 from qillum.states import (
     ChannelParams,
@@ -42,7 +44,11 @@ from _oracles import (
     pulse_error_rate,
     pulse_trial_means,
     sample_pc_modes,
+    serial_error_rate,
+    serial_pc_receiver,
     source_cm,
+    streamed_moments,
+    trial_mean_blocks,
     two_pass_moments,
 )
 
@@ -178,9 +184,9 @@ class TestStreamLayout:
         stats = simulate_pc_receiver(REF_SRC, REF_CH, NO_NOISE, cfg)
         weights = _count_weights(REF_SRC, REF_CH, NO_NOISE)
         for pair, stream, suffix in zip(weights, (0, 2), ("h0", "h1")):
-            counts = np.concatenate(list(_trial_mean_blocks(pair, 1, cfg.seed, stream, n)))
+            counts = np.concatenate(list(trial_mean_blocks(pair, 1, cfg.seed, stream, n)))
             exact = two_pass_moments(counts)
-            (streamed,) = _streamed_moments((counts[i:i + BLOCK],) for i in range(0, n, BLOCK))
+            (streamed,) = streamed_moments((counts[i:i + BLOCK],) for i in range(0, n, BLOCK))
             for field in ("mean", "var", "se_mean", "se_var"):
                 assert getattr(stats, f"{field}_{suffix}") == pytest.approx(exact[field], rel=1e-12)
             for field in exact:
@@ -204,7 +210,7 @@ class TestStreamLayout:
     @pytest.mark.parametrize("m", [1, 50, 10 ** 12])
     def test_trial_prefix_independent_of_count(self, m):
         weights = _count_weights(REF_SRC, REF_CH, NO_NOISE)[1]
-        runs = [np.concatenate(list(_trial_mean_blocks(weights, m, 36, 2, n))) for n in self.SIZES]
+        runs = [np.concatenate(list(trial_mean_blocks(weights, m, 36, 2, n))) for n in self.SIZES]
         for means in runs:
             assert np.array_equal(means, runs[-1][:len(means)])
         assert not np.array_equal(runs[-1][:8], runs[-1][BLOCK:BLOCK + 8])
@@ -215,7 +221,7 @@ class TestStreamLayout:
         gen = np.random.Generator(np.random.Philox(key=np.array([37, 0], dtype=np.uint64)))
         g = gen.standard_gamma(50, size=(1000, 2))
         expected = g[:, 0] * (2.0 * lam_plus / 50) + g[:, 1] * (2.0 * lam_minus / 50)
-        (got,) = _trial_mean_blocks(weights, 50, 37, 0, 1000)
+        (got,) = trial_mean_blocks(weights, 50, 37, 0, 1000)
         assert np.array_equal(got, expected)
 
 
@@ -341,20 +347,22 @@ class TestCountLaw:
     def test_samples_are_the_trials_at_one_pulse(self, monkeypatch):
         n = BLOCK + 5
         cfg = SamplerConfig(seed=38, n_samples=n)
-        seen = []
-        real = qillum.montecarlo._streamed_moments
+        drawn = {}
+        real = qillum.montecarlo._block_trial_means
 
-        def recording(blocks):
-            blocks = list(blocks)
-            seen.append(np.concatenate([series for (series,) in blocks]))
-            return real(blocks)
+        def recording(out, pairs, weights, m, seed, stream, block):
+            means = real(out, pairs, weights, m, seed, stream, block)
+            drawn[stream, block] = means.copy()  # the buffer is centred in place next
+            return means
 
-        monkeypatch.setattr(qillum.montecarlo, "_streamed_moments", recording)
+        monkeypatch.setattr(qillum.montecarlo, "_block_trial_means", recording)
         simulate_pc_receiver(REF_SRC, REF_CH, NO_NOISE, cfg)
+        seen = [np.concatenate([drawn[key] for key in sorted(drawn) if key[0] == stream])
+                for stream in sorted({stream for stream, _ in drawn})]
         assert len(seen) == 2
         weights = _count_weights(REF_SRC, REF_CH, NO_NOISE)
         for counts, pair, stream in zip(seen, weights, (0, 2)):
-            trials = np.concatenate(list(_trial_mean_blocks(pair, 1, cfg.seed, stream, n)))
+            trials = np.concatenate(list(trial_mean_blocks(pair, 1, cfg.seed, stream, n)))
             assert np.array_equal(counts, trials)
             # block 0 is 2 l_+ E_1 + 2 l_- E_2 with E_i ~ Exp(1): numpy's
             # standard_gamma(1) is its standard_exponential
@@ -621,10 +629,69 @@ class TestMomentIdentities:
                                              covariances=(1.0,))
 
 
+def bits(stats: EmpiricalStats) -> list:
+    return [float(v).hex() for v in dataclasses.astuple(stats)]
+
+
+class TestWorkers:
+    """The block runs give the serial route's bits whatever the number of workers."""
+
+    SIZES = (2, BLOCK - 1, BLOCK + 5, 3 * BLOCK + 7)
+    WORKERS = (1, 2, 3, 1000)  # 1000: more than any size's blocks
+
+    @pytest.fixture
+    def workers(self, monkeypatch):
+        def use(count):
+            monkeypatch.setattr(qillum.montecarlo, "_usable_cpus", lambda: count)
+        return use
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_moments_are_the_serial_routes(self, workers, n):
+        cfg = SamplerConfig(seed=60, n_samples=n)
+        want = bits(serial_pc_receiver(REF_SRC, REF_CH, NO_NOISE, cfg))
+        for count in self.WORKERS:
+            workers(count)
+            assert bits(simulate_pc_receiver(REF_SRC, REF_CH, NO_NOISE, cfg)) == want, count
+
+    @pytest.mark.parametrize("n", SIZES)
+    @pytest.mark.parametrize("m", [1, 50, 800])
+    def test_error_rate_is_the_serial_routes(self, workers, n, m):
+        cfg = SamplerConfig(seed=61, n_samples=n)
+        want = serial_error_rate(VAL_SRC, VAL_CH, NO_NOISE, m, cfg)
+        for count in self.WORKERS:
+            workers(count)
+            got = empirical_error_rate(VAL_SRC, VAL_CH, NO_NOISE, m, cfg)
+            assert got.hex() == want.hex(), count
+
+    def test_one_worker_makes_no_thread(self, workers, monkeypatch):
+        monkeypatch.setattr(qillum.montecarlo, "_pool", None)
+        workers(1)
+        before = threading.active_count()
+        simulate_pc_receiver(REF_SRC, REF_CH, NO_NOISE, SamplerConfig(seed=62, n_samples=3 * BLOCK))
+        empirical_error_rate(REF_SRC, REF_CH, NO_NOISE, 50,
+                             SamplerConfig(seed=62, n_samples=BLOCK + 1))
+        assert qillum.montecarlo._pool is None
+        assert threading.active_count() == before
+
+    def test_a_forked_child_samples_without_the_parents_threads(self, workers):
+        # the child inherits the pool object but not its threads; a stale pool would hang it
+        workers(2)
+        cfg = SamplerConfig(seed=63, n_samples=BLOCK + 1)
+        want = bits(simulate_pc_receiver(REF_SRC, REF_CH, NO_NOISE, cfg))
+        assert qillum.montecarlo._pool is not None
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            got = pool.apply_async(_child_bits, (cfg,)).get(timeout=120)
+        assert got == want
+
+
+def _child_bits(cfg: SamplerConfig) -> list:
+    return bits(simulate_pc_receiver(REF_SRC, REF_CH, NO_NOISE, cfg))
+
+
 class TestBoundedMemory:
     """Traced peak memory does not grow with n_samples or n_samples * m."""
 
-    LIMIT = 32e6  # bytes; one 2**16 block needs ~14 MB, the old full draws 136-410 MB
+    LIMIT = 32e6  # bytes; each worker holds ~1.1 MiB, the old full draws 136-410 MB
 
     @staticmethod
     def traced_peak(call) -> int:
@@ -643,6 +710,20 @@ class TestBoundedMemory:
     def test_receiver_moments_at_a_million(self):
         cfg = SamplerConfig(seed=42, n_samples=1_000_000)
         assert self.traced_peak(lambda: simulate_pc_receiver(REF_SRC, REF_CH, NO_NOISE, cfg)) < self.LIMIT
+
+    @pytest.mark.parametrize("count", [1, 2, 3])
+    def test_receiver_moments_hold_one_block_per_worker(self, monkeypatch, count):
+        # a lean block is the trial means and their squares: 2 * 2**16 doubles.
+        # Each worker's buffers are one lean block and a 4096-row chunk of gamma
+        # pairs (64 KiB), allocated by the caller, and nothing else grows with
+        # the sample count. The extra block covers numpy.random's first import
+        # (~1 MB traced) when this test runs alone.
+        monkeypatch.setattr(qillum.montecarlo, "_usable_cpus", lambda: count)
+        lean_block = 2 * BLOCK * 8
+        margin = 256 * 1024
+        cfg = SamplerConfig(seed=43, n_samples=4_000_000)
+        peak = self.traced_peak(lambda: simulate_pc_receiver(REF_SRC, REF_CH, NO_NOISE, cfg))
+        assert peak < (count + 1) * lean_block + margin
 
     def test_moment_identities_at_a_million(self):
         cfg = SamplerConfig(seed=0, n_samples=1_000_000)
