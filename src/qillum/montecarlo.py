@@ -26,24 +26,26 @@ stream 0 and H1 on stream 2, for both the receiver moments and the
 threshold test's trials.
 
 Because a block depends only on (seed, stream, block), the samplers split
-the blocks of both hypotheses into one contiguous run per usable CPU and
-run them on a thread pool; numpy's generators, ufuncs and dot products
-release the GIL. Each worker draws a block into buffers that the calling
-thread allocated for the call and reduces it on the spot (to its moments,
-or to its count above the threshold), so the samplers hold at most one
-block per worker, and their memory does not grow with the sample count;
-only sample_quadratures, which returns the samples, holds them all. A
-block's reduction depends only on its rows, and the reductions merge in
-block order in the calling thread, so the results are the same bits for
-any worker count. (The moment sums' dot products go through BLAS, whose
-own thread count, which OpenBLAS sets from the CPU count unless
-OPENBLAS_NUM_THREADS does, can move their last bits.)
+the blocks of both hypotheses into one contiguous run per usable CPU (at
+most eight) and run them on threads made for the call; numpy's
+generators, ufuncs and dot products release the GIL. Each worker draws a
+block into buffers that the calling thread allocated for the call and
+reduces it on the spot (to its moments, or to its count above the
+threshold), so the samplers hold at most one block per worker, and their
+memory does not grow with the sample count or the CPU count; only
+sample_quadratures, which returns the samples, holds them all. A block's
+reduction depends only on its rows, and the reductions merge in block
+order in the calling thread, so the results are the same bits for any
+worker count. (The moment sums' dot products go through BLAS, whose own
+thread count, which OpenBLAS sets from the CPU count unless
+OPENBLAS_NUM_THREADS does, can move their last bits. Its threads also
+compete with the workers for the CPUs, so the workers speed the moments
+up only with BLAS pinned to one thread.)
 """
 from __future__ import annotations
 
 import math
 import os
-import threading
 from dataclasses import dataclass
 from functools import reduce
 
@@ -224,7 +226,7 @@ def _block_trial_means(out: np.ndarray, pairs: np.ndarray, weights: tuple[float,
         means = out[start:start + _CHUNK]
         g = pairs[:len(means)]
         if m == 1:
-            gen.standard_exponential(out=g)  # standard_gamma(1), bit for bit
+            gen.standard_exponential(out=g)  # standard_gamma(1) bit for bit, ~1.8x faster
         else:
             gen.standard_gamma(m, out=g)
         # elementwise, not g @ w: a trial's bits then do not depend on its block's size
@@ -251,26 +253,9 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-_pool = None  # the sampler's thread pool, made on first use
-_pool_lock = threading.Lock()
-
-
-def _forget_pool() -> None:
-    """Drop the pool in a forked child, which has none of its threads."""
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-def _executor():
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            # imported here: concurrent.futures loads logging, and `import qillum` need not
-            from concurrent.futures import ThreadPoolExecutor
-            _pool = ThreadPoolExecutor(max_workers=_usable_cpus(),
-                                       thread_name_prefix="qillum-sampler")
-            os.register_at_fork(after_in_child=_forget_pool)
-        return _pool
+# each worker holds ~1.1 MiB of buffers, so the cap keeps a call's traced
+# peak under ~9 MiB on any host
+_MAX_WORKERS = 8
 
 
 def _reduced_hypotheses(src: SourceParams, ch: ChannelParams, noise: NoiseParams,
@@ -279,17 +264,18 @@ def _reduced_hypotheses(src: SourceParams, ch: ChannelParams, noise: NoiseParams
     (stream 0) and H1 (stream 2).
 
     The blocks of both hypotheses, in order, split into one contiguous run
-    per usable CPU, and each run draws and reduces its blocks one at a time
-    into buffers allocated here. numpy's generators and ufuncs release the
-    GIL, so the runs go on in parallel threads. A block's result depends
-    only on its (seed, stream, block), and the results come back in block
-    order, so they are the same whatever the number of runs.
+    per usable CPU (at most _MAX_WORKERS), and each run draws and reduces
+    its blocks one at a time into buffers allocated here. numpy's
+    generators and ufuncs release the GIL, so the runs go on in parallel
+    threads, made for the call. A block's result depends only on its
+    (seed, stream, block), and the results come back in block order, so
+    they are the same whatever the number of runs.
     """
     n = cfg.n_samples
     blocks = [(weights, stream, block, min(_BLOCK, n - start))
               for weights, stream in zip(_count_weights(src, ch, noise), (0, 2))
               for block, start in enumerate(range(0, n, _BLOCK))]
-    workers = min(_usable_cpus(), len(blocks))
+    workers = min(_usable_cpus(), _MAX_WORKERS, len(blocks))
     runs = [blocks[len(blocks) * i // workers:len(blocks) * (i + 1) // workers]
             for i in range(workers)]
     size = min(_BLOCK, n)
@@ -302,7 +288,13 @@ def _reduced_hypotheses(src: SourceParams, ch: ChannelParams, noise: NoiseParams
                                            cfg.seed, stream, block), scratch[:rows])
                 for weights, stream, block, rows in run]
 
-    parts = map(work, runs, buffers) if workers == 1 else _executor().map(work, runs, buffers)
+    if workers == 1:
+        parts = map(work, runs, buffers)
+    else:
+        # imported here: concurrent.futures loads logging, and `import qillum` need not
+        from concurrent.futures import ThreadPoolExecutor
+        with ThreadPoolExecutor(max_workers=workers, thread_name_prefix="qillum-sampler") as pool:
+            parts = list(pool.map(work, runs, buffers))
     results = [result for part in parts for result in part]
     return results[:len(blocks) // 2], results[len(blocks) // 2:]
 

@@ -1,8 +1,8 @@
 """Sampling checks: determinism, stream layout, calibration against closed forms,
 identities and bounded memory."""
+import concurrent.futures
 import dataclasses
 import math
-import multiprocessing
 import threading
 import time
 import tracemalloc
@@ -20,7 +20,7 @@ from qillum.montecarlo import (
     sample_quadratures,
     simulate_pc_receiver,
 )
-from qillum.montecarlo import _count_weights
+from qillum.montecarlo import _CHUNK, _MAX_WORKERS, _block_trial_means, _count_weights
 from qillum.receiver import beamsplitter_moments, half_erfc, snr_pc
 from qillum.states import (
     ChannelParams,
@@ -137,6 +137,14 @@ class TestSampleQuadratures:
 BLOCK = 2 ** 16  # samples per block of the stream layout
 
 
+def shipped_trial_means(weights, m: int, seed: int, stream: int, n: int) -> np.ndarray:
+    """A stream's first n trial means, drawn block after block by the samplers' block worker."""
+    pairs = np.empty((_CHUNK, 2))
+    return np.concatenate([_block_trial_means(np.empty(min(BLOCK, n - start)), pairs,
+                                              weights, m, seed, stream, block)
+                           for block, start in enumerate(range(0, n, BLOCK))])
+
+
 class TestStreamLayout:
     """Samples come from fixed 2**16-sample blocks, block b from counter [0, 0, 0, b]."""
 
@@ -210,7 +218,7 @@ class TestStreamLayout:
     @pytest.mark.parametrize("m", [1, 50, 10 ** 12])
     def test_trial_prefix_independent_of_count(self, m):
         weights = _count_weights(REF_SRC, REF_CH, NO_NOISE)[1]
-        runs = [np.concatenate(list(trial_mean_blocks(weights, m, 36, 2, n))) for n in self.SIZES]
+        runs = [shipped_trial_means(weights, m, 36, 2, n) for n in self.SIZES]
         for means in runs:
             assert np.array_equal(means, runs[-1][:len(means)])
         assert not np.array_equal(runs[-1][:8], runs[-1][BLOCK:BLOCK + 8])
@@ -221,7 +229,7 @@ class TestStreamLayout:
         gen = np.random.Generator(np.random.Philox(key=np.array([37, 0], dtype=np.uint64)))
         g = gen.standard_gamma(50, size=(1000, 2))
         expected = g[:, 0] * (2.0 * lam_plus / 50) + g[:, 1] * (2.0 * lam_minus / 50)
-        (got,) = trial_mean_blocks(weights, 50, 37, 0, 1000)
+        got = shipped_trial_means(weights, 50, 37, 0, 1000)
         assert np.array_equal(got, expected)
 
 
@@ -637,7 +645,7 @@ class TestWorkers:
     """The block runs give the serial route's bits whatever the number of workers."""
 
     SIZES = (2, BLOCK - 1, BLOCK + 5, 3 * BLOCK + 7)
-    WORKERS = (1, 2, 3, 1000)  # 1000: more than any size's blocks
+    WORKERS = (1, 2, 3, 1000)  # 1000: past the worker cap and every size's block count
 
     @pytest.fixture
     def workers(self, monkeypatch):
@@ -663,29 +671,26 @@ class TestWorkers:
             got = empirical_error_rate(VAL_SRC, VAL_CH, NO_NOISE, m, cfg)
             assert got.hex() == want.hex(), count
 
+    @pytest.mark.parametrize("n", [5, 2 * BLOCK - 1, 3 * BLOCK + 7])
+    @pytest.mark.parametrize("m", [1, 50, 800, 10 ** 12])
+    def test_block_worker_is_the_serial_draw(self, n, m):
+        # the worker draws _CHUNK rows at a time into its buffers; the serial
+        # route draws each block whole
+        weights = _count_weights(REF_SRC, REF_CH, NO_NOISE)[1]
+        want = np.concatenate(list(trial_mean_blocks(weights, m, 64, 2, n)))
+        assert np.array_equal(shipped_trial_means(weights, m, 64, 2, n), want)
+
     def test_one_worker_makes_no_thread(self, workers, monkeypatch):
-        monkeypatch.setattr(qillum.montecarlo, "_pool", None)
+        def no_pool(*args, **kwargs):
+            raise AssertionError("one worker made a thread pool")
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
         workers(1)
         before = threading.active_count()
         simulate_pc_receiver(REF_SRC, REF_CH, NO_NOISE, SamplerConfig(seed=62, n_samples=3 * BLOCK))
         empirical_error_rate(REF_SRC, REF_CH, NO_NOISE, 50,
                              SamplerConfig(seed=62, n_samples=BLOCK + 1))
-        assert qillum.montecarlo._pool is None
         assert threading.active_count() == before
-
-    def test_a_forked_child_samples_without_the_parents_threads(self, workers):
-        # the child inherits the pool object but not its threads; a stale pool would hang it
-        workers(2)
-        cfg = SamplerConfig(seed=63, n_samples=BLOCK + 1)
-        want = bits(simulate_pc_receiver(REF_SRC, REF_CH, NO_NOISE, cfg))
-        assert qillum.montecarlo._pool is not None
-        with multiprocessing.get_context("fork").Pool(1) as pool:
-            got = pool.apply_async(_child_bits, (cfg,)).get(timeout=120)
-        assert got == want
-
-
-def _child_bits(cfg: SamplerConfig) -> list:
-    return bits(simulate_pc_receiver(REF_SRC, REF_CH, NO_NOISE, cfg))
 
 
 class TestBoundedMemory:
@@ -724,6 +729,16 @@ class TestBoundedMemory:
         cfg = SamplerConfig(seed=43, n_samples=4_000_000)
         peak = self.traced_peak(lambda: simulate_pc_receiver(REF_SRC, REF_CH, NO_NOISE, cfg))
         assert peak < (count + 1) * lean_block + margin
+
+    def test_receiver_moments_at_a_million_on_many_cpus(self, monkeypatch):
+        # the worker cap, not the CPU count, sets how many buffers a call holds
+        monkeypatch.setattr(qillum.montecarlo, "_usable_cpus", lambda: 1000)
+        per_worker = 2 * BLOCK * 8 + _CHUNK * 2 * 8  # a lean block and a chunk of gamma pairs
+        cfg = SamplerConfig(seed=44, n_samples=1_000_000)
+        peak = self.traced_peak(lambda: simulate_pc_receiver(REF_SRC, REF_CH, NO_NOISE, cfg))
+        assert peak < self.LIMIT
+        # plus one lean block for numpy.random's first import and 256 KiB, as above
+        assert peak < _MAX_WORKERS * per_worker + 2 * BLOCK * 8 + 256 * 1024
 
     def test_moment_identities_at_a_million(self):
         cfg = SamplerConfig(seed=0, n_samples=1_000_000)
