@@ -32,7 +32,6 @@ from .receiver import (
     half_erfc,
     half_exp,
     homodyne_min_error,
-    homodyne_min_errors,
     homodyne_rate,
     log_erfc,
     snr_pc,

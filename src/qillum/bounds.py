@@ -291,8 +291,9 @@ def _half_coth(x: float, theta_slope: float) -> tuple[float, float]:
 def _excess(n_a: float, n_b: float, h: float) -> tuple[float, float]:
     """(lambda_+ - 1, lambda_- - 1) = (n_a - h, n_b - h) of one state.
 
-    Each is formed to ~eps*(1 + n_a) (eps*(1 + n_b)), so a residue of that
-    order above the vacuum is snapped to 0 (a pure mode). Raises ValueError
+    Each carries the rounding of h, ~eps*h, so a residue of that order above
+    the vacuum is snapped to 0 (a pure mode); at h = 0 (no correlation) the
+    excess is the given n_a or n_b, kept however small. Raises ValueError
     below -2*PHYSICALITY_ATOL, i.e. for nu < 1/2 - PHYSICALITY_ATOL.
     """
     excess = []
@@ -300,7 +301,7 @@ def _excess(n_a: float, n_b: float, h: float) -> tuple[float, float]:
         n = n_entry - h
         if n < -2.0 * PHYSICALITY_ATOL:
             raise ValueError(_UNPHYSICAL)
-        excess.append(n if n > 64.0 * _EPS * max(2.0, 1.0 + n_entry) else 0.0)
+        excess.append(n if n > 64.0 * _EPS * h else 0.0)
     return tuple(excess)
 
 

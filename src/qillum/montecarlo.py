@@ -28,19 +28,16 @@ threshold test's trials.
 Because a block depends only on (seed, stream, block), the samplers split
 the blocks of both hypotheses into one contiguous run per usable CPU (at
 most eight) and run them on threads made for the call; numpy's
-generators, ufuncs and dot products release the GIL. Each worker draws a
-block into buffers that the calling thread allocated for the call and
-reduces it on the spot (to its moments, or to its count above the
-threshold), so the samplers hold at most one block per worker, and their
-memory does not grow with the sample count or the CPU count; only
-sample_quadratures, which returns the samples, holds them all. A block's
-reduction depends only on its rows, and the reductions merge in block
-order in the calling thread, so the results are the same bits for any
-worker count. (The moment sums' dot products go through BLAS, whose own
-thread count, which OpenBLAS sets from the CPU count unless
-OPENBLAS_NUM_THREADS does, can move their last bits. Its threads also
-compete with the workers for the CPUs, so the workers speed the moments
-up only with BLAS pinned to one thread.)
+generators and ufuncs release the GIL. Each worker draws a block into
+buffers that the calling thread allocated for the call and reduces it on
+the spot (to its moments, or to its count above the threshold), so the
+samplers hold at most one block per worker, and their memory does not grow
+with the sample count or the CPU count; only sample_quadratures, which
+returns the samples, holds them all. A block's reduction depends only on
+its rows, and the reductions merge in block order in the calling thread,
+so the results are the same bits for any worker count. The moment sums
+and the colouring are numpy ufuncs and reductions, not BLAS products, so
+neither the CPU count nor BLAS's thread setting moves a bit.
 """
 from __future__ import annotations
 
@@ -120,11 +117,13 @@ def _gaussian_blocks(mean, cov: np.ndarray, seed: int, stream: int, n: int):
         raise NumericFailure(f"covariance factorization failed: {exc}") from exc
     for gen, count in _philox_blocks(seed, stream, n):
         z = gen.standard_normal((count, len(cov)))
-        # numpy multiplies a lone row by a matrix-vector route whose rounding
-        # differs from the matrix-matrix one; colouring it as two rows keeps a
-        # sample's bits independent of where its block ends
-        rows = z if len(z) > 1 else np.repeat(z, 2, axis=0)
-        xs = (rows @ chol.T)[:len(z)]
+        # column by column, not z @ chol.T: numpy's products and sums round
+        # alike for any block size and host, where BLAS's routes do not.
+        # Column i is z_i L_ii + z_0 L_i0 + ... + z_{i-1} L_i,i-1, in that order.
+        xs = z * chol.diagonal()
+        for i in range(1, len(cov)):
+            for k in range(i):
+                xs[:, i] += z[:, k] * chol[i, k]
         # every conditional state of the model has zero mean; adding it anyway
         # would broadcast a 4-vector over the whole block
         yield xs + mean if np.any(mean) else xs
@@ -241,8 +240,12 @@ def _block_moments(means: np.ndarray, squares: np.ndarray) -> _Moments:
     centered = np.subtract(means, mean, out=means)
     # not centered ** 3 and ** 4: numpy's general power is ~100x slower
     np.square(centered, out=squares)
-    return _Moments(n=means.size, mean=mean, m2=float(centered @ centered),
-                    m3=float(squares @ centered), m4=float(squares @ squares))
+    # pairwise add.reduce, not dot products: numpy's source fixes its order,
+    # where a BLAS dot's follows BLAS's thread count
+    m2 = float(np.add.reduce(squares))
+    m3 = float(np.add.reduce(np.multiply(squares, centered, out=centered)))
+    m4 = float(np.add.reduce(np.square(squares, out=squares)))
+    return _Moments(n=means.size, mean=mean, m2=m2, m3=m3, m4=m4)
 
 
 def _usable_cpus() -> int:

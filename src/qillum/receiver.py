@@ -316,38 +316,17 @@ def homodyne_rate(n_signal: float, ch: ChannelParams) -> float:
 def homodyne_min_error(n_signal: float, ch: ChannelParams, m) -> HomodyneOptimum:
     """Minimum equal-prior homodyne error (1/2)erfc(sqrt(m*rate)) at one pulse count.
 
-    The one-element case of homodyne_min_errors, self-check included; a grid
-    of pulse counts is far cheaper in one homodyne_min_errors call.
+    rate is homodyne_rate(n_signal, ch), and p_error and log_p_error are the
+    CS+Hom row's at m, self-check included (RECEIVERS["CS+Hom"].points takes
+    a whole grid of pulse counts in one call). The optimal threshold sits
+    midway between the conditional means, x* = m*sqrt(2*kappa*N_S)/2.
     """
-    return homodyne_min_errors(n_signal, ch, (m,))[0]
-
-
-def homodyne_min_errors(n_signal: float, ch: ChannelParams, ms) -> list[HomodyneOptimum]:
-    """Minimum equal-prior homodyne error (1/2)erfc(sqrt(m*rate)) for each m in ms.
-
-    rate is homodyne_rate(n_signal, ch), so each result is the one a sweep row
-    forms from its per_mode_rate. p_error and log_p_error are half_erfc and
-    LN_HALF + log_erfc bit for bit (_erfc_points), each accurate in its own
-    right. The optimal threshold sits midway between the conditional means,
-    x* = m*sqrt(2*kappa*N_S)/2.
-
-    Every call cross-checks the closed form at every m against a numeric
-    minimization of (fa+md)/2 in the log domain: a search on
-    [0, m*sqrt(2*kappa*N_S)] for the sign change of the objective's analytic
-    slope, to within min(1e-11*max(shift, sigma), 1e-6*sigma), run for all m
-    in lockstep (optimize.illinois_array; a few steps each). It raises
-    NumericFailure, naming each m, where the two disagree by more than
-    1e-12*max(1, |ln p|). The search takes ln erfc and its slope from one
-    numpy rational (_log_erfc_and_slope); the results stay on the C library's
-    erfc, through _erfc_column.
-    """
-    ms = [_validate_pulses(m) for m in ms]
+    m = _validate_pulses(m)
     _check_nonnegative(n_signal, "n_signal")
-    p, log_p = _erfc_points(homodyne_rate(n_signal, ch), ms)
-    _check_homodyne_optimum(n_signal, ch, ms, log_p)
+    (p,), (log_p,) = _erfc_points(homodyne_rate(n_signal, ch), (m,))
+    _check_homodyne_optimum(n_signal, ch, (m,), (log_p,))
     root = math.sqrt(2.0 * ch.reflectivity * n_signal)
-    return [HomodyneOptimum(p_error=pm, threshold=0.5 * (m * root), log_p_error=lpm)
-            for m, pm, lpm in zip(ms, p, log_p)]
+    return HomodyneOptimum(p_error=p, threshold=0.5 * (m * root), log_p_error=log_p)
 
 
 def _erfc_points(rate: float, ms) -> tuple[list, list]:
@@ -362,7 +341,19 @@ def _erfc_points(rate: float, ms) -> tuple[list, list]:
 
 
 def _check_homodyne_optimum(n_signal: float, ch: ChannelParams, ms, log_p) -> None:
-    """Raise NumericFailure where the numeric minimum of ln (fa+md)/2 is not the ln p column."""
+    """Raise NumericFailure where the numeric minimum of ln (fa+md)/2 is not the ln p column.
+
+    The column is the closed form ln (1/2)erfc(sqrt(m*rate)) at each m of ms,
+    p and ln p bit for bit half_erfc and LN_HALF + log_erfc (_erfc_points).
+    The numeric minimum comes from a search on [0, m*sqrt(2*kappa*N_S)] for
+    the sign change of the objective's analytic slope, to within
+    min(1e-11*max(shift, sigma), 1e-6*sigma), run for all m in lockstep
+    (optimize.illinois_array; a few steps each). The error names each m
+    where the two disagree by more than 1e-12*max(1, |ln p|). The search
+    takes ln erfc and its slope from one numpy rational
+    (_log_erfc_and_slope); the column stays on the C library's erfc, through
+    _erfc_column.
+    """
     root = math.sqrt(2.0 * ch.reflectivity * n_signal)
     if root == 0.0:
         return

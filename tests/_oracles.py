@@ -605,12 +605,15 @@ def trial_mean_blocks(weights: tuple[float, float], m: int, seed: int, stream: i
 
 
 def moment_block(samples: np.ndarray) -> _Moments:
-    """The moments of one block, centred on its own mean, in fresh arrays."""
+    """The moments of one block, centred on its own mean, in fresh arrays.
+
+    The power sums are numpy's pairwise sums, as in montecarlo._block_moments.
+    """
     mean = float(samples.mean())
     centered = samples - mean
     squares = centered ** 2
-    return _Moments(n=samples.size, mean=mean, m2=float(centered @ centered),
-                    m3=float(squares @ centered), m4=float(squares @ squares))
+    return _Moments(n=samples.size, mean=mean, m2=float(squares.sum()),
+                    m3=float((squares * centered).sum()), m4=float((squares * squares).sum()))
 
 
 def streamed_moments(blocks) -> tuple[_Moments, ...]:

@@ -12,7 +12,7 @@ from itertools import chain
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -55,7 +55,8 @@ from qillum.symplectic import CovMatrix
 from _oracles import (_ClassicalOverlap, _GaussianOverlap, classical_s_overlap,
                       fock_s_overlap_thermal, generic_ccb, generic_classical_s_overlap,
                       generic_qbb, generic_qcb, generic_s_overlap, mp_coherent_log_c,
-                      mp_model_exponents, mp_shifted_thermal_log_c, qbb, random_physical_cm)
+                      mp_model_exponents, mp_shifted_thermal_log_c, qbb, random_physical_cm,
+                      ulp_error)
 
 REF_SRC = make_source(0.01, 0.01, "quantum")
 REF_CH = ChannelParams(reflectivity=0.01, n_background=20.0)
@@ -811,8 +812,25 @@ def bright_model_scenarios(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(bright_model_scenarios())
+# a faint H1 return over a vacuum background, whose exact 2 kappa N_S excess
+# was once snapped to a pure mode, reading QCB = 0 below the CCB
+@example((SourceParams(1e-8, 0.0, 0.0), ChannelParams(1e-6, 0.0), NoiseParams()))
 def test_qcb_bounds_the_heterodyne_ccb_up_to_the_limits(scenario):
     # heterodyne then the CCB is one measurement, and the QCB bounds every one
     pair = StandardFormPair.from_model(*scenario)
     qcb_exponent, ccb_exponent = pair.qcb().exponent, pair.heterodyne().ccb().exponent
     assert qcb_exponent >= ccb_exponent * (1.0 - 1e-12)
+
+
+@pytest.mark.parametrize("n_signal, kappa", [(1e-8, 1e-6), (1e-3, 1e-9), (0.01, 0.01), (1.0, 0.5)])
+def test_faint_return_over_a_vacuum_background_has_the_pure_h0_exponents(n_signal, kappa):
+    # H0 is the vacuum return beside the vacuum idler, so
+    # C_s = <0|rho_1^(1-s)|0> = (1 + kappa N_S)^-(1-s): the QBB is
+    # ln(1 + kappa N_S)/2 and the QCB sits at the s endpoint, however faint
+    # the return (mp_model_exponents raises on a pure H0)
+    pair = StandardFormPair.from_model(SourceParams(n_signal, 0.0, 0.0),
+                                       ChannelParams(kappa, 0.0), NoiseParams())
+    with mpmath.workdps(50):
+        log_gain = mpmath.log1p(mpmath.mpf(kappa) * n_signal)
+        assert ulp_error(pair.exponent(0.5), log_gain / 2) <= 2.0
+        assert ulp_error(pair.qcb().exponent, (1 - mpmath.mpf(S_ENDPOINT_EPS)) * log_gain) <= 2.0

@@ -707,6 +707,30 @@ class TestMcCommand:
         assert rc == 2
         assert "seed" in err
 
+    def test_same_bytes_on_one_cpu_or_all_with_any_blas_threads(self):
+        # the samplers run one worker per usable CPU, merge the blocks in block
+        # order and sum their moments with numpy's own reductions, so neither
+        # the CPU count nor BLAS's thread count moves a byte
+        if not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2:
+            pytest.skip("one usable CPU: the worker count cannot change")
+        one_cpu = {min(os.sched_getaffinity(0))}
+        # OpenBLAS reads its thread count from the first of these that is set
+        unset = {k: v for k, v in os.environ.items()
+                 if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+        argv = ["mc", "--json", "--samples", "300007", "--seed", "5"]
+        runs = {}
+        for blas in ("unset", "1"):
+            env = unset if blas == "unset" else dict(unset, OPENBLAS_NUM_THREADS=blas)
+            runs[blas, "one CPU"] = run_python(_QI, *argv, env=env,
+                                               preexec_fn=lambda: os.sched_setaffinity(0, one_cpu))
+            runs[blas, "all CPUs"] = run_python(_QI, *argv, env=env)
+        for key, out in runs.items():
+            assert out == runs["unset", "one CPU"], key
+
+
+# `qi` on argv[1:], exiting with its code
+_QI = "import sys; from qillum.cli import main; sys.exit(main(sys.argv[1:]))"
+
 
 # Runs each argv list of argv[1] through qillum.cli.main with every scipy
 # import made to fail, and prints [exit code, stdout] per command as JSON.
@@ -725,11 +749,11 @@ print(json.dumps(results))
 """
 
 
-def run_python(code, *args):
+def run_python(code, *args, env=os.environ, preexec_fn=None):
     """Run code in a fresh interpreter that imports the qillum under test."""
-    env = dict(os.environ, PYTHONPATH=str(Path(qillum.__file__).resolve().parents[1]))
+    env = dict(env, PYTHONPATH=str(Path(qillum.__file__).resolve().parents[1]))
     proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
-                          text=True, env=env, timeout=120)
+                          text=True, env=env, preexec_fn=preexec_fn, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 

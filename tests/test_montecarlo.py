@@ -177,7 +177,10 @@ class TestStreamLayout:
 
         state = pc_transform(apply_noise(conditional_states(REF_SRC, REF_CH), NO_NOISE))[1]
         chol = np.linalg.cholesky(state.cov.entries)
-        xs = state.mean + philox_normals(2, 4) @ chol.T
+        z = philox_normals(2, 4)
+        # the sampler's order: z_i L_ii first, then z_k L_ik for k < i
+        xs = state.mean + np.column_stack([sum((z[:, k] * chol[i, k] for k in range(i)),
+                                               z[:, i] * chol[i, i]) for i in range(4)])
         cfg = SamplerConfig(seed=33, n_samples=n)
         assert np.array_equal(sample_quadratures(state, cfg, stream=2), xs)
 

@@ -17,6 +17,7 @@ import qillum.receiver
 from qillum.cli import ScenarioParams, SweepSpec
 from qillum.errors import NumericFailure
 from qillum.receiver import (
+    RECEIVERS,
     BeamsplitterMoments,
     ReceiverStats,
     asymptotic_snr,
@@ -34,7 +35,6 @@ from qillum.receiver import (
     half_erfc,
     half_exp,
     homodyne_min_error,
-    homodyne_min_errors,
     homodyne_rate,
     log_erfc,
     snr_pc,
@@ -55,6 +55,13 @@ REF_CH = ChannelParams(reflectivity=0.01, n_background=20.0)
 SNR_QI_PC = 2.3575929806957360e-06
 SNR_QI_CAL_PC = 2.3027656169736765e-06
 SNR_QI_HET_PC = 1.1627852893770358e-06
+
+
+def cs_hom_points(n_signal: float, ch: ChannelParams, ms) -> list[tuple[float, float]]:
+    """(p_error, ln p_error) at each m of the CS+Hom row, qi sweep's route, self-check included."""
+    _, p, log_p = RECEIVERS["CS+Hom"].points(SourceParams(n_signal, 0.0), ch, NoiseParams(),
+                                             None, ms)
+    return list(zip(p, log_p))
 
 
 class TestErfc:
@@ -288,12 +295,12 @@ class TestHugePulseCounts:
         ms = [int(1e305), int(1e307), int(1e308), int(sys.float_info.max)]
         rate = homodyne_rate(1.0, ch)
         with mpmath.workdps(50):
-            for m, opt in zip(ms, homodyne_min_errors(1.0, ch, ms)):
+            for m, (p, log_p) in zip(ms, cs_hom_points(1.0, ch, ms)):
                 x = math.sqrt(m * rate)
                 exact = mpmath.log(mpmath.erfc(mpmath.mpf(x)) / 2)
-                assert opt.p_error == 0.0
+                assert p == 0.0
                 # the check ran and its search met the closed form within 1e-12
-                assert ulp_error(opt.log_p_error, exact) <= 2.0, m
+                assert ulp_error(log_p, exact) <= 2.0, m
 
     def test_self_check_reads_the_closed_form_at_the_largest_m(self):
         # the check compares its own minimum against the ln p column it is given
@@ -531,10 +538,10 @@ class TestHomodyne:
             e, log_e = real(x)
             return e, np.where(x == bad_x, log_e * (1.0 + 1e-11), log_e)
 
-        homodyne_min_errors(0.01, REF_CH, ms)
+        cs_hom_points(0.01, REF_CH, ms)
         monkeypatch.setattr("qillum.receiver._erfc_column", corrupt)
         with pytest.raises(NumericFailure, match=r"at M=1000000 \(") as grid:
-            homodyne_min_errors(0.01, REF_CH, ms)
+            cs_hom_points(0.01, REF_CH, ms)
         assert "M=10 " not in str(grid.value) and "M=100000000" not in str(grid.value)
         with pytest.raises(NumericFailure, match=r"at M=1000000 \("):
             homodyne_min_error(0.01, REF_CH, 10 ** 6)
@@ -547,9 +554,9 @@ class TestHomodyne:
         ch = ChannelParams(0.3, 0.2)
         ms = [10 ** 12, 10 ** 14, 10 ** 16]
         rate = homodyne_rate(0.5, ch)
-        for m, opt in zip(ms, homodyne_min_errors(0.5, ch, ms)):
-            assert opt.p_error == 0.0
-            assert opt.log_p_error == LN_HALF + log_erfc(math.sqrt(m * rate))
+        for m, (p, log_p) in zip(ms, cs_hom_points(0.5, ch, ms)):
+            assert p == 0.0
+            assert log_p == LN_HALF + log_erfc(math.sqrt(m * rate))
 
     def test_self_check_minimum_is_the_golden_section_minimum(self):
         # the check's former route as the oracle: a golden-section search on

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from _oracles import Hypothesis, homodyne_errors, source_cm
 from qillum.cli import ScenarioParams, SweepSpec
 from qillum.montecarlo import SamplerConfig, empirical_error_rate
-from qillum.receiver import homodyne_min_error, homodyne_min_errors
+from qillum.receiver import homodyne_min_error
 from qillum.states import (
     ChannelParams,
     GaussianState,
@@ -33,7 +33,6 @@ PULSE_ENTRIES = {
     "SweepSpec": lambda m: SweepSpec(ScenarioParams(), (m,), ("QI+PC", "CS-QCB")),
     "homodyne_errors": lambda m: homodyne_errors(0.01, REF_CH, m, 0.0),
     "homodyne_min_error": lambda m: homodyne_min_error(0.01, REF_CH, m),
-    "homodyne_min_errors": lambda m: homodyne_min_errors(0.01, REF_CH, (1, m)),
     "empirical_error_rate": lambda m: empirical_error_rate(
         REF_SRC, REF_CH, NoiseParams(), m, SamplerConfig(seed=1, n_samples=10)),
 }
