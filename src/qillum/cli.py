@@ -32,7 +32,8 @@ from dataclasses import dataclass, fields
 from itertools import chain
 
 from .montecarlo import SamplerConfig, deflection_se, simulate_pc_receiver
-from .receiver import RECEIVERS, _model_pair, asymptotic_snr, beamsplitter_moments, snr_pc
+from .receiver import (RECEIVERS, _model_pair, asymptotic_snr, beamsplitter_moments, snr_pc,
+                       sweep_points)
 from .states import ChannelParams, NoiseParams, SourceParams, _validate_pulses, make_source
 
 RECEIVER_ORDER = tuple(RECEIVERS)
@@ -122,9 +123,12 @@ class SweepResult:
         if any(len(col) != len(self.m_values) for col in chain(self.p_error, self.exponent)):
             raise ValueError("each p_error and exponent column must hold one value per M")
         min_exponent = math.log(2.0) - 1e-12
-        for label, ps, es in zip(self.receivers, self.p_error, self.exponent):
+        for label, rate, ps, es in zip(self.receivers, self.per_mode_rate, self.p_error,
+                                       self.exponent):
+            if not (math.isfinite(rate) and rate >= 0.0):
+                raise ValueError(f"per_mode_rate {rate} for {label} must be finite and >= 0")
             for m, p, e in zip(self.m_values, ps, es):
-                if e < min_exponent:
+                if not e >= min_exponent:
                     raise ValueError(f"exponent {e} below ln 2 for {label} at M={m}")
                 if not (0.0 < p <= 0.5 * (1 + 1e-12) or (p == 0.0 and e > _UNDERFLOW_EXPONENT)):
                     raise ValueError(f"p_error {p} outside (0, 1/2] for {label} at M={m}")
@@ -136,16 +140,17 @@ class SweepResult:
 def compute_sweep(spec: SweepSpec) -> SweepResult:
     """The receivers x M table: receiver order as given, M ascending.
 
-    Each receiver's rate and columns come from its RECEIVERS entry
-    (Receiver.points): per_mode_rate is the SNR for threshold receivers and
-    the Chernoff exponent for bound rows. The scenario's StandardFormPair,
-    built from the parameters without forming a covariance matrix, is built
-    once, and only if a receiver uses it.
+    The rates and columns come from one receiver.sweep_points call over the
+    receivers' RECEIVERS entries, which makes one kernel call per row kind
+    per sweep (Receiver.points is its one-receiver case): per_mode_rate is
+    the SNR for threshold receivers and the Chernoff exponent for bound rows.
+    The scenario's StandardFormPair, built from the parameters without
+    forming a covariance matrix, is built once, and only if a receiver uses it.
     """
     src, ch, noise = spec.scenario.resolve()
     pair = _model_pair(src, ch, noise)
-    rates, p_error, log_p = zip(*(RECEIVERS[receiver].points(src, ch, noise, pair, spec.m_values)
-                                  for receiver in spec.receivers))
+    rates, p_error, log_p = zip(*sweep_points([RECEIVERS[label] for label in spec.receivers],
+                                              src, ch, noise, pair, spec.m_values))
     return SweepResult(spec.receivers, spec.m_values, rates, p_error,
                        tuple([-lp for lp in column] for column in log_p))
 
@@ -350,8 +355,9 @@ def _parse_m_values(args) -> tuple:
     if args.m and args.m_log:
         raise ValueError("give either --m or --m-log, not both")
     if args.m:
-        values = [float(tok) for tok in args.m.split(",")]
-        if not all(v.is_integer() for v in values):
+        # digits alone are read exactly; other forms, such as 1e5, through float
+        values = [int(tok) if tok.strip().isdecimal() else float(tok) for tok in args.m.split(",")]
+        if not all(isinstance(v, int) or v.is_integer() for v in values):
             raise ValueError(f"--m takes integer pulse counts, got {args.m!r}")
         values = [int(v) for v in values]
     elif args.m_log:

@@ -181,18 +181,37 @@ def half_erfc(x: float) -> float:
 def half_exp(m, rate: float) -> float:
     """(1/2)exp(-m*rate), a Chernoff-type error bound after m pulses.
 
-    m*rate is carried exactly as hi + lo (Dekker's product) and exp(-lo) is
-    taken to first order, so the result rounds little more than exp itself;
-    exp(ln(1/2) - m*rate) would scale the rounding of m*rate by m*rate.
-    Veltkamp's split of m overflows past m ~ 1.3e300, so there the product is
-    formed from m/2**64 and scaled back by the exact power of two.
+    The one-element case of _exp_points.
     """
-    m = float(m)
-    scale = _SPLIT_SCALE if m > 1e300 else 1.0
-    hi, lo = _two_product(m / scale, rate)
-    p = 0.5 * math.exp(-(hi * scale))
-    # once exp underflows, m*rate may have overflowed and lo be nan: return the 0
-    return p - p * (lo * scale) if p else p
+    return _exp_points(rate, (m,))[0][0]
+
+
+def _exp_points(rate: float, ms) -> tuple[list, list]:
+    """The columns (p, ln p) of p = (1/2)exp(-m*rate) over ms, as lists of floats.
+
+    m*rate is carried exactly as hi + lo (Dekker's product) and exp(-lo) is
+    taken to first order, so p rounds little more than exp itself;
+    exp(ln(1/2) - m*rate) would scale the rounding of m*rate by m*rate.
+    ln p is ln(1/2) - m*rate. The rate is split once, and each m in the loop
+    as _split does. The split of m overflows past m ~ 1.3e300, so there the
+    product is formed from m/2**64 and scaled back by the exact power of two.
+    """
+    rate_hi, rate_lo = _split(rate)
+    p_column, log_column = [], []
+    for m in ms:
+        m = float(m)
+        scale = _SPLIT_SCALE if m > 1e300 else 1.0
+        a = m / scale
+        hi = a * rate
+        c = _SPLITTER * a
+        a_hi = c - (c - a)
+        a_lo = a - a_hi
+        lo = ((a_hi * rate_hi - hi) + a_hi * rate_lo + a_lo * rate_hi) + a_lo * rate_lo
+        p = 0.5 * math.exp(-(hi * scale))
+        # once exp underflows, m*rate may have overflowed and lo be nan: keep the 0
+        p_column.append(p - p * (lo * scale) if p else p)
+        log_column.append(LN_HALF - m * rate)
+    return p_column, log_column
 
 
 @dataclass(frozen=True)
@@ -330,14 +349,22 @@ def homodyne_min_error(n_signal: float, ch: ChannelParams, m) -> HomodyneOptimum
 
 
 def _erfc_points(rate: float, ms) -> tuple[list, list]:
-    """The columns (p, ln p) of p = (1/2)erfc(sqrt(m*rate)) over ms, as lists of floats.
+    """The (p, ln p) columns of p = (1/2)erfc(sqrt(m*rate)) over ms: _erfc_columns' one-rate case."""
+    return _erfc_columns((rate,), ms)[0]
 
-    One _erfc_column call over x = sqrt(m*rate): each m takes one erfc, which
-    gives both p, bit for bit half_erfc(x), and ln p = LN_HALF + log_erfc(x).
+
+def _erfc_columns(rates, ms) -> list[tuple[list, list]]:
+    """(p, ln p) of p = (1/2)erfc(sqrt(m*rate)) over ms, one pair of lists per rate.
+
+    One _erfc_column call over the stacked x = sqrt(rate*m) of every rate:
+    each m takes one erfc, which gives both p, bit for bit half_erfc(x), and
+    ln p = LN_HALF + log_erfc(x).
     """
     with np.errstate(over="ignore"):
-        e, log_e = _erfc_column(np.sqrt(np.array(ms, dtype=float) * rate))
-    return (0.5 * e).tolist(), (LN_HALF + log_e).tolist()
+        x = np.sqrt(np.multiply.outer(np.array(rates, dtype=float), np.array(ms, dtype=float)))
+    e, log_e = _erfc_column(x.ravel())
+    return list(zip((0.5 * e).reshape(x.shape).tolist(),
+                    (LN_HALF + log_e).reshape(x.shape).tolist()))
 
 
 def _check_homodyne_optimum(n_signal: float, ch: ChannelParams, ms, log_p) -> None:
@@ -441,22 +468,32 @@ class Receiver:
 
     def points(self, src: SourceParams, ch: ChannelParams, noise: NoiseParams,
                pair, ms) -> tuple[float, list, list]:
-        """(rate, p_error column, ln p_error column) over ms for one scenario.
+        """(rate, p_error column, ln p_error column) over ms: sweep_points' one-receiver case."""
+        return sweep_points((self,), src, ch, noise, pair, ms)[0]
 
-        p_error and ln p_error come from separate accurate routes: one erfc
-        per m, shared by p and ln p, for threshold rows (_erfc_points), and
-        half_exp and ln(1/2) - m*rate for bound rows. p is never formed as
-        exp(ln p), which would scale the last-bit error of ln p by |ln p|. ms
-        are positive ints (SweepSpec checks them).
-        """
-        rate = self.rate(src, ch, noise, pair)
-        if self.bound is None:
-            p, log_p = _erfc_points(rate, ms)
-        else:
-            p, log_p = [half_exp(m, rate) for m in ms], [LN_HALF - m * rate for m in ms]
-        if self.check is not None:
-            self.check(src, ch, ms, log_p)
-        return rate, p, log_p
+
+def sweep_points(receivers, src: SourceParams, ch: ChannelParams, noise: NoiseParams,
+                 pair, ms) -> list[tuple[float, list, list]]:
+    """(rate, p_error column, ln p_error column) over ms for each Receiver of one scenario.
+
+    One kernel call per row kind: every threshold receiver's column comes
+    from one erfc per m, shared by p and ln p, in one _erfc_column call over
+    all of them (_erfc_columns); each bound receiver's column is one
+    _exp_points loop, p = half_exp and ln p = ln(1/2) - m*rate. p is never
+    formed as exp(ln p), which would scale the last-bit error of ln p by
+    |ln p|. Each receiver's check then reads its ln p column. ms are positive
+    ints (SweepSpec checks them).
+    """
+    rates = [rx.rate(src, ch, noise, pair) for rx in receivers]
+    threshold = [rate for rx, rate in zip(receivers, rates) if rx.bound is None]
+    columns = iter(_erfc_columns(threshold, ms) if threshold else ())
+    points = []
+    for rx, rate in zip(receivers, rates):
+        p, log_p = next(columns) if rx.bound is None else _exp_points(rate, ms)
+        if rx.check is not None:
+            rx.check(src, ch, ms, log_p)
+        points.append((rate, p, log_p))
+    return points
 
 
 def _pc(label: str, eps_return: float, eps_idler: float, asymptote) -> Receiver:

@@ -11,6 +11,7 @@ N_B/(1-kappa) so the two hypotheses carry no passive mean-photon signature.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,13 +26,16 @@ def _check_nonnegative(value: float, name: str) -> None:
 
 
 def _validate_pulses(m) -> int:
-    """m as an int; ValueError unless it is a positive integer (2.0 passes; 2.5, inf and nan do not)."""
+    """m as an int; ValueError unless it is a positive integer no larger than the largest double.
+
+    2.0 passes; 2.5, inf, nan and 10**309 do not.
+    """
     message = f"pulse count m must be a positive integer, got {m!r}"
     try:
         m_int = int(m)
     except (OverflowError, ValueError):  # int() of inf and of nan
         raise ValueError(message) from None
-    if m_int != m or m_int < 1:
+    if m_int != m or not 1 <= m_int <= sys.float_info.max:
         raise ValueError(message)
     return m_int
 

@@ -738,6 +738,30 @@ def scalar_log_erfc(x: float) -> float:
     return math.log(e)
 
 
+def scalar_half_exp(m, rate: float) -> float:
+    """(1/2)exp(-m*rate) for one (m, rate), one Dekker product per call: the former half_exp.
+
+    The bound-row kernel (receiver._exp_points) must give these bits: m*rate
+    carried exactly as hi + lo from Veltkamp's splits of m and of rate,
+    exp(-lo) to first order, and past m = 1e300 the product formed from
+    m/2**64 and scaled back; 0 once exp underflows, even where lo is nan.
+    """
+    def split(x):
+        c = 134217729.0 * x
+        hi = c - (c - x)
+        return hi, x - hi
+
+    m = float(m)
+    scale = 2.0 ** 64 if m > 1e300 else 1.0
+    a = m / scale
+    hi = a * rate
+    ah, al = split(a)
+    bh, bl = split(rate)
+    lo = ((ah * bh - hi) + ah * bl + al * bh) + al * bl
+    p = 0.5 * math.exp(-(hi * scale))
+    return p - p * (lo * scale) if p else p
+
+
 def row_sweep_csv(result) -> str:
     """cli.sweep_csv's former route: one f-string per row."""
     lines = ["receiver,M,p_error,exponent,per_mode_rate"]

@@ -228,6 +228,23 @@ class TestSweepCommand:
         assert rc == 0
         assert out.splitlines()[1].startswith("QI+PC,100000,")
 
+    def test_m_above_2_to_53_is_printed_back_exactly(self, capsys):
+        # --m once went through float(), and printed 9007199254740992 and 1e20
+        ms = [9007199254740993, 100000000000000000001]
+        argv = ["sweep", "--receivers", "CS-QCB,QI+PC", "--m", ",".join(map(str, ms))]
+        rc, out, err = run_cli(capsys, argv)
+        assert rc == 0
+        assert [int(line.split(",")[1]) for line in out.splitlines()[1:]] == ms * 2
+        assert json.loads(err.removeprefix("params: "))["m_values"] == ms
+        rc, report, _ = run_json(capsys, argv)
+        assert rc == 0 and [row["M"] for row in report["results"]] == ms * 2
+
+    @pytest.mark.parametrize("m", ["1" + "0" * 309, str(int(sys.float_info.max) + 1)])
+    def test_m_above_the_largest_double_exits_2(self, capsys, m):
+        rc, out, err = run_cli(capsys, ["sweep", "--receivers", "CS-QCB", "--m", m])
+        assert rc == 2 and out == ""
+        assert err.startswith("error: pulse count m must be a positive integer")
+
     def test_infinite_m_exits_2(self, capsys):
         for argv in (["--m", "inf"], ["--m", "1e400"], ["--m-log", "1,1e400,3"]):
             rc, out, err = run_cli(capsys, ["sweep", "--receivers", "QI+PC"] + argv)
@@ -322,6 +339,21 @@ class TestSweepTypes:
     def test_rejects_a_ragged_table(self, fields):
         # zip would otherwise drop the extra values from the CSV and --json rows
         with pytest.raises(ValueError, match="one entry per receiver|one value per M"):
+            SweepResult(**fields)
+
+    @pytest.mark.parametrize("fields, message", [
+        # a nan exponent passed e < ln 2, and sweep_csv printed nan
+        (dict(receivers=("QI+PC",), m_values=(1,), per_mode_rate=(1.0,),
+              p_error=((0.4,),), exponent=((math.nan,),)), "exponent nan below ln 2"),
+        (dict(receivers=("QI+PC",), m_values=(1,), per_mode_rate=(math.nan,),
+              p_error=((0.4,),), exponent=((0.9,),)), "per_mode_rate nan"),
+        (dict(receivers=("CS-QCB",), m_values=(1,), per_mode_rate=(math.inf,),
+              p_error=((0.0,),), exponent=((math.inf,),)), "per_mode_rate inf"),
+        (dict(receivers=("QI+PC",), m_values=(1,), per_mode_rate=(-1e-300,),
+              p_error=((0.4,),), exponent=((0.9,),)), "per_mode_rate -1e-300"),
+    ])
+    def test_rejects_a_nan_or_negative_value(self, fields, message):
+        with pytest.raises(ValueError, match=message):
             SweepResult(**fields)
 
 

@@ -1,4 +1,5 @@
 """Receiver-chain statistics, error probabilities, and asymptotics."""
+import argparse
 import importlib.util
 import math
 import sys
@@ -11,10 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import (ErrorProbabilities, golden_section, homodyne_errors, pc_transform,
-                      scalar_log_erfc, snr_from_moments, ulp_error)
+                      scalar_half_exp, scalar_log_erfc, snr_from_moments, ulp_error)
 
 import qillum.receiver
-from qillum.cli import ScenarioParams, SweepSpec
+from qillum.cli import ScenarioParams, SweepSpec, _parse_m_values
 from qillum.errors import NumericFailure
 from qillum.receiver import (
     RECEIVERS,
@@ -27,7 +28,9 @@ from qillum.receiver import (
     _check_homodyne_optimum,
     _erfc_column,
     _erfc_points,
+    _exp_points,
     _homodyne_log_p,
+    _model_pair,
     _two_product,
     _homodyne_numeric_min,
     _log_erfc_and_slope,
@@ -38,6 +41,7 @@ from qillum.receiver import (
     homodyne_rate,
     log_erfc,
     snr_pc,
+    sweep_points,
 )
 from qillum.states import (
     ChannelParams,
@@ -311,6 +315,60 @@ class TestHugePulseCounts:
         with pytest.raises(NumericFailure, match=rf"at M={ms[0]} \(") as bad:
             _check_homodyne_optimum(0.5, ch, ms, [log_p[0] * (1 + 1e-11), log_p[1]])
         assert f"M={ms[1]}" not in str(bad.value)
+
+
+class TestSweepKernel:
+    """sweep_points and _exp_points against the one-receiver and one-m routes, bit for bit."""
+
+    def test_exp_points_and_half_exp_equal_the_scalar_route(self):
+        # 1e5 (m, rate): m up to 1.8e308 (the scaled split past 1e300) and
+        # integers past 2**53, rates from subnormal to 1e3 and 0, so that p
+        # runs from 1/2 through underflow to 0 and m*rate overflows
+        rng = np.random.default_rng(37)
+        rates = [0.0, 5e-324, 1e10, *(10 ** rng.uniform(-320, 3, 997)).tolist()]
+        edges = [1, 2 ** 53 + 1, 2 ** 64 + 1, int(1e300), int(1e300) + 1, int(1e301),
+                 int(sys.float_info.max)]
+        for rate in rates:
+            ms = edges + [int(m) for m in 10 ** rng.uniform(0, 308.25, 86)]
+            ms += [2 ** 53 + int(k) for k in rng.integers(1, 2 ** 62, 7)]
+            want = [scalar_half_exp(m, rate) for m in ms]
+            p, log_p = _exp_points(rate, ms)
+            assert np.array_equal(_bits(p), _bits(want)), rate
+            assert np.array_equal(_bits([half_exp(m, rate) for m in ms]), _bits(want)), rate
+            assert np.array_equal(_bits(log_p), _bits([LN_HALF - m * rate for m in ms])), rate
+            assert all(type(v) is float for v in p + log_p + [half_exp(ms[0], rate)])
+
+    @pytest.mark.parametrize("scenario, m_log", [
+        (ScenarioParams(), "1e5,1e8,13"),
+        (ScenarioParams(ns=0.5, kappa=0.3, nb=20.0), "1,1e308,600"),
+    ], ids=["golden", "huge"])
+    def test_one_erfc_column_call_gives_each_receivers_columns(self, monkeypatch, scenario,
+                                                               m_log):
+        ms = _parse_m_values(argparse.Namespace(m=None, m_log=m_log))
+        src, ch, noise = scenario.resolve()
+        receivers = list(RECEIVERS.values())
+        real = _erfc_column
+        calls = []
+
+        def counting(x):
+            calls.append(x.size)
+            return real(x)
+
+        monkeypatch.setattr("qillum.receiver._erfc_column", counting)
+        points = sweep_points(receivers, src, ch, noise, _model_pair(src, ch, noise), ms)
+        n_threshold = sum(rx.bound is None for rx in receivers)
+        assert calls == [n_threshold * len(ms)]
+        for rx, (rate, p, log_p) in zip(receivers, points):
+            assert _bits(rate) == _bits(rx.rate(src, ch, noise, _model_pair(src, ch, noise)))
+            if rx.bound is None:
+                want_p, want_log_p = _erfc_points(rate, ms)
+            else:
+                want_p = [scalar_half_exp(m, rate) for m in ms]
+                want_log_p = [LN_HALF - m * rate for m in ms]
+            assert np.array_equal(_bits(p), _bits(want_p)), rx.label
+            assert np.array_equal(_bits(log_p), _bits(want_log_p)), rx.label
+        # one _erfc_points call per threshold receiver
+        assert len(calls) == 1 + n_threshold
 
 
 class TestPcTransform:

@@ -1,5 +1,6 @@
 """Source/channel/noise model tests."""
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -43,6 +44,19 @@ PULSE_ENTRIES = {
 def test_non_finite_pulse_count_rejected(entry, m):
     with pytest.raises(ValueError, match="pulse count m must be a positive integer"):
         PULSE_ENTRIES[entry](m)
+
+
+@pytest.mark.parametrize("m", [10 ** 310, int(sys.float_info.max) + 1])
+@pytest.mark.parametrize("entry", sorted(PULSE_ENTRIES))
+def test_pulse_count_above_the_largest_double_rejected(entry, m):
+    # such an m once passed, and float(m) then raised a bare OverflowError
+    with pytest.raises(ValueError, match="pulse count m must be a positive integer"):
+        PULSE_ENTRIES[entry](m)
+
+
+def test_largest_double_pulse_count_accepted():
+    m = int(sys.float_info.max)
+    assert SweepSpec(ScenarioParams(), (2 ** 53 + 1, m), ("CS-QCB",)).m_values == (2 ** 53 + 1, m)
 
 
 class TestSourceParams:
