@@ -9,7 +9,6 @@ from .bounds import (
     SOverlapResult,
     StandardFormPair,
     ccb,
-    cs_qcb_exponent,
     gaussian_s_overlap,
     heterodyne_distributions,
     qcb,

@@ -32,7 +32,7 @@ from dataclasses import dataclass, fields
 from itertools import chain
 
 from .montecarlo import SamplerConfig, deflection_se, simulate_pc_receiver
-from .receiver import (RECEIVERS, _model_pair, asymptotic_snr, beamsplitter_moments, snr_pc,
+from .receiver import (RECEIVERS, Scenario, asymptotic_snr, beamsplitter_moments, snr_pc,
                        sweep_points)
 from .states import ChannelParams, NoiseParams, SourceParams, _validate_pulses, make_source
 
@@ -142,15 +142,13 @@ def compute_sweep(spec: SweepSpec) -> SweepResult:
 
     The rates and columns come from one receiver.sweep_points call over the
     receivers' RECEIVERS entries, which makes one kernel call per row kind
-    per sweep (Receiver.points is its one-receiver case): per_mode_rate is
-    the SNR for threshold receivers and the Chernoff exponent for bound rows.
+    per sweep: per_mode_rate is the SNR for threshold receivers and, for
+    bound rows, the exponent of the equal-prior bound that qi bounds prints.
     The scenario's StandardFormPair, built from the parameters without
     forming a covariance matrix, is built once, and only if a receiver uses it.
     """
-    src, ch, noise = spec.scenario.resolve()
-    pair = _model_pair(src, ch, noise)
     rates, p_error, log_p = zip(*sweep_points([RECEIVERS[label] for label in spec.receivers],
-                                              src, ch, noise, pair, spec.m_values))
+                                              Scenario(*spec.scenario.resolve()), spec.m_values))
     return SweepResult(spec.receivers, spec.m_values, rates, p_error,
                        tuple([-lp for lp in column] for column in log_p))
 
@@ -262,10 +260,9 @@ def cmd_sweep(args) -> int:
 
 def cmd_bounds(args) -> int:
     scenario = _scenario_from(args)
-    src, ch, noise = scenario.resolve()
+    sc = Scenario(*scenario.resolve())
     prior = args.prior_h0
-    pair = _model_pair(src, ch, noise)
-    bounds = {label: RECEIVERS[label].bound(src, ch, noise, pair, prior) for label in _BOUND_ROWS}
+    bounds = {label: RECEIVERS[label].bound(sc, prior) for label in _BOUND_ROWS}
     results = [{"label": label, "s_star": b.s_star, "c_at_s_star": b.c_at_s_star,
                 "bound": b.bound, "exponent": b.exponent} for label, b in bounds.items()]
     report = {"params": dict(scenario.as_dict(), prior_h0=prior),
@@ -355,8 +352,15 @@ def _parse_m_values(args) -> tuple:
     if args.m and args.m_log:
         raise ValueError("give either --m or --m-log, not both")
     if args.m:
-        # digits alone are read exactly; other forms, such as 1e5, through float
-        values = [int(tok) if tok.strip().isdecimal() else float(tok) for tok in args.m.split(",")]
+        # digits alone are read exactly, without leading zeros; other forms, such as
+        # 1e5, through float. Past 309 digits a count is above the largest double:
+        # it gets _validate_pulses' message before int() refuses 4300 digits
+        tokens = [tok.strip().lstrip("0") or "0" if tok.strip().isdecimal() else tok
+                  for tok in args.m.split(",")]
+        too_long = next((tok for tok in tokens if tok.isdecimal() and len(tok) > 309), None)
+        if too_long:
+            raise ValueError(f"pulse count m must be a positive integer, got {too_long}")
+        values = [int(tok) if tok.isdecimal() else float(tok) for tok in tokens]
         if not all(isinstance(v, int) or v.is_integer() for v in values):
             raise ValueError(f"--m takes integer pulse counts, got {args.m!r}")
         values = [int(v) for v in values]

@@ -10,25 +10,25 @@ is (1/2)erfc(sqrt(M*SNR)) with a per-pair SNR that has a closed form.
 Also provides the coherent-probe homodyne benchmark and the leading-order
 large-background limits of the SNR.
 
-RECEIVERS defines each of the eight receivers once (Receiver): its per-mode
-rate for a scenario, whether its rows are threshold rows (1/2)erfc(sqrt(M*rate))
-or Chernoff-type bound rows (1/2)exp(-M*rate), the noise a PC receiver adds,
-the prior-weighted bound of a bound receiver, and the bright-background
-asymptote where one is known. `qi sweep`, `qi snr` and `qi bounds` read it.
+RECEIVERS defines each of the eight receivers once (Receiver), by functions
+of one Scenario: a threshold receiver's SNR, or a bound receiver's
+prior-weighted Chernoff-type bound, whose equal-prior exponent is its rate;
+the noise a PC receiver adds; the bright-background asymptote where known.
+`qi sweep`, `qi snr` and `qi bounds` read it.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
-from .bounds import StandardFormPair, _bound_at, cs_qcb, cs_qcb_exponent
+from .bounds import StandardFormPair, _bound_at, _check_coherent_background, cs_qcb
 from .errors import NumericFailure
 from .optimize import illinois_array
-from .states import (ChannelParams, NoiseParams, SourceParams, _check_nonnegative, _validate_pulses,
-                     c_quantum)
+from .states import ChannelParams, NoiseParams, SourceParams, _validate_pulses, c_quantum
 
 LN_HALF = math.log(0.5)
 _HALF_LN_PI = 0.5 * math.log(math.pi)
@@ -328,7 +328,11 @@ def snr_pc(src: SourceParams, ch: ChannelParams,
 
 
 def homodyne_rate(n_signal: float, ch: ChannelParams) -> float:
-    """Per-pulse rate kappa*N_S/(4*N_B+2) of the optimal coherent homodyne test."""
+    """Per-pulse rate kappa*N_S/(4*N_B+2) of the optimal coherent homodyne test.
+
+    ValueError past bounds.MAX_COHERENT_BACKGROUND, where 4*N_B+2 nears overflow.
+    """
+    _check_coherent_background(ch)
     return ch.reflectivity * n_signal / (4.0 * ch.n_background + 2.0)
 
 
@@ -336,21 +340,15 @@ def homodyne_min_error(n_signal: float, ch: ChannelParams, m) -> HomodyneOptimum
     """Minimum equal-prior homodyne error (1/2)erfc(sqrt(m*rate)) at one pulse count.
 
     rate is homodyne_rate(n_signal, ch), and p_error and log_p_error are the
-    CS+Hom row's at m, self-check included (RECEIVERS["CS+Hom"].points takes
-    a whole grid of pulse counts in one call). The optimal threshold sits
-    midway between the conditional means, x* = m*sqrt(2*kappa*N_S)/2.
+    CS+Hom row at m, self-check included: sweep_points' one-m case. The
+    optimal threshold sits midway between the conditional means,
+    x* = m*sqrt(2*kappa*N_S)/2.
     """
     m = _validate_pulses(m)
-    _check_nonnegative(n_signal, "n_signal")
-    (p,), (log_p,) = _erfc_points(homodyne_rate(n_signal, ch), (m,))
-    _check_homodyne_optimum(n_signal, ch, (m,), (log_p,))
+    sc = Scenario(SourceParams(n_signal, 0.0), ch)
+    _, (p,), (log_p,) = sweep_points([RECEIVERS["CS+Hom"]], sc, (m,))[0]
     root = math.sqrt(2.0 * ch.reflectivity * n_signal)
     return HomodyneOptimum(p_error=p, threshold=0.5 * (m * root), log_p_error=log_p)
-
-
-def _erfc_points(rate: float, ms) -> tuple[list, list]:
-    """The (p, ln p) columns of p = (1/2)erfc(sqrt(m*rate)) over ms: _erfc_columns' one-rate case."""
-    return _erfc_columns((rate,), ms)[0]
 
 
 def _erfc_columns(rates, ms) -> list[tuple[list, list]]:
@@ -371,7 +369,7 @@ def _check_homodyne_optimum(n_signal: float, ch: ChannelParams, ms, log_p) -> No
     """Raise NumericFailure where the numeric minimum of ln (fa+md)/2 is not the ln p column.
 
     The column is the closed form ln (1/2)erfc(sqrt(m*rate)) at each m of ms,
-    p and ln p bit for bit half_erfc and LN_HALF + log_erfc (_erfc_points).
+    p and ln p bit for bit half_erfc and LN_HALF + log_erfc (_erfc_columns).
     The numeric minimum comes from a search on [0, m*sqrt(2*kappa*N_S)] for
     the sign change of the objective's analytic slope, to within
     min(1e-11*max(shift, sigma), 1e-6*sigma), run for all m in lockstep
@@ -388,7 +386,9 @@ def _check_homodyne_optimum(n_signal: float, ch: ChannelParams, ms, log_p) -> No
     # w = shift/sigma = m*root/sqrt(m*(2 N_B + 1)), formed so that neither m*root
     # nor m*(2 N_B + 1) can overflow
     w = root * np.sqrt(np.array(ms, dtype=float) / (2.0 * ch.n_background + 1.0))
-    log_num = _homodyne_numeric_min(w)
+    # past w ~ 1.3e154, x*x overflows in the search's ln erfc, which is then -inf
+    with np.errstate(over="ignore"):
+        log_num = _homodyne_numeric_min(w)
     bad = np.flatnonzero(~(np.abs(log_num - log_p) <= 1e-12 * np.maximum(1.0, np.abs(log_p))))
     if bad.size:
         raise NumericFailure(
@@ -430,77 +430,84 @@ def _homodyne_numeric_min(w: np.ndarray) -> np.ndarray:
     return _homodyne_log_p(tau, w)
 
 
-def _entangled_asymptote(src: SourceParams, ch: ChannelParams) -> float:
+@dataclass(frozen=True)
+class Scenario:
+    """A resolved scenario, the one argument of every RECEIVERS function.
+
+    pair, its StandardFormPair, is built on first use and kept; a build that raises is not.
+    """
+
+    src: SourceParams
+    ch: ChannelParams
+    noise: NoiseParams = NoiseParams()
+
+    @cached_property
+    def pair(self) -> StandardFormPair:
+        return StandardFormPair.from_model(self.src, self.ch, self.noise)
+
+
+def _entangled_asymptote(sc: Scenario) -> float:
     """kappa*c_q^2/(8*N_B*(1+2*N_I)): (1+N_I)*kappa*N_S/(2*N_B*(1+2*N_I)) when N_S <= N_I."""
-    cq = c_quantum(src)
-    return (ch.reflectivity * cq * cq
-            / (8.0 * ch.n_background * (1.0 + 2.0 * src.n_idler)))
+    cq = c_quantum(sc.src)
+    return (sc.ch.reflectivity * cq * cq
+            / (8.0 * sc.ch.n_background * (1.0 + 2.0 * sc.src.n_idler)))
 
 
-def _coherent_asymptote(src: SourceParams, ch: ChannelParams) -> float:
+def _coherent_asymptote(sc: Scenario) -> float:
     """kappa*N_S/(4*N_B), the coherent-homodyne rate."""
-    return ch.reflectivity * src.n_signal / (4.0 * ch.n_background)
+    return sc.ch.reflectivity * sc.src.n_signal / (4.0 * sc.ch.n_background)
 
 
 @dataclass(frozen=True)
 class Receiver:
     """One receiver of the comparison, as qi sweep, qi snr and qi bounds use it.
 
-    Its functions take the scenario (src, ch, noise) and `pair` from
-    _model_pair, so a scenario builds its StandardFormPair at most once.
-
-    rate(src, ch, noise, pair): the M-independent per-mode rate, an SNR for a
-        threshold receiver, else a Chernoff-type exponent.
+    rate(sc): a threshold receiver's per-mode SNR, its rows (1/2)erfc(sqrt(M*rate)).
+    bound(sc, prior_h0): else, the prior-weighted SOverlapResult. The per-mode
+        rate is bound(sc, 0.5).exponent and the rows are (1/2)exp(-M*rate).
     added_noise: the noise a PC receiver adds to the scenario's; else None.
-    bound(src, ch, noise, pair, prior_h0): a bound receiver's SOverlapResult;
-        None for a threshold receiver. Its rows are the bound (1/2)exp(-M*rate),
-        a threshold receiver's (1/2)erfc(sqrt(M*rate)).
-    asymptote(src, ch): the bright-background SNR, where known (asymptotic_snr).
-    check(src, ch, ms, log_p): a self-check of the ln p column; raises NumericFailure.
+    asymptote(sc): the bright-background SNR, where known (asymptotic_snr).
+    check(sc, ms, log_p): a self-check of the ln p column; raises NumericFailure.
     """
 
     label: str
-    rate: Callable
+    rate: Callable | None = None
     added_noise: NoiseParams | None = None
     bound: Callable | None = None
     asymptote: Callable | None = None
     check: Callable | None = None
 
-    def points(self, src: SourceParams, ch: ChannelParams, noise: NoiseParams,
-               pair, ms) -> tuple[float, list, list]:
-        """(rate, p_error column, ln p_error column) over ms: sweep_points' one-receiver case."""
-        return sweep_points((self,), src, ch, noise, pair, ms)[0]
 
-
-def sweep_points(receivers, src: SourceParams, ch: ChannelParams, noise: NoiseParams,
-                 pair, ms) -> list[tuple[float, list, list]]:
+def sweep_points(receivers, sc: Scenario, ms) -> list[tuple[float, list, list]]:
     """(rate, p_error column, ln p_error column) over ms for each Receiver of one scenario.
 
-    One kernel call per row kind: every threshold receiver's column comes
-    from one erfc per m, shared by p and ln p, in one _erfc_column call over
-    all of them (_erfc_columns); each bound receiver's column is one
+    A bound receiver's rate is its equal-prior bound's exponent, as qi bounds
+    prints it. One kernel call per row kind: every threshold receiver's column
+    comes from one erfc per m, shared by p and ln p, in one _erfc_column call
+    over all of them (_erfc_columns); each bound receiver's column is one
     _exp_points loop, p = half_exp and ln p = ln(1/2) - m*rate. p is never
     formed as exp(ln p), which would scale the last-bit error of ln p by
     |ln p|. Each receiver's check then reads its ln p column. ms are positive
     ints (SweepSpec checks them).
     """
-    rates = [rx.rate(src, ch, noise, pair) for rx in receivers]
+    rates = [rx.rate(sc) if rx.bound is None else rx.bound(sc, 0.5).exponent
+             for rx in receivers]
     threshold = [rate for rx, rate in zip(receivers, rates) if rx.bound is None]
     columns = iter(_erfc_columns(threshold, ms) if threshold else ())
     points = []
     for rx, rate in zip(receivers, rates):
         p, log_p = next(columns) if rx.bound is None else _exp_points(rate, ms)
         if rx.check is not None:
-            rx.check(src, ch, ms, log_p)
+            rx.check(sc, ms, log_p)
         points.append((rate, p, log_p))
     return points
 
 
 def _pc(label: str, eps_return: float, eps_idler: float, asymptote) -> Receiver:
     """A PC receiver: snr_pc with eps_return, eps_idler added to the scenario's noise."""
-    def rate(src, ch, noise, pair):
-        return snr_pc(src, ch, NoiseParams(eps_return=noise.eps_return + eps_return,
-                                           eps_idler=noise.eps_idler + eps_idler)).snr
+    def rate(sc: Scenario) -> float:
+        return snr_pc(sc.src, sc.ch, NoiseParams(eps_return=sc.noise.eps_return + eps_return,
+                                                 eps_idler=sc.noise.eps_idler + eps_idler)).snr
     return Receiver(label, rate, added_noise=NoiseParams(eps_return, eps_idler),
                     asymptote=asymptote)
 
@@ -511,34 +518,15 @@ RECEIVERS = {rx.label: rx for rx in (
     _pc("QI+Cal+PC", 1.0, 0.0, _entangled_asymptote),
     # heterodyne noise on both modes, which degrades PC to the coherent rate
     _pc("QI+Het+PC", 1.0, 1.0, _coherent_asymptote),
-    Receiver("QI+Het+CCB", lambda src, ch, noise, pair: pair().heterodyne().ccb().exponent,
-             bound=lambda src, ch, noise, pair, prior_h0: pair().heterodyne().ccb(prior_h0)),
-    Receiver("CS-QCB", lambda src, ch, noise, pair: cs_qcb_exponent(src.n_signal, ch),
-             bound=lambda src, ch, noise, pair, prior_h0: cs_qcb(src.n_signal, ch, prior_h0)),
-    Receiver("CS+Hom", lambda src, ch, noise, pair: homodyne_rate(src.n_signal, ch),
+    Receiver("QI+Het+CCB", bound=lambda sc, prior_h0: sc.pair.heterodyne().ccb(prior_h0)),
+    Receiver("CS-QCB", bound=lambda sc, prior_h0: cs_qcb(sc.src.n_signal, sc.ch, prior_h0)),
+    Receiver("CS+Hom", lambda sc: homodyne_rate(sc.src.n_signal, sc.ch),
              asymptote=_coherent_asymptote,
-             check=lambda src, ch, ms, log_p: _check_homodyne_optimum(
-                 src.n_signal, ch, ms, log_p)),
-    Receiver("QI-QCB", lambda src, ch, noise, pair: pair().qcb().exponent,
-             bound=lambda src, ch, noise, pair, prior_h0: pair().qcb(prior_h0)),
-    Receiver("QI-QBB", lambda src, ch, noise, pair: pair().exponent(0.5),
-             bound=lambda src, ch, noise, pair, prior_h0: _bound_at(
-                 0.5, pair().log_c(0.5), prior_h0)),
+             check=lambda sc, ms, log_p: _check_homodyne_optimum(
+                 sc.src.n_signal, sc.ch, ms, log_p)),
+    Receiver("QI-QCB", bound=lambda sc, prior_h0: sc.pair.qcb(prior_h0)),
+    Receiver("QI-QBB", bound=lambda sc, prior_h0: _bound_at(0.5, sc.pair.log_c(0.5), prior_h0)),
 )}
-
-
-def _model_pair(src: SourceParams, ch: ChannelParams, noise: NoiseParams):
-    """A zero-argument function that returns StandardFormPair.from_model(src, ch, noise).
-
-    The pair is built on the first call only; RECEIVERS' functions take it as `pair`.
-    """
-    built = []
-
-    def pair() -> StandardFormPair:
-        if not built:
-            built.append(StandardFormPair.from_model(src, ch, noise))
-        return built[0]
-    return pair
 
 
 def asymptotic_snr(label: str, src: SourceParams, ch: ChannelParams) -> float:
@@ -559,4 +547,4 @@ def asymptotic_snr(label: str, src: SourceParams, ch: ChannelParams) -> float:
                 f"{label} asymptotics assume corr at the quantum bound "
                 f"{cq:.12g}, got {src.corr:.12g}"
             )
-    return rx.asymptote(src, ch)
+    return rx.asymptote(Scenario(src, ch))

@@ -192,6 +192,18 @@ def mp_shifted_thermal_log_c(state0, state1, s):
     return _mp_shifted_thermal(nu, d2, state0.n_modes, s)
 
 
+def cs_qcb_exponent(n_signal: float, ch) -> float:
+    """Per-pulse Chernoff exponent of the coherent-probe benchmark, in closed form.
+
+    kappa*N_S*(sqrt(N_B+1)-sqrt(N_B))^2, computed through the reciprocal
+    form to avoid cancellation at large N_B. The CS-QCB rows take their rate
+    from bounds.cs_qcb instead; this is their reference.
+    """
+    _check_nonnegative(n_signal, "n_signal")
+    root_sum = math.sqrt(ch.n_background + 1.0) + math.sqrt(ch.n_background)
+    return ch.reflectivity * n_signal / root_sum ** 2
+
+
 def mp_coherent_log_c(n_signal: float, ch, s):
     """mp_shifted_thermal_log_c of the coherent benchmark's pair, from its parameters.
 

@@ -10,11 +10,11 @@ from pathlib import Path
 
 import numpy as np
 
-from _oracles import (check_gaussian_moment_identities, deflection_sigma, fock_s_overlap_thermal,
-                      generic_qbb, generic_qcb, generic_s_overlap, random_physical_cm)
+from _oracles import (check_gaussian_moment_identities, cs_qcb_exponent, deflection_sigma,
+                      fock_s_overlap_thermal, generic_qbb, generic_qcb, generic_s_overlap,
+                      random_physical_cm)
 from qillum.bounds import (
     ccb,
-    cs_qcb_exponent,
     gaussian_s_overlap,
     heterodyne_distributions,
     qcb,

@@ -21,6 +21,7 @@ from qillum.bounds import (
     MAX_BOUND_IDLER_EXCESS,
     MAX_BOUND_RETURN_EXCESS,
     MAX_BOUND_SIGNAL_EXCESS,
+    MAX_COHERENT_BACKGROUND,
     S_ENDPOINT_EPS,
     ClassicalDistributionPair,
     SOverlapResult,
@@ -31,13 +32,12 @@ from qillum.bounds import (
     _weighted_result,
     ccb,
     cs_qcb,
-    cs_qcb_exponent,
     gaussian_s_overlap,
     heterodyne_distributions,
     qcb,
 )
 from qillum.cli import ScenarioParams, SweepSpec, compute_sweep
-from qillum.receiver import RECEIVERS, _model_pair, half_exp
+from qillum.receiver import RECEIVERS, Scenario, half_exp, homodyne_rate, sweep_points
 from qillum.errors import NumericFailure
 from qillum.states import (
     ChannelParams,
@@ -52,7 +52,7 @@ from qillum.states import (
 )
 from qillum.symplectic import CovMatrix
 
-from _oracles import (_ClassicalOverlap, _GaussianOverlap, classical_s_overlap,
+from _oracles import (_ClassicalOverlap, _GaussianOverlap, classical_s_overlap, cs_qcb_exponent,
                       fock_s_overlap_thermal, generic_ccb, generic_classical_s_overlap,
                       generic_qbb, generic_qcb, generic_s_overlap, mp_coherent_log_c,
                       mp_model_exponents, mp_shifted_thermal_log_c, qbb, random_physical_cm,
@@ -245,10 +245,12 @@ def drawn_coherent_scenarios(rng, n):
 
 
 class TestCsQcbBound:
-    """The CS-QCB row of qi bounds: cs_qcb on N_B and 2 kappa N_S, at any prior."""
+    """The CS-QCB row of qi bounds: cs_qcb on N_B and kappa N_S, at any prior."""
 
     def test_equal_prior_exponent_within_4_ulps_of_mpmath(self):
-        bound = RECEIVERS["CS-QCB"].bound
+        # the qi bounds exponent, and the qi sweep rate, which is the same double
+        rx = RECEIVERS["CS-QCB"]
+        bound = rx.bound
         checked = 0
         # first, where coth from libm's tanh put the exponent 4.56 ulps off
         worst_via_tanh = [(552.5667909936283, 905.2978407003908, 0.02528908249207579)]
@@ -260,10 +262,12 @@ class TestCsQcbBound:
                 exact = mpmath.mpf(kappa) * mp_ns * root_gap ** 2
             if exact > 700:
                 continue
-            src, ch, noise = make_source(ns, ns, 0.0), ChannelParams(kappa, nb), NoiseParams()
-            res = bound(src, ch, noise, _model_pair(src, ch, noise), 0.5)
+            sc = Scenario(make_source(ns, ns, 0.0), ChannelParams(kappa, nb))
+            res = bound(sc, 0.5)
             assert res.s_star == 0.5
             assert abs(res.exponent - exact) <= 4 * math.ulp(float(exact)), (ns, nb, kappa)
+            (rate, _, _), = sweep_points([rx], sc, (1,))
+            assert rate.hex() == res.exponent.hex(), (ns, nb, kappa)
             checked += 1
         assert checked >= 19_000
 
@@ -330,8 +334,8 @@ class TestQbb:
 
 
 class TestCsQcbClosed:
-    """The coherent-probe bound (1/2)exp(-M kappa N_S (sqrt(N_B+1) - sqrt(N_B))^2), as a
-    CS-QCB row forms it: half_exp of cs_qcb_exponent."""
+    """The coherent-probe bound (1/2)exp(-M kappa N_S (sqrt(N_B+1) - sqrt(N_B))^2) in
+    closed form: half_exp of the oracle cs_qcb_exponent, the CS-QCB rows' reference."""
 
     def test_unit_exponent_at_dark_background(self):
         ch = ChannelParams(1.0, 0.0)
@@ -688,7 +692,7 @@ class TestStandardFormProperties:
         res = pair.qcb()
         # s* = 0.5000157 gains 6.4e-10 of the exponent over s = 1/2
         assert res.s_star == pytest.approx(0.5000157, abs=1e-7)
-        assert res.exponent > pair.exponent(0.5) * (1.0 + 1e-10)
+        assert res.exponent > -pair.log_c(0.5) * (1.0 + 1e-10)
 
     def test_identical_states_tie_to_half(self):
         res = StandardFormPair(40.0, 0.02, 0.0).qcb()
@@ -696,7 +700,7 @@ class TestStandardFormProperties:
 
     def test_zero_reflectivity_gives_zero_exponents(self):
         pair = StandardFormPair.from_model(REF_SRC, ChannelParams(0.0, 20.0))
-        assert pair.qcb().exponent == pair.exponent(0.5) == pair.heterodyne().ccb().exponent == 0.0
+        assert pair.qcb().exponent == -pair.log_c(0.5) == pair.heterodyne().ccb().exponent == 0.0
 
     @pytest.mark.parametrize("entries", [
         (0.0, 0.0, 0.5),                     # symplectic eigenvalue 0.43 < 1/2
@@ -770,6 +774,35 @@ def test_sweep_bound_rates_within_1e12_of_mpmath_at_the_largest_signal(scenario)
         assert abs(rate - exact[label]) <= 1e-12 * exact[label]
 
 
+class TestCoherentBackgroundLimit:
+    """bounds.MAX_COHERENT_BACKGROUND: where the CS-QCB and CS+Hom rates stop."""
+
+    def test_rates_within_4_ulps_of_mpmath_up_to_the_limit(self):
+        rng = np.random.default_rng(11)
+        nbs = [1e300, 1e307, 4e307, 4.4e307, MAX_COHERENT_BACKGROUND]
+        for nb in nbs:
+            for _ in range(40):
+                # rates from ~1e-303 up: normal doubles
+                ns, kappa = 10.0 ** rng.uniform(10, 300), 10.0 ** rng.uniform(-4, 0)
+                ch = ChannelParams(kappa, nb)
+                with mpmath.workdps(40):
+                    k, n, b = mpmath.mpf(kappa), mpmath.mpf(ns), mpmath.mpf(nb)
+                    cs = k * n / (mpmath.sqrt(b + 1) + mpmath.sqrt(b)) ** 2
+                    hom = k * n / (4 * b + 2)
+                assert ulp_error(cs_qcb(ns, ch).exponent, cs) <= 4.0, (ns, kappa, nb)
+                assert ulp_error(homodyne_rate(ns, ch), hom) <= 4.0, (ns, kappa, nb)
+
+    @pytest.mark.parametrize("nb", [math.nextafter(MAX_COHERENT_BACKGROUND, math.inf),
+                                    4.4942328371557893e307, 1e308])
+    def test_past_the_limit_both_rates_raise_naming_nb(self, nb):
+        # at max/4 cs_qcb's half-coth sum overflows, and its exponent would read 0
+        ch = ChannelParams(1.0, nb)
+        for rate in (lambda: cs_qcb(1e150, ch, 0.5), lambda: cs_qcb(1e150, ch, 0.3),
+                     lambda: homodyne_rate(1e150, ch)):
+            with pytest.raises(ValueError, match="--nb"):
+                rate()
+
+
 def test_bound_rows_reject_a_background_past_the_largest():
     src, ch, noise = ScenarioParams(ns=0.01, ni=0.01).resolve()
     largest = MAX_BOUND_RETURN_EXCESS / 2
@@ -832,5 +865,5 @@ def test_faint_return_over_a_vacuum_background_has_the_pure_h0_exponents(n_signa
                                        ChannelParams(kappa, 0.0), NoiseParams())
     with mpmath.workdps(50):
         log_gain = mpmath.log1p(mpmath.mpf(kappa) * n_signal)
-        assert ulp_error(pair.exponent(0.5), log_gain / 2) <= 2.0
+        assert ulp_error(-pair.log_c(0.5), log_gain / 2) <= 2.0
         assert ulp_error(pair.qcb().exponent, (1 - mpmath.mpf(S_ENDPOINT_EPS)) * log_gain) <= 2.0

@@ -1,10 +1,12 @@
 """End-to-end CLI checks: parsing, output formats, exit codes, stability."""
+import argparse
 import dataclasses
 import json
 import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -13,14 +15,15 @@ import pytest
 import qillum.montecarlo
 import qillum.states
 import qillum.symplectic
-from qillum.bounds import StandardFormPair, cs_qcb_exponent
+from qillum.bounds import (MAX_BOUND_IDLER_EXCESS, MAX_BOUND_RETURN_EXCESS, MAX_BOUND_SIGNAL_EXCESS,
+                           StandardFormPair)
 from qillum.cli import (_SCENARIO_DEFAULTS, RECEIVER_ORDER, ScenarioParams, SweepResult, SweepSpec,
-                        compute_sweep, main, sweep_csv)
+                        _parse_m_values, compute_sweep, main, sweep_csv)
 from qillum.montecarlo import deflection_se, simulate_pc_receiver
-from qillum.receiver import homodyne_min_error, snr_pc
-from qillum.states import ChannelParams
+from qillum.receiver import RECEIVERS, Scenario, homodyne_min_error, snr_pc
+from qillum.states import ChannelParams, SourceParams, c_quantum
 
-from _oracles import row_sweep_csv
+from _oracles import cs_qcb_exponent, row_sweep_csv
 
 SNR_QI_PC = 2.3575929806957360e-06
 
@@ -245,6 +248,19 @@ class TestSweepCommand:
         assert rc == 2 and out == ""
         assert err.startswith("error: pulse count m must be a positive integer")
 
+    def test_m_of_5000_digits_exits_2_with_the_pulse_count_message(self, capsys):
+        # int() refuses strings past 4300 digits, naming sys.set_int_max_str_digits()
+        rc, out, err = run_cli(capsys, ["sweep", "--receivers", "CS-QCB", "--m", "9" * 5000])
+        assert rc == 2 and out == ""
+        assert err == f"error: pulse count m must be a positive integer, got {'9' * 5000}\n"
+
+    def test_zero_padded_m_reads_as_its_value(self, capsys):
+        rc, out, err = run_cli(capsys, ["sweep", "--receivers", "CS-QCB", "--m",
+                                        "0" * 5000 + "7,0010"])
+        assert rc == 0
+        assert [line.split(",")[1] for line in out.splitlines()[1:]] == ["7", "10"]
+        assert json.loads(err.removeprefix("params: "))["m_values"] == [7, 10]
+
     def test_infinite_m_exits_2(self, capsys):
         for argv in (["--m", "inf"], ["--m", "1e400"], ["--m-log", "1,1e400,3"]):
             rc, out, err = run_cli(capsys, ["sweep", "--receivers", "QI+PC"] + argv)
@@ -420,6 +436,23 @@ class TestComputeSweep:
             assert sweep_csv(result) == row_sweep_csv(result)
             assert len(sweep_csv(result).splitlines()) == 1 + len(result)
 
+    def test_cs_hom_check_past_the_overflow_of_its_search_warns_nothing(self):
+        # the check's w = shift/sigma passes ~1.3e154 here, where the search's
+        # x*x overflows to a ln erfc of -inf
+        spec = SweepSpec(ScenarioParams(ns=3.0, ni=0.2, c="direct", kappa=0.9, nb=0.001),
+                         _parse_m_values(argparse.Namespace(m=None, m_log="1,1e308,400")),
+                         RECEIVER_ORDER)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            compute_sweep(spec)
+        argv = ["sweep", "--ns", "3", "--ni", "0.2", "--c", "direct", "--kappa", "0.9", "--nb",
+                "0.001", "--m-log", "1,1e308,400"]
+        env = dict(os.environ, PYTHONPATH=str(Path(qillum.__file__).resolve().parents[1]))
+        proc = subprocess.run([sys.executable, "-c", _QI, *argv], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert proc.returncode == 0
+        assert proc.stderr.startswith("params: ") and proc.stderr.count("\n") == 1, proc.stderr
+
     def test_len_is_the_csv_row_count(self):
         result = compute_sweep(SweepSpec(ScenarioParams(ns=0.01, ni=0.01), (10, 1000, 10 ** 5),
                                          ("QI-QCB", "QI+PC")))
@@ -562,6 +595,100 @@ class TestBoundsCommand:
         d = default["results"][0]["bound"]
         s = skewed["results"][0]["bound"]
         assert s < d
+
+
+BOUND_LABELS = tuple(label for label, rx in RECEIVERS.items() if rx.bound is not None)
+
+
+def scenario_flags(scenario: ScenarioParams) -> list:
+    """The scenario's flags, each float as its repr, so that qi reads back the same doubles."""
+    return [arg for field, value in dataclasses.asdict(scenario).items()
+            for arg in (f"--{field.replace('_', '-')}",
+                        value if isinstance(value, str) else repr(value))]
+
+
+def drawn_scenarios(n: int):
+    """n model scenarios inside every bound row's limits, each brightness log-uniform."""
+    rng = np.random.default_rng(23)
+    for _ in range(n):
+        ns, ni = (float(v) for v in 10.0 ** rng.uniform(-6, 3, 2))
+        c_q = c_quantum(SourceParams(ns, ni))
+        c = ("quantum", "direct", float(rng.uniform(0.0, 1.0)) * c_q)[rng.integers(3)]
+        nb = 0.0 if rng.random() < 0.1 else float(10.0 ** rng.uniform(-4, 8))
+        yield ScenarioParams(ns=ns, ni=ni, c=c, kappa=float(10.0 ** rng.uniform(-4, 0)), nb=nb,
+                             eps_r=float(rng.choice([0.0, 0.3, 1.0])),
+                             eps_i=float(rng.choice([0.0, 1.0])))
+
+
+class TestBoundRowRateIsItsBoundsExponent:
+    """A bound row's per_mode_rate is its equal-prior bound's exponent, bit for bit:
+    RECEIVERS[label].bound(sc, 0.5).exponent, and the exponent that qi bounds prints."""
+
+    @staticmethod
+    def compare(capsys, scenario: ScenarioParams) -> tuple:
+        """The bound labels whose rows the scenario takes, once each route agreed on them."""
+        sc = Scenario(*scenario.resolve())
+        want = {}
+        for label in BOUND_LABELS:
+            try:
+                want[label] = RECEIVERS[label].bound(sc, 0.5).exponent
+            except ValueError:
+                with pytest.raises(ValueError):
+                    compute_sweep(SweepSpec(scenario, (1,), (label,)))
+        result = compute_sweep(SweepSpec(scenario, (1, 10 ** 6), tuple(want)))
+        assert [r.hex() for r in result.per_mode_rate] == [e.hex() for e in want.values()]
+        if len(want) == len(BOUND_LABELS):
+            rc, report, err = run_json(capsys, ["bounds"] + scenario_flags(scenario))
+            assert rc == 0, err
+            printed = {row["label"]: row["exponent"].hex() for row in report["results"]}
+            assert printed == {label: e.hex() for label, e in want.items()}
+        return tuple(want)
+
+    def test_on_drawn_scenarios(self, capsys):
+        for scenario in drawn_scenarios(240):
+            assert self.compare(capsys, scenario) == BOUND_LABELS, scenario
+
+    @pytest.mark.parametrize("scenario, labels", [
+        (ScenarioParams(), BOUND_LABELS),
+        (ScenarioParams(nb=2.0), BOUND_LABELS),
+        (ScenarioParams(kappa=0.0), BOUND_LABELS),
+        (ScenarioParams(ns=746.0, ni=746.0, kappa=1.0, nb=0.0), BOUND_LABELS),
+        (ScenarioParams(ns=1e-8, ni=0.0, kappa=1e-6, nb=0.0), BOUND_LABELS),
+        (ScenarioParams(ns=1e-300, ni=1e-300, kappa=1e-10), BOUND_LABELS),
+        (ScenarioParams(nb=MAX_BOUND_RETURN_EXCESS / 2), BOUND_LABELS),
+        (ScenarioParams(ni=MAX_BOUND_IDLER_EXCESS / 2), BOUND_LABELS),
+        (ScenarioParams(ns=MAX_BOUND_SIGNAL_EXCESS / 0.02), BOUND_LABELS),
+        # past the QI rows' limits, the coherent row alone
+        (ScenarioParams(nb=4e307), ("CS-QCB",)),
+        (ScenarioParams(ns=1e308, ni=0.0, c=0.0, kappa=1.0, nb=0.0), ("CS-QCB",)),
+    ], ids=["golden", "nb=2", "kappa=0", "underflowed-bound", "faint-over-vacuum",
+            "subnormal-signal", "largest-nb", "largest-ni", "largest-signal", "nb=4e307",
+            "ns=1e308"])
+    def test_at_the_golden_scenario_and_the_extremes(self, capsys, scenario, labels):
+        assert self.compare(capsys, scenario) == labels
+
+
+class TestCoherentBackgroundLimit:
+    """Past bounds.MAX_COHERENT_BACKGROUND the CS-QCB and CS+Hom rows exit 2."""
+
+    @pytest.mark.parametrize("argv", [
+        # an OverflowError traceback from the closed form's root_sum ** 2
+        ["--receivers", "CS-QCB", "--nb", "1e308", "--m", "10"],
+        # 4 N_B + 2 overflowed, and the row printed a rate of 0
+        ["--receivers", "CS+Hom", "--ns", "1e150", "--ni", "1e150", "--kappa", "1",
+         "--nb", "1e308", "--m", "10"],
+    ])
+    def test_sweep_exits_2_naming_nb(self, capsys, argv):
+        rc, out, err = run_cli(capsys, ["sweep"] + argv)
+        assert rc == 2 and out == ""
+        assert err.startswith("error: the background N_B (--nb) = 1e+308 is above")
+
+    def test_below_the_limit_both_rows_print(self, capsys):
+        rc, out, _ = run_cli(capsys, ["sweep", "--receivers", "CS-QCB,CS+Hom", "--ns", "1e150",
+                                      "--ni", "1e150", "--kappa", "1", "--nb", "4e307", "--m", "10"])
+        assert rc == 0
+        rates = [float(line.split(",")[4]) for line in out.splitlines()[1:]]
+        assert rates == [pytest.approx(1e150 / 1.6e308, rel=1e-15)] * 2
 
 
 class TestBrightBackground:

@@ -20,6 +20,7 @@ from qillum.errors import NumericFailure
 from qillum.receiver import (
     RECEIVERS,
     BeamsplitterMoments,
+    Scenario,
     ReceiverStats,
     asymptotic_snr,
     beamsplitter_moments,
@@ -27,10 +28,9 @@ from qillum.receiver import (
     _LOG_ERFC_PQ,
     _check_homodyne_optimum,
     _erfc_column,
-    _erfc_points,
+    _erfc_columns,
     _exp_points,
     _homodyne_log_p,
-    _model_pair,
     _two_product,
     _homodyne_numeric_min,
     _log_erfc_and_slope,
@@ -61,10 +61,15 @@ SNR_QI_CAL_PC = 2.3027656169736765e-06
 SNR_QI_HET_PC = 1.1627852893770358e-06
 
 
+def _erfc_points(rate: float, ms) -> tuple[list, list]:
+    """The (p, ln p) columns of p = (1/2)erfc(sqrt(m*rate)) over ms: _erfc_columns' one-rate case."""
+    return _erfc_columns((rate,), ms)[0]
+
+
 def cs_hom_points(n_signal: float, ch: ChannelParams, ms) -> list[tuple[float, float]]:
     """(p_error, ln p_error) at each m of the CS+Hom row, qi sweep's route, self-check included."""
-    _, p, log_p = RECEIVERS["CS+Hom"].points(SourceParams(n_signal, 0.0), ch, NoiseParams(),
-                                             None, ms)
+    _, p, log_p = sweep_points([RECEIVERS["CS+Hom"]], Scenario(SourceParams(n_signal, 0.0), ch),
+                               ms)[0]
     return list(zip(p, log_p))
 
 
@@ -345,7 +350,7 @@ class TestSweepKernel:
     def test_one_erfc_column_call_gives_each_receivers_columns(self, monkeypatch, scenario,
                                                                m_log):
         ms = _parse_m_values(argparse.Namespace(m=None, m_log=m_log))
-        src, ch, noise = scenario.resolve()
+        sc = Scenario(*scenario.resolve())
         receivers = list(RECEIVERS.values())
         real = _erfc_column
         calls = []
@@ -355,11 +360,12 @@ class TestSweepKernel:
             return real(x)
 
         monkeypatch.setattr("qillum.receiver._erfc_column", counting)
-        points = sweep_points(receivers, src, ch, noise, _model_pair(src, ch, noise), ms)
+        points = sweep_points(receivers, sc, ms)
         n_threshold = sum(rx.bound is None for rx in receivers)
         assert calls == [n_threshold * len(ms)]
         for rx, (rate, p, log_p) in zip(receivers, points):
-            assert _bits(rate) == _bits(rx.rate(src, ch, noise, _model_pair(src, ch, noise)))
+            want_rate = rx.rate(sc) if rx.bound is None else rx.bound(sc, 0.5).exponent
+            assert _bits(rate) == _bits(want_rate)
             if rx.bound is None:
                 want_p, want_log_p = _erfc_points(rate, ms)
             else:
