@@ -17,10 +17,13 @@ receiver and one p_error and one exponent column per receiver over the M
 grid. The CSV and the --json report both read it, receiver by receiver and
 then M by M, so both carry the same values in the same order.
 
-Every run echoes the fully resolved parameter set (CSV runs echo to stderr
-so the data stream stays clean). Floats in CSV use 17 significant digits so
-output is byte-stable across runs. Exit codes: 0 success, 2 invalid
-parameters, 3 I/O failure, 4 sampling gate failure.
+Every command builds one {params, results, notes} report, which _emit
+writes: its JSON with --json, else the plain report (qi mc's table in place
+of its k=v rows) or the sweep CSV. The resolved parameters go to stderr as a
+params line exactly when stdout does not carry them: with --out, and for the
+CSV, so the data stream stays clean. CSV floats use 17 significant digits, so
+output is byte-stable. Exit codes: 0 success, 2 invalid parameters, 3 I/O
+failure, 4 sampling gate failure.
 """
 from __future__ import annotations
 
@@ -169,27 +172,30 @@ def sweep_csv(result: SweepResult) -> str:
     return "".join(parts)
 
 
-def _echo_params(params: dict, file) -> None:
-    print("params: " + json.dumps(params, sort_keys=True), file=file)
+def _emit(report: dict, args, rows=None, csv=None) -> None:
+    """Write report to --out or stdout, and its params line to stderr, by the module's rule.
 
-
-def _emit(report: dict, args, render_text) -> None:
-    out = json.dumps(report, indent=2, sort_keys=True) + "\n" if args.json else render_text(report)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(out)
-        _echo_params(report["params"], sys.stderr)
+    Without --json the text is csv where given, else the params line, rows
+    (by default one k=v line per result) and one line per note.
+    """
+    params = "params: " + json.dumps(report["params"], sort_keys=True) + "\n"
+    carries_params = args.json or csv is None
+    if args.json:
+        text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    elif csv is not None:
+        text = csv
     else:
-        sys.stdout.write(out)
-
-
-def _render_plain(report: dict) -> str:
-    lines = ["params: " + json.dumps(report["params"], sort_keys=True)]
-    for row in report["results"]:
-        lines.append("  ".join(f"{k}={v!r}" for k, v in row.items()))
-    for note in report["notes"]:
-        lines.append(f"note: {note}")
-    return "\n".join(lines) + "\n"
+        if rows is None:
+            rows = ["  ".join(f"{k}={v!r}" for k, v in row.items()) for row in report["results"]]
+        notes = [f"note: {note}" for note in report["notes"]]
+        text = params + "".join(line + "\n" for line in rows + notes)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+    if args.out or not carries_params:
+        sys.stderr.write(params)
 
 
 def cmd_snr(args) -> int:
@@ -225,7 +231,7 @@ def cmd_snr(args) -> int:
         }],
         "notes": notes,
     }
-    _emit(report, args, _render_plain)
+    _emit(report, args)
     return 0
 
 
@@ -236,25 +242,15 @@ def cmd_sweep(args) -> int:
         if args.receivers else RECEIVER_ORDER
     spec = SweepSpec(scenario=scenario, m_values=m_values, receivers=receivers)
     result = compute_sweep(spec)
-    params = dict(scenario.as_dict(), m_values=list(m_values), receivers=list(receivers))
-    if args.json:
-        report = {
-            "params": params,
-            "results": [dict(receiver=label, M=m, p_error=p, exponent=e, per_mode_rate=rate)
-                        for label, rate, ps, es in zip(result.receivers, result.per_mode_rate,
-                                                       result.p_error, result.exponent)
-                        for m, p, e in zip(result.m_values, ps, es)],
-            "notes": [],
-        }
-        text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    else:
-        text = sweep_csv(result)
-    _echo_params(params, sys.stderr)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    report = {
+        "params": dict(scenario.as_dict(), m_values=list(m_values), receivers=list(receivers)),
+        "results": [dict(receiver=label, M=m, p_error=p, exponent=e, per_mode_rate=rate)
+                    for label, rate, ps, es in zip(result.receivers, result.per_mode_rate,
+                                                   result.p_error, result.exponent)
+                    for m, p, e in zip(result.m_values, ps, es)],
+        "notes": [],
+    }
+    _emit(report, args, csv=sweep_csv(result))
     return 0
 
 
@@ -267,7 +263,7 @@ def cmd_bounds(args) -> int:
                 "bound": b.bound, "exponent": b.exponent} for label, b in bounds.items()]
     report = {"params": dict(scenario.as_dict(), prior_h0=prior),
               "results": results, "notes": []}
-    _emit(report, args, _render_plain)
+    _emit(report, args)
     return 0
 
 
@@ -302,19 +298,11 @@ def cmd_mc(args) -> int:
                   f"{'all rows passed' if all_passed else 'GATE FAILURE'}"],
     }
 
-    def render(rep):
-        lines = ["params: " + json.dumps(rep["params"], sort_keys=True)]
-        header = f"{'quantity':<28} {'observed':>14} {'expected':>14} {'se':>12} {'n_sigma':>8}  result"
-        lines.append(header)
-        for r in rep["results"]:
-            lines.append(f"{r['label']:<28} {r['observed']:>14.6e} {r['expected']:>14.6e} "
-                         f"{r['se']:>12.4e} {r['n_sigma']:>8.2f}  "
-                         f"{'pass' if r['passed'] else 'FAIL'}")
-        for note in rep["notes"]:
-            lines.append(f"note: {note}")
-        return "\n".join(lines) + "\n"
-
-    _emit(report, args, render)
+    table = [f"{'quantity':<28} {'observed':>14} {'expected':>14} {'se':>12} {'n_sigma':>8}  result"]
+    table += [f"{r['label']:<28} {r['observed']:>14.6e} {r['expected']:>14.6e} "
+              f"{r['se']:>12.4e} {r['n_sigma']:>8.2f}  {'pass' if r['passed'] else 'FAIL'}"
+              for r in rows]
+    _emit(report, args, rows=table)
     return 0 if all_passed else 4
 
 

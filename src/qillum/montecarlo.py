@@ -49,7 +49,7 @@ from functools import reduce
 import numpy as np
 
 from .errors import NumericFailure
-from .receiver import _noisy
+from .receiver import _NOISY_FLAGS, _noisy
 from .states import ChannelParams, GaussianState, NoiseParams, SourceParams, _validate_pulses
 
 
@@ -91,6 +91,11 @@ class EmpiricalStats:
         if any(not (se >= 0 and math.isfinite(se)) for se in ses):
             raise ValueError("standard errors must be finite and non-negative")
 
+
+# the counts scale as their weights, sqrt(mu (1 + gamma))/2 at most, and from
+# N_B ~ 1e152 at the default N_I a sample's fourth central moment overflows
+_COUNT_OVERFLOW = ("the sampled PC counts overflow their moments: the counts scale as "
+                   f"sqrt(mu (1 + gamma))/2, with {_NOISY_FLAGS}")
 
 _BLOCK = 1 << 16  # rows per logical block of a stream
 _CHUNK = 1 << 12  # rows per draw within a block, so that a draw's gamma pairs stay in cache
@@ -204,6 +209,8 @@ def _count_weights(src: SourceParams, ch: ChannelParams,
     for a, x in ((0.5 * (omega + 1.0), 0.0),
                  (0.5 * (gamma + 1.0), 0.5 * (math.sqrt(ch.reflectivity) * src.corr))):
         r = math.sqrt(a * b)
+        if r == math.inf:
+            raise ValueError(_COUNT_OVERFLOW)
         weights.append((0.5 * (x + r), 0.5 * (x - r)))
     return tuple(weights)
 
@@ -238,13 +245,15 @@ def _block_moments(means: np.ndarray, squares: np.ndarray) -> _Moments:
     """The moments of one block, centred on its own mean; overwrites both buffers."""
     mean = float(means.mean())
     centered = np.subtract(means, mean, out=means)
-    # not centered ** 3 and ** 4: numpy's general power is ~100x slower
-    np.square(centered, out=squares)
-    # pairwise add.reduce, not dot products: numpy's source fixes its order,
-    # where a BLAS dot's follows BLAS's thread count
-    m2 = float(np.add.reduce(squares))
-    m3 = float(np.add.reduce(np.multiply(squares, centered, out=centered)))
-    m4 = float(np.add.reduce(np.square(squares, out=squares)))
+    # an overflow reads inf or nan, without a warning: simulate_pc_receiver rejects it
+    with np.errstate(over="ignore", invalid="ignore"):
+        # not centered ** 3 and ** 4: numpy's general power is ~100x slower
+        np.square(centered, out=squares)
+        # pairwise add.reduce, not dot products: numpy's source fixes its order,
+        # where a BLAS dot's follows BLAS's thread count
+        m2 = float(np.add.reduce(squares))
+        m3 = float(np.add.reduce(np.multiply(squares, centered, out=centered)))
+        m4 = float(np.add.reduce(np.square(squares, out=squares)))
     return _Moments(n=means.size, mean=mean, m2=m2, m3=m3, m4=m4)
 
 
@@ -339,12 +348,20 @@ def simulate_pc_receiver(src: SourceParams, ch: ChannelParams, noise: NoiseParam
 
     Each sample is one pulse's count drawn from its exact law: the threshold
     test's trial at m = 1 on the same stream. Each block's moments merge in
-    block order (_Moments.merge).
+    block order (_Moments.merge). ValueError where the moments overflow, so
+    that a standard error is not finite: from N_B ~ 1e152 at the default N_I
+    and 2000 samples, at a point that the draws set.
     """
     if cfg.n_samples < 2:
         raise ValueError("variance estimates need at least 2 samples")
-    return _empirical_stats(*(reduce(_Moments.merge, blocks) for blocks in
-                              _reduced_hypotheses(src, ch, noise, 1, cfg, _block_moments)))
+    blocks = _reduced_hypotheses(src, ch, noise, 1, cfg, _block_moments)
+    try:
+        b0, b1 = (reduce(_Moments.merge, run) for run in blocks)
+    except OverflowError:  # a power of two blocks' mean difference in the merge
+        raise ValueError(_COUNT_OVERFLOW) from None
+    if not all(math.isfinite(se) for b in (b0, b1) for se in (b.se_mean, b.se_var)):
+        raise ValueError(_COUNT_OVERFLOW)
+    return _empirical_stats(b0, b1)
 
 
 def deflection_se(emp: EmpiricalStats, snr: float) -> float:

@@ -285,6 +285,11 @@ class HomodyneOptimum:
     log_p_error: float
 
 
+# the scenario flags behind _noisy's (mu, omega, gamma), for the messages of overflows
+_NOISY_FLAGS = ("mu = 2 N_I + 1 + eps_i (--ni, --eps-i), omega = 2 N_B + 1 + eps_r (--nb, --eps-r) "
+                "and gamma = omega + 2 kappa N_S (--kappa, --ns)")
+
+
 def _noisy(src: SourceParams, ch: ChannelParams, noise: NoiseParams) -> tuple[float, float, float]:
     """(mu, omega, gamma) with the added noise: mu + eps_idler, omega and gamma + eps_return."""
     return (src.mu + noise.eps_idler, ch.omega + noise.eps_return,
@@ -312,12 +317,21 @@ def snr_pc(src: SourceParams, ch: ChannelParams,
     snr = kappa*c^2 / (sqrt(kappa*c^2 + mu*(1+gamma)) + sqrt(mu*(1+omega)))^2
     with the noise replacements applied. All terms are sums of non-negative
     quantities, so the result is accurate to a few ulp at any scale.
+    ValueError where a variance or the denominator overflows: from
+    N_B ~ 2e307 at the default N_I, and sooner as N_I grows.
     """
     mu, omega, gamma = _noisy(src, ch, noise)
     kc2 = ch.reflectivity * src.corr * src.corr
     a1 = kc2 + mu * (1.0 + gamma)
     a0 = mu * (1.0 + omega)
-    snr = kc2 / (math.sqrt(a1) + math.sqrt(a0)) ** 2
+    try:
+        snr = kc2 / (math.sqrt(a1) + math.sqrt(a0)) ** 2
+    except OverflowError:
+        snr = math.inf
+    # a1 >= a0 >= 0, so a finite a1 holds both variances
+    if not (math.isfinite(a1) and math.isfinite(snr)):
+        raise ValueError("the PC count variances mu (1 + omega) and kappa c^2 + mu (1 + gamma) "
+                         f"overflow the SNR's denominator; {_NOISY_FLAGS}")
     return ReceiverStats(
         mean_h0=0.0,
         mean_h1=math.sqrt(ch.reflectivity) * src.corr,

@@ -753,6 +753,88 @@ class TestBrightBackground:
         assert all(row["exponent"] > 0 for row in report["results"])
 
 
+class TestPcOverflow:
+    """Where the PC statistics or the sampled moments overflow, qi exits 2 naming
+    the scenario flags: once with an OverflowError traceback, or with a message
+    that named none."""
+
+    @staticmethod
+    def exits_2_naming(capsys, argv, flag):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # and no numpy overflow warning
+            rc, out, err = run_cli(capsys, argv)
+        assert rc == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert flag in err
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["--nb", "3e307"], "--nb"),  # the denominator's square overflowed
+        (["--eps-r", "1e308"], "--eps-r"),
+        (["--ni", "1e307"], "--ni"),  # mu (1 + omega) overflowed: "must be finite"
+    ])
+    def test_snr(self, capsys, argv, flag):
+        self.exits_2_naming(capsys, ["snr"] + argv, flag)
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["--receivers", "QI+PC", "--nb", "3e307"], "--nb"),
+        (["--receivers", "QI+Het+PC", "--eps-r", "1e308"], "--eps-r"),
+    ])
+    def test_sweep(self, capsys, argv, flag):
+        self.exits_2_naming(capsys, ["sweep", "--m", "10"] + argv, flag)
+
+    @pytest.mark.parametrize("argv, flag", [
+        # a block's fourth moment overflowed, and the standard errors with it
+        (["--nb", "1e155", "--samples", "2000"], "--nb"),
+        (["--ni", "1e200", "--samples", "2000"], "--ni"),
+        (["--eps-r", "1e200", "--samples", "2000"], "--eps-r"),
+        # two blocks: the merge's power of their mean difference overflowed
+        (["--ni", "1e300", "--samples", "70000"], "--ni"),
+        # the count weights themselves are infinite
+        (["--ni", "1e308", "--samples", "2000"], "--ni"),
+    ])
+    def test_mc(self, capsys, argv, flag):
+        self.exits_2_naming(capsys, ["mc"] + argv, flag)
+
+    @pytest.mark.parametrize("argv", [
+        ["snr", "--nb", "1e307"],
+        ["sweep", "--receivers", "QI+PC", "--nb", "1e307", "--m", "10"],
+        ["mc", "--nb", "1e150", "--samples", "2000"],
+    ])
+    def test_below_the_overflow_each_command_prints(self, capsys, argv):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc, out, _ = run_cli(capsys, argv)
+        assert rc == 0 and out
+
+
+# a command's own flags, kept small
+_REPORT_COMMANDS = {
+    "snr": [],
+    "sweep": ["--receivers", "QI+PC,CS-QCB", "--m", "10,1000"],
+    "bounds": ["--prior-h0", "0.3"],
+    "mc": ["--samples", "3000", "--seed", "5"],
+}
+
+
+@pytest.mark.parametrize("fmt", [[], ["--json"]], ids=["plain", "json"])
+@pytest.mark.parametrize("command", _REPORT_COMMANDS)
+def test_one_report_path(capsys, tmp_path, command, fmt):
+    """--out holds stdout's bytes, and the params line goes to stderr exactly
+    when stdout does not carry it: with --out, and for the sweep CSV."""
+    argv = [command] + _REPORT_COMMANDS[command]
+    rc, report, _ = run_json(capsys, argv)
+    assert rc == 0
+    params = "params: " + json.dumps(report["params"], sort_keys=True) + "\n"
+    rc, out, err = run_cli(capsys, argv + fmt)
+    assert rc == 0
+    carries = json.loads(out)["params"] == report["params"] if fmt else out.startswith(params)
+    assert carries == (bool(fmt) or command != "sweep")
+    assert err == ("" if carries else params)
+    path = tmp_path / "report"
+    assert run_cli(capsys, argv + fmt + ["--out", str(path)]) == (0, "", params)
+    assert path.read_bytes() == out.encode()
+
+
 class TestMcCommand:
     def test_gates_pass_at_reference_seed(self, capsys):
         rc, out, _ = run_cli(capsys, ["mc"] + REF_FLAGS + ["--samples", "20000"])
