@@ -14,16 +14,17 @@ with m. The moment samples are the threshold test's trials at m = 1, bit
 for bit. sample_quadratures draws Gaussian quadrature vectors of any state
 from its covariance matrix.
 
-All randomness is counter-based, and every stream is drawn in fixed logical
-blocks of 2**16 rows (Salmon et al., SC'11, "Parallel random numbers: as
-easy as 1, 2, 3"). Block b of stream s under seed k comes from
-Philox(key=[k, s], counter=[0, 0, 0, b]); its draws advance only the low
-counter words, so blocks never overlap, and block 0 is the plain
-Philox(key=[k, s]) stream. The first j rows are therefore the same bits
-whatever the row count, and repeated runs are bit-identical whatever the
-order in which the hypotheses and checks are evaluated. Streams: H0 on
-stream 0 and H1 on stream 2, for both the receiver moments and the
-threshold test's trials.
+All randomness is drawn in fixed logical blocks of 2**16 rows, each from
+its own generator. Block b of stream s under seed k comes from
+SFC64(SeedSequence(k, spawn_key=(s, b))), numpy's spawn scheme for
+independent parallel streams: the SeedSequence hashes (k, s, b) into the
+generator's state, so a block is addressed directly, as a counter-based
+generator's would be (Salmon et al., SC'11, "Parallel random numbers: as
+easy as 1, 2, 3"), and no block depends on another's draws. The first j
+rows are therefore the same bits whatever the row count, and repeated runs
+are bit-identical whatever the order in which the hypotheses and checks are
+evaluated. Streams: H0 on stream 0 and H1 on stream 2, for both the
+receiver moments and the threshold test's trials.
 
 Because a block depends only on (seed, stream, block), the samplers split
 the blocks of both hypotheses into one contiguous run per usable CPU (at
@@ -98,20 +99,17 @@ _COUNT_OVERFLOW = ("the sampled PC counts overflow their moments: the counts sca
                    f"sqrt(mu (1 + gamma))/2, with {_NOISY_FLAGS}")
 
 _BLOCK = 1 << 16  # rows per logical block of a stream
-_CHUNK = 1 << 12  # rows per draw within a block, so that a draw's gamma pairs stay in cache
 
 
-def _philox(seed: int, stream: int, block: int) -> np.random.Generator:
+def _block_generator(seed: int, stream: int, block: int) -> np.random.Generator:
     """The generator of one block of a stream."""
-    key = np.array([seed, stream], dtype=np.uint64)
-    counter = np.array([0, 0, 0, block], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key, counter=counter))
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(stream, block))))
 
 
-def _philox_blocks(seed: int, stream: int, n: int):
+def _stream_blocks(seed: int, stream: int, n: int):
     """(generator, rows) for each block of a stream's first n rows."""
     for block, start in enumerate(range(0, n, _BLOCK)):
-        yield _philox(seed, stream, block), min(_BLOCK, n - start)
+        yield _block_generator(seed, stream, block), min(_BLOCK, n - start)
 
 
 def _gaussian_blocks(mean, cov: np.ndarray, seed: int, stream: int, n: int):
@@ -120,7 +118,7 @@ def _gaussian_blocks(mean, cov: np.ndarray, seed: int, stream: int, n: int):
         chol = np.linalg.cholesky(cov)
     except np.linalg.LinAlgError as exc:
         raise NumericFailure(f"covariance factorization failed: {exc}") from exc
-    for gen, count in _philox_blocks(seed, stream, n):
+    for gen, count in _stream_blocks(seed, stream, n):
         z = gen.standard_normal((count, len(cov)))
         # column by column, not z @ chol.T: numpy's products and sums round
         # alike for any block size and host, where BLAS's routes do not.
@@ -215,7 +213,7 @@ def _count_weights(src: SourceParams, ch: ChannelParams,
     return tuple(weights)
 
 
-def _block_trial_means(out: np.ndarray, pairs: np.ndarray, weights: tuple[float, float],
+def _block_trial_means(out: np.ndarray, scratch: np.ndarray, weights: tuple[float, float],
                        m: int, seed: int, stream: int, block: int) -> np.ndarray:
     """Fill out with the trial averages of the difference count over m pulses each.
 
@@ -223,13 +221,16 @@ def _block_trial_means(out: np.ndarray, pairs: np.ndarray, weights: tuple[float,
     weights = (lambda_+, lambda_-) of one hypothesis (_count_weights): m
     pulses sum to lambda_+ chi^2_2m + lambda_- chi^2_2m, so a trial is
     (2 lambda_+ G_1 + 2 lambda_- G_2)/m with G_1, G_2 ~ Gamma(m) drawn as one
-    row: the cost does not grow with m. The rows are drawn in stream order,
-    _CHUNK at a time, into pairs.
+    row: the cost does not grow with m. The rows are drawn in stream order
+    into scratch, viewed as (G_1, G_2) pairs, so a block that fills out
+    takes two draws when scratch is as long as out; scratch must hold at
+    least one pair.
     """
-    gen = _philox(seed, stream, block)
+    gen = _block_generator(seed, stream, block)
     w_plus, w_minus = (2.0 * lam / m for lam in weights)
-    for start in range(0, len(out), _CHUNK):
-        means = out[start:start + _CHUNK]
+    pairs = scratch[:len(scratch) // 2 * 2].reshape(-1, 2)
+    for start in range(0, len(out), len(pairs)):
+        means = out[start:start + len(pairs)]
         g = pairs[:len(means)]
         if m == 1:
             gen.standard_exponential(out=g)  # standard_gamma(1) bit for bit, ~1.8x faster
@@ -265,8 +266,8 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-# each worker holds ~1.1 MiB of buffers, so the cap keeps a call's traced
-# peak under ~9 MiB on any host
+# each worker holds two buffers of 2**16 doubles (1 MiB), so the cap keeps a
+# call's traced peak under ~9 MiB on any host
 _MAX_WORKERS = 8
 
 
@@ -291,12 +292,12 @@ def _reduced_hypotheses(src: SourceParams, ch: ChannelParams, noise: NoiseParams
     runs = [blocks[len(blocks) * i // workers:len(blocks) * (i + 1) // workers]
             for i in range(workers)]
     size = min(_BLOCK, n)
-    buffers = [(np.empty(size), np.empty(size), np.empty((min(_CHUNK, size), 2)))
-               for _ in runs]
+    # scratch takes a block's gamma pairs in two halves, so it holds an even count
+    buffers = [(np.empty(size), np.empty(size + size % 2)) for _ in runs]
 
     def work(run, run_buffers):
-        means, scratch, pairs = run_buffers
-        return [reducer(_block_trial_means(means[:rows], pairs, weights, m,
+        means, scratch = run_buffers
+        return [reducer(_block_trial_means(means[:rows], scratch, weights, m,
                                            cfg.seed, stream, block), scratch[:rows])
                 for weights, stream, block, rows in run]
 

@@ -59,7 +59,10 @@ class SourceParams:
         _check_nonnegative(self.n_signal, "n_signal")
         _check_nonnegative(self.n_idler, "n_idler")
         _check_nonnegative(self.corr, "corr")
-        cq = c_quantum(self)
+        try:
+            cq = c_quantum(self)
+        except ValueError:  # c_q overflows, so every finite corr is within it
+            return
         if self.corr > cq + 1e-12 * max(1.0, cq):
             raise ValueError(
                 "corr violates the quantum correlation bound "
@@ -142,15 +145,24 @@ def c_quantum(src: SourceParams) -> float:
     """Maximal quadrature correlation allowed by quantum mechanics.
 
     The source CM is physical (symplectic eigenvalues >= 1/2) exactly when
-    c^2 <= 4*min(N_S, N_I)*(max(N_S, N_I) + 1).
+    c^2 <= 4*min(N_S, N_I)*(max(N_S, N_I) + 1). ValueError, naming --ns and
+    --ni, where that product overflows.
     """
     lo, hi = sorted((src.n_signal, src.n_idler))
-    return 2.0 * math.sqrt(lo * (hi + 1.0))
+    return _twice_root(lo * (hi + 1.0), "quantum", "min(N_S, N_I) (max(N_S, N_I) + 1)")
 
 
 def c_direct(src: SourceParams) -> float:
-    """Correlation reachable with classical (just-separable) light."""
-    return 2.0 * math.sqrt(src.n_signal * src.n_idler)
+    """Correlation reachable with classical (just-separable) light; ValueError where N_S N_I overflows."""
+    return _twice_root(src.n_signal * src.n_idler, "direct", "N_S N_I")
+
+
+def _twice_root(product: float, name: str, formula: str) -> float:
+    """2 sqrt(product) of a named correlation; ValueError where the product overflowed."""
+    if product == math.inf:
+        raise ValueError(f"the {name} correlation 2 sqrt({formula}) overflows: "
+                         "the product of --ns and --ni is past the largest double")
+    return 2.0 * math.sqrt(product)
 
 
 def make_source(n_signal: float, n_idler: float, corr: float | str = "quantum") -> SourceParams:

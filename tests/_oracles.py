@@ -18,7 +18,7 @@ from qillum.bounds import (ClassicalDistributionPair, SOverlapResult, _check_s,
                            _classical_route, _weighted_result, gaussian_s_overlap)
 from qillum.errors import NumericFailure
 from qillum.montecarlo import (EmpiricalStats, _count_weights, _empirical_stats,
-                               _gaussian_blocks, _Moments, _philox_blocks, deflection_se)
+                               _gaussian_blocks, _Moments, _stream_blocks, deflection_se)
 from qillum.receiver import BeamsplitterMoments, ReceiverStats, half_erfc
 from qillum.states import (GaussianState, _check_nonnegative, _standard_form_matrix,
                            _validate_pulses, apply_noise, conditional_states)
@@ -611,7 +611,7 @@ def trial_mean_blocks(weights: tuple[float, float], m: int, seed: int, stream: i
     """
     lam_plus, lam_minus = weights
     w_plus, w_minus = 2.0 * lam_plus / m, 2.0 * lam_minus / m
-    for gen, rows in _philox_blocks(seed, stream, n):
+    for gen, rows in _stream_blocks(seed, stream, n):
         g = gen.standard_gamma(m, size=(rows, 2))
         yield g[:, 0] * w_plus + g[:, 1] * w_minus
 

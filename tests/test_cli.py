@@ -759,13 +759,13 @@ class TestPcOverflow:
     that named none."""
 
     @staticmethod
-    def exits_2_naming(capsys, argv, flag):
+    def exits_2_naming(capsys, argv, *flags):
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # and no numpy overflow warning
             rc, out, err = run_cli(capsys, argv)
         assert rc == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1, err
-        assert flag in err
+        assert all(flag in err for flag in flags), err
 
     @pytest.mark.parametrize("argv, flag", [
         (["--nb", "3e307"], "--nb"),  # the denominator's square overflowed
@@ -794,6 +794,15 @@ class TestPcOverflow:
     ])
     def test_mc(self, capsys, argv, flag):
         self.exits_2_naming(capsys, ["mc"] + argv, flag)
+
+    @pytest.mark.parametrize("argv", [
+        ["snr"], ["snr", "--c", "direct"], ["bounds"], ["sweep", "--m", "10"],
+        ["mc", "--samples", "2000"],
+    ])
+    def test_correlation_bound(self, capsys, argv):
+        # N_S (N_I + 1) and N_S N_I overflow before their square roots: exit 2
+        # naming both flags, once with "corr must be >= 0, got inf"
+        self.exits_2_naming(capsys, argv + ["--ns", "1e200", "--ni", "1e200"], "--ns", "--ni")
 
     @pytest.mark.parametrize("argv", [
         ["snr", "--nb", "1e307"],
@@ -870,8 +879,9 @@ class TestMcCommand:
         assert "FAIL" in out
 
     def test_deflection_gate_passes_a_small_mean_difference(self, capsys, monkeypatch):
-        # At 600000 samples the exact mean difference is ~2.4 se. With the H1
-        # counts shifted to put the sampled one 2 se low (~0.4 se), snr_hat, the
+        # At 600000 samples the exact mean difference is ~2.4 se. With the H0
+        # counts shifted onto their exact mean and the H1 counts to put the
+        # sampled difference 2 se low (~0.4 se), whatever the draw, snr_hat, the
         # square of that small number, lands well over 5 se_snr below the SNR,
         # because se_snr, propagated at the estimate, shrinks with it.
         # sqrt(snr_hat) stays 2 se from sqrt(snr).
@@ -881,12 +891,14 @@ class TestMcCommand:
         def low(src, ch, noise, cfg):
             emp = real(src, ch, noise, cfg)
             se = math.hypot(emp.se_mean_h0, emp.se_mean_h1)
-            shift = snr_pc(src, ch, noise).mean_h1 - 2.0 * se - (emp.mean_h1 - emp.mean_h0)
+            exact = snr_pc(src, ch, noise)
+            shifts = {0: exact.mean_h0 - emp.mean_h0,
+                      2: exact.mean_h1 - 2.0 * se - emp.mean_h1}
             block = qillum.montecarlo._block_trial_means
 
-            def shifted(out, pairs, weights, m, seed, stream, index):
-                means = block(out, pairs, weights, m, seed, stream, index)
-                return means + shift if stream == 2 else means
+            def shifted(out, scratch, weights, m, seed, stream, index):
+                means = block(out, scratch, weights, m, seed, stream, index)
+                return means + shifts[stream]
 
             with monkeypatch.context() as patch:
                 patch.setattr(qillum.montecarlo, "_block_trial_means", shifted)

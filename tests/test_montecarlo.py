@@ -20,7 +20,7 @@ from qillum.montecarlo import (
     sample_quadratures,
     simulate_pc_receiver,
 )
-from qillum.montecarlo import _CHUNK, _MAX_WORKERS, _block_trial_means, _count_weights
+from qillum.montecarlo import _MAX_WORKERS, _block_generator, _block_trial_means, _count_weights
 from qillum.receiver import beamsplitter_moments, half_erfc, snr_pc
 from qillum.states import (
     ChannelParams,
@@ -139,14 +139,14 @@ BLOCK = 2 ** 16  # samples per block of the stream layout
 
 def shipped_trial_means(weights, m: int, seed: int, stream: int, n: int) -> np.ndarray:
     """A stream's first n trial means, drawn block after block by the samplers' block worker."""
-    pairs = np.empty((_CHUNK, 2))
-    return np.concatenate([_block_trial_means(np.empty(min(BLOCK, n - start)), pairs,
+    scratch = np.empty(BLOCK)
+    return np.concatenate([_block_trial_means(np.empty(min(BLOCK, n - start)), scratch,
                                               weights, m, seed, stream, block)
                            for block, start in enumerate(range(0, n, BLOCK))])
 
 
 class TestStreamLayout:
-    """Samples come from fixed 2**16-sample blocks, block b from counter [0, 0, 0, b]."""
+    """Samples come from fixed 2**16-sample blocks, block b from SFC64(SeedSequence(k, spawn_key=(s, b)))."""
 
     SIZES = (BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5)
 
@@ -157,7 +157,7 @@ class TestStreamLayout:
         longest = runs[-1]
         for xs in runs:
             assert np.array_equal(xs, longest[:len(xs)])
-        # block 1 is a fresh counter range, not block 0 again
+        # block 1 has its own generator, not block 0's again
         assert not np.array_equal(longest[:8], longest[BLOCK:BLOCK + 8])
 
     def test_pc_mode_prefix_independent_of_count(self):
@@ -170,14 +170,13 @@ class TestStreamLayout:
 
     @pytest.mark.parametrize("n", [2, 1000, BLOCK])
     def test_block_zero_is_the_single_philox_draw(self, n):
-        # the whole-sample draw every sampler made before the block layout
-        def philox_normals(stream, width):
-            key = np.array([33, stream], dtype=np.uint64)
-            return np.random.Generator(np.random.Philox(key=key)).standard_normal((n, width))
+        # up to 2**16 rows, a stream is the single draw of its block-0 generator
+        def block_zero_normals(stream, width):
+            return _block_generator(33, stream, 0).standard_normal((n, width))
 
         state = pc_transform(apply_noise(conditional_states(REF_SRC, REF_CH), NO_NOISE))[1]
         chol = np.linalg.cholesky(state.cov.entries)
-        z = philox_normals(2, 4)
+        z = block_zero_normals(2, 4)
         # the sampler's order: z_i L_ii first, then z_k L_ik for k < i
         xs = state.mean + np.column_stack([sum((z[:, k] * chol[i, k] for k in range(i)),
                                                z[:, i] * chol[i, i]) for i in range(4)])
@@ -229,11 +228,43 @@ class TestStreamLayout:
     def test_trial_block_zero_is_the_single_philox_draw(self):
         weights = _count_weights(REF_SRC, REF_CH, NO_NOISE)[0]
         lam_plus, lam_minus = weights
-        gen = np.random.Generator(np.random.Philox(key=np.array([37, 0], dtype=np.uint64)))
-        g = gen.standard_gamma(50, size=(1000, 2))
+        g = _block_generator(37, 0, 0).standard_gamma(50, size=(1000, 2))
         expected = g[:, 0] * (2.0 * lam_plus / 50) + g[:, 1] * (2.0 * lam_minus / 50)
         got = shipped_trial_means(weights, 50, 37, 0, 1000)
         assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("stream", [0, 2])
+    def test_block_b_is_its_spawned_sfc64_draw(self, stream):
+        lam_plus, lam_minus = weights = _count_weights(REF_SRC, REF_CH, NO_NOISE)[stream // 2]
+        got = shipped_trial_means(weights, 7, 39, stream, 6 * BLOCK)
+        for block in (0, 1, 5):
+            seq = np.random.SeedSequence(39, spawn_key=(stream, block))
+            g = np.random.Generator(np.random.SFC64(seq)).standard_gamma(7, size=(BLOCK, 2))
+            expected = g[:, 0] * (2.0 * lam_plus / 7) + g[:, 1] * (2.0 * lam_minus / 7)
+            assert np.array_equal(got[block * BLOCK:(block + 1) * BLOCK], expected), block
+
+    @pytest.mark.parametrize("m", [1, 50])
+    def test_full_block_takes_two_draws(self, monkeypatch, m):
+        calls = []
+
+        class Counting:
+            """A generator that records each draw method it hands out."""
+
+            def __init__(self, gen):
+                self.gen = gen
+
+            def __getattr__(self, name):
+                calls.append(name)
+                return getattr(self.gen, name)
+
+        real = qillum.montecarlo._block_generator
+        monkeypatch.setattr(qillum.montecarlo, "_block_generator",
+                            lambda *key: Counting(real(*key)))
+        weights = _count_weights(REF_SRC, REF_CH, NO_NOISE)[1]
+        got = _block_trial_means(np.empty(BLOCK), np.empty(BLOCK), weights, m, 40, 2, 3)
+        assert len(calls) == 2
+        # the same bits as the serial route's whole-block draw
+        assert np.array_equal(got, list(trial_mean_blocks(weights, m, 40, 2, 4 * BLOCK))[3])
 
 
 # criterion 1's grid, with N_S = N_I at the quantum correlation
@@ -378,8 +409,7 @@ class TestCountLaw:
             # block 0 is 2 l_+ E_1 + 2 l_- E_2 with E_i ~ Exp(1): numpy's
             # standard_gamma(1) is its standard_exponential
             lam_plus, lam_minus = pair
-            key = np.array([cfg.seed, stream], dtype=np.uint64)
-            e = np.random.Generator(np.random.Philox(key=key)).standard_exponential((BLOCK, 2))
+            e = _block_generator(cfg.seed, stream, 0).standard_exponential((BLOCK, 2))
             assert np.array_equal(counts[:BLOCK],
                                   e[:, 0] * (2.0 * lam_plus) + e[:, 1] * (2.0 * lam_minus))
         # sample j is trial j of the threshold test at m = 1
@@ -677,8 +707,8 @@ class TestWorkers:
     @pytest.mark.parametrize("n", [5, 2 * BLOCK - 1, 3 * BLOCK + 7])
     @pytest.mark.parametrize("m", [1, 50, 800, 10 ** 12])
     def test_block_worker_is_the_serial_draw(self, n, m):
-        # the worker draws _CHUNK rows at a time into its buffers; the serial
-        # route draws each block whole
+        # the worker draws each block in two halves into its scratch buffer;
+        # the serial route draws each block whole
         weights = _count_weights(REF_SRC, REF_CH, NO_NOISE)[1]
         want = np.concatenate(list(trial_mean_blocks(weights, m, 64, 2, n)))
         assert np.array_equal(shipped_trial_means(weights, m, 64, 2, n), want)
@@ -699,7 +729,7 @@ class TestWorkers:
 class TestBoundedMemory:
     """Traced peak memory does not grow with n_samples or n_samples * m."""
 
-    LIMIT = 32e6  # bytes; each worker holds ~1.1 MiB, the old full draws 136-410 MB
+    LIMIT = 32e6  # bytes; each worker holds 1 MiB, the old full draws 136-410 MB
 
     @staticmethod
     def traced_peak(call) -> int:
@@ -722,10 +752,10 @@ class TestBoundedMemory:
     @pytest.mark.parametrize("count", [1, 2, 3])
     def test_receiver_moments_hold_one_block_per_worker(self, monkeypatch, count):
         # a lean block is the trial means and their squares: 2 * 2**16 doubles.
-        # Each worker's buffers are one lean block and a 4096-row chunk of gamma
-        # pairs (64 KiB), allocated by the caller, and nothing else grows with
-        # the sample count. The extra block covers numpy.random's first import
-        # (~1 MB traced) when this test runs alone.
+        # Each worker's buffers are one lean block, allocated by the caller (its
+        # scratch half also takes the gamma pairs, half a block at a time), and
+        # nothing else grows with the sample count. The extra block covers
+        # numpy.random's first import (~1 MB traced) when this test runs alone.
         monkeypatch.setattr(qillum.montecarlo, "_usable_cpus", lambda: count)
         lean_block = 2 * BLOCK * 8
         margin = 256 * 1024
@@ -736,7 +766,7 @@ class TestBoundedMemory:
     def test_receiver_moments_at_a_million_on_many_cpus(self, monkeypatch):
         # the worker cap, not the CPU count, sets how many buffers a call holds
         monkeypatch.setattr(qillum.montecarlo, "_usable_cpus", lambda: 1000)
-        per_worker = 2 * BLOCK * 8 + _CHUNK * 2 * 8  # a lean block and a chunk of gamma pairs
+        per_worker = 2 * BLOCK * 8  # a lean block, whose scratch half also takes the gamma pairs
         cfg = SamplerConfig(seed=44, n_samples=1_000_000)
         peak = self.traced_peak(lambda: simulate_pc_receiver(REF_SRC, REF_CH, NO_NOISE, cfg))
         assert peak < self.LIMIT

@@ -128,6 +128,20 @@ class TestCorrelationBounds:
         src = SourceParams(0.01, 0.01)
         assert c_direct(src) == pytest.approx(0.02, rel=1e-15)
 
+    @pytest.mark.parametrize("ns, ni", [(1e200, 1e200), (1e160, 1e150), (1e308, 2.0)])
+    def test_overflowing_bounds_name_the_flags(self, ns, ni):
+        # the product under the root is inf: a ValueError, not c = inf
+        for bound in (c_quantum, c_direct):
+            with pytest.raises(ValueError, match="--ns and --ni"):
+                bound(SourceParams(ns, ni))
+        # but every finite corr is within the overflowed c_q
+        assert SourceParams(ns, ni, 1.0).corr == 1.0
+
+    def test_bounds_below_the_overflow_keep_their_bits(self):
+        # the largest arguments whose products stay finite
+        assert c_direct(SourceParams(1e300, 1e8)) == 2.0 * math.sqrt(1e300 * 1e8)
+        assert c_quantum(SourceParams(1e-300, 1e300)) == 2.0 * math.sqrt(1e-300 * (1e300 + 1.0))
+
     def test_make_source_modes(self):
         q = make_source(0.01, 0.01, "quantum")
         d = make_source(0.01, 0.01, "direct")
