@@ -19,6 +19,7 @@ the noise a PC receiver adds; the bright-background asymptote where known.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
@@ -27,7 +28,6 @@ import numpy as np
 
 from .bounds import StandardFormPair, _bound_at, _check_coherent_background, cs_qcb
 from .errors import NumericFailure
-from .optimize import illinois_array
 from .states import ChannelParams, NoiseParams, SourceParams, _validate_pulses, c_quantum
 
 LN_HALF = math.log(0.5)
@@ -37,7 +37,7 @@ _TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
 _ERFC_TAIL = 26.0
 _SPLITTER = 134217729.0  # 2**27 + 1, Veltkamp splitting constant
 _SPLIT_SCALE = 2.0 ** 64  # brings any double m under the split's overflow
-# (p_k, q_k), k = 0..9: the coefficients of t^k in P and Q of _log_erfc_nonneg,
+# (p_k, q_k), k = 0..9: the coefficients of t^k in P and Q of _log_erfcx_nonneg,
 # as printed by scripts/fit_log_erfc.py. Q lies in [0.99, 14.1] on [0, 1].
 _LOG_ERFC_PQ = np.array((
     (-1.265512123484646, 1.0),
@@ -146,21 +146,13 @@ def _log_erfcx_nonneg(x: np.ndarray) -> np.ndarray:
     return x / u * (p / q) - np.log1p(0.5 * x)
 
 
-def _log_erfc_nonneg(x: np.ndarray) -> np.ndarray:
-    """ln erfc elementwise over a float array of x >= 0, in numpy alone.
+def _log_erfc_and_slope(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(ln erfc(x), d ln erfc(x)/dx) elementwise over x >= 0, from one rational, in numpy alone.
 
     ln erfc(x) = ln erfcx(x) - x^2 (_log_erfcx_nonneg). The three terms of
     (x/(2+x))*P/Q - log1p(x/2) - x^2 share their sign, so nothing cancels:
     within 6e-16 relative of mpmath on [0, 2e4], and one formula with no
-    branch for any x >= 0.
-    """
-    return _log_erfcx_nonneg(x) - x * x
-
-
-def _log_erfc_and_slope(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(ln erfc(x), d ln erfc(x)/dx) elementwise over x >= 0, from one rational.
-
-    The slope is -2/(sqrt(pi)*erfcx(x)), and erfcx is exp of _log_erfcx_nonneg.
+    branch for any x >= 0. The slope is -2/(sqrt(pi)*erfcx(x)).
     """
     log_erfcx = _log_erfcx_nonneg(x)
     return log_erfcx - x * x, -_TWO_OVER_SQRT_PI * np.exp(-log_erfcx)
@@ -370,10 +362,13 @@ def _erfc_columns(rates, ms) -> list[tuple[list, list]]:
 
     One _erfc_column call over the stacked x = sqrt(rate*m) of every rate:
     each m takes one erfc, which gives both p, bit for bit half_erfc(x), and
-    ln p = LN_HALF + log_erfc(x).
+    ln p = LN_HALF + log_erfc(x). Where rate*m overflows, x is the largest
+    double instead of inf, so the row is p = 0 and ln p = -inf, as a bound
+    row's is.
     """
     with np.errstate(over="ignore"):
         x = np.sqrt(np.multiply.outer(np.array(rates, dtype=float), np.array(ms, dtype=float)))
+    x[np.isinf(x)] = sys.float_info.max
     e, log_e = _erfc_column(x.ravel())
     return list(zip((0.5 * e).reshape(x.shape).tolist(),
                     (LN_HALF + log_e).reshape(x.shape).tolist()))
@@ -384,14 +379,15 @@ def _check_homodyne_optimum(n_signal: float, ch: ChannelParams, ms, log_p) -> No
 
     The column is the closed form ln (1/2)erfc(sqrt(m*rate)) at each m of ms,
     p and ln p bit for bit half_erfc and LN_HALF + log_erfc (_erfc_columns).
-    The numeric minimum comes from a search on [0, m*sqrt(2*kappa*N_S)] for
-    the sign change of the objective's analytic slope, to within
-    min(1e-11*max(shift, sigma), 1e-6*sigma), run for all m in lockstep
-    (optimize.illinois_array; a few steps each). The error names each m
-    where the two disagree by more than 1e-12*max(1, |ln p|). The search
-    takes ln erfc and its slope from one numpy rational
-    (_log_erfc_and_slope); the column stays on the C library's erfc, through
-    _erfc_column.
+    The numeric minimum is the objective at the threshold shift/2, certified
+    by the signs of the objective's analytic slope to be its minimizer over
+    [0, m*sqrt(2*kappa*N_S)] within min(1e-11*max(shift, sigma), 1e-6*sigma)/2,
+    for all m at once (_homodyne_numeric_min). The error names each m where
+    the certificate fails or the two disagree by more than
+    1e-12*max(1, |ln p|), with +-inf read as the largest doubles, so that
+    both -inf agree. The certificate takes ln erfc and its slope from one
+    numpy rational (_log_erfc_and_slope); the column stays on the C
+    library's erfc, through _erfc_column.
     """
     root = math.sqrt(2.0 * ch.reflectivity * n_signal)
     if root == 0.0:
@@ -400,48 +396,68 @@ def _check_homodyne_optimum(n_signal: float, ch: ChannelParams, ms, log_p) -> No
     # w = shift/sigma = m*root/sqrt(m*(2 N_B + 1)), formed so that neither m*root
     # nor m*(2 N_B + 1) can overflow
     w = root * np.sqrt(np.array(ms, dtype=float) / (2.0 * ch.n_background + 1.0))
-    # past w ~ 1.3e154, x*x overflows in the search's ln erfc, which is then -inf
-    with np.errstate(over="ignore"):
+    # past w ~ 2.7e154, x*x overflows in the certificate's ln erfc, which is then
+    # -inf; -inf counts as the most negative double, so that it meets a value
+    # that did not quite overflow, and +inf as the largest
+    with np.errstate(over="ignore", invalid="ignore"):
         log_num = _homodyne_numeric_min(w)
-    bad = np.flatnonzero(~(np.abs(log_num - log_p) <= 1e-12 * np.maximum(1.0, np.abs(log_p))))
+        num, col = (np.clip(v, -sys.float_info.max, sys.float_info.max) for v in (log_num, log_p))
+        ok = np.abs(num - col) <= 1e-12 * np.maximum(1.0, np.abs(col))
+    bad = np.flatnonzero(~ok)
     if bad.size:
         raise NumericFailure(
             "numeric threshold optimization disagrees with the closed form at "
-            + ", ".join(f"M={ms[i]} (log p {log_num[i]!r} vs {log_p[i]!r})" for i in bad)
+            + ", ".join(f"M={ms[i]} (log p {float(log_num[i])!r} vs {float(log_p[i])!r})"
+                        for i in bad)
         )
 
 
-def _homodyne_log_p(tau: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """ln (fa+md)/2 at thresholds tau in [0, w], in units of sigma, where w = shift/sigma.
-
-    fa = erfc(tau)/2 and md = erfc(w - tau)/2, so this is
-    logaddexp(ln erfc(tau), ln erfc(w - tau)) + 2 ln(1/2).
-    """
-    both = _log_erfc_nonneg(np.concatenate((tau, w - tau)))
-    return np.logaddexp(both[:tau.size], both[tau.size:]) + 2.0 * LN_HALF
-
-
 def _homodyne_numeric_min(w: np.ndarray) -> np.ndarray:
-    """_homodyne_log_p at the numeric minimizer over [0, w], one search per element of w.
+    """The objective at tau = w/2 where w/2 is certified its minimizer over [0, w]; else NaN.
 
-    The search follows the sign change of the slope
+    The objective is ln (fa+md)/2 at a threshold tau in units of sigma, where
+    w = shift/sigma, fa = erfc(tau)/2 and md = erfc(w - tau)/2:
+    logaddexp(ln erfc(tau), ln erfc(w - tau)) + 2 ln(1/2). Its slope
     a*D(tau) - (1 - a)*D(w - tau), where D = d ln erfc/dx and a = fa/(fa+md),
-    with ln erfc and D from one rational (_log_erfc_and_slope).
+    is taken at tau- = w/2 - xtol/2 and tau+ = w/2 + xtol/2, with ln erfc and
+    D from one call of one rational (_log_erfc_and_slope) that also gives
+    the objective at w/2. slope(tau-) <= 0 <= slope(tau+), each to within
+    the slope's rounding, puts the minimizer within xtol/2 of w/2. Where
+    w <= xtol, all of [0, w] is, and where the objective at w/2 is -inf,
+    nothing lies below it.
     """
-    def slope(tau: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        both, d = _log_erfc_and_slope(np.concatenate((tau, w[idx] - tau)))
-        lf, lm = both[:tau.size], both[tau.size:]
-        a = np.exp(lf - np.logaddexp(lf, lm))
-        return a * d[:tau.size] - (1.0 - a) * d[tau.size:]
-
     # with u = w/2, a threshold dx (in units of sigma) off w/2 costs about
     # 2 (u dx)^2 in ln p, or 2 u dx once u dx > 1, against the bound 1e-12 u^2.
-    # The search ends within xtol/2 of the slope's sign change. xtol = 1e-11 w
-    # alone would break the bound from u ~ 7e4, so it is capped at 1e-6, which
-    # binds for u > 5e4 and keeps the cost within half the bound at any u
-    tau = illinois_array(slope, np.zeros_like(w), w,
-                         xtol=np.minimum(1e-11 * np.maximum(w, 1.0), 1e-6))
-    return _homodyne_log_p(tau, w)
+    # xtol = 1e-11 w alone would break the bound from u ~ 7e4, so it is capped
+    # at 1e-6, which binds for u > 5e4 and keeps the cost within half the bound
+    # at any u. From u = 2**33 ~ 8.6e9, w/2 +- xtol/2 rounds to w/2: there
+    # tau- and tau+ are w/2's adjacent doubles. They leave [0, w] only where
+    # w < xtol, whose slopes go unread
+    xtol = np.minimum(1e-11 * np.maximum(w, 1.0), 1e-6)
+    half = 0.5 * w
+    lo = np.minimum(half - 0.5 * xtol, np.nextafter(half, -math.inf))
+    hi = np.maximum(half + 0.5 * xtol, np.nextafter(half, math.inf))
+    n = w.size
+    log_e, d = _log_erfc_and_slope(np.concatenate((lo, hi, w - lo, w - hi, half)))
+    df, dm = d[:2 * n], d[2 * n:4 * n]
+    slope = _homodyne_slope(log_e[:2 * n], log_e[2 * n:4 * n], df, dm)
+    # below u ~ 2e-4 the slope at w/2 +- xtol/2 nears its rounding, which reaches
+    # 0.44 eps (|df| + |dm|), so a slope within 4 eps (|df| + |dm|) of 0 passes
+    # either test. A minimizer that this hides moves ln p from its value at w/2
+    # by less than slack*u/2, which is within 2e-15 max(1, |ln p|)
+    slack = 4.0 * sys.float_info.epsilon * (np.abs(df) + np.abs(dm))
+    log_mid = np.logaddexp(log_e[4 * n:], log_e[4 * n:]) + 2.0 * LN_HALF
+    certified = ((slope[:n] <= slack[:n]) & (slope[n:] >= -slack[n:])) | (w <= xtol)
+    return np.where(certified | (log_mid == -math.inf), log_mid, math.nan)
+
+
+def _homodyne_slope(lf, lm, df, dm):
+    """d/dtau of the objective ln (fa+md)/2: a*df - (1 - a)*dm, where a = fa/(fa+md).
+
+    lf, lm are ln erfc, and df, dm its slope, at tau and at w - tau.
+    """
+    a = np.exp(lf - np.logaddexp(lf, lm))
+    return a * df - (1.0 - a) * dm
 
 
 @dataclass(frozen=True)

@@ -174,6 +174,19 @@ class TestSweepCommand:
         assert [row[0] for row in rows] == list(RECEIVER_ORDER)
         assert all(row[1] == str(int(float(m))) and row[2] == "0" for row in rows)
 
+    def test_threshold_rows_past_an_overflowing_m_rate_print_zero_and_inf(self, capsys):
+        # M*rate overflowed at the CS+Hom row, and qi exited 2 with "erfc
+        # argument must be finite, got inf", which named no flag; the row now
+        # reads p_error 0 and exponent inf, as the bound rows past underflow do
+        rc, out, err = run_cli(capsys, ["sweep", "--ns", "100", "--ni", "100", "--kappa", "1",
+                                        "--nb", "0", "--m", "1e308"])
+        assert rc == 0, err
+        rows = {line.split(",")[0]: line.split(",")[2:] for line in out.splitlines()[1:]}
+        assert list(rows) == list(RECEIVER_ORDER)
+        assert rows["CS+Hom"] == ["0", "inf", "50"]
+        assert rows["CS-QCB"] == ["0", "inf", "100"]
+        assert all(row[0] == "0" for row in rows.values())
+
     def test_byte_stable_across_runs(self, capsys):
         argv = ["sweep"] + REF_FLAGS + ["--m-log", "1e5,1e8,5"]
         rc1, out1, _ = run_cli(capsys, argv)

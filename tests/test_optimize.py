@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-import qillum.optimize
-from qillum.optimize import illinois_array
+import _oracles
+from _oracles import illinois_array
 
 EPS = np.finfo(float).eps
 
@@ -127,7 +127,7 @@ def test_problems_still_live_at_the_cap_return_their_bracket_midpoint(monkeypatc
         steps.append(idx.copy())
         return f(t, idx)
 
-    monkeypatch.setattr(qillum.optimize, "_MAX_ITER", 8)
+    monkeypatch.setattr(_oracles, "_MAX_ITER", 8)
     capped = illinois_array(counted, a, b, xtol)
     assert len(steps) == 1 + 8
     live = steps[-1]

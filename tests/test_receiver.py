@@ -2,6 +2,7 @@
 import argparse
 import importlib.util
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -11,8 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import (ErrorProbabilities, golden_section, homodyne_errors, pc_transform,
-                      scalar_half_exp, scalar_log_erfc, snr_from_moments, ulp_error)
+from _oracles import (ErrorProbabilities, golden_section, homodyne_errors, homodyne_log_p,
+                      homodyne_search_min, log_erfc_nonneg, pc_transform, scalar_half_exp,
+                      scalar_log_erfc, snr_from_moments, ulp_error)
 
 import qillum.receiver
 from qillum.cli import ScenarioParams, SweepSpec, _parse_m_values
@@ -30,11 +32,9 @@ from qillum.receiver import (
     _erfc_column,
     _erfc_columns,
     _exp_points,
-    _homodyne_log_p,
     _two_product,
     _homodyne_numeric_min,
     _log_erfc_and_slope,
-    _log_erfc_nonneg,
     half_erfc,
     half_exp,
     homodyne_min_error,
@@ -71,6 +71,52 @@ def cs_hom_points(n_signal: float, ch: ChannelParams, ms) -> list[tuple[float, f
     _, p, log_p = sweep_points([RECEIVERS["CS+Hom"]], Scenario(SourceParams(n_signal, 0.0), ch),
                                ms)[0]
     return list(zip(p, log_p))
+
+
+def _agrees(value, log_p) -> np.ndarray:
+    """The CS+Hom check's rule: within 1e-12 max(1, |ln p|), with -inf read as -max double."""
+    value, log_p = (np.maximum(v, -sys.float_info.max) for v in (value, log_p))
+    return np.abs(value - log_p) <= 1e-12 * np.maximum(1.0, np.abs(log_p))
+
+
+def _threshold_sweep_checks(monkeypatch, seed: int) -> list:
+    """(w, ln p column) of each CS+Hom check that perfbench's threshold_sweep makes at seed."""
+    root = Path(__file__).resolve().parents[1] / "perfbench"
+
+    def load(name, alias):
+        spec = importlib.util.spec_from_file_location(alias, root / f"{name}.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+
+    # workloads.py imports its sibling receivers.py by that name
+    monkeypatch.setitem(sys.modules, "receivers", load("receivers", "receivers"))
+    workloads = load("workloads", "perfbench_workloads")
+    real = qillum.receiver._homodyne_numeric_min
+    seen = []
+
+    def recorded(w):
+        seen.append(w)
+        return real(w)
+
+    checks = []
+    with monkeypatch.context() as patch:
+        patch.setattr(qillum.receiver, "_homodyne_numeric_min", recorded)
+        for params in workloads.draw_scenarios(seed, "threshold_sweep",
+                                               workloads.THRESHOLD_SCENARIOS):
+            _, _, log_p = sweep_points([RECEIVERS["CS+Hom"]], Scenario(*params.resolve()),
+                                       workloads.THRESHOLD_M)[0]
+            checks.append((seen[-1], np.array(log_p)))
+    return checks
+
+
+def _rejected(n_signal: float, ch: ChannelParams, ms, log_p) -> set:
+    """The pulse counts that _check_homodyne_optimum names, as strings."""
+    try:
+        _check_homodyne_optimum(n_signal, ch, ms, log_p)
+    except NumericFailure as failure:
+        return set(re.findall(r"M=(\d+) \(", str(failure)))
+    return set()
 
 
 class TestErfc:
@@ -139,7 +185,7 @@ class TestErfc:
             np.linspace(0.0, 30.0, 3001),
             np.geomspace(26.0, 2e4, 301),
         ])
-        got = _log_erfc_nonneg(xs)
+        got = log_erfc_nonneg(xs)
         want = np.array([log_erfc(float(x)) for x in xs])
         assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
         with mpmath.workdps(50):  # log1p(-erf) where 1 - erfc(x) is below 50 digits
@@ -159,7 +205,7 @@ class TestErfc:
             np.geomspace(26.0, 2e4, 301),
         ])
         log_erfc_xs, got = _log_erfc_and_slope(xs)
-        assert np.array_equal(log_erfc_xs, _log_erfc_nonneg(xs))
+        assert np.array_equal(log_erfc_xs, log_erfc_nonneg(xs))
         with mpmath.workdps(50):
             exact = np.array([float(-2 / (mpmath.sqrt(mpmath.pi) * mpmath.exp(x * x) * mpmath.erfc(x)))
                               for x in map(mpmath.mpf, xs.tolist())])
@@ -317,9 +363,51 @@ class TestHugePulseCounts:
         ms = [int(1e300), int(1e308)]
         _, log_p = _erfc_points(homodyne_rate(0.5, ch), ms)
         _check_homodyne_optimum(0.5, ch, ms, log_p)
+        doctored = log_p[0] * (1 + 1e-11)
         with pytest.raises(NumericFailure, match=rf"at M={ms[0]} \(") as bad:
-            _check_homodyne_optimum(0.5, ch, ms, [log_p[0] * (1 + 1e-11), log_p[1]])
+            _check_homodyne_optimum(0.5, ch, ms, [doctored, log_p[1]])
         assert f"M={ms[1]}" not in str(bad.value)
+        # both values print as plain floats, not as numpy 2's np.float64(...)
+        found = re.search(rf"M={ms[0]} \(log p (\S+) vs (\S+)\)$", str(bad.value))
+        assert "np.float64" not in str(bad.value)
+        assert float(found[2]) == doctored
+        assert abs(float(found[1]) - log_p[0]) <= 1e-12 * abs(log_p[0])
+
+    def test_threshold_rows_where_m_rate_overflows_are_zero_and_minus_inf(self):
+        # x = sqrt(m*rate) was inf there, and _erfc_column raised "erfc argument
+        # must be finite, got inf", which named no flag; every other row keeps
+        # the bits of the per-row route
+        rates = (2.3e-6, 0.43, 50.0, 1e300)
+        ms = [10, int(1e300), int(1e307), int(1e308), int(sys.float_info.max)]
+        overflowed = 0
+        for rate, (p, log_p) in zip(rates, _erfc_columns(rates, ms)):
+            for m, p_m, log_p_m in zip(ms, p, log_p):
+                if math.isinf(m * rate):
+                    overflowed += 1
+                    assert (p_m, log_p_m) == (0.0, -math.inf)
+                else:
+                    x = math.sqrt(m * rate)
+                    assert _bits(p_m) == _bits(0.5 * math.erfc(x)), (rate, m)
+                    assert _bits(log_p_m) == _bits(LN_HALF + scalar_log_erfc(x)), (rate, m)
+        assert overflowed == 7
+
+    def test_self_check_accepts_minus_inf_where_x_squared_overflows(self):
+        # at N_S = 8, kappa = 1, N_B = 0 the rate is 4 and sqrt(2 kappa N_S) = 4:
+        # at m = (x/2)^2 the row's x = sqrt(4 m) and the check's w/2 = 2 sqrt(m)
+        # are both x. Above sqrt(max double) m*rate overflows: the row is p = 0
+        # and ln p = -inf, and so is the certificate's value at w/2. Below it the
+        # row's ln erfc is -inf as well (its Dekker product of x*x overflows
+        # from 2**26 doubles below), but the certificate's value is finite, and
+        # the check reads -inf as the most negative double
+        xs = sorted(_neighbours(math.sqrt(sys.float_info.max)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            log_num = _homodyne_numeric_min(2.0 * np.array(xs))
+        overflows = [math.isinf(x * x) for x in xs]
+        assert np.isinf(log_num).tolist() == overflows == [False] * 4 + [True] * 3
+        ms = [int((0.5 * x) ** 2) for x in xs]
+        for x, (p, log_p) in zip(xs, cs_hom_points(8.0, ChannelParams(1.0, 0.0), ms)):
+            assert p == 0.0
+            assert log_p == LN_HALF + log_erfc(x) == -math.inf, x
 
 
 class TestSweepKernel:
@@ -636,33 +724,97 @@ class TestHomodyne:
                             ms * math.sqrt(2.0 * 0.3 * 0.5) / np.sqrt(ms * (2.0 * 0.2 + 1.0))))
         xtol = np.minimum(1e-11 * np.maximum(w, 1.0), 1e-6)
         got = _homodyne_numeric_min(w)
-        rise = _homodyne_log_p(0.5 * w + 0.5 * xtol, w) - _homodyne_log_p(0.5 * w, w)
+        rise = homodyne_log_p(0.5 * w + 0.5 * xtol, w) - homodyne_log_p(0.5 * w, w)
         for wi, xi, gi, ri in zip(w, xtol, got, rise):
             def objective(t):
-                return _homodyne_log_p(np.array([t]), np.array([wi]))[0]
+                return homodyne_log_p(np.array([t]), np.array([wi]))[0]
             want = objective(golden_section(objective, 0.0, wi, xtol=xi))
             assert abs(gi - want) <= 1e-14 * max(1.0, abs(want)) + ri, wi
             assert abs(gi - (LN_HALF + log_erfc(0.5 * wi))) <= 1e-12 * max(1.0, abs(want)), wi
 
     def test_self_check_search_takes_few_steps(self, monkeypatch):
-        # calls of the slope per lockstep search, the first holding both ends:
-        # golden section took 54 on any grid. Past u ~ 2e5 the minimum is a
-        # kink narrower than xtol, reached by halving the far end's slope
+        # evaluations of the slope's rational per check: golden section took
+        # 54 on any grid and the lockstep Illinois search up to 14; the
+        # certificate takes both of its slopes and the value at w/2 from one
         calls = []
-        search = qillum.receiver.illinois_array
+        real = qillum.receiver._log_erfcx_nonneg
 
-        def counted(f, a, b, xtol):
-            calls.append(0)
+        def counted(x):
+            calls.append(x.size)
+            return real(x)
 
-            def g(t, idx):
-                calls[-1] += 1
-                return f(t, idx)
-            return search(g, a, b, xtol)
+        monkeypatch.setattr(qillum.receiver, "_log_erfcx_nonneg", counted)
+        for w in (2.0 * np.geomspace(1e-4, 1e4, 500), 2.0 * np.geomspace(1e-4, 2.3e7, 3000)):
+            calls.clear()
+            assert not np.isnan(_homodyne_numeric_min(w)).any()
+            assert calls == [5 * w.size]
 
-        monkeypatch.setattr(qillum.receiver, "illinois_array", counted)
-        _homodyne_numeric_min(2.0 * np.geomspace(1e-4, 1e4, 500))
-        _homodyne_numeric_min(2.0 * np.geomspace(1e-4, 2.3e7, 3000))
-        assert calls[0] <= 4 and calls[1] <= 14
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_certificate_accepts_every_m_the_search_accepts(self, monkeypatch, seed):
+        # the former lockstep Illinois search (_oracles.homodyne_search_min) as
+        # the oracle, on random w with u = w/2 from 1e-6 to the doubles either
+        # side of sqrt(max double), where ln erfc(u) turns -inf, on w either
+        # side of xtol = 1e-11, below which neither takes a slope, and on the
+        # checks of perfbench's threshold_sweep at this seed. The search ends
+        # within xtol/2 of w/2, so the two values may differ by the
+        # objective's rise from w/2 to tau+, and by their rounding
+        rng = np.random.default_rng(40 + seed)
+        u = np.concatenate((10 ** rng.uniform(-6.0, math.log10(sys.float_info.max) / 2, 4000),
+                            _neighbours(math.sqrt(sys.float_info.max)),
+                            [0.0, 1e-300, 4.9e-12, 5e-12, 5.1e-12]))
+        grids = [(2.0 * u, LN_HALF + _erfc_column(u)[1])]
+        grids += _threshold_sweep_checks(monkeypatch, seed)
+        for w, log_p in grids:
+            # tau+ is w/2 + xtol/2, or else w/2's next double
+            half = 0.5 * w
+            xtol = np.minimum(1e-11 * np.maximum(w, 1.0), 1e-6)
+            hi = np.maximum(half + 0.5 * xtol, np.nextafter(half, math.inf))
+            with np.errstate(over="ignore", invalid="ignore"):
+                got, want = _homodyne_numeric_min(w), homodyne_search_min(w)
+                rise = homodyne_log_p(hi, w) - homodyne_log_p(half, w)
+            assert _agrees(want, log_p).all()
+            assert _agrees(got, log_p).all()
+            finite = np.isfinite(want)
+            assert np.array_equal(got[~finite], want[~finite])
+            gap = np.abs(got[finite] - want[finite])
+            assert np.all(gap <= rise[finite] + 4.0 * np.spacing(np.abs(want[finite])))
+
+    def test_certificate_rejects_every_ln_p_the_search_rejects(self, monkeypatch):
+        # ln p doctored by 2 to 1e3 times the 1e-12 bound either way, relative
+        # and absolute, or made non-finite, at u = w/2 from 0.23 to 2.3e8: every
+        # M that the check with its former search named, the check names now.
+        # The former rule also took any ln p of +-inf, whose bound was then
+        # infinite; the check now names every M of such a column
+        ch = ChannelParams(0.3, 0.2)
+        ms = sorted({int(m) for m in np.geomspace(1.0, 1e18, 120)})
+        _, log_p = _erfc_points(homodyne_rate(0.5, ch), ms)
+        log_p = np.array(log_p)
+        doctored = [log_p + d * np.maximum(1.0, np.abs(log_p)) * 1e-12
+                    for d in (-1e3, -10.0, -2.0, 2.0, 10.0, 1e3)]
+        doctored += [log_p * (1.0 + d * 1e-12) for d in (-10.0, -2.0, 2.0, 10.0)]
+        doctored += [np.where(np.arange(log_p.size) % 3 == 0, v, log_p)
+                     for v in (math.nan, math.inf, -math.inf)]
+        assert not _rejected(0.5, ch, ms, log_p)
+        for column in doctored:
+            with monkeypatch.context() as patch:
+                patch.setattr(qillum.receiver, "_homodyne_numeric_min", homodyne_search_min)
+                before = _rejected(0.5, ch, ms, column.tolist())
+            after = _rejected(0.5, ch, ms, column.tolist())
+            assert before <= after
+            assert after == {str(m) for m, v, lp in zip(ms, column, log_p) if v != lp}
+
+    @pytest.mark.parametrize("bias", [-1e-3, 1e-3])
+    def test_certificate_rejects_an_asymmetric_objective(self, monkeypatch, bias):
+        # a slope biased by a constant is that of an objective tilted by
+        # bias*tau, whose minimizer is off w/2 by far more than xtol/2: the
+        # value at w/2 still meets ln p, but the slopes no longer bracket it
+        ms = [10 ** k for k in range(1, 9)]
+        _, log_p = _erfc_points(homodyne_rate(0.01, REF_CH), ms)
+        assert not _rejected(0.01, REF_CH, ms, log_p)
+        real = qillum.receiver._homodyne_slope
+        monkeypatch.setattr(qillum.receiver, "_homodyne_slope",
+                            lambda *args: real(*args) + bias)
+        assert _rejected(0.01, REF_CH, ms, log_p) == {str(m) for m in ms}
 
     def test_zero_reflectivity_gives_half(self):
         opt = homodyne_min_error(0.01, ChannelParams(0.0, 20.0), 10)
