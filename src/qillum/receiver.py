@@ -82,7 +82,10 @@ def _log_erfc_tail(x: np.ndarray) -> np.ndarray:
     where x*x overflows, ln erfc(x) is -inf.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        hi, lo = _two_product(x, x)
+        # the product of x/4 scaled back by 16, both exact: Veltkamp's high half
+        # of x itself rounds up to 2**512 within 2**26 doubles below
+        # sqrt(max double), and its square overflows where x*x does not
+        hi, lo = (16.0 * v for v in _two_product(0.25 * x, 0.25 * x))
         t = 0.5 / hi
         series = 1.0
         for k in (15.0, 13.0, 11.0, 9.0, 7.0, 5.0, 3.0, 1.0):
@@ -380,9 +383,10 @@ def _check_homodyne_optimum(n_signal: float, ch: ChannelParams, ms, log_p) -> No
     The column is the closed form ln (1/2)erfc(sqrt(m*rate)) at each m of ms,
     p and ln p bit for bit half_erfc and LN_HALF + log_erfc (_erfc_columns).
     The numeric minimum is the objective at the threshold shift/2, certified
-    by the signs of the objective's analytic slope to be its minimizer over
-    [0, m*sqrt(2*kappa*N_S)] within min(1e-11*max(shift, sigma), 1e-6*sigma)/2,
-    for all m at once (_homodyne_numeric_min). The error names each m where
+    by the signs of the objective's analytic slope either side of it to be a
+    local minimizer within min(1e-11*max(shift, sigma), 1e-6*sigma)/2, for
+    all m at once; the objective is unimodal on [0, m*sqrt(2*kappa*N_S)], so
+    that is its minimizer there (_homodyne_numeric_min). The error names each m where
     the certificate fails or the two disagree by more than
     1e-12*max(1, |ln p|), with +-inf read as the largest doubles, so that
     both -inf agree. The certificate takes ln erfc and its slope from one
@@ -413,40 +417,47 @@ def _check_homodyne_optimum(n_signal: float, ch: ChannelParams, ms, log_p) -> No
 
 
 def _homodyne_numeric_min(w: np.ndarray) -> np.ndarray:
-    """The objective at tau = w/2 where w/2 is certified its minimizer over [0, w]; else NaN.
+    """The objective at tau = w/2 where its slopes certify w/2 the minimizer over [0, w]; else NaN.
 
     The objective is ln (fa+md)/2 at a threshold tau in units of sigma, where
     w = shift/sigma, fa = erfc(tau)/2 and md = erfc(w - tau)/2:
     logaddexp(ln erfc(tau), ln erfc(w - tau)) + 2 ln(1/2). Its slope
     a*D(tau) - (1 - a)*D(w - tau), where D = d ln erfc/dx and a = fa/(fa+md),
-    is taken at tau- = w/2 - xtol/2 and tau+ = w/2 + xtol/2, with ln erfc and
-    D from one call of one rational (_log_erfc_and_slope) that also gives
-    the objective at w/2. slope(tau-) <= 0 <= slope(tau+), each to within
-    the slope's rounding, puts the minimizer within xtol/2 of w/2. Where
-    w <= xtol, all of [0, w] is, and where the objective at w/2 is -inf,
+    is taken at tau+ = w/2 + xtol/2 and its mirror tau- = w - tau+, with
+    ln erfc and D from one call of one rational (_log_erfc_and_slope) at
+    tau-, tau+ and w/2, the last for the objective at w/2.
+    slope(tau-) <= 0 <= slope(tau+), each to within the slope's rounding,
+    puts a local minimizer within xtol/2 of w/2. The objective is unimodal
+    on [0, w], so that is its minimizer there: the slope of
+    erfc(tau) + erfc(w - tau) is (2/sqrt(pi))(exp(-(w - tau)^2) - exp(-tau^2)),
+    negative below w/2 and positive above it. Where w <= xtol, all of [0, w]
+    lies within xtol/2 of w/2, and where the objective at w/2 is -inf,
     nothing lies below it.
     """
     # with u = w/2, a threshold dx (in units of sigma) off w/2 costs about
     # 2 (u dx)^2 in ln p, or 2 u dx once u dx > 1, against the bound 1e-12 u^2.
     # xtol = 1e-11 w alone would break the bound from u ~ 7e4, so it is capped
     # at 1e-6, which binds for u > 5e4 and keeps the cost within half the bound
-    # at any u. From u = 2**33 ~ 8.6e9, w/2 +- xtol/2 rounds to w/2: there
-    # tau- and tau+ are w/2's adjacent doubles. They leave [0, w] only where
-    # w < xtol, whose slopes go unread
+    # at any u. From u = 2**33 ~ 8.6e9, w/2 + xtol/2 rounds to w/2: there tau+
+    # is w/2's next double. tau- leaves [0, w] only where w < xtol, whose
+    # slopes go unread
     xtol = np.minimum(1e-11 * np.maximum(w, 1.0), 1e-6)
     half = 0.5 * w
-    lo = np.minimum(half - 0.5 * xtol, np.nextafter(half, -math.inf))
     hi = np.maximum(half + 0.5 * xtol, np.nextafter(half, math.inf))
+    # hi - half is a whole number of half's ulps, so lo = w - hi = half - (hi - half)
+    # is exact, and w - lo is hi: the two thresholds are each other's mirror
+    lo = w - hi
     n = w.size
-    log_e, d = _log_erfc_and_slope(np.concatenate((lo, hi, w - lo, w - hi, half)))
-    df, dm = d[:2 * n], d[2 * n:4 * n]
-    slope = _homodyne_slope(log_e[:2 * n], log_e[2 * n:4 * n], df, dm)
+    log_e, d = _log_erfc_and_slope(np.concatenate((lo, hi, half)))
+    lf, df = log_e[:2 * n], d[:2 * n]
+    lm, dm = np.roll(lf, n), np.roll(df, n)
+    slope = _homodyne_slope(lf, lm, df, dm)
     # below u ~ 2e-4 the slope at w/2 +- xtol/2 nears its rounding, which reaches
     # 0.44 eps (|df| + |dm|), so a slope within 4 eps (|df| + |dm|) of 0 passes
     # either test. A minimizer that this hides moves ln p from its value at w/2
     # by less than slack*u/2, which is within 2e-15 max(1, |ln p|)
     slack = 4.0 * sys.float_info.epsilon * (np.abs(df) + np.abs(dm))
-    log_mid = np.logaddexp(log_e[4 * n:], log_e[4 * n:]) + 2.0 * LN_HALF
+    log_mid = np.logaddexp(log_e[2 * n:], log_e[2 * n:]) + 2.0 * LN_HALF
     certified = ((slope[:n] <= slack[:n]) & (slope[n:] >= -slack[n:])) | (w <= xtol)
     return np.where(certified | (log_mid == -math.inf), log_mid, math.nan)
 

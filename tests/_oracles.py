@@ -848,19 +848,21 @@ def scalar_log_erfc(x: float) -> float:
     The column kernel must give these bits: log1p(-erf(x)) while
     erfc(x) >= 1/2, log(erfc(x)) in the mid range, and for x >= 26 the
     asymptotic series with x^2 carried exactly as hi + lo (-inf where x*x
-    overflows).
+    overflows), from the product of x/4 so that no half of it overflows
+    where x*x does not.
     """
     if not math.isfinite(x):
         raise ValueError(f"log_erfc argument must be finite, got {x}")
     if x >= 26.0:
         if math.isinf(x * x):
             return -math.inf
-        # x*x == hi + lo exactly (Dekker), from Veltkamp's split of x
-        c = 134217729.0 * x
-        xh = c - (c - x)
-        xl = x - xh
+        # x*x == hi + lo exactly (Dekker), from Veltkamp's split of q = x/4
+        q = 0.25 * x
+        c = 134217729.0 * q
+        qh = c - (c - q)
+        ql = q - qh
         hi = x * x
-        lo = ((xh * xh - hi) + xh * xl + xl * xh) + xl * xl
+        lo = 16.0 * (((qh * qh - q * q) + qh * ql + ql * qh) + ql * ql)
         t = 0.5 / hi
         series = 1.0
         for k in (15.0, 13.0, 11.0, 9.0, 7.0, 5.0, 3.0, 1.0):

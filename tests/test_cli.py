@@ -187,6 +187,19 @@ class TestSweepCommand:
         assert rows["CS-QCB"] == ["0", "inf", "100"]
         assert all(row[0] == "0" for row in rows.values())
 
+    def test_threshold_rows_just_below_an_overflowing_m_rate_stay_finite(self, capsys):
+        # rate 4 and M*rate = 1.8e308 put x = sqrt(M*rate) 4e-9 below sqrt(max
+        # double): ln erfc(x) read -inf there although x*x is finite, and the
+        # CS+Hom self-check, whose own value stayed finite, raised NumericFailure
+        m = "4.4942328e307"
+        rc, out, err = run_cli(capsys, ["sweep", "--receivers", "CS+Hom", "--ns", "8",
+                                        "--kappa", "1", "--nb", "0", "--m", m])
+        assert rc == 0, err
+        p, exponent, rate = out.splitlines()[1].split(",")[2:]
+        assert (p, rate) == ("0", "4")
+        assert math.isfinite(float(exponent))
+        assert float(exponent) == pytest.approx(4.0 * float(m), rel=1e-12)
+
     def test_byte_stable_across_runs(self, capsys):
         argv = ["sweep"] + REF_FLAGS + ["--m-log", "1e5,1e8,5"]
         rc1, out1, _ = run_cli(capsys, argv)

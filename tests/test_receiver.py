@@ -74,8 +74,8 @@ def cs_hom_points(n_signal: float, ch: ChannelParams, ms) -> list[tuple[float, f
 
 
 def _agrees(value, log_p) -> np.ndarray:
-    """The CS+Hom check's rule: within 1e-12 max(1, |ln p|), with -inf read as -max double."""
-    value, log_p = (np.maximum(v, -sys.float_info.max) for v in (value, log_p))
+    """The CS+Hom check's rule: within 1e-12 max(1, |ln p|), with +-inf read as +-max double."""
+    value, log_p = (np.clip(v, -sys.float_info.max, sys.float_info.max) for v in (value, log_p))
     return np.abs(value - log_p) <= 1e-12 * np.maximum(1.0, np.abs(log_p))
 
 
@@ -289,6 +289,31 @@ class TestErfcColumn:
         assert log_erfc(1e155) == -math.inf
         assert log_erfc(-0.0) == 0.0 and log_erfc(26.0) < -675.0
 
+    def test_tail_is_finite_wherever_x_squared_is(self):
+        # from 1.3407807830046643e154, 2**26 doubles below sqrt(max double),
+        # Veltkamp's split of x rounded up to 2**512, whose square overflows,
+        # and ln erfc(x) read -inf although x*x is finite up to sqrt(max double)
+        root_max = math.sqrt(sys.float_info.max)
+        rng = np.random.default_rng(19)
+        xs = [x for x in _neighbours(1.3407807830046643e154) + _neighbours(root_max)
+              if x <= root_max]
+        xs += (root_max * (1.0 - 2.0 ** -rng.uniform(20.0, 52.0, 200))).tolist()
+        with mpmath.workdps(50):
+            for x in xs:
+                exact = mpmath.log(mpmath.erfc(mpmath.mpf(x)))
+                assert ulp_error(log_erfc(x), exact) <= 1.0, x
+
+    def test_scaled_square_keeps_the_bits_below_that_band(self):
+        # the tail squares x/4 and scales back by 16: both steps are exact, so
+        # wherever the product of x itself was, hi and lo keep their bits
+        rng = np.random.default_rng(21)
+        x = np.concatenate((10 ** rng.uniform(math.log10(26.0), 154.1273, 20_000),
+                            _neighbours(26.0), _neighbours(1.3407807830046641e154)))
+        x = x[(x >= 26.0) & (x < 1.3407807830046643e154)]
+        scaled = [16.0 * v for v in _two_product(0.25 * x, 0.25 * x)]
+        for new, old in zip(scaled, _two_product(x, x)):
+            assert np.array_equal(_bits(new), _bits(old))
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_x_raises_the_same_error(self, bad):
         for call in (lambda: log_erfc(bad), lambda: _erfc_column(np.array([1.0, bad, 2.0]))):
@@ -394,20 +419,27 @@ class TestHugePulseCounts:
     def test_self_check_accepts_minus_inf_where_x_squared_overflows(self):
         # at N_S = 8, kappa = 1, N_B = 0 the rate is 4 and sqrt(2 kappa N_S) = 4:
         # at m = (x/2)^2 the row's x = sqrt(4 m) and the check's w/2 = 2 sqrt(m)
-        # are both x. Above sqrt(max double) m*rate overflows: the row is p = 0
-        # and ln p = -inf, and so is the certificate's value at w/2. Below it the
-        # row's ln erfc is -inf as well (its Dekker product of x*x overflows
-        # from 2**26 doubles below), but the certificate's value is finite, and
-        # the check reads -inf as the most negative double
-        xs = sorted(_neighbours(math.sqrt(sys.float_info.max)))
+        # are both x, to a few ulps. Above sqrt(max double) m*rate overflows:
+        # the row is p = 0 and ln p = -inf, and so is the certificate's value
+        # at w/2. Below it both are finite, down to -max double. The row's
+        # ln erfc was -inf from 2**26 doubles below (Veltkamp's split of x
+        # rounded up to 2**512, whose square overflows), and the check named
+        # every M there; x = sqrt(max double)*(1 - 2**-28) is the middle of that band
+        root_max = math.sqrt(sys.float_info.max)
+        xs = sorted(_neighbours(root_max) + _neighbours(1.3407807830046643e154)
+                    + [root_max * (1.0 - 2.0 ** -28)])
         with np.errstate(over="ignore", invalid="ignore"):
             log_num = _homodyne_numeric_min(2.0 * np.array(xs))
         overflows = [math.isinf(x * x) for x in xs]
-        assert np.isinf(log_num).tolist() == overflows == [False] * 4 + [True] * 3
+        assert np.isinf(log_num).tolist() == overflows == [False] * 12 + [True] * 3
         ms = [int((0.5 * x) ** 2) for x in xs]
-        for x, (p, log_p) in zip(xs, cs_hom_points(8.0, ChannelParams(1.0, 0.0), ms)):
+        for x, over, (p, log_p) in zip(xs, overflows,
+                                       cs_hom_points(8.0, ChannelParams(1.0, 0.0), ms)):
             assert p == 0.0
-            assert log_p == LN_HALF + log_erfc(x) == -math.inf, x
+            if over:
+                assert log_p == LN_HALF + log_erfc(x) == -math.inf, x
+            else:
+                assert -sys.float_info.max <= log_p <= -0.99 * x * x, x
 
 
 class TestSweepKernel:
@@ -735,7 +767,8 @@ class TestHomodyne:
     def test_self_check_search_takes_few_steps(self, monkeypatch):
         # evaluations of the slope's rational per check: golden section took
         # 54 on any grid and the lockstep Illinois search up to 14; the
-        # certificate takes both of its slopes and the value at w/2 from one
+        # certificate takes both of its slopes and the value at w/2 from one,
+        # at three points per M: tau-, tau+ and w/2
         calls = []
         real = qillum.receiver._log_erfcx_nonneg
 
@@ -747,20 +780,24 @@ class TestHomodyne:
         for w in (2.0 * np.geomspace(1e-4, 1e4, 500), 2.0 * np.geomspace(1e-4, 2.3e7, 3000)):
             calls.clear()
             assert not np.isnan(_homodyne_numeric_min(w)).any()
-            assert calls == [5 * w.size]
+            assert calls == [3 * w.size]
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_certificate_accepts_every_m_the_search_accepts(self, monkeypatch, seed):
         # the former lockstep Illinois search (_oracles.homodyne_search_min) as
         # the oracle, on random w with u = w/2 from 1e-6 to the doubles either
-        # side of sqrt(max double), where ln erfc(u) turns -inf, on w either
+        # side of sqrt(max double), where ln erfc(u) turns -inf, on random u
+        # within 2**-24 below sqrt(max double), where ln p is finite but
+        # Veltkamp's split of u once overflowed, on w either
         # side of xtol = 1e-11, below which neither takes a slope, and on the
         # checks of perfbench's threshold_sweep at this seed. The search ends
         # within xtol/2 of w/2, so the two values may differ by the
         # objective's rise from w/2 to tau+, and by their rounding
         rng = np.random.default_rng(40 + seed)
-        u = np.concatenate((10 ** rng.uniform(-6.0, math.log10(sys.float_info.max) / 2, 4000),
-                            _neighbours(math.sqrt(sys.float_info.max)),
+        root_max = math.sqrt(sys.float_info.max)
+        u = np.concatenate((10 ** rng.uniform(-6.0, math.log10(root_max), 4000),
+                            _neighbours(root_max),
+                            root_max * (1.0 - 2.0 ** -rng.uniform(24.0, 52.0, 200)),
                             [0.0, 1e-300, 4.9e-12, 5e-12, 5.1e-12]))
         grids = [(2.0 * u, LN_HALF + _erfc_column(u)[1])]
         grids += _threshold_sweep_checks(monkeypatch, seed)
