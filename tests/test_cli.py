@@ -6,7 +6,9 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -17,8 +19,9 @@ import qillum.states
 import qillum.symplectic
 from qillum.bounds import (MAX_BOUND_IDLER_EXCESS, MAX_BOUND_RETURN_EXCESS, MAX_BOUND_SIGNAL_EXCESS,
                            StandardFormPair)
-from qillum.cli import (_SCENARIO_DEFAULTS, RECEIVER_ORDER, ScenarioParams, SweepResult, SweepSpec,
-                        _parse_m_values, compute_sweep, main, sweep_csv)
+from qillum.cli import (_LONG_TABLE, _SCENARIO_DEFAULTS, RECEIVER_ORDER, ScenarioParams,
+                        SweepResult, SweepSpec, _decimal17, _format_17g, _parse_m_values,
+                        compute_sweep, main, sweep_csv)
 from qillum.montecarlo import deflection_se, simulate_pc_receiver
 from qillum.receiver import RECEIVERS, Scenario, homodyne_min_error, snr_pc
 from qillum.states import ChannelParams, SourceParams, c_quantum
@@ -439,13 +442,16 @@ class TestComputeSweep:
         assert compute_sweep(spec) == want
         assert len(calls) == len(want)
 
-    @pytest.mark.parametrize("n_m", [1, 2, 299])
+    # 53 M on 3 receivers and 40 M on 4 are the tables just short of
+    # _LONG_TABLE and at it, one on each side of sweep_csv's fork
+    @pytest.mark.parametrize("n_m", [1, 2, 299, 53, 40])
     def test_csv_equals_the_row_route_on_random_tables(self, n_m):
-        # one % template per column against one f-string per row, on columns
-        # that hold an underflowed p, a subnormal p, an infinite exponent and
-        # M up to 1e308
+        # both sweep_csv routes against one f-string per row, on columns that
+        # hold an underflowed p, a subnormal p, an infinite exponent and M up
+        # to 1e308
         rng = np.random.default_rng(n_m)
         special = [(0.0, 2000.0), (0.0, math.inf), (5e-324, 744.4), (3.1e-310, 707.7)]
+        sizes = set()
         for trial in range(5):
             ms = tuple(sorted({int(m) for m in 10 ** rng.uniform(0, 307, n_m - 1)} | {int(1e308)}))
             receivers = RECEIVER_ORDER[:1 + trial % len(RECEIVER_ORDER)] if trial else RECEIVER_ORDER
@@ -461,6 +467,8 @@ class TestComputeSweep:
                 tuple([e for _, e in column] for column in columns))
             assert sweep_csv(result) == row_sweep_csv(result)
             assert len(sweep_csv(result).splitlines()) == 1 + len(result)
+            sizes.add(len(result))
+        assert {53: _LONG_TABLE - 1, 40: _LONG_TABLE}.get(n_m, len(result)) in sizes
 
     def test_cs_hom_check_past_the_overflow_of_its_search_warns_nothing(self):
         # the check's w = shift/sigma passes ~1.3e154 here, where the search's
@@ -483,6 +491,68 @@ class TestComputeSweep:
         result = compute_sweep(SweepSpec(ScenarioParams(ns=0.01, ni=0.01), (10, 1000, 10 ** 5),
                                          ("QI-QCB", "QI+PC")))
         assert len(result) == len(sweep_csv(result).splitlines()) - 1 == 6
+
+
+class TestFormat17g:
+    """The long-table formatter against Python's own '%.17g', byte for byte."""
+
+    @staticmethod
+    def ties(rng) -> np.ndarray:
+        # exact 17-digit ties: m + 1/4 and m + 3/4 for 16-digit m < 2^51, m + 1/8 for 15-digit m
+        m16 = rng.integers(10 ** 15, 2 ** 51, 20000).astype(float)
+        m15 = rng.integers(10 ** 14, 10 ** 15, 20000).astype(float)
+        return np.concatenate([m16 + 0.25, m16 + 0.75, m15 + 0.125])
+
+    def test_equals_percent_17g_on_a_million_doubles(self):
+        rng = np.random.default_rng(27)
+        # every finite positive double is a bit pattern in [1, 0x7ff0...): subnormals too
+        bits = rng.integers(1, 0x7FF0000000000000, 10 ** 6, dtype=np.int64).view(float)
+        tens = [float(f"1e{k}") for k in range(-323, 309)]
+        # where the 17-digit rounding of x reaches 10^k: (10^17 - 1/2) * 10^(k-17)
+        carries = [float(Fraction(2 * 10 ** 17 - 1, 2) * Fraction(10) ** (k - 17))
+                   for k in range(-323, 309)]
+        values = np.concatenate([
+            bits, [math.ldexp(1.0, k) for k in range(-1074, 1024)],
+            [v for t in tens + carries
+             for v in (math.nextafter(t, 0.0), t, math.nextafter(t, math.inf))],
+            self.ties(rng), [0.0, -0.0, math.inf, math.nan, -math.inf, -1.5]])
+        got = [text.decode("ascii") for text in _format_17g(values).tolist()]
+        assert got == ["%.17g" % v for v in values.tolist()]
+        # the table route, not the fallback, wrote nearly all of them
+        assert _decimal17(bits, qillum.cli._format_tables)[2].mean() > 0.999
+
+    def test_working_memory_is_bounded_on_a_long_table(self):
+        values = np.random.default_rng(29).random(200_000) * 1e-3
+        _format_17g(values[:10])
+        tracemalloc.start()
+        try:
+            texts = _format_17g(values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - texts.nbytes < 1.5e6
+
+    def test_every_tie_takes_the_fallback(self):
+        ties = self.ties(np.random.default_rng(28))
+        _format_17g(ties)
+        assert not _decimal17(ties, qillum.cli._format_tables)[2].any()
+
+    def test_import_and_short_tables_build_no_tables(self):
+        # the tables cost ~0.2 MB and a few ms: only a long table builds them
+        code = (
+            "import contextlib, io, qillum.cli as cli\n"
+            "assert cli._format_tables is None, 'import'\n"
+            "for count, built in ((19, False), (20, True)):\n"
+            "    out = io.StringIO()\n"
+            "    with contextlib.redirect_stdout(out):\n"
+            "        assert cli.main(['sweep', '--m-log', f'1,1e6,{count}']) == 0\n"
+            "    rows = out.getvalue().count('\\n') - 1\n"
+            "    assert (rows >= cli._LONG_TABLE) == built, rows\n"
+            "    assert (cli._format_tables is not None) == built, rows\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(qillum.__file__).resolve().parents[1]))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestBoundRowsHotPath:

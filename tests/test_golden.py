@@ -7,8 +7,10 @@ x = sqrt(M*per_mode_rate) formed in double precision as the program forms it.
 Every bound row must hold p_error = (1/2)exp(-M*per_mode_rate) to within
 2 ulps, with the product M*per_mode_rate taken exactly, and the QI bound
 rows' per_mode_rate must be the 60-digit Chernoff, Bhattacharyya and
-heterodyne-CCB exponent of the scenario to within 1e-12 relative.
+heterodyne-CCB exponent of the scenario to within 1e-12 relative. The
+golden lines must also come out of qi sweep's long-table route verbatim.
 """
+import argparse
 import csv
 import math
 from pathlib import Path
@@ -17,6 +19,7 @@ import mpmath
 import pytest
 
 from _oracles import mp_model_exponents, ulp_error
+from qillum.cli import _LONG_TABLE, _parse_m_values, main
 from qillum.states import ChannelParams, make_source
 
 GOLDEN = Path(__file__).parent / "golden" / "comparison_sweep.csv"
@@ -75,3 +78,18 @@ def test_bound_rate_within_1e12_of_mpmath(receiver):
 def test_chernoff_rate_separates_from_bhattacharyya():
     # s* = 0.5000157, so the Chernoff exponent exceeds the s = 1/2 one by 6.4e-10
     assert _bound_rate("QI-QCB") > _bound_rate("QI-QBB") * (1.0 + 1e-10)
+
+
+def test_golden_lines_from_the_long_table_route(capsys):
+    # the golden M merged into a 288-point grid: 299 M on all eight receivers,
+    # 2392 rows, which sweep_csv writes with _format_17g, not the % template
+    # that writes the 104 golden rows; each golden line must appear verbatim
+    grid = _parse_m_values(argparse.Namespace(m=None, m_log="1e5,1e8,288"))
+    ms = sorted({int(row["M"]) for row in _ROWS} | set(grid))
+    assert main(["sweep", "--ns", "0.01", "--ni", "0.01", "--c", "quantum", "--kappa", "0.01",
+                 "--nb", "20", "--m", ",".join(map(str, ms))]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) - 1 == 8 * len(ms) == 2392 >= _LONG_TABLE
+    written = set(lines)
+    assert [line for line in GOLDEN.read_text(encoding="utf-8").splitlines()
+            if line not in written] == []
