@@ -19,20 +19,17 @@ then M by M, so both carry the same values in the same order.
 
 Every command builds one {params, results, notes} report, which _emit
 writes: its JSON with --json, else the plain report (qi mc's table in place
-of its k=v rows) or the sweep CSV. The resolved parameters go to stderr as a
-params line exactly when stdout does not carry them: with --out, and for the
-CSV, so the data stream stays clean. Exit codes: 0 success, 2 invalid
-parameters, 3 I/O failure, 4 sampling gate failure.
+of its k=v rows) or the sweep CSV. qi sweep builds only what it writes: the
+CSV, or with --json the report's per-row results. The resolved parameters
+go to stderr as a params line exactly when stdout does not carry them: with
+--out, and for the CSV, so the data stream stays clean. Exit codes: 0
+success, 2 invalid parameters, 3 I/O failure, 4 sampling gate failure.
 
 CSV floats are Python's '%.17g', so output is byte-stable. sweep_csv has two
 routes to those bytes, chosen by the table's row count alone: below
 _LONG_TABLE (160, just past the measured crossover) one % template per
 receiver column, and from it one numpy pass over all the table's p_error and
-exponent values (_format_17g). That pass forms x*10^(16-E) to within 2^-102
-of its value, rounds it to the 17-digit integer, and lays its digits out by
-one byte gather; any value whose rounding lies within 2^-40 of a tie, or
-that is not finite and > 0, takes Python's own '%.17g'. Its tables are
-built on the first long table, not at import.
+exponent values (the _format17 module, imported by the first long table).
 """
 from __future__ import annotations
 
@@ -46,8 +43,8 @@ from itertools import chain
 import numpy as np
 
 from .montecarlo import SamplerConfig, deflection_se, simulate_pc_receiver
-from .receiver import (RECEIVERS, Scenario, _two_product, asymptotic_snr, beamsplitter_moments,
-                       snr_pc, sweep_points)
+from .receiver import (RECEIVERS, Scenario, asymptotic_snr, beamsplitter_moments, snr_pc,
+                       sweep_points)
 from .states import ChannelParams, NoiseParams, SourceParams, _validate_pulses, make_source
 
 RECEIVER_ORDER = tuple(RECEIVERS)
@@ -175,170 +172,6 @@ def compute_sweep(spec: SweepSpec) -> SweepResult:
 # ~0.07 ms of numpy calls per table and saves ~0.45 us per row.
 _LONG_TABLE = 160
 
-_TIE_BAND = 2.0 ** -40
-_TEXT_WIDTH = 24     # '%.17g' of a double is at most 24 bytes
-# values formatted at a time, and per byte gather, whose index holds 8 * 24
-# bytes a value: working memory stays under ~1 MB on a table of any length
-_FORMAT_BLOCK = 4096
-_GATHER_ROWS = 256
-_format_tables = None
-
-
-def _build_format_tables() -> dict:
-    """_format_17g's tables, built on the first long table and kept (0.2 MB).
-
-    By frexp exponent b of x in [2^(b-1), 2^b): "e0", the largest E with
-    10^E < 2^b, and "ten", the smallest double that is 10^e0 or more when
-    rounded to 17 digits, so the decimal exponent of x to 17 digits is
-    e0 - (x < ten). By decimal exponent E: 10^(16-E) as
-    (hi + lo) * 2^"shift", hi the top 53 bits of a 111-bit floor and lo the
-    rest, rounded, so hi + lo is within 2^-104 of it; and "exp", the
-    exponent text of E. By 4-digit group u: "digits", its ASCII, and "last",
-    the place of its last nonzero digit among the 17 (0 where u = 0), one row
-    per group. "layout": for each notation class (fixed at E = -4..16, else
-    exponential) and count of significant digits, the source byte of each
-    output byte in a 32-byte row of the 17 digits, '.', '0', NULs and the
-    exponent text; "offsets", the first byte of each row of a gather block.
-    Built in Python and read into arrays as bytes: each numpy
-    operation run here would map more of numpy's code into memory, and a word
-    read from bytes keeps their order on any byte order.
-    """
-    ten, hi, lo, shift = [], [], [], []
-    for e in range(-324, 309):
-        # (10^17 - 1/2) * 10^(E-17): from it up, x to 17 digits is at least 10^E
-        num, den = (2 * 10 ** 17 - 1) * 10 ** max(e - 17, 0), 2 * 10 ** max(17 - e, 0)
-        f = num / den  # correctly rounded
-        p, q = f.as_integer_ratio()
-        ten.append(math.nextafter(f, math.inf) if p * den < num * q else f)
-        num, den = 10 ** max(16 - e, 0), 10 ** max(e - 16, 0)
-        b = num.bit_length() - den.bit_length()
-        b -= num * 2 ** max(-b, 0) < den * 2 ** max(b, 0)
-        top = (num << max(110 - b, 0)) // (den << max(b - 110, 0))  # in [2^110, 2^111)
-        hi.append(math.ldexp(top >> 58, -52))
-        lo.append(math.ldexp(top & (2 ** 58 - 1), -110))
-        shift.append(b)
-    e0 = [math.ceil(b * math.log10(2.0)) - 1 for b in range(-1073, 1025)]
-    dot, zero, nul, exp = 17, 18, 23, 24
-    layout = []
-    for e in range(-4, 18):  # E = 17 stands for every exponential E
-        for n in range(1, 18):
-            if e == 17:
-                row = [0] + ([dot, *range(1, n)] if n > 1 else []) + [*range(exp, exp + 5)]
-            elif e >= 0:
-                row = [*range(e + 1)] + ([dot, *range(e + 1, n)] if n > e + 1 else [])
-            else:
-                row = [zero, dot] + [zero] * (-e - 1) + [*range(n)]
-            layout.append(row + [nul] * (_TEXT_WIDTH - len(row)))
-    # places[k]: the k-th digit of each 4-digit group u = 0..9999, in order
-    places = [b"".join(bytes([48 + i]) * p for i in range(10)) * (1000 // p)
-              for p in (1000, 100, 10, 1)]
-    digits = bytearray(40000)
-    for k, place in enumerate(places):
-        digits[k::4] = place
-    last = []
-    for g in range(4):
-        # the place 4g + k + 1 among the 17 of each nonzero k-th digit of group g, else 0
-        ranks = [np.frombuffer(place.translate(bytes.maketrans(b"0123456789",
-                                                               bytes([0] + 9 * [4 * g + k + 1]))),
-                               dtype=np.uint8) for k, place in enumerate(places)]
-        last.append(np.maximum(np.maximum(ranks[0], ranks[1]), np.maximum(ranks[2], ranks[3])))
-    return {
-        "e0": np.array(e0), "ten": np.array([ten[e + 324] for e in e0]),
-        "hi": np.array(hi), "lo": np.array(lo), "shift": np.array(shift),
-        "pow2": np.array([2.0 ** s for s in range(53, 58)]),
-        "exp": np.frombuffer(b"".join((b"e%+03d" % e).ljust(8, b"\0") for e in range(-324, 309)),
-                             dtype=np.uint64),
-        "digits": np.frombuffer(digits, dtype=np.uint32),
-        "tail": np.frombuffer(b"".join(b"%d.0\0" % d for d in range(10)), dtype=np.uint32),
-        "last": last,
-        "layout": np.array(layout, dtype=np.intp).view(f"V{8 * _TEXT_WIDTH}").ravel(),
-        "offsets": np.array([[32 * i] for i in range(_GATHER_ROWS)]),
-    }
-
-
-def _decimal17(x: np.ndarray, t: dict) -> tuple:
-    """(D, E, exact): x = D * 10^(E-16) to 17 digits, for x > 0 finite; exact where D is sure.
-
-    E is the decimal exponent of x rounded to 17 digits, so D has 17
-    digits. x * 10^(16-E) is formed as a double-double product (Dekker's,
-    receiver._two_product) with the table's 10^(16-E), to within 2^-102 of
-    its value: < 2^-45 in its last place. D is it rounded to an integer.
-    exact is False where its fraction lies within 2^-40 of 1/2 (exact ties,
-    such as m + 0.25 for a 16-digit m, lie there) and where x is not finite
-    and > 0; there D is 10^16, a placeholder.
-    """
-    exact = (x > 0.0) & (x < math.inf)
-    x = np.where(exact, x, 1.0)
-    m, b = np.frexp(x)
-    b += 1073
-    e = t["e0"][b]
-    e[x < t["ten"][b]] -= 1
-    k = e + 324
-    b += t["shift"][k]
-    hi, lo = _two_product(m, t["hi"][k])
-    lo += m * t["lo"][k]
-    scale = t["pow2"][b - (1073 + 53)]
-    lo *= scale
-    rounded = np.rint(lo)
-    exact &= np.abs(np.abs(lo - rounded) - 0.5) >= _TIE_BAND
-    hi *= scale
-    return np.where(exact, hi.astype(np.int64) + rounded.astype(np.int64), 10 ** 16), e, exact
-
-
-def _digit_rows(values: np.ndarray, t: dict) -> tuple:
-    """(rows, key, exact): each value's %g source row and layout key; exact as in _decimal17.
-
-    A row is 32 bytes: D's 17 ASCII digits, '.', '0', NULs and E's exponent
-    text. The key indexes the layout table by (notation class, count of
-    significant digits).
-    """
-    d, e, exact = _decimal17(values, t)
-    # the 17 digits as four groups of four and a last one
-    high, low = np.divmod(d, 10 ** 9)
-    low, tail = np.divmod(low, 10)
-    groups = (*np.divmod(high, 10 ** 4), *np.divmod(low, 10 ** 4))
-    rows = np.zeros((values.size, 8), dtype=np.uint32)
-    for column, group in enumerate(groups):
-        rows[:, column] = t["digits"][group]
-    rows[:, 4] = t["tail"][tail]
-    rows.view(np.uint64)[:, 3] = t["exp"][e + 324]
-    last = t["last"]
-    n = np.maximum(np.maximum(last[0][groups[0]], last[1][groups[1]]),
-                   np.maximum(last[2][groups[2]], last[3][groups[3]]))
-    n[tail != 0] = 17
-    key = np.where((e >= -4) & (e <= 16), e + 4, 21) * 17 + n - 1
-    return rows.view(np.uint8), key, exact
-
-
-def _format_17g(values: np.ndarray) -> np.ndarray:
-    """'%.17g' % v, as ASCII bytes, for every v of a float array, in one numpy pass.
-
-    _decimal17 gives each value's 17 digits and decimal exponent E. One
-    byte gather then lays out their ASCII, '.', zeros and exponent text as
-    %g does for (E's notation class, the count of significant digits).
-    Values whose digits are not sure (_decimal17's exact) take Python's own
-    '%.17g'. Returns an 'S24' array; its tables are built on first use.
-    """
-    global _format_tables
-    if _format_tables is None:
-        _format_tables = _build_format_tables()
-    t = _format_tables
-    values = np.asarray(values, dtype=float).ravel()
-    texts = np.empty(values.size, dtype=f"S{_TEXT_WIDTH}")
-    for block in range(0, values.size, _FORMAT_BLOCK):
-        part = values[block:block + _FORMAT_BLOCK]
-        rows, key, exact = _digit_rows(part, t)
-        flat = rows.ravel()
-        out = texts[block:block + _FORMAT_BLOCK].view(np.uint8).reshape(-1, _TEXT_WIDTH)
-        for start in range(0, part.size, _GATHER_ROWS):
-            index = t["layout"][key[start:start + _GATHER_ROWS]].view(np.intp)
-            index = index.reshape(-1, _TEXT_WIDTH)
-            index += t["offsets"][:len(index)]
-            flat[32 * start:].take(index, out=out[start:start + _GATHER_ROWS])
-        python = np.flatnonzero(~exact)
-        texts[block + python] = [b"%.17g" % v for v in part[python].tolist()]
-    return texts
-
 
 def sweep_csv(result: SweepResult) -> str:
     """The sweep CSV: a header, then one line per row, floats as '%.17g' writes them.
@@ -348,8 +181,9 @@ def sweep_csv(result: SweepResult) -> str:
     once, and the template, repeated once per M, takes the column's
     (M, p_error, exponent) values in one pass. A longer table, where numpy's
     fixed cost per call is repaid, formats all its p_error and exponent
-    values in one _format_17g pass and each M's text once for all columns;
-    each column is then one bytes join. Both routes write the same bytes.
+    values in one _format17.format_17g pass and each M's text once for all
+    columns; each column is then one bytes join. Both routes write the same
+    bytes.
     """
     header = "receiver,M,p_error,exponent,per_mode_rate\n"
     if len(result) < _LONG_TABLE:
@@ -360,8 +194,11 @@ def sweep_csv(result: SweepResult) -> str:
             values = tuple(chain.from_iterable(zip(result.m_values, ps, es)))
             parts.append((line * (len(values) // 3)) % values)
         return "".join(parts)
+    # imported here: its tables are built on import, and only a long table needs them
+    from ._format17 import format_17g
+
     # a column is one join of (M, p_error, exponent, its rate, a newline and the label)
-    texts = _format_17g(np.array([result.p_error, result.exponent], dtype=float))
+    texts = format_17g(np.array([result.p_error, result.exponent], dtype=float))
     texts = texts.reshape(2, *np.shape(result.p_error))
     line = np.empty((len(result.m_values), 4), dtype=object)
     line[:, 0] = [b"%d" % m for m in result.m_values]
@@ -446,15 +283,16 @@ def cmd_sweep(args) -> int:
         if args.receivers else RECEIVER_ORDER
     spec = SweepSpec(scenario=scenario, m_values=m_values, receivers=receivers)
     result = compute_sweep(spec)
-    report = {
-        "params": dict(scenario.as_dict(), m_values=list(m_values), receivers=list(receivers)),
-        "results": [dict(receiver=label, M=m, p_error=p, exponent=e, per_mode_rate=rate)
-                    for label, rate, ps, es in zip(result.receivers, result.per_mode_rate,
-                                                   result.p_error, result.exponent)
-                    for m, p, e in zip(result.m_values, ps, es)],
-        "notes": [],
-    }
-    _emit(report, args, csv=sweep_csv(result))
+    params = dict(scenario.as_dict(), m_values=list(m_values), receivers=list(receivers))
+    report = {"params": params, "notes": []}
+    if not args.json:
+        _emit(report, args, csv=sweep_csv(result))
+        return 0
+    report["results"] = [dict(receiver=label, M=m, p_error=p, exponent=e, per_mode_rate=rate)
+                         for label, rate, ps, es in zip(result.receivers, result.per_mode_rate,
+                                                        result.p_error, result.exponent)
+                         for m, p, e in zip(result.m_values, ps, es)]
+    _emit(report, args)
     return 0
 
 

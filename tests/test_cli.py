@@ -19,9 +19,9 @@ import qillum.states
 import qillum.symplectic
 from qillum.bounds import (MAX_BOUND_IDLER_EXCESS, MAX_BOUND_RETURN_EXCESS, MAX_BOUND_SIGNAL_EXCESS,
                            StandardFormPair)
+from qillum._format17 import decimal17, format_17g
 from qillum.cli import (_LONG_TABLE, _SCENARIO_DEFAULTS, RECEIVER_ORDER, ScenarioParams,
-                        SweepResult, SweepSpec, _decimal17, _format_17g, _parse_m_values,
-                        compute_sweep, main, sweep_csv)
+                        SweepResult, SweepSpec, _parse_m_values, compute_sweep, main, sweep_csv)
 from qillum.montecarlo import deflection_se, simulate_pc_receiver
 from qillum.receiver import RECEIVERS, Scenario, homodyne_min_error, snr_pc
 from qillum.states import ChannelParams, SourceParams, c_quantum
@@ -516,17 +516,17 @@ class TestFormat17g:
             [v for t in tens + carries
              for v in (math.nextafter(t, 0.0), t, math.nextafter(t, math.inf))],
             self.ties(rng), [0.0, -0.0, math.inf, math.nan, -math.inf, -1.5]])
-        got = [text.decode("ascii") for text in _format_17g(values).tolist()]
+        got = [text.decode("ascii") for text in format_17g(values).tolist()]
         assert got == ["%.17g" % v for v in values.tolist()]
         # the table route, not the fallback, wrote nearly all of them
-        assert _decimal17(bits, qillum.cli._format_tables)[2].mean() > 0.999
+        assert decimal17(bits)[2].mean() > 0.999
 
     def test_working_memory_is_bounded_on_a_long_table(self):
         values = np.random.default_rng(29).random(200_000) * 1e-3
-        _format_17g(values[:10])
+        format_17g(values[:10])
         tracemalloc.start()
         try:
-            texts = _format_17g(values)
+            texts = format_17g(values)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -534,21 +534,32 @@ class TestFormat17g:
 
     def test_every_tie_takes_the_fallback(self):
         ties = self.ties(np.random.default_rng(28))
-        _format_17g(ties)
-        assert not _decimal17(ties, qillum.cli._format_tables)[2].any()
+        assert [text.decode("ascii") for text in format_17g(ties).tolist()] == \
+            ["%.17g" % v for v in ties.tolist()]
+        assert not decimal17(ties)[2].any()
 
     def test_import_and_short_tables_build_no_tables(self):
-        # the tables cost ~0.2 MB and a few ms: only a long table builds them
-        code = (
-            "import contextlib, io, qillum.cli as cli\n"
-            "assert cli._format_tables is None, 'import'\n"
-            "for count, built in ((19, False), (20, True)):\n"
-            "    out = io.StringIO()\n"
-            "    with contextlib.redirect_stdout(out):\n"
-            "        assert cli.main(['sweep', '--m-log', f'1,1e6,{count}']) == 0\n"
-            "    rows = out.getvalue().count('\\n') - 1\n"
-            "    assert (rows >= cli._LONG_TABLE) == built, rows\n"
-            "    assert (cli._format_tables is not None) == built, rows\n")
+        # the formatter's tables cost ~0.2 MB and compiling its source ~0.6 MB:
+        # only a long CSV table imports it, no other command and no --json sweep
+        code = """
+import contextlib, io, json, sys
+import qillum.cli as cli
+assert 'qillum._format17' not in sys.modules, 'import'
+for argv, rows, loads in ((['bounds'], None, False), (['snr'], None, False),
+                          (['mc', '--samples', '2000'], None, False),
+                          (['sweep', '--receivers', 'QI+PC,QI-QCB,CS+Hom', '--m-log', '1e3,1e8,53'],
+                           cli._LONG_TABLE - 1, False),
+                          (['sweep', '--json', '--m-log', '1e3,1e8,299'], 2392, False),
+                          (['sweep', '--m-log', '1e3,1e8,20'], cli._LONG_TABLE, True)):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+    if rows is not None:
+        text = out.getvalue()
+        n = len(json.loads(text)['results']) if '--json' in argv else text.count('\\n') - 1
+        assert n == rows, (argv, n)
+    assert ('qillum._format17' in sys.modules) == loads, argv
+"""
         env = dict(os.environ, PYTHONPATH=str(Path(qillum.__file__).resolve().parents[1]))
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               env=env, timeout=120)
