@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Regenerate the rational fit behind receiver._log_erfc_and_slope.
+"""Regenerate the rational fit behind receiver._log_erfcx_nonneg.
 
 For x >= 0 put t = 2/(2+x), so t runs over (0, 1] and 1 - t = x/(2+x). Then
 

@@ -32,7 +32,6 @@ from .states import ChannelParams, NoiseParams, SourceParams, _validate_pulses, 
 
 LN_HALF = math.log(0.5)
 _HALF_LN_PI = 0.5 * math.log(math.pi)
-_TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
 # Beyond this erfc(x) nears the subnormal range (it underflows at x ~ 26.55)
 _ERFC_TAIL = 26.0
 _SPLITTER = 134217729.0  # 2**27 + 1, Veltkamp splitting constant
@@ -147,18 +146,6 @@ def _log_erfcx_nonneg(x: np.ndarray) -> np.ndarray:
         np.multiply(powers[k - 1], t, out=powers[k])
     p, q = _LOG_ERFC_PQ.T @ powers
     return x / u * (p / q) - np.log1p(0.5 * x)
-
-
-def _log_erfc_and_slope(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(ln erfc(x), d ln erfc(x)/dx) elementwise over x >= 0, from one rational, in numpy alone.
-
-    ln erfc(x) = ln erfcx(x) - x^2 (_log_erfcx_nonneg). The three terms of
-    (x/(2+x))*P/Q - log1p(x/2) - x^2 share their sign, so nothing cancels:
-    within 6e-16 relative of mpmath on [0, 2e4], and one formula with no
-    branch for any x >= 0. The slope is -2/(sqrt(pi)*erfcx(x)).
-    """
-    log_erfcx = _log_erfcx_nonneg(x)
-    return log_erfcx - x * x, -_TWO_OVER_SQRT_PI * np.exp(-log_erfcx)
 
 
 def half_erfc(x: float) -> float:
@@ -351,13 +338,14 @@ def homodyne_min_error(n_signal: float, ch: ChannelParams, m) -> HomodyneOptimum
     rate is homodyne_rate(n_signal, ch), and p_error and log_p_error are the
     CS+Hom row at m, self-check included: sweep_points' one-m case. The
     optimal threshold sits midway between the conditional means,
-    x* = m*sqrt(2*kappa*N_S)/2.
+    x* = m*sqrt(2*kappa*N_S)/2, formed as m*sqrt(kappa*N_S/2) so that it is
+    finite wherever x* is.
     """
     m = _validate_pulses(m)
     sc = Scenario(SourceParams(n_signal, 0.0), ch)
     _, (p,), (log_p,) = sweep_points([RECEIVERS["CS+Hom"]], sc, (m,))[0]
-    root = math.sqrt(2.0 * ch.reflectivity * n_signal)
-    return HomodyneOptimum(p_error=p, threshold=0.5 * (m * root), log_p_error=log_p)
+    threshold = m * math.sqrt(ch.reflectivity * n_signal / 2.0)
+    return HomodyneOptimum(p_error=p, threshold=threshold, log_p_error=log_p)
 
 
 def _erfc_columns(rates, ms) -> list[tuple[list, list]]:
@@ -378,97 +366,42 @@ def _erfc_columns(rates, ms) -> list[tuple[list, list]]:
 
 
 def _check_homodyne_optimum(n_signal: float, ch: ChannelParams, ms, log_p) -> None:
-    """Raise NumericFailure where the numeric minimum of ln (fa+md)/2 is not the ln p column.
+    """Raise NumericFailure where the minimum over the threshold of ln (fa+md)/2 is not ln p.
 
     The column is the closed form ln (1/2)erfc(sqrt(m*rate)) at each m of ms,
     p and ln p bit for bit half_erfc and LN_HALF + log_erfc (_erfc_columns).
-    The numeric minimum is the objective at the threshold shift/2, certified
-    by the signs of the objective's analytic slope either side of it to be a
-    local minimizer within min(1e-11*max(shift, sigma), 1e-6*sigma)/2, for
-    all m at once; the objective is unimodal on [0, m*sqrt(2*kappa*N_S)], so
-    that is its minimizer there (_homodyne_numeric_min). The error names each m where
-    the certificate fails or the two disagree by more than
-    1e-12*max(1, |ln p|), with +-inf read as the largest doubles, so that
-    both -inf agree. The certificate takes ln erfc and its slope from one
-    numpy rational (_log_erfc_and_slope); the column stays on the C
-    library's erfc, through _erfc_column.
+    With the threshold tau in units of sigma and w = shift/sigma,
+    fa = erfc(tau)/2 and md = erfc(w - tau)/2. The objective is symmetric
+    about w/2, and the slope of erfc(tau) + erfc(w - tau),
+    (2/sqrt(pi))(exp(-(w - tau)^2) - exp(-tau^2)), is negative below w/2 and
+    positive above it, so w/2 is the minimizer, where the objective is
+    ln (1/2)erfc(w/2). That value comes from an independent kernel, once per
+    m: ln erfc(u) = ln erfcx(u) - u^2 with the numpy rational
+    _log_erfcx_nonneg, whose terms share their sign, so nothing cancels
+    (within 6e-16 relative of mpmath on [0, 2e4]). The column stays on the C
+    library's erfc, through _erfc_column. The error names each m where the
+    two disagree by more than 1e-12*max(1, |ln p|), with +-inf read as the
+    largest doubles, so that both -inf agree.
     """
-    root = math.sqrt(2.0 * ch.reflectivity * n_signal)
-    if root == 0.0:
-        return
+    # u = w/2 = m sqrt(2 kappa N_S)/(2 sqrt(m (2 N_B + 1))), formed so that
+    # nothing overflows while the row's x = sqrt(m*rate) is finite
+    u = (math.sqrt(ch.reflectivity * n_signal / 2.0)
+         * np.sqrt(np.array(ms, dtype=float) / (2.0 * ch.n_background + 1.0)))
     log_p = np.array(log_p)
-    # w = shift/sigma = m*root/sqrt(m*(2 N_B + 1)), formed so that neither m*root
-    # nor m*(2 N_B + 1) can overflow
-    w = root * np.sqrt(np.array(ms, dtype=float) / (2.0 * ch.n_background + 1.0))
-    # past w ~ 2.7e154, x*x overflows in the certificate's ln erfc, which is then
-    # -inf; -inf counts as the most negative double, so that it meets a value
-    # that did not quite overflow, and +inf as the largest
-    with np.errstate(over="ignore", invalid="ignore"):
-        log_num = _homodyne_numeric_min(w)
-        num, col = (np.clip(v, -sys.float_info.max, sys.float_info.max) for v in (log_num, log_p))
-        ok = np.abs(num - col) <= 1e-12 * np.maximum(1.0, np.abs(col))
+    # past u ~ 1.3e154 u*u overflows and the value is -inf; -inf counts as the
+    # most negative double, so that it meets a value that did not quite
+    # overflow, and +inf as the largest
+    with np.errstate(over="ignore"):
+        log_mid = LN_HALF + (_log_erfcx_nonneg(u) - u * u)
+        mid, col = (np.clip(v, -sys.float_info.max, sys.float_info.max) for v in (log_mid, log_p))
+        ok = np.abs(mid - col) <= 1e-12 * np.maximum(1.0, np.abs(col))
     bad = np.flatnonzero(~ok)
     if bad.size:
         raise NumericFailure(
             "numeric threshold optimization disagrees with the closed form at "
-            + ", ".join(f"M={ms[i]} (log p {float(log_num[i])!r} vs {float(log_p[i])!r})"
+            + ", ".join(f"M={ms[i]} (log p {float(log_mid[i])!r} vs {float(log_p[i])!r})"
                         for i in bad)
         )
-
-
-def _homodyne_numeric_min(w: np.ndarray) -> np.ndarray:
-    """The objective at tau = w/2 where its slopes certify w/2 the minimizer over [0, w]; else NaN.
-
-    The objective is ln (fa+md)/2 at a threshold tau in units of sigma, where
-    w = shift/sigma, fa = erfc(tau)/2 and md = erfc(w - tau)/2:
-    logaddexp(ln erfc(tau), ln erfc(w - tau)) + 2 ln(1/2). Its slope
-    a*D(tau) - (1 - a)*D(w - tau), where D = d ln erfc/dx and a = fa/(fa+md),
-    is taken at tau+ = w/2 + xtol/2 and its mirror tau- = w - tau+, with
-    ln erfc and D from one call of one rational (_log_erfc_and_slope) at
-    tau-, tau+ and w/2, the last for the objective at w/2.
-    slope(tau-) <= 0 <= slope(tau+), each to within the slope's rounding,
-    puts a local minimizer within xtol/2 of w/2. The objective is unimodal
-    on [0, w], so that is its minimizer there: the slope of
-    erfc(tau) + erfc(w - tau) is (2/sqrt(pi))(exp(-(w - tau)^2) - exp(-tau^2)),
-    negative below w/2 and positive above it. Where w <= xtol, all of [0, w]
-    lies within xtol/2 of w/2, and where the objective at w/2 is -inf,
-    nothing lies below it.
-    """
-    # with u = w/2, a threshold dx (in units of sigma) off w/2 costs about
-    # 2 (u dx)^2 in ln p, or 2 u dx once u dx > 1, against the bound 1e-12 u^2.
-    # xtol = 1e-11 w alone would break the bound from u ~ 7e4, so it is capped
-    # at 1e-6, which binds for u > 5e4 and keeps the cost within half the bound
-    # at any u. From u = 2**33 ~ 8.6e9, w/2 + xtol/2 rounds to w/2: there tau+
-    # is w/2's next double. tau- leaves [0, w] only where w < xtol, whose
-    # slopes go unread
-    xtol = np.minimum(1e-11 * np.maximum(w, 1.0), 1e-6)
-    half = 0.5 * w
-    hi = np.maximum(half + 0.5 * xtol, np.nextafter(half, math.inf))
-    # hi - half is a whole number of half's ulps, so lo = w - hi = half - (hi - half)
-    # is exact, and w - lo is hi: the two thresholds are each other's mirror
-    lo = w - hi
-    n = w.size
-    log_e, d = _log_erfc_and_slope(np.concatenate((lo, hi, half)))
-    lf, df = log_e[:2 * n], d[:2 * n]
-    lm, dm = np.roll(lf, n), np.roll(df, n)
-    slope = _homodyne_slope(lf, lm, df, dm)
-    # below u ~ 2e-4 the slope at w/2 +- xtol/2 nears its rounding, which reaches
-    # 0.44 eps (|df| + |dm|), so a slope within 4 eps (|df| + |dm|) of 0 passes
-    # either test. A minimizer that this hides moves ln p from its value at w/2
-    # by less than slack*u/2, which is within 2e-15 max(1, |ln p|)
-    slack = 4.0 * sys.float_info.epsilon * (np.abs(df) + np.abs(dm))
-    log_mid = np.logaddexp(log_e[2 * n:], log_e[2 * n:]) + 2.0 * LN_HALF
-    certified = ((slope[:n] <= slack[:n]) & (slope[n:] >= -slack[n:])) | (w <= xtol)
-    return np.where(certified | (log_mid == -math.inf), log_mid, math.nan)
-
-
-def _homodyne_slope(lf, lm, df, dm):
-    """d/dtau of the objective ln (fa+md)/2: a*df - (1 - a)*dm, where a = fa/(fa+md).
-
-    lf, lm are ln erfc, and df, dm its slope, at tau and at w - tau.
-    """
-    a = np.exp(lf - np.logaddexp(lf, lm))
-    return a * df - (1.0 - a) * dm
 
 
 @dataclass(frozen=True)

@@ -20,8 +20,8 @@ from qillum.bounds import (ClassicalDistributionPair, SOverlapResult, _check_s,
 from qillum.errors import NumericFailure
 from qillum.montecarlo import (EmpiricalStats, _count_weights, _empirical_stats,
                                _gaussian_blocks, _Moments, _stream_blocks, deflection_se)
-from qillum.receiver import (LN_HALF, BeamsplitterMoments, ReceiverStats, _homodyne_slope,
-                             _log_erfc_and_slope, _log_erfcx_nonneg, half_erfc)
+from qillum.receiver import (LN_HALF, BeamsplitterMoments, ReceiverStats, _log_erfcx_nonneg,
+                             half_erfc)
 from qillum.states import (GaussianState, _check_nonnegative, _standard_form_matrix,
                            _validate_pulses, apply_noise, conditional_states)
 from qillum.symplectic import CovMatrix, williamson
@@ -552,6 +552,28 @@ def log_erfc_nonneg(x: np.ndarray) -> np.ndarray:
     return _log_erfcx_nonneg(x) - x * x
 
 
+_TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
+
+
+def log_erfc_and_slope(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(ln erfc(x), d ln erfc(x)/dx) elementwise over x >= 0, from receiver's rational alone.
+
+    ln erfc(x) = ln erfcx(x) - x^2 (log_erfc_nonneg), and the slope is
+    -2/(sqrt(pi)*erfcx(x)).
+    """
+    log_erfcx = _log_erfcx_nonneg(x)
+    return log_erfcx - x * x, -_TWO_OVER_SQRT_PI * np.exp(-log_erfcx)
+
+
+def homodyne_slope(lf, lm, df, dm):
+    """d/dtau of homodyne_log_p: a*df - (1 - a)*dm, where a = fa/(fa+md).
+
+    lf, lm are ln erfc, and df, dm its slope, at tau and at w - tau.
+    """
+    a = np.exp(lf - np.logaddexp(lf, lm))
+    return a * df - (1.0 - a) * dm
+
+
 def homodyne_log_p(tau: np.ndarray, w: np.ndarray) -> np.ndarray:
     """The CS+Hom self-check's objective ln (fa+md)/2 at thresholds tau in [0, w].
 
@@ -568,12 +590,12 @@ def homodyne_search_min(w: np.ndarray) -> np.ndarray:
     """The CS+Hom self-check's former numeric minimum: homodyne_log_p at a searched threshold.
 
     illinois_array finds, within xtol = min(1e-11*max(w, 1), 1e-6), the sign
-    change on [0, w] of the objective's slope (_homodyne_slope), with ln erfc
-    and its slope from _log_erfc_and_slope.
+    change on [0, w] of the objective's slope (homodyne_slope), with ln erfc
+    and its slope from log_erfc_and_slope.
     """
     def slope(tau: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        both, d = _log_erfc_and_slope(np.concatenate((tau, w[idx] - tau)))
-        return _homodyne_slope(both[:tau.size], both[tau.size:], d[:tau.size], d[tau.size:])
+        both, d = log_erfc_and_slope(np.concatenate((tau, w[idx] - tau)))
+        return homodyne_slope(both[:tau.size], both[tau.size:], d[:tau.size], d[tau.size:])
 
     tau = illinois_array(slope, np.zeros_like(w), w,
                          xtol=np.minimum(1e-11 * np.maximum(w, 1.0), 1e-6))

@@ -23,7 +23,7 @@ from qillum._format17 import decimal17, format_17g
 from qillum.cli import (_LONG_TABLE, _SCENARIO_DEFAULTS, RECEIVER_ORDER, ScenarioParams,
                         SweepResult, SweepSpec, _parse_m_values, compute_sweep, main, sweep_csv)
 from qillum.montecarlo import deflection_se, simulate_pc_receiver
-from qillum.receiver import RECEIVERS, Scenario, homodyne_min_error, snr_pc
+from qillum.receiver import LN_HALF, RECEIVERS, Scenario, homodyne_min_error, log_erfc, snr_pc
 from qillum.states import ChannelParams, SourceParams, c_quantum
 
 from _oracles import cs_qcb_exponent, row_sweep_csv
@@ -202,6 +202,16 @@ class TestSweepCommand:
         assert (p, rate) == ("0", "4")
         assert math.isfinite(float(exponent))
         assert float(exponent) == pytest.approx(4.0 * float(m), rel=1e-12)
+
+    def test_cs_hom_self_check_holds_where_kappa_n_s_nears_overflow(self, capsys):
+        # the check formed sqrt(2 kappa N_S), which is inf past kappa N_S ~
+        # 9e307, and exited 1 with a NumericFailure traceback on this finite row
+        rc, report, err = run_json(capsys, ["sweep", "--receivers", "CS+Hom", "--ns", "1e308",
+                                            "--ni", "0", "--c", "0", "--kappa", "1",
+                                            "--nb", "1e300", "--m", "10"])
+        assert rc == 0, err
+        (row,) = report["results"]
+        assert -row["exponent"] == LN_HALF + log_erfc(math.sqrt(10 * row["per_mode_rate"]))
 
     def test_byte_stable_across_runs(self, capsys):
         argv = ["sweep"] + REF_FLAGS + ["--m-log", "1e5,1e8,5"]

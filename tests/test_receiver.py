@@ -13,8 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import (ErrorProbabilities, golden_section, homodyne_errors, homodyne_log_p,
-                      homodyne_search_min, log_erfc_nonneg, pc_transform, scalar_half_exp,
-                      scalar_log_erfc, snr_from_moments, ulp_error)
+                      homodyne_search_min, log_erfc_and_slope, log_erfc_nonneg, pc_transform,
+                      scalar_half_exp, scalar_log_erfc, snr_from_moments, ulp_error)
 
 import qillum.receiver
 from qillum.cli import ScenarioParams, SweepSpec, _parse_m_values
@@ -33,8 +33,6 @@ from qillum.receiver import (
     _erfc_columns,
     _exp_points,
     _two_product,
-    _homodyne_numeric_min,
-    _log_erfc_and_slope,
     half_erfc,
     half_exp,
     homodyne_min_error,
@@ -79,6 +77,19 @@ def _agrees(value, log_p) -> np.ndarray:
     return np.abs(value - log_p) <= 1e-12 * np.maximum(1.0, np.abs(log_p))
 
 
+def _spy_check(patch) -> list:
+    """The arrays u = w/2 at which each CS+Hom check evaluates its rational, as the checks run."""
+    real = qillum.receiver._log_erfcx_nonneg
+    seen = []
+
+    def recorded(u):
+        seen.append(u)
+        return real(u)
+
+    patch.setattr(qillum.receiver, "_log_erfcx_nonneg", recorded)
+    return seen
+
+
 def _threshold_sweep_checks(monkeypatch, seed: int) -> list:
     """(w, ln p column) of each CS+Hom check that perfbench's threshold_sweep makes at seed."""
     root = Path(__file__).resolve().parents[1] / "perfbench"
@@ -92,21 +103,14 @@ def _threshold_sweep_checks(monkeypatch, seed: int) -> list:
     # workloads.py imports its sibling receivers.py by that name
     monkeypatch.setitem(sys.modules, "receivers", load("receivers", "receivers"))
     workloads = load("workloads", "perfbench_workloads")
-    real = qillum.receiver._homodyne_numeric_min
-    seen = []
-
-    def recorded(w):
-        seen.append(w)
-        return real(w)
-
     checks = []
     with monkeypatch.context() as patch:
-        patch.setattr(qillum.receiver, "_homodyne_numeric_min", recorded)
+        seen = _spy_check(patch)
         for params in workloads.draw_scenarios(seed, "threshold_sweep",
                                                workloads.THRESHOLD_SCENARIOS):
             _, _, log_p = sweep_points([RECEIVERS["CS+Hom"]], Scenario(*params.resolve()),
                                        workloads.THRESHOLD_M)[0]
-            checks.append((seen[-1], np.array(log_p)))
+            checks.append((2.0 * seen[-1], np.array(log_p)))
     return checks
 
 
@@ -195,8 +199,9 @@ class TestErfc:
         assert np.all(np.abs(got - exact) <= 1e-13 * np.abs(exact))
 
     def test_log_erfc_slope_within_1e_13_of_mpmath(self):
-        # the slope the homodyne self-check searches on, on the grid above:
-        # d ln erfc/dx = -2/(sqrt(pi) erfcx(x)), from the same rational as ln erfc
+        # the slope the former homodyne search (_oracles.homodyne_search_min)
+        # steps on, on the grid above: d ln erfc/dx = -2/(sqrt(pi) erfcx(x)),
+        # from the same rational as ln erfc
         xs = np.concatenate([
             [0.0, 1e-300, 2.5e-5, 0.4769362762044699, 0.47693627620446993,
              np.nextafter(26.0, 0.0), 26.0, 2e4],
@@ -204,7 +209,7 @@ class TestErfc:
             np.linspace(0.0, 30.0, 3001),
             np.geomspace(26.0, 2e4, 301),
         ])
-        log_erfc_xs, got = _log_erfc_and_slope(xs)
+        log_erfc_xs, got = log_erfc_and_slope(xs)
         assert np.array_equal(log_erfc_xs, log_erfc_nonneg(xs))
         with mpmath.workdps(50):
             exact = np.array([float(-2 / (mpmath.sqrt(mpmath.pi) * mpmath.exp(x * x) * mpmath.erfc(x)))
@@ -420,7 +425,7 @@ class TestHugePulseCounts:
         # at N_S = 8, kappa = 1, N_B = 0 the rate is 4 and sqrt(2 kappa N_S) = 4:
         # at m = (x/2)^2 the row's x = sqrt(4 m) and the check's w/2 = 2 sqrt(m)
         # are both x, to a few ulps. Above sqrt(max double) m*rate overflows:
-        # the row is p = 0 and ln p = -inf, and so is the certificate's value
+        # the row is p = 0 and ln p = -inf, and so is the check's value
         # at w/2. Below it both are finite, down to -max double. The row's
         # ln erfc was -inf from 2**26 doubles below (Veltkamp's split of x
         # rounded up to 2**512, whose square overflows), and the check named
@@ -429,7 +434,7 @@ class TestHugePulseCounts:
         xs = sorted(_neighbours(root_max) + _neighbours(1.3407807830046643e154)
                     + [root_max * (1.0 - 2.0 ** -28)])
         with np.errstate(over="ignore", invalid="ignore"):
-            log_num = _homodyne_numeric_min(2.0 * np.array(xs))
+            log_num = LN_HALF + log_erfc_nonneg(np.array(xs))
         overflows = [math.isinf(x * x) for x in xs]
         assert np.isinf(log_num).tolist() == overflows == [False] * 12 + [True] * 3
         ms = [int((0.5 * x) ** 2) for x in xs]
@@ -704,6 +709,27 @@ class TestHomodyne:
         assert opt.p_error == pytest.approx(
             0.5 * math.erfc(math.sqrt(m * 1e-4 / 82.0)), rel=1e-12)
 
+    def test_min_error_threshold_is_finite_wherever_it_is(self):
+        # formed as 0.5*(m*sqrt(2 kappa N_S)), it read inf once m*sqrt(...) or
+        # sqrt(2 kappa N_S) overflowed; m*sqrt(kappa N_S/2) differs from it
+        # by exact scalings by 4 and 2, so where it was finite and normal it
+        # has the same bits
+        rng = np.random.default_rng(11)
+        draws = zip(10 ** rng.uniform(-300.0, 300.0, 400), rng.uniform(0.0, 1.0, 400),
+                    10 ** rng.uniform(-6.0, 6.0, 400), 10 ** rng.uniform(0.0, 308.0, 400))
+        compared = 0
+        for n_signal, kappa, n_background, m in draws:
+            m = int(m)
+            old = 0.5 * (m * math.sqrt(2.0 * kappa * n_signal))
+            got = homodyne_min_error(n_signal, ChannelParams(kappa, n_background), m).threshold
+            if math.isfinite(old) and old >= sys.float_info.min:
+                compared += 1
+                assert _bits(got) == _bits(old), (n_signal, kappa, n_background, m)
+        assert compared > 200
+        opt = homodyne_min_error(4.0, ChannelParams(1.0, 0.0), 10 ** 308)
+        assert (opt.p_error, opt.log_p_error) == (0.0, -math.inf)
+        assert opt.threshold == pytest.approx(math.sqrt(2.0) * 1e308, rel=1e-15)
+
     def test_min_error_beats_other_thresholds(self):
         m = 10**6
         opt = homodyne_min_error(0.01, REF_CH, m)
@@ -743,19 +769,20 @@ class TestHomodyne:
             assert log_p == LN_HALF + log_erfc(math.sqrt(m * rate))
 
     def test_self_check_minimum_is_the_golden_section_minimum(self):
-        # the check's former route as the oracle: a golden-section search on
-        # the same objective, bracket and xtol. Each search ends within xtol/2
-        # of the minimizer w/2, so the two values may differ by the objective's
-        # rise over xtol/2 as well as by rounding; the rise is below
-        # 1e-14 |ln p| for u < 7e3 and reaches 5e-13 |ln p| under the 1e-6 cap.
-        # The grid runs u = w/2 from 1e-4 to 2.3e5 and takes in the
-        # scenario of test_self_check_holds_at_large_m_rate at M = 1e12..1e16
+        # the claim that w/2 is the minimizer, against a golden-section search
+        # on the same objective over [0, w] with xtol = min(1e-11*max(w, 1), 1e-6).
+        # The search ends within xtol/2 of the minimizer, so its value may
+        # exceed the check's, the objective at w/2, by the objective's rise
+        # over xtol/2 as well as by rounding; the rise is below 1e-14 |ln p|
+        # for u < 7e3 and reaches 5e-13 |ln p| under the 1e-6 cap. The grid
+        # runs u = w/2 from 1e-4 to 2.3e5 and takes in the scenario of
+        # test_self_check_holds_at_large_m_rate at M = 1e12..1e16
         ch = ChannelParams(0.3, 0.2)
         ms = np.array([1e12, 1e13, 1e14, 1e15, 1e16])
         w = np.concatenate((2.0 * np.geomspace(1e-4, 2.3e5, 61),
                             ms * math.sqrt(2.0 * 0.3 * 0.5) / np.sqrt(ms * (2.0 * 0.2 + 1.0))))
         xtol = np.minimum(1e-11 * np.maximum(w, 1.0), 1e-6)
-        got = _homodyne_numeric_min(w)
+        got = LN_HALF + log_erfc_nonneg(0.5 * w)
         rise = homodyne_log_p(0.5 * w + 0.5 * xtol, w) - homodyne_log_p(0.5 * w, w)
         for wi, xi, gi, ri in zip(w, xtol, got, rise):
             def objective(t):
@@ -765,49 +792,50 @@ class TestHomodyne:
             assert abs(gi - (LN_HALF + log_erfc(0.5 * wi))) <= 1e-12 * max(1.0, abs(want)), wi
 
     def test_self_check_search_takes_few_steps(self, monkeypatch):
-        # evaluations of the slope's rational per check: golden section took
-        # 54 on any grid and the lockstep Illinois search up to 14; the
-        # certificate takes both of its slopes and the value at w/2 from one,
-        # at three points per M: tau-, tau+ and w/2
-        calls = []
-        real = qillum.receiver._log_erfcx_nonneg
-
-        def counted(x):
-            calls.append(x.size)
-            return real(x)
-
-        monkeypatch.setattr(qillum.receiver, "_log_erfcx_nonneg", counted)
-        for w in (2.0 * np.geomspace(1e-4, 1e4, 500), 2.0 * np.geomspace(1e-4, 2.3e7, 3000)):
-            calls.clear()
-            assert not np.isnan(_homodyne_numeric_min(w)).any()
-            assert calls == [3 * w.size]
+        # evaluations of the rational per check: golden section took 54 on any
+        # grid, the lockstep Illinois search up to 14 and the slope
+        # certificate one at three points per M; the value test takes one at
+        # the M themselves
+        ch = ChannelParams(0.3, 0.2)
+        for n, top in ((500, 1e9), (3000, 1e16)):
+            ms = sorted({int(m) for m in np.geomspace(1.0, top, n)})
+            with monkeypatch.context() as patch:
+                seen = _spy_check(patch)
+                cs_hom_points(0.5, ch, ms)
+            assert [u.size for u in seen] == [len(ms)]
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_certificate_accepts_every_m_the_search_accepts(self, monkeypatch, seed):
         # the former lockstep Illinois search (_oracles.homodyne_search_min) as
-        # the oracle, on random w with u = w/2 from 1e-6 to the doubles either
-        # side of sqrt(max double), where ln erfc(u) turns -inf, on random u
-        # within 2**-24 below sqrt(max double), where ln p is finite but
-        # Veltkamp's split of u once overflowed, on w either
-        # side of xtol = 1e-11, below which neither takes a slope, and on the
-        # checks of perfbench's threshold_sweep at this seed. The search ends
-        # within xtol/2 of w/2, so the two values may differ by the
-        # objective's rise from w/2 to tau+, and by their rounding
+        # the oracle. Where it meets the ln p column, the check does too (it
+        # runs inside cs_hom_points and sweep_points, and would raise), and the
+        # check's value, the objective at w/2, is within the search's of it by
+        # the objective's rise over the search's xtol/2 and by rounding. At
+        # kappa = 1 and N_B = 0 the check's u = w/2 is sqrt(N_S/2) sqrt(M):
+        # random u from 1e-6 to the doubles either side of sqrt(max double),
+        # where ln erfc(u) turns -inf, random u within 2**-24 below sqrt(max
+        # double), where ln p is finite but Veltkamp's split of u once
+        # overflowed, and the checks of perfbench's threshold_sweep at this seed
         rng = np.random.default_rng(40 + seed)
         root_max = math.sqrt(sys.float_info.max)
-        u = np.concatenate((10 ** rng.uniform(-6.0, math.log10(root_max), 4000),
-                            _neighbours(root_max),
-                            root_max * (1.0 - 2.0 ** -rng.uniform(24.0, 52.0, 200)),
-                            [0.0, 1e-300, 4.9e-12, 5e-12, 5.1e-12]))
-        grids = [(2.0 * u, LN_HALF + _erfc_column(u)[1])]
+        xs = _neighbours(root_max) + list(root_max * (1.0 - 2.0 ** -rng.uniform(24.0, 52.0, 200)))
+        top = math.log10(sys.float_info.max / 4.0)
+        grids = []
+        for n_signal, ms in ((2e-12, 10 ** rng.uniform(0.0, 12.0, 1000)),
+                             (8.0, np.concatenate((10 ** rng.uniform(0.0, top, 3000),
+                                                   (0.5 * np.array(xs)) ** 2)))):
+            with monkeypatch.context() as patch:
+                seen = _spy_check(patch)
+                points = cs_hom_points(n_signal, ChannelParams(1.0, 0.0), [int(m) for m in ms])
+            grids.append((2.0 * seen[0], np.array([log_p for _, log_p in points])))
         grids += _threshold_sweep_checks(monkeypatch, seed)
         for w, log_p in grids:
-            # tau+ is w/2 + xtol/2, or else w/2's next double
+            # the search ends within xtol/2 of w/2, or at w/2's next double
             half = 0.5 * w
             xtol = np.minimum(1e-11 * np.maximum(w, 1.0), 1e-6)
             hi = np.maximum(half + 0.5 * xtol, np.nextafter(half, math.inf))
             with np.errstate(over="ignore", invalid="ignore"):
-                got, want = _homodyne_numeric_min(w), homodyne_search_min(w)
+                got, want = LN_HALF + log_erfc_nonneg(half), homodyne_search_min(w)
                 rise = homodyne_log_p(hi, w) - homodyne_log_p(half, w)
             assert _agrees(want, log_p).all()
             assert _agrees(got, log_p).all()
@@ -818,10 +846,11 @@ class TestHomodyne:
 
     def test_certificate_rejects_every_ln_p_the_search_rejects(self, monkeypatch):
         # ln p doctored by 2 to 1e3 times the 1e-12 bound either way, relative
-        # and absolute, or made non-finite, at u = w/2 from 0.23 to 2.3e8: every
-        # M that the check with its former search named, the check names now.
-        # The former rule also took any ln p of +-inf, whose bound was then
-        # infinite; the check now names every M of such a column
+        # and absolute, or made non-finite, at u = w/2 from 0.23 to 2.3e8:
+        # every M at which the former search's value misses the column, the
+        # check names. The rule of the check with its former search also took
+        # any ln p of +-inf, whose bound was then infinite; the check names
+        # every M of such a column
         ch = ChannelParams(0.3, 0.2)
         ms = sorted({int(m) for m in np.geomspace(1.0, 1e18, 120)})
         _, log_p = _erfc_points(homodyne_rate(0.5, ch), ms)
@@ -831,27 +860,15 @@ class TestHomodyne:
         doctored += [log_p * (1.0 + d * 1e-12) for d in (-10.0, -2.0, 2.0, 10.0)]
         doctored += [np.where(np.arange(log_p.size) % 3 == 0, v, log_p)
                      for v in (math.nan, math.inf, -math.inf)]
-        assert not _rejected(0.5, ch, ms, log_p)
+        with monkeypatch.context() as patch:
+            seen = _spy_check(patch)
+            assert not _rejected(0.5, ch, ms, log_p)
+        search = homodyne_search_min(2.0 * seen[0])
         for column in doctored:
-            with monkeypatch.context() as patch:
-                patch.setattr(qillum.receiver, "_homodyne_numeric_min", homodyne_search_min)
-                before = _rejected(0.5, ch, ms, column.tolist())
+            before = {str(m) for m, ok in zip(ms, _agrees(search, column)) if not ok}
             after = _rejected(0.5, ch, ms, column.tolist())
             assert before <= after
             assert after == {str(m) for m, v, lp in zip(ms, column, log_p) if v != lp}
-
-    @pytest.mark.parametrize("bias", [-1e-3, 1e-3])
-    def test_certificate_rejects_an_asymmetric_objective(self, monkeypatch, bias):
-        # a slope biased by a constant is that of an objective tilted by
-        # bias*tau, whose minimizer is off w/2 by far more than xtol/2: the
-        # value at w/2 still meets ln p, but the slopes no longer bracket it
-        ms = [10 ** k for k in range(1, 9)]
-        _, log_p = _erfc_points(homodyne_rate(0.01, REF_CH), ms)
-        assert not _rejected(0.01, REF_CH, ms, log_p)
-        real = qillum.receiver._homodyne_slope
-        monkeypatch.setattr(qillum.receiver, "_homodyne_slope",
-                            lambda *args: real(*args) + bias)
-        assert _rejected(0.01, REF_CH, ms, log_p) == {str(m) for m in ms}
 
     def test_zero_reflectivity_gives_half(self):
         opt = homodyne_min_error(0.01, ChannelParams(0.0, 20.0), 10)
