@@ -7,10 +7,12 @@ double-double product (Dekker's, receiver._two_product) with a table of
 10^k held to 2^-104, so its error is below 2^-102 of its value: < 2^-45 of
 its last place. Rounded, that is the 17-digit integer D, and one byte gather
 lays out D's digits, the point, zeros and E's exponent text as %g does for
-(E's notation class, D's count of significant digits). A value whose
+(E's notation class, D's count of significant digits). +0.0 is D = 0,
+E = 0, no significant digits, which lays out as '0'. A value whose
 fraction x * 10^(16-E) - D lies within 2^-40 of 1/2 takes Python's own
-'%.17g' instead, and so does any value that is not finite and > 0. Exact
-17-digit ties lie in that band: m + 0.25 for a 16-digit m is one.
+'%.17g' instead, and so does any value that is neither +0.0 nor finite and
+> 0: -0.0, +-inf and nan. Exact 17-digit ties lie in that band: m + 0.25 for
+a 16-digit m is one.
 
 Values are formatted _FORMAT_BLOCK = 4096 at a time, and laid out
 _GATHER_ROWS = 256 per byte gather, whose index holds 8 * 24 bytes a value,
@@ -91,9 +93,11 @@ def _digit_groups() -> tuple:
 def _layout_row(e: int, n: int) -> list:
     """The source-row byte of each byte of '%.17g' with n significant digits, NUL-padded.
 
-    e is the decimal exponent, or 17 for any exponential one.
+    e is the decimal exponent, or 17 for any exponential one; n = 0 is the value 0.
     """
-    if e == 17:
+    if n == 0:
+        row = [_ZERO]
+    elif e == 17:
         row = [0] + ([_DOT, *range(1, n)] if n > 1 else []) + [*range(_EXPONENT, _EXPONENT + 5)]
     elif e >= 0:
         row = [*range(e + 1)] + ([_DOT, *range(e + 1, n)] if n > e + 1 else [])
@@ -110,8 +114,8 @@ _EXP_TEXT = np.frombuffer(b"".join((b"e%+03d" % e).ljust(8, b"\0") for e in rang
 _DIGITS, _LAST = _digit_groups()
 # by the 17th digit d: d, '.', '0' and a NUL, the source row's bytes 16-19
 _TAIL = np.frombuffer(b"".join(b"%d.0\0" % d for d in range(10)), dtype=np.uint32)
-# by (notation class: fixed at E = -4..16, else exponential) * 17 + significant digits - 1
-_LAYOUT = np.array([_layout_row(e, n) for e in range(-4, 18) for n in range(1, 18)],
+# by (notation class: fixed at E = -4..16, else exponential) * 18 + significant digits
+_LAYOUT = np.array([_layout_row(e, n) for e in range(-4, 18) for n in range(18)],
                    dtype=np.intp).view(f"V{8 * _TEXT_WIDTH}").ravel()
 # the first byte of each source row of a gather block
 _OFFSETS = np.array([[32 * i] for i in range(_GATHER_ROWS)])
@@ -121,11 +125,13 @@ def decimal17(x: np.ndarray) -> tuple:
     """(D, E, exact): x = D * 10^(E-16) to 17 digits, for x > 0 finite; exact where D is sure.
 
     E is the decimal exponent of x rounded to 17 digits, so D has 17
-    digits. exact is False where the fraction of x * 10^(16-E) lies within
-    _TIE_BAND of 1/2 and where x is not finite and > 0; there D is 10^16, a
-    placeholder.
+    digits. At +0.0 D is 0 and E is 0, exact. exact is False where the
+    fraction of x * 10^(16-E) lies within _TIE_BAND of 1/2 and where x is
+    neither +0.0 nor finite and > 0; there D is 10^16, a placeholder.
     """
     exact = (x > 0.0) & (x < math.inf)
+    # +0.0 alone has all 64 bits clear; -0.0 has the sign bit set
+    zero = x.view(np.int64) == 0
     x = np.where(exact, x, 1.0)
     m, b = np.frexp(x)
     b += 1073
@@ -140,7 +146,9 @@ def decimal17(x: np.ndarray) -> tuple:
     rounded = np.rint(lo)
     exact &= np.abs(np.abs(lo - rounded) - 0.5) >= _TIE_BAND
     hi *= scale
-    return np.where(exact, hi.astype(np.int64) + rounded.astype(np.int64), 10 ** 16), e, exact
+    d = np.where(exact, hi.astype(np.int64) + rounded.astype(np.int64), 10 ** 16)
+    d[zero] = 0
+    return d, e, exact | zero
 
 
 def _digit_rows(values: np.ndarray) -> tuple:
@@ -148,7 +156,7 @@ def _digit_rows(values: np.ndarray) -> tuple:
 
     A row is 32 bytes: D's 17 ASCII digits, '.', '0', NULs and E's exponent
     text. The key indexes _LAYOUT by (notation class, count of significant
-    digits).
+    digits); +0.0's D = 0 has none.
     """
     d, e, exact = decimal17(values)
     # the 17 digits as four groups of four and a last one
@@ -163,7 +171,7 @@ def _digit_rows(values: np.ndarray) -> tuple:
     n = np.maximum(np.maximum(_LAST[0][groups[0]], _LAST[1][groups[1]]),
                    np.maximum(_LAST[2][groups[2]], _LAST[3][groups[3]]))
     n[tail != 0] = 17
-    key = np.where((e >= -4) & (e <= 16), e + 4, 21) * 17 + n - 1
+    key = np.where((e >= -4) & (e <= 16), e + 4, 21) * 18 + n
     return rows.view(np.uint8), key, exact
 
 

@@ -56,6 +56,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -374,7 +375,17 @@ class StandardFormPair:
         return cls(n_a, n_b, 0.0, d_a, 0.0, math.sqrt(ch.reflectivity) * src.corr)
 
     def _log_c_slope(self, s: float) -> tuple[float, float]:
-        """(ln C_s, d ln C_s/ds) for s in (0, 1)."""
+        """(ln C_s, d ln C_s/ds) for s in (0, 1).
+
+        The value at s = 1/2 is kept: every s-search starts there, and QI-QBB reads it.
+        """
+        return self._at_half if s == 0.5 else self._log_c_slope_at(s)
+
+    @cached_property
+    def _at_half(self) -> tuple[float, float]:
+        return self._log_c_slope_at(0.5)
+
+    def _log_c_slope_at(self, s: float) -> tuple[float, float]:
         t = 1.0 - s
         value = slope = 0.0
         for mode in self._modes:

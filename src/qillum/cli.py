@@ -13,9 +13,11 @@ sweep takes its rows from there, snr the label and asymptote of the noise
 pair, and bounds the prior-weighted bound of each bound receiver.
 
 A sweep is one receivers x M table (SweepResult): one per_mode_rate per
-receiver and one p_error and one exponent column per receiver over the M
-grid. The CSV and the --json report both read it, receiver by receiver and
-then M by M, so both carry the same values in the same order.
+receiver, and p_error and exponent as float64 arrays of shape (receivers, M),
+which stay arrays from the receiver kernels to the CSV bytes. The CSV and the
+--json report both read it, receiver by receiver and then M by M, so both
+carry the same values in the same order; the report's rows hold Python
+floats.
 
 Every command builds one {params, results, notes} report, which _emit
 writes: its JSON with --json, else the plain report (qi mc's table in place
@@ -27,8 +29,8 @@ success, 2 invalid parameters, 3 I/O failure, 4 sampling gate failure.
 
 CSV floats are Python's '%.17g', so output is byte-stable. sweep_csv has two
 routes to those bytes, chosen by the table's row count alone: below
-_LONG_TABLE (160, just past the measured crossover) one % template per
-receiver column, and from it one numpy pass over all the table's p_error and
+_LONG_TABLE (160, at the measured crossover) one % template over the table's
+columns, and from it one numpy pass over all the table's p_error and
 exponent values (the _format17 module, imported by the first long table).
 """
 from __future__ import annotations
@@ -114,35 +116,56 @@ class SweepSpec:
         object.__setattr__(self, "m_values", ms)
 
 
-@dataclass(frozen=True)
+# a table's p_error may exceed 1/2 by rounding, up to this
+_HALF = 0.5 * (1 + 1e-12)
+# and its exponent fall short of ln 2, down to this
+_MIN_EXPONENT = math.log(2.0) - 1e-12
+
+
+@dataclass(frozen=True, eq=False)
 class SweepResult:
     """A sweep's receivers x M table; len() is its number of CSV rows.
 
-    Per receiver: one per_mode_rate, and p_error and exponent columns over m_values.
+    Per receiver: one per_mode_rate. p_error and exponent are float64 arrays
+    of shape (receivers, M), a row per receiver over m_values; other
+    sequences of that shape are read into such arrays. Compare tables with
+    np.array_equal: == on arrays is not a truth value.
     """
 
     receivers: tuple
     m_values: tuple
     per_mode_rate: tuple
-    p_error: tuple
-    exponent: tuple
+    p_error: np.ndarray
+    exponent: np.ndarray
 
     def __post_init__(self) -> None:
-        per_receiver = (self.per_mode_rate, self.p_error, self.exponent)
-        if any(len(entries) != len(self.receivers) for entries in per_receiver):
+        try:
+            p = np.asarray(self.p_error, dtype=float)
+            e = np.asarray(self.exponent, dtype=float)
+        except ValueError:  # columns of two lengths
+            raise ValueError("each p_error and exponent column must hold one value per M") from None
+        if not len(self.per_mode_rate) == len(p) == len(e) == len(self.receivers):
             raise ValueError("per_mode_rate, p_error and exponent must hold one entry per receiver")
-        if any(len(col) != len(self.m_values) for col in chain(self.p_error, self.exponent)):
+        if not p.shape == e.shape == (len(self.receivers), len(self.m_values)):
             raise ValueError("each p_error and exponent column must hold one value per M")
-        min_exponent = math.log(2.0) - 1e-12
-        for label, rate, ps, es in zip(self.receivers, self.per_mode_rate, self.p_error,
-                                       self.exponent):
-            if not (math.isfinite(rate) and rate >= 0.0):
-                raise ValueError(f"per_mode_rate {rate} for {label} must be finite and >= 0")
-            for m, p, e in zip(self.m_values, ps, es):
-                if not e >= min_exponent:
-                    raise ValueError(f"exponent {e} below ln 2 for {label} at M={m}")
-                if not (0.0 < p <= 0.5 * (1 + 1e-12) or (p == 0.0 and e > _UNDERFLOW_EXPONENT)):
-                    raise ValueError(f"p_error {p} outside (0, 1/2] for {label} at M={m}")
+        object.__setattr__(self, "p_error", p)
+        object.__setattr__(self, "exponent", e)
+        rates_ok = [math.isfinite(rate) and rate >= 0.0 for rate in self.per_mode_rate]
+        # one mask over the table, which nan fails: p is 0 only where it underflowed
+        ok = ((e >= _MIN_EXPONENT) & (p <= _HALF)
+              & ((p > 0.0) | ((p == 0.0) & (e > _UNDERFLOW_EXPONENT))))
+        if all(rates_ok) and np.count_nonzero(ok) == ok.size:
+            return
+        # the first failing receiver, and in its row the first failing M
+        i = next(i for i, row in enumerate(ok) if not (rates_ok[i] and row.all()))
+        label, rate = self.receivers[i], self.per_mode_rate[i]
+        if not rates_ok[i]:
+            raise ValueError(f"per_mode_rate {rate} for {label} must be finite and >= 0")
+        j = int(np.argmin(ok[i]))
+        m = self.m_values[j]
+        if not e[i, j] >= _MIN_EXPONENT:
+            raise ValueError(f"exponent {e[i, j].item()} below ln 2 for {label} at M={m}")
+        raise ValueError(f"p_error {p[i, j].item()} outside (0, 1/2] for {label} at M={m}")
 
     def __len__(self) -> int:
         return len(self.receivers) * len(self.m_values)
@@ -158,28 +181,28 @@ def compute_sweep(spec: SweepSpec) -> SweepResult:
     The scenario's StandardFormPair, built from the parameters without
     forming a covariance matrix, is built once, and only if a receiver uses it.
     """
-    rates, p_error, log_p = zip(*sweep_points([RECEIVERS[label] for label in spec.receivers],
-                                              Scenario(*spec.scenario.resolve()), spec.m_values))
-    return SweepResult(spec.receivers, spec.m_values, rates, p_error,
-                       tuple([-lp for lp in column] for column in log_p))
+    rates, p_error, log_p = sweep_points([RECEIVERS[label] for label in spec.receivers],
+                                         Scenario(*spec.scenario.resolve()), spec.m_values)
+    return SweepResult(spec.receivers, spec.m_values, tuple(rates), p_error, np.negative(log_p))
 
 
-# sweep_csv writes a table of at least this many rows with _format_17g, a
+# sweep_csv writes a table of at least this many rows with format_17g, a
 # shorter one with the % template. On one CPU, on perfbench's threshold_sweep
-# tables cut to fewer M (medians of 5 x 41 runs), the array route took
-# 1.63x the template's time at 52 rows, 1.15x at 100, 0.99x at 128, 0.93x at
-# 160, 0.83x at 200, 0.78x at 300, 0.57x at 600 and 0.56x at 1196: it pays
-# ~0.07 ms of numpy calls per table and saves ~0.45 us per row.
+# tables cut to fewer M (medians of 6 x 41 runs), the array route took
+# 2.03x the template's time at 52 rows, 1.30x at 100, 1.09x at 128, 1.02x at
+# 160, 0.85x at 200, 0.75x at 300, 0.55x at 600 and 0.46x at 1196: it pays
+# a fixed cost in numpy calls per table and saves time on every row. They
+# cross at ~165 rows.
 _LONG_TABLE = 160
 
 
 def sweep_csv(result: SweepResult) -> str:
     """The sweep CSV: a header, then one line per row, floats as '%.17g' writes them.
 
-    A table of fewer than _LONG_TABLE rows writes each receiver's column
-    with one % format: its label and rate are written into a line template
-    once, and the template, repeated once per M, takes the column's
-    (M, p_error, exponent) values in one pass. A longer table, where numpy's
+    A table of fewer than _LONG_TABLE rows is one % format: each receiver's
+    label and rate are written into a line template once, and the templates,
+    each repeated once per M, take the table's (M, p_error, exponent) values,
+    read off the arrays by .tolist(), in one pass. A longer table, where numpy's
     fixed cost per call is repaid, formats all its p_error and exponent
     values in one _format17.format_17g pass and each M's text once for all
     columns; each column is then one bytes join. Both routes write the same
@@ -187,19 +210,19 @@ def sweep_csv(result: SweepResult) -> str:
     """
     header = "receiver,M,p_error,exponent,per_mode_rate\n"
     if len(result) < _LONG_TABLE:
-        parts = [header]
-        for label, rate, ps, es in zip(result.receivers, result.per_mode_rate,
-                                       result.p_error, result.exponent):
-            line = f"{label},%d,%.17g,%.17g,{rate:.17g}\n"
-            values = tuple(chain.from_iterable(zip(result.m_values, ps, es)))
-            parts.append((line * (len(values) // 3)) % values)
-        return "".join(parts)
+        ms = result.m_values
+        template = "".join(f"{label},%d,%.17g,%.17g,{rate:.17g}\n" * len(ms)
+                           for label, rate in zip(result.receivers, result.per_mode_rate))
+        ps, es = (chain.from_iterable(column.tolist())
+                  for column in (result.p_error, result.exponent))
+        values = chain.from_iterable(zip(ms * len(result.receivers), ps, es))
+        return header + template % tuple(values)
     # imported here: its tables are built on import, and only a long table needs them
     from ._format17 import format_17g
 
     # a column is one join of (M, p_error, exponent, its rate, a newline and the label)
-    texts = format_17g(np.array([result.p_error, result.exponent], dtype=float))
-    texts = texts.reshape(2, *np.shape(result.p_error))
+    texts = format_17g(np.stack((result.p_error, result.exponent)))
+    texts = texts.reshape(2, *result.p_error.shape)
     line = np.empty((len(result.m_values), 4), dtype=object)
     line[:, 0] = [b"%d" % m for m in result.m_values]
     parts = [header]
@@ -290,7 +313,8 @@ def cmd_sweep(args) -> int:
         return 0
     report["results"] = [dict(receiver=label, M=m, p_error=p, exponent=e, per_mode_rate=rate)
                          for label, rate, ps, es in zip(result.receivers, result.per_mode_rate,
-                                                        result.p_error, result.exponent)
+                                                        result.p_error.tolist(),
+                                                        result.exponent.tolist())
                          for m, p, e in zip(result.m_values, ps, es)]
     _emit(report, args)
     return 0
@@ -390,15 +414,23 @@ def _parse_m_values(args) -> tuple:
         too_long = next((tok for tok in tokens if tok.isdecimal() and len(tok) > 309), None)
         if too_long:
             raise ValueError(f"pulse count m must be a positive integer, got {too_long}")
-        values = [int(tok) if tok.isdecimal() else float(tok) for tok in tokens]
+        not_counts = ValueError(f"--m takes integer pulse counts, got {args.m!r}")
+        try:
+            values = [int(tok) if tok.isdecimal() else float(tok) for tok in tokens]
+        except ValueError:
+            raise not_counts from None
         if not all(isinstance(v, int) or v.is_integer() for v in values):
-            raise ValueError(f"--m takes integer pulse counts, got {args.m!r}")
+            raise not_counts
         values = [int(v) for v in values]
     elif args.m_log:
         parts = args.m_log.split(",")
         if len(parts) != 3:
             raise ValueError("--m-log expects start,stop,count")
-        start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+        try:
+            start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+        except ValueError:
+            raise ValueError("--m-log expects start,stop,count: two numbers and an integer, "
+                             f"got {args.m_log!r}") from None
         if not (1 <= start < stop < math.inf and count >= 2):
             raise ValueError("--m-log needs 1 <= start < stop < inf and count >= 2")
         ratio = (stop / start) ** (1.0 / (count - 1))

@@ -899,7 +899,7 @@ def scalar_log_erfc(x: float) -> float:
 def scalar_half_exp(m, rate: float) -> float:
     """(1/2)exp(-m*rate) for one (m, rate), one Dekker product per call: the former half_exp.
 
-    The bound-row kernel (receiver._exp_points) must give these bits: m*rate
+    The bound-row kernel (receiver._exp_columns) must give these bits: m*rate
     carried exactly as hi + lo from Veltkamp's splits of m and of rate,
     exp(-lo) to first order, and past m = 1e300 the product formed from
     m/2**64 and scaled back; 0 once exp underflows, even where lo is nan.

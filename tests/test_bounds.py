@@ -266,7 +266,7 @@ class TestCsQcbBound:
             res = bound(sc, 0.5)
             assert res.s_star == 0.5
             assert abs(res.exponent - exact) <= 4 * math.ulp(float(exact)), (ns, nb, kappa)
-            (rate, _, _), = sweep_points([rx], sc, (1,))
+            (rate,), _, _ = sweep_points([rx], sc, (1,))
             assert rate.hex() == res.exponent.hex(), (ns, nb, kappa)
             checked += 1
         assert checked >= 19_000

@@ -14,12 +14,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import qillum.cli
 import qillum.montecarlo
 import qillum.states
 import qillum.symplectic
 from qillum.bounds import (MAX_BOUND_IDLER_EXCESS, MAX_BOUND_RETURN_EXCESS, MAX_BOUND_SIGNAL_EXCESS,
                            StandardFormPair)
-from qillum._format17 import decimal17, format_17g
+from qillum._format17 import _LAYOUT, _digit_rows, decimal17, format_17g
 from qillum.cli import (_LONG_TABLE, _SCENARIO_DEFAULTS, RECEIVER_ORDER, ScenarioParams,
                         SweepResult, SweepSpec, _parse_m_values, compute_sweep, main, sweep_csv)
 from qillum.montecarlo import deflection_se, simulate_pc_receiver
@@ -43,6 +44,15 @@ def run_cli(capsys, argv):
 def run_json(capsys, argv):
     rc, out, err = run_cli(capsys, argv + ["--json"])
     return rc, json.loads(out), err
+
+
+def assert_same_table(got, want):
+    """Two SweepResults hold the same receivers, M, rates and columns, bit for bit."""
+    assert (got.receivers, got.m_values) == (want.receivers, want.m_values)
+    assert [r.hex() for r in got.per_mode_rate] == [r.hex() for r in want.per_mode_rate]
+    for name in ("p_error", "exponent"):
+        got_bits, want_bits = (getattr(t, name).view(np.uint64) for t in (got, want))
+        assert np.array_equal(got_bits, want_bits), name
 
 
 class TestSnrCommand:
@@ -270,6 +280,19 @@ class TestSweepCommand:
         assert rc == 0
         assert out.splitlines()[1].startswith("QI+PC,100000,")
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--m", "0x10"], "--m takes integer pulse counts, got '0x10'"),
+        (["--m", "10,ten"], "--m takes integer pulse counts, got '10,ten'"),
+        (["--m-log", "1,10,2.5"],
+         "--m-log expects start,stop,count: two numbers and an integer, got '1,10,2.5'"),
+        (["--m-log", "1,1e3x,5"],
+         "--m-log expects start,stop,count: two numbers and an integer, got '1,1e3x,5'"),
+    ])
+    def test_unreadable_m_exits_2_naming_its_flag(self, capsys, argv, message):
+        # int() and float() once raised their own messages, which named no flag
+        rc, out, err = run_cli(capsys, ["sweep", "--receivers", "QI+PC"] + argv)
+        assert (rc, out, err) == (2, "", f"error: {message}\n")
+
     def test_m_above_2_to_53_is_printed_back_exactly(self, capsys):
         # --m once went through float(), and printed 9007199254740992 and 1e20
         ms = [9007199254740993, 100000000000000000001]
@@ -339,12 +362,23 @@ class TestSweepCommand:
         assert set(report) == {"params", "results", "notes"}
         assert report["results"][0]["M"] == 10
 
-    def test_json_and_csv_carry_the_same_rows(self, capsys):
+    def test_json_and_csv_carry_the_same_rows(self, capsys, monkeypatch):
         # all eight receivers, on a grid whose threshold rows underflow to 0
         argv = ["sweep", "--m-log", "10,1e10,40"]
         rc1, csv_text, _ = run_cli(capsys, argv)
+        emitted = []
+        emit = qillum.cli._emit
+
+        def recording(report, *args, **kwargs):
+            emitted.append(report)
+            return emit(report, *args, **kwargs)
+
+        monkeypatch.setattr(qillum.cli, "_emit", recording)
         rc2, report, _ = run_json(capsys, argv)
         assert rc1 == rc2 == 0
+        # the rows hold Python floats, not numpy scalars, before they are written
+        assert all(type(row[key]) is float for row in emitted[0]["results"]
+                   for key in ("p_error", "exponent", "per_mode_rate"))
         rows = [line.split(",") for line in csv_text.splitlines()[1:]]
         assert len(rows) == len(report["results"]) == 40 * len(RECEIVER_ORDER)
         assert any(float(row[2]) == 0.0 for row in rows)
@@ -368,7 +402,7 @@ class TestSweepTypes:
     def test_row_allows_underflowed_tail(self):
         result = SweepResult(receivers=("QI+PC",), m_values=(10 ** 9,), per_mode_rate=(2e-6,),
                              p_error=((0.0,),), exponent=((2000.0,),))
-        assert result.exponent == ((2000.0,),)
+        assert result.exponent.tolist() == [[2000.0]]
         assert len(result) == 1
 
     def test_row_rejects_exponent_below_ln_2(self):
@@ -390,6 +424,9 @@ class TestSweepTypes:
              p_error=((0.4,),), exponent=((0.9,), (0.9,))),
         dict(receivers=("QI+PC", "CS-QCB"), m_values=(1,), per_mode_rate=(1.0, 1.0),
              p_error=((0.4,), (0.4,)), exponent=((0.9,),)),
+        # columns of two lengths, which no array holds
+        dict(receivers=("QI+PC", "CS-QCB"), m_values=(1, 2), per_mode_rate=(1.0, 1.0),
+             p_error=((0.4, 0.3), (0.4,)), exponent=((0.9, 1.2), (0.9, 1.2))),
     ])
     def test_rejects_a_ragged_table(self, fields):
         # zip would otherwise drop the extra values from the CSV and --json rows
@@ -449,7 +486,7 @@ class TestComputeSweep:
             return real(x)
 
         monkeypatch.setattr(math, "erfc", counting)
-        assert compute_sweep(spec) == want
+        assert_same_table(compute_sweep(spec), want)
         assert len(calls) == len(want)
 
     # 53 M on 3 receivers and 40 M on 4 are the tables just short of
@@ -497,6 +534,16 @@ class TestComputeSweep:
         assert proc.returncode == 0
         assert proc.stderr.startswith("params: ") and proc.stderr.count("\n") == 1, proc.stderr
 
+    def test_result_holds_float64_receivers_by_m_arrays(self):
+        result = compute_sweep(SweepSpec(ScenarioParams(), (10, 1000, 10 ** 5), RECEIVER_ORDER))
+        for column in (result.p_error, result.exponent):
+            assert type(column) is np.ndarray and column.dtype == np.float64
+            assert column.shape == (len(RECEIVER_ORDER), 3)
+        # a table given as nested sequences is read into the same arrays
+        table = SweepResult(("QI+PC",), (1, 2), (1.0,), ((0.4, 0.3),), [[0.9, 1.2]])
+        for column in (table.p_error, table.exponent):
+            assert column.dtype == np.float64 and column.shape == (1, 2)
+
     def test_len_is_the_csv_row_count(self):
         result = compute_sweep(SweepSpec(ScenarioParams(ns=0.01, ni=0.01), (10, 1000, 10 ** 5),
                                          ("QI-QCB", "QI+PC")))
@@ -530,6 +577,19 @@ class TestFormat17g:
         assert got == ["%.17g" % v for v in values.tolist()]
         # the table route, not the fallback, wrote nearly all of them
         assert decimal17(bits)[2].mean() > 0.999
+
+    def test_positive_zero_takes_the_table_route(self):
+        # +0.0 is D = 0, E = 0 with no significant digits, laid out '0' by its
+        # own key; -0.0, +-inf and nan are left to Python's '%.17g'
+        values = np.array([0.0, -0.0, math.inf, -math.inf, math.nan, 0.5])
+        d, e, exact = decimal17(values)
+        assert exact.tolist() == [True, False, False, False, False, True]
+        assert (d[0], e[0]) == (0, 0)
+        rows, key, exact = _digit_rows(values)
+        assert exact.tolist() == [True, False, False, False, False, True]
+        index = _LAYOUT[key[:1]].view(np.intp)
+        assert bytes(rows[0][index]).rstrip(b"\0") == b"0"
+        assert format_17g(values).tolist() == [b"%.17g" % v for v in values.tolist()]
 
     def test_working_memory_is_bounded_on_a_long_table(self):
         values = np.random.default_rng(29).random(200_000) * 1e-3
@@ -592,7 +652,7 @@ class TestBoundRowsHotPath:
         for module in (qillum.symplectic, qillum.states):
             monkeypatch.setattr(module, "is_physical", forbidden)
         monkeypatch.setattr(np.linalg, "slogdet", forbidden)
-        assert compute_sweep(spec) == want
+        assert_same_table(compute_sweep(spec), want)
 
     @pytest.mark.parametrize("receivers, builds", [
         (RECEIVER_ORDER, 1),

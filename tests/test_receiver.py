@@ -31,7 +31,7 @@ from qillum.receiver import (
     _check_homodyne_optimum,
     _erfc_column,
     _erfc_columns,
-    _exp_points,
+    _exp_columns,
     _two_product,
     half_erfc,
     half_exp,
@@ -59,16 +59,17 @@ SNR_QI_CAL_PC = 2.3027656169736765e-06
 SNR_QI_HET_PC = 1.1627852893770358e-06
 
 
-def _erfc_points(rate: float, ms) -> tuple[list, list]:
+def _erfc_points(rate: float, ms) -> tuple[np.ndarray, np.ndarray]:
     """The (p, ln p) columns of p = (1/2)erfc(sqrt(m*rate)) over ms: _erfc_columns' one-rate case."""
-    return _erfc_columns((rate,), ms)[0]
+    (p,), (log_p,) = _erfc_columns((rate,), ms)
+    return p, log_p
 
 
 def cs_hom_points(n_signal: float, ch: ChannelParams, ms) -> list[tuple[float, float]]:
     """(p_error, ln p_error) at each m of the CS+Hom row, qi sweep's route, self-check included."""
-    _, p, log_p = sweep_points([RECEIVERS["CS+Hom"]], Scenario(SourceParams(n_signal, 0.0), ch),
-                               ms)[0]
-    return list(zip(p, log_p))
+    _, (p,), (log_p,) = sweep_points([RECEIVERS["CS+Hom"]],
+                                     Scenario(SourceParams(n_signal, 0.0), ch), ms)
+    return list(zip(p.tolist(), log_p.tolist()))
 
 
 def _agrees(value, log_p) -> np.ndarray:
@@ -108,9 +109,9 @@ def _threshold_sweep_checks(monkeypatch, seed: int) -> list:
         seen = _spy_check(patch)
         for params in workloads.draw_scenarios(seed, "threshold_sweep",
                                                workloads.THRESHOLD_SCENARIOS):
-            _, _, log_p = sweep_points([RECEIVERS["CS+Hom"]], Scenario(*params.resolve()),
-                                       workloads.THRESHOLD_M)[0]
-            checks.append((2.0 * seen[-1], np.array(log_p)))
+            _, _, (log_p,) = sweep_points([RECEIVERS["CS+Hom"]], Scenario(*params.resolve()),
+                                          workloads.THRESHOLD_M)
+            checks.append((2.0 * seen[-1], log_p))
     return checks
 
 
@@ -143,6 +144,7 @@ class TestErfc:
         for x in [0.0, 0.5, 1.0, 5.0, 8.0, 12.0, 26.5, 50.0, 120.0, -3.0]:
             ref = float(mpmath.log(mpmath.erfc(mpmath.mpf(x))))
             assert log_erfc(x) == pytest.approx(ref, rel=1e-13)
+            assert type(log_erfc(x)) is float
 
     def test_log_erfc_within_two_ulps_of_mpmath(self):
         # Small x is where ln 2 + log_ndtr(-sqrt(2) x) used to cancel (about
@@ -335,9 +337,9 @@ class TestErfcColumn:
             grid = [m for m in ms if math.isfinite(m * rate)]
             xs = [math.sqrt(m * rate) for m in grid]
             p, log_p = _erfc_points(rate, grid)
-            assert p == [0.5 * math.erfc(x) for x in xs]
-            assert log_p == [LN_HALF + scalar_log_erfc(x) for x in xs]
-            assert all(type(v) is float for v in p + log_p)
+            assert p.dtype == log_p.dtype == np.float64
+            assert np.array_equal(_bits(p), _bits([0.5 * math.erfc(x) for x in xs]))
+            assert np.array_equal(_bits(log_p), _bits([LN_HALF + scalar_log_erfc(x) for x in xs]))
 
 
 class TestHugePulseCounts:
@@ -410,7 +412,7 @@ class TestHugePulseCounts:
         rates = (2.3e-6, 0.43, 50.0, 1e300)
         ms = [10, int(1e300), int(1e307), int(1e308), int(sys.float_info.max)]
         overflowed = 0
-        for rate, (p, log_p) in zip(rates, _erfc_columns(rates, ms)):
+        for rate, p, log_p in zip(rates, *_erfc_columns(rates, ms)):
             for m, p_m, log_p_m in zip(ms, p, log_p):
                 if math.isinf(m * rate):
                     overflowed += 1
@@ -448,7 +450,7 @@ class TestHugePulseCounts:
 
 
 class TestSweepKernel:
-    """sweep_points and _exp_points against the one-receiver and one-m routes, bit for bit."""
+    """sweep_points and _exp_columns against the one-receiver and one-m routes, bit for bit."""
 
     def test_exp_points_and_half_exp_equal_the_scalar_route(self):
         # 1e5 (m, rate): m up to 1.8e308 (the scaled split past 1e300) and
@@ -462,11 +464,12 @@ class TestSweepKernel:
             ms = edges + [int(m) for m in 10 ** rng.uniform(0, 308.25, 86)]
             ms += [2 ** 53 + int(k) for k in rng.integers(1, 2 ** 62, 7)]
             want = [scalar_half_exp(m, rate) for m in ms]
-            p, log_p = _exp_points(rate, ms)
+            (p,), (log_p,) = _exp_columns((rate,), ms)
             assert np.array_equal(_bits(p), _bits(want)), rate
             assert np.array_equal(_bits([half_exp(m, rate) for m in ms]), _bits(want)), rate
             assert np.array_equal(_bits(log_p), _bits([LN_HALF - m * rate for m in ms])), rate
-            assert all(type(v) is float for v in p + log_p + [half_exp(ms[0], rate)])
+            assert p.dtype == log_p.dtype == np.float64
+            assert type(half_exp(ms[0], rate)) is float
 
     @pytest.mark.parametrize("scenario, m_log", [
         (ScenarioParams(), "1e5,1e8,13"),
@@ -488,7 +491,7 @@ class TestSweepKernel:
         points = sweep_points(receivers, sc, ms)
         n_threshold = sum(rx.bound is None for rx in receivers)
         assert calls == [n_threshold * len(ms)]
-        for rx, (rate, p, log_p) in zip(receivers, points):
+        for rx, rate, p, log_p in zip(receivers, *points):
             want_rate = rx.rate(sc) if rx.bound is None else rx.bound(sc, 0.5).exponent
             assert _bits(rate) == _bits(want_rate)
             if rx.bound is None:
@@ -650,7 +653,7 @@ class TestErrorProbPc:
     """A PC receiver's threshold rows (1/2)erfc(sqrt(m*snr)) and their logs, by _erfc_points."""
 
     def test_zero_snr_gives_half(self):
-        assert _erfc_points(0.0, [1, 10**9])[0] == [0.5, 0.5]
+        assert _erfc_points(0.0, [1, 10**9])[0].tolist() == [0.5, 0.5]
 
     def test_unit_exponent(self):
         assert _erfc_points(1.0, [1])[0][0] == pytest.approx(0.5 * math.erfc(1.0), rel=1e-14)
@@ -708,6 +711,7 @@ class TestHomodyne:
         assert opt.threshold == m * math.sqrt(2.0 * 0.01 * 0.01) / 2.0
         assert opt.p_error == pytest.approx(
             0.5 * math.erfc(math.sqrt(m * 1e-4 / 82.0)), rel=1e-12)
+        assert type(opt.p_error) is type(opt.log_p_error) is type(opt.threshold) is float
 
     def test_min_error_threshold_is_finite_wherever_it_is(self):
         # formed as 0.5*(m*sqrt(2 kappa N_S)), it read inf once m*sqrt(...) or
