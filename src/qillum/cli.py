@@ -122,6 +122,20 @@ _HALF = 0.5 * (1 + 1e-12)
 _MIN_EXPONENT = math.log(2.0) - 1e-12
 
 
+def _valid_table(p: np.ndarray, e: np.ndarray) -> bool:
+    """SweepResult's rule for every cell, in three reductions, five if some p is 0.
+
+    Each reduction fails on nan. Where p >= 0, max(p, e - 708) > 0 is p > 0 or
+    an underflowed p = 0 with e > 708.
+    """
+    if not p.size:
+        return True
+    if not (e.min() >= _MIN_EXPONENT and p.max() <= _HALF):
+        return False
+    low = p.min()
+    return low > 0.0 or (low == 0.0 and np.maximum(p, e - _UNDERFLOW_EXPONENT).min() > 0.0)
+
+
 @dataclass(frozen=True, eq=False)
 class SweepResult:
     """A sweep's receivers x M table; len() is its number of CSV rows.
@@ -151,11 +165,11 @@ class SweepResult:
         object.__setattr__(self, "p_error", p)
         object.__setattr__(self, "exponent", e)
         rates_ok = [math.isfinite(rate) and rate >= 0.0 for rate in self.per_mode_rate]
+        if all(rates_ok) and _valid_table(p, e):
+            return
         # one mask over the table, which nan fails: p is 0 only where it underflowed
         ok = ((e >= _MIN_EXPONENT) & (p <= _HALF)
               & ((p > 0.0) | ((p == 0.0) & (e > _UNDERFLOW_EXPONENT))))
-        if all(rates_ok) and np.count_nonzero(ok) == ok.size:
-            return
         # the first failing receiver, and in its row the first failing M
         i = next(i for i, row in enumerate(ok) if not (rates_ok[i] and row.all()))
         label, rate = self.receivers[i], self.per_mode_rate[i]

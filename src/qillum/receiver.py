@@ -31,9 +31,6 @@ from .errors import NumericFailure
 from .states import ChannelParams, NoiseParams, SourceParams, _validate_pulses, c_quantum
 
 LN_HALF = math.log(0.5)
-_HALF_LN_PI = 0.5 * math.log(math.pi)
-# Beyond this erfc(x) nears the subnormal range (it underflows at x ~ 26.55)
-_ERFC_TAIL = 26.0
 _SPLITTER = 134217729.0  # 2**27 + 1, Veltkamp splitting constant
 _SPLIT_SCALE = 2.0 ** 64  # brings any double m under the split's overflow
 # (p_k, q_k), k = 0..9: the coefficients of t^k in P and Q of _log_erfcx_nonneg,
@@ -72,60 +69,26 @@ def _two_product(a, b):
     return hi, lo
 
 
-def _log_erfc_tail(x: np.ndarray) -> np.ndarray:
-    """ln erfc(x) elementwise over a float array of x >= 26, from the asymptotic series.
-
-    erfc(x) = exp(-x^2)/(x*sqrt(pi)) * sum_n (-1)^n (2n-1)!!/(2x^2)^n; at
-    x >= 26 the terms through n = 8 leave a truncation error below 1e-20.
-    x^2 is carried exactly as hi + lo so the result rounds once, at the end;
-    where x*x overflows, ln erfc(x) is -inf.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        # the product of x/4 scaled back by 16, both exact: Veltkamp's high half
-        # of x itself rounds up to 2**512 within 2**26 doubles below
-        # sqrt(max double), and its square overflows where x*x does not
-        hi, lo = (16.0 * v for v in _two_product(0.25 * x, 0.25 * x))
-        t = 0.5 / hi
-        series = 1.0
-        for k in (15.0, 13.0, 11.0, 9.0, 7.0, 5.0, 3.0, 1.0):
-            series = 1.0 - k * t * series
-        log_x = np.fromiter(map(math.log, x.tolist()), float, x.size)
-        log_series = np.fromiter(map(math.log, series.tolist()), float, x.size)
-        out = -hi - (lo + log_x + _HALF_LN_PI - log_series)
-    out[np.isinf(hi)] = -math.inf
-    return out
-
-
 def log_erfc(x: float) -> float:
-    """ln(erfc(x)) to within two ulps for any finite x: the one-element case of _erfc_column."""
+    """ln(erfc(x)) to within an ulp for any finite x: the one-element case of _erfc_column."""
     return _erfc_column(np.array([x], dtype=float))[1].item()
 
 
-def _erfc_column(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _erfc_column(x: np.ndarray, half: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """(erfc(x), ln erfc(x)) elementwise over a float array x; ValueError unless x is finite.
 
-    erfc is the C library's, one call per element. ln erfc takes three
-    routes, each used where it does not cancel: log1p(-erf(x)) while
-    erfc(x) >= 1/2 (small and negative x, where ln erfc is near zero),
-    log(erfc(x)) in the mid range, and the asymptotic series
-    (_log_erfc_tail) for x >= 26, where erfc underflows. Every route stays
-    on the C library's erfc, erf, log and log1p, so the bits do not follow
-    numpy's SIMD code.
+    With half, (p, ln p) of p = erfc(x)/2 instead. Both come from one
+    evaluation per x in the private module _erfc, imported on the first
+    call: ln p from a table-driven Taylor expansion carried as a
+    double-double and rounded once, and p from a double-double exponential
+    of it, so that neither rounds twice. It uses IEEE arithmetic, exact
+    power-of-two scaling and table gathers only, no C library function, so
+    the bits do not follow the platform's libm or numpy's SIMD code. Each
+    value is within an ulp of the exact one, but for ln p with half and
+    x < 0, which is within 1e-16 absolute.
     """
-    finite = np.isfinite(x)
-    if not finite.all():
-        raise ValueError(f"erfc argument must be finite, got {x[~finite][0]}")
-    e = np.fromiter(map(math.erfc, x.tolist()), float, x.size)
-    tail = x >= _ERFC_TAIL
-    near = e >= 0.5
-    mid = ~(tail | near)
-    log_e = np.empty_like(e)
-    log_e[mid] = np.fromiter(map(math.log, e[mid].tolist()), float)
-    if near.any():
-        log_e[near] = [math.log1p(-math.erf(v)) for v in x[near].tolist()]
-    if tail.any():
-        log_e[tail] = _log_erfc_tail(x[tail])
-    return e, log_e
+    from ._erfc import erfc_pair
+    return erfc_pair(x, half)
 
 
 def _log_erfcx_nonneg(x: np.ndarray) -> np.ndarray:
@@ -149,15 +112,12 @@ def _log_erfcx_nonneg(x: np.ndarray) -> np.ndarray:
 
 
 def half_erfc(x: float) -> float:
-    """(1/2)erfc(x) straight from erfc, without a detour through ln p.
+    """(1/2)erfc(x) to within an ulp: the one-element case of _erfc_column with half.
 
-    Exact scaling of the C library's erfc, so the result carries erfc's own
-    accuracy until it underflows past x ~ 26.5; ln p, finite everywhere, is
-    LN_HALF + log_erfc(x).
+    It underflows past x ~ 26.5; ln p, finite everywhere, is that column's
+    second value.
     """
-    if not math.isfinite(x):
-        raise ValueError(f"half_erfc argument must be finite, got {x}")
-    return 0.5 * math.erfc(x)
+    return _erfc_column(np.array([x], dtype=float), half=True)[0].item()
 
 
 def half_exp(m, rate: float) -> float:
@@ -359,26 +319,23 @@ def homodyne_min_error(n_signal: float, ch: ChannelParams, m) -> HomodyneOptimum
 def _erfc_columns(rates, ms) -> tuple[np.ndarray, np.ndarray]:
     """(p, ln p) of p = (1/2)erfc(sqrt(m*rate)), float64 arrays of shape (len(rates), len(ms)).
 
-    One _erfc_column call over the stacked x = sqrt(rate*m) of every rate:
-    each m takes one erfc, which gives both p, bit for bit half_erfc(x), and
-    ln p = LN_HALF + log_erfc(x). Where rate*m overflows, x is the largest
-    double instead of inf, so the row is p = 0 and ln p = -inf, as a bound
-    row's is.
+    One _erfc_column call over the stacked x = sqrt(rate*m) of every rate,
+    which evaluates the kernel once per x for both p, bit for bit
+    half_erfc(x), and ln p. Where rate*m overflows, x is the largest double
+    instead of inf, so the row is p = 0 and ln p = -inf, as a bound row's is.
     """
     with np.errstate(over="ignore"):
         x = np.sqrt(np.multiply.outer(np.array(rates, dtype=float), np.array(ms, dtype=float)))
-    x[np.isinf(x)] = sys.float_info.max
-    e, log_e = _erfc_column(x.ravel())
-    e *= 0.5
-    log_e += LN_HALF
-    return e.reshape(x.shape), log_e.reshape(x.shape)
+    np.minimum(x, sys.float_info.max, out=x)
+    p, log_p = _erfc_column(x.ravel(), half=True)
+    return p.reshape(x.shape), log_p.reshape(x.shape)
 
 
 def _check_homodyne_optimum(n_signal: float, ch: ChannelParams, ms, log_p) -> None:
     """Raise NumericFailure where the minimum over the threshold of ln (fa+md)/2 is not ln p.
 
     The column is the closed form ln (1/2)erfc(sqrt(m*rate)) at each m of ms,
-    p and ln p bit for bit half_erfc and LN_HALF + log_erfc (_erfc_columns).
+    as _erfc_columns gives it.
     With the threshold tau in units of sigma and w = shift/sigma,
     fa = erfc(tau)/2 and md = erfc(w - tau)/2. The objective is symmetric
     about w/2, and the slope of erfc(tau) + erfc(w - tau),
@@ -387,10 +344,11 @@ def _check_homodyne_optimum(n_signal: float, ch: ChannelParams, ms, log_p) -> No
     ln (1/2)erfc(w/2). That value comes from an independent kernel, once per
     m: ln erfc(u) = ln erfcx(u) - u^2 with the numpy rational
     _log_erfcx_nonneg, whose terms share their sign, so nothing cancels
-    (within 6e-16 relative of mpmath on [0, 2e4]). The column stays on the C
-    library's erfc, through _erfc_column. The error names each m where the
-    two disagree by more than 1e-12*max(1, |ln p|), with +-inf read as the
-    largest doubles, so that both -inf agree.
+    (within 6e-16 relative of mpmath on [0, 2e4]). The column comes from the
+    table-driven kernel of _erfc_column, which shares nothing with that
+    rational. The error names each m where the two disagree by more than
+    1e-12*max(1, |ln p|), with +-inf read as the largest doubles, so that
+    both -inf agree.
     """
     # u = w/2 = m sqrt(2 kappa N_S)/(2 sqrt(m (2 N_B + 1))), formed so that
     # nothing overflows while the row's x = sqrt(m*rate) is finite
@@ -468,12 +426,13 @@ def sweep_points(receivers, sc: Scenario, ms) -> tuple[list, np.ndarray, np.ndar
     arrays of shape (len(receivers), len(ms)), a row per receiver. A bound
     receiver's rate is its equal-prior bound's exponent, as qi bounds prints
     it. One kernel call per row kind: every threshold receiver's row comes
-    from one erfc per m, shared by p and ln p, in one _erfc_column call over
-    all of them (_erfc_columns); every bound receiver's row from one
-    _exp_columns call, p = half_exp and ln p = ln(1/2) - m*rate. p is never
-    formed as exp(ln p), which would scale the last-bit error of ln p by
-    |ln p|. Each receiver's check then reads its ln p row. ms are positive
-    ints (SweepSpec checks them).
+    from one evaluation of erfc per m, shared by p and ln p, in one
+    _erfc_column call over all of them (_erfc_columns); every bound
+    receiver's row from one _exp_columns call, p = half_exp and
+    ln p = ln(1/2) - m*rate. p is never formed as exp of ln p rounded to a
+    double, which would scale the last-bit error of ln p by |ln p|: both
+    kernels carry the exponent as a double-double. Each receiver's check
+    then reads its ln p row. ms are positive ints (SweepSpec checks them).
     """
     rates = [rx.rate(sc) if rx.bound is None else rx.bound(sc, 0.5).exponent
              for rx in receivers]

@@ -864,36 +864,26 @@ def mp_midpoint_error_rate(src, ch, noise, m: int, dps: int = 20) -> float:
         return float((above(*e0) + 1 - above(*e1)) / 2)
 
 
-def scalar_log_erfc(x: float) -> float:
-    """ln erfc(x) for one finite x, one branch per call: receiver._erfc_column's former route.
+def mp_log_erfc(x):
+    """ln erfc(x) in mpmath at the working precision, for any real x.
 
-    The column kernel must give these bits: log1p(-erf(x)) while
-    erfc(x) >= 1/2, log(erfc(x)) in the mid range, and for x >= 26 the
-    asymptotic series with x^2 carried exactly as hi + lo (-inf where x*x
-    overflows), from the product of x/4 so that no half of it overflows
-    where x*x does not.
+    Past x = 27 it sums the asymptotic series
+    erfc(x) = exp(-x^2)/(x sqrt(pi)) sum_n (-1)^n (2n-1)!!/(2x^2)^n through
+    n = 30, whose next term is below 1e-54 there: mpmath's own erfc takes
+    seconds at x ~ 1e100 and overflows past ~1e150. Below 1/2 it takes
+    log1p(-erf(x)), where erfc(x) is too close to 1 for its log.
     """
-    if not math.isfinite(x):
-        raise ValueError(f"log_erfc argument must be finite, got {x}")
-    if x >= 26.0:
-        if math.isinf(x * x):
-            return -math.inf
-        # x*x == hi + lo exactly (Dekker), from Veltkamp's split of q = x/4
-        q = 0.25 * x
-        c = 134217729.0 * q
-        qh = c - (c - q)
-        ql = q - qh
-        hi = x * x
-        lo = 16.0 * (((qh * qh - q * q) + qh * ql + ql * qh) + ql * ql)
-        t = 0.5 / hi
-        series = 1.0
-        for k in (15.0, 13.0, 11.0, 9.0, 7.0, 5.0, 3.0, 1.0):
-            series = 1.0 - k * t * series
-        return -hi - (lo + math.log(x) + 0.5 * math.log(math.pi) - math.log(series))
-    e = math.erfc(x)
-    if e >= 0.5:
-        return math.log1p(-math.erf(x))
-    return math.log(e)
+    x = mpmath.mpf(x)
+    if x >= 27:
+        t = 1 / (2 * x * x)
+        term, series = mpmath.mpf(1), mpmath.mpf(1)
+        for n in range(1, 31):
+            term *= -(2 * n - 1) * t
+            series += term
+        return -x * x - mpmath.log(x * mpmath.sqrt(mpmath.pi)) + mpmath.log(series)
+    if abs(x) < 0.5:
+        return mpmath.log1p(-mpmath.erf(x))
+    return mpmath.log(mpmath.erfc(x))
 
 
 def scalar_half_exp(m, rate: float) -> float:

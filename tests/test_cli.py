@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import qillum._erfc
 import qillum.cli
 import qillum.montecarlo
 import qillum.states
@@ -405,6 +406,26 @@ class TestSweepTypes:
         assert result.exponent.tolist() == [[2000.0]]
         assert len(result) == 1
 
+    def test_row_allows_an_underflowed_p_beside_a_normal_one(self):
+        # p.min() is 0 there, so the check takes its underflow reduction
+        result = SweepResult(receivers=("QI+PC", "CS-QCB"), m_values=(10, 10 ** 6),
+                             per_mode_rate=(1e-3, 1e-3), p_error=((0.4, 0.0), (0.45, 1e-300)),
+                             exponent=((0.9, 750.0), (0.8, 690.08)))
+        assert result.p_error[0, 1] == 0.0
+
+    @pytest.mark.parametrize("p, e, message", [
+        # p = 0 short of its underflow, a negative p beyond it, a nan p, and a
+        # low exponent: each fails a reduction, and the mask names the cell
+        (0.0, 700.0, r"p_error 0.0 outside \(0, 1/2\] for QI\+PC at M=2$"),
+        (-1e-300, 800.0, r"p_error -1e-300 outside \(0, 1/2\] for QI\+PC at M=2$"),
+        (math.nan, 0.9, r"p_error nan outside \(0, 1/2\] for QI\+PC at M=2$"),
+        (0.4, 0.5, r"exponent 0.5 below ln 2 for QI\+PC at M=2$"),
+    ])
+    def test_rejects_each_bad_cell_by_its_message(self, p, e, message):
+        with pytest.raises(ValueError, match=message):
+            SweepResult(receivers=("QI+PC",), m_values=(1, 2), per_mode_rate=(1.0,),
+                        p_error=((0.4, p),), exponent=((0.9, e),))
+
     def test_row_rejects_exponent_below_ln_2(self):
         with pytest.raises(ValueError, match=r"below ln 2 for CS-QCB at M=10$"):
             SweepResult(receivers=("QI+PC", "CS-QCB"), m_values=(10, 100),
@@ -472,22 +493,27 @@ class TestComputeSweep:
             assert (p, e) == (opt.p_error, -opt.log_p_error)
 
     def test_one_erfc_per_threshold_row(self, monkeypatch):
-        # 1/2 erfc and its log share one erfc per row, in the tail too
+        # 1/2 erfc and its log share one kernel evaluation per row, in the
+        # tail too, and none calls the C library's erfc
         ms = tuple(sorted({int(round(10.0 * 10.0 ** (i / 4))) for i in range(37)}))
         spec = SweepSpec(ScenarioParams(ns=0.01, ni=0.01), ms,
                          ("QI+PC", "QI+Cal+PC", "QI+Het+PC", "CS+Hom"))
         want = compute_sweep(spec)
         assert 0.0 in want.p_error[0]
-        real = math.erfc
+        real = qillum._erfc.erfc_pair
         calls = []
 
-        def counting(x):
-            calls.append(x)
-            return real(x)
+        def counting(x, half):
+            calls.append((x.size, half))
+            return real(x, half)
 
-        monkeypatch.setattr(math, "erfc", counting)
+        def refuse(x):
+            raise AssertionError("the C library's erfc was called")
+
+        monkeypatch.setattr(qillum._erfc, "erfc_pair", counting)
+        monkeypatch.setattr(math, "erfc", refuse)
         assert_same_table(compute_sweep(spec), want)
-        assert len(calls) == len(want)
+        assert calls == [(len(want), True)]
 
     # 53 M on 3 receivers and 40 M on 4 are the tables just short of
     # _LONG_TABLE and at it, one on each side of sweep_csv's fork
@@ -629,6 +655,26 @@ for argv, rows, loads in ((['bounds'], None, False), (['snr'], None, False),
         n = len(json.loads(text)['results']) if '--json' in argv else text.count('\\n') - 1
         assert n == rows, (argv, n)
     assert ('qillum._format17' in sys.modules) == loads, argv
+"""
+        env = dict(os.environ, PYTHONPATH=str(Path(qillum.__file__).resolve().parents[1]))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_only_threshold_rows_import_the_erfc_kernel(self):
+        # the erfc kernel's module holds ~100 kB of tables: qi bounds, qi snr,
+        # qi mc and a sweep of bound rows neither compile nor decode it
+        code = """
+import contextlib, io, sys
+import qillum.cli as cli
+assert 'qillum._erfc' not in sys.modules, 'import'
+for argv, loads in ((['bounds'], False), (['snr'], False), (['mc', '--samples', '2000'], False),
+                    (['sweep', '--receivers', 'QI-QCB,QI+Het+CCB,CS-QCB', '--m-log', '1e3,1e8,13'],
+                     False),
+                    (['sweep', '--receivers', 'CS+Hom', '--m', '10'], True)):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+    assert ('qillum._erfc' in sys.modules) == loads, argv
 """
         env = dict(os.environ, PYTHONPATH=str(Path(qillum.__file__).resolve().parents[1]))
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,

@@ -13,11 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import (ErrorProbabilities, golden_section, homodyne_errors, homodyne_log_p,
-                      homodyne_search_min, log_erfc_and_slope, log_erfc_nonneg, pc_transform,
-                      scalar_half_exp, scalar_log_erfc, snr_from_moments, ulp_error)
+                      homodyne_search_min, log_erfc_and_slope, log_erfc_nonneg, mp_log_erfc,
+                      pc_transform, scalar_half_exp, snr_from_moments, ulp_error)
 
 import qillum.receiver
-from qillum.cli import ScenarioParams, SweepSpec, _parse_m_values
+from qillum import _erfc
+from qillum.cli import ScenarioParams, SweepSpec, _parse_m_values, compute_sweep
 from qillum.errors import NumericFailure
 from qillum.receiver import (
     RECEIVERS,
@@ -149,8 +150,9 @@ class TestErfc:
     def test_log_erfc_within_two_ulps_of_mpmath(self):
         # Small x is where ln 2 + log_ndtr(-sqrt(2) x) used to cancel (about
         # 20 000 ulps near 2.5e-5). The two doubles either side of erfc = 1/2
-        # straddle the switch from log1p(-erf) to log(erfc); 26 is the
-        # switch to the asymptotic series.
+        # straddled the C library route's switch from log1p(-erf) to
+        # log(erfc), and 26 its switch to the asymptotic series. The table
+        # kernel holds every x to one ulp, and so does this test.
         xs = np.concatenate([
             np.linspace(-5.0, 30.0, 1401),
             np.geomspace(1e-12, 1e-3, 91),
@@ -162,14 +164,15 @@ class TestErfc:
             for x in xs:
                 x = float(x)
                 exact = mpmath.log(mpmath.erfc(mpmath.mpf(x)))
-                assert ulp_error(log_erfc(x), exact) <= 2.0, x
+                assert ulp_error(log_erfc(x), exact) <= 1.0, x
 
     def test_half_erfc_carries_only_the_erfc_error(self):
-        # half_erfc scales the C library's erfc exactly, so its error is
-        # erfc's own. glibc 2.36 erfc exceeds 2 ulps at about 1 point in 1600
-        # on [0, 26] and reaches 3.3 ulps at x = 1.23745313574309, which the
-        # grid includes. Forming p as exp(ln p) instead costs up to |ln p|
-        # ulps: hundreds at x ~ 10.
+        # half_erfc is the kernel's p = erfc(x)/2, exponentiated from ln p as
+        # a double-double and rounded once, so it is within an ulp. It used
+        # to scale glibc 2.36's erfc, which exceeds 2 ulps at about 1 point in
+        # 1600 on [0, 26] and reaches 3.3 ulps at x = 1.23745313574309, which
+        # the grid includes. Forming p as exp of ln p rounded to a double
+        # costs up to |ln p| ulps: hundreds at x ~ 10.
         xs = np.concatenate([
             np.linspace(-5.0, 26.0, 1241),
             np.geomspace(1e-12, 1e-3, 46),
@@ -179,7 +182,7 @@ class TestErfc:
             for x in xs:
                 x = float(x)
                 exact = mpmath.erfc(mpmath.mpf(x)) / 2
-                assert ulp_error(half_erfc(x), exact) <= 4.0, x
+                assert ulp_error(half_erfc(x), exact) <= 1.0, x
 
     def test_log_erfc_nonneg_within_1e_13_of_mpmath_and_log_erfc(self):
         # the rational the homodyne self-check evaluates, on [0, 2e4]: its
@@ -231,6 +234,38 @@ class TestErfc:
         roots = np.polynomial.polynomial.polyroots(_LOG_ERFC_PQ[:, 1])
         assert np.all(np.abs(roots - np.clip(roots.real, 0.0, 1.0)) > 0.1)
 
+    def test_committed_erfc_tables_are_the_scripts(self):
+        # reruns scripts/erfc_tables.py's mpmath expansions (under a second)
+        path = Path(__file__).resolve().parents[1] / "scripts" / "erfc_tables.py"
+        spec = importlib.util.spec_from_file_location("erfc_tables", path)
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        committed = np.frombuffer(_erfc._TABLES, dtype="<f8")
+        assert np.array_equal(_bits(script.tables()), _bits(committed))
+        # the script writes the block that the module holds
+        assert script.block(committed) in Path(_erfc.__file__).read_text(encoding="utf-8")
+        # the kernel's layout is the script's: its index puts each centre in its
+        # own interval, but for 32, where the octave-wide intervals take over
+        centres = np.array(script.centres())
+        index = np.arange(centres.size)
+        below = centres < 32.0
+        assert np.array_equal(_erfc._index(centres[below], False), index[below])
+        assert np.array_equal(_erfc._index(centres, True)[centres != 32.0], index[centres != 32.0])
+        assert _erfc._index(np.array([np.nextafter(32.0, 0.0)]), True)[0] == index[centres == 32.0]
+
+    def test_exp_reduction_constants_split_ln2_over_512(self):
+        # the high part has 33 significant bits, so k times it is exact for |k| < 2**20
+        hi, lo = _erfc._LN2_512_HI, _erfc._LN2_512_LO
+        assert math.frexp(hi)[0] * 2 ** 33 == int(math.frexp(hi)[0] * 2 ** 33)
+        with mpmath.workdps(50):
+            exact = mpmath.log(2) / 512
+            assert abs(mpmath.mpf(hi) + mpmath.mpf(lo) - exact) <= math.ulp(lo)
+            assert _erfc._INV_LN2_512 == float(1 / exact)
+            assert _erfc._LN_2_SQRT_PI == float(mpmath.log(2 * mpmath.sqrt(mpmath.pi)))
+            assert _erfc._LN2_HI + _erfc._LN2_LO == _erfc._LN2_HI
+            assert _erfc._LN2_HI == float(mpmath.log(2))
+            assert _erfc._LN2_LO == float(mpmath.log(2) - mpmath.mpf(_erfc._LN2_HI))
+
     def test_half_exp_within_two_ulps_of_mpmath(self):
         # exp(ln(1/2) - m*rate) was up to 43 ulps off on the golden bound rows
         rng = np.random.default_rng(5)
@@ -267,32 +302,66 @@ def _neighbours(x: float, n: int = 3) -> list:
     return out
 
 
-class TestErfcColumn:
-    """receiver._erfc_column against the former scalar route (_oracles.scalar_log_erfc)."""
+def _half_log(x: float) -> float:
+    """ln(erfc(x)/2) from the one-element column with half."""
+    return _erfc_column(np.array([x], dtype=float), half=True)[1].item()
 
-    # the doubles either side of erfc = 1/2, the switch to the series at 26,
-    # where erfc leaves the normal range (26.54) and where it reaches zero
-    # (27.23), and where x*x overflows (1.34e154)
-    EDGES = (_neighbours(0.4769362762044699) + _neighbours(26.0)
-             + _neighbours(26.543258454250978) + _neighbours(27.226364135742184)
+
+class TestErfcColumn:
+    """receiver._erfc_column against mpmath and against its one-element cases."""
+
+    # the doubles either side of erfc = 1/2; of the kernel's interval about 0
+    # (+-1/16), of its switch to octave-wide intervals (32) and of its route
+    # past 2**31; where p = erfc/2 leaves the normal range (26.54) and where
+    # it reaches zero (27.23); where x*x overflows (1.34e154)
+    EDGES = (_neighbours(0.4769362762044699) + _neighbours(0.0625) + _neighbours(-0.0625)
+             + _neighbours(26.0) + _neighbours(26.543258454250978)
+             + _neighbours(27.226364135742184) + _neighbours(32.0) + _neighbours(2.0 ** 31)
              + _neighbours(math.sqrt(sys.float_info.max))
-             + [0.0, -0.0, 5e-324, -5e-324, 1e-300, -6.0, 40.0, 1e155, sys.float_info.max])
+             + [0.0, -0.0, 5e-324, -5e-324, 1e-300, -6.0, -6.5, -7.0, 40.0, 1e155,
+                sys.float_info.max])
 
     def test_kernel_equals_the_scalar_route_bit_for_bit(self):
+        # log_erfc and half_erfc, one-element columns, give the bits that a
+        # long column gives at the same x, whatever else the column holds: a
+        # column within the tables takes a shorter route than one with x < -6.5
+        # or x >= 2**31, and one below 28 skips the exponential's underflow guard
         rng = np.random.default_rng(17)
-        xs = np.concatenate([rng.uniform(-6.0, 40.0, 100_000), 10 ** rng.uniform(-12, 154, 5000),
-                             self.EDGES])
-        e, log_e = _erfc_column(xs)
-        assert np.array_equal(_bits(e), _bits([math.erfc(x) for x in xs.tolist()]))
-        assert np.array_equal(_bits(log_e), _bits([scalar_log_erfc(x) for x in xs.tolist()]))
+        xs = np.concatenate([self.EDGES, rng.uniform(-6.0, 40.0, 100_000),
+                             10 ** rng.uniform(-12, 154, 5000)])
+        columns = _erfc_column(xs) + _erfc_column(xs, half=True)
+        for part in (xs >= 0.0, (xs >= 0.0) & (xs < 28.0), (xs >= 0.0) & (xs < 32.0),
+                     (xs >= 32.0) & (xs < 2.0 ** 31)):
+            for column, whole in zip(_erfc_column(xs[part]) + _erfc_column(xs[part], half=True),
+                                     columns):
+                assert np.array_equal(_bits(column), _bits(whole[part]))
+        # one-element calls cost ~0.1 ms: the edges and 3000 random x
+        few = slice(len(self.EDGES) + 3000)
+        singles = [_erfc_column(np.array([x])) + _erfc_column(np.array([x]), half=True)
+                   for x in xs[few].tolist()]
+        for column, single in zip(columns, zip(*singles)):
+            assert np.array_equal(_bits(column[few]), _bits(np.concatenate(single)))
+        assert np.array_equal(_bits(columns[1][few]), _bits([log_erfc(x) for x in xs[few]]))
+        assert np.array_equal(_bits(columns[2][few]), _bits([half_erfc(x) for x in xs[few]]))
 
     def test_each_route_and_edge_alone(self):
-        # one-element columns take each mask on its own, and log_erfc is that case
-        for x in self.EDGES:
-            e, log_e = _erfc_column(np.array([x]))
-            assert _bits(e) == _bits(math.erfc(x)), x
-            assert _bits(log_e) == _bits(scalar_log_erfc(x)) == _bits(log_erfc(x)), x
-            assert type(log_erfc(x)) is float
+        # one-element columns take each route on its own; log_erfc is that case
+        with mpmath.workdps(50):
+            for x in self.EDGES:
+                (e,), (log_e,) = _erfc_column(np.array([x]))
+                (p,), (log_p,) = _erfc_column(np.array([x]), half=True)
+                if math.isinf(x * x):
+                    assert log_e == log_p == -math.inf and e == p == 0.0, x
+                    continue
+                exact = mp_log_erfc(x)
+                assert ulp_error(log_e, exact) <= 1.0, x
+                assert ulp_error(e, mpmath.exp(exact)) <= 1.0, x
+                assert ulp_error(p, mpmath.exp(exact) / 2) <= 1.0, x
+                if x >= 0.0:
+                    assert ulp_error(log_p, exact - mpmath.log(2)) <= 1.0, x
+                assert _bits(log_e) == _bits(log_erfc(x)), x
+                assert _bits(p) == _bits(half_erfc(x)), x
+                assert type(log_erfc(x)) is type(half_erfc(x)) is float
         assert log_erfc(1e155) == -math.inf
         assert log_erfc(-0.0) == 0.0 and log_erfc(26.0) < -675.0
 
@@ -330,7 +399,8 @@ class TestErfcColumn:
 
     def test_points_equal_the_per_row_route(self):
         # x = sqrt(m*rate) in numpy is the per-row math.sqrt(m * rate) of
-        # Python's int*float, for m up to 1e308 and rates across the routes
+        # Python's int*float, for m up to 1e308 and rates across the routes,
+        # and each row is the one-element column's (p, ln p) at that x
         rng = np.random.default_rng(23)
         ms = sorted({int(m) for m in 10 ** rng.uniform(0, 308, 400)} | {1, 2 ** 53 + 1, 2 ** 64 + 1})
         for rate in (0.0, 1e-300, 2.3e-6, 0.37, 5e3, *10 ** rng.uniform(-320, -250, 5)):
@@ -338,8 +408,107 @@ class TestErfcColumn:
             xs = [math.sqrt(m * rate) for m in grid]
             p, log_p = _erfc_points(rate, grid)
             assert p.dtype == log_p.dtype == np.float64
-            assert np.array_equal(_bits(p), _bits([0.5 * math.erfc(x) for x in xs]))
-            assert np.array_equal(_bits(log_p), _bits([LN_HALF + scalar_log_erfc(x) for x in xs]))
+            assert np.array_equal(_bits(p), _bits([half_erfc(x) for x in xs]))
+            assert np.array_equal(_bits(log_p), _bits([_half_log(x) for x in xs]))
+
+
+class TestErfcAgainstMpmath:
+    """The threshold rows' kernel within one ulp of mpmath: p = erfc(x)/2 and ln p."""
+
+    # glibc 2.36's erfc was 4.126 ulps off at the first and 3.29 at the second;
+    # the first is perfbench's seed-7331 scenario 8 QI+Cal+PC row at M = 305457
+    GLIBC_WORST = (1.2289530360031107, 1.23745313574309)
+
+    @staticmethod
+    def worst(xs, half: bool = True) -> tuple[float, float]:
+        """The largest ulp errors of the column's two values over xs, at 80 bits."""
+        v, log_v = _erfc_column(np.asarray(xs, dtype=float), half=half)
+        worst_v = worst_log = 0.0
+        with mpmath.workprec(80):
+            for x, v_x, log_v_x in zip(np.asarray(xs, dtype=float).tolist(), v.tolist(),
+                                       log_v.tolist()):
+                exact = mpmath.erfc(mpmath.mpf(x)) / (2 if half else 1)
+                worst_v = max(worst_v, ulp_error(v_x, exact))
+                worst_log = max(worst_log, ulp_error(log_v_x, mpmath.log(exact)))
+        return worst_v, worst_log
+
+    def test_p_and_ln_p_within_one_ulp_at_random_x(self):
+        # 2e5 x uniform on [0, 27]: through p's subnormal range from 26.54 to
+        # its underflow at 27.23; about 20 s
+        xs = np.random.default_rng(41).uniform(0.0, 27.0, 200_000)
+        worst_p, worst_log_p = self.worst(xs)
+        assert worst_p <= 1.0 and worst_log_p <= 1.0, (worst_p, worst_log_p)
+
+    def test_erfc_and_ln_erfc_within_one_ulp_at_random_x(self):
+        # without half: on [-6, 0], where erfc is 1 to 2, and on [0, 27]
+        rng = np.random.default_rng(43)
+        for xs in (rng.uniform(-6.0, 0.0, 10_000), rng.uniform(0.0, 27.0, 10_000)):
+            worst_e, worst_log_e = self.worst(xs, half=False)
+            assert worst_e <= 1.0 and worst_log_e <= 1.0, (worst_e, worst_log_e)
+
+    def test_p_within_one_ulp_below_zero(self):
+        # p = 1 - erfc(-x)/2 is 1/2 to 1 there; ln p is held only absolutely
+        xs = np.random.default_rng(47).uniform(-6.0, 0.0, 10_000)
+        p, log_p = _erfc_column(xs, half=True)
+        with mpmath.workprec(80):
+            for x, p_x, log_p_x in zip(xs.tolist(), p.tolist(), log_p.tolist()):
+                exact = mpmath.erfc(mpmath.mpf(x)) / 2
+                assert ulp_error(p_x, exact) <= 1.0, x
+                assert abs(log_p_x - mpmath.log(exact)) <= 1e-16, x
+
+    def test_ln_p_within_one_ulp_at_log_spaced_x_past_the_tables(self):
+        # 27 to 1e154, where p is 0: the octave-wide intervals up to 2**31,
+        # then -x^2 - ln x - ln(2 sqrt(pi)) with x^2 exact
+        xs = np.geomspace(27.0, 1e154, 5000)
+        _, log_p = _erfc_column(xs, half=True)
+        with mpmath.workdps(50):
+            for x, log_p_x in zip(xs.tolist(), log_p.tolist()):
+                assert ulp_error(log_p_x, mp_log_erfc(x) - mpmath.log(2)) <= 1.0, x
+
+    def test_glibcs_worst_points(self):
+        with mpmath.workdps(50):
+            for x in self.GLIBC_WORST:
+                exact = mpmath.erfc(mpmath.mpf(x)) / 2
+                p, log_p = half_erfc(x), _half_log(x)
+                assert ulp_error(p, exact) <= 1.0 and ulp_error(log_p, mpmath.log(exact)) <= 1.0
+                assert ulp_error(2.0 * p, 2 * exact) <= 1.0
+                assert ulp_error(log_erfc(x), mpmath.log(2 * exact)) <= 1.0
+
+    def test_seed_7331_row_that_perfbench_failed(self):
+        # perfbench's threshold_sweep at seed 7331, scenario 8: its QI+Cal+PC
+        # row at M = 305457 read 4.13 ulps off when p came from glibc's erfc
+        scenario = ScenarioParams(ns=0.015857495880127116, ni=0.364137933035147,
+                                  c=0.26476625887100186, kappa=0.0035086226366770183,
+                                  nb=1.5977480139586526, eps_r=1.0, eps_i=0.0)
+        result = compute_sweep(SweepSpec(scenario, (305457,), ("QI+Cal+PC",)))
+        (rate,), ((p,),), ((exponent,),) = result.per_mode_rate, result.p_error, result.exponent
+        x = math.sqrt(305457 * rate)
+        assert x == self.GLIBC_WORST[0]
+        with mpmath.workdps(50):
+            exact = mpmath.erfc(mpmath.mpf(x)) / 2
+            assert ulp_error(p, exact) <= 1.0
+            assert ulp_error(exponent, -mpmath.log(exact)) <= 1.0
+
+    def test_threshold_rows_call_no_c_library_function(self, monkeypatch):
+        # the kernel uses IEEE arithmetic, exact scaling and table gathers only:
+        # neither the C library's erfc, erf, log and log1p nor numpy's exp,
+        # log and log1p, whose bits follow its SIMD code
+        rates = (0.0, 2.3e-6, 0.43, 50.0, 1e300)
+        ms = [1, 10, 1000, 10 ** 6, int(1e300), int(sys.float_info.max)]
+        want = _erfc_columns(rates, ms)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("called")
+
+        for module, names in ((math, ("erfc", "erf", "log", "log1p", "exp")),
+                              (np, ("exp", "log", "log1p", "expm1"))):
+            for name in names:
+                monkeypatch.setattr(module, name, refuse)
+        got = _erfc_columns(rates, ms) + (half_erfc(-3.0), log_erfc(-3.0), log_erfc(1e-9))
+        monkeypatch.undo()
+        for column, want_column in zip(got, want):
+            assert np.array_equal(_bits(column), _bits(want_column))
+        assert got[2:] == (half_erfc(-3.0), log_erfc(-3.0), log_erfc(1e-9))
 
 
 class TestHugePulseCounts:
@@ -407,8 +576,8 @@ class TestHugePulseCounts:
 
     def test_threshold_rows_where_m_rate_overflows_are_zero_and_minus_inf(self):
         # x = sqrt(m*rate) was inf there, and _erfc_column raised "erfc argument
-        # must be finite, got inf", which named no flag; every other row keeps
-        # the bits of the per-row route
+        # must be finite, got inf", which named no flag; every other row is
+        # the one-element column's at its x
         rates = (2.3e-6, 0.43, 50.0, 1e300)
         ms = [10, int(1e300), int(1e307), int(1e308), int(sys.float_info.max)]
         overflowed = 0
@@ -419,8 +588,8 @@ class TestHugePulseCounts:
                     assert (p_m, log_p_m) == (0.0, -math.inf)
                 else:
                     x = math.sqrt(m * rate)
-                    assert _bits(p_m) == _bits(0.5 * math.erfc(x)), (rate, m)
-                    assert _bits(log_p_m) == _bits(LN_HALF + scalar_log_erfc(x)), (rate, m)
+                    assert _bits(p_m) == _bits(half_erfc(x)), (rate, m)
+                    assert _bits(log_p_m) == _bits(_half_log(x)), (rate, m)
         assert overflowed == 7
 
     def test_self_check_accepts_minus_inf_where_x_squared_overflows(self):
@@ -483,14 +652,14 @@ class TestSweepKernel:
         real = _erfc_column
         calls = []
 
-        def counting(x):
-            calls.append(x.size)
-            return real(x)
+        def counting(x, half=False):
+            calls.append((x.size, half))
+            return real(x, half)
 
         monkeypatch.setattr("qillum.receiver._erfc_column", counting)
         points = sweep_points(receivers, sc, ms)
         n_threshold = sum(rx.bound is None for rx in receivers)
-        assert calls == [n_threshold * len(ms)]
+        assert calls == [(n_threshold * len(ms), True)]
         for rx, rate, p, log_p in zip(receivers, *points):
             want_rate = rx.rate(sc) if rx.bound is None else rx.bound(sc, 0.5).exponent
             assert _bits(rate) == _bits(want_rate)
@@ -748,8 +917,8 @@ class TestHomodyne:
         bad_x = math.sqrt(10 ** 6 * (0.01 * 0.01 / 82.0))
         real = _erfc_column
 
-        def corrupt(x):
-            e, log_e = real(x)
+        def corrupt(x, half=False):
+            e, log_e = real(x, half)
             return e, np.where(x == bad_x, log_e * (1.0 + 1e-11), log_e)
 
         cs_hom_points(0.01, REF_CH, ms)
@@ -770,7 +939,7 @@ class TestHomodyne:
         rate = homodyne_rate(0.5, ch)
         for m, (p, log_p) in zip(ms, cs_hom_points(0.5, ch, ms)):
             assert p == 0.0
-            assert log_p == LN_HALF + log_erfc(math.sqrt(m * rate))
+            assert log_p == _half_log(math.sqrt(m * rate))
 
     def test_self_check_minimum_is_the_golden_section_minimum(self):
         # the claim that w/2 is the minimizer, against a golden-section search
