@@ -10,9 +10,10 @@ follow in closed form from the noisy (mu, omega, gamma) that snr_pc uses
 (_count_weights), so it is drawn from that exact law: the moment oracle
 takes one count per sample, and the threshold test takes a trial's average
 over m pulses, two gamma variates per trial at a cost that does not grow
-with m. The moment samples are the threshold test's trials at m = 1, bit
-for bit. sample_quadratures draws Gaussian quadrature vectors of any state
-from its covariance matrix.
+with m. At m = 1 the law is a two-sided exponential mixture, so a count
+takes one exponential and one uniform. The moment samples are the
+threshold test's trials at m = 1, bit for bit. sample_quadratures draws
+Gaussian quadrature vectors of any state from its covariance matrix.
 
 All randomness is drawn in fixed logical blocks of 2**16 rows, each from
 its own generator. Block b of stream s under seed k comes from
@@ -20,11 +21,13 @@ SFC64(SeedSequence(k, spawn_key=(s, b))), numpy's spawn scheme for
 independent parallel streams: the SeedSequence hashes (k, s, b) into the
 generator's state, so a block is addressed directly, as a counter-based
 generator's would be (Salmon et al., SC'11, "Parallel random numbers: as
-easy as 1, 2, 3"), and no block depends on another's draws. The first j
-rows are therefore the same bits whatever the row count, and repeated runs
-are bit-identical whatever the order in which the hypotheses and checks are
-evaluated. Streams: H0 on stream 0 and H1 on stream 2, for both the
-receiver moments and the threshold test's trials.
+easy as 1, 2, 3"), and no block depends on another's draws. The uniforms
+of a block's m = 1 counts come from a sibling generator,
+SFC64(SeedSequence(k, spawn_key=(s, b, 1))), addressed the same way. The
+first j rows are therefore the same bits whatever the row count, and
+repeated runs are bit-identical whatever the order in which the hypotheses
+and checks are evaluated. Streams: H0 on stream 0 and H1 on stream 2, for
+both the receiver moments and the threshold test's trials.
 
 Because a block depends only on (seed, stream, block), the samplers split
 the blocks of both hypotheses into one contiguous run per usable CPU (at
@@ -101,9 +104,10 @@ _COUNT_OVERFLOW = ("the sampled PC counts overflow their moments: the counts sca
 _BLOCK = 1 << 16  # rows per logical block of a stream
 
 
-def _block_generator(seed: int, stream: int, block: int) -> np.random.Generator:
-    """The generator of one block of a stream."""
-    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(stream, block))))
+def _block_generator(seed: int, *key: int) -> np.random.Generator:
+    """The generator of one block of a stream: key = (stream, block), or
+    (stream, block, 1) for the block's sibling."""
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=key)))
 
 
 def _stream_blocks(seed: int, stream: int, n: int):
@@ -218,24 +222,48 @@ def _block_trial_means(out: np.ndarray, scratch: np.ndarray, weights: tuple[floa
     """Fill out with the trial averages of the difference count over m pulses each.
 
     The trials are the first len(out) rows of the given block of the stream.
-    weights = (lambda_+, lambda_-) of one hypothesis (_count_weights): m
-    pulses sum to lambda_+ chi^2_2m + lambda_- chi^2_2m, so a trial is
-    (2 lambda_+ G_1 + 2 lambda_- G_2)/m with G_1, G_2 ~ Gamma(m) drawn as one
-    row: the cost does not grow with m. The rows are drawn in stream order
-    into scratch, viewed as (G_1, G_2) pairs, so a block that fills out
-    takes two draws when scratch is as long as out; scratch must hold at
-    least one pair.
+    weights = (lambda_+, lambda_-) of one hypothesis (_count_weights), with
+    lambda_+ >= 0 >= lambda_-: m pulses sum to lambda_+ chi^2_2m +
+    lambda_- chi^2_2m.
+
+    At m = 1 that is 2 lambda_+ E_1 + 2 lambda_- E_2 with E_i ~ Exp(1), an
+    asymmetric Laplace variable: by partial fractions of its characteristic
+    function it is 2 lambda_+ E with probability pi = lambda_+/(lambda_+ -
+    lambda_-), and 2 lambda_- E otherwise (Kotz, Kozubowski and Podgorski,
+    "The Laplace Distribution and Generalizations", 2001). E is drawn row by
+    row from the block's generator into out, U ~ U[0, 1) row by row from its
+    sibling into scratch (which must hold len(out) rows), and each row's
+    weight is exactly 2 lambda_+ where U < pi, else 2 lambda_-.
+
+    At m >= 2 a trial is (2 lambda_+ G_1 + 2 lambda_- G_2)/m with G_1, G_2 ~
+    Gamma(m) drawn as one row: the cost does not grow with m. The rows are
+    drawn in stream order into scratch, viewed as (G_1, G_2) pairs, so a
+    block that fills out takes two draws when scratch is as long as out;
+    scratch must hold at least one pair.
     """
     gen = _block_generator(seed, stream, block)
+    if m == 1:
+        lam_plus, lam_minus = weights
+        gen.standard_exponential(out=out)
+        u = scratch[:len(out)]
+        _block_generator(seed, stream, block, 1).random(out=u)
+        # lambda_+ - lambda_- = r is finite wherever _count_weights returns;
+        # 2 lambda_+ - 2 lambda_- overflows from r ~ 9e307
+        np.subtract(u, lam_plus / (lam_plus - lam_minus), out=u)
+        # U - pi is negative exactly where U < pi: its sign bit, spread over
+        # the word, selects 2 lambda_+'s bits there and 2 lambda_-'s elsewhere
+        bits = u.view(np.int64)
+        np.right_shift(bits, 63, out=bits)
+        w_plus, w_minus = (np.float64(2.0 * lam).view(np.int64) for lam in weights)
+        np.bitwise_and(bits, w_plus ^ w_minus, out=bits)
+        np.bitwise_xor(bits, w_minus, out=bits)
+        return np.multiply(out, u, out=out)
     w_plus, w_minus = (2.0 * lam / m for lam in weights)
     pairs = scratch[:len(scratch) // 2 * 2].reshape(-1, 2)
     for start in range(0, len(out), len(pairs)):
         means = out[start:start + len(pairs)]
         g = pairs[:len(means)]
-        if m == 1:
-            gen.standard_exponential(out=g)  # standard_gamma(1) bit for bit, ~1.8x faster
-        else:
-            gen.standard_gamma(m, out=g)
+        gen.standard_gamma(m, out=g)
         # elementwise, not g @ w: a trial's bits then do not depend on its block's size
         np.multiply(g[:, 0], w_plus, out=means)
         np.add(means, np.multiply(g[:, 1], w_minus, out=g[:, 1]), out=means)
@@ -292,7 +320,8 @@ def _reduced_hypotheses(src: SourceParams, ch: ChannelParams, noise: NoiseParams
     runs = [blocks[len(blocks) * i // workers:len(blocks) * (i + 1) // workers]
             for i in range(workers)]
     size = min(_BLOCK, n)
-    # scratch takes a block's gamma pairs in two halves, so it holds an even count
+    # scratch takes a block's uniforms at m = 1, and its gamma pairs in two
+    # halves at m >= 2, so it holds an even count
     buffers = [(np.empty(size), np.empty(size + size % 2)) for _ in runs]
 
     def work(run, run_buffers):

@@ -18,8 +18,9 @@ from scipy.linalg import expm
 from qillum.bounds import (ClassicalDistributionPair, SOverlapResult, _check_s,
                            _classical_route, _weighted_result, gaussian_s_overlap)
 from qillum.errors import NumericFailure
-from qillum.montecarlo import (EmpiricalStats, _count_weights, _empirical_stats,
-                               _gaussian_blocks, _Moments, _stream_blocks, deflection_se)
+from qillum.montecarlo import (EmpiricalStats, _block_generator, _count_weights,
+                               _empirical_stats, _gaussian_blocks, _Moments, _stream_blocks,
+                               deflection_se)
 from qillum.receiver import (LN_HALF, BeamsplitterMoments, ReceiverStats, _log_erfcx_nonneg,
                              half_erfc)
 from qillum.states import (GaussianState, _check_nonnegative, _standard_form_matrix,
@@ -748,16 +749,23 @@ def difference_count(modes: np.ndarray) -> np.ndarray:
 def trial_mean_blocks(weights: tuple[float, float], m: int, seed: int, stream: int, n: int):
     """Blocks of n trial averages of the difference count over m pulses each.
 
-    montecarlo's serial route, the reference for its block workers: each
-    block's gamma pairs are drawn whole, as one (rows, 2) array, and a
-    trial is (2 lambda_+ G_1 + 2 lambda_- G_2)/m as in
-    montecarlo._block_trial_means.
+    montecarlo's serial route, the reference for its block workers, as in
+    montecarlo._block_trial_means. At m = 1 each block's exponentials and
+    its sibling generator's uniforms are drawn whole, and a count is
+    2 lambda_+ E where U < lambda_+/(lambda_+ - lambda_-), else 2 lambda_- E,
+    picked with np.where. At m >= 2 each block's gamma pairs are drawn whole,
+    as one (rows, 2) array, and a trial is (2 lambda_+ G_1 + 2 lambda_- G_2)/m.
     """
     lam_plus, lam_minus = weights
     w_plus, w_minus = 2.0 * lam_plus / m, 2.0 * lam_minus / m
-    for gen, rows in _stream_blocks(seed, stream, n):
-        g = gen.standard_gamma(m, size=(rows, 2))
-        yield g[:, 0] * w_plus + g[:, 1] * w_minus
+    for block, (gen, rows) in enumerate(_stream_blocks(seed, stream, n)):
+        if m == 1:
+            e = gen.standard_exponential(rows)
+            u = _block_generator(seed, stream, block, 1).random(rows)
+            yield np.where(u < lam_plus / (lam_plus - lam_minus), w_plus, w_minus) * e
+        else:
+            g = gen.standard_gamma(m, size=(rows, 2))
+            yield g[:, 0] * w_plus + g[:, 1] * w_minus
 
 
 def moment_block(samples: np.ndarray) -> _Moments:
@@ -829,6 +837,38 @@ def pulse_error_rate(src, ch, noise, m: int, cfg) -> float:
     h0, h1 = (pulse_trial_means(src, ch, noise, m, cfg, hyp)
               for hyp in (Hypothesis.H0, Hypothesis.H1))
     return 0.5 * (float(np.mean(h0 > threshold)) + float(np.mean(h1 <= threshold)))
+
+
+def one_pulse_count_cdf(weights: tuple[float, float], c: np.ndarray) -> np.ndarray:
+    """P(lambda_+ X_1 + lambda_- X_2 <= c) with X_i ~ chi^2_2 and lambda_+ > 0 > lambda_-.
+
+    The convolution of the two scaled exponential laws: with
+    p = lambda_+/(lambda_+ - lambda_-), it is 1 - p exp(-c/(2 lambda_+)) for
+    c >= 0 and (1 - p) exp(-c/(2 lambda_-)) for c < 0 (mp_one_pulse_count_cdf
+    integrates the convolution itself).
+    """
+    lam_plus, lam_minus = weights
+    p = lam_plus / (lam_plus - lam_minus)
+    c = np.asarray(c, dtype=float)
+    upper = 1.0 - p * np.exp(-np.maximum(c, 0.0) / (2.0 * lam_plus))
+    lower = (1.0 - p) * np.exp(-np.minimum(c, 0.0) / (2.0 * lam_minus))
+    return np.where(c >= 0.0, upper, lower)
+
+
+def mp_one_pulse_count_cdf(weights: tuple[float, float], c: float, dps: int = 30) -> float:
+    """one_pulse_count_cdf by quadrature of the convolution, in mpmath.
+
+    P(lambda_+ X_1 <= c - lambda_- x) = 1 - exp(-(c - lambda_- x)/(2 lambda_+))
+    where its argument is positive, integrated against the chi^2_2 density
+    exp(-x/2)/2 of X_2.
+    """
+    with mpmath.workdps(dps):
+        lam_plus, lam_minus, c = (mpmath.mpf(v) for v in (*weights, c))
+        start = max(mpmath.mpf(0), c / lam_minus)
+
+        def integrand(x):
+            return -mpmath.expm1(-(c - lam_minus * x) / (2 * lam_plus)) * mpmath.exp(-x / 2) / 2
+        return float(mpmath.quad(integrand, [start, start + 2, mpmath.inf]))
 
 
 def mp_midpoint_error_rate(src, ch, noise, m: int, dps: int = 20) -> float:

@@ -9,6 +9,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.stats
 
 import qillum.montecarlo
 from qillum.errors import NumericFailure
@@ -40,6 +41,8 @@ from _oracles import (
     difference_count,
     matrix_count_weights,
     mp_midpoint_error_rate,
+    mp_one_pulse_count_cdf,
+    one_pulse_count_cdf,
     pc_transform,
     pulse_error_rate,
     pulse_trial_means,
@@ -250,19 +253,24 @@ class TestStreamLayout:
         class Counting:
             """A generator that records each draw method it hands out."""
 
-            def __init__(self, gen):
-                self.gen = gen
+            def __init__(self, gen, key):
+                self.gen, self.key = gen, key
 
             def __getattr__(self, name):
-                calls.append(name)
+                calls.append((self.key, name))
                 return getattr(self.gen, name)
 
         real = qillum.montecarlo._block_generator
         monkeypatch.setattr(qillum.montecarlo, "_block_generator",
-                            lambda *key: Counting(real(*key)))
+                            lambda *key: Counting(real(*key), key))
         weights = _count_weights(REF_SRC, REF_CH, NO_NOISE)[1]
         got = _block_trial_means(np.empty(BLOCK), np.empty(BLOCK), weights, m, 40, 2, 3)
         assert len(calls) == 2
+        # m = 1: one exponential draw on the block's generator and one uniform
+        # draw on its sibling; m >= 2: two gamma half-blocks on the block's
+        expected = ([((40, 2, 3), "standard_exponential"), ((40, 2, 3, 1), "random")] if m == 1
+                    else [((40, 2, 3), "standard_gamma")] * 2)
+        assert calls == expected
         # the same bits as the serial route's whole-block draw
         assert np.array_equal(got, list(trial_mean_blocks(weights, m, 40, 2, 4 * BLOCK))[3])
 
@@ -406,17 +414,56 @@ class TestCountLaw:
         for counts, pair, stream in zip(seen, weights, (0, 2)):
             trials = np.concatenate(list(trial_mean_blocks(pair, 1, cfg.seed, stream, n)))
             assert np.array_equal(counts, trials)
-            # block 0 is 2 l_+ E_1 + 2 l_- E_2 with E_i ~ Exp(1): numpy's
-            # standard_gamma(1) is its standard_exponential
+            # block 0 is 2 l_+ E where U < l_+/(l_+ - l_-), else 2 l_- E, with
+            # E ~ Exp(1) from the block's generator and U ~ U[0, 1) from its sibling
             lam_plus, lam_minus = pair
-            e = _block_generator(cfg.seed, stream, 0).standard_exponential((BLOCK, 2))
-            assert np.array_equal(counts[:BLOCK],
-                                  e[:, 0] * (2.0 * lam_plus) + e[:, 1] * (2.0 * lam_minus))
+            e = _block_generator(cfg.seed, stream, 0).standard_exponential(BLOCK)
+            u = _block_generator(cfg.seed, stream, 0, 1).random(BLOCK)
+            picked = np.where(u < lam_plus / (lam_plus - lam_minus), 2.0 * lam_plus, 2.0 * lam_minus)
+            assert np.array_equal(counts[:BLOCK], picked * e)
         # sample j is trial j of the threshold test at m = 1
         threshold = 0.5 * math.sqrt(REF_CH.reflectivity) * REF_SRC.corr
         h0, h1 = seen
         rate = 0.5 * (np.count_nonzero(h0 > threshold) + n - np.count_nonzero(h1 > threshold)) / n
         assert empirical_error_rate(REF_SRC, REF_CH, NO_NOISE, 1, cfg) == rate
+
+    @pytest.mark.parametrize("name", ["golden", "validation", "added_noise"])
+    def test_one_pulse_counts_follow_the_closed_form_cdf(self, name):
+        # the whole m = 1 law, not only the four moments the gates hold:
+        # the KS distance of 2e5 counts per hypothesis from the CDF of
+        # l_+ X_1 + l_- X_2, against its critical value at alpha = 1e-6
+        src, ch, noise = LAW_SCENARIOS[name]
+        n = 200_000
+        critical = scipy.stats.kstwo.isf(1e-6, n)
+        for weights, stream in zip(_count_weights(src, ch, noise), (0, 2)):
+            counts = shipped_trial_means(weights, 1, 48, stream, n)
+            result = scipy.stats.kstest(counts, lambda c: one_pulse_count_cdf(weights, c))
+            assert result.statistic < critical, (stream, result)
+            # the closed form is the convolution integral, on both sides of 0
+            for q in (0.05, 0.3, 0.7, 0.95):
+                c = float(np.quantile(counts, q))
+                assert float(one_pulse_count_cdf(weights, c)) == pytest.approx(
+                    mp_one_pulse_count_cdf(weights, c), rel=1e-12), (stream, c)
+
+    def test_one_pulse_counts_near_the_largest_weights(self):
+        # l_+ - l_- = 9e307 is finite, but 2 l_+ - 2 l_- overflows: a mixture
+        # probability formed from the doubled weights would read 0, and every
+        # count would come out negative
+        lam_plus, lam_minus = weights = (5e307, -4e307)
+        assert math.isinf(2.0 * lam_plus - 2.0 * lam_minus)
+        p = lam_plus / (lam_plus - lam_minus)
+        with np.errstate(over="ignore"):
+            counts = _block_trial_means(np.empty(BLOCK), np.empty(BLOCK), weights, 1, 49, 0, 0)
+            assert np.array_equal(counts, next(trial_mean_blocks(weights, 1, 49, 0, BLOCK)))
+        # a count is 1e308 E or -8e307 E: finite wherever E < 1.75 (most rows),
+        # +-inf beyond ~1.8, never nan
+        e = _block_generator(49, 0, 0).standard_exponential(BLOCK)
+        assert np.count_nonzero(e < 1.75) > 0.8 * BLOCK
+        assert np.all(np.isfinite(counts[e < 1.75]))
+        assert not np.any(np.isnan(counts))
+        positive = np.count_nonzero(counts > 0)
+        assert 0 < positive < BLOCK
+        assert abs(positive / BLOCK - p) <= 5 * math.sqrt(p * (1 - p) / BLOCK)
 
     @pytest.mark.parametrize("name", list(LAW_SCENARIOS))
     def test_moments_match_the_quadrature_route(self, name):
@@ -707,8 +754,9 @@ class TestWorkers:
     @pytest.mark.parametrize("n", [5, 2 * BLOCK - 1, 3 * BLOCK + 7])
     @pytest.mark.parametrize("m", [1, 50, 800, 10 ** 12])
     def test_block_worker_is_the_serial_draw(self, n, m):
-        # the worker draws each block in two halves into its scratch buffer;
-        # the serial route draws each block whole
+        # at m >= 2 the worker draws each block's gamma pairs in two halves
+        # into its scratch buffer, and at m = 1 its exponentials and uniforms
+        # into its two buffers; the serial route draws each block whole
         weights = _count_weights(REF_SRC, REF_CH, NO_NOISE)[1]
         want = np.concatenate(list(trial_mean_blocks(weights, m, 64, 2, n)))
         assert np.array_equal(shipped_trial_means(weights, m, 64, 2, n), want)
@@ -753,7 +801,8 @@ class TestBoundedMemory:
     def test_receiver_moments_hold_one_block_per_worker(self, monkeypatch, count):
         # a lean block is the trial means and their squares: 2 * 2**16 doubles.
         # Each worker's buffers are one lean block, allocated by the caller (its
-        # scratch half also takes the gamma pairs, half a block at a time), and
+        # scratch half also takes the uniforms at m = 1, and the gamma pairs
+        # half a block at a time at m >= 2), and
         # nothing else grows with the sample count. The extra block covers
         # numpy.random's first import (~1 MB traced) when this test runs alone.
         monkeypatch.setattr(qillum.montecarlo, "_usable_cpus", lambda: count)
@@ -766,7 +815,7 @@ class TestBoundedMemory:
     def test_receiver_moments_at_a_million_on_many_cpus(self, monkeypatch):
         # the worker cap, not the CPU count, sets how many buffers a call holds
         monkeypatch.setattr(qillum.montecarlo, "_usable_cpus", lambda: 1000)
-        per_worker = 2 * BLOCK * 8  # a lean block, whose scratch half also takes the gamma pairs
+        per_worker = 2 * BLOCK * 8  # a lean block, whose scratch half also takes the uniforms
         cfg = SamplerConfig(seed=44, n_samples=1_000_000)
         peak = self.traced_peak(lambda: simulate_pc_receiver(REF_SRC, REF_CH, NO_NOISE, cfg))
         assert peak < self.LIMIT
