@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Regenerate the rational fit behind receiver._log_erfcx_nonneg.
+"""Regenerate the rational fit behind the test oracle _oracles.log_erfcx_nonneg.
 
 For x >= 0 put t = 2/(2+x), so t runs over (0, 1] and 1 - t = x/(2+x). Then
 
@@ -14,9 +14,12 @@ min sum_j |(P(t_j) - g_j Q(t_j)) / (g_j Q_prev(t_j))|^2 on 260 Chebyshev
 nodes, so the residual is relative error of g. Six passes at 40 digits take
 a few seconds.
 
-Prints the (p_k, q_k) pairs, k = 0..9, as the _LOG_ERFC_PQ literal
-receiver.py commits; tests/test_receiver.py reruns fit_coefficients() and holds the
-committed pairs to it within 1 ulp each.
+Prints the (p_k, q_k) pairs, k = 0..9, as the LOG_ERFC_PQ literal that
+tests/_oracles.py commits. That rational is the second ln erfc route of the
+tests' check of the CS+Hom row (check_homodyne_optimum) and of their
+threshold-search oracles; qillum itself does not use it.
+tests/test_receiver.py reruns fit_coefficients() and holds the committed pairs
+to it within 1 ulp each.
 
     python scripts/fit_log_erfc.py
 """
@@ -66,7 +69,7 @@ def main() -> None:
         worst = max(abs(mpmath.fdot(p, pw) / (mpmath.fdot(q, pw) * g) - 1)
                     for pw, g in zip(powers, gs))
     print(f"# largest relative error of P/Q at the nodes: {mpmath.nstr(worst, 3)}")
-    print("_LOG_ERFC_PQ = np.array((")
+    print("LOG_ERFC_PQ = np.array((")
     for a, b in zip(p, q):
         print(f"    ({float(a)!r}, {float(b)!r}),")
     print("))")

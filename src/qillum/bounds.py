@@ -55,6 +55,7 @@ relative to the exponent, and s = 1/2 wins any tie within that tolerance.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -67,7 +68,7 @@ from .symplectic import PHYSICALITY_ATOL, _symmetric_matrix
 # s is clamped away from the endpoints where G_s diverges for mixed states;
 # C_0 = C_1 = 1 analytically and the clamped evaluation recovers that limit.
 S_ENDPOINT_EPS = 1e-12
-_EPS = float(np.finfo(float).eps)
+_EPS = sys.float_info.epsilon
 # Relative to the exponent: the s-search stops once its predicted gap to the
 # minimum is below half of this, and s = 1/2 wins a tie within it.
 _EXPONENT_RTOL = 4.0 * _EPS

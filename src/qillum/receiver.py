@@ -27,26 +27,11 @@ from typing import Callable
 import numpy as np
 
 from .bounds import StandardFormPair, _bound_at, _check_coherent_background, cs_qcb
-from .errors import NumericFailure
 from .states import ChannelParams, NoiseParams, SourceParams, _validate_pulses, c_quantum
 
 LN_HALF = math.log(0.5)
 _SPLITTER = 134217729.0  # 2**27 + 1, Veltkamp splitting constant
 _SPLIT_SCALE = 2.0 ** 64  # brings any double m under the split's overflow
-# (p_k, q_k), k = 0..9: the coefficients of t^k in P and Q of _log_erfcx_nonneg,
-# as printed by scripts/fit_log_erfc.py. Q lies in [0.99, 14.1] on [0, 1].
-_LOG_ERFC_PQ = np.array((
-    (-1.265512123484646, 1.0),
-    (0.15488765563845255, -0.3321973541944274),
-    (-4.636338363148768, 3.819820114568699),
-    (-0.9402203311055267, 0.06516050759654683),
-    (-5.210589550973994, 4.468026361551018),
-    (-2.193211614205823, 1.3261054438635822),
-    (-2.3909168481173237, 2.2381557151646816),
-    (-0.9483727555714646, 0.9251913111284903),
-    (-0.26938751746552747, 0.45335357836240314),
-    (0.009909094006230757, 0.11208358184518112),
-))
 
 
 def _split(x):
@@ -89,26 +74,6 @@ def _erfc_column(x: np.ndarray, half: bool = False) -> tuple[np.ndarray, np.ndar
     """
     from ._erfc import erfc_pair
     return erfc_pair(x, half)
-
-
-def _log_erfcx_nonneg(x: np.ndarray) -> np.ndarray:
-    """ln erfcx(x) = ln erfc(x) + x^2 elementwise over a float array of x >= 0.
-
-    With t = 2/(2+x), ln erfcx(x) = (x/(2+x))*P(t)/Q(t) - log1p(x/2), where
-    P/Q is the (9,9) rational fit _LOG_ERFC_PQ of
-    g(t) = (ln erfcx(x) - ln t)/(1 - t) on t in [0, 1] (within 4.9e-16 of g).
-    P and Q come from one product of the coefficients with the table of
-    powers t^0..t^9, whose rows (np.vander's columns) are built in place.
-    """
-    u = 2.0 + x
-    t = 2.0 / u
-    powers = np.empty((_LOG_ERFC_PQ.shape[0], t.size))
-    powers[0] = 1.0
-    powers[1] = t
-    for k in range(2, powers.shape[0]):
-        np.multiply(powers[k - 1], t, out=powers[k])
-    p, q = _LOG_ERFC_PQ.T @ powers
-    return x / u * (p / q) - np.log1p(0.5 * x)
 
 
 def half_erfc(x: float) -> float:
@@ -304,10 +269,11 @@ def homodyne_min_error(n_signal: float, ch: ChannelParams, m) -> HomodyneOptimum
     """Minimum equal-prior homodyne error (1/2)erfc(sqrt(m*rate)) at one pulse count.
 
     rate is homodyne_rate(n_signal, ch), and p_error and log_p_error are the
-    CS+Hom row at m, self-check included: sweep_points' one-m case. The
-    optimal threshold sits midway between the conditional means,
-    x* = m*sqrt(2*kappa*N_S)/2, formed as m*sqrt(kappa*N_S/2) so that it is
-    finite wherever x* is.
+    CS+Hom row at m: sweep_points' one-m case. The optimal threshold sits
+    midway between the conditional means, x* = m*sqrt(2*kappa*N_S)/2, formed
+    as m*sqrt(kappa*N_S/2) so that it is finite wherever x* is. The tests
+    hold the row to the error at that threshold from a second ln erfc route
+    (tests/_oracles.py, check_homodyne_optimum).
     """
     m = _validate_pulses(m)
     sc = Scenario(SourceParams(n_signal, 0.0), ch)
@@ -329,46 +295,6 @@ def _erfc_columns(rates, ms) -> tuple[np.ndarray, np.ndarray]:
     np.minimum(x, sys.float_info.max, out=x)
     p, log_p = _erfc_column(x.ravel(), half=True)
     return p.reshape(x.shape), log_p.reshape(x.shape)
-
-
-def _check_homodyne_optimum(n_signal: float, ch: ChannelParams, ms, log_p) -> None:
-    """Raise NumericFailure where the minimum over the threshold of ln (fa+md)/2 is not ln p.
-
-    The column is the closed form ln (1/2)erfc(sqrt(m*rate)) at each m of ms,
-    as _erfc_columns gives it.
-    With the threshold tau in units of sigma and w = shift/sigma,
-    fa = erfc(tau)/2 and md = erfc(w - tau)/2. The objective is symmetric
-    about w/2, and the slope of erfc(tau) + erfc(w - tau),
-    (2/sqrt(pi))(exp(-(w - tau)^2) - exp(-tau^2)), is negative below w/2 and
-    positive above it, so w/2 is the minimizer, where the objective is
-    ln (1/2)erfc(w/2). That value comes from an independent kernel, once per
-    m: ln erfc(u) = ln erfcx(u) - u^2 with the numpy rational
-    _log_erfcx_nonneg, whose terms share their sign, so nothing cancels
-    (within 6e-16 relative of mpmath on [0, 2e4]). The column comes from the
-    table-driven kernel of _erfc_column, which shares nothing with that
-    rational. The error names each m where the two disagree by more than
-    1e-12*max(1, |ln p|), with +-inf read as the largest doubles, so that
-    both -inf agree.
-    """
-    # u = w/2 = m sqrt(2 kappa N_S)/(2 sqrt(m (2 N_B + 1))), formed so that
-    # nothing overflows while the row's x = sqrt(m*rate) is finite
-    u = (math.sqrt(ch.reflectivity * n_signal / 2.0)
-         * np.sqrt(np.array(ms, dtype=float) / (2.0 * ch.n_background + 1.0)))
-    log_p = np.asarray(log_p, dtype=float)
-    # past u ~ 1.3e154 u*u overflows and the value is -inf; -inf counts as the
-    # most negative double, so that it meets a value that did not quite
-    # overflow, and +inf as the largest
-    with np.errstate(over="ignore"):
-        log_mid = LN_HALF + (_log_erfcx_nonneg(u) - u * u)
-        mid, col = (np.clip(v, -sys.float_info.max, sys.float_info.max) for v in (log_mid, log_p))
-        ok = np.abs(mid - col) <= 1e-12 * np.maximum(1.0, np.abs(col))
-    bad = np.flatnonzero(~ok)
-    if bad.size:
-        raise NumericFailure(
-            "numeric threshold optimization disagrees with the closed form at "
-            + ", ".join(f"M={ms[i]} (log p {float(log_mid[i])!r} vs {float(log_p[i])!r})"
-                        for i in bad)
-        )
 
 
 @dataclass(frozen=True)
@@ -408,7 +334,6 @@ class Receiver:
         rate is bound(sc, 0.5).exponent and the rows are (1/2)exp(-M*rate).
     added_noise: the noise a PC receiver adds to the scenario's; else None.
     asymptote(sc): the bright-background SNR, where known (asymptotic_snr).
-    check(sc, ms, log_p): a self-check of the ln p column; raises NumericFailure.
     """
 
     label: str
@@ -416,7 +341,6 @@ class Receiver:
     added_noise: NoiseParams | None = None
     bound: Callable | None = None
     asymptote: Callable | None = None
-    check: Callable | None = None
 
 
 def sweep_points(receivers, sc: Scenario, ms) -> tuple[list, np.ndarray, np.ndarray]:
@@ -431,8 +355,8 @@ def sweep_points(receivers, sc: Scenario, ms) -> tuple[list, np.ndarray, np.ndar
     receiver's row from one _exp_columns call, p = half_exp and
     ln p = ln(1/2) - m*rate. p is never formed as exp of ln p rounded to a
     double, which would scale the last-bit error of ln p by |ln p|: both
-    kernels carry the exponent as a double-double. Each receiver's check
-    then reads its ln p row. ms are positive ints (SweepSpec checks them).
+    kernels carry the exponent as a double-double. ms are positive ints
+    (SweepSpec checks them).
     """
     rates = [rx.rate(sc) if rx.bound is None else rx.bound(sc, 0.5).exponent
              for rx in receivers]
@@ -447,9 +371,6 @@ def sweep_points(receivers, sc: Scenario, ms) -> tuple[list, np.ndarray, np.ndar
         for kernel, kind in ((_erfc_columns, False), (_exp_columns, True)):
             rows = [i for i, b in enumerate(bound) if b == kind]
             p[rows], log_p[rows] = kernel([rates[i] for i in rows], ms)
-    for i, rx in enumerate(receivers):
-        if rx.check is not None:
-            rx.check(sc, ms, log_p[i])
     return rates, p, log_p
 
 
@@ -471,9 +392,7 @@ RECEIVERS = {rx.label: rx for rx in (
     Receiver("QI+Het+CCB", bound=lambda sc, prior_h0: sc.pair.heterodyne().ccb(prior_h0)),
     Receiver("CS-QCB", bound=lambda sc, prior_h0: cs_qcb(sc.src.n_signal, sc.ch, prior_h0)),
     Receiver("CS+Hom", lambda sc: homodyne_rate(sc.src.n_signal, sc.ch),
-             asymptote=_coherent_asymptote,
-             check=lambda sc, ms, log_p: _check_homodyne_optimum(
-                 sc.src.n_signal, sc.ch, ms, log_p)),
+             asymptote=_coherent_asymptote),
     Receiver("QI-QCB", bound=lambda sc, prior_h0: sc.pair.qcb(prior_h0)),
     Receiver("QI-QBB", bound=lambda sc, prior_h0: _bound_at(0.5, sc.pair.log_c(0.5), prior_h0)),
 )}

@@ -7,6 +7,7 @@ high-precision mpmath arithmetic, and brute-force quadrature.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
@@ -21,8 +22,7 @@ from qillum.errors import NumericFailure
 from qillum.montecarlo import (EmpiricalStats, _block_generator, _count_weights,
                                _empirical_stats, _gaussian_blocks, _Moments, _stream_blocks,
                                deflection_se)
-from qillum.receiver import (LN_HALF, BeamsplitterMoments, ReceiverStats, _log_erfcx_nonneg,
-                             half_erfc)
+from qillum.receiver import LN_HALF, BeamsplitterMoments, ReceiverStats, half_erfc
 from qillum.states import (GaussianState, _check_nonnegative, _standard_form_matrix,
                            _validate_pulses, apply_noise, conditional_states)
 from qillum.symplectic import CovMatrix, williamson
@@ -429,7 +429,7 @@ _INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0
 
 
 def golden_section(f, a: float, b: float, xtol: float = 1e-12, max_iter: int = 500) -> float:
-    """Scalar golden-section search: the CS+Hom self-check's former route, now its oracle.
+    """Scalar golden-section search: the CS+Hom check's first route, now an oracle of it.
 
     Locates the minimizer of a unimodal f on [a, b] and returns the midpoint
     of the final bracket, within xtol of the true minimizer.
@@ -470,7 +470,7 @@ def illinois_array(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
                    a, b, xtol) -> np.ndarray:
     """Where f changes sign on [a[i], b[i]], for many problems i at once.
 
-    The CS+Hom self-check's former route, now its oracle (homodyne_search_min).
+    The CS+Hom check's second route, now an oracle of it (homodyne_search_min).
 
     f(t, idx) returns f of problems idx at the points t, one element each.
     f(., i) runs from negative at a[i] to positive at b[i], as the slope of a
@@ -548,21 +548,98 @@ def illinois_array(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
     return x
 
 
+# (p_k, q_k), k = 0..9: the coefficients of t^k in P and Q of log_erfcx_nonneg,
+# as printed by scripts/fit_log_erfc.py. Q lies in [0.99, 14.1] on [0, 1].
+LOG_ERFC_PQ = np.array((
+    (-1.265512123484646, 1.0),
+    (0.15488765563845255, -0.3321973541944274),
+    (-4.636338363148768, 3.819820114568699),
+    (-0.9402203311055267, 0.06516050759654683),
+    (-5.210589550973994, 4.468026361551018),
+    (-2.193211614205823, 1.3261054438635822),
+    (-2.3909168481173237, 2.2381557151646816),
+    (-0.9483727555714646, 0.9251913111284903),
+    (-0.26938751746552747, 0.45335357836240314),
+    (0.009909094006230757, 0.11208358184518112),
+))
+
+
+def log_erfcx_nonneg(x: np.ndarray) -> np.ndarray:
+    """ln erfcx(x) = ln erfc(x) + x^2 elementwise over a float array of x >= 0.
+
+    With t = 2/(2+x), ln erfcx(x) = (x/(2+x))*P(t)/Q(t) - log1p(x/2), where
+    P/Q is the (9,9) rational fit LOG_ERFC_PQ of
+    g(t) = (ln erfcx(x) - ln t)/(1 - t) on t in [0, 1] (within 4.9e-16 of g).
+    Its terms share their sign, so nothing cancels, and it shares nothing
+    with qillum's table-driven kernel (receiver._erfc_column).
+    """
+    u = 2.0 + x
+    t = 2.0 / u
+    powers = np.empty((LOG_ERFC_PQ.shape[0], t.size))
+    powers[0] = 1.0
+    powers[1] = t
+    for k in range(2, powers.shape[0]):
+        np.multiply(powers[k - 1], t, out=powers[k])
+    p, q = LOG_ERFC_PQ.T @ powers
+    return x / u * (p / q) - np.log1p(0.5 * x)
+
+
 def log_erfc_nonneg(x: np.ndarray) -> np.ndarray:
-    """ln erfc elementwise over x >= 0 from receiver's rational alone: ln erfcx(x) - x^2."""
-    return _log_erfcx_nonneg(x) - x * x
+    """ln erfc elementwise over x >= 0 from the rational alone: ln erfcx(x) - x^2."""
+    return log_erfcx_nonneg(x) - x * x
+
+
+def check_homodyne_optimum(n_signal: float, ch, ms, log_p) -> None:
+    """Raise NumericFailure where the minimum over the threshold of ln (fa+md)/2 is not ln p.
+
+    log_p is the CS+Hom column ln (1/2)erfc(sqrt(m*rate)) at each m of ms,
+    as receiver.sweep_points gives it. With the threshold tau in units of
+    sigma and w = shift/sigma, fa = erfc(tau)/2 and md = erfc(w - tau)/2. The
+    objective is symmetric about w/2, and the slope of
+    erfc(tau) + erfc(w - tau), (2/sqrt(pi))(exp(-(w - tau)^2) - exp(-tau^2)),
+    is negative below w/2 and positive above it, so w/2 is the minimizer,
+    where the objective is ln (1/2)erfc(w/2). That value comes from the
+    rational log_erfcx_nonneg, once per m: ln erfc(u) = ln erfcx(u) - u^2
+    (within 6e-16 relative of mpmath on [0, 2e4]). The error names each m
+    where the two disagree by more than 1e-12*max(1, |ln p|), with +-inf
+    read as the largest doubles, so that both -inf agree.
+
+    No qi input makes it fail, so the tests run it, not qi sweep:
+    u = w/2 = sqrt(kappa*N_S/2)*sqrt(m/(2 N_B + 1)) and the row's
+    x = sqrt(m*rate) are one real number, rounded a few ulps apart; the table
+    kernel is within an ulp of ln erfc and the rational within 6e-16
+    relative, so the gap stays near 1e-15*max(1, |ln p|), a thousandth of the
+    bound. Where u*u overflows both sides are -inf, or the most negative
+    double to within the bound.
+    """
+    # u = w/2 = m sqrt(2 kappa N_S)/(2 sqrt(m (2 N_B + 1))), formed so that
+    # nothing overflows while the row's x = sqrt(m*rate) is finite
+    u = (math.sqrt(ch.reflectivity * n_signal / 2.0)
+         * np.sqrt(np.array(ms, dtype=float) / (2.0 * ch.n_background + 1.0)))
+    log_p = np.asarray(log_p, dtype=float)
+    with np.errstate(over="ignore"):
+        log_mid = LN_HALF + (log_erfcx_nonneg(u) - u * u)
+        mid, col = (np.clip(v, -sys.float_info.max, sys.float_info.max) for v in (log_mid, log_p))
+        ok = np.abs(mid - col) <= 1e-12 * np.maximum(1.0, np.abs(col))
+    bad = np.flatnonzero(~ok)
+    if bad.size:
+        raise NumericFailure(
+            "numeric threshold optimization disagrees with the closed form at "
+            + ", ".join(f"M={ms[i]} (log p {float(log_mid[i])!r} vs {float(log_p[i])!r})"
+                        for i in bad)
+        )
 
 
 _TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
 
 
 def log_erfc_and_slope(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(ln erfc(x), d ln erfc(x)/dx) elementwise over x >= 0, from receiver's rational alone.
+    """(ln erfc(x), d ln erfc(x)/dx) elementwise over x >= 0, from the rational alone.
 
     ln erfc(x) = ln erfcx(x) - x^2 (log_erfc_nonneg), and the slope is
     -2/(sqrt(pi)*erfcx(x)).
     """
-    log_erfcx = _log_erfcx_nonneg(x)
+    log_erfcx = log_erfcx_nonneg(x)
     return log_erfcx - x * x, -_TWO_OVER_SQRT_PI * np.exp(-log_erfcx)
 
 
@@ -576,7 +653,7 @@ def homodyne_slope(lf, lm, df, dm):
 
 
 def homodyne_log_p(tau: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """The CS+Hom self-check's objective ln (fa+md)/2 at thresholds tau in [0, w].
+    """check_homodyne_optimum's objective ln (fa+md)/2 at thresholds tau in [0, w].
 
     tau is in units of sigma, w = shift/sigma, fa = erfc(tau)/2 and
     md = erfc(w - tau)/2, so this is
@@ -588,7 +665,7 @@ def homodyne_log_p(tau: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def homodyne_search_min(w: np.ndarray) -> np.ndarray:
-    """The CS+Hom self-check's former numeric minimum: homodyne_log_p at a searched threshold.
+    """The CS+Hom check's former numeric minimum: homodyne_log_p at a searched threshold.
 
     illinois_array finds, within xtol = min(1e-11*max(w, 1), 1e-6), the sign
     change on [0, w] of the objective's slope (homodyne_slope), with ln erfc

@@ -23,6 +23,7 @@ from qillum.bounds import (
     MAX_BOUND_SIGNAL_EXCESS,
     MAX_COHERENT_BACKGROUND,
     S_ENDPOINT_EPS,
+    _EPS,
     ClassicalDistributionPair,
     SOverlapResult,
     StandardFormPair,
@@ -723,6 +724,12 @@ SECOND_ORDER = [
     ScenarioParams(ns=4.3e-3, ni=5.3e-4, c="direct", kappa=3.9e-4, nb=2.4e4, eps_i=1.0),
     ScenarioParams(ns=1e-8, ni=1e-8, nb=1e6),
 ]
+
+
+def test_eps_is_the_double_machine_epsilon():
+    # the float's own constant, not numpy's finfo: the same double
+    assert type(_EPS) is float
+    assert _EPS == 2.0 ** -52 == float(np.finfo(float).eps)
 
 
 def test_gap_kernels_against_mpmath():

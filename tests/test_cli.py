@@ -181,7 +181,7 @@ class TestSweepCommand:
     @pytest.mark.parametrize("m", ["1e301", "1e308"])
     def test_largest_pulse_counts_print_every_receiver(self, capsys, m):
         # bound rows once read p_error nan past M ~ 1.3e300 (exit 2), and the
-        # CS+Hom self-check overflowed past M*(2 N_B + 1) = 1.8e308 (exit 1)
+        # former run-time CS+Hom check overflowed past M*(2 N_B + 1) = 1.8e308 (exit 1)
         rc, out, _ = run_cli(capsys, ["sweep", "--m", m, "--ns", "1"])
         assert rc == 0
         rows = [line.split(",") for line in out.splitlines()[1:]]
@@ -204,7 +204,7 @@ class TestSweepCommand:
     def test_threshold_rows_just_below_an_overflowing_m_rate_stay_finite(self, capsys):
         # rate 4 and M*rate = 1.8e308 put x = sqrt(M*rate) 4e-9 below sqrt(max
         # double): ln erfc(x) read -inf there although x*x is finite, and the
-        # CS+Hom self-check, whose own value stayed finite, raised NumericFailure
+        # former run-time CS+Hom check, whose own value stayed finite, raised NumericFailure
         m = "4.4942328e307"
         rc, out, err = run_cli(capsys, ["sweep", "--receivers", "CS+Hom", "--ns", "8",
                                         "--kappa", "1", "--nb", "0", "--m", m])

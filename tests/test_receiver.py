@@ -12,13 +12,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import (ErrorProbabilities, golden_section, homodyne_errors, homodyne_log_p,
-                      homodyne_search_min, log_erfc_and_slope, log_erfc_nonneg, mp_log_erfc,
-                      pc_transform, scalar_half_exp, snr_from_moments, ulp_error)
+import _oracles
+from _oracles import (LOG_ERFC_PQ, ErrorProbabilities, check_homodyne_optimum, golden_section,
+                      homodyne_errors, homodyne_log_p, homodyne_search_min, log_erfc_and_slope,
+                      log_erfc_nonneg, mp_log_erfc, pc_transform, scalar_half_exp,
+                      snr_from_moments, ulp_error)
 
-import qillum.receiver
 from qillum import _erfc
-from qillum.cli import ScenarioParams, SweepSpec, _parse_m_values, compute_sweep
+from qillum.cli import (RECEIVER_ORDER, ScenarioParams, SweepSpec, _build_parser,
+                        _parse_m_values, _scenario_from, compute_sweep)
 from qillum.errors import NumericFailure
 from qillum.receiver import (
     RECEIVERS,
@@ -28,8 +30,6 @@ from qillum.receiver import (
     asymptotic_snr,
     beamsplitter_moments,
     LN_HALF,
-    _LOG_ERFC_PQ,
-    _check_homodyne_optimum,
     _erfc_column,
     _erfc_columns,
     _exp_columns,
@@ -67,33 +67,41 @@ def _erfc_points(rate: float, ms) -> tuple[np.ndarray, np.ndarray]:
 
 
 def cs_hom_points(n_signal: float, ch: ChannelParams, ms) -> list[tuple[float, float]]:
-    """(p_error, ln p_error) at each m of the CS+Hom row, qi sweep's route, self-check included."""
+    """(p_error, ln p_error) at each m of the CS+Hom row, qi sweep's route.
+
+    The ln p column is held to check_homodyne_optimum, which raises NumericFailure.
+    """
     _, (p,), (log_p,) = sweep_points([RECEIVERS["CS+Hom"]],
                                      Scenario(SourceParams(n_signal, 0.0), ch), ms)
+    check_homodyne_optimum(n_signal, ch, ms, log_p)
     return list(zip(p.tolist(), log_p.tolist()))
 
 
 def _agrees(value, log_p) -> np.ndarray:
-    """The CS+Hom check's rule: within 1e-12 max(1, |ln p|), with +-inf read as +-max double."""
+    """check_homodyne_optimum's rule: within 1e-12 max(1, |ln p|), +-inf read as +-max double."""
     value, log_p = (np.clip(v, -sys.float_info.max, sys.float_info.max) for v in (value, log_p))
     return np.abs(value - log_p) <= 1e-12 * np.maximum(1.0, np.abs(log_p))
 
 
 def _spy_check(patch) -> list:
-    """The arrays u = w/2 at which each CS+Hom check evaluates its rational, as the checks run."""
-    real = qillum.receiver._log_erfcx_nonneg
+    """The arrays u = w/2 at which check_homodyne_optimum evaluates its rational, as it runs."""
+    real = _oracles.log_erfcx_nonneg
     seen = []
 
     def recorded(u):
         seen.append(u)
         return real(u)
 
-    patch.setattr(qillum.receiver, "_log_erfcx_nonneg", recorded)
+    patch.setattr(_oracles, "log_erfcx_nonneg", recorded)
     return seen
 
 
 def _threshold_sweep_checks(monkeypatch, seed: int) -> list:
-    """(w, ln p column) of each CS+Hom check that perfbench's threshold_sweep makes at seed."""
+    """(w, ln p column) of check_homodyne_optimum on each CS+Hom row of perfbench's threshold_sweep.
+
+    Each row comes from sweep_points at one scenario of the workload at seed,
+    over its M, and passes the check, which raises NumericFailure otherwise.
+    """
     root = Path(__file__).resolve().parents[1] / "perfbench"
 
     def load(name, alias):
@@ -110,16 +118,17 @@ def _threshold_sweep_checks(monkeypatch, seed: int) -> list:
         seen = _spy_check(patch)
         for params in workloads.draw_scenarios(seed, "threshold_sweep",
                                                workloads.THRESHOLD_SCENARIOS):
-            _, _, (log_p,) = sweep_points([RECEIVERS["CS+Hom"]], Scenario(*params.resolve()),
-                                          workloads.THRESHOLD_M)
+            sc = Scenario(*params.resolve())
+            _, _, (log_p,) = sweep_points([RECEIVERS["CS+Hom"]], sc, workloads.THRESHOLD_M)
+            check_homodyne_optimum(sc.src.n_signal, sc.ch, workloads.THRESHOLD_M, log_p)
             checks.append((2.0 * seen[-1], log_p))
     return checks
 
 
 def _rejected(n_signal: float, ch: ChannelParams, ms, log_p) -> set:
-    """The pulse counts that _check_homodyne_optimum names, as strings."""
+    """The pulse counts that check_homodyne_optimum names, as strings."""
     try:
-        _check_homodyne_optimum(n_signal, ch, ms, log_p)
+        check_homodyne_optimum(n_signal, ch, ms, log_p)
     except NumericFailure as failure:
         return set(re.findall(r"M=(\d+) \(", str(failure)))
     return set()
@@ -185,7 +194,7 @@ class TestErfc:
                 assert ulp_error(half_erfc(x), exact) <= 1.0, x
 
     def test_log_erfc_nonneg_within_1e_13_of_mpmath_and_log_erfc(self):
-        # the rational the homodyne self-check evaluates, on [0, 2e4]: its
+        # the rational check_homodyne_optimum evaluates, on [0, 2e4]: its
         # largest argument is 2*sqrt(M*rate) = 2*sqrt(1e10*1e-2)
         xs = np.concatenate([
             [0.0, 1e-300, 2.5e-5, 0.4769362762044699, 0.47693627620446993,
@@ -228,10 +237,10 @@ class TestErfc:
         script = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(script)
         fitted = np.array(script.fit_coefficients())
-        assert fitted.shape == _LOG_ERFC_PQ.shape
-        assert np.all(np.abs(fitted - _LOG_ERFC_PQ) <= np.spacing(np.abs(_LOG_ERFC_PQ)))
+        assert fitted.shape == LOG_ERFC_PQ.shape
+        assert np.all(np.abs(fitted - LOG_ERFC_PQ) <= np.spacing(np.abs(LOG_ERFC_PQ)))
         # Q has no zero on [0, 1]: every root lies more than 0.1 from the segment
-        roots = np.polynomial.polynomial.polyroots(_LOG_ERFC_PQ[:, 1])
+        roots = np.polynomial.polynomial.polyroots(LOG_ERFC_PQ[:, 1])
         assert np.all(np.abs(roots - np.clip(roots.real, 0.0, 1.0)) > 0.1)
 
     def test_committed_erfc_tables_are_the_scripts(self):
@@ -287,6 +296,21 @@ class TestErfc:
 
 def _bits(values) -> np.ndarray:
     return np.asarray(values, dtype=float).view(np.uint64)
+
+
+def _refuse_c_library(monkeypatch) -> None:
+    """Until monkeypatch.undo(), the C library's and numpy's transcendental functions raise.
+
+    They are the C library's erfc, erf, log, log1p and exp, and numpy's exp,
+    log, log1p and expm1, whose bits follow its SIMD code.
+    """
+    def refuse(*args, **kwargs):
+        raise AssertionError("called")
+
+    for module, names in ((math, ("erfc", "erf", "log", "log1p", "exp")),
+                          (np, ("exp", "log", "log1p", "expm1"))):
+        for name in names:
+            monkeypatch.setattr(module, name, refuse)
 
 
 def _neighbours(x: float, n: int = 3) -> list:
@@ -493,19 +517,40 @@ class TestErfcAgainstMpmath:
         rates = (0.0, 2.3e-6, 0.43, 50.0, 1e300)
         ms = [1, 10, 1000, 10 ** 6, int(1e300), int(sys.float_info.max)]
         want = _erfc_columns(rates, ms)
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("called")
-
-        for module, names in ((math, ("erfc", "erf", "log", "log1p", "exp")),
-                              (np, ("exp", "log", "log1p", "expm1"))):
-            for name in names:
-                monkeypatch.setattr(module, name, refuse)
+        _refuse_c_library(monkeypatch)
         got = _erfc_columns(rates, ms) + (half_erfc(-3.0), log_erfc(-3.0), log_erfc(1e-9))
         monkeypatch.undo()
         for column, want_column in zip(got, want):
             assert np.array_equal(_bits(column), _bits(want_column))
         assert got[2:] == (half_erfc(-3.0), log_erfc(-3.0), log_erfc(1e-9))
+
+    def test_threshold_sweep_rows_call_no_c_library_function(self, monkeypatch):
+        # the whole route of the threshold rows, not only their kernel:
+        # sweep_points over the four threshold receivers, and homodyne_min_error,
+        # the CS+Hom row's one-m case. A check of the CS+Hom row once ran at
+        # run time on numpy's log1p, so these called the C library
+        receivers = [RECEIVERS[label] for label in ("QI+PC", "QI+Cal+PC", "QI+Het+PC", "CS+Hom")]
+        scenarios = [Scenario(REF_SRC, REF_CH),
+                     Scenario(make_source(0.5, 0.5, "quantum"), ChannelParams(0.3, 0.2),
+                              NoiseParams(1.0, 0.0)),
+                     Scenario(SourceParams(8.0, 0.0), ChannelParams(1.0, 0.0))]
+        ms = [1, 10, 1000, 10 ** 6, 10 ** 12, int(1e300), int(sys.float_info.max)]
+
+        def rows():
+            sweeps = [sweep_points(receivers, sc, ms) for sc in scenarios]
+            optima = [homodyne_min_error(n_signal, ch, m)
+                      for n_signal, ch in ((0.01, REF_CH), (8.0, ChannelParams(1.0, 0.0)))
+                      for m in (10, 10 ** 6, int(1e308))]
+            return sweeps, [(opt.p_error, opt.threshold, opt.log_p_error) for opt in optima]
+
+        want = rows()
+        _refuse_c_library(monkeypatch)
+        got = rows()
+        monkeypatch.undo()
+        for got_sweep, want_sweep in zip(got[0], want[0]):
+            for column, want_column in zip(got_sweep, want_sweep):
+                assert np.array_equal(_bits(column), _bits(want_column))
+        assert np.array_equal(_bits(got[1]), _bits(want[1]))
 
 
 class TestHugePulseCounts:
@@ -560,10 +605,10 @@ class TestHugePulseCounts:
         ch = ChannelParams(0.3, 0.2)
         ms = [int(1e300), int(1e308)]
         _, log_p = _erfc_points(homodyne_rate(0.5, ch), ms)
-        _check_homodyne_optimum(0.5, ch, ms, log_p)
+        check_homodyne_optimum(0.5, ch, ms, log_p)
         doctored = log_p[0] * (1 + 1e-11)
         with pytest.raises(NumericFailure, match=rf"at M={ms[0]} \(") as bad:
-            _check_homodyne_optimum(0.5, ch, ms, [doctored, log_p[1]])
+            check_homodyne_optimum(0.5, ch, ms, [doctored, log_p[1]])
         assert f"M={ms[1]}" not in str(bad.value)
         # both values print as plain floats, not as numpy 2's np.float64(...)
         found = re.search(rf"M={ms[0]} \(log p (\S+) vs (\S+)\)$", str(bad.value))
@@ -845,6 +890,20 @@ class TestErrorProbPc:
                 SweepSpec(ScenarioParams(), (bad,), ("QI+PC",))
 
 
+GOLDEN_FLAGS = "--ns 0.01 --ni 0.01 --c quantum --kappa 0.01 --nb 20"
+GOLDEN_SWEEP = f"{GOLDEN_FLAGS} --m-log 1e5,1e8,13"
+CI_CS_HOM_SWEEPS = (
+    GOLDEN_SWEEP,
+    "merged",
+    "--receivers CS+Hom --ns 0.5 --kappa 0.3 --nb 0.2 --m-log 1e2,1e12,11",
+    "--receivers QI+PC,QI+Cal+PC,QI+Het+PC,CS+Hom --ns 1e160 --m 10",
+    "--ns 100 --ni 100 --kappa 1 --nb 0 --m 1e308",
+    "--receivers CS+Hom --ns 8 --kappa 1 --nb 0 --m 4.4942328e307",
+    "--receivers CS+Hom --ns 1e308 --ni 0 --c 0 --kappa 1 --nb 1e300 --m 10",
+    "--ns 0.5 --kappa 0.3 --nb 20 --m-log 1,1e308,600",
+)
+
+
 class TestHomodyne:
     def test_zero_threshold_false_alarm_half(self):
         res = homodyne_errors(0.01, REF_CH, 100, 0.0)
@@ -908,7 +967,7 @@ class TestHomodyne:
             assert other.p_error >= opt.p_error * (1.0 - 1e-12)
 
     def test_self_check_names_the_m_with_a_corrupt_closed_form(self, monkeypatch):
-        # ln p 1e-11 relative off at one M of the grid; the lockstep search
+        # ln p 1e-11 relative off at one M of the grid; check_homodyne_optimum
         # computes its own ln erfc, so only the closed form is corrupted
         ms = [10, 10 ** 6, 10 ** 8]
         bad_x = math.sqrt(10 ** 6 * (0.01 * 0.01 / 82.0))
@@ -923,9 +982,12 @@ class TestHomodyne:
         with pytest.raises(NumericFailure, match=r"at M=1000000 \(") as grid:
             cs_hom_points(0.01, REF_CH, ms)
         assert "M=10 " not in str(grid.value) and "M=100000000" not in str(grid.value)
+        # homodyne_min_error is the row's one-m case, held to the same rule
+        opt = homodyne_min_error(0.01, REF_CH, 10 ** 6)
         with pytest.raises(NumericFailure, match=r"at M=1000000 \("):
-            homodyne_min_error(0.01, REF_CH, 10 ** 6)
-        homodyne_min_error(0.01, REF_CH, 10 ** 8)
+            check_homodyne_optimum(0.01, REF_CH, [10 ** 6], [opt.log_p_error])
+        opt = homodyne_min_error(0.01, REF_CH, 10 ** 8)
+        check_homodyne_optimum(0.01, REF_CH, [10 ** 8], [opt.log_p_error])
 
     def test_self_check_holds_at_large_m_rate(self):
         # u = shift/(2 sigma) reaches 2.3e5 at M = 1e12, where the search's
@@ -974,13 +1036,14 @@ class TestHomodyne:
                 cs_hom_points(0.5, ch, ms)
             assert [u.size for u in seen] == [len(ms)]
 
-    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("seed", [1, 2, 7331])
     def test_certificate_accepts_every_m_the_search_accepts(self, monkeypatch, seed):
         # the former lockstep Illinois search (_oracles.homodyne_search_min) as
         # the oracle. Where it meets the ln p column, the check does too (it
-        # runs inside cs_hom_points and sweep_points, and would raise), and the
-        # check's value, the objective at w/2, is within the search's of it by
-        # the objective's rise over the search's xtol/2 and by rounding. At
+        # runs inside cs_hom_points and _threshold_sweep_checks, and would
+        # raise), and the check's value, the objective at w/2, is within the
+        # search's of it by the objective's rise over the search's xtol/2 and
+        # by rounding. At
         # kappa = 1 and N_B = 0 the check's u = w/2 is sqrt(N_S/2) sqrt(M):
         # random u from 1e-6 to the doubles either side of sqrt(max double),
         # where ln erfc(u) turns -inf, random u within 2**-24 below sqrt(max
@@ -1039,6 +1102,26 @@ class TestHomodyne:
             after = _rejected(0.5, ch, ms, column.tolist())
             assert before <= after
             assert after == {str(m) for m, v, lp in zip(ms, column, log_p) if v != lp}
+
+    @pytest.mark.parametrize("argv", CI_CS_HOM_SWEEPS)
+    def test_optimum_check_holds_on_the_cs_hom_rows_of_ci_command_lines(self, argv):
+        # the qi sweep command lines of CI that print a CS+Hom row: the golden
+        # table, that table's M merged into a 288-point grid, u = w/2 out to
+        # 2.3e5 and to ~3.5e78, M*rate overflowing and just short of it,
+        # kappa N_S near overflow, and M from 1 to 1e308 on all receivers
+        parse = _build_parser().parse_args
+        if argv == "merged":
+            q = 1e3 ** (1 / 287)
+            merged = set(_parse_m_values(parse(["sweep", *GOLDEN_SWEEP.split()])))
+            merged |= {int(round(1e5 * q ** i)) for i in range(288)}
+            argv = f"{GOLDEN_FLAGS} --m {','.join(map(str, sorted(merged)))}"
+        args = parse(["sweep", *argv.split()])
+        receivers = tuple(args.receivers.split(",")) if args.receivers else RECEIVER_ORDER
+        spec = SweepSpec(_scenario_from(args), _parse_m_values(args), receivers)
+        result = compute_sweep(spec)
+        src, ch, _ = spec.scenario.resolve()
+        check_homodyne_optimum(src.n_signal, ch, spec.m_values,
+                               -result.exponent[receivers.index("CS+Hom")])
 
     def test_zero_reflectivity_gives_half(self):
         opt = homodyne_min_error(0.01, ChannelParams(0.0, 20.0), 10)
