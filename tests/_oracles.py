@@ -22,7 +22,9 @@ from qillum.errors import NumericFailure
 from qillum.montecarlo import (EmpiricalStats, _block_generator, _count_weights,
                                _empirical_stats, _gaussian_blocks, _Moments, _stream_blocks,
                                deflection_se)
-from qillum.receiver import LN_HALF, BeamsplitterMoments, ReceiverStats, half_erfc
+from qillum.cli import SweepResult, SweepSpec, compute_sweep
+from qillum.receiver import (LN_HALF, BeamsplitterMoments, HomodyneOptimum, ReceiverStats,
+                             half_erfc, homodyne_min_error)
 from qillum.states import (GaussianState, _check_nonnegative, _standard_form_matrix,
                            _validate_pulses, apply_noise, conditional_states)
 from qillum.symplectic import CovMatrix, williamson
@@ -429,7 +431,7 @@ _INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0
 
 
 def golden_section(f, a: float, b: float, xtol: float = 1e-12, max_iter: int = 500) -> float:
-    """Scalar golden-section search: the CS+Hom check's first route, now an oracle of it.
+    """Scalar golden-section search: an oracle of check_homodyne_optimum's midpoint minimizer.
 
     Locates the minimizer of a unimodal f on [a, b] and returns the midpoint
     of the final bracket, within xtol of the true minimizer.
@@ -470,7 +472,7 @@ def illinois_array(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
                    a, b, xtol) -> np.ndarray:
     """Where f changes sign on [a[i], b[i]], for many problems i at once.
 
-    The CS+Hom check's second route, now an oracle of it (homodyne_search_min).
+    An oracle of check_homodyne_optimum's midpoint minimizer (homodyne_search_min).
 
     f(t, idx) returns f of problems idx at the points t, one element each.
     f(., i) runs from negative at a[i] to positive at b[i], as the slope of a
@@ -589,6 +591,16 @@ def log_erfc_nonneg(x: np.ndarray) -> np.ndarray:
     return log_erfcx_nonneg(x) - x * x
 
 
+def optimum_agrees(value, log_p) -> np.ndarray:
+    """check_homodyne_optimum's rule, elementwise: value within 1e-12*max(1, |ln p|) of ln p.
+
+    +-inf read as the largest doubles, so that both -inf agree; nan agrees
+    with nothing.
+    """
+    value, log_p = (np.clip(v, -sys.float_info.max, sys.float_info.max) for v in (value, log_p))
+    return np.abs(value - log_p) <= 1e-12 * np.maximum(1.0, np.abs(log_p))
+
+
 def check_homodyne_optimum(n_signal: float, ch, ms, log_p) -> None:
     """Raise NumericFailure where the minimum over the threshold of ln (fa+md)/2 is not ln p.
 
@@ -619,15 +631,30 @@ def check_homodyne_optimum(n_signal: float, ch, ms, log_p) -> None:
     log_p = np.asarray(log_p, dtype=float)
     with np.errstate(over="ignore"):
         log_mid = LN_HALF + (log_erfcx_nonneg(u) - u * u)
-        mid, col = (np.clip(v, -sys.float_info.max, sys.float_info.max) for v in (log_mid, log_p))
-        ok = np.abs(mid - col) <= 1e-12 * np.maximum(1.0, np.abs(col))
-    bad = np.flatnonzero(~ok)
+    bad = np.flatnonzero(~optimum_agrees(log_mid, log_p))
     if bad.size:
         raise NumericFailure(
             "numeric threshold optimization disagrees with the closed form at "
             + ", ".join(f"M={ms[i]} (log p {float(log_mid[i])!r} vs {float(log_p[i])!r})"
                         for i in bad)
         )
+
+
+def checked_min_error(n_signal: float, ch, m: int) -> HomodyneOptimum:
+    """receiver.homodyne_min_error(n_signal, ch, m), its ln p held to check_homodyne_optimum."""
+    opt = homodyne_min_error(n_signal, ch, m)
+    check_homodyne_optimum(n_signal, ch, [m], [opt.log_p_error])
+    return opt
+
+
+def checked_compute_sweep(spec: SweepSpec) -> SweepResult:
+    """cli.compute_sweep(spec), its CS+Hom row, where it has one, held to check_homodyne_optimum."""
+    result = compute_sweep(spec)
+    if "CS+Hom" in spec.receivers:
+        src, ch, _ = spec.scenario.resolve()
+        check_homodyne_optimum(src.n_signal, ch, spec.m_values,
+                               -result.exponent[spec.receivers.index("CS+Hom")])
+    return result
 
 
 _TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
@@ -665,7 +692,7 @@ def homodyne_log_p(tau: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def homodyne_search_min(w: np.ndarray) -> np.ndarray:
-    """The CS+Hom check's former numeric minimum: homodyne_log_p at a searched threshold.
+    """homodyne_log_p at a searched threshold: an oracle of check_homodyne_optimum's value.
 
     illinois_array finds, within xtol = min(1e-11*max(w, 1), 1e-6), the sign
     change on [0, w] of the objective's slope (homodyne_slope), with ln erfc

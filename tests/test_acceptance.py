@@ -10,9 +10,11 @@ from pathlib import Path
 
 import numpy as np
 
-from _oracles import (check_gaussian_moment_identities, cs_qcb_exponent, deflection_sigma,
-                      fock_s_overlap_thermal, generic_qbb, generic_qcb, generic_s_overlap,
-                      random_physical_cm)
+from _oracles import (check_gaussian_moment_identities, checked_compute_sweep, checked_min_error,
+                      cs_qcb_exponent, deflection_sigma, fock_s_overlap_thermal, generic_qbb,
+                      generic_qcb, generic_s_overlap, random_physical_cm)
+
+import qillum.cli
 from qillum.bounds import (
     ccb,
     gaussian_s_overlap,
@@ -188,7 +190,7 @@ def test_criterion_8_homodyne_error_formulas():
                 for nb in (0.5, 20.0):
                     ch = ChannelParams(reflectivity=kappa, n_background=nb)
                     for m in (1, 1000, 100000):
-                        opt = homodyne_min_error(ns, ch, m)
+                        opt = checked_min_error(ns, ch, m)
                         closed = half_erfc(math.sqrt(m * kappa * ns / (4 * nb + 2)))
                         assert abs(opt.p_error - closed) <= 1e-12 * closed
 
@@ -197,7 +199,7 @@ def test_criterion_8_homodyne_error_formulas():
         grid = sorted({int(round(700.0 / rate * f)) for f in np.geomspace(1e-3, 1.0, 25)})
         previous = math.inf
         for m in grid:
-            opt = homodyne_min_error(1.0, deep_ch, m)
+            opt = checked_min_error(1.0, deep_ch, m)
             assert math.isfinite(opt.log_p_error)
             assert opt.p_error > 0.0
             assert opt.p_error <= previous * (1 + 1e-14)
@@ -206,9 +208,11 @@ def test_criterion_8_homodyne_error_formulas():
         assert homodyne_min_error(1.0, deep_ch, grid[-1]).log_p_error < -690.0
 
 
-def test_criterion_9_golden_sweep_is_byte_stable(tmp_path, capsys):
+def test_criterion_9_golden_sweep_is_byte_stable(tmp_path, capsys, monkeypatch):
     with criterion(9, "committed comparison CSV regenerates byte-for-byte "
                       "through the command line"):
+        # the CS+Hom row is held to check_homodyne_optimum as it is written
+        monkeypatch.setattr(qillum.cli, "compute_sweep", checked_compute_sweep)
         out = tmp_path / "comparison_sweep.csv"
         rc = cli_main([
             "sweep", "--ns", "0.01", "--ni", "0.01", "--c", "quantum",

@@ -726,12 +726,6 @@ SECOND_ORDER = [
 ]
 
 
-def test_eps_is_the_double_machine_epsilon():
-    # the float's own constant, not numpy's finfo: the same double
-    assert type(_EPS) is float
-    assert _EPS == 2.0 ** -52 == float(np.finfo(float).eps)
-
-
 def test_gap_kernels_against_mpmath():
     xs = np.concatenate([np.geomspace(1e-12, 0.5, 60), -np.geomspace(1e-12, 0.5, 60)])
     for kernel, exact in ((_log1p_gap, lambda x: mpmath.log1p(x) - x),
@@ -867,7 +861,9 @@ def test_faint_return_over_a_vacuum_background_has_the_pure_h0_exponents(n_signa
     # H0 is the vacuum return beside the vacuum idler, so
     # C_s = <0|rho_1^(1-s)|0> = (1 + kappa N_S)^-(1-s): the QBB is
     # ln(1 + kappa N_S)/2 and the QCB sits at the s endpoint, however faint
-    # the return (mp_model_exponents raises on a pure H0)
+    # the return (mp_model_exponents raises on a pure H0). An excess is
+    # snapped to a pure mode below 64*_EPS*h, _EPS the double's epsilon
+    assert _EPS == 2.0 ** -52
     pair = StandardFormPair.from_model(SourceParams(n_signal, 0.0, 0.0),
                                        ChannelParams(kappa, 0.0), NoiseParams())
     with mpmath.workdps(50):

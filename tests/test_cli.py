@@ -28,7 +28,7 @@ from qillum.montecarlo import deflection_se, simulate_pc_receiver
 from qillum.receiver import LN_HALF, RECEIVERS, Scenario, homodyne_min_error, log_erfc, snr_pc
 from qillum.states import ChannelParams, SourceParams, c_quantum
 
-from _oracles import cs_qcb_exponent, row_sweep_csv
+from _oracles import checked_compute_sweep, cs_qcb_exponent, row_sweep_csv
 
 SNR_QI_PC = 2.3575929806957360e-06
 
@@ -37,7 +37,13 @@ REF_FLAGS = ["--ns", "0.01", "--ni", "0.01", "--c", "quantum",
 
 
 def run_cli(capsys, argv):
-    rc = main(argv)
+    """main(argv)'s exit code, stdout and stderr.
+
+    A sweep's CS+Hom row, where it has one, is held to check_homodyne_optimum.
+    """
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(qillum.cli, "compute_sweep", checked_compute_sweep)
+        rc = main(argv)
     captured = capsys.readouterr()
     return rc, captured.out, captured.err
 
@@ -181,7 +187,7 @@ class TestSweepCommand:
     @pytest.mark.parametrize("m", ["1e301", "1e308"])
     def test_largest_pulse_counts_print_every_receiver(self, capsys, m):
         # bound rows once read p_error nan past M ~ 1.3e300 (exit 2), and the
-        # former run-time CS+Hom check overflowed past M*(2 N_B + 1) = 1.8e308 (exit 1)
+        # CS+Hom row once exited 1 past M*(2 N_B + 1) = 1.8e308
         rc, out, _ = run_cli(capsys, ["sweep", "--m", m, "--ns", "1"])
         assert rc == 0
         rows = [line.split(",") for line in out.splitlines()[1:]]
@@ -204,7 +210,7 @@ class TestSweepCommand:
     def test_threshold_rows_just_below_an_overflowing_m_rate_stay_finite(self, capsys):
         # rate 4 and M*rate = 1.8e308 put x = sqrt(M*rate) 4e-9 below sqrt(max
         # double): ln erfc(x) read -inf there although x*x is finite, and the
-        # former run-time CS+Hom check, whose own value stayed finite, raised NumericFailure
+        # CS+Hom row once exited 1 with a NumericFailure
         m = "4.4942328e307"
         rc, out, err = run_cli(capsys, ["sweep", "--receivers", "CS+Hom", "--ns", "8",
                                         "--kappa", "1", "--nb", "0", "--m", m])
@@ -485,7 +491,7 @@ class TestComputeSweep:
         ms = tuple(sorted({int(round(10.0 * ratio ** i)) for i in range(300)}))
         assert len(ms) == 299
         scenario = ScenarioParams(ns=0.01, ni=0.01, kappa=0.01, nb=20.0)
-        result = compute_sweep(SweepSpec(scenario, ms, ("CS+Hom",)))
+        result = checked_compute_sweep(SweepSpec(scenario, ms, ("CS+Hom",)))
         ch = ChannelParams(0.01, 20.0)
         assert result.m_values == ms
         for m, p, e in zip(ms, result.p_error[0], result.exponent[0]):
@@ -498,7 +504,7 @@ class TestComputeSweep:
         ms = tuple(sorted({int(round(10.0 * 10.0 ** (i / 4))) for i in range(37)}))
         spec = SweepSpec(ScenarioParams(ns=0.01, ni=0.01), ms,
                          ("QI+PC", "QI+Cal+PC", "QI+Het+PC", "CS+Hom"))
-        want = compute_sweep(spec)
+        want = checked_compute_sweep(spec)
         assert 0.0 in want.p_error[0]
         real = qillum._erfc.erfc_pair
         calls = []
@@ -551,7 +557,7 @@ class TestComputeSweep:
                          RECEIVER_ORDER)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            compute_sweep(spec)
+            checked_compute_sweep(spec)
         argv = ["sweep", "--ns", "3", "--ni", "0.2", "--c", "direct", "--kappa", "0.9", "--nb",
                 "0.001", "--m-log", "1,1e308,400"]
         env = dict(os.environ, PYTHONPATH=str(Path(qillum.__file__).resolve().parents[1]))
@@ -561,7 +567,8 @@ class TestComputeSweep:
         assert proc.stderr.startswith("params: ") and proc.stderr.count("\n") == 1, proc.stderr
 
     def test_result_holds_float64_receivers_by_m_arrays(self):
-        result = compute_sweep(SweepSpec(ScenarioParams(), (10, 1000, 10 ** 5), RECEIVER_ORDER))
+        result = checked_compute_sweep(SweepSpec(ScenarioParams(), (10, 1000, 10 ** 5),
+                                                 RECEIVER_ORDER))
         for column in (result.p_error, result.exponent):
             assert type(column) is np.ndarray and column.dtype == np.float64
             assert column.shape == (len(RECEIVER_ORDER), 3)
@@ -715,7 +722,7 @@ class TestBoundRowsHotPath:
         monkeypatch.setattr(StandardFormPair, "from_model", counting)
         spec = SweepSpec(scenario=ScenarioParams(ns=0.02, ni=0.01, eps_r=0.5),
                          m_values=(10, 1000), receivers=receivers)
-        result = compute_sweep(spec)
+        result = checked_compute_sweep(spec)
         assert len(result) == 2 * len(receivers)
         assert len(calls) == builds
 

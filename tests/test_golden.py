@@ -18,7 +18,9 @@ from pathlib import Path
 import mpmath
 import pytest
 
-from _oracles import mp_model_exponents, ulp_error
+from _oracles import checked_compute_sweep, mp_model_exponents, ulp_error
+
+import qillum.cli
 from qillum.cli import _LONG_TABLE, _parse_m_values, main
 from qillum.states import ChannelParams, make_source
 
@@ -81,10 +83,12 @@ def test_chernoff_rate_separates_from_bhattacharyya():
     assert _bound_rate("QI-QCB") > _bound_rate("QI-QBB") * (1.0 + 1e-10)
 
 
-def test_golden_lines_from_the_long_table_route(capsys):
+def test_golden_lines_from_the_long_table_route(capsys, monkeypatch):
     # the golden M merged into a 288-point grid: 299 M on all eight receivers,
     # 2392 rows, which sweep_csv writes with _format_17g, not the % template
-    # that writes the 104 golden rows; each golden line must appear verbatim
+    # that writes the 104 golden rows; each golden line must appear verbatim.
+    # The CS+Hom row is held to check_homodyne_optimum as it is written
+    monkeypatch.setattr(qillum.cli, "compute_sweep", checked_compute_sweep)
     grid = _parse_m_values(argparse.Namespace(m=None, m_log="1e5,1e8,288"))
     ms = sorted({int(row["M"]) for row in _ROWS} | set(grid))
     assert main(["sweep", "--ns", "0.01", "--ni", "0.01", "--c", "quantum", "--kappa", "0.01",

@@ -3,6 +3,7 @@ import argparse
 import importlib.util
 import math
 import re
+import shlex
 import sys
 from pathlib import Path
 
@@ -13,9 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _oracles
-from _oracles import (LOG_ERFC_PQ, ErrorProbabilities, check_homodyne_optimum, golden_section,
-                      homodyne_errors, homodyne_log_p, homodyne_search_min, log_erfc_and_slope,
-                      log_erfc_nonneg, mp_log_erfc, pc_transform, scalar_half_exp,
+from _oracles import (LOG_ERFC_PQ, ErrorProbabilities, check_homodyne_optimum,
+                      checked_compute_sweep, checked_min_error, golden_section, homodyne_errors,
+                      homodyne_log_p, homodyne_search_min, log_erfc_and_slope, log_erfc_nonneg,
+                      mp_log_erfc, optimum_agrees, pc_transform, scalar_half_exp,
                       snr_from_moments, ulp_error)
 
 from qillum import _erfc
@@ -75,12 +77,6 @@ def cs_hom_points(n_signal: float, ch: ChannelParams, ms) -> list[tuple[float, f
                                      Scenario(SourceParams(n_signal, 0.0), ch), ms)
     check_homodyne_optimum(n_signal, ch, ms, log_p)
     return list(zip(p.tolist(), log_p.tolist()))
-
-
-def _agrees(value, log_p) -> np.ndarray:
-    """check_homodyne_optimum's rule: within 1e-12 max(1, |ln p|), +-inf read as +-max double."""
-    value, log_p = (np.clip(v, -sys.float_info.max, sys.float_info.max) for v in (value, log_p))
-    return np.abs(value - log_p) <= 1e-12 * np.maximum(1.0, np.abs(log_p))
 
 
 def _spy_check(patch) -> list:
@@ -213,9 +209,9 @@ class TestErfc:
         assert np.all(np.abs(got - exact) <= 1e-13 * np.abs(exact))
 
     def test_log_erfc_slope_within_1e_13_of_mpmath(self):
-        # the slope the former homodyne search (_oracles.homodyne_search_min)
-        # steps on, on the grid above: d ln erfc/dx = -2/(sqrt(pi) erfcx(x)),
-        # from the same rational as ln erfc
+        # the slope the homodyne search (_oracles.homodyne_search_min) steps
+        # on, on the grid above: d ln erfc/dx = -2/(sqrt(pi) erfcx(x)), from
+        # the same rational as ln erfc
         xs = np.concatenate([
             [0.0, 1e-300, 2.5e-5, 0.4769362762044699, 0.47693627620446993,
              np.nextafter(26.0, 0.0), 26.0, 2e4],
@@ -712,6 +708,8 @@ class TestSweepKernel:
                 want_log_p = [LN_HALF - m * rate for m in ms]
             assert np.array_equal(_bits(p), _bits(want_p)), rx.label
             assert np.array_equal(_bits(log_p), _bits(want_log_p)), rx.label
+        check_homodyne_optimum(sc.src.n_signal, sc.ch, ms,
+                               points[2][list(RECEIVERS).index("CS+Hom")])
         # one _erfc_points call per threshold receiver
         assert len(calls) == 1 + n_threshold
 
@@ -890,18 +888,29 @@ class TestErrorProbPc:
                 SweepSpec(ScenarioParams(), (bad,), ("QI+PC",))
 
 
-GOLDEN_FLAGS = "--ns 0.01 --ni 0.01 --c quantum --kappa 0.01 --nb 20"
-GOLDEN_SWEEP = f"{GOLDEN_FLAGS} --m-log 1e5,1e8,13"
-CI_CS_HOM_SWEEPS = (
-    GOLDEN_SWEEP,
-    "merged",
-    "--receivers CS+Hom --ns 0.5 --kappa 0.3 --nb 0.2 --m-log 1e2,1e12,11",
-    "--receivers QI+PC,QI+Cal+PC,QI+Het+PC,CS+Hom --ns 1e160 --m 10",
-    "--ns 100 --ni 100 --kappa 1 --nb 0 --m 1e308",
-    "--receivers CS+Hom --ns 8 --kappa 1 --nb 0 --m 4.4942328e307",
-    "--receivers CS+Hom --ns 1e308 --ni 0 --c 0 --kappa 1 --nb 1e300 --m 10",
-    "--ns 0.5 --kappa 0.3 --nb 20 --m-log 1,1e308,600",
-)
+def _ci_cs_hom_sweeps() -> list[str]:
+    """The arguments of each qi sweep line of the CI workflow whose table has a CS+Hom row.
+
+    Shell variables that the workflow sets to a quoted literal are expanded,
+    and a pipe, --json and --out are cut off, so lines that differ only in
+    those give one entry. A line whose M come from a command substitution is
+    left out.
+    """
+    text = (Path(__file__).resolve().parents[1] / ".github/workflows/tests.yml").read_text()
+    env = dict(re.findall(r'^\s*(\w+)="([^"$]*)"$', text, re.MULTILINE))
+    parse = _build_parser().parse_args
+    found = []
+    for line in re.findall(r"^\s*(?:\S*/)?qi sweep (.*?)(?: \|.*)?$", text, re.MULTILINE):
+        line = re.sub(r"\$(\w+)", lambda v: env.get(v[1], v[0]), line)
+        if "$" in line:
+            continue
+        argv = [a for a in shlex.split(line) if a != "--json"]
+        if "--out" in argv:
+            del argv[argv.index("--out"):argv.index("--out") + 2]
+        receivers = parse(["sweep", *argv]).receivers
+        if receivers is None or "CS+Hom" in receivers.split(","):
+            found.append(shlex.join(argv))
+    return list(dict.fromkeys(found))
 
 
 class TestHomodyne:
@@ -925,14 +934,14 @@ class TestHomodyne:
             0.5 * (res.p_false_alarm + res.p_missed_detection), abs=1e-16)
 
     def test_min_error_fig2_single_pulse(self):
-        opt = homodyne_min_error(0.01, REF_CH, 1)
+        opt = checked_min_error(0.01, REF_CH, 1)
         arg = math.sqrt(0.01 * 0.01 / 82.0)
         assert arg == pytest.approx(0.0011043152607484655, rel=1e-12)
         assert opt.p_error == pytest.approx(0.49937695708620238, rel=1e-12)
 
     def test_min_error_threshold_formula(self):
         m = 10**6
-        opt = homodyne_min_error(0.01, REF_CH, m)
+        opt = checked_min_error(0.01, REF_CH, m)
         assert opt.threshold == m * math.sqrt(2.0 * 0.01 * 0.01) / 2.0
         assert opt.p_error == pytest.approx(
             0.5 * math.erfc(math.sqrt(m * 1e-4 / 82.0)), rel=1e-12)
@@ -950,18 +959,18 @@ class TestHomodyne:
         for n_signal, kappa, n_background, m in draws:
             m = int(m)
             old = 0.5 * (m * math.sqrt(2.0 * kappa * n_signal))
-            got = homodyne_min_error(n_signal, ChannelParams(kappa, n_background), m).threshold
+            got = checked_min_error(n_signal, ChannelParams(kappa, n_background), m).threshold
             if math.isfinite(old) and old >= sys.float_info.min:
                 compared += 1
                 assert _bits(got) == _bits(old), (n_signal, kappa, n_background, m)
         assert compared > 200
-        opt = homodyne_min_error(4.0, ChannelParams(1.0, 0.0), 10 ** 308)
+        opt = checked_min_error(4.0, ChannelParams(1.0, 0.0), 10 ** 308)
         assert (opt.p_error, opt.log_p_error) == (0.0, -math.inf)
         assert opt.threshold == pytest.approx(math.sqrt(2.0) * 1e308, rel=1e-15)
 
     def test_min_error_beats_other_thresholds(self):
         m = 10**6
-        opt = homodyne_min_error(0.01, REF_CH, m)
+        opt = checked_min_error(0.01, REF_CH, m)
         for frac in [0.0, 0.25, 0.75, 1.3]:
             other = homodyne_errors(0.01, REF_CH, m, frac * opt.threshold)
             assert other.p_error >= opt.p_error * (1.0 - 1e-12)
@@ -1038,13 +1047,13 @@ class TestHomodyne:
 
     @pytest.mark.parametrize("seed", [1, 2, 7331])
     def test_certificate_accepts_every_m_the_search_accepts(self, monkeypatch, seed):
-        # the former lockstep Illinois search (_oracles.homodyne_search_min) as
-        # the oracle. Where it meets the ln p column, the check does too (it
+        # the lockstep Illinois search (_oracles.homodyne_search_min) as the
+        # oracle. Where it meets the ln p column, the check does too (it
         # runs inside cs_hom_points and _threshold_sweep_checks, and would
         # raise), and the check's value, the objective at w/2, is within the
         # search's of it by the objective's rise over the search's xtol/2 and
-        # by rounding. At
-        # kappa = 1 and N_B = 0 the check's u = w/2 is sqrt(N_S/2) sqrt(M):
+        # by rounding. At kappa = 1 and N_B = 0 the check's u = w/2 is
+        # sqrt(N_S/2) sqrt(M):
         # random u from 1e-6 to the doubles either side of sqrt(max double),
         # where ln erfc(u) turns -inf, random u within 2**-24 below sqrt(max
         # double), where ln p is finite but Veltkamp's split of u once
@@ -1070,8 +1079,8 @@ class TestHomodyne:
             with np.errstate(over="ignore", invalid="ignore"):
                 got, want = LN_HALF + log_erfc_nonneg(half), homodyne_search_min(w)
                 rise = homodyne_log_p(hi, w) - homodyne_log_p(half, w)
-            assert _agrees(want, log_p).all()
-            assert _agrees(got, log_p).all()
+            assert optimum_agrees(want, log_p).all()
+            assert optimum_agrees(got, log_p).all()
             finite = np.isfinite(want)
             assert np.array_equal(got[~finite], want[~finite])
             gap = np.abs(got[finite] - want[finite])
@@ -1080,10 +1089,10 @@ class TestHomodyne:
     def test_certificate_rejects_every_ln_p_the_search_rejects(self, monkeypatch):
         # ln p doctored by 2 to 1e3 times the 1e-12 bound either way, relative
         # and absolute, or made non-finite, at u = w/2 from 0.23 to 2.3e8:
-        # every M at which the former search's value misses the column, the
-        # check names. The rule of the check with its former search also took
-        # any ln p of +-inf, whose bound was then infinite; the check names
-        # every M of such a column
+        # every M at which the search's value misses the column, the check
+        # names. A rule that read +-inf unclipped would take any ln p of
+        # +-inf, whose bound is then infinite; the check names every M of
+        # such a column
         ch = ChannelParams(0.3, 0.2)
         ms = sorted({int(m) for m in np.geomspace(1.0, 1e18, 120)})
         _, log_p = _erfc_points(homodyne_rate(0.5, ch), ms)
@@ -1098,44 +1107,32 @@ class TestHomodyne:
             assert not _rejected(0.5, ch, ms, log_p)
         search = homodyne_search_min(2.0 * seen[0])
         for column in doctored:
-            before = {str(m) for m, ok in zip(ms, _agrees(search, column)) if not ok}
+            before = {str(m) for m, ok in zip(ms, optimum_agrees(search, column)) if not ok}
             after = _rejected(0.5, ch, ms, column.tolist())
             assert before <= after
             assert after == {str(m) for m, v, lp in zip(ms, column, log_p) if v != lp}
 
-    @pytest.mark.parametrize("argv", CI_CS_HOM_SWEEPS)
+    @pytest.mark.parametrize("argv", _ci_cs_hom_sweeps())
     def test_optimum_check_holds_on_the_cs_hom_rows_of_ci_command_lines(self, argv):
-        # the qi sweep command lines of CI that print a CS+Hom row: the golden
-        # table, that table's M merged into a 288-point grid, u = w/2 out to
-        # 2.3e5 and to ~3.5e78, M*rate overflowing and just short of it,
-        # kappa N_S near overflow, and M from 1 to 1e308 on all receivers
-        parse = _build_parser().parse_args
-        if argv == "merged":
-            q = 1e3 ** (1 / 287)
-            merged = set(_parse_m_values(parse(["sweep", *GOLDEN_SWEEP.split()])))
-            merged |= {int(round(1e5 * q ** i)) for i in range(288)}
-            argv = f"{GOLDEN_FLAGS} --m {','.join(map(str, sorted(merged)))}"
-        args = parse(["sweep", *argv.split()])
+        # the CS+Hom rows that CI's numpy-only step prints, read from the
+        # workflow, so that a line added there is held to the rule here too
+        args = _build_parser().parse_args(["sweep", *shlex.split(argv)])
         receivers = tuple(args.receivers.split(",")) if args.receivers else RECEIVER_ORDER
-        spec = SweepSpec(_scenario_from(args), _parse_m_values(args), receivers)
-        result = compute_sweep(spec)
-        src, ch, _ = spec.scenario.resolve()
-        check_homodyne_optimum(src.n_signal, ch, spec.m_values,
-                               -result.exponent[receivers.index("CS+Hom")])
+        checked_compute_sweep(SweepSpec(_scenario_from(args), _parse_m_values(args), receivers))
 
     def test_zero_reflectivity_gives_half(self):
-        opt = homodyne_min_error(0.01, ChannelParams(0.0, 20.0), 10)
+        opt = checked_min_error(0.01, ChannelParams(0.0, 20.0), 10)
         assert opt.p_error == 0.5
         assert opt.threshold == 0.0
 
     def test_non_increasing_in_m(self):
-        ps = [homodyne_min_error(0.01, REF_CH, 10**k).p_error for k in range(1, 9)]
+        ps = [checked_min_error(0.01, REF_CH, 10**k).p_error for k in range(1, 9)]
         assert all(b < a for a, b in zip(ps, ps[1:]))
 
     def test_deep_tail_no_silent_failure(self):
         # m chosen so m*kappa*N_S/(4N_B+2) = 700
         m = round(700.0 * 82.0 / 1e-4)
-        opt = homodyne_min_error(0.01, REF_CH, m)
+        opt = checked_min_error(0.01, REF_CH, m)
         assert opt.p_error > 0.0
         assert opt.log_p_error == pytest.approx(
             math.log(0.5) + log_erfc(math.sqrt(m * 1e-4 / 82.0)), rel=1e-12)
