@@ -73,7 +73,6 @@ _EPS = sys.float_info.epsilon
 # minimum is below half of this, and s = 1/2 wins a tie within it.
 _EXPONENT_RTOL = 4.0 * _EPS
 _MAX_STEPS = 200
-_SUBNORMAL_SPACING = math.ulp(0.0)
 _UNPHYSICAL = "covariance matrix is not physical (symplectic eigenvalue < 1/2)"
 # The largest return and idler excesses over the vacuum, 2 N_B + eps_r and
 # 2 N_I + eps_i, at which the model's QI bound rates still meet 1e-12 relative
@@ -100,42 +99,39 @@ MAX_COHERENT_BACKGROUND = 4.49e307
 class SOverlapResult:
     """Minimized prior-weighted s-overlap and the bound it certifies.
 
-    exponent is -ln C_{s*}, kept as computed rather than recovered from
-    c_at_s_star, which rounds near 1 when the exponent is small. Past
-    exponent ~708 c_at_s_star and bound are subnormal, and past ~745
-    exp(-exponent) underflows: both are then 0.
+    Holds what the s-search finds: s_star, prior_h0 and exponent = -ln C_{s*},
+    kept as computed rather than recovered from c_at_s_star, which rounds
+    near 1 when the exponent is small. c_at_s_star = exp(-exponent) and
+    bound = pi_0^s* pi_1^(1-s*) c_at_s_star are derived from them. Past
+    exponent ~708 both are subnormal, and past ~745 exp(-exponent)
+    underflows: both are then 0.
     """
 
     s_star: float
-    c_at_s_star: float
-    bound: float
     prior_h0: float
     exponent: float
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.s_star <= 1.0:
             raise ValueError(f"s_star must lie in [0, 1], got {self.s_star}")
-        if not self.exponent >= 0.0:
-            raise ValueError("exponent inconsistent with c_at_s_star")
-        c_of_exponent = math.exp(-self.exponent)
-        if not (0.0 < self.c_at_s_star <= 1.0 or self.c_at_s_star == c_of_exponent == 0.0):
-            raise ValueError(f"c_at_s_star must lie in (0, 1], got {self.c_at_s_star}")
         if not 0.0 < self.prior_h0 < 1.0:
             raise ValueError(f"prior_h0 must lie in (0, 1), got {self.prior_h0}")
-        expected = (self.prior_h0 ** self.s_star
-                    * (1.0 - self.prior_h0) ** (1.0 - self.s_star)
-                    * self.c_at_s_star)
-        if not _near(self.bound, expected):
-            raise ValueError("bound inconsistent with prior-weighted overlap")
+        if not self.exponent >= 0.0:
+            raise ValueError(f"exponent must be >= 0, got {self.exponent}")
         if self.bound > 0.5 * (1.0 + 1e-12):
             raise ValueError(f"bound must not exceed 1/2, got {self.bound}")
-        if not _near(c_of_exponent, self.c_at_s_star):
-            raise ValueError("exponent inconsistent with c_at_s_star")
 
+    @property
+    def c_at_s_star(self) -> float:
+        return math.exp(-self.exponent)
 
-def _near(value: float, want: float) -> bool:
-    # 1e-12 relative, or one subnormal spacing: a subnormal product rounds to that spacing
-    return abs(value - want) <= max(1e-12 * want, _SUBNORMAL_SPACING)
+    @property
+    def bound(self) -> float:
+        pi1 = 1.0 - self.prior_h0
+        # equal priors make the weight s-independent; keep it exact in that case
+        weight = (self.prior_h0 if self.prior_h0 == pi1
+                  else self.prior_h0 ** self.s_star * pi1 ** (1.0 - self.s_star))
+        return weight * self.c_at_s_star
 
 
 def _as_pd_matrix(value, name: str) -> np.ndarray:
@@ -521,12 +517,14 @@ def _minimize_weighted(log_c_slope, prior_h0: float) -> tuple[float, float]:
     through C_0 = C_1 = 1) and bisection whenever a step leaves the bracket.
     It stops once the predicted gap g'^2/(2 g'') is within half of
     _EXPONENT_RTOL |ln C_s|; s = 1/2 is kept if no point beats it by more
-    than _EXPONENT_RTOL |ln C_s|.
+    than _EXPONENT_RTOL |ln C_s|. ValueError, before any step, where ln C_1/2
+    is not finite.
     """
     d_prior = math.log(prior_h0) - math.log1p(-prior_h0)
     lo, hi = S_ENDPOINT_EPS, 1.0 - S_ENDPOINT_EPS
     s = 0.5
     f, df = log_c_slope(s)
+    _exponent(f)  # raises where ln C_1/2 is not finite
     g, dg = s * d_prior + f, d_prior + df
     half = best = (g, s, f)
     curvature = -8.0 * f
@@ -556,6 +554,10 @@ def _minimize_weighted(log_c_slope, prior_h0: float) -> tuple[float, float]:
 
 
 def _exponent(log_c: float) -> float:
+    """-ln C_s, read as 0 where rounding puts ln C_s above 0; ValueError unless ln C_s is finite."""
+    if not math.isfinite(log_c):
+        raise ValueError(f"ln C_s = {log_c} is not finite: the pair's s-overlap is out of "
+                         "double range")
     return -log_c if log_c < 0.0 else 0.0
 
 
@@ -567,14 +569,11 @@ def _weighted_result(log_c_slope, prior_h0: float) -> SOverlapResult:
 
 
 def _bound_at(s: float, log_c: float, prior_h0: float) -> SOverlapResult:
-    """The bound pi_0^s pi_1^(1-s) C_s that ln C_s certifies at one s."""
-    exponent = _exponent(log_c)
-    c_star = math.exp(-exponent)
-    pi1 = 1.0 - prior_h0
-    # equal priors make the weight s-independent; keep it exact in that case
-    weight = prior_h0 if prior_h0 == pi1 else prior_h0 ** s * pi1 ** (1.0 - s)
-    return SOverlapResult(s_star=s, c_at_s_star=c_star, bound=weight * c_star,
-                          prior_h0=prior_h0, exponent=exponent)
+    """The bound pi_0^s pi_1^(1-s) C_s that ln C_s certifies at one s.
+
+    ValueError unless ln C_s is finite.
+    """
+    return SOverlapResult(s_star=s, prior_h0=prior_h0, exponent=_exponent(log_c))
 
 
 def gaussian_s_overlap(state0: GaussianState, state1: GaussianState, s: float) -> float:

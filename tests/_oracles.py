@@ -65,6 +65,30 @@ def snr_from_moments(moments: BeamsplitterMoments) -> ReceiverStats:
     return ReceiverStats(mean_h0=0.0, mean_h1=mean1, var_h0=var0, var_h1=var1, snr=snr)
 
 
+def check_receiver_stats(stats: ReceiverStats) -> None:
+    """Raise AssertionError unless stats hold the rule of snr_pc's ReceiverStats.
+
+    Every value is finite, the variances and snr are >= 0, and snr is the
+    deflection form (mean_h1-mean_h0)^2 / (2*(sqrt(var_h1)+sqrt(var_h0))^2)
+    within 1e-12*max(snr, form) + 1e-300, the absolute term for subnormal
+    SNRs. snr_pc forms snr as kappa c^2 / (sqrt(2 var_h1) + sqrt(2 var_h0))^2,
+    a second arrangement of the same form.
+    """
+    vals = (stats.mean_h0, stats.mean_h1, stats.var_h0, stats.var_h1, stats.snr)
+    assert all(math.isfinite(v) for v in vals), f"receiver statistics must be finite: {stats}"
+    assert stats.var_h0 >= 0.0 and stats.var_h1 >= 0.0, f"variances must be >= 0: {stats}"
+    assert stats.snr >= 0.0, f"snr must be >= 0: {stats}"
+    diff = stats.mean_h1 - stats.mean_h0
+    root = math.sqrt(stats.var_h1) + math.sqrt(stats.var_h0)
+    denom = 2.0 * root * root
+    if denom == 0.0:
+        expected = 0.0 if diff == 0.0 else math.inf
+    else:
+        expected = diff * diff / denom
+    assert abs(stats.snr - expected) <= 1e-12 * max(stats.snr, expected) + 1e-300, (
+        f"snr {stats.snr!r} inconsistent with moments (expected {expected!r})")
+
+
 def two_mode_symplectic_eigenvalues(v: np.ndarray) -> np.ndarray:
     """Two-mode symplectic spectrum via the invariant formula.
 

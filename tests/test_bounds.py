@@ -27,6 +27,7 @@ from qillum.bounds import (
     ClassicalDistributionPair,
     SOverlapResult,
     StandardFormPair,
+    _bound_at,
     _expm1_gap,
     _log1p_gap,
     _quantum_route,
@@ -477,48 +478,62 @@ class TestCcb:
         assert res.bound == pytest.approx(generic.bound, rel=1e-12)
 
 
+def _weight(prior: float, s: float) -> float:
+    """pi_0^s pi_1^(1-s), as bounds._bound_at has weighted the overlap."""
+    return prior if prior == 0.5 else prior ** s * (1.0 - prior) ** (1.0 - s)
+
+
 class TestSOverlapResultType:
+    """The type stores s*, the prior and the exponent; C_{s*} and the bound are derived."""
+
     def test_consistency_enforced(self):
-        with pytest.raises(ValueError, match="inconsistent"):
-            SOverlapResult(s_star=0.5, c_at_s_star=0.9, bound=0.2, prior_h0=0.5,
-                           exponent=-math.log(0.9))
+        exponent = -math.log(0.9)
+        res = SOverlapResult(s_star=0.5, prior_h0=0.5, exponent=exponent)
+        assert res.c_at_s_star == math.exp(-exponent)
+        assert res.bound == 0.5 * math.exp(-exponent)
+        for bad in (-1e-300, math.nan):
+            with pytest.raises(ValueError, match="exponent must be >= 0"):
+                SOverlapResult(s_star=0.5, prior_h0=0.5, exponent=bad)
 
     def test_bound_cap_enforced(self):
-        with pytest.raises(ValueError):
-            SOverlapResult(s_star=0.5, c_at_s_star=1.5, bound=0.75, prior_h0=0.5,
-                           exponent=0.0)
+        # the weight at s = 1 is the prior, so an exponent of 0 puts the bound at 0.9
+        with pytest.raises(ValueError, match="bound must not exceed 1/2"):
+            SOverlapResult(s_star=1.0, prior_h0=0.9, exponent=0.0)
 
-    @pytest.mark.parametrize("exponent", [720.0, 744.0, 745.1])
+    @pytest.mark.parametrize("exponent", [700.0, 720.0, 744.0, 745.1, 746.0, math.inf])
     def test_subnormal_overlap_held_to_the_subnormal_spacing(self, exponent):
-        c = math.exp(-exponent)
-        assert 0.0 < c < sys.float_info.min
         for prior, s in ((0.5, 0.5), (0.3, 0.9)):
-            weight = prior ** s * (1.0 - prior) ** (1.0 - s)
-            SOverlapResult(s_star=s, c_at_s_star=c, bound=weight * c, prior_h0=prior,
-                           exponent=exponent)
-            with pytest.raises(ValueError, match="inconsistent with prior-weighted"):
-                SOverlapResult(s_star=s, c_at_s_star=c, bound=weight * c + 2 * math.ulp(0.0),
-                               prior_h0=prior, exponent=exponent)
-        with pytest.raises(ValueError, match="exponent inconsistent"):
-            SOverlapResult(s_star=0.5, c_at_s_star=c + 2 * math.ulp(0.0),
-                           bound=0.5 * (c + 2 * math.ulp(0.0)), prior_h0=0.5, exponent=exponent)
+            res = SOverlapResult(s_star=s, prior_h0=prior, exponent=exponent)
+            c = math.exp(-exponent)
+            assert res.c_at_s_star.hex() == c.hex()
+            assert res.bound.hex() == (_weight(prior, s) * c).hex()
 
     def test_zero_overlap_only_where_exp_underflows(self):
-        SOverlapResult(s_star=0.5, c_at_s_star=0.0, bound=0.0, prior_h0=0.5, exponent=746.0)
-        SOverlapResult(s_star=0.5, c_at_s_star=0.0, bound=0.0, prior_h0=0.5, exponent=math.inf)
         for exponent in (700.0, 745.0):
-            with pytest.raises(ValueError, match=r"c_at_s_star must lie in \(0, 1\]"):
-                SOverlapResult(s_star=0.5, c_at_s_star=0.0, bound=0.0, prior_h0=0.5,
-                               exponent=exponent)
-        with pytest.raises(ValueError, match="inconsistent with prior-weighted"):
-            SOverlapResult(s_star=0.5, c_at_s_star=0.0, bound=math.ulp(0.0) * 2, prior_h0=0.5,
-                           exponent=746.0)
+            assert SOverlapResult(s_star=0.5, prior_h0=0.5, exponent=exponent).c_at_s_star > 0.0
+        for exponent in (746.0, math.inf):
+            res = SOverlapResult(s_star=0.5, prior_h0=0.5, exponent=exponent)
+            assert res.c_at_s_star == res.bound == 0.0
 
     def test_normal_values_keep_the_relative_check(self):
-        c = math.exp(-700.0)
-        with pytest.raises(ValueError, match="inconsistent with prior-weighted"):
-            SOverlapResult(s_star=0.5, c_at_s_star=c, bound=0.5 * c * (1 + 4e-12), prior_h0=0.5,
-                           exponent=700.0)
+        # at a normal overlap the derived bound is the exact weighted overlap to 1e-15
+        with mpmath.workdps(40):
+            for prior, s in ((0.5, 0.5), (0.3, 0.9)):
+                res = SOverlapResult(s_star=s, prior_h0=prior, exponent=700.0)
+                p0 = mpmath.mpf(prior)
+                exact = p0 ** s * (1 - p0) ** (1 - mpmath.mpf(s)) * mpmath.exp(-700)
+                assert res.c_at_s_star > sys.float_info.min
+                assert abs(res.bound - exact) <= 1e-15 * exact
+
+    def test_nan_log_overlap_raises(self):
+        # the H1 root's square (s1 - 2 c1)(s1 + 2 c1) overflows, so the eigenvalue
+        # differences and ln C_s at every s are nan, which used to read as exponent 0
+        pair = StandardFormPair(40.0, 0.02, 0.0, 2e156, 0.0, 2e77)
+        assert math.isnan(pair.log_c(0.5))
+        with pytest.raises(ValueError, match="ln C_s = nan is not finite"):
+            pair.qcb()
+        with pytest.raises(ValueError, match="ln C_s = nan is not finite"):
+            _bound_at(0.5, pair.log_c(0.5), 0.5)
 
 
 class TestClosedFormsOnly:

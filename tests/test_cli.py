@@ -827,6 +827,23 @@ class TestBoundsCommand:
         assert s < d
 
 
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["bounds"] + REF_FLAGS, "bounds.json"),
+    (["bounds"] + REF_FLAGS + ["--prior-h0", "0.3"], "bounds_prior_0.3.json"),
+    # the CS-QCB row's c_at_s_star and bound underflow to 0
+    (["bounds", "--ns", "1000", "--ni", "1000", "--kappa", "1", "--nb", "0.0001"],
+     "bounds_underflow.json"),
+    (["snr"] + REF_FLAGS, "snr.json"),
+], ids=["bounds", "bounds-prior-0.3", "bounds-underflow", "snr"])
+def test_report_is_the_golden_file_byte_for_byte(capsys, argv, name):
+    rc, out, err = run_cli(capsys, argv + ["--json"])
+    assert rc == 0, err
+    assert out.encode() == (GOLDEN / name).read_bytes()
+
+
 BOUND_LABELS = tuple(label for label, rx in RECEIVERS.items() if rx.bound is not None)
 
 
@@ -1257,8 +1274,7 @@ class TestNumpyOnlyRuntime:
         ]
         results = json.loads(run_python(_SCIPY_BLOCKED, json.dumps(commands)))
         assert [rc for rc, _ in results] == [0, 0, 0]
-        golden = Path(__file__).parent / "golden" / "comparison_sweep.csv"
-        assert csv_path.read_bytes() == golden.read_bytes()
+        assert csv_path.read_bytes() == (GOLDEN / "comparison_sweep.csv").read_bytes()
         # the same bytes as this process, which may have scipy loaded
         for argv, (_, out) in zip(commands[1:], results[1:]):
             assert run_cli(capsys, argv)[1] == out

@@ -10,15 +10,16 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 import _oracles
-from _oracles import (LOG_ERFC_PQ, ErrorProbabilities, check_homodyne_optimum,
-                      checked_compute_sweep, checked_min_error, golden_section, homodyne_errors,
-                      homodyne_log_p, homodyne_search_min, log_erfc_and_slope, log_erfc_nonneg,
-                      mp_log_erfc, optimum_agrees, pc_transform, scalar_half_exp,
-                      snr_from_moments, ulp_error)
+from _oracles import (LOG_ERFC_PQ, ErrorProbabilities, _mp_model_entries,
+                      check_homodyne_optimum, check_receiver_stats, checked_compute_sweep,
+                      checked_min_error, golden_section, homodyne_errors, homodyne_log_p,
+                      homodyne_search_min, log_erfc_and_slope, log_erfc_nonneg, mp_log_erfc,
+                      optimum_agrees, pc_transform, scalar_half_exp, snr_from_moments,
+                      ulp_error)
 
 from qillum import _erfc
 from qillum.cli import (RECEIVER_ORDER, ScenarioParams, SweepSpec, _build_parser,
@@ -26,7 +27,6 @@ from qillum.cli import (RECEIVER_ORDER, ScenarioParams, SweepSpec, _build_parser
 from qillum.errors import NumericFailure
 from qillum.receiver import (
     RECEIVERS,
-    BeamsplitterMoments,
     Scenario,
     ReceiverStats,
     asymptotic_snr,
@@ -49,6 +49,7 @@ from qillum.states import (
     GaussianState,
     NoiseParams,
     SourceParams,
+    c_quantum,
     conditional_states,
     make_source,
 )
@@ -60,6 +61,16 @@ REF_CH = ChannelParams(reflectivity=0.01, n_background=20.0)
 SNR_QI_PC = 2.3575929806957360e-06
 SNR_QI_CAL_PC = 2.3027656169736765e-06
 SNR_QI_HET_PC = 1.1627852893770358e-06
+
+
+PC_LABELS = tuple(label for label, rx in RECEIVERS.items() if rx.added_noise is not None)
+
+
+def _pc_stats(sc: Scenario, label: str) -> ReceiverStats:
+    """snr_pc at the scenario's noise plus what the PC receiver label adds, as its rate reads it."""
+    added = RECEIVERS[label].added_noise
+    return snr_pc(sc.src, sc.ch, NoiseParams(eps_return=sc.noise.eps_return + added.eps_return,
+                                             eps_idler=sc.noise.eps_idler + added.eps_idler))
 
 
 def _erfc_points(rate: float, ms) -> tuple[np.ndarray, np.ndarray]:
@@ -92,12 +103,8 @@ def _spy_check(patch) -> list:
     return seen
 
 
-def _threshold_sweep_checks(monkeypatch, seed: int) -> list:
-    """(w, ln p column) of check_homodyne_optimum on each CS+Hom row of perfbench's threshold_sweep.
-
-    Each row comes from sweep_points at one scenario of the workload at seed,
-    over its M, and passes the check, which raises NumericFailure otherwise.
-    """
+def _threshold_sweep_scenarios(monkeypatch, seed: int) -> tuple[list, tuple]:
+    """The Scenarios of perfbench's threshold_sweep at seed, as its workload draws them, and its M."""
     root = Path(__file__).resolve().parents[1] / "perfbench"
 
     def load(name, alias):
@@ -109,14 +116,25 @@ def _threshold_sweep_checks(monkeypatch, seed: int) -> list:
     # workloads.py imports its sibling receivers.py by that name
     monkeypatch.setitem(sys.modules, "receivers", load("receivers", "receivers"))
     workloads = load("workloads", "perfbench_workloads")
+    scenarios = [Scenario(*params.resolve())
+                 for params in workloads.draw_scenarios(seed, "threshold_sweep",
+                                                        workloads.THRESHOLD_SCENARIOS)]
+    return scenarios, workloads.THRESHOLD_M
+
+
+def _threshold_sweep_checks(monkeypatch, seed: int) -> list:
+    """(w, ln p column) of check_homodyne_optimum on each CS+Hom row of perfbench's threshold_sweep.
+
+    Each row comes from sweep_points at one scenario of the workload at seed,
+    over its M, and passes the check, which raises NumericFailure otherwise.
+    """
     checks = []
+    scenarios, ms = _threshold_sweep_scenarios(monkeypatch, seed)
     with monkeypatch.context() as patch:
         seen = _spy_check(patch)
-        for params in workloads.draw_scenarios(seed, "threshold_sweep",
-                                               workloads.THRESHOLD_SCENARIOS):
-            sc = Scenario(*params.resolve())
-            _, _, (log_p,) = sweep_points([RECEIVERS["CS+Hom"]], sc, workloads.THRESHOLD_M)
-            check_homodyne_optimum(sc.src.n_signal, sc.ch, workloads.THRESHOLD_M, log_p)
+        for sc in scenarios:
+            _, _, (log_p,) = sweep_points([RECEIVERS["CS+Hom"]], sc, ms)
+            check_homodyne_optimum(sc.src.n_signal, sc.ch, ms, log_p)
             checks.append((2.0 * seen[-1], log_p))
     return checks
 
@@ -773,19 +791,23 @@ class TestBeamsplitterMoments:
         assert noisy.gamma_star == pytest.approx(clean.gamma_star, rel=1e-15)
 
     def test_invariant_enforced(self):
-        with pytest.raises(ValueError, match="beta_plus"):
-            BeamsplitterMoments(1.0, 0.1, 0.5, 0.9, 0.2)
-        with pytest.raises(ValueError, match="alpha_plus"):
-            BeamsplitterMoments(-1.0, 0.1, 0.9, 0.5, 0.2)
+        # alpha_plus > 0 and beta_plus >= beta_minus hold by construction, since
+        # omega, mu >= 1 and 2 sqrt(kappa) c >= 0 (test_moment_route_identity_random
+        # asserts both); finiteness is the check that a public call trips
+        with pytest.raises(ValueError, match="beamsplitter moments must be finite"):
+            beamsplitter_moments(REF_SRC, ChannelParams(0.01, 1e308))
 
 
 class TestSnrPc:
     def test_reference_triple(self):
-        assert snr_pc(REF_SRC, REF_CH).snr == pytest.approx(SNR_QI_PC, rel=1e-12)
+        pc = snr_pc(REF_SRC, REF_CH)
+        assert pc.snr == pytest.approx(SNR_QI_PC, rel=1e-12)
         cal = snr_pc(REF_SRC, REF_CH, NoiseParams(eps_return=1.0))
         assert cal.snr == pytest.approx(SNR_QI_CAL_PC, rel=1e-12)
         het = snr_pc(REF_SRC, REF_CH, NoiseParams(1.0, 1.0))
         assert het.snr == pytest.approx(SNR_QI_HET_PC, rel=1e-12)
+        for stats in (pc, cal, het):
+            check_receiver_stats(stats)
 
     def test_zero_correlation_gives_zero_snr(self):
         src = SourceParams(0.3, 0.3, 0.0)
@@ -824,6 +846,7 @@ class TestSnrPc:
         ch = ChannelParams(kappa, nb)
         noise = NoiseParams(eps_r, eps_i)
         m = beamsplitter_moments(src, ch, noise)
+        assert m.alpha_plus > 0.0 and m.beta_plus >= m.beta_minus
         # numerator identity (beta+ - beta-)^2 = kappa*c^2 up to cancellation noise
         diff = m.beta_plus - m.beta_minus
         exact = math.sqrt(kappa) * src.corr
@@ -854,8 +877,57 @@ class TestSnrPc:
             assert all(b < a for a, b in zip(values, values[1:]))
 
     def test_stats_invariant_rejects_mismatch(self):
-        with pytest.raises(ValueError, match="inconsistent"):
-            ReceiverStats(0.0, 1.0, 1.0, 1.0, 0.5)
+        # the deflection form of these moments is 1/(2 (1 + 1)^2) = 1/8
+        check_receiver_stats(ReceiverStats(0.0, 1.0, 1.0, 1.0, 0.125))
+        with pytest.raises(AssertionError, match="inconsistent"):
+            check_receiver_stats(ReceiverStats(0.0, 1.0, 1.0, 1.0, 0.5))
+
+    @given(
+        label=st.sampled_from(PC_LABELS),
+        ns=st.floats(0.0, 10.0),
+        ni=st.floats(0.0, 10.0),
+        frac=st.floats(0.0, 1.0),
+        kappa=st.floats(0.0, 1.0),
+        nb=st.one_of(st.floats(0.0, 1e3), st.floats(1e300, 2.3e307)),
+        eps_r=st.floats(0.0, 2.0),
+        eps_i=st.floats(0.0, 2.0),
+    )
+    # the golden scenario near the overflow of the SNR's denominator, where its snr is
+    # normal (N_B = 2.2e307) and subnormal, ~2.4e-312 (N_B = 2.1e307)
+    @example(label="QI+PC", ns=0.01, ni=0.01, frac=1.0, kappa=0.01, nb=2.2e307, eps_r=0.0,
+             eps_i=0.0)
+    @example(label="QI+PC", ns=0.01, ni=0.01, frac=1.0, kappa=0.01, nb=2.1e307, eps_r=0.0,
+             eps_i=0.0)
+    @settings(max_examples=300, deadline=None)
+    def test_stats_meet_the_deflection_rule(self, label, ns, ni, frac, kappa, nb, eps_r, eps_i):
+        src = SourceParams(ns, ni, frac * c_quantum(SourceParams(ns, ni)))
+        try:
+            stats = _pc_stats(Scenario(src, ChannelParams(kappa, nb), NoiseParams(eps_r, eps_i)),
+                              label)
+        except ValueError:
+            reject()  # the denominator overflows: TestPcOverflow's case
+        check_receiver_stats(stats)
+
+    @pytest.mark.parametrize("seed", [1, 2, 7331])
+    def test_stats_meet_the_deflection_rule_on_perfbench_threshold_sweep(self, monkeypatch,
+                                                                         seed):
+        scenarios, _ = _threshold_sweep_scenarios(monkeypatch, seed)
+        for sc in scenarios:
+            for label in PC_LABELS:
+                check_receiver_stats(_pc_stats(sc, label))
+
+    def test_denominator_squared_by_one_multiply(self):
+        # glibc 2.36's pow (Python's **) squares the denominator's root one ulp apart
+        # from the IEEE product here: the rate must be the product's, the same on any libm
+        src = make_source(11.52124810334315, 1.2006550160002556, "quantum")
+        ch = ChannelParams(0.9767280935913945, 0.20269114904170862)
+        snr = snr_pc(src, ch).snr
+        assert snr.hex() == "0x1.112cf36a8625ep-2"
+        with mpmath.workdps(50):
+            (a0, b0, _), (a1, _, c1) = _mp_model_entries(src, ch)
+            kc2 = c1 * c1
+            exact = kc2 / (mpmath.sqrt(kc2 + b0 * (1 + a1)) + mpmath.sqrt(b0 * (1 + a0))) ** 2
+            assert ulp_error(snr, exact) <= 2.0
 
 
 class TestErrorProbPc:
