@@ -6,8 +6,9 @@ then estimates threshold-test error rates at a few pulse counts and compares
 them with (1/2)erfc(sqrt(M*SNR)), each within 5 binomial standard errors.
 Both draw the difference count from its exact law, not quadrature by
 quadrature: one sample of the gate table is one pulse's count, one
-exponential and one uniform, and each trial's average count takes two gamma
-variates whatever M >= 2 (at M = 1 it is one count). The erfc is the
+exponential (each 2^16-row block also draws its number of plus-branch
+counts once), and each trial's average count takes two gamma variates
+whatever M >= 2 (at M = 1 it is one count). The erfc is the
 central-limit approximation of that law; at M >= 50 it is within 0.13
 standard errors of the exact rate at the default 4000 trials. Exit code 4
 signals a gate failure.

@@ -403,8 +403,8 @@ class StandardFormPair:
         return value - math.log1p(m), slope - m / (1.0 + m) * d_log_m
 
     def log_c(self, s: float) -> float:
-        """ln C_s = ln Tr(rho_0^s rho_1^(1-s)), for s in [0, 1]."""
-        return self._log_c_slope(_check_s(s))[0]
+        """ln C_s = ln Tr(rho_0^s rho_1^(1-s)), for s in [0, 1]; ValueError unless it is finite."""
+        return _finite_log_c(self._log_c_slope(_check_s(s))[0])
 
     def qcb(self, prior_h0: float = 0.5) -> SOverlapResult:
         """Quantum Chernoff bound, as qcb() on the two states."""
@@ -448,8 +448,8 @@ class StandardFormDensities:
         return value, self._log1p_u - (self._y + 2.0 * s * self._z) / (1.0 + su - stz)
 
     def log_c(self, s: float) -> float:
-        """ln of the overlap integral(p0^s p1^(1-s)), for s in [0, 1]."""
-        return self._log_c_slope(_check_s(s))[0]
+        """ln of the overlap integral(p0^s p1^(1-s)), for s in [0, 1]; ValueError unless finite."""
+        return _finite_log_c(self._log_c_slope(_check_s(s))[0])
 
     def ccb(self, prior_h0: float = 0.5) -> SOverlapResult:
         """Classical Chernoff bound, as ccb() on the two densities."""
@@ -553,11 +553,17 @@ def _minimize_weighted(log_c_slope, prior_h0: float) -> tuple[float, float]:
     return s_best, f_best
 
 
-def _exponent(log_c: float) -> float:
-    """-ln C_s, read as 0 where rounding puts ln C_s above 0; ValueError unless ln C_s is finite."""
+def _finite_log_c(log_c: float) -> float:
+    """ln C_s itself; ValueError unless it is finite."""
     if not math.isfinite(log_c):
         raise ValueError(f"ln C_s = {log_c} is not finite: the pair's s-overlap is out of "
                          "double range")
+    return log_c
+
+
+def _exponent(log_c: float) -> float:
+    """-ln C_s, read as 0 where rounding puts ln C_s above 0; ValueError unless ln C_s is finite."""
+    log_c = _finite_log_c(log_c)
     return -log_c if log_c < 0.0 else 0.0
 
 
@@ -577,9 +583,12 @@ def _bound_at(s: float, log_c: float, prior_h0: float) -> SOverlapResult:
 
 
 def gaussian_s_overlap(state0: GaussianState, state1: GaussianState, s: float) -> float:
-    """C_s = Tr(rho_0^s rho_1^(1-s)) for Gaussian states, in (0, 1]."""
+    """C_s = Tr(rho_0^s rho_1^(1-s)) for Gaussian states, in [0, 1].
+
+    ValueError unless ln C_s is finite.
+    """
     s = _check_s(s)
-    return min(math.exp(_quantum_route(state0, state1)(s)[0]), 1.0)
+    return math.exp(-_exponent(_quantum_route(state0, state1)(s)[0]))
 
 
 def qcb(state0: GaussianState, state1: GaussianState, prior_h0: float = 0.5) -> SOverlapResult:

@@ -10,9 +10,9 @@ follow in closed form from the noisy (mu, omega, gamma) that snr_pc uses
 (_count_weights), so it is drawn from that exact law: the moment oracle
 takes one count per sample, and the threshold test takes a trial's average
 over m pulses, two gamma variates per trial at a cost that does not grow
-with m. At m = 1 the law is a two-sided exponential mixture, so a count
-takes one exponential and one uniform. The moment samples are the
-threshold test's trials at m = 1, bit for bit. sample_quadratures draws
+with m. At m = 1 it is a two-sided exponential mixture: one exponential
+per count and one binomial branch count per block. The moment samples are
+the threshold test's trials at m = 1, bit for bit. sample_quadratures draws
 Gaussian quadrature vectors of any state from its covariance matrix.
 
 All randomness is drawn in fixed logical blocks of 2**16 rows, each from
@@ -21,13 +21,14 @@ SFC64(SeedSequence(k, spawn_key=(s, b))), numpy's spawn scheme for
 independent parallel streams: the SeedSequence hashes (k, s, b) into the
 generator's state, so a block is addressed directly, as a counter-based
 generator's would be (Salmon et al., SC'11, "Parallel random numbers: as
-easy as 1, 2, 3"), and no block depends on another's draws. The uniforms
-of a block's m = 1 counts come from a sibling generator,
-SFC64(SeedSequence(k, spawn_key=(s, b, 1))), addressed the same way. The
-first j rows are therefore the same bits whatever the row count, and
-repeated runs are bit-identical whatever the order in which the hypotheses
-and checks are evaluated. Streams: H0 on stream 0 and H1 on stream 2, for
-both the receiver moments and the threshold test's trials.
+easy as 1, 2, 3"), and no block depends on another's draws. The branch
+count of a block's m = 1 counts comes from a sibling generator,
+SFC64(SeedSequence(k, spawn_key=(s, b, 1))), addressed the same way. Every
+full block is therefore the same bits whatever the row count, as are the
+first j rows at m >= 2; at m = 1 a partial last block draws its branch
+count for its own length. Repeated runs are bit-identical whatever the
+order in which the hypotheses and checks are evaluated. Streams: H0 on
+stream 0 and H1 on stream 2, for the receiver moments and the trials.
 
 Because a block depends only on (seed, stream, block), the samplers split
 the blocks of both hypotheses into one contiguous run per usable CPU (at
@@ -65,9 +66,12 @@ class SamplerConfig:
     n_samples: int
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.seed, (int, np.integer)) and 0 <= self.seed < 2 ** 64):
+        # Python counts a bool as an int, but True is no seed or sample count
+        is_int = [isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+                  for v in (self.seed, self.n_samples)]
+        if not (is_int[0] and 0 <= self.seed < 2 ** 64):
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
-        if not (isinstance(self.n_samples, (int, np.integer)) and self.n_samples >= 1):
+        if not (is_int[1] and self.n_samples >= 1):
             raise ValueError(f"n_samples must be a positive integer, got {self.n_samples!r}")
 
 
@@ -231,9 +235,10 @@ def _block_trial_means(out: np.ndarray, scratch: np.ndarray, weights: tuple[floa
     function it is 2 lambda_+ E with probability pi = lambda_+/(lambda_+ -
     lambda_-), and 2 lambda_- E otherwise (Kotz, Kozubowski and Podgorski,
     "The Laplace Distribution and Generalizations", 2001). E is drawn row by
-    row from the block's generator into out, U ~ U[0, 1) row by row from its
-    sibling into scratch (which must hold len(out) rows), and each row's
-    weight is exactly 2 lambda_+ where U < pi, else 2 lambda_-.
+    row from the block's generator into out, n_+ ~ Binomial(len(out), pi)
+    once from its sibling, and the first n_+ rows take the weight 2 lambda_+,
+    the rest 2 lambda_-: an exchangeable sample, plus-branch rows first, so a
+    reduction symmetric in the rows sees i.i.d. counts. scratch is unused.
 
     At m >= 2 a trial is (2 lambda_+ G_1 + 2 lambda_- G_2)/m with G_1, G_2 ~
     Gamma(m) drawn as one row: the cost does not grow with m. The rows are
@@ -245,19 +250,14 @@ def _block_trial_means(out: np.ndarray, scratch: np.ndarray, weights: tuple[floa
     if m == 1:
         lam_plus, lam_minus = weights
         gen.standard_exponential(out=out)
-        u = scratch[:len(out)]
-        _block_generator(seed, stream, block, 1).random(out=u)
         # lambda_+ - lambda_- = r is finite wherever _count_weights returns;
-        # 2 lambda_+ - 2 lambda_- overflows from r ~ 9e307
-        np.subtract(u, lam_plus / (lam_plus - lam_minus), out=u)
-        # U - pi is negative exactly where U < pi: its sign bit, spread over
-        # the word, selects 2 lambda_+'s bits there and 2 lambda_-'s elsewhere
-        bits = u.view(np.int64)
-        np.right_shift(bits, 63, out=bits)
-        w_plus, w_minus = (np.float64(2.0 * lam).view(np.int64) for lam in weights)
-        np.bitwise_and(bits, w_plus ^ w_minus, out=bits)
-        np.bitwise_xor(bits, w_minus, out=bits)
-        return np.multiply(out, u, out=out)
+        # 2 lambda_+ - 2 lambda_- overflows from r ~ 9e307. pi tops 1 only where
+        # a corr within c_q's 1e-12 tolerance puts lambda_- a rounding above 0
+        pi = min(lam_plus / (lam_plus - lam_minus), 1.0)
+        n_plus = _block_generator(seed, stream, block, 1).binomial(len(out), pi)
+        np.multiply(out[:n_plus], 2.0 * lam_plus, out=out[:n_plus])
+        np.multiply(out[n_plus:], 2.0 * lam_minus, out=out[n_plus:])
+        return out
     w_plus, w_minus = (2.0 * lam / m for lam in weights)
     pairs = scratch[:len(scratch) // 2 * 2].reshape(-1, 2)
     for start in range(0, len(out), len(pairs)):
@@ -320,8 +320,8 @@ def _reduced_hypotheses(src: SourceParams, ch: ChannelParams, noise: NoiseParams
     runs = [blocks[len(blocks) * i // workers:len(blocks) * (i + 1) // workers]
             for i in range(workers)]
     size = min(_BLOCK, n)
-    # scratch takes a block's uniforms at m = 1, and its gamma pairs in two
-    # halves at m >= 2, so it holds an even count
+    # scratch takes a block's gamma pairs in two halves at m >= 2, so it holds
+    # an even count; at m = 1 only the reducer uses it
     buffers = [(np.empty(size), np.empty(size + size % 2)) for _ in runs]
 
     def work(run, run_buffers):

@@ -22,7 +22,7 @@ from .symplectic import CovMatrix, is_physical
 def _check_nonnegative(value: float, name: str) -> None:
     """The one check of a brightness or noise parameter: finite and >= 0."""
     if not (value >= 0 and math.isfinite(value)):
-        raise ValueError(f"{name} must be >= 0, got {value}")
+        raise ValueError(f"{name} must be finite and >= 0, got {value}")
 
 
 def _validate_pulses(m) -> int:

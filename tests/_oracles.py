@@ -878,10 +878,11 @@ def trial_mean_blocks(weights: tuple[float, float], m: int, seed: int, stream: i
     """Blocks of n trial averages of the difference count over m pulses each.
 
     montecarlo's serial route, the reference for its block workers, as in
-    montecarlo._block_trial_means. At m = 1 each block's exponentials and
-    its sibling generator's uniforms are drawn whole, and a count is
-    2 lambda_+ E where U < lambda_+/(lambda_+ - lambda_-), else 2 lambda_- E,
-    picked with np.where. At m >= 2 each block's gamma pairs are drawn whole,
+    montecarlo._block_trial_means. At m = 1 each block's exponentials are
+    drawn whole, its plus-branch count n_+ ~ Binomial(rows, lambda_+/(lambda_+
+    - lambda_-)) comes from its sibling generator, and row i is 2 lambda_+ E
+    where i < n_+, else 2 lambda_- E, picked with np.where. At m >= 2 each
+    block's gamma pairs are drawn whole,
     as one (rows, 2) array, and a trial is (2 lambda_+ G_1 + 2 lambda_- G_2)/m.
     """
     lam_plus, lam_minus = weights
@@ -889,8 +890,9 @@ def trial_mean_blocks(weights: tuple[float, float], m: int, seed: int, stream: i
     for block, (gen, rows) in enumerate(_stream_blocks(seed, stream, n)):
         if m == 1:
             e = gen.standard_exponential(rows)
-            u = _block_generator(seed, stream, block, 1).random(rows)
-            yield np.where(u < lam_plus / (lam_plus - lam_minus), w_plus, w_minus) * e
+            n_plus = _block_generator(seed, stream, block, 1).binomial(
+                rows, lam_plus / (lam_plus - lam_minus))
+            yield np.where(np.arange(rows) < n_plus, w_plus, w_minus) * e
         else:
             g = gen.standard_gamma(m, size=(rows, 2))
             yield g[:, 0] * w_plus + g[:, 1] * w_minus

@@ -26,6 +26,7 @@ from qillum.bounds import (
     _EPS,
     ClassicalDistributionPair,
     SOverlapResult,
+    StandardFormDensities,
     StandardFormPair,
     _bound_at,
     _expm1_gap,
@@ -529,11 +530,27 @@ class TestSOverlapResultType:
         # the H1 root's square (s1 - 2 c1)(s1 + 2 c1) overflows, so the eigenvalue
         # differences and ln C_s at every s are nan, which used to read as exponent 0
         pair = StandardFormPair(40.0, 0.02, 0.0, 2e156, 0.0, 2e77)
-        assert math.isnan(pair.log_c(0.5))
+        assert math.isnan(pair._log_c_slope(0.5)[0])
         with pytest.raises(ValueError, match="ln C_s = nan is not finite"):
             pair.qcb()
         with pytest.raises(ValueError, match="ln C_s = nan is not finite"):
-            _bound_at(0.5, pair.log_c(0.5), 0.5)
+            _bound_at(0.5, pair._log_c_slope(0.5)[0], 0.5)
+
+    def test_public_log_overlaps_raise_where_not_finite(self):
+        # the public ln C_s and C_s raise as the bounds do, rather than return nan
+        pair = StandardFormPair(40.0, 0.02, 0.0, 2e156, 0.0, 2e77)
+        with pytest.raises(ValueError, match="ln C_s = nan is not finite"):
+            pair.log_c(0.5)
+        # g2 = dA dB overflows, so y, z and u are not finite
+        densities = StandardFormDensities(1.0, 1.0, 0.0, 1e300, 1e300, 0.0)
+        with pytest.raises(ValueError, match="ln C_s = nan is not finite"):
+            densities.log_c(0.5)
+        z, eye = np.diag([1.0, -1.0]), np.eye(2)
+        covs = [0.5 * np.block([[a * eye, c * z], [c * z, 1.02 * eye]])
+                for a, c in ((41.0, 0.0), (41.0 + 2e156, 2e77))]
+        states = [GaussianState(mean=np.zeros(4), cov=CovMatrix(cov)) for cov in covs]
+        with pytest.raises(ValueError, match="ln C_s = nan is not finite"):
+            gaussian_s_overlap(*states, 0.5)
 
 
 class TestClosedFormsOnly:

@@ -1048,8 +1048,16 @@ class TestPcOverflow:
     ])
     def test_correlation_bound(self, capsys, argv):
         # N_S (N_I + 1) and N_S N_I overflow before their square roots: exit 2
-        # naming both flags, once with "corr must be >= 0, got inf"
+        # naming both flags, once with "corr must be finite and >= 0, got inf"
         self.exits_2_naming(capsys, argv + ["--ns", "1e200", "--ni", "1e200"], "--ns", "--ni")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["sweep", "--m", "5", "--c", "inf"], "error: corr must be finite and >= 0, got inf\n"),
+        (["sweep", "--m", "5", "--ns", "nan"], "error: n_signal must be finite and >= 0, got nan\n"),
+    ], ids=["c-inf", "ns-nan"])
+    def test_non_finite_value_is_named_as_such(self, capsys, argv, message):
+        rc, out, err = run_cli(capsys, argv)
+        assert (rc, out, err) == (2, "", message)
 
     @pytest.mark.parametrize("argv", [
         ["snr", "--nb", "1e307"],

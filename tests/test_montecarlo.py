@@ -81,6 +81,12 @@ class TestSamplerConfig:
         with pytest.raises(ValueError):
             SamplerConfig(seed=1, n_samples=1.5)
 
+    @pytest.mark.parametrize("seed, n_samples", [(True, 10), (1, True), (False, 10), (True, True)])
+    def test_rejects_bools(self, seed, n_samples):
+        # Python counts a bool as an int; neither is a seed or a sample count
+        with pytest.raises(ValueError, match="seed must be|n_samples must be"):
+            SamplerConfig(seed=seed, n_samples=n_samples)
+
 
 class TestSampleQuadratures:
     def test_bit_identical_repeat(self):
@@ -224,9 +230,19 @@ class TestStreamLayout:
     def test_trial_prefix_independent_of_count(self, m):
         weights = _count_weights(REF_SRC, REF_CH, NO_NOISE)[1]
         runs = [shipped_trial_means(weights, m, 36, 2, n) for n in self.SIZES]
+        longest = runs[-1]
         for means in runs:
-            assert np.array_equal(means, runs[-1][:len(means)])
-        assert not np.array_equal(runs[-1][:8], runs[-1][BLOCK:BLOCK + 8])
+            if m > 1:
+                assert np.array_equal(means, longest[:len(means)])
+                continue
+            # at m = 1 a full block's bits do not depend on the count, and a
+            # partial last block draws its branch count for its own length
+            full = len(means) // BLOCK * BLOCK
+            assert np.array_equal(means[:full], longest[:full])
+            if full < len(means):
+                last = list(trial_mean_blocks(weights, 1, 36, 2, len(means)))[-1]
+                assert np.array_equal(means[full:], last)
+        assert not np.array_equal(longest[:8], longest[BLOCK:BLOCK + 8])
 
     def test_trial_block_zero_is_the_single_philox_draw(self):
         weights = _count_weights(REF_SRC, REF_CH, NO_NOISE)[0]
@@ -266,9 +282,9 @@ class TestStreamLayout:
         weights = _count_weights(REF_SRC, REF_CH, NO_NOISE)[1]
         got = _block_trial_means(np.empty(BLOCK), np.empty(BLOCK), weights, m, 40, 2, 3)
         assert len(calls) == 2
-        # m = 1: one exponential draw on the block's generator and one uniform
+        # m = 1: one exponential draw on the block's generator and one binomial
         # draw on its sibling; m >= 2: two gamma half-blocks on the block's
-        expected = ([((40, 2, 3), "standard_exponential"), ((40, 2, 3, 1), "random")] if m == 1
+        expected = ([((40, 2, 3), "standard_exponential"), ((40, 2, 3, 1), "binomial")] if m == 1
                     else [((40, 2, 3), "standard_gamma")] * 2)
         assert calls == expected
         # the same bits as the serial route's whole-block draw
@@ -414,13 +430,15 @@ class TestCountLaw:
         for counts, pair, stream in zip(seen, weights, (0, 2)):
             trials = np.concatenate(list(trial_mean_blocks(pair, 1, cfg.seed, stream, n)))
             assert np.array_equal(counts, trials)
-            # block 0 is 2 l_+ E where U < l_+/(l_+ - l_-), else 2 l_- E, with
-            # E ~ Exp(1) from the block's generator and U ~ U[0, 1) from its sibling
+            # block 0 is 2 l_+ E in its first n_+ rows and 2 l_- E in the rest,
+            # with E ~ Exp(1) from the block's generator and
+            # n_+ ~ Binomial(2**16, l_+/(l_+ - l_-)) from its sibling
             lam_plus, lam_minus = pair
             e = _block_generator(cfg.seed, stream, 0).standard_exponential(BLOCK)
-            u = _block_generator(cfg.seed, stream, 0, 1).random(BLOCK)
-            picked = np.where(u < lam_plus / (lam_plus - lam_minus), 2.0 * lam_plus, 2.0 * lam_minus)
-            assert np.array_equal(counts[:BLOCK], picked * e)
+            n_plus = _block_generator(cfg.seed, stream, 0, 1).binomial(
+                BLOCK, lam_plus / (lam_plus - lam_minus))
+            assert np.array_equal(counts[:n_plus], 2.0 * lam_plus * e[:n_plus])
+            assert np.array_equal(counts[n_plus:BLOCK], 2.0 * lam_minus * e[n_plus:])
         # sample j is trial j of the threshold test at m = 1
         threshold = 0.5 * math.sqrt(REF_CH.reflectivity) * REF_SRC.corr
         h0, h1 = seen
@@ -444,6 +462,37 @@ class TestCountLaw:
                 c = float(np.quantile(counts, q))
                 assert float(one_pulse_count_cdf(weights, c)) == pytest.approx(
                     mp_one_pulse_count_cdf(weights, c), rel=1e-12), (stream, c)
+
+    @pytest.mark.parametrize("rows, n_blocks", [(5, 4000), (BLOCK, 200)])
+    def test_branch_count_is_binomial(self, rows, n_blocks):
+        # a block's plus-branch count n_+ is its number of positive counts
+        # (l_- < 0 < E); across blocks it is Binomial(rows, pi), drawn for
+        # the block's own length, also where the block is partial
+        lam_plus, lam_minus = weights = _count_weights(VAL_SRC, VAL_CH, NO_NOISE)[1]
+        assert lam_minus < 0.0 < lam_plus
+        pi = lam_plus / (lam_plus - lam_minus)
+        out, scratch = np.empty(rows), np.empty(rows)
+        counts = (_block_trial_means(out, scratch, weights, 1, 70, 2, b) for b in range(n_blocks))
+        n_plus = np.array([np.count_nonzero(c > 0) for c in counts], dtype=float)
+        mean, var = rows * pi, rows * pi * (1.0 - pi)
+        # the binomial's fourth central moment sets the spread of the sample variance
+        mu4 = var * (1.0 + 3.0 * (rows - 2) * pi * (1.0 - pi))
+        se_mean = math.sqrt(var / n_blocks)
+        se_var = math.sqrt((mu4 - var * var * (n_blocks - 3) / (n_blocks - 1)) / n_blocks)
+        assert abs(n_plus.mean() - mean) <= 5 * se_mean
+        assert abs(n_plus.var(ddof=1) - var) <= 5 * se_var
+
+    def test_corr_a_rounding_past_the_bound_takes_only_the_plus_branch(self):
+        # a corr within c_q's 1e-12 tolerance at N ~ 1e13 puts l_- a rounding
+        # above 0, so l_+/(l_+ - l_-) tops 1: every count takes the plus branch,
+        # as a probability of 1 would give, and no binomial draw is refused
+        n = 1e13
+        src = SourceParams(n, n, make_source(n, n, corr="quantum").corr * (1 + 0.9e-12))
+        lam_plus, lam_minus = weights = _count_weights(src, ChannelParams(1.0, 0.0), NO_NOISE)[1]
+        assert 0.0 < lam_minus and lam_plus / (lam_plus - lam_minus) > 1.0
+        counts = _block_trial_means(np.empty(1000), np.empty(1000), weights, 1, 50, 2, 0)
+        e = _block_generator(50, 2, 0).standard_exponential(1000)
+        assert np.array_equal(counts, 2.0 * lam_plus * e)
 
     def test_one_pulse_counts_near_the_largest_weights(self):
         # l_+ - l_- = 9e307 is finite, but 2 l_+ - 2 l_- overflows: a mixture
@@ -755,8 +804,8 @@ class TestWorkers:
     @pytest.mark.parametrize("m", [1, 50, 800, 10 ** 12])
     def test_block_worker_is_the_serial_draw(self, n, m):
         # at m >= 2 the worker draws each block's gamma pairs in two halves
-        # into its scratch buffer, and at m = 1 its exponentials and uniforms
-        # into its two buffers; the serial route draws each block whole
+        # into its scratch buffer, and at m = 1 its exponentials into its
+        # first buffer; the serial route draws each block whole
         weights = _count_weights(REF_SRC, REF_CH, NO_NOISE)[1]
         want = np.concatenate(list(trial_mean_blocks(weights, m, 64, 2, n)))
         assert np.array_equal(shipped_trial_means(weights, m, 64, 2, n), want)
@@ -801,7 +850,7 @@ class TestBoundedMemory:
     def test_receiver_moments_hold_one_block_per_worker(self, monkeypatch, count):
         # a lean block is the trial means and their squares: 2 * 2**16 doubles.
         # Each worker's buffers are one lean block, allocated by the caller (its
-        # scratch half also takes the uniforms at m = 1, and the gamma pairs
+        # scratch half also takes the squares at m = 1, and the gamma pairs
         # half a block at a time at m >= 2), and
         # nothing else grows with the sample count. The extra block covers
         # numpy.random's first import (~1 MB traced) when this test runs alone.
@@ -815,7 +864,7 @@ class TestBoundedMemory:
     def test_receiver_moments_at_a_million_on_many_cpus(self, monkeypatch):
         # the worker cap, not the CPU count, sets how many buffers a call holds
         monkeypatch.setattr(qillum.montecarlo, "_usable_cpus", lambda: 1000)
-        per_worker = 2 * BLOCK * 8  # a lean block, whose scratch half also takes the uniforms
+        per_worker = 2 * BLOCK * 8  # a lean block: the counts and their squares
         cfg = SamplerConfig(seed=44, n_samples=1_000_000)
         peak = self.traced_peak(lambda: simulate_pc_receiver(REF_SRC, REF_CH, NO_NOISE, cfg))
         assert peak < self.LIMIT
