@@ -206,8 +206,12 @@ def _count_weights(src: SourceParams, ch: ChannelParams,
     H0 and sqrt(kappa)*c/2 under H1, with (mu, omega, gamma) those of snr_pc.
     A product of such a pair is lambda_+ z_1^2 + lambda_- z_2^2 with
     lambda_+- = (x +- r)/2, r = sqrt(a b), so the two pairs give
-    X_1, X_2 ~ chi^2_2. The law needs only a, b > 0; x^2 <= a b follows
-    from c <= c_q.
+    X_1, X_2 ~ chi^2_2. The law needs only a, b > 0, and x^2 <= a b, so that
+    lambda_- <= 0, would follow from c <= c_q. But SourceParams accepts a
+    corr up to c_q*(1 + 1e-12), and from N ~ 1e12 that puts lambda_- under
+    H1 a rounding above 0; at m = 1 _block_trial_means then clamps pi to 1,
+    so every count takes the plus branch
+    (TestCountLaw::test_corr_a_rounding_past_the_bound_takes_only_the_plus_branch).
     """
     mu, omega, gamma = _noisy(src, ch, noise)
     b = 0.5 * mu

@@ -249,8 +249,9 @@ def homodyne_min_error(n_signal: float, ch: ChannelParams, m) -> HomodyneOptimum
     CS+Hom row at m: sweep_points' one-m case. The optimal threshold sits
     midway between the conditional means, x* = m*sqrt(2*kappa*N_S)/2, formed
     as m*sqrt(kappa*N_S/2) so that it is finite wherever x* is. The tests
-    hold the row to the error at that threshold from a second ln erfc route
-    (tests/_oracles.py, check_homodyne_optimum).
+    hold the rate and the row to mpmath (tests/_oracles.py,
+    check_cs_hom_rows) and that threshold to the optimum
+    (check_midpoint_optimum).
     """
     m = _validate_pulses(m)
     sc = Scenario(SourceParams(n_signal, 0.0), ch)

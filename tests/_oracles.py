@@ -10,7 +10,6 @@ import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
 
 import mpmath
 import numpy as np
@@ -23,8 +22,8 @@ from qillum.montecarlo import (EmpiricalStats, _block_generator, _count_weights,
                                _empirical_stats, _gaussian_blocks, _Moments, _stream_blocks,
                                deflection_se)
 from qillum.cli import SweepResult, SweepSpec, compute_sweep
-from qillum.receiver import (LN_HALF, BeamsplitterMoments, HomodyneOptimum, ReceiverStats,
-                             half_erfc, homodyne_min_error)
+from qillum.receiver import (BeamsplitterMoments, HomodyneOptimum, ReceiverStats, half_erfc,
+                             homodyne_min_error, homodyne_rate)
 from qillum.states import (GaussianState, _check_nonnegative, _standard_form_matrix,
                            _validate_pulses, apply_noise, conditional_states)
 from qillum.symplectic import CovMatrix, williamson
@@ -450,285 +449,74 @@ def generic_ccb(pair: ClassicalDistributionPair, prior_h0: float = 0.5) -> SOver
     return _weighted_result(_ClassicalOverlap(pair).log_c_slope, prior_h0)
 
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-_INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0
+def check_cs_hom_rows(n_signal: float, ch, ms, rate: float, p, log_p) -> None:
+    """Raise AssertionError unless a CS+Hom row over ms is mpmath's (1/2)erfc(sqrt(m*rate)).
 
-
-def golden_section(f, a: float, b: float, xtol: float = 1e-12, max_iter: int = 500) -> float:
-    """Scalar golden-section search: an oracle of check_homodyne_optimum's midpoint minimizer.
-
-    Locates the minimizer of a unimodal f on [a, b] and returns the midpoint
-    of the final bracket, within xtol of the true minimizer.
+    rate is the row's per-pulse rate, which must be within 2 ulps of the exact
+    kappa*N_S/(4 N_B + 2) of the inputs. At each m, x = sqrt(m*rate) is formed
+    as receiver._erfc_columns forms it, and p and ln p must be within 1 ulp
+    of mpmath's (1/2)erfc(x) and its log, the bound the _erfc_column tests
+    use; where x*x overflows, p must be 0 and ln p -inf. The error names each
+    m that misses. That (1/2)erfc(x) is the least error over the threshold is
+    check_midpoint_optimum's claim.
     """
-    if not (math.isfinite(a) and math.isfinite(b) and b >= a):
-        raise ValueError(f"invalid bracket [{a}, {b}]")
-    if xtol <= 0:
-        raise ValueError(f"xtol must be positive, got {xtol}")
-    h = b - a
-    if h <= xtol:
-        return 0.5 * (a + b)
-    c = a + _INVPHI2 * h
-    d = a + _INVPHI * h
-    yc = f(c)
-    yd = f(d)
-    for _ in range(max_iter):
-        if h <= xtol:
-            break
-        if yc < yd:
-            b, d, yd = d, c, yc
-            h = b - a
-            c = a + _INVPHI2 * h
-            yc = f(c)
-        else:
-            a, c, yc = c, d, yd
-            h = b - a
-            d = a + _INVPHI * h
-            yd = f(d)
-    return 0.5 * (a + b)
+    with mpmath.workprec(80):
+        exact_rate = mpmath.mpf(ch.reflectivity) * n_signal / (4 * mpmath.mpf(ch.n_background) + 2)
+        assert ulp_error(rate, exact_rate) <= 2.0, (
+            f"CS+Hom rate {rate!r} is more than 2 ulps from {exact_rate}")
+        with np.errstate(over="ignore"):
+            xs = np.minimum(np.sqrt(rate * np.array(ms, dtype=float)), sys.float_info.max)
+        bad = []
+        for m, x, p_m, log_p_m in zip(ms, xs.tolist(), np.asarray(p, dtype=float).tolist(),
+                                      np.asarray(log_p, dtype=float).tolist()):
+            if math.isinf(x * x):
+                ok = p_m == 0.0 and log_p_m == -math.inf
+            else:
+                exact = mp_log_erfc(x) - mpmath.ln2
+                ok = ulp_error(log_p_m, exact) <= 1.0 and ulp_error(p_m, mpmath.exp(exact)) <= 1.0
+            if not ok:
+                bad.append(f"M={m} (x {x!r}: p {p_m!r}, log p {log_p_m!r})")
+    assert not bad, "CS+Hom row is not (1/2)erfc(sqrt(M*rate)) to 1 ulp at " + ", ".join(bad)
 
 
-_MAX_ITER = 500
-# the smallest step inside the bracket, as a fraction of xtol
-_MIN_STEP = 1.0 / 16.0
+def check_midpoint_optimum(w: float) -> None:
+    """Raise AssertionError unless the threshold w/2 minimizes the equal-prior homodyne error.
 
-
-def illinois_array(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
-                   a, b, xtol) -> np.ndarray:
-    """Where f changes sign on [a[i], b[i]], for many problems i at once.
-
-    An oracle of check_homodyne_optimum's midpoint minimizer (homodyne_search_min).
-
-    f(t, idx) returns f of problems idx at the points t, one element each.
-    f(., i) runs from negative at a[i] to positive at b[i], as the slope of a
-    unimodal objective does, so the sign change is the objective's minimizer;
-    a problem whose f is not negative at a[i] returns a[i], and one whose f is
-    not positive at b[i] returns b[i].
-
-    Each step is the Illinois variant of regula falsi (Dowell & Jarratt 1971):
-    the secant root of the bracket, where an end kept twice in a row has its
-    f halved. The point is kept xtol[i]/16 inside the bracket, and is the
-    midpoint instead where the secant root is not strictly inside or the last
-    two steps did not halve the bracket. A problem stops where its bracket is
-    within xtol[i] or has no double strictly inside, and returns the bracket
-    midpoint; where f is exactly 0 (or NaN) at a point, it returns that
-    point. Problems still live after _MAX_ITER steps return their midpoint.
-
-    Every iteration makes one call of f on the problems still moving; the
-    state is held for those only and stepped with np.where, and compacted in
-    an iteration where some problem finishes.
+    With the threshold tau and the H1 mean shift w in units of sigma, the
+    error is (erfc(tau) + erfc(w - tau))/4. Its log at tau = w/2, ln p of the
+    CS+Hom row, must lie below its log at w/2 +- w*10^-k for k = 1..6, all in
+    mpmath. erfc(tau) and erfc(w - tau) swap between w/2 - d and w/2 + d, so
+    the two sides share one pair of ln erfc values. The rise at k = 6 is
+    about w^3*1e-12 for small w, so the working precision grows by three
+    digits per decade of w below 1.
     """
-    a = np.array(a, dtype=float)
-    b = np.array(b, dtype=float)
-    xtol = np.broadcast_to(np.asarray(xtol, dtype=float), a.shape)
-    if a.ndim != 1 or b.shape != a.shape:
-        raise ValueError(f"brackets must be 1-d arrays of one length, got {a.shape} and {b.shape}")
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b)) and np.all(b >= a)):
-        raise ValueError("invalid bracket: need finite a <= b")
-    if not np.all(xtol > 0):
-        raise ValueError("xtol must be positive")
-    x = 0.5 * a + 0.5 * b
-    idx = np.flatnonzero(b - a > xtol)
-    lo, hi, tol = a[idx], b[idx], xtol[idx]
-    y = f(np.concatenate((lo, hi)), np.concatenate((idx, idx)))
-    flo, fhi = y[:idx.size], y[idx.size:]
-    at_lo = ~(flo < 0.0)
-    at_hi = ~(fhi > 0.0) & ~at_lo
-    x[idx[at_lo]] = lo[at_lo]
-    x[idx[at_hi]] = hi[at_hi]
-    live = ~(at_lo | at_hi)
-    idx, lo, hi, flo, fhi, tol = (v[live] for v in (idx, lo, hi, flo, fhi, tol))
-    # moved: -1 where the last step moved lo, +1 where it moved hi, so that an
-    # end kept twice is halved; width1, width2: the bracket widths before the
-    # last step and before the step preceding it
-    moved = np.zeros(idx.size)
-    width1 = width2 = np.full(idx.size, np.inf)
-    for _ in range(_MAX_ITER):
-        mid = 0.5 * lo + 0.5 * hi
-        width = hi - lo
-        done = ~(width > tol) | ~((lo < mid) & (mid < hi))
-        if done.any():
-            x[idx[done]] = mid[done]
-            live = ~done
-            idx, lo, hi, flo, fhi, tol, moved, width1, width2, mid, width = (
-                v[live] for v in (idx, lo, hi, flo, fhi, tol, moved, width1, width2, mid, width))
-        if idx.size == 0:
-            break
-        t = hi - fhi * (width / (fhi - flo))
-        step = _MIN_STEP * tol
-        t = np.minimum(np.maximum(t, lo + step), hi - step)
-        t = np.where((lo < t) & (t < hi) & ~(width > 0.5 * width2), t, mid)
-        ft = f(t, idx)
-        neg, pos = ft < 0.0, ft > 0.0
-        flo, fhi = (np.where(neg, ft, np.where(moved > 0.0, 0.5 * flo, flo)),
-                    np.where(pos, ft, np.where(moved < 0.0, 0.5 * fhi, fhi)))
-        lo, hi = np.where(neg, t, lo), np.where(pos, t, hi)
-        moved = pos.astype(float) - neg.astype(float)
-        width1, width2 = width, width1
-        found = ~(neg | pos)
-        if found.any():
-            x[idx[found]] = t[found]
-            live = ~found
-            idx, lo, hi, flo, fhi, tol, moved, width1, width2 = (
-                v[live] for v in (idx, lo, hi, flo, fhi, tol, moved, width1, width2))
-    x[idx] = 0.5 * lo + 0.5 * hi
-    return x
-
-
-# (p_k, q_k), k = 0..9: the coefficients of t^k in P and Q of log_erfcx_nonneg,
-# as printed by scripts/fit_log_erfc.py. Q lies in [0.99, 14.1] on [0, 1].
-LOG_ERFC_PQ = np.array((
-    (-1.265512123484646, 1.0),
-    (0.15488765563845255, -0.3321973541944274),
-    (-4.636338363148768, 3.819820114568699),
-    (-0.9402203311055267, 0.06516050759654683),
-    (-5.210589550973994, 4.468026361551018),
-    (-2.193211614205823, 1.3261054438635822),
-    (-2.3909168481173237, 2.2381557151646816),
-    (-0.9483727555714646, 0.9251913111284903),
-    (-0.26938751746552747, 0.45335357836240314),
-    (0.009909094006230757, 0.11208358184518112),
-))
-
-
-def log_erfcx_nonneg(x: np.ndarray) -> np.ndarray:
-    """ln erfcx(x) = ln erfc(x) + x^2 elementwise over a float array of x >= 0.
-
-    With t = 2/(2+x), ln erfcx(x) = (x/(2+x))*P(t)/Q(t) - log1p(x/2), where
-    P/Q is the (9,9) rational fit LOG_ERFC_PQ of
-    g(t) = (ln erfcx(x) - ln t)/(1 - t) on t in [0, 1] (within 4.9e-16 of g).
-    Its terms share their sign, so nothing cancels, and it shares nothing
-    with qillum's table-driven kernel (receiver._erfc_column).
-    """
-    u = 2.0 + x
-    t = 2.0 / u
-    powers = np.empty((LOG_ERFC_PQ.shape[0], t.size))
-    powers[0] = 1.0
-    powers[1] = t
-    for k in range(2, powers.shape[0]):
-        np.multiply(powers[k - 1], t, out=powers[k])
-    p, q = LOG_ERFC_PQ.T @ powers
-    return x / u * (p / q) - np.log1p(0.5 * x)
-
-
-def log_erfc_nonneg(x: np.ndarray) -> np.ndarray:
-    """ln erfc elementwise over x >= 0 from the rational alone: ln erfcx(x) - x^2."""
-    return log_erfcx_nonneg(x) - x * x
-
-
-def optimum_agrees(value, log_p) -> np.ndarray:
-    """check_homodyne_optimum's rule, elementwise: value within 1e-12*max(1, |ln p|) of ln p.
-
-    +-inf read as the largest doubles, so that both -inf agree; nan agrees
-    with nothing.
-    """
-    value, log_p = (np.clip(v, -sys.float_info.max, sys.float_info.max) for v in (value, log_p))
-    return np.abs(value - log_p) <= 1e-12 * np.maximum(1.0, np.abs(log_p))
-
-
-def check_homodyne_optimum(n_signal: float, ch, ms, log_p) -> None:
-    """Raise NumericFailure where the minimum over the threshold of ln (fa+md)/2 is not ln p.
-
-    log_p is the CS+Hom column ln (1/2)erfc(sqrt(m*rate)) at each m of ms,
-    as receiver.sweep_points gives it. With the threshold tau in units of
-    sigma and w = shift/sigma, fa = erfc(tau)/2 and md = erfc(w - tau)/2. The
-    objective is symmetric about w/2, and the slope of
-    erfc(tau) + erfc(w - tau), (2/sqrt(pi))(exp(-(w - tau)^2) - exp(-tau^2)),
-    is negative below w/2 and positive above it, so w/2 is the minimizer,
-    where the objective is ln (1/2)erfc(w/2). That value comes from the
-    rational log_erfcx_nonneg, once per m: ln erfc(u) = ln erfcx(u) - u^2
-    (within 6e-16 relative of mpmath on [0, 2e4]). The error names each m
-    where the two disagree by more than 1e-12*max(1, |ln p|), with +-inf
-    read as the largest doubles, so that both -inf agree.
-
-    No qi input makes it fail, so the tests run it, not qi sweep:
-    u = w/2 = sqrt(kappa*N_S/2)*sqrt(m/(2 N_B + 1)) and the row's
-    x = sqrt(m*rate) are one real number, rounded a few ulps apart; the table
-    kernel is within an ulp of ln erfc and the rational within 6e-16
-    relative, so the gap stays near 1e-15*max(1, |ln p|), a thousandth of the
-    bound. Where u*u overflows both sides are -inf, or the most negative
-    double to within the bound.
-    """
-    # u = w/2 = m sqrt(2 kappa N_S)/(2 sqrt(m (2 N_B + 1))), formed so that
-    # nothing overflows while the row's x = sqrt(m*rate) is finite
-    u = (math.sqrt(ch.reflectivity * n_signal / 2.0)
-         * np.sqrt(np.array(ms, dtype=float) / (2.0 * ch.n_background + 1.0)))
-    log_p = np.asarray(log_p, dtype=float)
-    with np.errstate(over="ignore"):
-        log_mid = LN_HALF + (log_erfcx_nonneg(u) - u * u)
-    bad = np.flatnonzero(~optimum_agrees(log_mid, log_p))
-    if bad.size:
-        raise NumericFailure(
-            "numeric threshold optimization disagrees with the closed form at "
-            + ", ".join(f"M={ms[i]} (log p {float(log_mid[i])!r} vs {float(log_p[i])!r})"
-                        for i in bad)
-        )
+    with mpmath.workdps(30 + max(0, math.ceil(-3.0 * math.log10(w)))):
+        w = mpmath.mpf(w)
+        mid = mp_log_erfc(w / 2) - mpmath.ln2
+        for k in range(1, 7):
+            d = w / 10 ** k
+            lo, hi = sorted((mp_log_erfc(w / 2 - d), mp_log_erfc(w / 2 + d)))
+            side = hi + mpmath.log1p(mpmath.exp(lo - hi)) - 2 * mpmath.ln2
+            assert side > mid, f"the error at w/2 +- w*1e-{k} is not above its value at w/2 = {w / 2}"
 
 
 def checked_min_error(n_signal: float, ch, m: int) -> HomodyneOptimum:
-    """receiver.homodyne_min_error(n_signal, ch, m), its ln p held to check_homodyne_optimum."""
+    """receiver.homodyne_min_error(n_signal, ch, m), its row held to check_cs_hom_rows."""
     opt = homodyne_min_error(n_signal, ch, m)
-    check_homodyne_optimum(n_signal, ch, [m], [opt.log_p_error])
+    check_cs_hom_rows(n_signal, ch, [m], homodyne_rate(n_signal, ch), [opt.p_error],
+                      [opt.log_p_error])
     return opt
 
 
 def checked_compute_sweep(spec: SweepSpec) -> SweepResult:
-    """cli.compute_sweep(spec), its CS+Hom row, where it has one, held to check_homodyne_optimum."""
+    """cli.compute_sweep(spec), its CS+Hom row, where it has one, held to check_cs_hom_rows."""
     result = compute_sweep(spec)
     if "CS+Hom" in spec.receivers:
         src, ch, _ = spec.scenario.resolve()
-        check_homodyne_optimum(src.n_signal, ch, spec.m_values,
-                               -result.exponent[spec.receivers.index("CS+Hom")])
+        i = spec.receivers.index("CS+Hom")
+        check_cs_hom_rows(src.n_signal, ch, spec.m_values, result.per_mode_rate[i],
+                          result.p_error[i], -result.exponent[i])
     return result
-
-
-_TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
-
-
-def log_erfc_and_slope(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(ln erfc(x), d ln erfc(x)/dx) elementwise over x >= 0, from the rational alone.
-
-    ln erfc(x) = ln erfcx(x) - x^2 (log_erfc_nonneg), and the slope is
-    -2/(sqrt(pi)*erfcx(x)).
-    """
-    log_erfcx = log_erfcx_nonneg(x)
-    return log_erfcx - x * x, -_TWO_OVER_SQRT_PI * np.exp(-log_erfcx)
-
-
-def homodyne_slope(lf, lm, df, dm):
-    """d/dtau of homodyne_log_p: a*df - (1 - a)*dm, where a = fa/(fa+md).
-
-    lf, lm are ln erfc, and df, dm its slope, at tau and at w - tau.
-    """
-    a = np.exp(lf - np.logaddexp(lf, lm))
-    return a * df - (1.0 - a) * dm
-
-
-def homodyne_log_p(tau: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """check_homodyne_optimum's objective ln (fa+md)/2 at thresholds tau in [0, w].
-
-    tau is in units of sigma, w = shift/sigma, fa = erfc(tau)/2 and
-    md = erfc(w - tau)/2, so this is
-    logaddexp(ln erfc(tau), ln erfc(w - tau)) + 2 ln(1/2), with ln erfc from
-    log_erfc_nonneg.
-    """
-    both = log_erfc_nonneg(np.concatenate((tau, w - tau)))
-    return np.logaddexp(both[:tau.size], both[tau.size:]) + 2.0 * LN_HALF
-
-
-def homodyne_search_min(w: np.ndarray) -> np.ndarray:
-    """homodyne_log_p at a searched threshold: an oracle of check_homodyne_optimum's value.
-
-    illinois_array finds, within xtol = min(1e-11*max(w, 1), 1e-6), the sign
-    change on [0, w] of the objective's slope (homodyne_slope), with ln erfc
-    and its slope from log_erfc_and_slope.
-    """
-    def slope(tau: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        both, d = log_erfc_and_slope(np.concatenate((tau, w[idx] - tau)))
-        return homodyne_slope(both[:tau.size], both[tau.size:], d[:tau.size], d[tau.size:])
-
-    tau = illinois_array(slope, np.zeros_like(w), w,
-                         xtol=np.minimum(1e-11 * np.maximum(w, 1.0), 1e-6))
-    return homodyne_log_p(tau, w)
 
 
 def deflection_sigma(emp, snr: float) -> float:
@@ -1039,9 +827,11 @@ def mp_log_erfc(x):
 
     Past x = 27 it sums the asymptotic series
     erfc(x) = exp(-x^2)/(x sqrt(pi)) sum_n (-1)^n (2n-1)!!/(2x^2)^n through
-    n = 30, whose next term is below 1e-54 there: mpmath's own erfc takes
-    seconds at x ~ 1e100 and overflows past ~1e150. Below 1/2 it takes
-    log1p(-erf(x)), where erfc(x) is too close to 1 for its log.
+    n = 30, whose next term is below 1e-54 there, or until a term falls below
+    the working precision's eps, which bounds what the series leaves out:
+    mpmath's own erfc takes seconds at x ~ 1e100 and overflows past ~1e150.
+    Below 1/2 it takes log1p(-erf(x)), where erfc(x) is too close to 1 for
+    its log.
     """
     x = mpmath.mpf(x)
     if x >= 27:
@@ -1050,6 +840,8 @@ def mp_log_erfc(x):
         for n in range(1, 31):
             term *= -(2 * n - 1) * t
             series += term
+            if abs(term) < mpmath.eps:
+                break
         return -x * x - mpmath.log(x * mpmath.sqrt(mpmath.pi)) + mpmath.log(series)
     if abs(x) < 0.5:
         return mpmath.log1p(-mpmath.erf(x))

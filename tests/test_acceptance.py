@@ -211,7 +211,7 @@ def test_criterion_8_homodyne_error_formulas():
 def test_criterion_9_golden_sweep_is_byte_stable(tmp_path, capsys, monkeypatch):
     with criterion(9, "committed comparison CSV regenerates byte-for-byte "
                       "through the command line"):
-        # the CS+Hom row is held to check_homodyne_optimum as it is written
+        # the CS+Hom row is held to mpmath (check_cs_hom_rows) as it is written
         monkeypatch.setattr(qillum.cli, "compute_sweep", checked_compute_sweep)
         out = tmp_path / "comparison_sweep.csv"
         rc = cli_main([

@@ -39,7 +39,7 @@ REF_FLAGS = ["--ns", "0.01", "--ni", "0.01", "--c", "quantum",
 def run_cli(capsys, argv):
     """main(argv)'s exit code, stdout and stderr.
 
-    A sweep's CS+Hom row, where it has one, is held to check_homodyne_optimum.
+    A sweep's CS+Hom row, where it has one, is held to mpmath (check_cs_hom_rows).
     """
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(qillum.cli, "compute_sweep", checked_compute_sweep)
@@ -550,8 +550,9 @@ class TestComputeSweep:
         assert {53: _LONG_TABLE - 1, 40: _LONG_TABLE}.get(n_m, len(result)) in sizes
 
     def test_cs_hom_check_past_the_overflow_of_its_search_warns_nothing(self):
-        # the check's w = shift/sigma passes ~1.3e154 here, where the search's
-        # x*x overflows to a ln erfc of -inf
+        # M*rate reaches 1.35e308 here, near the largest double, and the
+        # shift w = 2x passes sqrt(max double); neither the row nor the mpmath
+        # check of it (checked_compute_sweep) warns
         spec = SweepSpec(ScenarioParams(ns=3.0, ni=0.2, c="direct", kappa=0.9, nb=0.001),
                          _parse_m_values(argparse.Namespace(m=None, m_log="1,1e308,400")),
                          RECEIVER_ORDER)

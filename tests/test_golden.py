@@ -87,7 +87,7 @@ def test_golden_lines_from_the_long_table_route(capsys, monkeypatch):
     # the golden M merged into a 288-point grid: 299 M on all eight receivers,
     # 2392 rows, which sweep_csv writes with _format_17g, not the % template
     # that writes the 104 golden rows; each golden line must appear verbatim.
-    # The CS+Hom row is held to check_homodyne_optimum as it is written
+    # The CS+Hom row is held to mpmath (check_cs_hom_rows) as it is written
     monkeypatch.setattr(qillum.cli, "compute_sweep", checked_compute_sweep)
     grid = _parse_m_values(argparse.Namespace(m=None, m_log="1e5,1e8,288"))
     ms = sorted({int(row["M"]) for row in _ROWS} | set(grid))

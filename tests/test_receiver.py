@@ -14,17 +14,14 @@ from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 import _oracles
-from _oracles import (LOG_ERFC_PQ, ErrorProbabilities, _mp_model_entries,
-                      check_homodyne_optimum, check_receiver_stats, checked_compute_sweep,
-                      checked_min_error, golden_section, homodyne_errors, homodyne_log_p,
-                      homodyne_search_min, log_erfc_and_slope, log_erfc_nonneg, mp_log_erfc,
-                      optimum_agrees, pc_transform, scalar_half_exp, snr_from_moments,
-                      ulp_error)
+from _oracles import (ErrorProbabilities, _mp_model_entries, check_cs_hom_rows,
+                      check_midpoint_optimum, check_receiver_stats, checked_compute_sweep,
+                      checked_min_error, homodyne_errors, mp_log_erfc, pc_transform,
+                      scalar_half_exp, snr_from_moments, ulp_error)
 
 from qillum import _erfc
 from qillum.cli import (RECEIVER_ORDER, ScenarioParams, SweepSpec, _build_parser,
                         _parse_m_values, _scenario_from, compute_sweep)
-from qillum.errors import NumericFailure
 from qillum.receiver import (
     RECEIVERS,
     Scenario,
@@ -82,25 +79,12 @@ def _erfc_points(rate: float, ms) -> tuple[np.ndarray, np.ndarray]:
 def cs_hom_points(n_signal: float, ch: ChannelParams, ms) -> list[tuple[float, float]]:
     """(p_error, ln p_error) at each m of the CS+Hom row, qi sweep's route.
 
-    The ln p column is held to check_homodyne_optimum, which raises NumericFailure.
+    The row is held to mpmath by check_cs_hom_rows, which raises AssertionError.
     """
-    _, (p,), (log_p,) = sweep_points([RECEIVERS["CS+Hom"]],
-                                     Scenario(SourceParams(n_signal, 0.0), ch), ms)
-    check_homodyne_optimum(n_signal, ch, ms, log_p)
+    (rate,), (p,), (log_p,) = sweep_points([RECEIVERS["CS+Hom"]],
+                                           Scenario(SourceParams(n_signal, 0.0), ch), ms)
+    check_cs_hom_rows(n_signal, ch, ms, rate, p, log_p)
     return list(zip(p.tolist(), log_p.tolist()))
-
-
-def _spy_check(patch) -> list:
-    """The arrays u = w/2 at which check_homodyne_optimum evaluates its rational, as it runs."""
-    real = _oracles.log_erfcx_nonneg
-    seen = []
-
-    def recorded(u):
-        seen.append(u)
-        return real(u)
-
-    patch.setattr(_oracles, "log_erfcx_nonneg", recorded)
-    return seen
 
 
 def _threshold_sweep_scenarios(monkeypatch, seed: int) -> tuple[list, tuple]:
@@ -122,28 +106,11 @@ def _threshold_sweep_scenarios(monkeypatch, seed: int) -> tuple[list, tuple]:
     return scenarios, workloads.THRESHOLD_M
 
 
-def _threshold_sweep_checks(monkeypatch, seed: int) -> list:
-    """(w, ln p column) of check_homodyne_optimum on each CS+Hom row of perfbench's threshold_sweep.
-
-    Each row comes from sweep_points at one scenario of the workload at seed,
-    over its M, and passes the check, which raises NumericFailure otherwise.
-    """
-    checks = []
-    scenarios, ms = _threshold_sweep_scenarios(monkeypatch, seed)
-    with monkeypatch.context() as patch:
-        seen = _spy_check(patch)
-        for sc in scenarios:
-            _, _, (log_p,) = sweep_points([RECEIVERS["CS+Hom"]], sc, ms)
-            check_homodyne_optimum(sc.src.n_signal, sc.ch, ms, log_p)
-            checks.append((2.0 * seen[-1], log_p))
-    return checks
-
-
-def _rejected(n_signal: float, ch: ChannelParams, ms, log_p) -> set:
-    """The pulse counts that check_homodyne_optimum names, as strings."""
+def _rejected(n_signal: float, ch: ChannelParams, ms, rate: float, p, log_p) -> set:
+    """The pulse counts that check_cs_hom_rows names, as strings."""
     try:
-        check_homodyne_optimum(n_signal, ch, ms, log_p)
-    except NumericFailure as failure:
+        check_cs_hom_rows(n_signal, ch, ms, rate, p, log_p)
+    except AssertionError as failure:
         return set(re.findall(r"M=(\d+) \(", str(failure)))
     return set()
 
@@ -207,55 +174,55 @@ class TestErfc:
                 exact = mpmath.erfc(mpmath.mpf(x)) / 2
                 assert ulp_error(half_erfc(x), exact) <= 1.0, x
 
+    # ln erfc on [0, 2e4], where the CS+Hom rows' x = sqrt(M*rate) reach
+    # sqrt(1e10*1e-2) = 1e4 and the midpoint u = x takes w = 2u up to 2e4
+    NONNEG = np.concatenate([
+        [0.0, 1e-300, 2.5e-5, 0.4769362762044699, 0.47693627620446993,
+         np.nextafter(26.0, 0.0), 26.0, 2e4],
+        np.geomspace(1e-12, 1e-3, 91),
+        np.linspace(0.0, 30.0, 3001),
+        np.geomspace(26.0, 2e4, 301),
+    ])
+
     def test_log_erfc_nonneg_within_1e_13_of_mpmath_and_log_erfc(self):
-        # the rational check_homodyne_optimum evaluates, on [0, 2e4]: its
-        # largest argument is 2*sqrt(M*rate) = 2*sqrt(1e10*1e-2)
-        xs = np.concatenate([
-            [0.0, 1e-300, 2.5e-5, 0.4769362762044699, 0.47693627620446993,
-             np.nextafter(26.0, 0.0), 26.0, 2e4],
-            np.geomspace(1e-12, 1e-3, 91),
-            np.linspace(0.0, 30.0, 3001),
-            np.geomspace(26.0, 2e4, 301),
-        ])
-        got = log_erfc_nonneg(xs)
-        want = np.array([log_erfc(float(x)) for x in xs])
-        assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
-        with mpmath.workdps(50):  # log1p(-erf) where 1 - erfc(x) is below 50 digits
-            exact = np.array([float(mpmath.log1p(-mpmath.erf(x)) if x < 0.5
-                                    else mpmath.log(mpmath.erfc(x)))
-                              for x in map(mpmath.mpf, xs.tolist())])
-        assert np.all(np.abs(got - exact) <= 1e-13 * np.abs(exact))
+        # the kernel's ln erfc and ln p = ln(erfc/2) within 1 ulp of mpmath on
+        # the grid above, a bound far inside the 1e-13 relative of this name
+        (e, log_e), (p, log_p) = _erfc_column(self.NONNEG), _erfc_column(self.NONNEG, half=True)
+        assert np.array_equal(_bits(log_e), _bits([log_erfc(x) for x in self.NONNEG.tolist()]))
+        with mpmath.workprec(80):
+            for x, log_e_x, log_p_x, p_x in zip(self.NONNEG.tolist(), log_e.tolist(),
+                                                log_p.tolist(), p.tolist()):
+                exact = mp_log_erfc(x)
+                assert ulp_error(log_e_x, exact) <= 1.0, x
+                assert ulp_error(log_p_x, exact - mpmath.ln2) <= 1.0, x
+                assert ulp_error(p_x, mpmath.exp(exact) / 2) <= 1.0, x
 
     def test_log_erfc_slope_within_1e_13_of_mpmath(self):
-        # the slope the homodyne search (_oracles.homodyne_search_min) steps
-        # on, on the grid above: d ln erfc/dx = -2/(sqrt(pi) erfcx(x)), from
-        # the same rational as ln erfc
-        xs = np.concatenate([
-            [0.0, 1e-300, 2.5e-5, 0.4769362762044699, 0.47693627620446993,
-             np.nextafter(26.0, 0.0), 26.0, 2e4],
-            np.geomspace(1e-12, 1e-3, 91),
-            np.linspace(0.0, 30.0, 3001),
-            np.geomspace(26.0, 2e4, 301),
-        ])
-        log_erfc_xs, got = log_erfc_and_slope(xs)
-        assert np.array_equal(log_erfc_xs, log_erfc_nonneg(xs))
-        with mpmath.workdps(50):
-            exact = np.array([float(-2 / (mpmath.sqrt(mpmath.pi) * mpmath.exp(x * x) * mpmath.erfc(x)))
-                              for x in map(mpmath.mpf, xs.tolist())])
-        assert np.all(np.abs(got - exact) <= 1e-13 * np.abs(exact))
+        # the slope of the equal-prior homodyne error (erfc(tau) + erfc(w - tau))/4
+        # in the threshold tau, (2/sqrt(pi))(exp(-(w - tau)^2) - exp(-tau^2))/4,
+        # is negative below w/2 and positive above it, so w/2 is the minimizer:
+        # in mpmath at tau = w/2 -+ w*10^-k, k = 1..6, with w = 2u for each u > 0
+        # of the grid above. exp(-tau^2) and exp(-(w - tau)^2) differ by a
+        # relative 2 w^2 10^-k there, so the working precision follows w^2
+        for u in self.NONNEG[self.NONNEG > 0.0].tolist():
+            digits = 20 + max(0, math.ceil(6.0 - math.log10(8.0) - 2.0 * math.log10(u)))
+            with mpmath.workdps(digits):
+                w = 2 * mpmath.mpf(u)
+                for k in range(1, 7):
+                    for tau, sign in ((w / 2 - w / 10 ** k, -1), (w / 2 + w / 10 ** k, 1)):
+                        slope = mpmath.exp(-(w - tau) ** 2) - mpmath.exp(-tau ** 2)
+                        assert mpmath.sign(slope) == sign, (u, k)
 
     def test_committed_log_erfc_fit_is_the_scripts(self):
-        # reruns the mpmath fit of scripts/fit_log_erfc.py (about 3 s)
-        path = Path(__file__).resolve().parents[1] / "scripts" / "fit_log_erfc.py"
-        spec = importlib.util.spec_from_file_location("fit_log_erfc", path)
-        script = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(script)
-        fitted = np.array(script.fit_coefficients())
-        assert fitted.shape == LOG_ERFC_PQ.shape
-        assert np.all(np.abs(fitted - LOG_ERFC_PQ) <= np.spacing(np.abs(LOG_ERFC_PQ)))
-        # Q has no zero on [0, 1]: every root lies more than 0.1 from the segment
-        roots = np.polynomial.polynomial.polyroots(LOG_ERFC_PQ[:, 1])
-        assert np.all(np.abs(roots - np.clip(roots.real, 0.0, 1.0)) > 0.1)
+        # the kernel's ln erfc within 1 ulp of mpmath at x = 2(1 - t)/t for the
+        # 260 Chebyshev nodes t = (1 + cos(pi (j + 1/2)/260))/2 on (0, 1), a
+        # grid from 9e-6 to 4.3e5 dense at both ends
+        t = (1.0 + np.cos(np.pi * (np.arange(260) + 0.5) / 260)) / 2.0
+        xs = 2.0 * (1.0 - t) / t
+        _, log_e = _erfc_column(xs)
+        with mpmath.workprec(80):
+            for x, log_e_x in zip(xs.tolist(), log_e.tolist()):
+                assert ulp_error(log_e_x, mp_log_erfc(x)) <= 1.0, x
 
     def test_committed_erfc_tables_are_the_scripts(self):
         # reruns scripts/erfc_tables.py's mpmath expansions (under a second)
@@ -601,34 +568,32 @@ class TestHugePulseCounts:
         assert half_exp(10 ** 200, 1e200) == 0.0
 
     def test_homodyne_self_check_holds_at_the_largest_m(self):
-        # w = m*root/sqrt(m*(2 N_B + 1)) once overflowed to 0 past
-        # m*(2 N_B + 1) = 1.8e308, and the check raised NumericFailure
+        # the row up to m*(2 N_B + 1) past 1.8e308, held to mpmath (in
+        # cs_hom_points) and to the midpoint optimum at each w = 2x
         ch = ChannelParams(0.01, 20.0)
         ms = [int(1e305), int(1e307), int(1e308), int(sys.float_info.max)]
         rate = homodyne_rate(1.0, ch)
-        with mpmath.workdps(50):
-            for m, (p, log_p) in zip(ms, cs_hom_points(1.0, ch, ms)):
-                x = math.sqrt(m * rate)
-                exact = mpmath.log(mpmath.erfc(mpmath.mpf(x)) / 2)
-                assert p == 0.0
-                # the check ran and its search met the closed form within 1e-12
-                assert ulp_error(log_p, exact) <= 2.0, m
+        for m, (p, log_p) in zip(ms, cs_hom_points(1.0, ch, ms)):
+            x = math.sqrt(m * rate)
+            check_midpoint_optimum(2.0 * x)
+            assert p == 0.0 and -x * x >= log_p > -math.inf, m
 
     def test_self_check_reads_the_closed_form_at_the_largest_m(self):
-        # the check compares its own minimum against the ln p column it is given
+        # the mpmath check reads the ln p column it is given, not its own
         ch = ChannelParams(0.3, 0.2)
         ms = [int(1e300), int(1e308)]
-        _, log_p = _erfc_points(homodyne_rate(0.5, ch), ms)
-        check_homodyne_optimum(0.5, ch, ms, log_p)
+        rate = homodyne_rate(0.5, ch)
+        p, log_p = _erfc_points(rate, ms)
+        check_cs_hom_rows(0.5, ch, ms, rate, p, log_p)
         doctored = log_p[0] * (1 + 1e-11)
-        with pytest.raises(NumericFailure, match=rf"at M={ms[0]} \(") as bad:
-            check_homodyne_optimum(0.5, ch, ms, [doctored, log_p[1]])
+        with pytest.raises(AssertionError, match=rf"at M={ms[0]} \(") as bad:
+            check_cs_hom_rows(0.5, ch, ms, rate, p, [doctored, log_p[1]])
         assert f"M={ms[1]}" not in str(bad.value)
-        # both values print as plain floats, not as numpy 2's np.float64(...)
-        found = re.search(rf"M={ms[0]} \(log p (\S+) vs (\S+)\)$", str(bad.value))
+        # the values print as plain floats, not as numpy 2's np.float64(...)
+        found = re.search(rf"M={ms[0]} \(x (\S+): p (\S+), log p (\S+)\)$", str(bad.value))
         assert "np.float64" not in str(bad.value)
-        assert float(found[2]) == doctored
-        assert abs(float(found[1]) - log_p[0]) <= 1e-12 * abs(log_p[0])
+        assert float(found[3]) == doctored
+        assert float(found[1]) == math.sqrt(rate * float(ms[0]))
 
     def test_threshold_rows_where_m_rate_overflows_are_zero_and_minus_inf(self):
         # x = sqrt(m*rate) was inf there, and _erfc_column raised "erfc argument
@@ -649,21 +614,19 @@ class TestHugePulseCounts:
         assert overflowed == 7
 
     def test_self_check_accepts_minus_inf_where_x_squared_overflows(self):
-        # at N_S = 8, kappa = 1, N_B = 0 the rate is 4 and sqrt(2 kappa N_S) = 4:
-        # at m = (x/2)^2 the row's x = sqrt(4 m) and the check's w/2 = 2 sqrt(m)
-        # are both x, to a few ulps. Above sqrt(max double) m*rate overflows:
-        # the row is p = 0 and ln p = -inf, and so is the check's value
-        # at w/2. Below it both are finite, down to -max double. The row's
-        # ln erfc was -inf from 2**26 doubles below (Veltkamp's split of x
-        # rounded up to 2**512, whose square overflows), and the check named
-        # every M there; x = sqrt(max double)*(1 - 2**-28) is the middle of that band
+        # at N_S = 8, kappa = 1, N_B = 0 the rate is 4: at m = (x/2)^2 the row's
+        # x = sqrt(4 m) is x to a few ulps. Where x*x overflows the row is
+        # p = 0 and ln p = -inf, and the mpmath check (in cs_hom_points) asks
+        # for just that; below it ln p is finite, down to -max double, and
+        # within 1 ulp of mpmath. The row's ln erfc was -inf from 2**26
+        # doubles below sqrt(max double) (Veltkamp's split of x rounded up to
+        # 2**512, whose square overflows); x = sqrt(max double)*(1 - 2**-28)
+        # is the middle of that band
         root_max = math.sqrt(sys.float_info.max)
         xs = sorted(_neighbours(root_max) + _neighbours(1.3407807830046643e154)
                     + [root_max * (1.0 - 2.0 ** -28)])
-        with np.errstate(over="ignore", invalid="ignore"):
-            log_num = LN_HALF + log_erfc_nonneg(np.array(xs))
         overflows = [math.isinf(x * x) for x in xs]
-        assert np.isinf(log_num).tolist() == overflows == [False] * 12 + [True] * 3
+        assert overflows == [False] * 12 + [True] * 3
         ms = [int((0.5 * x) ** 2) for x in xs]
         for x, over, (p, log_p) in zip(xs, overflows,
                                        cs_hom_points(8.0, ChannelParams(1.0, 0.0), ms)):
@@ -726,8 +689,8 @@ class TestSweepKernel:
                 want_log_p = [LN_HALF - m * rate for m in ms]
             assert np.array_equal(_bits(p), _bits(want_p)), rx.label
             assert np.array_equal(_bits(log_p), _bits(want_log_p)), rx.label
-        check_homodyne_optimum(sc.src.n_signal, sc.ch, ms,
-                               points[2][list(RECEIVERS).index("CS+Hom")])
+        i = list(RECEIVERS).index("CS+Hom")
+        check_cs_hom_rows(sc.src.n_signal, sc.ch, ms, points[0][i], points[1][i], points[2][i])
         # one _erfc_points call per threshold receiver
         assert len(calls) == 1 + n_threshold
 
@@ -1048,8 +1011,8 @@ class TestHomodyne:
             assert other.p_error >= opt.p_error * (1.0 - 1e-12)
 
     def test_self_check_names_the_m_with_a_corrupt_closed_form(self, monkeypatch):
-        # ln p 1e-11 relative off at one M of the grid; check_homodyne_optimum
-        # computes its own ln erfc, so only the closed form is corrupted
+        # ln p 1e-11 relative off at one M of the grid; the mpmath check
+        # (check_cs_hom_rows) names that M and no other
         ms = [10, 10 ** 6, 10 ** 8]
         bad_x = math.sqrt(10 ** 6 * (0.01 * 0.01 / 82.0))
         real = _erfc_column
@@ -1060,20 +1023,17 @@ class TestHomodyne:
 
         cs_hom_points(0.01, REF_CH, ms)
         monkeypatch.setattr("qillum.receiver._erfc_column", corrupt)
-        with pytest.raises(NumericFailure, match=r"at M=1000000 \(") as grid:
+        with pytest.raises(AssertionError, match=r"at M=1000000 \(") as grid:
             cs_hom_points(0.01, REF_CH, ms)
         assert "M=10 " not in str(grid.value) and "M=100000000" not in str(grid.value)
-        # homodyne_min_error is the row's one-m case, held to the same rule
-        opt = homodyne_min_error(0.01, REF_CH, 10 ** 6)
-        with pytest.raises(NumericFailure, match=r"at M=1000000 \("):
-            check_homodyne_optimum(0.01, REF_CH, [10 ** 6], [opt.log_p_error])
-        opt = homodyne_min_error(0.01, REF_CH, 10 ** 8)
-        check_homodyne_optimum(0.01, REF_CH, [10 ** 8], [opt.log_p_error])
+        # homodyne_min_error is the row's one-m case, held to the same check
+        with pytest.raises(AssertionError, match=r"at M=1000000 \("):
+            checked_min_error(0.01, REF_CH, 10 ** 6)
+        checked_min_error(0.01, REF_CH, 10 ** 8)
 
     def test_self_check_holds_at_large_m_rate(self):
-        # u = shift/(2 sigma) reaches 2.3e5 at M = 1e12, where the search's
-        # objective is V-shaped at its minimum and a 1e-11*shift bracket once
-        # put ln p 6e-2 off the closed form, beyond the 1e-12*|ln p| bound
+        # x = sqrt(M*rate) from 2.3e5 at M = 1e12 to 2.3e7: the row is the
+        # kernel's ln p at x, held to mpmath in cs_hom_points
         ch = ChannelParams(0.3, 0.2)
         ms = [10 ** 12, 10 ** 14, 10 ** 16]
         rate = homodyne_rate(0.5, ch)
@@ -1082,112 +1042,92 @@ class TestHomodyne:
             assert log_p == _half_log(math.sqrt(m * rate))
 
     def test_self_check_minimum_is_the_golden_section_minimum(self):
-        # the claim that w/2 is the minimizer, against a golden-section search
-        # on the same objective over [0, w] with xtol = min(1e-11*max(w, 1), 1e-6).
-        # The search ends within xtol/2 of the minimizer, so its value may
-        # exceed the check's, the objective at w/2, by the objective's rise
-        # over xtol/2 as well as by rounding; the rise is below 1e-14 |ln p|
-        # for u < 7e3 and reaches 5e-13 |ln p| under the 1e-6 cap. The grid
+        # the claim that w/2 is the minimizer, in mpmath: the error's log at
+        # w/2 lies below it at w/2 +- w*10^-k, k = 1..6 (check_midpoint_optimum),
+        # and the kernel's ln p at x = w/2 is that minimum to 1 ulp. The grid
         # runs u = w/2 from 1e-4 to 2.3e5 and takes in the scenario of
         # test_self_check_holds_at_large_m_rate at M = 1e12..1e16
-        ch = ChannelParams(0.3, 0.2)
         ms = np.array([1e12, 1e13, 1e14, 1e15, 1e16])
         w = np.concatenate((2.0 * np.geomspace(1e-4, 2.3e5, 61),
                             ms * math.sqrt(2.0 * 0.3 * 0.5) / np.sqrt(ms * (2.0 * 0.2 + 1.0))))
-        xtol = np.minimum(1e-11 * np.maximum(w, 1.0), 1e-6)
-        got = LN_HALF + log_erfc_nonneg(0.5 * w)
-        rise = homodyne_log_p(0.5 * w + 0.5 * xtol, w) - homodyne_log_p(0.5 * w, w)
-        for wi, xi, gi, ri in zip(w, xtol, got, rise):
-            def objective(t):
-                return homodyne_log_p(np.array([t]), np.array([wi]))[0]
-            want = objective(golden_section(objective, 0.0, wi, xtol=xi))
-            assert abs(gi - want) <= 1e-14 * max(1.0, abs(want)) + ri, wi
-            assert abs(gi - (LN_HALF + log_erfc(0.5 * wi))) <= 1e-12 * max(1.0, abs(want)), wi
+        with mpmath.workprec(80):
+            for wi in w.tolist():
+                check_midpoint_optimum(wi)
+                assert ulp_error(_half_log(0.5 * wi), mp_log_erfc(0.5 * wi) - mpmath.ln2) <= 1.0
 
     def test_self_check_search_takes_few_steps(self, monkeypatch):
-        # evaluations of the rational per check: golden section took 54 on any
-        # grid, the lockstep Illinois search up to 14 and the slope
-        # certificate one at three points per M; the value test takes one at
-        # the M themselves
+        # the check's cost: one mpmath ln erfc per M, on grids of 500 and 3000 M
         ch = ChannelParams(0.3, 0.2)
+        real = _oracles.mp_log_erfc
         for n, top in ((500, 1e9), (3000, 1e16)):
             ms = sorted({int(m) for m in np.geomspace(1.0, top, n)})
+            calls = []
+
+            def counting(x):
+                calls.append(x)
+                return real(x)
+
             with monkeypatch.context() as patch:
-                seen = _spy_check(patch)
+                patch.setattr(_oracles, "mp_log_erfc", counting)
                 cs_hom_points(0.5, ch, ms)
-            assert [u.size for u in seen] == [len(ms)]
+            assert len(calls) == len(ms)
 
     @pytest.mark.parametrize("seed", [1, 2, 7331])
     def test_certificate_accepts_every_m_the_search_accepts(self, monkeypatch, seed):
-        # the lockstep Illinois search (_oracles.homodyne_search_min) as the
-        # oracle. Where it meets the ln p column, the check does too (it
-        # runs inside cs_hom_points and _threshold_sweep_checks, and would
-        # raise), and the check's value, the objective at w/2, is within the
-        # search's of it by the objective's rise over the search's xtol/2 and
-        # by rounding. At kappa = 1 and N_B = 0 the check's u = w/2 is
-        # sqrt(N_S/2) sqrt(M):
-        # random u from 1e-6 to the doubles either side of sqrt(max double),
-        # where ln erfc(u) turns -inf, random u within 2**-24 below sqrt(max
-        # double), where ln p is finite but Veltkamp's split of u once
-        # overflowed, and the checks of perfbench's threshold_sweep at this seed
+        # CS+Hom rows held to mpmath (check_cs_hom_rows, in cs_hom_points) on
+        # random grids, and the midpoint held to be the optimum at each of
+        # their w = 2x (check_midpoint_optimum). At kappa = 1 and N_B = 0 the
+        # row's x = sqrt(M*rate) is sqrt(N_S/2) sqrt(M): random x from 1e-6 to
+        # the doubles either side of sqrt(max double), where ln p turns -inf,
+        # and random x within 2**-24 below sqrt(max double), where ln p is
+        # finite but Veltkamp's split of x once overflowed (the midpoint is
+        # held wherever M*rate, and so x, is finite). Then every CS+Hom row of
+        # perfbench's threshold_sweep at this seed
         rng = np.random.default_rng(40 + seed)
         root_max = math.sqrt(sys.float_info.max)
         xs = _neighbours(root_max) + list(root_max * (1.0 - 2.0 ** -rng.uniform(24.0, 52.0, 200)))
         top = math.log10(sys.float_info.max / 4.0)
-        grids = []
         for n_signal, ms in ((2e-12, 10 ** rng.uniform(0.0, 12.0, 1000)),
                              (8.0, np.concatenate((10 ** rng.uniform(0.0, top, 3000),
                                                    (0.5 * np.array(xs)) ** 2)))):
-            with monkeypatch.context() as patch:
-                seen = _spy_check(patch)
-                points = cs_hom_points(n_signal, ChannelParams(1.0, 0.0), [int(m) for m in ms])
-            grids.append((2.0 * seen[0], np.array([log_p for _, log_p in points])))
-        grids += _threshold_sweep_checks(monkeypatch, seed)
-        for w, log_p in grids:
-            # the search ends within xtol/2 of w/2, or at w/2's next double
-            half = 0.5 * w
-            xtol = np.minimum(1e-11 * np.maximum(w, 1.0), 1e-6)
-            hi = np.maximum(half + 0.5 * xtol, np.nextafter(half, math.inf))
-            with np.errstate(over="ignore", invalid="ignore"):
-                got, want = LN_HALF + log_erfc_nonneg(half), homodyne_search_min(w)
-                rise = homodyne_log_p(hi, w) - homodyne_log_p(half, w)
-            assert optimum_agrees(want, log_p).all()
-            assert optimum_agrees(got, log_p).all()
-            finite = np.isfinite(want)
-            assert np.array_equal(got[~finite], want[~finite])
-            gap = np.abs(got[finite] - want[finite])
-            assert np.all(gap <= rise[finite] + 4.0 * np.spacing(np.abs(want[finite])))
+            ms = [int(m) for m in ms]
+            cs_hom_points(n_signal, ChannelParams(1.0, 0.0), ms)
+            with np.errstate(over="ignore"):
+                x = np.sqrt(homodyne_rate(n_signal, ChannelParams(1.0, 0.0))
+                            * np.array(ms, dtype=float))
+            for w in 2.0 * x[np.isfinite(x)]:
+                check_midpoint_optimum(float(w))
+        scenarios, ms = _threshold_sweep_scenarios(monkeypatch, seed)
+        for sc in scenarios:
+            (rate,), (p,), (log_p,) = sweep_points([RECEIVERS["CS+Hom"]], sc, ms)
+            check_cs_hom_rows(sc.src.n_signal, sc.ch, ms, rate, p, log_p)
 
-    def test_certificate_rejects_every_ln_p_the_search_rejects(self, monkeypatch):
-        # ln p doctored by 2 to 1e3 times the 1e-12 bound either way, relative
-        # and absolute, or made non-finite, at u = w/2 from 0.23 to 2.3e8:
-        # every M at which the search's value misses the column, the check
-        # names. A rule that read +-inf unclipped would take any ln p of
-        # +-inf, whose bound is then infinite; the check names every M of
-        # such a column
+    def test_certificate_rejects_every_ln_p_the_search_rejects(self):
+        # ln p doctored by 2 to 1e3 times 1e-12 either way, relative and
+        # absolute, or made non-finite, at x from 0.23 to 2.3e8: the mpmath
+        # check names every M whose ln p was changed, and no other. A rate 3
+        # ulps off either way fails its 2-ulp bound
         ch = ChannelParams(0.3, 0.2)
         ms = sorted({int(m) for m in np.geomspace(1.0, 1e18, 120)})
-        _, log_p = _erfc_points(homodyne_rate(0.5, ch), ms)
-        log_p = np.array(log_p)
+        rate = homodyne_rate(0.5, ch)
+        p, log_p = _erfc_points(rate, ms)
         doctored = [log_p + d * np.maximum(1.0, np.abs(log_p)) * 1e-12
                     for d in (-1e3, -10.0, -2.0, 2.0, 10.0, 1e3)]
         doctored += [log_p * (1.0 + d * 1e-12) for d in (-10.0, -2.0, 2.0, 10.0)]
         doctored += [np.where(np.arange(log_p.size) % 3 == 0, v, log_p)
                      for v in (math.nan, math.inf, -math.inf)]
-        with monkeypatch.context() as patch:
-            seen = _spy_check(patch)
-            assert not _rejected(0.5, ch, ms, log_p)
-        search = homodyne_search_min(2.0 * seen[0])
+        assert not _rejected(0.5, ch, ms, rate, p, log_p)
         for column in doctored:
-            before = {str(m) for m, ok in zip(ms, optimum_agrees(search, column)) if not ok}
-            after = _rejected(0.5, ch, ms, column.tolist())
-            assert before <= after
-            assert after == {str(m) for m, v, lp in zip(ms, column, log_p) if v != lp}
+            assert _rejected(0.5, ch, ms, rate, p, column) == {
+                str(m) for m, v, lp in zip(ms, column, log_p) if v != lp}
+        for off in (rate + 3 * math.ulp(rate), rate - 3 * math.ulp(rate)):
+            with pytest.raises(AssertionError, match="more than 2 ulps"):
+                check_cs_hom_rows(0.5, ch, ms, off, p, log_p)
 
     @pytest.mark.parametrize("argv", _ci_cs_hom_sweeps())
     def test_optimum_check_holds_on_the_cs_hom_rows_of_ci_command_lines(self, argv):
         # the CS+Hom rows that CI's numpy-only step prints, read from the
-        # workflow, so that a line added there is held to the rule here too
+        # workflow, so that a line added there is held to mpmath here too
         args = _build_parser().parse_args(["sweep", *shlex.split(argv)])
         receivers = tuple(args.receivers.split(",")) if args.receivers else RECEIVER_ORDER
         checked_compute_sweep(SweepSpec(_scenario_from(args), _parse_m_values(args), receivers))
