@@ -18,9 +18,8 @@ from scipy.linalg import expm
 from qillum.bounds import (ClassicalDistributionPair, SOverlapResult, _check_s,
                            _classical_route, _weighted_result, gaussian_s_overlap)
 from qillum.errors import NumericFailure
-from qillum.montecarlo import (EmpiricalStats, _block_generator, _count_weights,
-                               _empirical_stats, _gaussian_blocks, _Moments, _stream_blocks,
-                               deflection_se)
+from qillum.montecarlo import (EmpiricalStats, _count_weights, _empirical_stats,
+                               _gaussian_blocks, _Moments, _stream_blocks, deflection_se)
 from qillum.cli import SweepResult, SweepSpec, compute_sweep
 from qillum.receiver import (BeamsplitterMoments, HomodyneOptimum, ReceiverStats, half_erfc,
                              homodyne_min_error, homodyne_rate)
@@ -667,19 +666,18 @@ def trial_mean_blocks(weights: tuple[float, float], m: int, seed: int, stream: i
 
     montecarlo's serial route, the reference for its block workers, as in
     montecarlo._block_trial_means. At m = 1 each block's exponentials are
-    drawn whole, its plus-branch count n_+ ~ Binomial(rows, lambda_+/(lambda_+
-    - lambda_-)) comes from its sibling generator, and row i is 2 lambda_+ E
+    drawn whole, then its plus-branch count n_+ ~ Binomial(rows, lambda_+/
+    (lambda_+ - lambda_-)) from the same generator, and row i is 2 lambda_+ E
     where i < n_+, else 2 lambda_- E, picked with np.where. At m >= 2 each
     block's gamma pairs are drawn whole,
     as one (rows, 2) array, and a trial is (2 lambda_+ G_1 + 2 lambda_- G_2)/m.
     """
     lam_plus, lam_minus = weights
     w_plus, w_minus = 2.0 * lam_plus / m, 2.0 * lam_minus / m
-    for block, (gen, rows) in enumerate(_stream_blocks(seed, stream, n)):
+    for gen, rows in _stream_blocks(seed, stream, n):
         if m == 1:
             e = gen.standard_exponential(rows)
-            n_plus = _block_generator(seed, stream, block, 1).binomial(
-                rows, lam_plus / (lam_plus - lam_minus))
+            n_plus = gen.binomial(rows, lam_plus / (lam_plus - lam_minus))
             yield np.where(np.arange(rows) < n_plus, w_plus, w_minus) * e
         else:
             g = gen.standard_gamma(m, size=(rows, 2))

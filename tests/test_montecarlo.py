@@ -3,6 +3,7 @@ identities and bounded memory."""
 import concurrent.futures
 import dataclasses
 import math
+import sys
 import threading
 import time
 import tracemalloc
@@ -282,9 +283,9 @@ class TestStreamLayout:
         weights = _count_weights(REF_SRC, REF_CH, NO_NOISE)[1]
         got = _block_trial_means(np.empty(BLOCK), np.empty(BLOCK), weights, m, 40, 2, 3)
         assert len(calls) == 2
-        # m = 1: one exponential draw on the block's generator and one binomial
-        # draw on its sibling; m >= 2: two gamma half-blocks on the block's
-        expected = ([((40, 2, 3), "standard_exponential"), ((40, 2, 3, 1), "binomial")] if m == 1
+        # m = 1: one exponential draw and then one binomial draw on the block's
+        # generator; m >= 2: two gamma half-blocks on the block's
+        expected = ([((40, 2, 3), "standard_exponential"), ((40, 2, 3), "binomial")] if m == 1
                     else [((40, 2, 3), "standard_gamma")] * 2)
         assert calls == expected
         # the same bits as the serial route's whole-block draw
@@ -431,12 +432,12 @@ class TestCountLaw:
             trials = np.concatenate(list(trial_mean_blocks(pair, 1, cfg.seed, stream, n)))
             assert np.array_equal(counts, trials)
             # block 0 is 2 l_+ E in its first n_+ rows and 2 l_- E in the rest,
-            # with E ~ Exp(1) from the block's generator and
-            # n_+ ~ Binomial(2**16, l_+/(l_+ - l_-)) from its sibling
+            # with E ~ Exp(1) from the block's generator and then
+            # n_+ ~ Binomial(2**16, l_+/(l_+ - l_-)) from the same generator
             lam_plus, lam_minus = pair
-            e = _block_generator(cfg.seed, stream, 0).standard_exponential(BLOCK)
-            n_plus = _block_generator(cfg.seed, stream, 0, 1).binomial(
-                BLOCK, lam_plus / (lam_plus - lam_minus))
+            gen = _block_generator(cfg.seed, stream, 0)
+            e = gen.standard_exponential(BLOCK)
+            n_plus = gen.binomial(BLOCK, lam_plus / (lam_plus - lam_minus))
             assert np.array_equal(counts[:n_plus], 2.0 * lam_plus * e[:n_plus])
             assert np.array_equal(counts[n_plus:BLOCK], 2.0 * lam_minus * e[n_plus:])
         # sample j is trial j of the threshold test at m = 1
@@ -771,8 +772,10 @@ def bits(stats: EmpiricalStats) -> list:
 
 
 class TestWorkers:
-    """The block runs give the serial route's bits whatever the number of workers."""
+    """The shared block queue gives the serial route's bits whatever the number of workers."""
 
+    # n = 2 has less than a block of rows in all, so it runs on one worker at
+    # any CPU count; the other sizes run on several where there are CPUs
     SIZES = (2, BLOCK - 1, BLOCK + 5, 3 * BLOCK + 7)
     WORKERS = (1, 2, 3, 1000)  # 1000: past the worker cap and every size's block count
 
@@ -821,6 +824,90 @@ class TestWorkers:
         empirical_error_rate(REF_SRC, REF_CH, NO_NOISE, 50,
                              SamplerConfig(seed=62, n_samples=BLOCK + 1))
         assert threading.active_count() == before
+
+    def test_sub_block_calls_make_no_thread(self, workers, monkeypatch):
+        # at most one block of rows over both hypotheses (2 * n_samples <= 2**16)
+        # runs on the calling thread, however many CPUs there are
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a call of less than a block per worker made a thread pool")
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+        workers(8)
+        before = threading.active_count()
+        cfg = SamplerConfig(seed=65, n_samples=4000)
+        for m in (1, 50):
+            want = serial_error_rate(VAL_SRC, VAL_CH, NO_NOISE, m, cfg)
+            assert empirical_error_rate(VAL_SRC, VAL_CH, NO_NOISE, m, cfg).hex() == want.hex(), m
+        cfg = SamplerConfig(seed=65, n_samples=BLOCK // 2)
+        want = bits(serial_pc_receiver(REF_SRC, REF_CH, NO_NOISE, cfg))
+        assert bits(simulate_pc_receiver(REF_SRC, REF_CH, NO_NOISE, cfg)) == want
+        assert threading.active_count() == before
+
+    def test_blocks_finishing_out_of_order_give_the_serial_bits(self, workers, monkeypatch):
+        # block 0 of H0 is first in the queue, and its worker holds it until
+        # the other workers have drawn every other block; the wait is bounded,
+        # so that a worker that must also draw those blocks cannot hang the suite
+        n = 3 * BLOCK + 7
+        keys = sorted((stream, block) for stream in (0, 2) for block in range(4))
+        real = qillum.montecarlo._block_trial_means
+        lock = threading.Lock()
+        drawn, waited = [], []
+        others_done = threading.Event()
+
+        def block_zero_last(out, scratch, weights, m, seed, stream, block):
+            means = real(out, scratch, weights, m, seed, stream, block)
+            if (stream, block) == (0, 0):
+                waited.append(others_done.wait(timeout=10.0))
+            with lock:
+                drawn.append((stream, block))
+                if sorted(drawn) == keys[1:]:
+                    others_done.set()
+            return means
+
+        def run(call):
+            drawn.clear()
+            others_done.clear()
+            result = call()
+            assert sorted(drawn) == keys  # each (stream, block) drawn exactly once
+            return result
+
+        monkeypatch.setattr(qillum.montecarlo, "_block_trial_means", block_zero_last)
+        workers(3)
+        cfg = SamplerConfig(seed=66, n_samples=n)
+        got = run(lambda: simulate_pc_receiver(REF_SRC, REF_CH, NO_NOISE, cfg))
+        assert bits(got) == bits(serial_pc_receiver(REF_SRC, REF_CH, NO_NOISE, cfg))
+        for m in (1, 50):
+            got = run(lambda: empirical_error_rate(VAL_SRC, VAL_CH, NO_NOISE, m, cfg))
+            assert got.hex() == serial_error_rate(VAL_SRC, VAL_CH, NO_NOISE, m, cfg).hex(), m
+        assert waited == [True] * 3
+
+    def test_more_workers_than_cores_draw_each_block_once(self, workers, monkeypatch):
+        # eight workers on 16 blocks, switching threads every microsecond: a
+        # block that two workers took from the shared queue, or none, shows in
+        # the record of draws
+        keys = sorted((stream, block) for stream in (0, 2) for block in range(8))
+        real = qillum.montecarlo._block_trial_means
+        lock = threading.Lock()
+        drawn = []
+
+        def recording(out, scratch, weights, m, seed, stream, block):
+            with lock:
+                drawn.append((stream, block))
+            return real(out, scratch, weights, m, seed, stream, block)
+
+        monkeypatch.setattr(qillum.montecarlo, "_block_trial_means", recording)
+        workers(8)
+        cfg = SamplerConfig(seed=67, n_samples=8 * BLOCK)
+        want = serial_error_rate(VAL_SRC, VAL_CH, NO_NOISE, 1, cfg)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                drawn.clear()
+                assert empirical_error_rate(VAL_SRC, VAL_CH, NO_NOISE, 1, cfg).hex() == want.hex()
+                assert sorted(drawn) == keys
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestBoundedMemory:
