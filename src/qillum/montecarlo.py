@@ -324,8 +324,8 @@ def _reduced_hypotheses(src: SourceParams, ch: ChannelParams, noise: NoiseParams
     todo = deque([*range(len(blocks)), *[None] * workers])  # atomic pops; a None stops a worker
     results = [None] * len(blocks)
     size = min(_BLOCK, n)
-    # allocated here: a worker thread's land in its own malloc arena (+2.2 MB peak
-    # RSS, measured). scratch holds an even count, for m >= 2 gamma pairs in two halves
+    # allocated here: a worker thread's land in its own malloc arena (+2 MB peak RSS
+    # on mc_validation). scratch holds an even count, for m >= 2 gamma pairs in two halves
     buffers = [(np.empty(size), np.empty(size + size % 2)) for _ in range(workers)]
 
     def work(worker_buffers):
