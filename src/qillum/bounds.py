@@ -421,7 +421,9 @@ class StandardFormDensities:
 
     H1 is (A0 + dA, B0 + dB, C0 + dC). Along the segment between the two
     covariances det is (d0 (1 + s y + s^2 z) / 4)^2 with d0 = A0 B0 - C0^2,
-    so the log-overlap is s log1p(u) - log1p(s y + s^2 z), u = y + z.
+    so the log-overlap is s log1p(u) - log1p(s y + s^2 z), u = y + z. From
+    u = 1 up it is taken as it stands, within 6e-15 relative of mpmath out to
+    u = 1e29; the form with the terms linear in u cancelled read 4e-9 at 1e8.
     """
 
     def __init__(self, a0: float, b0: float, c0: float,
@@ -440,11 +442,13 @@ class StandardFormDensities:
         self._log1p_u = math.log1p(self._u)
 
     def _log_c_slope(self, s: float) -> tuple[float, float]:
-        # s log1p(u) - log1p(s y + s^2 z) with s y + s^2 z = s u - s t z: the
-        # terms linear in u cancel exactly, leaving s g(u) - g(s u), g = log1p(x) - x
+        # s log1p(u) - log1p(s y + s^2 z) with s y + s^2 z = s u - s t z: below
+        # u = 1 the terms linear in u cancel exactly, leaving s g(u) - g(s u), g = log1p(x) - x
         su = s * self._u
         stz = s * (1.0 - s) * self._z
-        value = s * self._gap_u - _log1p_gap(su) - math.log1p(-stz / (1.0 + su))
+        head = (s * self._gap_u - _log1p_gap(su) if self._u < 1.0
+                else s * self._log1p_u - math.log1p(su))
+        value = head - math.log1p(-stz / (1.0 + su))
         return value, self._log1p_u - (self._y + 2.0 * s * self._z) / (1.0 + su - stz)
 
     def log_c(self, s: float) -> float:

@@ -27,11 +27,11 @@ go to stderr as a params line exactly when stdout does not carry them: with
 --out, and for the CSV, so the data stream stays clean. Exit codes: 0
 success, 2 invalid parameters, 3 I/O failure, 4 sampling gate failure.
 
-CSV floats are Python's '%.17g', so output is byte-stable. sweep_csv has two
-routes to those bytes, chosen by the table's row count alone: below
-_LONG_TABLE (160, at the measured crossover) one % template over the table's
-columns, and from it one numpy pass over all the table's p_error and
-exponent values (the _format17 module, imported by the first long table).
+CSV floats are Python's '%.17g', so output is byte-stable. sweep_csv writes
+every table with one row writer; only its formatter of the p_error and
+exponent values depends on the row count: below _LONG_TABLE (160) CPython's
+'%.17g', and from it one numpy pass (the _format17 module, imported by the
+first long table).
 """
 from __future__ import annotations
 
@@ -40,7 +40,6 @@ import json
 import math
 import sys
 from dataclasses import dataclass, fields
-from itertools import chain
 
 import numpy as np
 
@@ -200,54 +199,51 @@ def compute_sweep(spec: SweepSpec) -> SweepResult:
     return SweepResult(spec.receivers, spec.m_values, tuple(rates), p_error, np.negative(log_p))
 
 
-# sweep_csv writes a table of at least this many rows with format_17g, a
-# shorter one with the % template. On one CPU, on perfbench's threshold_sweep
-# tables cut to fewer M (medians of 6 x 41 runs), the array route took
-# 2.03x the template's time at 52 rows, 1.30x at 100, 1.09x at 128, 1.02x at
-# 160, 0.85x at 200, 0.75x at 300, 0.55x at 600 and 0.46x at 1196: it pays
-# a fixed cost in numpy calls per table and saves time on every row. They
-# cross at ~165 rows.
+# sweep_csv formats the values of a table of at least this many rows with
+# format_17g, a shorter one's with CPython's '%.17g'. format_17g pays a fixed
+# cost in numpy calls per table and saves time on every value: on one CPU,
+# on perfbench's threshold_sweep tables cut to fewer M (medians of 41 and of
+# 61 interleaved pairs), sweep_csv took 1.5-1.7x the time at 52 rows with
+# it, 1.06-1.13x at 100, 0.91-0.94x at 128, 0.85x at 160, 0.69x at 240 and
+# 0.53x at 1196. No perfbench table lies between 52 and 1196 rows.
 _LONG_TABLE = 160
 
 
 def sweep_csv(result: SweepResult) -> str:
     """The sweep CSV: a header, then one line per row, floats as '%.17g' writes them.
 
-    A table of fewer than _LONG_TABLE rows is one % format: each receiver's
-    label and rate are written into a line template once, and the templates,
-    each repeated once per M, take the table's (M, p_error, exponent) values,
-    read off the arrays by .tolist(), in one pass. A longer table, where numpy's
-    fixed cost per call is repaid, formats all its p_error and exponent
-    values in one _format17.format_17g pass and each M's text once for all
-    columns; each column is then one bytes join. Both routes write the same
-    bytes.
+    One writer for every table; only the 17-digit formatter of the p_error
+    and exponent values depends on the row count. Below _LONG_TABLE rows they
+    take CPython's '%.17g' over the arrays' .tolist(); from it up, where
+    numpy's fixed cost per call is repaid, one _format17.format_17g pass.
+    Their texts go by slice assignment into one list of fields, with each
+    M's text, written once for every receiver, and between two rows the
+    joint of the first row's rate, a newline and the next row's label. The
+    body is one b",".join of that list.
     """
     header = "receiver,M,p_error,exponent,per_mode_rate\n"
-    if len(result) < _LONG_TABLE:
-        ms = result.m_values
-        template = "".join(f"{label},%d,%.17g,%.17g,{rate:.17g}\n" * len(ms)
-                           for label, rate in zip(result.receivers, result.per_mode_rate))
-        ps, es = (chain.from_iterable(column.tolist())
-                  for column in (result.p_error, result.exponent))
-        values = chain.from_iterable(zip(ms * len(result.receivers), ps, es))
-        return header + template % tuple(values)
-    # imported here: its tables are built on import, and only a long table needs them
-    from ._format17 import format_17g
+    rows = len(result)
+    if not rows:
+        return header
+    columns = (result.p_error, result.exponent)
+    if rows < _LONG_TABLE:
+        texts = [b"%.17g" % v for column in columns for v in column.ravel().tolist()]
+    else:
+        # imported here: its tables are built on import, and only a long table needs them
+        from ._format17 import format_17g
 
-    # a column is one join of (M, p_error, exponent, its rate, a newline and the label)
-    texts = format_17g(np.stack((result.p_error, result.exponent)))
-    texts = texts.reshape(2, *result.p_error.shape)
-    line = np.empty((len(result.m_values), 4), dtype=object)
-    line[:, 0] = [b"%d" % m for m in result.m_values]
-    parts = [header]
-    for label, rate, ps, es in zip(result.receivers, result.per_mode_rate, *texts):
-        label = label.encode("ascii")
-        line[:, 1] = ps
-        line[:, 2] = es
-        line[:, 3] = b"%.17g\n%s" % (rate, label)
-        line[-1, 3] = b"%.17g\n" % rate
-        parts.append((b"%s,%s" % (label, b",".join(line.ravel().tolist()))).decode("ascii"))
-    return "".join(parts)
+        texts = format_17g(np.stack(columns)).tolist()
+    labels = [label.encode("ascii") for label in result.receivers]
+    joints = []
+    for rate, label, following in zip(result.per_mode_rate, labels, labels[1:] + [b""]):
+        rate = b"%.17g\n" % rate
+        joints += [rate + label] * (len(result.m_values) - 1) + [rate + following]
+    fields = [labels[0]] * (4 * rows + 1)
+    fields[1::4] = [b"%d" % m for m in result.m_values] * len(labels)
+    fields[2::4] = texts[:rows]
+    fields[3::4] = texts[rows:]
+    fields[4::4] = joints
+    return header + b",".join(fields).decode("ascii")
 
 
 def _emit(report: dict, args, rows=None, csv=None) -> None:

@@ -30,13 +30,12 @@ def _validate_pulses(m) -> int:
 
     2.0 passes; 2.5, inf, nan and 10**309 do not.
     """
-    message = f"pulse count m must be a positive integer, got {m!r}"
     try:
         m_int = int(m)
     except (OverflowError, ValueError):  # int() of inf and of nan
-        raise ValueError(message) from None
-    if m_int != m or not 1 <= m_int <= sys.float_info.max:
-        raise ValueError(message)
+        m_int = None
+    if m_int is None or m_int != m or not 1 <= m_int <= sys.float_info.max:
+        raise ValueError(f"pulse count m must be a positive integer, got {m!r}")
     return m_int
 
 

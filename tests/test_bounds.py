@@ -767,6 +767,27 @@ def test_gap_kernels_against_mpmath():
         assert np.allclose([kernel(float(x)) for x in xs], want, rtol=2e-15, atol=0.0)
 
 
+@pytest.mark.parametrize("u", [1e3, 1e5, 1e8, 1e10, 1e18, 1e20])
+def test_heterodyne_log_c_at_large_u_against_mpmath(u):
+    # s g(u) - g(s u), g = log1p(x) - x, is a difference of two terms of size
+    # u: at u = 1e18 it read a relative error of 1.0. Uncorrelated (z = 0)
+    # and correlated (dA = dB = d with C0 = 1/2, so z = d^2/d0 != 0) pairs
+    d = math.sqrt(1.0 + 0.75 * u) - 1.0
+    for entries in ((1.0, 1.0, 0.0, u, 0.0, 0.0), (1.0, 1.0, 0.5, d, d, 0.0)):
+        densities = StandardFormDensities(*entries)
+        with mpmath.workdps(60):
+            a0, b0, c0, da, db, dc = map(mpmath.mpf, entries)
+            d0 = a0 * b0 - c0 * c0
+            y = (b0 * da + a0 * db - 2 * c0 * dc) / d0
+            z = (da * db - dc * dc) / d0
+            assert (z != 0) == (entries[2] != 0.0)
+            for s in (0.1, 0.5, 0.9):
+                s_ = mpmath.mpf(s)
+                want = s_ * mpmath.log1p(y + z) - mpmath.log1p(s_ * y + s_ ** 2 * z)
+                got = densities.log_c(s)
+                assert abs(got - want) <= 1e-14 * abs(want), (entries, s, got, float(want))
+
+
 @pytest.mark.parametrize("scenario", GOLDEN_FAMILY + SECOND_ORDER)
 def test_sweep_bound_rates_within_1e12_of_mpmath(scenario):
     result = compute_sweep(SweepSpec(scenario, (1,), ("QI-QCB", "QI-QBB", "QI+Het+CCB")))

@@ -476,6 +476,29 @@ class TestSweepTypes:
             SweepResult(**fields)
 
 
+def random_tables(n_m: int, trials: int = 5):
+    """SweepResults of n_m M, drawn from seed n_m, on 1 to 8 receivers.
+
+    Their columns hold an underflowed p, a subnormal p and an infinite
+    exponent among ordinary cells, and M runs up to 1e308.
+    """
+    rng = np.random.default_rng(n_m)
+    special = [(0.0, 2000.0), (0.0, math.inf), (5e-324, 744.4), (3.1e-310, 707.7)]
+    for trial in range(trials):
+        ms = tuple(sorted({int(m) for m in 10 ** rng.uniform(0, 307, n_m - 1)} | {int(1e308)}))
+        receivers = RECEIVER_ORDER[:1 + trial % len(RECEIVER_ORDER)] if trial else RECEIVER_ORDER
+        columns = []
+        for _ in receivers:
+            es = np.log(2.0) + 10 ** rng.uniform(-17, 3, len(ms))
+            column = [(0.5 * math.exp(-e), e) if rng.random() < 0.8
+                      else special[rng.integers(len(special))] for e in es.tolist()]
+            columns.append(column)
+        yield SweepResult(
+            receivers, ms, tuple(10 ** rng.uniform(-320, 3, len(receivers))),
+            tuple([p for p, _ in column] for column in columns),
+            tuple([e for _, e in column] for column in columns))
+
+
 class TestComputeSweep:
     def test_bound_receivers_run_on_a_signal_brighter_than_the_idler(self):
         # c_q once exceeded the physical bound when N_S > N_I, and every
@@ -522,32 +545,50 @@ class TestComputeSweep:
         assert calls == [(len(want), True)]
 
     # 53 M on 3 receivers and 40 M on 4 are the tables just short of
-    # _LONG_TABLE and at it, one on each side of sweep_csv's fork
+    # _LONG_TABLE and at it, one on each side of sweep_csv's formatter switch
     @pytest.mark.parametrize("n_m", [1, 2, 299, 53, 40])
     def test_csv_equals_the_row_route_on_random_tables(self, n_m):
-        # both sweep_csv routes against one f-string per row, on columns that
-        # hold an underflowed p, a subnormal p, an infinite exponent and M up
-        # to 1e308
-        rng = np.random.default_rng(n_m)
-        special = [(0.0, 2000.0), (0.0, math.inf), (5e-324, 744.4), (3.1e-310, 707.7)]
+        # sweep_csv against one f-string per row
         sizes = set()
-        for trial in range(5):
-            ms = tuple(sorted({int(m) for m in 10 ** rng.uniform(0, 307, n_m - 1)} | {int(1e308)}))
-            receivers = RECEIVER_ORDER[:1 + trial % len(RECEIVER_ORDER)] if trial else RECEIVER_ORDER
-            columns = []
-            for _ in receivers:
-                es = np.log(2.0) + 10 ** rng.uniform(-17, 3, len(ms))
-                column = [(0.5 * math.exp(-e), e) if rng.random() < 0.8
-                          else special[rng.integers(len(special))] for e in es.tolist()]
-                columns.append(column)
-            result = SweepResult(
-                receivers, ms, tuple(10 ** rng.uniform(-320, 3, len(receivers))),
-                tuple([p for p, _ in column] for column in columns),
-                tuple([e for _, e in column] for column in columns))
+        for result in random_tables(n_m):
             assert sweep_csv(result) == row_sweep_csv(result)
             assert len(sweep_csv(result).splitlines()) == 1 + len(result)
             sizes.add(len(result))
         assert {53: _LONG_TABLE - 1, 40: _LONG_TABLE}.get(n_m, len(result)) in sizes
+
+    @pytest.mark.parametrize("long_table", [1, 10 ** 9], ids=["format_17g", "percent_17g"])
+    def test_each_formatter_writes_every_table_shape(self, monkeypatch, long_table):
+        # with the switch moved to either end, one formatter writes every
+        # table: the golden one, a single row, perfbench's bounds_scan
+        # (4 receivers x 13 M) and threshold_sweep (4 x 299 M) shapes, and
+        # random tables with 0, inf and subnormal cells
+        calls = []
+
+        def counting(values):
+            calls.append(values.size)
+            return format_17g(values)
+
+        monkeypatch.setattr(qillum.cli, "_LONG_TABLE", long_table)
+        monkeypatch.setattr(qillum._format17, "format_17g", counting)
+        golden = compute_sweep(SweepSpec(
+            ScenarioParams(), _parse_m_values(argparse.Namespace(m=None, m_log="1e5,1e8,13")),
+            RECEIVER_ORDER))
+        text = sweep_csv(golden)
+        assert text == (GOLDEN / "comparison_sweep.csv").read_text(encoding="utf-8")
+        assert text == row_sweep_csv(golden)
+        bright = ScenarioParams(ns=0.1, ni=0.1, kappa=0.05, nb=1.0)
+        tables = [
+            compute_sweep(SweepSpec(ScenarioParams(), (10 ** 5,), ("QI+Het+PC",))),
+            compute_sweep(SweepSpec(bright, golden.m_values, ("QI-QCB", "QI-QBB", "QI+Het+CCB",
+                                                             "CS-QCB"))),
+            compute_sweep(SweepSpec(bright, _parse_m_values(argparse.Namespace(
+                m=None, m_log="10,1e10,300")), ("QI+PC", "QI+Cal+PC", "QI+Het+PC", "CS+Hom"))),
+            *(table for n_m in (1, 40, 299) for table in random_tables(n_m))]
+        assert [len(table) for table in tables[:3]] == [1, 52, 1196]
+        for table in tables:
+            assert sweep_csv(table) == row_sweep_csv(table)
+        want = [2 * len(table) for table in [golden] + tables] if long_table == 1 else []
+        assert calls == want
 
     def test_cs_hom_check_past_the_overflow_of_its_search_warns_nothing(self):
         # M*rate reaches 1.35e308 here, near the largest double, and the
