@@ -202,10 +202,10 @@ def compute_sweep(spec: SweepSpec) -> SweepResult:
 # sweep_csv formats the values of a table of at least this many rows with
 # format_17g, a shorter one's with CPython's '%.17g'. format_17g pays a fixed
 # cost in numpy calls per table and saves time on every value: on one CPU,
-# on perfbench's threshold_sweep tables cut to fewer M (medians of 41 and of
-# 61 interleaved pairs), sweep_csv took 1.5-1.7x the time at 52 rows with
-# it, 1.06-1.13x at 100, 0.91-0.94x at 128, 0.85x at 160, 0.69x at 240 and
-# 0.53x at 1196. No perfbench table lies between 52 and 1196 rows.
+# on perfbench's threshold_sweep tables cut to fewer M (medians of 41 to 61
+# interleaved pairs), sweep_csv took 1.5-1.7x the time at 52 rows with it,
+# 1.06-1.13x at 100, 0.91-0.94x at 128, 0.85x at 160, 0.7x at 240 and
+# 0.46-0.53x at 1196. No perfbench table lies between 52 and 1196 rows.
 _LONG_TABLE = 160
 
 
@@ -218,13 +218,13 @@ def sweep_csv(result: SweepResult) -> str:
     numpy's fixed cost per call is repaid, one _format17.format_17g pass.
     Their texts go by slice assignment into one list of fields, with each
     M's text, written once for every receiver, and between two rows the
-    joint of the first row's rate, a newline and the next row's label. The
-    body is one b",".join of that list.
+    joint of the first row's rate, a newline and the next row's label; the
+    header goes with the first label. The CSV is one b",".join of that list.
     """
-    header = "receiver,M,p_error,exponent,per_mode_rate\n"
+    header = b"receiver,M,p_error,exponent,per_mode_rate\n"
     rows = len(result)
     if not rows:
-        return header
+        return header.decode("ascii")
     columns = (result.p_error, result.exponent)
     if rows < _LONG_TABLE:
         texts = [b"%.17g" % v for column in columns for v in column.ravel().tolist()]
@@ -238,12 +238,13 @@ def sweep_csv(result: SweepResult) -> str:
     for rate, label, following in zip(result.per_mode_rate, labels, labels[1:] + [b""]):
         rate = b"%.17g\n" % rate
         joints += [rate + label] * (len(result.m_values) - 1) + [rate + following]
-    fields = [labels[0]] * (4 * rows + 1)
+    # the first field, which no slice sets, is the header and the first label
+    fields = [header + labels[0]] * (4 * rows + 1)
     fields[1::4] = [b"%d" % m for m in result.m_values] * len(labels)
     fields[2::4] = texts[:rows]
     fields[3::4] = texts[rows:]
     fields[4::4] = joints
-    return header + b",".join(fields).decode("ascii")
+    return b",".join(fields).decode("ascii")
 
 
 def _emit(report: dict, args, rows=None, csv=None) -> None:

@@ -587,6 +587,9 @@ class TestComputeSweep:
         assert [len(table) for table in tables[:3]] == [1, 52, 1196]
         for table in tables:
             assert sweep_csv(table) == row_sweep_csv(table)
+        # a table of no M, which SweepResult admits, is the header alone
+        empty = SweepResult(("QI+PC",), (), (1.0,), [[]], [[]])
+        assert sweep_csv(empty) == row_sweep_csv(empty) == "receiver,M,p_error,exponent,per_mode_rate\n"
         want = [2 * len(table) for table in [golden] + tables] if long_table == 1 else []
         assert calls == want
 
