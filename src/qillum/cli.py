@@ -314,7 +314,7 @@ def cmd_sweep(args) -> int:
     scenario = _scenario_from(args)
     m_values = _parse_m_values(args)
     receivers = tuple(tok.strip() for tok in args.receivers.split(",")) \
-        if args.receivers else RECEIVER_ORDER
+        if args.receivers is not None else RECEIVER_ORDER
     spec = SweepSpec(scenario=scenario, m_values=m_values, receivers=receivers)
     result = compute_sweep(spec)
     params = dict(scenario.as_dict(), m_values=list(m_values), receivers=list(receivers))

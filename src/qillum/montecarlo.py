@@ -89,7 +89,6 @@ class EmpiricalStats:
     se_var_h0: float
     se_var_h1: float
     se_snr: float
-    n_samples: int
 
     def __post_init__(self) -> None:
         if self.var_h0 < 0 or self.var_h1 < 0:
@@ -338,7 +337,7 @@ def _reduced_hypotheses(src: SourceParams, ch: ChannelParams, noise: NoiseParams
     if workers == 1:
         work(buffers[0])
     else:
-        # imported here: concurrent.futures loads logging, and `import qillum` need not
+        # imported here: concurrent.futures loads logging, and `import qillum.cli` need not
         from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=workers, thread_name_prefix="qillum-sampler") as pool:
             list(pool.map(work, buffers))
@@ -372,7 +371,6 @@ def _empirical_stats(b0: _Moments, b1: _Moments) -> EmpiricalStats:
         se_mean_h0=b0.se_mean, se_mean_h1=b1.se_mean,
         se_var_h0=b0.se_var, se_var_h1=b1.se_var,
         se_snr=math.sqrt(max(var_snr, 0.0)),
-        n_samples=b0.n,
     )
 
 

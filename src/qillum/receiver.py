@@ -85,14 +85,6 @@ def half_erfc(x: float) -> float:
     return _erfc_column(np.array([x], dtype=float), half=True)[0].item()
 
 
-def half_exp(m, rate: float) -> float:
-    """(1/2)exp(-m*rate), a Chernoff-type error bound after m pulses.
-
-    The one-element case of _exp_columns.
-    """
-    return _exp_columns((rate,), (m,))[0].item()
-
-
 def _exp_columns(rates, ms) -> tuple[np.ndarray, np.ndarray]:
     """(p, ln p) of p = (1/2)exp(-m*rate), float64 arrays of shape (len(rates), len(ms)).
 
@@ -330,7 +322,7 @@ def sweep_points(receivers, sc: Scenario, ms) -> tuple[list, np.ndarray, np.ndar
     it. One kernel call per row kind: every threshold receiver's row comes
     from one evaluation of erfc per m, shared by p and ln p, in one
     _erfc_column call over all of them (_erfc_columns); every bound
-    receiver's row from one _exp_columns call, p = half_exp and
+    receiver's row from one _exp_columns call, p = (1/2)exp(-m*rate) and
     ln p = ln(1/2) - m*rate. p is never formed as exp of ln p rounded to a
     double, which would scale the last-bit error of ln p by |ln p|: both
     kernels carry the exponent as a double-double. ms are positive ints

@@ -69,10 +69,6 @@ class WilliamsonDecomposition:
     s_matrix: np.ndarray
     spectrum: np.ndarray
 
-    @property
-    def n_modes(self) -> int:
-        return len(self.spectrum)
-
     def diagonal_form(self) -> np.ndarray:
         return np.diag(np.repeat(self.spectrum, 2))
 
@@ -113,11 +109,11 @@ def symplectic_eigenvalues(v: CovMatrix) -> np.ndarray:
 
 
 def is_physical(v: CovMatrix) -> bool:
-    """True iff v is a valid quantum CM: min symplectic eigenvalue >= 1/2 - 1e-9."""
-    m = v.entries
-    tol = 1e-12 * max(1.0, float(np.abs(m).max()))
-    if np.abs(m - m.T).max() > tol:
-        return False
+    """True iff v is a valid quantum CM: min symplectic eigenvalue >= 1/2 - 1e-9.
+
+    CovMatrix holds v symmetric, exactly and read-only, so only its spectrum
+    is checked here.
+    """
     try:
         nu = symplectic_eigenvalues(v)
     except ValueError:

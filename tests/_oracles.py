@@ -21,8 +21,8 @@ from qillum.errors import NumericFailure
 from qillum.montecarlo import (EmpiricalStats, _count_weights, _empirical_stats,
                                _gaussian_blocks, _Moments, _stream_blocks, deflection_se)
 from qillum.cli import SweepResult, SweepSpec, compute_sweep
-from qillum.receiver import (BeamsplitterMoments, HomodyneOptimum, ReceiverStats, half_erfc,
-                             homodyne_min_error, homodyne_rate)
+from qillum.receiver import (BeamsplitterMoments, HomodyneOptimum, ReceiverStats, _exp_columns,
+                             half_erfc, homodyne_min_error, homodyne_rate)
 from qillum.states import (GaussianState, _check_nonnegative, _standard_form_matrix,
                            _validate_pulses, apply_noise, conditional_states)
 from qillum.symplectic import CovMatrix, williamson
@@ -846,8 +846,13 @@ def mp_log_erfc(x):
     return mpmath.log(mpmath.erfc(x))
 
 
+def half_exp(m, rate: float) -> float:
+    """(1/2)exp(-m*rate) for one (m, rate): the one-element case of receiver._exp_columns."""
+    return _exp_columns((rate,), (m,))[0].item()
+
+
 def scalar_half_exp(m, rate: float) -> float:
-    """(1/2)exp(-m*rate) for one (m, rate), one Dekker product per call: the former half_exp.
+    """(1/2)exp(-m*rate) for one (m, rate), one Dekker product per call: the kernel's former route.
 
     The bound-row kernel (receiver._exp_columns) must give these bits: m*rate
     carried exactly as hi + lo from Veltkamp's splits of m and of rate,

@@ -12,7 +12,7 @@ import numpy as np
 
 from _oracles import (check_gaussian_moment_identities, checked_compute_sweep, checked_min_error,
                       cs_qcb_exponent, deflection_sigma, fock_s_overlap_thermal, generic_qbb,
-                      generic_qcb, generic_s_overlap, random_physical_cm)
+                      generic_qcb, generic_s_overlap, half_exp, random_physical_cm)
 
 import qillum.cli
 from qillum.bounds import (
@@ -23,7 +23,7 @@ from qillum.bounds import (
 )
 from qillum.cli import main as cli_main
 from qillum.montecarlo import SamplerConfig, simulate_pc_receiver
-from qillum.receiver import half_erfc, half_exp, homodyne_min_error, snr_pc
+from qillum.receiver import half_erfc, homodyne_min_error, snr_pc
 from qillum.states import (
     ChannelParams,
     GaussianState,

@@ -40,7 +40,7 @@ from qillum.bounds import (
     qcb,
 )
 from qillum.cli import ScenarioParams, SweepSpec, compute_sweep
-from qillum.receiver import RECEIVERS, Scenario, half_exp, homodyne_rate, sweep_points
+from qillum.receiver import RECEIVERS, Scenario, homodyne_rate, sweep_points
 from qillum.errors import NumericFailure
 from qillum.states import (
     ChannelParams,
@@ -57,7 +57,7 @@ from qillum.symplectic import CovMatrix
 
 from _oracles import (_ClassicalOverlap, _GaussianOverlap, classical_s_overlap, cs_qcb_exponent,
                       fock_s_overlap_thermal, generic_ccb, generic_classical_s_overlap,
-                      generic_qbb, generic_qcb, generic_s_overlap, mp_coherent_log_c,
+                      generic_qbb, generic_qcb, generic_s_overlap, half_exp, mp_coherent_log_c,
                       mp_model_exponents, mp_shifted_thermal_log_c, qbb, random_physical_cm,
                       ulp_error)
 

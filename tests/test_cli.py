@@ -342,6 +342,14 @@ class TestSweepCommand:
         assert rc == 2
         assert "unknown receivers" in err
 
+    @pytest.mark.parametrize("receivers", ["", " "])
+    def test_blank_receivers_exit_2(self, capsys, receivers):
+        # an empty --receivers names no receiver; it does not mean all eight
+        rc, out, err = run_cli(capsys, ["sweep", "--m", "10", "--receivers", receivers])
+        assert rc == 2
+        assert out == ""
+        assert "unknown receivers ['']" in err
+
     def test_missing_m_exits_2(self, capsys):
         rc, _, err = run_cli(capsys, ["sweep"])
         assert rc == 2
@@ -1309,6 +1317,23 @@ def run_python(code, *args, env=os.environ, preexec_fn=None):
                           text=True, env=env, preexec_fn=preexec_fn, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
+
+
+class TestOneImportPath:
+    """Each name is imported from the module that defines it, the README's too."""
+
+    def test_bare_import_loads_no_module_and_no_numpy(self):
+        out = run_python("import sys, qillum\n"
+                         "print(sorted(m for m in sys.modules\n"
+                         "             if m.startswith('qillum.') or m.split('.')[0] == 'numpy'))")
+        assert out.strip() == "[]"
+
+    def test_readme_library_example_runs(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("\n## Library example\n", 1)[1]
+        code = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+        snr, snr_hat, se_snr = map(float, run_python(code).split())
+        assert snr > 0 and snr_hat > 0 and se_snr > 0
 
 
 class TestNumpyOnlyRuntime:

@@ -673,7 +673,7 @@ class TestSimulatePcReceiver:
         with pytest.raises(ValueError):
             EmpiricalStats(mean_h0=0.0, mean_h1=0.0, var_h0=1.0, var_h1=1.0,
                            snr_hat=0.0, se_mean_h0=-1.0, se_mean_h1=0.0,
-                           se_var_h0=0.0, se_var_h1=0.0, se_snr=0.0, n_samples=10)
+                           se_var_h0=0.0, se_var_h1=0.0, se_snr=0.0)
 
 
 class TestDifferenceCount:

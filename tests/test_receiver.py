@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import _oracles
 from _oracles import (ErrorProbabilities, _mp_model_entries, check_cs_hom_rows,
                       check_midpoint_optimum, check_receiver_stats, checked_compute_sweep,
-                      checked_min_error, homodyne_errors, mp_log_erfc, pc_transform,
+                      checked_min_error, half_exp, homodyne_errors, mp_log_erfc, pc_transform,
                       scalar_half_exp, snr_from_moments, ulp_error)
 
 from qillum import _erfc
@@ -34,7 +34,6 @@ from qillum.receiver import (
     _exp_columns,
     _two_product,
     half_erfc,
-    half_exp,
     homodyne_min_error,
     homodyne_rate,
     log_erfc,

@@ -258,13 +258,22 @@ class TestIsPhysical:
         assert is_physical(CovMatrix(tmsv_cm(ns, ni, cd)))
 
     def test_non_symmetric_false(self):
-        class Lax(CovMatrix):
-            def __post_init__(self):  # bypass constructor validation on purpose
-                object.__setattr__(self, "entries", np.asarray(self.entries, dtype=float))
-
+        # is_physical reads the spectrum only: no asymmetric matrix reaches it,
+        # since CovMatrix rejects one past 1e-12 and stores one within it as
+        # 0.5 (m + m^T), which is exactly symmetric, read-only
         m = 0.5 * np.eye(2)
         m[0, 1] = 0.3
-        assert not is_physical(Lax(m))
+        with pytest.raises(ValueError, match="symmetric"):
+            CovMatrix(m)
+        rng = np.random.default_rng(3)
+        for _ in range(100):
+            a = rng.normal(size=(4, 4))
+            a = a @ a.T + np.eye(4)
+            a[0, 1] = np.nextafter(a[0, 1], np.inf)
+            a[2, 3] *= 1.0 + 4e-16
+            entries = CovMatrix(a).entries
+            assert np.array_equal(entries, entries.T)
+            assert not entries.flags.writeable
 
     def test_non_positive_definite_false(self):
         assert not is_physical(CovMatrix(np.diag([1.0, -1.0])))
