@@ -445,7 +445,23 @@ def _parse_m_values(args) -> tuple:
         if not (1 <= start < stop < math.inf and count >= 2):
             raise ValueError("--m-log needs 1 <= start < stop < inf and count >= 2")
         ratio = (stop / start) ** (1.0 / (count - 1))
-        values = sorted({int(round(start * ratio ** i)) for i in range(count)})
+
+        def point(i):
+            return int(round(start * ratio ** i))
+
+        # the points never decrease: gallop, then bisect, to the first i whose
+        # point exceeds the last M, so the cost follows the distinct M, not count
+        values, i = [], 0
+        while i < count:
+            values.append(point(i))
+            step = 1
+            while i + step < count and point(i + step) <= values[-1]:
+                step *= 2
+            lo, hi = i + step // 2, min(i + step, count)
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                lo, hi = (mid, hi) if point(mid) <= values[-1] else (lo, mid)
+            i = hi
     else:
         raise ValueError("sweep needs --m or --m-log")
     return tuple(values)

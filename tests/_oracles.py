@@ -846,6 +846,12 @@ def mp_log_erfc(x):
     return mpmath.log(mpmath.erfc(x))
 
 
+def every_index_m_log(start: float, stop: float, count: int) -> list:
+    """--m-log's pulse counts from the point of every index, sorted and deduplicated."""
+    ratio = (stop / start) ** (1.0 / (count - 1))
+    return sorted({int(round(start * ratio ** i)) for i in range(count)})
+
+
 def half_exp(m, rate: float) -> float:
     """(1/2)exp(-m*rate) for one (m, rate): the one-element case of receiver._exp_columns."""
     return _exp_columns((rate,), (m,))[0].item()

@@ -1,5 +1,6 @@
 """End-to-end CLI checks: parsing, output formats, exit codes, stability."""
 import argparse
+import ast
 import dataclasses
 import json
 import math
@@ -28,7 +29,7 @@ from qillum.montecarlo import deflection_se, simulate_pc_receiver
 from qillum.receiver import LN_HALF, RECEIVERS, Scenario, homodyne_min_error, log_erfc, snr_pc
 from qillum.states import ChannelParams, SourceParams, c_quantum
 
-from _oracles import checked_compute_sweep, cs_qcb_exponent, row_sweep_csv
+from _oracles import checked_compute_sweep, cs_qcb_exponent, every_index_m_log, row_sweep_csv
 
 SNR_QI_PC = 2.3575929806957360e-06
 
@@ -217,6 +218,7 @@ class TestSweepCommand:
         assert rc == 0, err
         p, exponent, rate = out.splitlines()[1].split(",")[2:]
         assert (p, rate) == ("0", "4")
+        assert exponent == "1.79769312e+308"
         assert math.isfinite(float(exponent))
         assert float(exponent) == pytest.approx(4.0 * float(m), rel=1e-12)
 
@@ -265,6 +267,25 @@ class TestSweepCommand:
         ms = [int(line.split(",")[1]) for line in out.splitlines()[1:]]
         assert ms == sorted(set(ms))
         assert ms[0] == 1 and ms[-1] == 10
+
+    def test_m_log_equals_the_every_index_loop_on_random_draws(self):
+        rng = np.random.default_rng(40)
+        draws = [(1e5, 1e8, 13), (1e2, 1e12, 11), (1.0, 1e308, 600), (10.0, 1e10, 40)]
+        for _ in range(600):
+            start = float(10.0 ** rng.uniform(0, 8))
+            if rng.random() < 0.3:
+                start = float(round(start))
+            decades = min(float(10.0 ** rng.uniform(-6, 2.5)), 300.0)
+            draws.append((start, start * 10.0 ** decades, int(rng.integers(2, 3000))))
+        for start, stop, count in draws:
+            args = argparse.Namespace(m=None, m_log=f"{start!r},{stop!r},{count}")
+            assert list(_parse_m_values(args)) == every_index_m_log(start, stop, count), args
+
+    def test_m_log_cost_follows_its_distinct_m(self):
+        # each of the count's points was once evaluated: a billion took minutes
+        out = run_python(_QI, "sweep", "--receivers", "QI+PC", "--m-log", "1,10,1000000000",
+                         timeout=30)
+        assert [int(line.split(",")[1]) for line in out.splitlines()[1:]] == list(range(1, 11))
 
     def test_non_increasing_m_exits_2(self, capsys):
         rc, _, err = run_cli(capsys, ["sweep", "--m", "100,100"])
@@ -378,9 +399,9 @@ class TestSweepCommand:
         assert report["results"][0]["M"] == 10
 
     def test_json_and_csv_carry_the_same_rows(self, capsys, monkeypatch):
-        # all eight receivers, on a grid whose threshold rows underflow to 0
-        argv = ["sweep", "--m-log", "10,1e10,40"]
-        rc1, csv_text, _ = run_cli(capsys, argv)
+        # all eight receivers: on a grid whose threshold rows underflow to 0; on
+        # M from 1 to 1e308, through every erfc kernel route, the p underflow
+        # and bound rows at M >= 1e300; and on the golden grid
         emitted = []
         emit = qillum.cli._emit
 
@@ -389,18 +410,24 @@ class TestSweepCommand:
             return emit(report, *args, **kwargs)
 
         monkeypatch.setattr(qillum.cli, "_emit", recording)
-        rc2, report, _ = run_json(capsys, argv)
-        assert rc1 == rc2 == 0
-        # the rows hold Python floats, not numpy scalars, before they are written
-        assert all(type(row[key]) is float for row in emitted[0]["results"]
-                   for key in ("p_error", "exponent", "per_mode_rate"))
-        rows = [line.split(",") for line in csv_text.splitlines()[1:]]
-        assert len(rows) == len(report["results"]) == 40 * len(RECEIVER_ORDER)
-        assert any(float(row[2]) == 0.0 for row in rows)
-        for row, want in zip(rows, report["results"]):
-            assert (row[0], int(row[1]), float(row[2]), float(row[3]), float(row[4])) == (
-                want["receiver"], want["M"], want["p_error"], want["exponent"],
-                want["per_mode_rate"])
+        for argv, n_m, underflows in (
+                (["--m-log", "10,1e10,40"], 40, True),
+                (["--ns", "0.5", "--kappa", "0.3", "--nb", "20", "--m-log", "1,1e308,600"], 600,
+                 True),
+                (REF_FLAGS + ["--m-log", "1e5,1e8,13"], 13, False)):
+            rc1, csv_text, _ = run_cli(capsys, ["sweep"] + argv)
+            rc2, report, _ = run_json(capsys, ["sweep"] + argv)
+            assert rc1 == rc2 == 0
+            # the rows hold Python floats, not numpy scalars, before they are written
+            assert all(type(row[key]) is float for row in emitted[-1]["results"]
+                       for key in ("p_error", "exponent", "per_mode_rate"))
+            rows = [line.split(",") for line in csv_text.splitlines()[1:]]
+            assert len(rows) == len(report["results"]) == n_m * len(RECEIVER_ORDER)
+            assert any(float(row[2]) == 0.0 for row in rows) == underflows
+            # each CSV field is the 17-digit text of its --json value
+            for row, want in zip(rows, report["results"]):
+                assert row == [want["receiver"], str(want["M"])] + [
+                    format(want[key], ".17g") for key in ("p_error", "exponent", "per_mode_rate")]
 
 
 class TestSweepTypes:
@@ -1154,10 +1181,24 @@ def test_one_report_path(capsys, tmp_path, command, fmt):
 
 class TestMcCommand:
     def test_gates_pass_at_reference_seed(self, capsys):
-        rc, out, _ = run_cli(capsys, ["mc"] + REF_FLAGS + ["--samples", "20000"])
-        assert rc == 0
-        assert "FAIL" not in out
-        assert "all rows passed" in out
+        for argv in (
+                REF_FLAGS + ["--samples", "20000"],
+                # a pulse's count is 2 l+ E with probability l+/(l+ - l-), else
+                # 2 l- E: at the default 1e6 samples a probability off by ~0.004
+                # fails a mean's 5-se gate, so two more seeds pass
+                ["--seed", "11"], ["--seed", "12"],
+                # one full block and a one-row last block per hypothesis: each
+                # block draws its plus-branch counts for its own length
+                ["--samples", "65537", "--seed", "13"],
+                # fewer rows than one block: drawn on the calling thread
+                ["--samples", "4000", "--seed", "14"],
+                # the count weights in closed form lose no small direction at a
+                # bright background
+                ["--nb", "1e17", "--samples", "100000"]):
+            rc, out, _ = run_cli(capsys, ["mc"] + argv)
+            assert rc == 0, argv
+            assert "FAIL" not in out
+            assert "all rows passed" in out
 
     def test_identical_invocations_identical_bytes(self, capsys):
         argv = ["mc"] + REF_FLAGS + ["--samples", "5000", "--seed", "7"]
@@ -1278,26 +1319,31 @@ class TestMcCommand:
         # OpenBLAS reads its thread count from the first of these that is set
         unset = {k: v for k, v in os.environ.items()
                  if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
-        argv = ["mc", "--json", "--samples", "300007", "--seed", "5"]
-        runs = {}
-        for blas in ("unset", "1"):
-            env = unset if blas == "unset" else dict(unset, OPENBLAS_NUM_THREADS=blas)
-            runs[blas, "one CPU"] = run_python(_QI, *argv, env=env,
-                                               preexec_fn=lambda: os.sched_setaffinity(0, one_cpu))
-            runs[blas, "all CPUs"] = run_python(_QI, *argv, env=env)
-        for key, out in runs.items():
-            assert out == runs["unset", "one CPU"], key
+        # five blocks a hypothesis, and sixteen with the last one partial, as in
+        # the 1e6 samples that perfbench's mc_validation draws
+        for samples in ("300007", "1000003"):
+            argv = ["mc", "--json", "--samples", samples, "--seed", "5"]
+            runs = {}
+            for blas in ("unset", "1"):
+                env = unset if blas == "unset" else dict(unset, OPENBLAS_NUM_THREADS=blas)
+                runs[blas, "one CPU"] = run_python(
+                    _QI, *argv, env=env, preexec_fn=lambda: os.sched_setaffinity(0, one_cpu))
+                runs[blas, "all CPUs"] = run_python(_QI, *argv, env=env)
+            for key, out in runs.items():
+                assert out == runs["unset", "one CPU"], (samples, key)
 
 
 # `qi` on argv[1:], exiting with its code
 _QI = "import sys; from qillum.cli import main; sys.exit(main(sys.argv[1:]))"
 
 
-# Runs each argv list of argv[1] through qillum.cli.main with every scipy
-# import made to fail, and prints [exit code, stdout] per command as JSON.
+# Runs each argv list of argv[1] through qillum.cli.main with every import of
+# the test-only libraries made to fail, and prints [exit code, stdout] per
+# command as JSON.
 _SCIPY_BLOCKED = """
 import contextlib, io, json, sys
-sys.modules["scipy"] = None
+for name in ("scipy", "mpmath", "hypothesis"):
+    sys.modules[name] = None
 import qillum
 from qillum.cli import main
 results = []
@@ -1310,11 +1356,11 @@ print(json.dumps(results))
 """
 
 
-def run_python(code, *args, env=os.environ, preexec_fn=None):
+def run_python(code, *args, env=os.environ, preexec_fn=None, timeout=120):
     """Run code in a fresh interpreter that imports the qillum under test."""
     env = dict(env, PYTHONPATH=str(Path(qillum.__file__).resolve().parents[1]))
     proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
-                          text=True, env=env, preexec_fn=preexec_fn, timeout=120)
+                          text=True, env=env, preexec_fn=preexec_fn, timeout=timeout)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 
@@ -1338,9 +1384,30 @@ class TestOneImportPath:
 
 class TestNumpyOnlyRuntime:
     def test_import_loads_no_scipy(self):
-        out = run_python("import sys, qillum, qillum.cli\n"
-                         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        out = run_python("import sys, qillum.cli, qillum.bounds, qillum.montecarlo, "
+                         "qillum.symplectic\n"
+                         "print(sorted(m for m in sys.modules\n"
+                         "             if m.split('.')[0] in ('scipy', 'mpmath')))")
         assert out.strip() == "[]"
+
+    def test_package_imports_only_the_standard_library_numpy_and_itself(self):
+        # every import statement, those inside functions too, so that paths no
+        # command reaches are held as well
+        imports = {}
+        for path in sorted(Path(qillum.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Import):
+                    modules = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    modules = [node.module if node.level == 0 else "qillum"]
+                else:
+                    continue
+                for module in modules:
+                    imports.setdefault(module.split(".")[0], []).append(
+                        f"{path.name}:{node.lineno}")
+        assert "numpy" in imports
+        allowed = sys.stdlib_module_names | {"numpy", "qillum"}
+        assert {name: where for name, where in imports.items() if name not in allowed} == {}
 
     def test_commands_run_with_scipy_blocked(self, capsys, tmp_path):
         csv_path = tmp_path / "comparison_sweep.csv"

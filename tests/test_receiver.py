@@ -922,29 +922,19 @@ class TestErrorProbPc:
                 SweepSpec(ScenarioParams(), (bad,), ("QI+PC",))
 
 
-def _ci_cs_hom_sweeps() -> list[str]:
-    """The arguments of each qi sweep line of the CI workflow whose table has a CS+Hom row.
-
-    Shell variables that the workflow sets to a quoted literal are expanded,
-    and a pipe, --json and --out are cut off, so lines that differ only in
-    those give one entry. A line whose M come from a command substitution is
-    left out.
-    """
-    text = (Path(__file__).resolve().parents[1] / ".github/workflows/tests.yml").read_text()
-    env = dict(re.findall(r'^\s*(\w+)="([^"$]*)"$', text, re.MULTILINE))
-    parse = _build_parser().parse_args
-    found = []
-    for line in re.findall(r"^\s*(?:\S*/)?qi sweep (.*?)(?: \|.*)?$", text, re.MULTILINE):
-        line = re.sub(r"\$(\w+)", lambda v: env.get(v[1], v[0]), line)
-        if "$" in line:
-            continue
-        argv = [a for a in shlex.split(line) if a != "--json"]
-        if "--out" in argv:
-            del argv[argv.index("--out"):argv.index("--out") + 2]
-        receivers = parse(["sweep", *argv]).receivers
-        if receivers is None or "CS+Hom" in receivers.split(","):
-            found.append(shlex.join(argv))
-    return list(dict.fromkeys(found))
+# qi sweep argument lines whose tables have a CS+Hom row: the golden grid; u
+# out to ~2.3e5 (M = 1e12); a signal so bright that u = shift/(2 sigma) is
+# ~3.5e78; M*rate past overflow, and 4e-9 short of it in sqrt(M*rate); kappa
+# N_S near overflow; and M from 1 to 1e308 on all eight receivers
+_CS_HOM_SWEEPS = [
+    "--ns 0.01 --ni 0.01 --c quantum --kappa 0.01 --nb 20 --m-log 1e5,1e8,13",
+    "--receivers CS+Hom --ns 0.5 --kappa 0.3 --nb 0.2 --m-log 1e2,1e12,11",
+    "--receivers QI+PC,QI+Cal+PC,QI+Het+PC,CS+Hom --ns 1e160 --m 10",
+    "--ns 100 --ni 100 --kappa 1 --nb 0 --m 1e308",
+    "--receivers CS+Hom --ns 8 --kappa 1 --nb 0 --m 4.4942328e307",
+    "--receivers CS+Hom --ns 1e308 --ni 0 --c 0 --kappa 1 --nb 1e300 --m 10",
+    "--ns 0.5 --kappa 0.3 --nb 20 --m-log 1,1e308,600",
+]
 
 
 class TestHomodyne:
@@ -1123,10 +1113,8 @@ class TestHomodyne:
             with pytest.raises(AssertionError, match="more than 2 ulps"):
                 check_cs_hom_rows(0.5, ch, ms, off, p, log_p)
 
-    @pytest.mark.parametrize("argv", _ci_cs_hom_sweeps())
+    @pytest.mark.parametrize("argv", _CS_HOM_SWEEPS)
     def test_optimum_check_holds_on_the_cs_hom_rows_of_ci_command_lines(self, argv):
-        # the CS+Hom rows that CI's numpy-only step prints, read from the
-        # workflow, so that a line added there is held to mpmath here too
         args = _build_parser().parse_args(["sweep", *shlex.split(argv)])
         receivers = tuple(args.receivers.split(",")) if args.receivers else RECEIVER_ORDER
         checked_compute_sweep(SweepSpec(_scenario_from(args), _parse_m_values(args), receivers))
